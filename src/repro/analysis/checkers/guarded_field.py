@@ -13,7 +13,7 @@ Everything else is a race waiting for a schedule and is reported. The
 annotation goes on the assignment line in ``__init__`` (or a class-body
 assignment for class-level state), e.g.::
 
-    self._pending = {}  # guarded-by: _cluster_lock
+    self._pending = {}  # guarded-by: _lock
 
 Accesses through aliases (``cache._leases``) and closures are invisible
 to this pass — it checks ``self.X`` / ``cls.X`` only, which is how all

@@ -59,7 +59,7 @@ class RecommendationResult:
     #: JSON-safe visualization frames (one per recommended view, built by
     #: the RenderPhase) when the request's ``options.render`` asked for
     #: them; None otherwise. Carried inside the result so every transport
-    #: — in-process LRU, coalesced joiners, the shm cluster cache — ships
+    #: — result LRU, coalesced joiners, the shm cluster transport — ships
     #: the charts with the data.
     visualizations: "list[dict] | None" = None
 

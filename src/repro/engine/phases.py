@@ -430,7 +430,7 @@ class RenderPhase(Phase):
     semantic tag, series count) and emitted as a JSON-safe frame —
     Vega-Lite spec or standalone SVG plus the chart-type rationale.
     Frames live on ``ctx.visualizations`` and travel inside the result,
-    so coalesced joiners, the in-process LRU, and the shm cluster cache
+    so coalesced joiners, the result LRU, and the shm cluster transport
     all carry them without re-rendering.
     """
 

@@ -157,7 +157,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker *processes* for the sharded cluster tier (0 = serve "
         "from threads in this process; N >= 1 spawns N process shards "
-        "with consistent-hash routing and a shared-memory result cache)",
+        "with consistent-hash routing and shared-memory result transport)",
     )
     parser.add_argument(
         "--query-workers",

@@ -1,43 +1,51 @@
-"""ClusterService: the multi-process sharded serving tier.
+"""WorkerRing: the multi-process sharded execution tier.
 
 :class:`~repro.service.service.SeeDBService` serves many sessions from
 one process of threads — which the GIL caps at roughly one core for the
-in-process memory backend. This module scales the *same* dispatch
-interface past that: a pool of long-lived worker processes, each owning
-private backend replicas and engine caches, behind the router process
-everyone already talks to.
+in-process memory backend. A :class:`WorkerRing` scales the *execution*
+of admitted jobs past that: a pool of long-lived worker processes, each
+owning private backend replicas and engine caches, that the service hands
+one deduplicated :class:`~repro.service.service.Job` at a time.
 
-The contract (and how each piece preserves it):
+The ring is a collaborator, not a service: it owns spawn, route, monitor,
+dispatch, reassign, broadcast and shutdown behind its own lock and its
+own closed flag, holds no reference to the service, and is driven through
+a narrow surface — :meth:`~WorkerRing.start`, :meth:`~WorkerRing.run`
+(one job), :meth:`~WorkerRing.replicate_table`,
+:meth:`~WorkerRing.health` / :meth:`~WorkerRing.snapshot`, and
+:meth:`~WorkerRing.close`. Canonicalisation, admission, coalescing, the
+result LRU and stats all stay in the one service class, so they behave
+identically in both tiers:
 
-* **Coalescing and bit-identity survive sharding.** Requests are
-  canonicalized and keyed exactly as in the thread tier (the inherited
-  ``submit``), so identical concurrent requests still collapse onto one
-  in-flight future *before* dispatch. The one execution is routed by
-  consistent hash on the key digest (:mod:`repro.service.hashring`), so
-  repeat traffic for a key always lands on the worker whose
+* **Coalescing and bit-identity survive sharding.** Identical concurrent
+  requests collapse onto one in-flight sink in the service *before* the
+  ring sees a job. The one execution is routed by consistent hash on the
+  key digest (:mod:`repro.service.hashring`), so repeat traffic for a key
+  always lands on the worker whose
   :class:`~repro.engine.cache.EngineCache` is warm for it. The worker
   re-resolves the wire-form request against the same base config the
   router resolved it against — same inputs, same pipeline, bit-identical
   results.
-* **Results cross processes without pickle.** Workers publish finished
-  results into named shared-memory segments (:mod:`repro.service.shm`);
-  only the segment name rides the response queue. The segments double as
-  the cross-process result cache: entries carry the ``data_version`` they
-  were computed at, and both readers and writers retire stale versions on
-  contact — the cross-process analogue of the in-process LRU's
-  version-bearing keys.
+* **Results cross processes without pickle, and are cached once.** A
+  worker writes each finished result into a shared-memory segment named
+  for that one reply (:mod:`repro.service.shm`); only the name rides the
+  reply pipe, and the router decodes and unlinks the segment at once
+  (encoded bytes ride in-band when shared memory is unavailable or the
+  write tore). The decoded result then lands in the service's LRU — the
+  router is the only reader there ever was, so that is the one result
+  cache.
 * **Crashes are contained.** A monitor thread watches process sentinels;
   a dead worker is respawned from the current authoritative bootstrap,
   and its in-flight requests are retried once on the next ring node.
   Requests that outlive two workers fail with a clear error.
 
-The degenerate case stays degenerate: ``ClusterService(workers=1)`` is a
-single shard behind the same interface, and plain ``SeeDBService`` remains
-the no-process tier — ``seedb serve`` picks between them with
-``--workers``.
+:class:`ClusterService` is only a constructor: a ``SeeDBService`` with a
+ring attached. ``ClusterService(workers=1)`` is a single shard behind the
+same interface, and plain ``SeeDBService`` remains the no-process tier —
+``seedb serve`` picks between them with ``--workers``.
 
 Streams (``recommend_stream``) deliberately execute on the router process
-via the inherited incremental path: progressive rounds are latency-bound,
+whether or not a ring is attached: progressive rounds are latency-bound,
 not throughput-bound, and fanning partial rounds through shared memory
 would buy nothing.
 """
@@ -47,24 +55,26 @@ from __future__ import annotations
 import hashlib
 import itertools
 import multiprocessing
-import os
 import random
 import threading
 import time
 import uuid
-from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from multiprocessing import connection as mp_connection
 
-from repro.api.request import RecommendationRequest, ResolvedRequest
 from repro.backends.base import Backend
 from repro.core.config import SeeDBConfig
 from repro.core.result import RecommendationResult
 from repro.db.table import Table
 from repro.service.hashring import HashRing
-from repro.service.service import DEFAULT_BACKEND, SeeDBService, _BackendSlot
-from repro.service.shm import SharedResultCache, decode_result, read_segment, unlink_segment
+from repro.service.service import DEFAULT_BACKEND, Job, SeeDBService, _BackendSlot
+from repro.service.shm import (
+    decode_result,
+    read_segment,
+    unlink_prefix,
+    validate_prefix,
+)
 from repro.service.worker import BackendBootstrap, decode_error, worker_main
 from repro.util.deadline import CancelToken
 from repro.util.errors import ConfigError, DeadlineExceeded, QueryError, WorkerLost
@@ -80,11 +90,10 @@ MAX_RESPAWNS = 5
 
 @dataclass
 class ClusterTimeouts:
-    """Every cluster-tier timeout, named and overridable in one place.
+    """Every cluster-tier timeout, named in one place (seconds).
 
-    Each field can be overridden per-process with an environment variable
-    ``SEEDB_CLUSTER_<FIELD>`` (upper-cased field name, seconds as a float)
-    or per-service by passing ``timeouts=ClusterTimeouts(...)``.
+    Production code runs on the defaults; the chaos suite shortens the
+    teardown ladder by passing ``timeouts=ClusterTimeouts(...)``.
     """
 
     #: close(): how long to wait for the router / monitor threads.
@@ -110,32 +119,9 @@ class ClusterTimeouts:
     #: it has been reparented (parent died without draining it).
     worker_idle_poll_s: float = 5.0
 
-    @classmethod
-    def from_env(cls, env=None) -> "ClusterTimeouts":
-        env = os.environ if env is None else env
-        overrides = {}
-        for field in fields(cls):
-            raw = env.get(f"SEEDB_CLUSTER_{field.name.upper()}")
-            if raw is None:
-                continue
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"SEEDB_CLUSTER_{field.name.upper()} must be a number "
-                    f"of seconds, got {raw!r}"
-                ) from None
-            if value <= 0:
-                raise ConfigError(
-                    f"SEEDB_CLUSTER_{field.name.upper()} must be positive, "
-                    f"got {raw!r}"
-                )
-            overrides[field.name] = value
-        return cls(**overrides)
-
 
 def key_digest(key: tuple) -> str:
-    """Stable digest of a request key: the routing and segment identity."""
+    """Stable digest of a request key: what the hash ring routes on."""
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
 
@@ -171,6 +157,10 @@ class _Dispatch:
         self.reply = reply
         self.event.set()
 
+    def fail(self, error_type: str, message: str) -> None:
+        """Resolve with an error reply the waiter re-raises by type name."""
+        self.resolve({"error": {"type": error_type, "message": message}})
+
 
 class _WorkerHandle:
     """Router-side state of one worker slot (stable id, live process).
@@ -198,19 +188,39 @@ class _WorkerHandle:
         self.respawns = 0
 
 
-class ClusterService(SeeDBService):
-    """A sharded, multi-process :class:`SeeDBService`.
+def _bootstrap_of(name: str, slot: _BackendSlot) -> BackendBootstrap:
+    from repro.backends.registry import available_backend_schemes
+
+    scheme = slot.backend.name
+    if scheme not in available_backend_schemes():
+        raise ConfigError(
+            f"backend {name!r} ({scheme!r}) has no URI scheme to build "
+            "worker replicas from; the cluster tier needs "
+            "backend_from_uri-constructible backends"
+        )
+    tables = [
+        slot.backend.fetch_table(table_name)
+        for table_name in slot.backend.table_names()
+    ]
+    return BackendBootstrap(
+        name=name, scheme=scheme, config=slot.config, tables=tables
+    )
+
+
+class WorkerRing:
+    """A consistent-hash ring of worker processes that execute jobs.
 
     ``workers`` is the number of worker processes (the unit of CPU
-    scale-out); ``max_workers`` still bounds concurrent *dispatches* and
-    should be >= ``workers`` to keep every shard busy. Backends must be
-    registered before :meth:`start` — replicas are built from each
-    backend's URI scheme with its tables shipped over, so every worker
-    owns private storage (no cross-process file locking).
+    scale-out). Replicas are built at :meth:`start` from each backend's
+    URI scheme with its tables shipped over, so every worker owns private
+    storage (no cross-process file locking).
 
     ``start()`` must run before other threads are active if the platform
-    forks (``seedb serve`` starts the cluster before the HTTP server);
-    as a convenience the first request auto-starts the pool.
+    forks (``seedb serve`` starts the ring before the HTTP server).
+
+    Lock order: the ring's lock is *inner* to the service lock of whoever
+    drives it — the service may call in while holding its own lock, and
+    the ring never calls back out.
     """
 
     def __init__(
@@ -220,99 +230,76 @@ class ClusterService(SeeDBService):
         shm_prefix: "str | None" = None,
         start_method: "str | None" = None,
         timeouts: "ClusterTimeouts | None" = None,
-        **service_kwargs,
     ):
-        super().__init__(**service_kwargs)
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.n_workers = workers
-        self.timeouts = timeouts or ClusterTimeouts.from_env()
+        self.timeouts = timeouts or ClusterTimeouts()
         self._ctx = multiprocessing.get_context(
             start_method or default_start_method()
         )
-        prefix = shm_prefix or f"sdb{uuid.uuid4().hex[:8]}."
-        self._shm = SharedResultCache(prefix)
-        #: LRU index of cache segments this router published/read, so the
-        #: result-cache bound and close() can unlink deterministically.
-        self._segments: "OrderedDict[str, str]" = OrderedDict()  # guarded-by: _lock
-        self._ring = HashRing(replicas=ring_replicas)
-        # Guards everything below; ordered *inside* the service lock
-        # (never acquire the service lock while holding this one).
-        self._cluster_lock = threading.RLock()
-        self._handles: "dict[str, _WorkerHandle]" = {}  # guarded-by: _cluster_lock
-        self._pending: "dict[int, _Dispatch]" = {}  # guarded-by: _cluster_lock
+        #: Every reply segment a worker writes is named under this prefix,
+        #: so close() can sweep what a killed worker never announced.
+        self.shm_prefix = validate_prefix(
+            shm_prefix or f"sdb{uuid.uuid4().hex[:8]}."
+        )
+        self._hash = HashRing(replicas=ring_replicas)
+        self._lock = threading.RLock()
+        self._handles: "dict[str, _WorkerHandle]" = {}  # guarded-by: _lock
+        self._pending: "dict[int, _Dispatch]" = {}  # guarded-by: _lock
         self._ids = itertools.count(1)
-        self._bootstraps: "dict[str, BackendBootstrap]" = {}  # guarded-by: _cluster_lock
-        self._started = False  # guarded-by: _cluster_lock
-        self._cluster_closed = False  # guarded-by: _cluster_lock
+        self._bootstraps: "dict[str, BackendBootstrap]" = {}  # guarded-by: _lock
+        self._started = False  # guarded-by: _lock
+        #: The closed flag: set once by close(), polled by the threads.
         self._closing = threading.Event()
         self._router_thread: "threading.Thread | None" = None
         self._monitor_thread: "threading.Thread | None" = None
-        self.respawns = 0  # guarded-by: _cluster_lock
-        self.retries = 0  # guarded-by: _cluster_lock
-        self.ejections = 0  # guarded-by: _cluster_lock
+        self.respawns = 0  # guarded-by: _lock
+        self.retries = 0  # guarded-by: _lock
+        self.ejections = 0  # guarded-by: _lock
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> "ClusterService":
-        """Spawn the worker pool (idempotent).
-
-        Call this before starting server threads when the start method is
-        ``fork``; otherwise the first request starts the pool lazily.
-        """
+    @property
+    def started(self) -> bool:
         with self._lock:
-            self._require_open()
-            bootstraps = {
-                name: self._bootstrap_of(name, slot)
-                for name, slot in self._slots.items()
+            return self._started
+
+    def start(self, slots: "dict[str, _BackendSlot]") -> None:
+        """Spawn the worker pool with a replica of every backend in
+        ``slots`` (idempotent: later calls change nothing)."""
+        with self._lock:
+            if self._closing.is_set():
+                raise QueryError("worker ring is closed")
+            if self._started:
+                return
+            if not slots:
+                raise ConfigError(
+                    "register at least one backend before starting the cluster"
+                )
+            self._bootstraps = {
+                name: _bootstrap_of(name, slot) for name, slot in slots.items()
             }
-            with self._cluster_lock:
-                if self._started:
-                    return self
-                if not bootstraps:
-                    raise ConfigError(
-                        "register at least one backend before starting the cluster"
-                    )
-                self._bootstraps = bootstraps
-                for index in range(self.n_workers):
-                    worker_id = f"w{index}"
-                    self._handles[worker_id] = self._spawn(worker_id, generation=0)
-                    self._ring.add(worker_id)
-                self._router_thread = threading.Thread(
-                    target=self._route_responses,
-                    name="seedb-cluster-router",
-                    daemon=True,
-                )
-                self._monitor_thread = threading.Thread(
-                    target=self._monitor,
-                    name="seedb-cluster-monitor",
-                    daemon=True,
-                )
-                self._started = True
-                self._router_thread.start()
-                self._monitor_thread.start()
-        return self
-
-    def _bootstrap_of(self, name: str, slot: _BackendSlot) -> BackendBootstrap:
-        from repro.backends.registry import available_backend_schemes
-
-        scheme = slot.backend.name
-        if scheme not in available_backend_schemes():
-            raise ConfigError(
-                f"backend {name!r} ({scheme!r}) has no URI scheme to build "
-                "worker replicas from; the cluster tier needs "
-                "backend_from_uri-constructible backends"
+            for index in range(self.n_workers):
+                worker_id = f"w{index}"
+                self._handles[worker_id] = self._spawn(worker_id, generation=0)
+                self._hash.add(worker_id)
+            self._router_thread = threading.Thread(
+                target=self._route_responses,
+                name="seedb-cluster-router",
+                daemon=True,
             )
-        tables = [
-            slot.backend.fetch_table(table_name)
-            for table_name in slot.backend.table_names()
-        ]
-        return BackendBootstrap(
-            name=name, scheme=scheme, config=slot.config, tables=tables
-        )
+            self._monitor_thread = threading.Thread(
+                target=self._monitor,
+                name="seedb-cluster-monitor",
+                daemon=True,
+            )
+            self._started = True
+            self._router_thread.start()
+            self._monitor_thread.start()
 
     def _spawn(self, worker_id: str, generation: int) -> _WorkerHandle:
-        """Fork one worker process. Caller holds the cluster lock."""
+        """Fork one worker process. Caller holds the ring lock."""
         inbox = self._ctx.Queue()
         reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
@@ -320,9 +307,10 @@ class ClusterService(SeeDBService):
             args=(
                 worker_id,
                 list(self._bootstraps.values()),
-                self._shm.prefix,
+                self.shm_prefix,
                 inbox,
                 writer,
+                self.timeouts.worker_idle_poll_s,
             ),
             name=f"seedb-{worker_id}",
             daemon=True,
@@ -333,31 +321,18 @@ class ClusterService(SeeDBService):
         writer.close()
         return _WorkerHandle(worker_id, process, inbox, reader, generation)
 
-    def register_backend(self, name, backend, config=None, owned=False) -> None:
-        with self._cluster_lock:
-            if self._started:
-                raise ConfigError(
-                    "cannot register backends after the cluster started; "
-                    "construct the service fully, then start()"
-                )
-        super().register_backend(name, backend, config=config, owned=owned)
-
     def close(self) -> None:
-        """Drain in-flight requests, stop workers, release all segments."""
-        with self._cluster_lock:
-            already_closed = self._cluster_closed
-            self._cluster_closed = True
+        """Stop workers and threads, fail what is still pending, release
+        every segment under the prefix (idempotent).
+
+        The driver drains its own in-flight jobs first; until this runs
+        the monitor still covers crashes.
+        """
+        with self._lock:
+            if self._closing.is_set():
+                return
+            self._closing.set()
             started = self._started
-        if already_closed:
-            # Idempotent re-close. The base close() acquires the service
-            # lock, which orders *outside* the cluster lock (see start),
-            # so it must never run under it.
-            super().close()
-            return
-        # Drain first (the monitor still covers crashes mid-drain), then
-        # stop respawns and take the pool down.
-        super().close()
-        self._closing.set()
         if started:
             self._shutdown_workers()
             if self._router_thread is not None:
@@ -365,16 +340,12 @@ class ClusterService(SeeDBService):
             if self._monitor_thread is not None:
                 self._monitor_thread.join(timeout=self.timeouts.monitor_join_s)
         self._fail_all_pending(QueryError("service closed"))
-        # Final sweep: the LRU already unlinked indexed segments via
-        # _cache_clear; this catches anything workers published that the
-        # router never read.
-        with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-        self._shm.unlink_all(segments)
+        # Read segments are already gone (the read unlinks them); this
+        # catches what a killed worker wrote and never announced.
+        unlink_prefix(self.shm_prefix)
 
     def _shutdown_workers(self) -> None:
-        with self._cluster_lock:
+        with self._lock:
             handles = list(self._handles.values())
         for handle in handles:
             try:
@@ -397,83 +368,55 @@ class ClusterService(SeeDBService):
 
     # -- dispatch ----------------------------------------------------------
 
-    def _run_execution(
-        self,
-        key: tuple,
-        backend_name: str,
-        slot: _BackendSlot,
-        request: RecommendationRequest,
-        resolved: ResolvedRequest,
-        base: SeeDBConfig,
-        token: "CancelToken | None" = None,
-    ) -> RecommendationResult:
-        with self._cluster_lock:
-            started = self._started
-        if not started:
-            self.start()
-        digest = key_digest(key)
-        data_version = key[1]
+    def run(self, job: Job) -> RecommendationResult:
+        """Execute one job on the worker owning its key's shard.
+
+        Blocks the calling thread until the worker replies, the job's
+        token is cancelled, or its deadline (plus dispatch grace) lands.
+        """
         message = {
             "op": "request",
-            "backend": backend_name,
+            "backend": job.backend,
             # The wire codec is the transport: the worker re-resolves this
             # exact request against the same base config, reproducing the
             # resolution the router keyed on.
-            "request": dataclass_replace(request, k=resolved.k).to_dict(),
-            "config": base,
-            "digest": digest,
-            "data_version": data_version,
-            # With the result cache off nothing may outlive the reply, so
-            # the worker ships bytes in-band instead of publishing a
-            # segment (concurrent uncoalesced twins would otherwise race
-            # an unlink-after-read on the shared name).
-            "publish": bool(self.result_cache_size),
+            "request": dataclass_replace(job.request, k=job.resolved.k).to_dict(),
+            "config": job.base,
         }
-        if token is not None:
-            remaining_ms = token.remaining_ms()
-            if remaining_ms is not None:
-                # The worker enforces what's left of the budget, not the
-                # original deadline_ms: queue wait already consumed some.
-                message["deadline_ms"] = max(1.0, remaining_ms)
-        reply = self._dispatch(message, digest, token=token)
+        remaining_ms = job.token.remaining_ms()
+        if remaining_ms is not None:
+            # The worker enforces what's left of the budget, not the
+            # original deadline_ms: queue wait already consumed some.
+            message["deadline_ms"] = max(1.0, remaining_ms)
+        reply = self._dispatch(message, key_digest(job.key), job.token)
         if "error" in reply:
             raise decode_error(reply["error"])
         if "shm" in reply:
             try:
-                _, _, result = read_segment(reply["shm"])
+                return read_segment(reply["shm"])
             except (FileNotFoundError, OSError, ConfigError) as exc:
                 raise QueryError(
                     f"worker result segment {reply['shm']!r} vanished "
                     f"before the router read it: {exc}"
                 ) from exc
-            return result
-        # In-band fallback (shared memory unavailable): same encoding,
-        # shipped as bytes; republish router-side so caching still works.
-        _, _, result = decode_result(reply["payload"])
-        if self.result_cache_size:
-            self._shm.put(digest, data_version, result)
-        return result
+        # In-band fallback (shared memory unavailable or the write tore):
+        # same encoding, shipped as bytes.
+        return decode_result(reply["payload"])[2]
 
-    def _dispatch(
-        self,
-        message: dict,
-        digest: "str | None",
-        token: "CancelToken | None" = None,
-    ) -> dict:
+    def _dispatch(self, message: dict, digest: str, token: CancelToken) -> dict:
         dispatch = _Dispatch(message, digest)
-        if token is not None:
-            remaining = token.remaining()
-            if remaining is not None:
-                dispatch.expires_at = time.monotonic() + max(0.0, remaining)
-        with self._cluster_lock:
-            if not self._ring:
+        remaining = token.remaining()
+        if remaining is not None:
+            dispatch.expires_at = time.monotonic() + max(0.0, remaining)
+        with self._lock:
+            if self._closing.is_set():
+                raise QueryError("worker ring is closed")
+            if not self._hash:
                 raise WorkerLost(
                     "no live workers (all worker slots failed); "
                     "restart the service"
                 )
-            worker_id = (
-                self._ring.node_for(digest) if digest is not None else message["worker"]
-            )
+            worker_id = self._hash.node_for(digest)
             dispatch.id = next(self._ids)
             dispatch.worker = worker_id
             dispatch.attempts = 1
@@ -482,9 +425,7 @@ class ClusterService(SeeDBService):
         # A cancelled request must not keep a router thread parked waiting
         # on a worker that is still (correctly) grinding: the token kicks
         # the event so the waiter can bail with the typed error.
-        unregister = (
-            token.on_cancel(dispatch.event.set) if token is not None else None
-        )
+        unregister = token.on_cancel(dispatch.event.set)
         try:
             if dispatch.expires_at is None:
                 dispatch.event.wait()
@@ -498,13 +439,11 @@ class ClusterService(SeeDBService):
                     + self.timeouts.dispatch_grace_s
                 )
         finally:
-            if unregister is not None:
-                unregister()
+            unregister()
         if dispatch.reply is None:
-            with self._cluster_lock:
+            with self._lock:
                 self._pending.pop(dispatch.id, None)
-            if token is not None:
-                token.check()  # raises Cancelled / DeadlineExceeded
+            token.check()  # raises Cancelled / DeadlineExceeded
             raise DeadlineExceeded(
                 f"worker {dispatch.worker} did not reply within the "
                 f"request deadline (+{self.timeouts.dispatch_grace_s}s grace)"
@@ -514,7 +453,7 @@ class ClusterService(SeeDBService):
     def _broadcast(self, message: dict, timeout: float) -> "dict[str, dict | None]":
         """Send ``message`` to every worker; gather replies until timeout."""
         dispatches: "dict[str, _Dispatch]" = {}
-        with self._cluster_lock:
+        with self._lock:
             for worker_id, handle in self._handles.items():
                 dispatch = _Dispatch(dict(message, worker=worker_id), digest=None)
                 dispatch.id = next(self._ids)
@@ -526,7 +465,7 @@ class ClusterService(SeeDBService):
         deadline = time.monotonic() + timeout
         for dispatch in dispatches.values():
             dispatch.event.wait(max(0.0, deadline - time.monotonic()))
-        with self._cluster_lock:
+        with self._lock:
             for dispatch in dispatches.values():
                 if not dispatch.event.is_set():
                     self._pending.pop(dispatch.id, None)
@@ -549,7 +488,7 @@ class ClusterService(SeeDBService):
         """
         dead: "set" = set()
         while not self._closing.is_set():
-            with self._cluster_lock:
+            with self._lock:
                 conns = [
                     handle.outbox
                     for handle in self._handles.values()
@@ -565,14 +504,7 @@ class ClusterService(SeeDBService):
             for conn in ready:
                 try:
                     reply = conn.recv()
-                except (EOFError, OSError):
-                    dead.add(conn)
-                    try:
-                        conn.close()
-                    except OSError:  # pragma: no cover
-                        pass
-                    continue
-                except Exception:  # noqa: BLE001 - torn/corrupt stream
+                except Exception:  # noqa: BLE001 - EOF or a torn/corrupt stream
                     dead.add(conn)
                     try:
                         conn.close()
@@ -581,21 +513,21 @@ class ClusterService(SeeDBService):
                     continue
                 op = reply.get("op")
                 if op == "up":
-                    with self._cluster_lock:
+                    with self._lock:
                         handle = self._handles.get(reply.get("worker", ""))
                         if handle is not None:
                             handle.booted = True
                     continue
                 if op == "bye":
                     continue  # the monitor owns death handling
-                with self._cluster_lock:
+                with self._lock:
                     dispatch = self._pending.pop(reply.get("id"), None)
                 if dispatch is not None:
                     dispatch.resolve(reply)
 
     def _monitor(self) -> None:
         while not self._closing.is_set():
-            with self._cluster_lock:
+            with self._lock:
                 # No is_alive() filter: a worker that died *between* wait
                 # cycles would be filtered out here before its sentinel
                 # was ever waited on, and its death would never be
@@ -619,7 +551,7 @@ class ClusterService(SeeDBService):
                 self._on_worker_death(worker_id, generation)
 
     def _on_worker_death(self, worker_id: str, generation: int) -> None:
-        with self._cluster_lock:
+        with self._lock:
             if self._closing.is_set():
                 return
             handle = self._handles.get(worker_id)
@@ -642,7 +574,7 @@ class ClusterService(SeeDBService):
                 # ejection is permanent for this service's lifetime, so
                 # health() reports degraded from here on.
                 self.ejections += 1
-                self._ring.remove(worker_id)
+                self._hash.remove(worker_id)
                 del self._handles[worker_id]
             else:
                 self.respawns += 1
@@ -662,7 +594,7 @@ class ClusterService(SeeDBService):
             pass
 
     def _reassign(self, dispatch: _Dispatch, dead_worker: str) -> None:
-        """Retry one orphaned dispatch (caller holds the cluster lock).
+        """Retry one orphaned dispatch (caller holds the ring lock).
 
         Retries are budget-gated: a request whose deadline already landed
         (or will land before a retry could plausibly finish) fails with
@@ -671,16 +603,10 @@ class ClusterService(SeeDBService):
         """
         if dispatch.attempts >= MAX_ATTEMPTS:
             self._pending.pop(dispatch.id, None)
-            dispatch.resolve(
-                {
-                    "error": {
-                        "type": "WorkerLost",
-                        "message": (
-                            f"request failed on {dispatch.attempts} workers "
-                            f"(last: {dead_worker} died mid-request)"
-                        ),
-                    }
-                }
+            dispatch.fail(
+                "WorkerLost",
+                f"request failed on {dispatch.attempts} workers "
+                f"(last: {dead_worker} died mid-request)",
             )
             return
         if (
@@ -688,16 +614,10 @@ class ClusterService(SeeDBService):
             and time.monotonic() >= dispatch.expires_at
         ):
             self._pending.pop(dispatch.id, None)
-            dispatch.resolve(
-                {
-                    "error": {
-                        "type": "DeadlineExceeded",
-                        "message": (
-                            f"worker {dead_worker} died mid-request and no "
-                            "deadline budget remains to retry"
-                        ),
-                    }
-                }
+            dispatch.fail(
+                "DeadlineExceeded",
+                f"worker {dead_worker} died mid-request and no "
+                "deadline budget remains to retry",
             )
             return
         if dispatch.digest is not None:
@@ -705,7 +625,7 @@ class ClusterService(SeeDBService):
             # not the worker that just died — the node that owns (or would
             # inherit) this shard. A single-worker pool falls back to the
             # respawned primary itself.
-            order = self._ring.nodes_for(dispatch.digest, max(len(self._ring), 1))
+            order = self._hash.nodes_for(dispatch.digest, max(len(self._hash), 1))
             candidates = [
                 node for node in order
                 if node in self._handles and node != dead_worker
@@ -714,14 +634,7 @@ class ClusterService(SeeDBService):
             candidates = [dispatch.worker] if dispatch.worker in self._handles else []
         if not candidates:
             self._pending.pop(dispatch.id, None)
-            dispatch.resolve(
-                {
-                    "error": {
-                        "type": "WorkerLost",
-                        "message": "no live workers left to retry on",
-                    }
-                }
-            )
+            dispatch.fail("WorkerLost", "no live workers left to retry on")
             return
         target = candidates[0]
         dispatch.attempts += 1
@@ -740,7 +653,7 @@ class ClusterService(SeeDBService):
             delay = min(delay, max(0.0, dispatch.expires_at - time.monotonic()))
 
         def _resend() -> None:
-            with self._cluster_lock:
+            with self._lock:
                 if dispatch.event.is_set() or dispatch.id not in self._pending:
                     return
                 try:
@@ -756,111 +669,56 @@ class ClusterService(SeeDBService):
             timer.start()
 
     def _fail_all_pending(self, error: Exception) -> None:
-        with self._cluster_lock:
+        with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
         for dispatch in pending:
-            dispatch.resolve(
-                {"error": {"type": type(error).__name__, "message": str(error)}}
-            )
-
-    # -- cross-process result cache ----------------------------------------
-
-    def _cache_get(self, key: tuple) -> "RecommendationResult | None":
-        """Shared-memory cache probe. Caller holds the service lock."""
-        if not self.result_cache_size:
-            return None
-        digest = key_digest(key)
-        result = self._shm.get(digest, key[1])
-        if result is None:
-            self._segments.pop(digest, None)
-            return None
-        self._index_segment(digest)
-        return result
-
-    def _cache_put(self, key: tuple, result: RecommendationResult) -> None:
-        """Index a published segment. Caller holds the service lock."""
-        # The worker already published the segment (or _run_execution
-        # republished the in-band fallback); only the LRU index lives here.
-        if not self.result_cache_size:
-            return
-        self._index_segment(key_digest(key))
-
-    def _index_segment(self, digest: str) -> None:
-        """LRU-touch a segment, evicting over budget.
-
-        Caller holds the service lock.
-        """
-        self._segments[digest] = self._shm.segment_name(digest)
-        self._segments.move_to_end(digest)
-        while len(self._segments) > self.result_cache_size:
-            _, name = self._segments.popitem(last=False)
-            unlink_segment(name)
-
-    def _cache_clear(self) -> None:
-        """Unlink every indexed segment. Caller holds the service lock."""
-        for name in self._segments.values():
-            unlink_segment(name)
-        self._segments.clear()
+            dispatch.fail(type(error).__name__, str(error))
 
     # -- replica data management -------------------------------------------
 
-    def update_table(
-        self,
-        table: Table,
-        backend: str = DEFAULT_BACKEND,
-        replace: bool = True,
-    ) -> None:
-        """Publish new table data to the authoritative backend and every
-        worker replica.
+    def replicate_table(self, backend: str, table: Table) -> None:
+        """Ship ``table`` to every worker's replica of ``backend`` and wait
+        for every ack; future respawns bootstrap with it too.
 
-        Holding the service lock across the broadcast serializes the
-        update against new submissions: requests keyed at the old
-        ``data_version`` were dispatched (FIFO inboxes) before the
-        replicas swap, requests keyed at the new version can only be
-        canonicalized after every replica acked — so no result is ever
-        cached under a version its data didn't match.
+        Before :meth:`start` this is a no-op: the replicas will be built
+        from the authoritative backend, which already holds the table.
         """
         with self._lock:
-            self._require_open()
-            slot = self._require_slot(backend)
-            slot.backend.register_table(table, replace=replace)
-            with self._cluster_lock:
-                started = self._started
-                spec = self._bootstraps.get(backend)
-                if spec is not None:
-                    spec.tables = [
-                        existing for existing in spec.tables
-                        if existing.name != table.name
-                    ] + [table]
-            if not started:
-                return
-            acks = self._broadcast(
-                {"op": "register_table", "backend": backend, "table": table},
-                timeout=self.timeouts.table_broadcast_s,
+            started = self._started
+            spec = self._bootstraps.get(backend)
+            if spec is not None:
+                spec.tables = [
+                    existing for existing in spec.tables
+                    if existing.name != table.name
+                ] + [table]
+        if not started:
+            return
+        acks = self._broadcast(
+            {"op": "register_table", "backend": backend, "table": table},
+            timeout=self.timeouts.table_broadcast_s,
+        )
+        missing = sorted(
+            worker_id for worker_id, reply in acks.items() if reply is None
+        )
+        if missing:
+            raise QueryError(
+                f"table update not acknowledged by workers {missing}; "
+                "replicas may be inconsistent — restart the service"
             )
-            missing = sorted(
-                worker_id for worker_id, reply in acks.items() if reply is None
-            )
-            if missing:
-                raise QueryError(
-                    f"table update not acknowledged by workers {missing}; "
-                    "replicas may be inconsistent — restart the service"
-                )
-            errors = {
-                worker_id: reply["error"]
-                for worker_id, reply in acks.items()
-                if reply is not None and "error" in reply
-            }
-            if errors:
-                raise QueryError(f"table update failed on workers: {errors}")
+        errors = {
+            worker_id: reply["error"]
+            for worker_id, reply in acks.items()
+            if reply is not None and "error" in reply
+        }
+        if errors:
+            raise QueryError(f"table update failed on workers: {errors}")
 
     # -- observability -----------------------------------------------------
 
     def health(self) -> dict:
-        base = super().health()
-        base["mode"] = "processes"
-        with self._cluster_lock:
+        """Per-worker liveness, merged into the service's ``health()``."""
+        with self._lock:
             workers = [
                 {
                     "id": worker_id,
@@ -873,21 +731,25 @@ class ClusterService(SeeDBService):
             ]
             started = self._started
             ejections = self.ejections
-        base["workers"] = workers
-        base["ejected_workers"] = ejections
-        if base["status"] == "ok" and started:
+        status = "ok"
+        if started:
             alive = sum(1 for worker in workers if worker["alive"])
             if alive == 0:
-                base["status"] = "down"
+                status = "down"
             elif alive < self.n_workers or ejections:
                 # Ejections are permanent: even if every *remaining* slot
                 # is alive, capacity is below what was provisioned.
-                base["status"] = "degraded"
-        return base
+                status = "degraded"
+        return {
+            "status": status,
+            "mode": "processes",
+            "workers": workers,
+            "ejected_workers": ejections,
+        }
 
     def snapshot(self) -> dict:
-        snap = super().snapshot()
-        with self._cluster_lock:
+        """The ``cluster`` block of the service's ``snapshot()``."""
+        with self._lock:
             started = self._started
             n_live = sum(
                 1 for handle in self._handles.values() if handle.process.is_alive()
@@ -908,7 +770,7 @@ class ClusterService(SeeDBService):
         executed_total = sum(
             (stats or {}).get("executed", 0) for stats in worker_stats.values()
         )
-        snap["cluster"] = {
+        return {
             "workers": self.n_workers,
             "live_workers": n_live,
             "started": started,
@@ -917,11 +779,37 @@ class ClusterService(SeeDBService):
             "ejections": ejections,
             "executed_total": executed_total,
             "worker_stats": worker_stats,
-            "shm_prefix": self._shm.prefix,
-            "shm_cache": self._shm.stats(),
-            "shm_segments_live": len(self._shm.live_segments()),
+            "shm_prefix": self.shm_prefix,
         }
-        return snap
+
+
+class ClusterService(SeeDBService):
+    """A :class:`SeeDBService` with a :class:`WorkerRing` attached.
+
+    Only a constructor: ``workers`` / ``ring_replicas`` / ``shm_prefix`` /
+    ``start_method`` / ``timeouts`` build the ring, everything else is
+    the service's. ``max_workers`` still bounds concurrent *dispatches*
+    and should be >= ``workers`` to keep every shard busy. Register
+    backends before :meth:`start`; as a convenience the first request
+    starts the pool.
+    """
+
+    def __init__(
+        self,
+        workers: int = 2,
+        ring_replicas: int = 64,
+        shm_prefix: "str | None" = None,
+        start_method: "str | None" = None,
+        timeouts: "ClusterTimeouts | None" = None,
+        **service_kwargs,
+    ):
+        ring = WorkerRing(workers, ring_replicas, shm_prefix, start_method, timeouts)
+        super().__init__(ring=ring, **service_kwargs)
+
+    @property
+    def respawns(self) -> int:
+        """Workers respawned after a crash, so far."""
+        return self._ring.respawns
 
 
 def cluster_service_from_uri(

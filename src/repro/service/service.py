@@ -18,6 +18,16 @@ per-script library object. This module is that process core:
 * it exposes exact service statistics (in-flight, coalesced, cache hit
   rates) for the frontend's ``/stats`` endpoint.
 
+There is one request lifecycle — key → cache probe → coalesce → admit →
+schedule → settle → release — written once in ``_launch`` / ``_run`` /
+``_settle`` and shared by blocking requests (a ``Future`` sink) and
+streams (a ``_StreamBroadcast`` sink). *Where* an admitted blocking job
+executes is the only pluggable part: in-process on the backend's facade
+by default, or on a worker process when a
+:class:`~repro.service.cluster.WorkerRing` is attached (``ring=``).
+Either way the finished result lands in this class's LRU, the one result
+cache of both tiers.
+
 Both the HTTP frontend (:mod:`repro.frontend.server`) and interactive
 :class:`~repro.frontend.session.AnalystSession` objects route through one
 service instance, which is what lets interactive and HTTP traffic share
@@ -30,6 +40,8 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from dataclasses import replace as dataclass_replace
+from typing import TYPE_CHECKING
 
 from repro.api.errors import ApiError
 from repro.api.progressive import PartialResult
@@ -39,6 +51,7 @@ from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
 from repro.core.result import RecommendationResult
 from repro.db.query import RowSelectQuery
+from repro.db.table import Table
 from repro.engine.engine import ExecutionEngine
 from repro.util.deadline import CancelToken, Deadline
 from repro.util.errors import (
@@ -48,6 +61,9 @@ from repro.util.errors import (
     Overloaded,
     QueryError,
 )
+
+if TYPE_CHECKING:
+    from repro.service.cluster import WorkerRing
 
 #: Name under which a single-backend service registers its backend.
 DEFAULT_BACKEND = "default"
@@ -117,7 +133,16 @@ class _StreamBroadcast:
             self._rounds.append(item)
             self._cond.notify_all()
 
-    def finish(self, error: "BaseException | None" = None) -> None:
+    # ``Future``'s settle surface, so one ``_settle`` resolves either sink.
+
+    def set_result(self, result: "RecommendationResult | None") -> None:
+        """End the stream; its final round already carried ``result``."""
+        self._finish(None)
+
+    def set_exception(self, error: BaseException) -> None:
+        self._finish(error)
+
+    def _finish(self, error: "BaseException | None") -> None:
         with self._cond:
             self._done = True
             self._error = error
@@ -166,6 +191,34 @@ class _StreamBroadcast:
                 self._cancel_token.cancel("every stream subscriber disconnected")
 
 
+@dataclass
+class Job:
+    """One admitted execution, from schedule to settle.
+
+    The same record is what runs in-process and what a
+    :class:`~repro.service.cluster.WorkerRing` ships to a worker: the ring
+    re-resolves ``request`` against ``base`` on the other side (the
+    request crosses the process boundary through the wire codec, never by
+    pickling resolved internals) and routes by ``key``.
+    """
+
+    key: tuple
+    backend: str
+    slot: _BackendSlot
+    request: RecommendationRequest
+    resolved: ResolvedRequest
+    base: SeeDBConfig
+    #: Deadline measured from *admission* — queue wait burns budget,
+    #: exactly like the paper's interactive latency bound intends.
+    token: CancelToken
+    #: Where the outcome goes: every coalesced waiter shares it.
+    sink: "Future | _StreamBroadcast"
+
+    @property
+    def stream(self) -> bool:
+        return isinstance(self.sink, _StreamBroadcast)
+
+
 class SeeDBService:
     """A thread-safe recommendation service over one or more backends.
 
@@ -184,6 +237,12 @@ class SeeDBService:
     backend, so one slow backend cannot monopolize the pool. Both default
     to ``None`` (unbounded, the pre-hardening behavior). Cache hits and
     coalesced joiners are never shed — they cost no execution slot.
+
+    ``ring`` attaches a :class:`~repro.service.cluster.WorkerRing`:
+    admitted blocking jobs then execute on its worker processes instead
+    of in-process (streams always run here). The service owns the ring's
+    lifecycle from then on — :meth:`start`, :meth:`update_table` and
+    :meth:`close` reach it; nothing else differs between the tiers.
     """
 
     def __init__(
@@ -193,6 +252,7 @@ class SeeDBService:
         result_cache_size: int = 256,
         max_queue_depth: "int | None" = None,
         backend_inflight_limit: "int | None" = None,
+        ring: "WorkerRing | None" = None,
     ):
         if max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
@@ -214,10 +274,12 @@ class SeeDBService:
         self.max_queue_depth = max_queue_depth
         self.backend_inflight_limit = backend_inflight_limit
         self.stats = ServiceStats()
+        self._ring = ring
         self._lock = threading.RLock()
         self._slots: dict[str, _BackendSlot] = {}  # guarded-by: _lock
-        self._in_flight: dict[tuple, Future] = {}  # guarded-by: _lock
-        self._in_flight_streams: "dict[tuple, _StreamBroadcast]" = {}  # guarded-by: _lock
+        #: Executions scheduled and not yet settled, by request key:
+        #: the sink identical requests coalesce onto.
+        self._in_flight: "dict[tuple, Future | _StreamBroadcast]" = {}  # guarded-by: _lock
         self._results: "OrderedDict[tuple, RecommendationResult]" = OrderedDict()  # guarded-by: _lock
         #: Executions admitted and not yet finished (queued + running).
         self._executing = 0  # guarded-by: _lock
@@ -246,6 +308,11 @@ class SeeDBService:
             self._require_open()
             if name in self._slots:
                 raise ConfigError(f"backend {name!r} already registered")
+            if self._ring is not None and self._ring.started:
+                raise ConfigError(
+                    "cannot register backends after the worker ring started; "
+                    "construct the service fully, then start()"
+                )
             self._slots[name] = _BackendSlot(
                 backend=backend,
                 config=config if config is not None else SeeDBConfig(),
@@ -299,6 +366,30 @@ class SeeDBService:
         with self._lock:
             return self._require_slot(name)
 
+    def update_table(
+        self,
+        table: Table,
+        backend: str = DEFAULT_BACKEND,
+        replace: bool = True,
+    ) -> None:
+        """Publish new table data to the authoritative backend and, with a
+        worker ring attached, to every worker replica.
+
+        Holding the service lock across the replication serializes the
+        update against new submissions: requests keyed at the old
+        ``data_version`` were dispatched (FIFO inboxes) before the
+        replicas swap, requests keyed at the new version can only be
+        canonicalized after every replica acked — so no result is ever
+        cached under a version its data didn't match.
+        """
+        with self._lock:
+            self._require_open()
+            self._require_slot(backend).backend.register_table(
+                table, replace=replace
+            )
+            if self._ring is not None:
+                self._ring.replicate_table(backend, table)
+
     # -- admission control -------------------------------------------------
 
     def _admit_execution(self, backend_name: str) -> None:
@@ -351,20 +442,6 @@ class SeeDBService:
         else:
             self._backend_executing[backend_name] = remaining
 
-    def _classify_failure(self, exc: BaseException) -> None:
-        """Per-taxonomy failure counters (caller holds the lock)."""
-        if isinstance(exc, DeadlineExceeded):
-            self.stats.deadline_exceeded += 1
-        elif isinstance(exc, Cancelled):
-            self.stats.cancelled += 1
-
-    @staticmethod
-    def _lifecycle_token(resolved: ResolvedRequest) -> CancelToken:
-        """The request's cancel token, deadline measured from *admission*
-        — queue wait burns budget, exactly like the paper's interactive
-        latency bound intends."""
-        return CancelToken(deadline=Deadline.from_ms(resolved.deadline_ms))
-
     # -- serving -----------------------------------------------------------
 
     def submit(
@@ -386,61 +463,7 @@ class SeeDBService:
         enabled; requests matching a finished result at the same
         ``data_version`` resolve immediately from the LRU.
         """
-        with self._lock:
-            self._require_open()
-            backend_name, slot, request, resolved, base = self._canonicalize(
-                query, backend, k, config, overrides
-            )
-            key = (backend_name, slot.backend.data_version) + resolved.key_parts()
-            self.stats.requests += 1
-
-            cached = self._cache_get(key)
-            if cached is not None:
-                self.stats.result_cache_hits += 1
-                future: "Future[RecommendationResult]" = Future()
-                future.set_result(cached)
-                return future
-
-            if self.coalesce_requests:
-                in_flight = self._in_flight.get(key)
-                if in_flight is not None:
-                    self.stats.coalesced += 1
-                    return in_flight
-
-            self._admit_execution(backend_name)
-            token = self._lifecycle_token(resolved)
-            future = Future()
-            # With coalescing off an identical key may already be in
-            # flight; keep the first occupant — the map only needs *a*
-            # representative for joiners, and each execution resolves its
-            # own future regardless.
-            self._in_flight.setdefault(key, future)
-            self.stats.executions += 1
-        try:
-            self._pool.submit(
-                self._execute,
-                key,
-                backend_name,
-                slot,
-                request,
-                resolved,
-                base,
-                future,
-                token,
-            )
-        except RuntimeError as exc:
-            # close() shut the pool down between our lock release and the
-            # schedule: resolve the future (coalesced waiters included)
-            # instead of stranding them in result().
-            with self._lock:
-                if self._in_flight.get(key) is future:
-                    del self._in_flight[key]
-                self.stats.failed += 1
-                self._release_execution(backend_name)
-            future.set_exception(
-                QueryError(f"service closed while scheduling request: {exc}")
-            )
-        return future
+        return self._launch(query, backend, k, config, overrides, stream=False)
 
     def recommend(
         self,
@@ -472,103 +495,137 @@ class SeeDBService:
         subscriber (late joiners replay from round one); with coalescing
         off each request runs its own execution.
         """
-        return self._submit_stream(query, backend, k, config, overrides).subscribe()
+        return self._launch(
+            query, backend, k, config, overrides, stream=True
+        ).subscribe()
 
-    def _submit_stream(
+    def _launch(
         self,
         query: "RecommendationRequest | RowSelectQuery | str",
         backend: str,
         k: "int | None",
         config: "SeeDBConfig | None",
         overrides: dict,
-    ) -> _StreamBroadcast:
-        from dataclasses import replace as dataclass_replace
-
+        stream: bool,
+    ) -> "Future[RecommendationResult] | _StreamBroadcast":
+        """Key, probe the LRU, coalesce, admit and schedule one request;
+        returns the sink its outcome will land in."""
         with self._lock:
             self._require_open()
-            backend_name, request = self._build_request(
-                query, backend, k, overrides
+            backend, slot, request, resolved, base = self._canonicalize(
+                query, backend, k, config, overrides, stream
             )
-            if request.strategy != "incremental":
-                # Streaming always runs the incremental machinery; pinning
-                # the strategy *before* resolution keeps both the
-                # bounded-metric validation and the coalescing key honest
-                # (a stream must never share an execution with a batch
-                # request).
-                request = dataclass_replace(request, strategy="incremental")
-            backend_name, slot, resolved, _ = self._resolve_request(
-                request, backend_name, config
-            )
+            # A stream must never share an execution (or a cache entry)
+            # with a batch request: it gets a key namespace of its own.
             key = (
-                "stream",
-                backend_name,
-                slot.backend.data_version,
-            ) + resolved.key_parts()
+                (("stream",) if stream else ())
+                + (backend, slot.backend.data_version)
+                + resolved.key_parts()
+            )
             self.stats.requests += 1
-            self.stats.streams += 1
+            if stream:
+                self.stats.streams += 1
+
+            cached = None if stream else self._results.get(key)
+            if cached is not None:
+                self._results.move_to_end(key)
+                self.stats.result_cache_hits += 1
+                future: "Future[RecommendationResult]" = Future()
+                future.set_result(cached)
+                return future
+
             if self.coalesce_requests:
-                in_flight = self._in_flight_streams.get(key)
+                in_flight = self._in_flight.get(key)
                 if in_flight is not None:
                     self.stats.coalesced += 1
                     return in_flight
-            self._admit_execution(backend_name)
-            token = self._lifecycle_token(resolved)
-            broadcast = _StreamBroadcast(cancel_token=token)
-            self._in_flight_streams.setdefault(key, broadcast)
+
+            self._admit_execution(backend)
+            token = CancelToken(deadline=Deadline.from_ms(resolved.deadline_ms))
+            job = Job(
+                key, backend, slot, request, resolved, base, token,
+                sink=_StreamBroadcast(cancel_token=token) if stream else Future(),
+            )
+            # With coalescing off an identical key may already be in
+            # flight; keep the first occupant — the map only needs *a*
+            # representative for joiners, and each execution resolves its
+            # own sink regardless.
+            self._in_flight.setdefault(key, job.sink)
             self.stats.executions += 1
         try:
-            self._pool.submit(
-                self._execute_stream,
-                key,
-                backend_name,
-                slot,
-                resolved,
-                broadcast,
-                token,
-            )
+            self._pool.submit(self._run, job)
         except RuntimeError as exc:
-            with self._lock:
-                if self._in_flight_streams.get(key) is broadcast:
-                    del self._in_flight_streams[key]
-                self.stats.failed += 1
-                self._release_execution(backend_name)
-            broadcast.finish(
-                QueryError(f"service closed while scheduling request: {exc}")
+            # close() shut the pool down between our lock release and the
+            # schedule: resolve the sink (coalesced waiters included)
+            # instead of stranding them in result() / mid-stream.
+            self._settle(
+                job,
+                error=QueryError(f"service closed while scheduling request: {exc}"),
             )
-        return broadcast
+        return job.sink
 
-    def _execute_stream(
-        self,
-        key: tuple,
-        backend_name: str,
-        slot: _BackendSlot,
-        resolved: ResolvedRequest,
-        broadcast: _StreamBroadcast,
-        token: CancelToken,
-    ) -> None:
-        final_result = None
+    def _run(self, job: Job) -> None:
+        """Execute one admitted job on a request-pool thread, without the
+        service lock: streams and ring-less services in-process, blocking
+        jobs on the worker ring when one is attached."""
+        result = None
         try:
-            for partial in slot.facade.iter_resolved(resolved, cancel_token=token):
-                broadcast.publish(partial)
-                if partial.is_final:
-                    final_result = partial.result
-        except BaseException as exc:  # noqa: BLE001 - delivered to subscribers
-            with self._lock:
-                if self._in_flight_streams.get(key) is broadcast:
-                    del self._in_flight_streams[key]
-                self.stats.failed += 1
-                self._classify_failure(exc)
-                self._release_execution(backend_name)
-            broadcast.finish(exc)
-            return
+            if job.stream:
+                for partial in job.slot.facade.iter_resolved(
+                    job.resolved, cancel_token=job.token
+                ):
+                    job.sink.publish(partial)
+                    if partial.is_final:
+                        result = partial.result
+            elif self._ring is not None:
+                if not self._ring.started:
+                    self.start()
+                result = self._ring.run(job)
+            else:
+                result = job.slot.facade.run_resolved(
+                    job.resolved, cancel_token=job.token
+                ).to_result()
+        except BaseException as exc:  # noqa: BLE001 - delivered to waiters
+            self._settle(job, error=exc)
+        else:
+            self._settle(job, result)
+
+    def _settle(
+        self,
+        job: Job,
+        result: "RecommendationResult | None" = None,
+        error: "BaseException | None" = None,
+    ) -> None:
+        """Account for one finished (or never-scheduled) job, release its
+        admission slot, then resolve its sink — every waiter sees the
+        same result or the same exception."""
         with self._lock:
-            if self._in_flight_streams.get(key) is broadcast:
-                del self._in_flight_streams[key]
-            self.stats.completed += 1
-            if final_result is not None and final_result.partial:
-                self.stats.partial_results += 1
-            self._release_execution(backend_name)
-        broadcast.finish()
+            if self._in_flight.get(job.key) is job.sink:
+                del self._in_flight[job.key]
+            if error is not None:
+                self.stats.failed += 1
+                if isinstance(error, DeadlineExceeded):
+                    self.stats.deadline_exceeded += 1
+                elif isinstance(error, Cancelled):
+                    self.stats.cancelled += 1
+            else:
+                self.stats.completed += 1
+                if result is not None and result.partial:
+                    # Partial results are deadline accidents, not the
+                    # request's true answer — caching one would serve a
+                    # degraded result to a future caller with a fresh
+                    # budget.
+                    self.stats.partial_results += 1
+                elif self.result_cache_size and not job.stream:
+                    self._results[job.key] = result
+                    self._results.move_to_end(job.key)
+                    while len(self._results) > self.result_cache_size:
+                        self._results.popitem(last=False)
+            self._release_execution(job.backend)
+        if error is not None:
+            job.sink.set_exception(error)
+        else:
+            job.sink.set_result(result)
 
     def _canonicalize(
         self,
@@ -577,35 +634,17 @@ class SeeDBService:
         k: "int | None",
         config: "SeeDBConfig | None",
         overrides: dict,
+        stream: bool,
     ) -> tuple[str, _BackendSlot, RecommendationRequest, ResolvedRequest, SeeDBConfig]:
         """Fold any accepted input into
         ``(backend_name, slot, request, resolved, base_config)``.
-
-        The canonical ``request`` plus the ``base_config`` it resolved
-        against travel alongside ``resolved`` because a sharded service
-        re-runs that exact resolution on the owning worker (the request
-        crosses the process boundary through the wire codec, never by
-        pickling resolved internals).
-
-        Caller holds the service lock.
-        """
-        backend, request = self._build_request(query, backend, k, overrides)
-        backend, slot, resolved, base = self._resolve_request(request, backend, config)
-        return backend, slot, request, resolved, base
-
-    def _build_request(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        backend: str,
-        k: "int | None",
-        overrides: dict,
-    ) -> tuple[str, RecommendationRequest]:
-        """Canonicalize input into ``(backend_name, request)`` (pre-resolve).
 
         A request's own ``backend`` field routes it when the caller left
         the ``backend`` argument at its default; legacy ``**overrides``
         fold into the request's options (``metric`` and ``k`` into their
         first-class fields).
+
+        Caller holds the service lock.
         """
         if isinstance(query, RecommendationRequest):
             request = query.with_k(k)
@@ -627,17 +666,14 @@ class SeeDBService:
                 metric=metric,
                 options=options,
             )
-        return backend, request
-
-    def _resolve_request(
-        self,
-        request: RecommendationRequest,
-        backend: str,
-        config: "SeeDBConfig | None",
-    ) -> tuple[str, _BackendSlot, ResolvedRequest, SeeDBConfig]:
+        if stream and request.strategy != "incremental":
+            # Streaming always runs the incremental machinery; pinning the
+            # strategy *before* resolution keeps the bounded-metric
+            # validation and the coalescing key honest.
+            request = dataclass_replace(request, strategy="incremental")
         slot = self._require_slot(backend)
         base = config if config is not None else slot.config
-        return backend, slot, request.resolve(base), base
+        return backend, slot, request, request.resolve(base), base
 
     def _require_slot(self, backend: str) -> _BackendSlot:
         """Look up a registered backend slot. Caller holds the lock."""
@@ -651,96 +687,11 @@ class SeeDBService:
             )
         return slot
 
-    def _execute(
-        self,
-        key: tuple,
-        backend_name: str,
-        slot: _BackendSlot,
-        request: RecommendationRequest,
-        resolved: ResolvedRequest,
-        base: SeeDBConfig,
-        future: "Future[RecommendationResult]",
-        token: "CancelToken | None" = None,
-    ) -> None:
-        try:
-            result = self._run_execution(
-                key, backend_name, slot, request, resolved, base, token
-            )
-        except BaseException as exc:  # noqa: BLE001 - delivered to waiters
-            with self._lock:
-                if self._in_flight.get(key) is future:
-                    del self._in_flight[key]
-                self.stats.failed += 1
-                self._classify_failure(exc)
-                self._release_execution(backend_name)
-            future.set_exception(exc)
-            return
-        with self._lock:
-            if self._in_flight.get(key) is future:
-                del self._in_flight[key]
-            self.stats.completed += 1
-            if result.partial:
-                self.stats.partial_results += 1
-            self._release_execution(backend_name)
-            # Partial results are deadline accidents, not the request's
-            # true answer — caching one would serve a degraded result to
-            # a future caller with a fresh budget.
-            if not result.partial:
-                self._cache_put(key, result)
-        future.set_result(result)
-
-    def _run_execution(
-        self,
-        key: tuple,
-        backend_name: str,
-        slot: _BackendSlot,
-        request: RecommendationRequest,
-        resolved: ResolvedRequest,
-        base: SeeDBConfig,
-        token: "CancelToken | None" = None,
-    ) -> RecommendationResult:
-        """Run one deduplicated request to completion; the dispatch seam.
-
-        The base service executes in-process on the slot's facade. The
-        cluster tier overrides this to ship ``request`` (re-resolved
-        against ``base`` on the other side) to the worker owning ``key``'s
-        shard, forwarding the remaining deadline budget. Runs on a
-        request-pool thread, without the service lock.
-        """
-        return slot.facade.run_resolved(resolved, cancel_token=token).to_result()
-
-    # -- finished-result cache ---------------------------------------------
-
-    def _cache_get(self, key: tuple) -> "RecommendationResult | None":
-        """Finished-result lookup (caller holds the lock).
-
-        Base implementation: the in-process LRU. The cluster tier replaces
-        this with the cross-process shared-memory cache.
-        """
-        if not self.result_cache_size:
-            return None
-        cached = self._results.get(key)
-        if cached is not None:
-            self._results.move_to_end(key)
-        return cached
-
-    def _cache_put(self, key: tuple, result: RecommendationResult) -> None:
-        """Record a finished result (caller holds the lock)."""
-        if not self.result_cache_size:
-            return
-        self._results[key] = result
-        self._results.move_to_end(key)
-        while len(self._results) > self.result_cache_size:
-            self._results.popitem(last=False)
-
-    def _cache_clear(self) -> None:
-        """Drop every finished result (caller holds the lock)."""
-        self._results.clear()
-
     # -- observability -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A JSON-ready view of service, engine-cache, and backend stats."""
+        """A JSON-ready view of service, engine-cache, and backend stats
+        (plus the worker ring's, under ``cluster``, when one is attached)."""
         with self._lock:
             backends = {}
             for name, slot in self._slots.items():
@@ -775,7 +726,7 @@ class SeeDBService:
                         "samples_dropped": cache_stats.samples_dropped,
                     },
                 }
-            return {
+            snap = {
                 "requests": self.stats.requests,
                 "executions": self.stats.executions,
                 "completed": self.stats.completed,
@@ -787,7 +738,7 @@ class SeeDBService:
                 "deadline_exceeded": self.stats.deadline_exceeded,
                 "cancelled": self.stats.cancelled,
                 "partial_results": self.stats.partial_results,
-                "in_flight": len(self._in_flight) + len(self._in_flight_streams),
+                "in_flight": len(self._in_flight),
                 "executing": self._executing,
                 "result_cache_entries": len(self._results),
                 "coalescing_enabled": self.coalesce_requests,
@@ -796,40 +747,69 @@ class SeeDBService:
                 "backend_inflight_limit": self.backend_inflight_limit,
                 "backends": backends,
             }
+        if self._ring is not None:
+            snap["cluster"] = self._ring.snapshot()
+        return snap
 
     def health(self) -> dict:
         """Liveness summary for the frontend's ``/healthz`` endpoint.
 
-        The thread tier is alive iff the process is; the cluster tier
-        overrides this with per-worker liveness probes.
+        The thread tier is alive iff the process is; an attached worker
+        ring adds per-worker liveness probes and may degrade the status.
         """
         with self._lock:
-            return {
+            health = {
                 "status": "closed" if self._closed else "ok",
                 "mode": "threads",
                 "backends": sorted(self._slots),
                 "workers": [],
             }
+        if self._ring is not None:
+            ring = self._ring.health()
+            if health["status"] == "closed":
+                ring["status"] = "closed"
+            health.update(ring)
+        return health
 
     @property
     def in_flight(self) -> int:
         with self._lock:
-            return len(self._in_flight) + len(self._in_flight_streams)
+            return len(self._in_flight)
 
     def clear_result_cache(self) -> None:
         with self._lock:
-            self._cache_clear()
+            self._results.clear()
 
     # -- lifecycle ---------------------------------------------------------
 
+    def start(self) -> "SeeDBService":
+        """Spawn the attached worker ring's processes (idempotent; a no-op
+        without a ring).
+
+        Call this before starting server threads when the ring's start
+        method is ``fork`` (``seedb serve`` does); otherwise the first
+        request starts it lazily. Replicas are built under the service
+        lock, so they match the ``data_version`` requests are keyed at.
+        """
+        with self._lock:
+            self._require_open()
+            if self._ring is not None:
+                self._ring.start(self._slots)
+        return self
+
     def close(self) -> None:
-        """Drain the request pool, close engines, release owned backends."""
+        """Drain the request pool, stop the worker ring, close engines,
+        release owned backends."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             slots = list(self._slots.values())
+        # Drain first: the ring keeps serving (and healing crashes) until
+        # every in-flight job has settled.
         self._pool.shutdown(wait=True)
+        if self._ring is not None:
+            self._ring.close()
         for slot in slots:
             slot.facade.close()
         for slot in slots:
@@ -839,8 +819,7 @@ class SeeDBService:
                     close()
         with self._lock:
             self._in_flight.clear()
-            self._in_flight_streams.clear()
-            self._cache_clear()
+            self._results.clear()
 
     def _require_open(self) -> None:
         """Reject calls on a closed service. Caller holds the lock."""

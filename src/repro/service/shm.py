@@ -1,18 +1,19 @@
-"""Cross-process result transport and cache over POSIX shared memory.
+"""Cross-process result transport over POSIX shared memory.
 
 Worker processes in the cluster tier (:mod:`repro.service.cluster`) hand
 finished :class:`~repro.core.result.RecommendationResult` objects back to
 the router without pickling them: the result's numpy columns are written
 raw into a named ``multiprocessing.shared_memory`` segment behind a small
-versioned header, and only the segment *name* crosses the process
-boundary. The segment then doubles as a cross-process result cache entry —
-keyed on the request digest and the backend's ``data_version``, so a write
-to the data retires every stale entry the same way the in-process LRU's
-version-bearing keys do.
+self-describing header, and only the segment *name* crosses the process
+boundary. This module is that codec plus the per-reply segment transport
+— nothing here caches: a segment is written once by a worker
+(:class:`SegmentWriter`), read once by the router (:func:`read_segment`)
+and unlinked by that read. Finished results are cached in one place, the
+router's in-process LRU (:class:`~repro.service.service.SeeDBService`).
 
-Wire layout of one segment::
+Wire layout of one segment (or in-band byte blob)::
 
-    [0:8)    magic  b"SDBRES1\\0"        (written last: torn writes stay invalid)
+    [0:8)    magic  b"SDBRES1\\0"
     [8:16)   uint64 header length H (little-endian)
     [16:16+H) header JSON — digest, data_version, the result's scalar
               fields, and an array table of (dtype, shape, offset, nbytes)
@@ -27,12 +28,15 @@ the wire codec's ``{"$date": ...}`` convention.
 Segment bookkeeping deliberately bypasses Python's ``resource_tracker``
 (which would unlink a still-shared segment when the first process exits,
 bpo-39959): every open is immediately unregistered and lifecycle is
-explicit — creators write, the router's :class:`SharedResultCache` owns
-eviction and end-of-life ``unlink``.
+explicit — the reader unlinks what it reads, and the ring sweeps its
+prefix at close (:func:`unlink_prefix`) for segments a killed worker
+wrote but never announced; :func:`list_segments` is the leak detector
+the tests assert with.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from datetime import date, datetime
@@ -358,9 +362,7 @@ def unlink_segment(name: str) -> bool:
     if _posixshmem is not None:
         try:
             _posixshmem.shm_unlink("/" + name)
-        except FileNotFoundError:
-            return False
-        except OSError:
+        except OSError:  # FileNotFoundError included
             return False
         return True
     try:  # pragma: no cover - non-POSIX fallback
@@ -372,20 +374,6 @@ def unlink_segment(name: str) -> bool:
     return True
 
 
-def read_segment(name: str) -> tuple[str, int, RecommendationResult]:
-    """Decode one named segment: ``(digest, data_version, result)``.
-
-    The transport read the router performs when a worker replies with a
-    segment name. Raises ``FileNotFoundError`` / :class:`ShmCodecError`
-    on missing or invalid segments.
-    """
-    segment = _open_segment(name)
-    try:
-        return decode_result(segment.buf)
-    finally:
-        segment.close()
-
-
 def list_segments(prefix: str) -> list[str]:
     """Live segment names under ``prefix`` (empty where unsupported)."""
     try:
@@ -395,155 +383,81 @@ def list_segments(prefix: str) -> list[str]:
     return sorted(name for name in names if name.startswith(prefix))
 
 
-class SharedResultCache:
-    """A cross-process result cache of named shared-memory segments.
+def unlink_prefix(prefix: str) -> int:
+    """Unlink every segment under ``prefix``; returns how many went.
 
-    Segment names are derived from the request-key digest, so any process
-    that can compute the key can find the entry — no shared index needed.
-    Entries are versioned: a ``get`` or ``put`` that encounters an entry
-    recorded at an older ``data_version`` unlinks it on the spot (writers
-    and readers both self-retire stale data). The router additionally
-    bounds the number of live entries (LRU) and unlinks everything at
-    service close; :func:`list_segments` is the leak detector the tests
-    assert with.
+    The ring's end-of-life sweep: the only segments it can find are ones
+    a worker wrote and never got to announce (killed mid-reply).
+    """
+    return sum(unlink_segment(name) for name in list_segments(prefix))
+
+
+def validate_prefix(prefix: str) -> str:
+    """``prefix`` if it can head a portable segment name, else raise."""
+    if not prefix or len(prefix) > 14 or "/" in prefix:
+        raise ConfigError(
+            f"shm prefix must be 1-14 chars without '/', got {prefix!r}"
+        )
+    return prefix
+
+
+class SegmentWriter:
+    """The worker's half of the per-reply transport.
+
+    Every :meth:`write` creates a segment no other write will ever name
+    (``<prefix><pid>.<sequence>``), so concurrent replies — even for one
+    request key — never meet, and the reader can unlink on sight.
     """
 
     def __init__(self, prefix: str):
-        if not prefix or len(prefix) > 14 or "/" in prefix:
-            raise ConfigError(
-                f"shm prefix must be 1-14 chars without '/', got {prefix!r}"
-            )
-        self.prefix = prefix
+        self.prefix = validate_prefix(prefix)
         self.puts = 0
         self.put_failures = 0
-        self.hits = 0
-        self.misses = 0
-        self.stale_dropped = 0
+        self._sequence = itertools.count()
 
-    def segment_name(self, digest: str) -> str:
-        return self.prefix + digest[:16]
+    def write(self, result: RecommendationResult) -> "str | None":
+        """Write ``result`` into a fresh segment; returns its name, or
+        None on failure.
 
-    # -- write side (workers) ---------------------------------------------
-
-    def put(self, digest: str, data_version: int, result) -> "str | None":
-        """Publish a result; returns the segment name, or None on failure.
-
-        Failures (shm exhausted, unsupported platform) are not errors —
-        the caller falls back to sending the encoded bytes in-band.
+        Failures (shm exhausted, unsupported platform, unencodable value)
+        are not errors — the caller falls back to sending the encoded
+        bytes in-band.
         """
+        name = f"{self.prefix}{os.getpid():x}.{next(self._sequence):x}"
         try:
-            payload = encode_result(result, digest=digest, data_version=data_version)
-        except ShmCodecError:
-            self.put_failures += 1
-            return None
-        name = self.segment_name(digest)
-        try:
-            segment = self._create(name, len(payload), digest, data_version)
-            if segment is None:  # an equally-fresh entry already exists
-                return name
-        except (OSError, ValueError):
+            payload = encode_result(result)
+            segment = _open_segment(name, create=True, size=len(payload))
+        except (ShmCodecError, OSError, ValueError):
             self.put_failures += 1
             return None
         try:
-            # Magic goes in last so a reader attaching mid-write (or after
-            # a writer crash) sees an invalid segment, never a torn result.
-            segment.buf[8:len(payload)] = payload[8:]
-            if "tear" in fault_point("shm.put"):
-                # Chaos hook: simulate a writer dying between the body and
-                # the magic — the segment stays magic-less, exactly what a
-                # reader must treat as invisible.
-                self.put_failures += 1
-                return None
-            segment.buf[0:8] = payload[0:8]
-            self.puts += 1
-            return name
+            segment.buf[:len(payload)] = payload
         finally:
             segment.close()
-
-    def _create(self, name: str, size: int, digest: str, data_version: int):
-        try:
-            return _open_segment(name, create=True, size=size)
-        except FileExistsError:
-            pass
-        # Somebody already published under this name: keep it if it is at
-        # least as fresh for the same key, otherwise self-retire it.
-        try:
-            existing = _open_segment(name)
-        except FileNotFoundError:
-            return _open_segment(name, create=True, size=size)
-        try:
-            header = peek_header(existing.buf)
-            if (
-                header.get("digest") == digest
-                and header.get("data_version", -1) >= data_version
-            ):
-                return None
-        except ShmCodecError:
-            pass  # torn/corrupt entry: replace it
-        finally:
-            existing.close()
-        self.stale_dropped += unlink_segment(name)
-        return _open_segment(name, create=True, size=size)
-
-    # -- read side (router) -------------------------------------------------
-
-    def get(self, digest: str, data_version: int):
-        """The cached result for ``digest`` at ``data_version``, or None."""
-        name = self.segment_name(digest)
-        try:
-            segment = _open_segment(name)
-        except (FileNotFoundError, OSError, ValueError):
-            self.misses += 1
-            return None
-        if bytes(segment.buf[:8]) != MAGIC:
-            # No magic: either a writer is mid-publish (magic goes in
-            # last) or a writer died mid-write. Invisible either way — but
-            # NOT retired: unlinking here would tear a live writer's
-            # segment out from under its in-flight reply. Dead garbage is
-            # replaced by the next put and swept at close.
-            segment.close()
-            self.misses += 1
-            return None
-        try:
-            entry_digest, entry_version, result = decode_result(segment.buf)
-        except (ShmCodecError, KeyError, TypeError, ValueError):
-            # Magic present means the write completed: this is real
-            # corruption, safe to retire.
-            segment.close()
+        if "tear" in fault_point("shm.put"):
+            # Chaos hook: a write that did not complete. The name is ours
+            # alone, so retiring the torn segment cannot race a reader.
             unlink_segment(name)
-            self.misses += 1
+            self.put_failures += 1
             return None
-        segment.close()
-        if entry_digest != digest:
-            # A 64-bit name collision with a different key: unusable for
-            # this request but owned by the other one — leave it alone.
-            self.misses += 1
-            return None
-        if entry_version != data_version:
-            self.stale_dropped += unlink_segment(name)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def live_segments(self) -> list[str]:
-        return list_segments(self.prefix)
-
-    def unlink_all(self, names: "list[str] | None" = None) -> int:
-        """Unlink known ``names`` plus anything the scan finds; returns
-        how many segments were actually removed."""
-        removed = 0
-        for name in set(names or []) | set(self.live_segments()):
-            removed += unlink_segment(name)
-        return removed
+        self.puts += 1
+        return name
 
     def stats(self) -> dict:
-        return {
-            "puts": self.puts,
-            "put_failures": self.put_failures,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale_dropped": self.stale_dropped,
-        }
+        return {"puts": self.puts, "put_failures": self.put_failures}
+
+
+def read_segment(name: str) -> RecommendationResult:
+    """Decode the result in segment ``name`` and unlink the segment.
+
+    The router's half of the transport: a segment carries exactly one
+    reply to exactly one reader, so it is gone — valid or not — the
+    moment this returns. Raises ``FileNotFoundError`` /
+    :class:`ShmCodecError` on missing or invalid segments.
+    """
+    segment = _open_segment(name)
+    try:
+        return decode_result(segment.buf)[2]
+    finally:
+        unlink_segment(name)
+        segment.close()

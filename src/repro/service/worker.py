@@ -11,16 +11,19 @@ so those private caches get the affinity a shared in-process cache would.
 Requests cross the process boundary in wire form — the PR 4 codec's
 ``RecommendationRequest.to_dict()`` — and the worker re-runs the exact
 resolution the router ran (same request, same base config), which is what
-makes cluster results bit-identical to single-process ones. Finished
-results leave through the shared-memory cache; only the segment name (or,
-if shared memory fails, the encoded bytes) travels on the response queue.
+makes cluster results bit-identical to single-process ones. Each
+finished result leaves in a shared-memory segment written for that one
+reply (:class:`~repro.service.shm.SegmentWriter`); only the segment name
+(or, if shared memory fails, the encoded bytes) travels on the reply
+pipe, and the router unlinks the segment as it reads it. Workers cache no
+results — the router's LRU is the one result cache.
 
 The message protocol (dicts over a ``multiprocessing`` queue inbound and
 a private per-worker ``Pipe`` outbound — private so one SIGKILLed worker
 can only tear its own reply stream, never a shared channel's framing):
 
 =================  =====================================================
-parent -> worker   ``request`` (execute + publish), ``register_table``
+parent -> worker   ``request`` (execute + reply), ``register_table``
                    (replica data update), ``ping``, ``stats``,
                    ``shutdown``
 worker -> parent   ``result`` (with ``shm`` | ``payload`` | ``error``),
@@ -45,7 +48,7 @@ from repro.api.request import RecommendationRequest
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
 from repro.db.table import Table
-from repro.service.shm import SharedResultCache, encode_result
+from repro.service.shm import SegmentWriter, encode_result
 from repro.testing.faults import fault_point
 from repro.util.deadline import CancelToken, Deadline
 from repro.util.errors import QueryError
@@ -136,7 +139,7 @@ class _WorkerSlots:
         return out
 
 
-def _handle_request(message: dict, slots: _WorkerSlots, cache: SharedResultCache):
+def _handle_request(message: dict, slots: _WorkerSlots, writer: SegmentWriter):
     """Execute one request; returns the transport fields of the reply."""
     request = RecommendationRequest.from_dict(message["request"])
     resolved = request.resolve(message["config"])
@@ -158,15 +161,12 @@ def _handle_request(message: dict, slots: _WorkerSlots, cache: SharedResultCache
         else None
     )
     result = facade.run_resolved(resolved, cancel_token=token).to_result()
-    digest, version = message["digest"], message["data_version"]
-    if message.get("publish", True):
-        name = cache.put(digest, version, result)
-        if name is not None:
-            return {"shm": name}
-    # Result caching disabled (nothing may outlive this reply), or shared
-    # memory unavailable/exhausted: ship the same pickle-free encoding
-    # in-band instead.
-    return {"payload": encode_result(result, digest=digest, data_version=version)}
+    name = writer.write(result)
+    if name is not None:
+        return {"shm": name}
+    # Shared memory unavailable/exhausted (or the write tore): ship the
+    # same pickle-free encoding in-band instead.
+    return {"payload": encode_result(result)}
 
 
 def _send(outbox, message: dict) -> None:
@@ -188,19 +188,19 @@ def worker_main(
     shm_prefix: str,
     inbox,
     outbox,
+    idle_poll_s: float,
 ) -> None:
-    """Entry point of one worker process: serve the inbox until shutdown."""
+    """Entry point of one worker process: serve the inbox until shutdown.
+
+    ``idle_poll_s`` is how often an idle worker wakes to check whether it
+    has been reparented (the ring's ``ClusterTimeouts.worker_idle_poll_s``).
+    """
     # The parent orchestrates shutdown (drain, then an explicit message);
     # a terminal Ctrl-C must not tear workers out from under in-flight
     # requests before the parent has drained them.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    # Imported here, not at module top: cluster.py imports worker_main, and
-    # the worker only needs the timeout table once it is already running.
-    from repro.service.cluster import ClusterTimeouts
-
-    idle_poll_s = ClusterTimeouts.from_env().worker_idle_poll_s
-    cache = SharedResultCache(shm_prefix)
+    writer = SegmentWriter(shm_prefix)
     counters = {"executed": 0, "errors": 0, "tables_registered": 0}
     try:
         slots = _WorkerSlots(bootstraps)
@@ -236,7 +236,7 @@ def worker_main(
                     # worker between dequeue and execution (the window the
                     # monitor's reassign logic exists for).
                     fault_point("worker.request")
-                    reply.update(_handle_request(message, slots, cache))
+                    reply.update(_handle_request(message, slots, writer))
                     counters["executed"] += 1
                 elif op == "register_table":
                     slots.register_table(message["backend"], message["table"])
@@ -245,7 +245,7 @@ def worker_main(
                     reply["op"] = "stats"
                     reply["stats"] = {
                         **counters,
-                        "shm": cache.stats(),
+                        "shm": writer.stats(),
                         "engine_cache": slots.cache_stats(),
                     }
                 elif op == "ping":

@@ -1,9 +1,9 @@
 """Deterministic fault injection for the chaos suite.
 
 Production code marks its failure seams with :func:`fault_point` calls —
-backend query execution, worker request handling, shared-memory publishes,
-dispatch queues. With no injector installed (the default, always in
-production) a fault point is one global read and a ``None`` check.
+backend query execution, worker request handling, shared-memory segment
+writes, dispatch queues. With no injector installed (the default, always
+in production) a fault point is one global read and a ``None`` check.
 
 Tests install a :class:`FaultInjector` built from :class:`FaultSpec`
 schedules. Injection is *seeded and deterministic*: each (point, spec)
@@ -22,7 +22,7 @@ Actions:
            in the parent service process unless you install it there.
 ``tear``   no side effect here; the *call site* asks via the returned
            action set and simulates the failure itself (e.g. a
-           shared-memory segment published without its commit magic).
+           shared-memory segment write that did not complete).
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ identical concurrent requests coalescing onto ONE execution in ONE worker
 process. On top of that, the process tier adds lifecycle guarantees the
 thread tier never needed: workers are respawned after a crash (in-flight
 work retried on a sibling shard), ``update_table`` invalidates every
-replica and shared-memory cache entry atomically, and closing the service
-leaves zero segments behind in ``/dev/shm``.
+replica and every cached result atomically, and shared-memory segments
+live only for the one reply they carry — none while the service idles,
+none (orphans of killed workers included) after it closes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.recommender import SeeDB
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.service import single_backend_cluster
-from repro.service.shm import list_segments
+from repro.service.shm import _open_segment, list_segments
 
 from tests.conftest import make_medium_table
 from tests.integration.test_service_concurrency import (
@@ -128,8 +129,8 @@ class TestCrossProcessCoalescing:
             service.close()
 
     def test_coalescing_without_result_cache(self):
-        """With the shm cache off (in-band transport) coalescing alone
-        still collapses identical in-flight requests."""
+        """With the result cache off coalescing alone still collapses
+        identical in-flight requests."""
         table = make_medium_table()
         service = make_cluster("memory", table, result_cache_size=0)
         try:
@@ -144,7 +145,8 @@ class TestCrossProcessCoalescing:
             assert len(set(results)) == 1
             assert service.stats.coalesced > 0
             assert service.stats.executions < N_CLIENTS
-            assert service._shm.live_segments() == []  # nothing published
+            prefix = service.snapshot()["cluster"]["shm_prefix"]
+            assert list_segments(prefix) == []  # nothing outlives its reply
         finally:
             service.close()
 
@@ -218,7 +220,7 @@ class TestWorkerCrash:
 class TestInvalidation:
     def test_update_table_invalidates_every_replica_and_cache(self):
         """A table republish must bump ``data_version`` everywhere: the
-        shm cache entry is retired, every worker replica re-executes on
+        cached result is retired, every worker replica re-executes on
         the new rows, and the answer matches a fresh serial engine."""
         table = make_medium_table()
         service = make_cluster("memory", table)
@@ -255,14 +257,44 @@ class TestInvalidation:
 
 
 class TestLifecycle:
+    @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
+    def test_segments_live_for_one_reply_and_hits_never_cross(self, backend_kind):
+        """Results cross processes in per-reply segments and are cached
+        once, router-side: with the service still open nothing is left in
+        ``/dev/shm``, and repeats are LRU hits no worker ever sees."""
+        table = make_medium_table()
+        service = make_cluster(backend_kind, table)
+        try:
+            distinct = QUERIES[:3]  # QUERIES[3] repeats QUERIES[0]
+            for query in distinct:
+                service.recommend(query)
+            snap = service.snapshot()
+            prefix = snap["cluster"]["shm_prefix"]
+            executed = snap["cluster"]["executed_total"]
+            assert executed == snap["executions"] == len(distinct)
+            assert list_segments(prefix) == []
+
+            for query in distinct * 2:
+                service.recommend(query)
+            snap = service.snapshot()
+            assert snap["result_cache_hits"] == 2 * len(distinct)
+            assert snap["cluster"]["executed_total"] == executed
+            assert list_segments(prefix) == []
+        finally:
+            service.close()
+
     def test_close_unlinks_every_shm_segment(self):
         table = make_medium_table()
         service = make_cluster("memory", table)
-        prefix = service._shm.prefix
+        prefix = service.snapshot()["cluster"]["shm_prefix"]
         try:
             for query in QUERIES:
                 service.recommend(query)
-            assert len(list_segments(prefix)) > 0  # cache is populated
+            # A worker killed between writing a segment and announcing it
+            # leaves an orphan only the close-time sweep can find.
+            orphan = _open_segment(prefix + "dead.0", create=True, size=64)
+            orphan.close()
+            assert list_segments(prefix) == [prefix + "dead.0"]
         finally:
             service.close()
         assert list_segments(prefix) == [], "leaked /dev/shm segments"
@@ -298,6 +330,72 @@ class TestLifecycle:
                 time.sleep(0.02)
         finally:
             service.close()
+
+
+_ORPHAN_SCRIPT = """
+import sys, time
+from repro.service import ClusterTimeouts, single_backend_cluster
+from repro.backends.memory import MemoryBackend
+from tests.conftest import make_medium_table
+
+backend = MemoryBackend()
+backend.register_table(make_medium_table())
+service = single_backend_cluster(
+    backend, workers=2, timeouts=ClusterTimeouts(worker_idle_poll_s=0.2)
+)
+service.start()
+while not all(w["booted"] for w in service.health()["workers"]):
+    time.sleep(0.02)
+print(*[w["pid"] for w in service.health()["workers"]], flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (nobody reaps an orphan's orphans here)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_per_service_idle_poll_reaches_workers(self):
+        """Regression: ``ClusterTimeouts(worker_idle_poll_s=...)`` passed
+        to one service must set *its workers'* reparenting heartbeat (it
+        used to be re-read from the environment inside the worker): with
+        a 0.2 s poll, workers orphaned by a SIGKILLed router are gone
+        well inside the 5 s default."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), os.path.abspath("."),
+                          env.get("PYTHONPATH", "")])
+        )
+        router = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in router.stdout.readline().split()]
+            assert len(pids) == 2, "router never reported its workers"
+            router.kill()
+            router.wait(timeout=30)
+            deadline = time.monotonic() + 2.5
+            while any(_running(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    "orphaned workers outlived several idle polls"
+                )
+                time.sleep(0.05)
+        finally:
+            if router.poll() is None:
+                router.kill()
+                router.wait(timeout=30)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestHttpFrontend:
@@ -340,10 +438,14 @@ class TestHttpFrontend:
             assert stats["cluster"]["started"] is True
             assert stats["cluster"]["live_workers"] == 2
             assert stats["cluster"]["executed_total"] == 1
-            # Puts happen worker-side; the router's cache view shows the
-            # second request's hit.
-            assert stats["cluster"]["shm_cache"]["hits"] >= 1
-            assert stats["cluster"]["shm_segments_live"] >= 1
+            # Writes happen worker-side, one segment per reply; the
+            # second request was the router LRU's hit and never crossed.
+            assert stats["result_cache_hits"] == 1
+            puts = sum(
+                worker["shm"]["puts"]
+                for worker in stats["cluster"]["worker_stats"].values()
+            )
+            assert puts == 1
         finally:
             server.shutdown()
             thread.join(timeout=10)

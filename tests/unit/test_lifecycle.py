@@ -10,12 +10,13 @@ from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.service import single_backend_service
 from repro.testing.faults import (
+    FaultInjected,
     FaultInjector,
     FaultSpec,
     install_injector,
     uninstall_injector,
 )
-from repro.util.errors import Cancelled, DeadlineExceeded, Overloaded
+from repro.util.errors import Cancelled, DeadlineExceeded, Overloaded, QueryError
 
 QUERY = RowSelectQuery("sales", col("product") == "Laserwave")
 
@@ -244,3 +245,87 @@ class TestStreamLifecycle:
             assert rounds[-1].result.partial is False
             assert service.stats.cancelled == 0
             assert service.stats.completed == 1
+
+
+COUNTERS = (
+    "requests",
+    "executions",
+    "completed",
+    "failed",
+    "deadline_exceeded",
+    "cancelled",
+    "rejected",
+)
+
+#: outcome -> (error the caller sees, counters that move by exactly one).
+OUTCOMES = {
+    "success": (None, {"requests", "executions", "completed"}),
+    "engine_error": (FaultInjected, {"requests", "executions", "failed"}),
+    "deadline_exceeded": (
+        DeadlineExceeded,
+        {"requests", "executions", "failed", "deadline_exceeded"},
+    ),
+    "cancelled": (Cancelled, {"requests", "executions", "failed", "cancelled"}),
+    "pool_closed": (QueryError, {"requests", "executions", "failed"}),
+    "overloaded": (Overloaded, {"requests", "rejected"}),
+}
+
+
+class TestLifecycleParity:
+    """Blocking requests and streams share one launch/settle pair: every
+    outcome moves the same counters and returns the admission slot."""
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("path", ["submit", "recommend_stream"])
+    def test_same_accounting_on_both_paths(self, memory_backend, path, outcome):
+        error, moved = OUTCOMES[outcome]
+        service, release, started = stalled_service(
+            memory_backend,
+            max_workers=1,
+            max_queue_depth=0 if outcome == "overloaded" else None,
+        )
+        blocker = None
+        if outcome == "overloaded":
+            blocker = service.submit(QUERY, k=2)  # takes the only slot
+            assert started.wait(timeout=10)
+        else:
+            release.set()
+        if outcome == "pool_closed":
+            service._pool.shutdown(wait=True)  # close() wins the race
+        elif error in (FaultInjected, DeadlineExceeded, Cancelled):
+            # Blocking runs reach the backend seam, incremental rounds
+            # (streams) the engine one: arm both with the same error.
+            install_injector(
+                FaultInjector(
+                    [
+                        FaultSpec(point, "error", error_type=error)
+                        for point in ("backend.execute", "engine.round")
+                    ]
+                )
+            )
+
+        def drive():
+            if path == "submit":
+                return service.submit(QUERY).result(timeout=10)
+            return list(service.recommend_stream(QUERY))
+
+        try:
+            before = service.snapshot()
+            if error is None:
+                drive()
+            else:
+                with pytest.raises(error):
+                    drive()
+            after = service.snapshot()
+            assert {
+                name: after[name] - before[name] for name in COUNTERS
+            } == {name: int(name in moved) for name in COUNTERS}
+            release.set()
+            if blocker is not None:
+                blocker.result(timeout=10)
+            settled = service.snapshot()
+            assert settled["executing"] == 0
+            assert settled["in_flight"] == 0
+        finally:
+            release.set()
+            service.close()

@@ -1,9 +1,9 @@
-"""Unit: the shared-memory result codec and cross-process cache.
+"""Unit: the shared-memory result codec and per-reply segment transport.
 
 Covers the transport invariants the cluster tier depends on: bit-exact
-round-trips of every array dtype the engine produces, version-keyed
-staleness (writers and readers both retire stale entries), torn-write
-detection, and segment hygiene — no /dev/shm leaks after close.
+round-trips of every array dtype the engine produces, one uniquely named
+segment per write, a read that unlinks what it reads, torn writes that
+fall back instead of surfacing, and segment hygiene — no /dev/shm leaks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.result import RecommendationResult
 from repro.core.view import ScoredView, ViewSpec
 from repro.pruning.base import PruneReport
 from repro.service.shm import (
-    SharedResultCache,
+    SegmentWriter,
     ShmCodecError,
     decode_result,
     decode_value,
@@ -26,7 +26,14 @@ from repro.service.shm import (
     encode_value,
     list_segments,
     read_segment,
+    unlink_prefix,
     unlink_segment,
+)
+from repro.testing.faults import (
+    FaultInjector,
+    FaultSpec,
+    install_injector,
+    uninstall_injector,
 )
 from repro.util.errors import ConfigError
 from repro.util.timing import Stopwatch
@@ -200,129 +207,94 @@ class TestCodec:
         assert np.array_equal(view.target_distribution, before)
 
 
-class TestSharedResultCache:
-    def test_put_get_round_trip(self):
-        cache = SharedResultCache(PREFIX)
-        digest = "cd" * 32
+class TestSegmentTransport:
+    def test_write_read_unlink_round_trip(self):
+        writer = SegmentWriter(PREFIX)
         result = make_result()
-        name = cache.put(digest, 3, result)
-        assert name == cache.segment_name(digest)
-        assert name in cache.live_segments()
-        got = cache.get(digest, 3)
-        assert got is not None
+        name = writer.write(result)
+        assert name is not None and name.startswith(PREFIX)
+        assert list_segments(PREFIX) == [name]
+        got = read_segment(name)
         assert fingerprint(got) == fingerprint(result)
-        assert cache.stats()["hits"] == 1
-        cache.unlink_all()
+        # The read is the segment's whole life: one reply, one reader.
+        assert list_segments(PREFIX) == []
+        assert writer.stats() == {"puts": 1, "put_failures": 0}
 
-    def test_get_miss_on_absent(self):
-        cache = SharedResultCache(PREFIX)
-        assert cache.get("ef" * 32, 1) is None
-        assert cache.stats()["misses"] == 1
+    def test_second_read_finds_nothing(self):
+        name = SegmentWriter(PREFIX).write(make_result())
+        read_segment(name)
+        with pytest.raises(FileNotFoundError):
+            read_segment(name)
 
-    def test_stale_version_retired_on_get(self):
-        cache = SharedResultCache(PREFIX)
-        digest = "12" * 32
-        cache.put(digest, 1, make_result())
-        # A data_version bump makes the entry stale: the reader unlinks it.
-        assert cache.get(digest, 2) is None
-        assert cache.live_segments() == []
-        assert cache.stats()["stale_dropped"] == 1
+    def test_every_write_gets_its_own_segment(self):
+        # Uncoalesced twins of one request reply concurrently: neither
+        # write may land on (or unlink) the other's segment.
+        writer = SegmentWriter(PREFIX)
+        first = writer.write(make_result(utility=0.25))
+        second = writer.write(make_result(utility=0.5))
+        assert first != second
+        assert list_segments(PREFIX) == sorted([first, second])
+        assert read_segment(second).recommendations[0].utility == 0.5
+        assert read_segment(first).recommendations[0].utility == 0.25
+        assert list_segments(PREFIX) == []
 
-    def test_writer_replaces_stale_entry(self):
-        cache = SharedResultCache(PREFIX)
-        digest = "34" * 32
-        cache.put(digest, 1, make_result(utility=0.25))
-        cache.put(digest, 2, make_result(utility=0.5))
-        got = cache.get(digest, 2)
-        assert got is not None
-        assert got.recommendations[0].utility == 0.5
-        cache.unlink_all()
-
-    def test_writer_keeps_equally_fresh_entry(self):
-        # Two workers racing the same key publish once; the second put
-        # must not clobber (readers may be mid-attach on the first).
-        cache = SharedResultCache(PREFIX)
-        digest = "56" * 32
-        cache.put(digest, 1, make_result(utility=0.25))
-        cache.put(digest, 1, make_result(utility=0.9))
-        got = cache.get(digest, 1)
-        assert got is not None
-        assert got.recommendations[0].utility == 0.25
-        cache.unlink_all()
-
-    def test_torn_write_is_invisible_but_not_retired(self):
+    def test_invalid_segment_is_rejected_and_still_unlinked(self):
         from repro.service.shm import _open_segment
 
-        cache = SharedResultCache(PREFIX)
-        digest = "78" * 32
-        name = cache.segment_name(digest)
-        blob = encode_result(make_result(), digest=digest, data_version=1)
-        # A segment without its final magic write: either a writer died
-        # mid-publish or one is publishing RIGHT NOW (magic goes in last).
-        segment = _open_segment(name, create=True, size=len(blob))
-        segment.buf[8:len(blob)] = blob[8:]
+        name = PREFIX + "garbage"
+        segment = _open_segment(name, create=True, size=64)
         segment.close()
-        # Readers see a miss — but must NOT unlink: a live writer may
-        # still be filling this segment for an in-flight reply.
-        assert cache.get(digest, 1) is None
-        assert cache.live_segments() == [name]
-        # The next writer replaces dead garbage in place.
-        cache.put(digest, 1, make_result(utility=0.5))
-        got = cache.get(digest, 1)
-        assert got is not None and got.recommendations[0].utility == 0.5
-        cache.unlink_all()
+        with pytest.raises(ShmCodecError):
+            read_segment(name)
+        assert list_segments(PREFIX) == []
 
-    def test_unlink_all_sweeps_prefix(self):
-        cache = SharedResultCache(PREFIX)
-        for index in range(3):
-            cache.put(f"{index:02x}" * 32, 1, make_result())
-        assert len(cache.live_segments()) == 3
-        assert cache.unlink_all() == 3
-        assert cache.live_segments() == []
+    def test_torn_write_reports_failure_and_leaves_nothing(self):
+        install_injector(FaultInjector([FaultSpec("shm.put", "tear")]))
+        try:
+            writer = SegmentWriter(PREFIX)
+            assert writer.write(make_result()) is None
+        finally:
+            uninstall_injector()
+        assert writer.stats() == {"puts": 0, "put_failures": 1}
+        assert list_segments(PREFIX) == []
+
+    def test_unencodable_result_reports_failure(self):
+        result = make_result(groups=[object(), object()])
+        writer = SegmentWriter(PREFIX)
+        assert writer.write(result) is None
+        assert writer.stats()["put_failures"] == 1
+
+    def test_unlink_prefix_sweeps_unread_segments(self):
+        writer = SegmentWriter(PREFIX)
+        for _ in range(3):
+            writer.write(make_result())
+        assert len(list_segments(PREFIX)) == 3
+        assert unlink_prefix(PREFIX) == 3
+        assert list_segments(PREFIX) == []
 
     def test_prefix_validated(self):
         with pytest.raises(ConfigError):
-            SharedResultCache("")
+            SegmentWriter("")
         with pytest.raises(ConfigError):
-            SharedResultCache("much-too-long-a-prefix.")
+            SegmentWriter("much-too-long-a-prefix.")
         with pytest.raises(ConfigError):
-            SharedResultCache("has/slash")
+            SegmentWriter("has/slash")
 
 
-def _child_put(prefix: str, digest: str, version: int, utility: float) -> None:
-    cache = SharedResultCache(prefix)
-    cache.put(digest, version, make_result(utility=utility))
+def _child_write(prefix: str, utility: float, names) -> None:
+    names.put(SegmentWriter(prefix).write(make_result(utility=utility)))
 
 
 class TestCrossProcess:
     def test_child_write_parent_read(self):
-        digest = "9a" * 32
         ctx = multiprocessing.get_context()
-        child = ctx.Process(target=_child_put, args=(PREFIX, digest, 5, 0.625))
+        names = ctx.Queue()
+        child = ctx.Process(target=_child_write, args=(PREFIX, 0.625, names))
         child.start()
+        name = names.get(timeout=60)
         child.join(timeout=60)
         assert child.exitcode == 0
-        cache = SharedResultCache(PREFIX)
-        got = cache.get(digest, 5)
-        assert got is not None
-        assert got.recommendations[0].utility == 0.625
-        # read_segment is the router's transport path over the same entry.
-        seg_digest, seg_version, transported = read_segment(
-            cache.segment_name(digest)
-        )
-        assert (seg_digest, seg_version) == (digest, 5)
-        assert fingerprint(transported) == fingerprint(got)
-        cache.unlink_all()
-
-    def test_version_bump_invalidates_across_processes(self):
-        digest = "bc" * 32
-        ctx = multiprocessing.get_context()
-        child = ctx.Process(target=_child_put, args=(PREFIX, digest, 1, 0.5))
-        child.start()
-        child.join(timeout=60)
-        assert child.exitcode == 0
-        cache = SharedResultCache(PREFIX)
-        # The parent's data_version moved on: the child's entry is stale,
-        # invisible, and retired on first contact.
-        assert cache.get(digest, 2) is None
-        assert cache.live_segments() == []
+        # The segment outlives its writer until the one read retires it.
+        assert list_segments(PREFIX) == [name]
+        assert read_segment(name).recommendations[0].utility == 0.625
+        assert list_segments(PREFIX) == []
