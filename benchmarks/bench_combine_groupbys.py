@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -45,7 +46,7 @@ def run_mode(backend, dataset, mode, budget=100_000):
     query = RowSelectQuery(dataset.table.name, dataset.predicate)
     backend.engine.stats.reset()
     start = time.perf_counter()
-    result = seedb.recommend(query, k=5)
+    result = seedb.recommend(RecommendationRequest(query, k=5))
     elapsed = time.perf_counter() - start
     return result, elapsed, backend.engine.stats.snapshot()
 

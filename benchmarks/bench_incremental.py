@@ -11,10 +11,12 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.core.incremental import IncrementalRecommender
 from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.view_processor import ViewProcessor
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
+from repro.db.query import RowSelectQuery
 from repro.metrics.registry import get_metric
 from repro.optimizer.plan import ExecutionPlan, FlagStep, ViewGroup
 from repro.sampling.accuracy import topk_precision
@@ -75,8 +77,17 @@ def test_early_termination_tradeoff(benchmark, record_rows, workload):
             recommender = IncrementalRecommender(dataset.table, metric="js")
             start = time.perf_counter()
             result = recommender.recommend(
-                dataset.predicate, views, k=5, n_phases=10, delta=delta,
-                epsilon_scale=scale,
+                RecommendationRequest(
+                    RowSelectQuery(dataset.table.name, dataset.predicate),
+                    k=5,
+                    strategy="incremental",
+                    options={
+                        "n_phases": 10,
+                        "delta": delta,
+                        "epsilon_scale": scale,
+                    },
+                ),
+                views,
             )
             elapsed = time.perf_counter() - start
             rows.append(

@@ -9,6 +9,7 @@ quality".
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -65,7 +66,7 @@ def _agreement_rows(synth_small):
     utilities = {}
     for metric in available_metrics():
         config = SeeDBConfig(metric=metric, prune_correlated=False)
-        result = SeeDB(backend, config).recommend(query, k=5)
+        result = SeeDB(backend, config).recommend(RecommendationRequest(query, k=5))
         utilities[metric] = result.utilities
 
     rows = []

@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -91,7 +92,7 @@ def _measure(workload, cost_based: bool):
     with SeeDB(backend, _config(cost_based)) as seedb:
         for _ in range(REPETITIONS):
             start = time.perf_counter()
-            result = seedb.recommend(query, k=5)
+            result = seedb.recommend(RecommendationRequest(query, k=5))
             elapsed = time.perf_counter() - start
             best = elapsed if best is None or elapsed < best else best
     queries = backend.queries_executed

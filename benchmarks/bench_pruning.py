@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -47,7 +48,7 @@ def run_config(table, predicate, config, access_log=None):
     seedb = SeeDB(backend, config, metadata_collector=collector)
     query = RowSelectQuery(table.name, predicate)
     start = time.perf_counter()
-    result = seedb.recommend(query, k=5)
+    result = seedb.recommend(RecommendationRequest(query, k=5))
     return result, time.perf_counter() - start
 
 
@@ -116,4 +117,8 @@ def test_pruned_recommendation_latency(benchmark, workload):
     backend.register_table(table)
     seedb = SeeDB(backend, SeeDBConfig())
     query = RowSelectQuery(table.name, dataset.predicate)
-    benchmark.pedantic(lambda: seedb.recommend(query, k=5), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: seedb.recommend(RecommendationRequest(query, k=5)),
+        rounds=3,
+        iterations=1,
+    )

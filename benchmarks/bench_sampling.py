@@ -10,6 +10,7 @@ sampler-choice ablation (Bernoulli vs stratified on zipf-skewed data).
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.core.view_processor import ViewProcessor
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.experiments.accuracy import sampling_accuracy_sweep
@@ -51,7 +52,11 @@ def test_recommend_on_one_percent_sample(benchmark, synth_large):
                          prune_correlated=False)
     seedb = SeeDB(backend, config)
     query = RowSelectQuery(synth_large.table.name, synth_large.predicate)
-    benchmark.pedantic(lambda: seedb.recommend(query, k=5), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: seedb.recommend(RecommendationRequest(query, k=5)),
+        rounds=3,
+        iterations=1,
+    )
 
 
 def _utilities_on(table, predicate, views):

@@ -8,6 +8,7 @@ effects on the resulting views".
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -49,7 +50,9 @@ def test_recommendation_latency_on_planted(benchmark, planted):
     seedb = SeeDB(backend, SeeDBConfig(prune_correlated=False))
     query = RowSelectQuery(planted.table.name, planted.predicate)
     result = benchmark.pedantic(
-        lambda: seedb.recommend(query, k=5), rounds=3, iterations=1
+        lambda: seedb.recommend(
+            RecommendationRequest(query, k=5)
+        ), rounds=3, iterations=1
     )
     planted_dimensions = set(planted.planted_dimensions)
     top_dimensions = {v.spec.dimension for v in result.recommendations}

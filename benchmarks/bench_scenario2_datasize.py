@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.basic import BasicFramework
 from repro.core.config import SeeDBConfig
@@ -63,12 +64,12 @@ def _datasize_sweep():
 
         basic = BasicFramework(backend)
         start = time.perf_counter()
-        basic_result = basic.recommend(query, k=5)
+        basic_result = basic.recommend(RecommendationRequest(query, k=5))
         basic_seconds = time.perf_counter() - start
 
         seedb = SeeDB(backend, OPTIMIZED)
         start = time.perf_counter()
-        optimized_result = seedb.recommend(query, k=5)
+        optimized_result = seedb.recommend(RecommendationRequest(query, k=5))
         optimized_seconds = time.perf_counter() - start
 
         rows.append(
@@ -92,4 +93,8 @@ def test_optimized_latency_at_200k(benchmark):
     backend, dataset = make_workload(200_000)
     seedb = SeeDB(backend, OPTIMIZED)
     query = RowSelectQuery(dataset.table.name, dataset.predicate)
-    benchmark.pedantic(lambda: seedb.recommend(query, k=5), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: seedb.recommend(RecommendationRequest(query, k=5)),
+        rounds=3,
+        iterations=1,
+    )

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -54,7 +55,7 @@ def _distribution_sweep():
         seedb = SeeDB(backend, SeeDBConfig(prune_correlated=False))
         query = RowSelectQuery(dataset.table.name, dataset.predicate)
         start = time.perf_counter()
-        result = seedb.recommend(query, k=5)
+        result = seedb.recommend(RecommendationRequest(query, k=5))
         elapsed = time.perf_counter() - start
         rows.append(
             {
@@ -73,4 +74,8 @@ def test_zipf_latency(benchmark):
     backend.register_table(dataset.table)
     seedb = SeeDB(backend, SeeDBConfig(prune_correlated=False))
     query = RowSelectQuery(dataset.table.name, dataset.predicate)
-    benchmark.pedantic(lambda: seedb.recommend(query, k=5), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: seedb.recommend(RecommendationRequest(query, k=5)),
+        rounds=3,
+        iterations=1,
+    )

@@ -10,6 +10,7 @@ accuracy, is benchmarked separately in E10).
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -56,7 +57,9 @@ def _check_invariance(synth_large):
             continue  # pruning may drop low-utility views; compared in E17
         backend = MemoryBackend()
         backend.register_table(synth_large.table)
-        result = SeeDB(backend, SeeDBConfig(**overrides)).recommend(query, k=5)
+        result = SeeDB(
+            backend, SeeDBConfig(**overrides)
+        ).recommend(RecommendationRequest(query, k=5))
         top = [v.spec for v in result.recommendations]
         if reference is None:
             reference = top
@@ -70,4 +73,8 @@ def test_fastest_bundle_latency(benchmark, synth_large):
     _label, overrides = OPTIMIZATION_GRID[-1]
     seedb = SeeDB(backend, SeeDBConfig(**overrides))
     query = RowSelectQuery(synth_large.table.name, synth_large.predicate)
-    benchmark.pedantic(lambda: seedb.recommend(query, k=5), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: seedb.recommend(RecommendationRequest(query, k=5)),
+        rounds=3,
+        iterations=1,
+    )

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.duckdb import duckdb_available
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
@@ -59,7 +60,9 @@ def _run(dataset, query, batch_scoring: bool):
     """One fresh-backend recommendation; returns (result, queries_executed)."""
     backend = MemoryBackend()
     backend.register_table(dataset.table)
-    result = SeeDB(backend, _config(batch_scoring)).recommend(query, k=10)
+    result = SeeDB(backend, _config(batch_scoring)).recommend(
+        RecommendationRequest(query, k=10)
+    )
     return result, backend.queries_executed
 
 
@@ -137,7 +140,9 @@ def test_duckdb_backend_axis(record_rows, workload):
                 groupby_combining=GroupByCombining.AUTO,
             )
             start = time.perf_counter()
-            result = SeeDB(backend, config).recommend(query, k=10)
+            result = SeeDB(backend, config).recommend(
+                RecommendationRequest(query, k=10)
+            )
             total = time.perf_counter() - start
             utilities[mode] = result.utilities
             queries[mode] = backend.queries_executed

@@ -30,6 +30,7 @@ from threading import Barrier, Lock
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.duckdb import duckdb_available
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
@@ -88,7 +89,7 @@ def run_serial(table, stream, backend_factory=MemoryBackend):
     for _ in range(N_SESSIONS):
         for query in stream:
             t0 = time.perf_counter()
-            seedb.recommend(query)
+            seedb.recommend(RecommendationRequest(query))
             latencies.append(time.perf_counter() - t0)
     total = time.perf_counter() - start
     seedb.close()
@@ -117,7 +118,7 @@ def run_service(
         mine = []
         for query in stream:
             t0 = time.perf_counter()
-            service.recommend(query)
+            service.recommend(RecommendationRequest(query))
             mine.append(time.perf_counter() - t0)
         with lock:
             latencies.extend(mine)
@@ -185,7 +186,7 @@ def run_scaling_tier(table, queries, workers: int):
         def session(index: int):
             barrier.wait(timeout=60)
             for query in slices[index]:
-                service.recommend(query)
+                service.recommend(RecommendationRequest(query))
 
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=N_SESSIONS) as pool:
@@ -378,7 +379,9 @@ def test_deadline_axis(record_rows, workload):
         for query in requests:
             t0 = time.perf_counter()
             try:
-                result = service.recommend(query, deadline_ms=deadline_ms)
+                result = service.recommend(
+                    RecommendationRequest(query, options={"deadline_ms": deadline_ms})
+                )
                 if result.partial:
                     partials += 1
                 else:

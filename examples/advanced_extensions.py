@@ -7,6 +7,7 @@ Run:  python examples/advanced_extensions.py
 from pathlib import Path
 
 from repro import MemoryBackend, RowSelectQuery, SeeDB, SeeDBConfig
+from repro.api import RecommendationRequest
 from repro.core.incremental import IncrementalRecommender
 from repro.core.multiview import MultiViewRecommender
 from repro.core.space import enumerate_views, split_predicate_dimensions
@@ -29,7 +30,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("=== multi-attribute views: f(m) by (a1, a2) ===")
     multi = MultiViewRecommender(backend, metric="js")
-    for rank, view in enumerate(multi.recommend(query, k=4, n_dimensions=2), 1):
+    top_pairs = multi.recommend(RecommendationRequest(query, k=4), n_dimensions=2)
+    for rank, view in enumerate(top_pairs, 1):
         print(f"  {rank}. {view.spec.label:42s} u={view.utility:.4f} "
               f"({len(view.groups)} combination groups)")
 
@@ -40,7 +42,15 @@ def main() -> None:
     views = enumerate_views(table.schema, functions=("sum", "avg"))
     views, _ = split_predicate_dimensions(views, predicate)
     incremental = IncrementalRecommender(table, metric="js")
-    result = incremental.recommend(predicate, views, k=5, n_phases=10, delta=0.2)
+    result = incremental.recommend(
+        RecommendationRequest(
+            query,
+            k=5,
+            strategy="incremental",
+            options={"n_phases": 10, "delta": 0.2},
+        ),
+        views,
+    )
     print(f"  views considered: {len(views)}")
     print(f"  phases executed:  {result.phases_executed}/{result.n_phases}")
     print(f"  work saved:       {result.work_saved_fraction:.1%} "
@@ -54,7 +64,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n=== standalone HTML report ===")
     seedb = SeeDB(backend, SeeDBConfig(metric="js"))
-    standard = seedb.recommend(query, k=4)
+    standard = seedb.recommend(RecommendationRequest(query, k=4))
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     path = write_html_report(
         standard,

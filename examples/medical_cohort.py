@@ -9,6 +9,7 @@ Run:  python examples/medical_cohort.py
 """
 
 from repro import SeeDB, SeeDBConfig, SqliteBackend
+from repro.api import RecommendationRequest
 from repro.datasets import generate_medical
 from repro.frontend.templates import build_template
 
@@ -23,7 +24,9 @@ def main() -> None:
         # Cohort 1: emergency admissions.
         print("=== Emergency admissions vs all admissions ===")
         result = seedb.recommend(
-            "SELECT * FROM admissions WHERE admission_type = 'Emergency'", k=4
+            RecommendationRequest.from_sql(
+                "SELECT * FROM admissions WHERE admission_type = 'Emergency'", k=4
+            )
         )
         print(result.summary())
         print("\ntop view per-group detail:")
@@ -40,7 +43,7 @@ def main() -> None:
         query = build_template(
             "outliers", stats_table, column="los_days", side="high", z=2.0
         )
-        result = seedb.recommend(query, k=4)
+        result = seedb.recommend(RecommendationRequest(query, k=4))
         print(result.summary())
 
         print(f"\nSQL round trips issued this session: {backend.queries_executed}")

@@ -12,6 +12,7 @@ Run:  python examples/quickstart.py
 from pathlib import Path
 
 from repro import MemoryBackend, RowSelectQuery, SeeDB, SeeDBConfig, col
+from repro.api import RecommendationRequest
 from repro.datasets import laserwave_sales_history
 from repro.experiments.figures import figure_1_spec, figures_2_3_utilities
 from repro.experiments.harness import rows_to_table
@@ -34,7 +35,7 @@ def main() -> None:
 
     # 3. Ask SeeDB for the top-3 most interesting views.
     seedb = SeeDB(backend, SeeDBConfig(metric="js", k=3))
-    result = seedb.recommend(query)
+    result = seedb.recommend(RecommendationRequest(query))
     print(result.summary())
     print()
     print("plan:", result.plan_description)

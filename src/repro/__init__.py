@@ -12,13 +12,15 @@ and a frontend with SQL/builder/template query input.
 
 Quickstart::
 
-    from repro import MemoryBackend, SeeDB, col, RowSelectQuery
+    from repro import MemoryBackend, RecommendationRequest, SeeDB
     from repro.datasets import laserwave_sales_history
 
     backend = MemoryBackend()
     backend.register_table(laserwave_sales_history())
     result = SeeDB(backend).recommend(
-        RowSelectQuery("sales", col("product") == "Laserwave"), k=3
+        RecommendationRequest.from_sql(
+            "SELECT * FROM sales WHERE product = 'Laserwave'", k=3
+        )
     )
     print(result.summary())
 """

@@ -16,9 +16,10 @@ deviates most from a reference" — as a first-class, serializable object:
   :meth:`repro.SeeDB.recommend_iter` and ``POST /recommend/stream``.
 * :class:`ApiError` — structured failure taxonomy (code + field path).
 
-``SeeDB``, ``SeeDBService``, ``AnalystSession``, the CLI, and the HTTP
-frontend all construct and consume these types; the older positional
-signatures remain as thin adapters over them.
+``SeeDB``, ``SeeDBService`` and the specialised recommenders take a
+:class:`RecommendationRequest` and nothing else; ``AnalystSession``, the
+CLI, and the HTTP frontend are the edges that build one from SQL text,
+flags, or a JSON body.
 """
 
 from repro.api.codec import (

@@ -21,7 +21,7 @@ engine and the service's coalescing keys operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Mapping
 
 from repro.api.codec import parse_sql_query, query_from_wire, query_to_wire
@@ -495,9 +495,25 @@ class RecommendationRequest:
             render=render,
         )
 
-    def with_k(self, k: "int | None") -> "RecommendationRequest":
-        """A copy with ``k`` replaced (no-op when ``k`` is None)."""
-        return self if k is None else replace(self, k=k)
+
+def require_request(request: Any) -> RecommendationRequest:
+    """The check every in-process entry point runs on its input.
+
+    Text and :class:`RowSelectQuery` inputs are converted where a human or
+    a socket hands them over (:meth:`RecommendationRequest.from_sql`,
+    :meth:`~RecommendationRequest.from_dict`, the constructor); behind
+    those edges anything else is a typed error here, not an
+    ``AttributeError`` three frames down.
+    """
+    if not isinstance(request, RecommendationRequest):
+        raise ApiError(
+            f"expected a RecommendationRequest, got {type(request).__name__} "
+            "(wrap SQL text with RecommendationRequest.from_sql(...), a "
+            "RowSelectQuery with RecommendationRequest(target=...))",
+            code="invalid_value",
+            field="request",
+        )
+    return request
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""JSON wire serialization of recommendation results (schema version 1).
+"""JSON wire serialization of recommendation results (schema version 3).
 
 One place renders engine objects — scored views, finished results,
 progressive rounds — into the plain-JSON payloads every transport (HTTP
 endpoints, NDJSON stream, CLI ``--json``) emits, so the wire schema is
-defined once and the contract test can snapshot it.
+defined once and the contract test can snapshot it. The frames carry the
+fields of every version so far — ``partial`` / ``partial_epsilon`` since
+version 2, ``visualizations`` since version 3 — and the shape is pinned by
+:func:`repro.api.schema.response_json_schema`.
 """
 
 from __future__ import annotations

@@ -9,11 +9,9 @@ no pruning, two independent queries per view, sequential execution. It is
 implemented directly on the backend (not through the planner) so baseline
 measurements cannot accidentally inherit optimizer behaviour.
 
-The entry point is the canonical request API: :meth:`recommend_request`
-consumes a :class:`~repro.api.RecommendationRequest` (honoring its
-reference spec and view-space filters with independent comparison
-queries); the historical ``recommend(query, k)`` signature remains as a
-thin adapter that wraps its arguments into an equivalent request.
+Like every entry point, :meth:`BasicFramework.recommend` consumes a
+:class:`~repro.api.RecommendationRequest` (honoring its reference spec and
+view-space filters with independent comparison queries).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.topk import top_k_views
 from repro.core.view import RawViewData
 from repro.core.view_processor import ViewProcessor
-from repro.db.query import RowSelectQuery
 from repro.engine.context import describe_predicate
 from repro.metrics.normalize import NormalizationPolicy
 from repro.metrics.registry import get_metric
@@ -58,27 +55,7 @@ class BasicFramework:
         self.include_count_views = include_count_views
         self.exclude_predicate_dimensions = exclude_predicate_dimensions
 
-    def recommend(
-        self,
-        query: "RowSelectQuery | RecommendationRequest",
-        k: "int | None" = None,
-    ) -> RecommendationResult:
-        """Deprecation adapter: wrap the positional form into a request.
-
-        An explicitly passed ``k`` overrides the request's own (matching
-        :meth:`repro.SeeDB.recommend`); with neither set, 5 applies.
-        """
-        from repro.api.request import RecommendationRequest
-
-        if isinstance(query, RecommendationRequest):
-            return self.recommend_request(query.with_k(k))
-        return self.recommend_request(
-            RecommendationRequest(target=query, k=k)
-        )
-
-    def recommend_request(
-        self, request: "RecommendationRequest"
-    ) -> RecommendationResult:
+    def recommend(self, request: "RecommendationRequest") -> RecommendationResult:
         """Score every candidate view with independent queries; return top-k.
 
         The comparison query of each view filters on the request's
@@ -86,9 +63,10 @@ class BasicFramework:
         basic framework supports every reference kind because its queries
         are never flag-combined.
         """
+        from repro.api.request import require_request
         from repro.engine.phases import filter_view_space
 
-        query = request.target
+        query = require_request(request).target
         k = request.k if request.k is not None else 5
         reference = request.reference.resolve(query)
         processor = self.processor

@@ -19,11 +19,10 @@ the batch path. This module keeps the stable user-facing API.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
-from repro.db.expressions import Expression
-from repro.db.query import RowSelectQuery
 from repro.db.table import Table
 from repro.engine.engine import ExecutionEngine
 from repro.engine.incremental import (
@@ -39,6 +38,9 @@ from repro.metrics.normalize import NormalizationPolicy
 from repro.metrics.registry import get_metric
 from repro.model.view import ScoredView, ViewSpec
 from repro.util.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.api.request import RecommendationRequest
 
 __all__ = ["IncrementalRecommender", "IncrementalResult", "BOUNDED_METRICS"]
 
@@ -98,80 +100,34 @@ class IncrementalRecommender:
         self.engine = ExecutionEngine(backend)
 
     def recommend(
-        self,
-        predicate: "Expression | None",
-        views: list[ViewSpec],
-        k: int = 5,
-        n_phases: int = 10,
-        delta: float = 0.05,
-        min_phases_before_pruning: int = 2,
-        epsilon_scale: float = 0.25,
-    ) -> IncrementalResult:
-        """Run up to ``n_phases`` phases, pruning hopeless views between them.
-
-        Deprecation adapter over :meth:`recommend_request`: wraps the
-        positional arguments into an equivalent
-        :class:`~repro.api.RecommendationRequest` with
-        ``strategy="incremental"`` and the phase knobs as options.
-
-        ``delta`` is the per-comparison failure probability of the
-        Hoeffding bound; smaller = more conservative pruning.
-        ``epsilon_scale`` tightens the worst-case Hoeffding radius by a
-        constant factor: utility estimates over interleaved partitions
-        concentrate far faster than the distribution-free bound allows
-        (each phase is itself an aggregate over thousands of rows, not one
-        sample), so the raw bound almost never prunes. The default 0.25 is
-        an empirical calibration — set it to 1.0 for the fully
-        conservative behaviour, 0 to disable the radius entirely
-        (aggressive, estimate-only pruning).
-        """
-        from repro.api.request import RecommendationRequest
-
-        # Pre-request contract: bad knobs raise ConfigError here, as they
-        # always did, before the request layer's ApiError validation runs.
-        if n_phases < 1:
-            raise ConfigError("n_phases must be >= 1")
-        if not (0.0 < delta < 1.0):
-            raise ConfigError("delta must be in (0, 1)")
-        if epsilon_scale < 0:
-            raise ConfigError("epsilon_scale must be >= 0")
-        request = RecommendationRequest(
-            target=RowSelectQuery(self.table.name, predicate),
-            k=k,
-            strategy="incremental",
-            options={
-                "n_phases": n_phases,
-                "delta": delta,
-                "min_phases_before_pruning": min_phases_before_pruning,
-                "epsilon_scale": epsilon_scale,
-            },
-        )
-        return self.recommend_request(request, views)
-
-    def recommend_request(
         self, request: "RecommendationRequest", views: list[ViewSpec]
     ) -> IncrementalResult:
-        """Canonical entry point: phased execution of ``views`` for a
-        declarative request (reference spec, metric, and incremental
-        options honored; the explicit view list takes the place of
-        enumeration). Knob values arrive pre-validated — every
-        constructible request already enforces the executor's ranges.
+        """Run up to ``n_phases`` phases over ``views``, pruning hopeless
+        views between them.
+
+        The request's reference spec, metric and incremental options are
+        honored; the explicit view list takes the place of enumeration.
+        Knob values arrive pre-validated — every constructible request
+        already enforces the executor's ranges. ``delta`` is the
+        per-comparison failure probability of the Hoeffding bound; smaller
+        = more conservative pruning. ``epsilon_scale`` tightens the
+        worst-case Hoeffding radius by a constant factor: utility
+        estimates over interleaved partitions concentrate far faster than
+        the distribution-free bound allows (each phase is itself an
+        aggregate over thousands of rows, not one sample), so the raw
+        bound almost never prunes. The default 0.25 is an empirical
+        calibration — set it to 1.0 for the fully conservative behaviour,
+        0 to disable the radius entirely (aggressive, estimate-only
+        pruning).
         """
         from repro.api.errors import ApiError
-        from repro.api.request import INCREMENTAL_OPTION_DEFAULTS
+        from repro.api.request import INCREMENTAL_OPTION_DEFAULTS, require_request
 
-        knobs = dict(INCREMENTAL_OPTION_DEFAULTS)
-        knobs.update(
-            {
-                key: value
-                for key, value in request.options.items()
-                if key in INCREMENTAL_OPTION_DEFAULTS
-            }
-        )
-        n_phases = knobs["n_phases"]
-        delta = knobs["delta"]
-        min_phases_before_pruning = knobs["min_phases_before_pruning"]
-        epsilon_scale = knobs["epsilon_scale"]
+        request = require_request(request)
+        knobs = {
+            key: request.options.get(key, default)
+            for key, default in INCREMENTAL_OPTION_DEFAULTS.items()
+        }
         k = request.k if request.k is not None else 5
         metric = self.metric
         if request.metric is not None:
@@ -185,7 +141,7 @@ class IncrementalRecommender:
                     field="metric",
                 )
         if not views:
-            return IncrementalResult([], {}, {}, 0, n_phases, 0, 0)
+            return IncrementalResult([], {}, {}, 0, knobs["n_phases"], 0, 0)
 
         config = SeeDBConfig(normalization=self.normalization, k=k)
         ctx = self.engine.new_context(
@@ -200,12 +156,9 @@ class IncrementalRecommender:
         phases = [
             PhasedExecutePhase(
                 table=self.table,
-                n_phases=n_phases,
-                delta=delta,
-                min_phases_before_pruning=min_phases_before_pruning,
-                epsilon_scale=epsilon_scale,
                 metric=metric,
                 normalization=self.normalization,
+                **knobs,
             ),
             IncrementalScorePhase(
                 metric=metric, normalization=self.normalization

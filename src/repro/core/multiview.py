@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.backends.base import Backend
 from repro.core.config import SeeDBConfig
 from repro.db.aggregates import Aggregate
-from repro.db.query import RowSelectQuery
 from repro.db.schema import Schema
 from repro.db.types import AttributeRole
 from repro.metrics.base import DistanceMetric
@@ -138,43 +137,16 @@ class MultiViewRecommender:
 
     def recommend(
         self,
-        query: "RowSelectQuery | RecommendationRequest",
-        k: "int | None" = None,
-        n_dimensions: int = 2,
-        functions: Sequence[str] = ("sum", "avg"),
-        include_count: bool = True,
-    ) -> list[ScoredView]:
-        """The k most deviating ``n_dimensions``-attribute views.
-
-        Deprecation adapter over :meth:`recommend_request`: a plain
-        :class:`RowSelectQuery` is wrapped into an equivalent
-        :class:`~repro.api.RecommendationRequest`; an explicitly passed
-        ``k`` overrides the request's own (5 when neither is set).
-        """
-        from repro.api.request import RecommendationRequest
-
-        if isinstance(query, RecommendationRequest):
-            request = query.with_k(k)
-        else:
-            request = RecommendationRequest(target=query, k=k)
-        return self.recommend_request(
-            request,
-            n_dimensions=n_dimensions,
-            functions=functions,
-            include_count=include_count,
-        )
-
-    def recommend_request(
-        self,
         request: "RecommendationRequest",
         n_dimensions: int = 2,
         functions: Sequence[str] = ("sum", "avg"),
         include_count: bool = True,
     ) -> list[ScoredView]:
-        """Canonical entry point: multi-attribute recommendation for a
+        """The k most deviating ``n_dimensions``-attribute views for a
         declarative request (reference and dimension/measure filters
         honored; only flag-combinable references — table / complement —
         are supported on this path)."""
+        from repro.api.request import require_request
         from repro.engine.multiview import (
             DropEmptyViewsPhase,
             MultiViewEnumeratePhase,
@@ -183,6 +155,7 @@ class MultiViewRecommender:
         )
         from repro.engine.phases import ExecutePhase, ScorePhase, SelectPhase
 
+        request = require_request(request)
         k = request.k if request.k is not None else 5
         metric = (
             get_metric(request.metric) if request.metric is not None else self.metric
@@ -199,16 +172,15 @@ class MultiViewRecommender:
             DropEmptyViewsPhase(),
             SelectPhase(),
         ]
-        ctx = self.engine.recommend(
+        ctx = self.engine.new_context(
             request.target,
             config,
             k,
-            phases=phases,
             reference=request.reference.resolve(request.target),
             dimensions=request.dimensions,
             measures=request.measures,
         )
-        return ctx.recommendations
+        return self.engine.run(phases, ctx).recommendations
 
     def close(self) -> None:
         """Release the engine's session resources (self-built engines only;

@@ -1,20 +1,21 @@
-"""The SeeDB recommender: a facade over the shared ExecutionEngine.
+"""The SeeDB recommender: a session holder over the shared ExecutionEngine.
 
 The full optimized pipeline of Figure 4 — Metadata Collector → Query
 Generator (enumeration + pruning) → Optimizer (combining / sampling /
-parallelism) → DBMS → View Processor (normalize + score) → top-k — runs as
-the engine's default phase list (:func:`repro.engine.phases.default_phases`).
-This class resolves the analyst's input into one canonical
-:class:`~repro.api.RecommendationRequest`, holds session-scoped state (one
-engine = one metadata collector + session cache + persistent worker pool),
-and packages the finished context as a :class:`RecommendationResult`.
+parallelism) → DBMS → View Processor (normalize + score) → top-k — lives in
+:mod:`repro.engine`: :func:`~repro.engine.engine.phases_for` maps a
+resolved request onto its phase list and
+:meth:`~repro.engine.ExecutionEngine.drive` runs it. This class holds what
+a session keeps between calls — one engine (metadata collector + session
+cache + worker-pool views) and the base :class:`SeeDBConfig` requests
+resolve against — and packages finished contexts as
+:class:`RecommendationResult`.
 
-Requests are the API: :meth:`recommend` accepts a
-:class:`RecommendationRequest` (or, as a thin adapter, the older
-``query, k, config`` positional form, which it wraps into one),
-:meth:`recommend_iter` streams :class:`~repro.api.PartialResult` rounds
-from the incremental engine, and both honor the request's reference spec,
-view-space filters, strategy, and execution options.
+A :class:`~repro.api.RecommendationRequest` is the only input:
+:meth:`SeeDB.recommend` runs it to completion, :meth:`SeeDB.recommend_iter`
+streams :class:`~repro.api.PartialResult` rounds from the same drive. SQL
+text and :class:`~repro.db.query.RowSelectQuery` objects become requests
+at the edge (``RecommendationRequest.from_sql`` / the constructor).
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from typing import TYPE_CHECKING, Iterator
 from repro.backends.base import Backend
 from repro.core.config import SeeDBConfig
 from repro.core.result import RecommendationResult
-from repro.db.query import RowSelectQuery
-from repro.engine.engine import ExecutionEngine
+from repro.engine.engine import ExecutionEngine, resolve_request
 from repro.metadata.collector import MetadataCollector
 from repro.util.errors import QueryError
 
 if TYPE_CHECKING:
     from repro.api.progressive import PartialResult
-    from repro.api.request import RecommendationRequest, ResolvedRequest
-    from repro.engine.context import ExecutionContext
-    from repro.util.deadline import CancelToken
+    from repro.api.request import RecommendationRequest
 
 
 class SeeDB:
@@ -86,28 +84,13 @@ class SeeDB:
 
     # ------------------------------------------------------------------
 
-    def recommend(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        k: "int | None" = None,
-        config: "SeeDBConfig | None" = None,
-    ) -> RecommendationResult:
-        """Recommend the top-k most deviating views for a request.
-
-        ``query`` is a :class:`~repro.api.RecommendationRequest` — or, via
-        the deprecation adapter, the pre-request positional form: a
-        :class:`RowSelectQuery` / SQL string plus ``k`` and an optional
-        ``config`` override (both fold into an equivalent request).
-        """
-        request = self.as_request(query, k=k)
-        resolved = request.resolve(config if config is not None else self.config)
-        return self.run_resolved(resolved).to_result()
+    def recommend(self, request: "RecommendationRequest") -> RecommendationResult:
+        """Recommend the top-k most deviating views for ``request``."""
+        resolved = resolve_request(request, self.config)
+        return self.engine.recommend(resolved).to_result()
 
     def recommend_iter(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        k: "int | None" = None,
-        config: "SeeDBConfig | None" = None,
+        self, request: "RecommendationRequest"
     ) -> "Iterator[PartialResult]":
         """Progressive :meth:`recommend`: yield partial top-k rounds.
 
@@ -118,219 +101,8 @@ class SeeDB:
         :meth:`recommend` returns for the same request with
         ``strategy="incremental"``.
         """
-        request = self.as_request(query, k=k)
-        if request.strategy != "incremental":
-            from dataclasses import replace
-
-            request = replace(request, strategy="incremental")
-        resolved = request.resolve(config if config is not None else self.config)
-        return self.iter_resolved(resolved)
-
-    # -- canonicalization ---------------------------------------------------
-
-    def as_request(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        k: "int | None" = None,
-        warn: bool = True,
-    ) -> "RecommendationRequest":
-        """Normalize any accepted input into a :class:`RecommendationRequest`.
-
-        The deprecation adapter behind every legacy signature: strings are
-        parsed as SQL, :class:`RowSelectQuery` objects wrapped verbatim,
-        and an explicit ``k`` overrides the request's own. Legacy inputs
-        draw a :class:`DeprecationWarning` unless ``warn=False`` (for
-        wrappers like :class:`~repro.frontend.session.AnalystSession`
-        whose own signature is the supported surface).
-        """
-        from repro.api.request import RecommendationRequest
-
-        if isinstance(query, RecommendationRequest):
-            return query.with_k(k)
-        if warn:
-            import warnings
-
-            warnings.warn(
-                "positional SeeDB signatures (query, k, config) are "
-                "deprecated; construct a RecommendationRequest (for SQL "
-                "text: RecommendationRequest.from_sql(...)) and pass that "
-                "instead — see README 'Public API' for the migration table",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return RecommendationRequest(target=self.resolve_query(query), k=k)
-
-    # -- execution ----------------------------------------------------------
-
-    def run_resolved(
-        self,
-        resolved: "ResolvedRequest",
-        cancel_token: "CancelToken | None" = None,
-    ) -> "ExecutionContext":
-        """Execute a resolved request through this facade's engine.
-
-        ``cancel_token`` carries the request-lifecycle budget; the serving
-        tier passes one measured from admission. Standalone callers get a
-        token derived from the request's ``deadline_ms``, if set.
-        """
-        phases = None
-        if resolved.strategy == "incremental":
-            phases = self._incremental_phases(resolved)
-        elif resolved.render.get("format", "none") != "none":
-            from repro.engine.phases import RenderPhase, default_phases
-
-            phases = [*default_phases(), RenderPhase(resolved.render)]
-        return self.engine.recommend(
-            resolved.query,
-            resolved.config,
-            resolved.k,
-            phases=phases,
-            reference=resolved.reference,
-            dimensions=resolved.dimensions,
-            measures=resolved.measures,
-            cancel_token=self._lifecycle_token(resolved, cancel_token),
-        )
-
-    @staticmethod
-    def _lifecycle_token(
-        resolved: "ResolvedRequest",
-        cancel_token: "CancelToken | None",
-    ) -> "CancelToken | None":
-        """The effective cancel token: caller-supplied, or built from the
-        request's own ``deadline_ms`` when running outside a service."""
-        if cancel_token is not None:
-            return cancel_token
-        if resolved.deadline_ms is None:
-            return None
-        from repro.util.deadline import CancelToken, Deadline
-
-        return CancelToken(deadline=Deadline.from_ms(resolved.deadline_ms))
-
-    def iter_resolved(
-        self,
-        resolved: "ResolvedRequest",
-        cancel_token: "CancelToken | None" = None,
-    ) -> "Iterator[PartialResult]":
-        """Progressive execution of a resolved request (generator).
-
-        Mirrors :meth:`run_resolved` with the incremental phase list, but
-        yields after every executed partition phase. The final yielded
-        round re-scores the same accumulated state through the same View
-        Processor the blocking path uses, so its ``result`` is
-        bit-identical to the blocking incremental result.
-        """
-        from repro.api.progressive import PartialResult
-        from repro.core.topk import top_k_views
-        from repro.util.deadline import cancel_scope
-
-        token = self._lifecycle_token(resolved, cancel_token)
-        ctx = self.engine.new_context(
-            resolved.query,
-            resolved.config,
-            resolved.k,
-            reference=resolved.reference,
-            dimensions=resolved.dimensions,
-            measures=resolved.measures,
-            cancel_token=token,
-        )
-        self.engine.cache.sync()
-        pre_phases, execute, post_phases = self._incremental_pipeline(resolved)
-        # The cancel scope is entered per work slice, not around the whole
-        # generator: between next() calls this thread runs consumer code
-        # that must not inherit the request's token.
-        with cancel_scope(token):
-            for phase in pre_phases:
-                ctx.check_cancelled()
-                with ctx.stopwatch.time(phase.name):
-                    phase.run(ctx)
-
-        rendering = resolved.render.get("format", "none") != "none"
-        rounds = execute.rounds(ctx)
-        while True:
-            with ctx.stopwatch.time(execute.name):
-                with cancel_scope(token):
-                    round_state = next(rounds, None)
-            if round_state is None:
-                break
-            round_top_k = top_k_views(round_state.scored.values(), resolved.k)
-            visualizations = None
-            if rendering:
-                # Per-round specs for the *current* estimate: the same
-                # builder the RenderPhase runs at the end, so each round's
-                # charts refine the previous round's and the final round's
-                # (below, taken from the result) are bit-identical to the
-                # blocking path's.
-                from repro.viz.render import build_visualizations
-
-                visualizations = build_visualizations(
-                    round_top_k, ctx.schema, resolved.render
-                )
-            yield PartialResult(
-                round=round_state.phase,
-                n_rounds=round_state.n_phases,
-                recommendations=round_top_k,
-                views_alive=round_state.views_alive,
-                views_pruned=round_state.views_pruned,
-                epsilon=round_state.epsilon,
-                visualizations=visualizations,
-            )
-
-        with cancel_scope(token):
-            for phase in post_phases:
-                ctx.check_cancelled()
-                with ctx.stopwatch.time(phase.name):
-                    phase.run(ctx)
-        result = ctx.to_result()
-        trace = ctx.extras.get("incremental")
-        yield PartialResult(
-            round=trace.phases_executed if trace is not None else 0,
-            n_rounds=trace.n_phases if trace is not None else 0,
-            recommendations=list(result.recommendations),
-            views_alive=len(ctx.raw_views),
-            views_pruned=(
-                len(trace.pruned_at_phase) if trace is not None else 0
-            ),
-            epsilon=result.partial_epsilon if result.partial else 0.0,
-            is_final=True,
-            result=result,
-            visualizations=result.visualizations,
-        )
-
-    @staticmethod
-    def _incremental_pipeline(resolved: "ResolvedRequest"):
-        """The incremental phase sequence, split around the phased
-        executor: ``(pre_phases, execute, post_phases)``.
-
-        Single source of truth for both the blocking path
-        (:meth:`_incremental_phases`) and the streaming path
-        (:meth:`iter_resolved`) — the streamed final round is bit-identical
-        to the blocking result precisely because both run this sequence.
-        """
-        from repro.engine.incremental import (
-            IncrementalScorePhase,
-            PhasedExecutePhase,
-        )
-        from repro.engine.phases import (
-            EnumeratePhase,
-            MetadataPhase,
-            PrunePhase,
-            RenderPhase,
-            SelectPhase,
-        )
-
-        post_phases: list = [IncrementalScorePhase(), SelectPhase()]
-        if resolved.render.get("format", "none") != "none":
-            post_phases.append(RenderPhase(resolved.render))
-        return (
-            [MetadataPhase(), EnumeratePhase(), PrunePhase()],
-            PhasedExecutePhase(**resolved.incremental),
-            post_phases,
-        )
-
-    @classmethod
-    def _incremental_phases(cls, resolved: "ResolvedRequest") -> list:
-        pre_phases, execute, post_phases = cls._incremental_pipeline(resolved)
-        return [*pre_phases, execute, *post_phases]
+        resolved = resolve_request(request, self.config, stream=True)
+        return self.engine.recommend_iter(resolved)
 
     # ------------------------------------------------------------------
 
@@ -348,22 +120,3 @@ class SeeDB:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-
-    def resolve_query(self, query: "RowSelectQuery | str") -> RowSelectQuery:
-        """Normalize ``query`` to a :class:`RowSelectQuery` (parsing SQL)."""
-        if isinstance(query, RowSelectQuery):
-            return query
-        if isinstance(query, str):
-            # Parsed through the request codec so syntax failures carry
-            # the structured ApiError taxonomy.
-            from repro.api.codec import parse_sql_query
-
-            return parse_sql_query(query, "target")
-        raise QueryError(
-            f"query must be a RowSelectQuery or SQL string, got {type(query).__name__}"
-        )
-
-    # Backwards-compatible alias (pre-service callers used the private name).
-    _resolve_query = resolve_query

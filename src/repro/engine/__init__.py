@@ -28,7 +28,6 @@ from repro.engine.multiview import (
     MultiViewPrunePhase,
 )
 from repro.engine.phases import (
-    CostBasedPlanner,
     EnumeratePhase,
     ExecutePhase,
     MetadataPhase,
@@ -55,7 +54,6 @@ __all__ = [
     "PrunePhase",
     "SamplePhase",
     "PlanPhase",
-    "CostBasedPlanner",
     "ExecutePhase",
     "ScorePhase",
     "SelectPhase",

@@ -4,7 +4,8 @@ One :class:`ExecutionContext` is created per recommendation request and
 threaded through an ordered list of :class:`~repro.engine.phases.Phase`
 objects. Each phase reads the fields earlier phases produced and writes
 its own — the dataclass makes the hand-offs of Figure 4 explicit and
-independently testable (a phase can be exercised on a hand-built context).
+independently testable (a phase can be exercised on a context from
+:meth:`~repro.engine.ExecutionEngine.new_context`).
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class ExecutionContext:
     query: RowSelectQuery
     config: SeeDBConfig
     k: int
+    #: The engine's session cache: every schema/metadata/sample/statistics
+    #: lookup a phase makes goes through it (and is dropped by its owner).
+    cache: "SessionCache"
     #: Comparison row set (paper default: the whole table). Execute-side
     #: phases and the planner read this to build the comparison queries.
     reference: ResolvedReference = TABLE_REFERENCE
@@ -55,7 +59,6 @@ class ExecutionContext:
     measures: "tuple[str, ...] | None" = None
 
     # -- injected by the engine ------------------------------------------
-    cache: "SessionCache | None" = None
     executor: "ParallelExecutor | None" = None
     metadata_collector: "MetadataCollector | None" = None
     stopwatch: Stopwatch = field(default_factory=Stopwatch)

@@ -439,9 +439,7 @@ class PhasedExecutePhase(Phase):
         # capped at config.metadata_max_rows (a row *prefix*, fine for
         # statistics, biased for execution). Phased execution needs the
         # full table.
-        if ctx.cache is not None:
-            return ctx.cache.base_table(ctx.query.table, max_rows=None)
-        return ctx.backend.fetch_table(ctx.query.table)
+        return ctx.cache.base_table(ctx.query.table, max_rows=None)
 
 
 class IncrementalScorePhase(ScorePhase):

@@ -39,11 +39,7 @@ class MultiViewEnumeratePhase(Phase):
 
     def run(self, ctx: ExecutionContext) -> None:
         ctx.mark_query_baseline()
-        ctx.schema = (
-            ctx.cache.schema(ctx.query.table)
-            if ctx.cache is not None
-            else ctx.backend.schema(ctx.query.table)
-        )
+        ctx.schema = ctx.cache.schema(ctx.query.table)
         ctx.candidates = enumerate_multi_views(
             ctx.schema,
             self.n_dimensions,

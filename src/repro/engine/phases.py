@@ -12,11 +12,13 @@ multi-attribute views replace Enumerate/Prune/Plan
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.topk import top_k_views
 from repro.core.view_processor import ViewProcessor
 from repro.engine.context import ExecutionContext
-from repro.optimizer.plan import Planner
+from repro.optimizer.plan import GroupByCombining, Planner, resolve_auto_mode
 from repro.pruning.base import PruneReport
 
 
@@ -62,18 +64,11 @@ class MetadataPhase(Phase):
             # pruner learns from (§3.3).
             collector.access_log.record_query(ctx.query)
         max_rows = ctx.config.metadata_max_rows
-        if ctx.cache is not None:
-            ctx.base_table = ctx.cache.base_table(ctx.query.table, max_rows=max_rows)
-            if collector is not None:
-                ctx.metadata = ctx.cache.metadata(
-                    collector, ctx.query.table, max_rows=max_rows
-                )
-        else:
-            ctx.base_table = ctx.backend.fetch_table(
-                ctx.query.table, max_rows=max_rows
+        ctx.base_table = ctx.cache.base_table(ctx.query.table, max_rows=max_rows)
+        if collector is not None:
+            ctx.metadata = ctx.cache.metadata(
+                collector, ctx.query.table, max_rows=max_rows
             )
-            if collector is not None:
-                ctx.metadata = collector.collect(ctx.base_table)
         # Count view-query round trips only (metadata fetches excluded).
         ctx.mark_query_baseline()
 
@@ -85,11 +80,7 @@ class EnumeratePhase(Phase):
 
     def run(self, ctx: ExecutionContext) -> None:
         ctx.mark_query_baseline()
-        ctx.schema = (
-            ctx.cache.schema(ctx.query.table)
-            if ctx.cache is not None
-            else ctx.backend.schema(ctx.query.table)
-        )
+        ctx.schema = ctx.cache.schema(ctx.query.table)
         ctx.candidates = enumerate_views(
             ctx.schema,
             functions=ctx.config.aggregate_functions,
@@ -148,11 +139,7 @@ class SamplePhase(Phase):
             config.cost_based_planning and config.auto_sample_epsilon is not None
         ):
             return
-        rows = (
-            ctx.cache.row_count(ctx.query.table)
-            if ctx.cache is not None
-            else ctx.backend.row_count(ctx.query.table)
-        )
+        rows = ctx.cache.row_count(ctx.query.table)
         if rows < config.min_rows_for_sampling:
             return
         if auto:
@@ -162,127 +149,58 @@ class SamplePhase(Phase):
             if fraction is None or fraction >= 1.0:
                 return
             ctx.extras["auto_sample_fraction"] = fraction
-        if ctx.cache is not None:
-            ctx.execution_table = ctx.cache.sample(
-                ctx.query.table, fraction, config.sample_seed
-            )
-        else:
-            # No cache owner: the sample is the caller's to drop — its name
-            # is published under extras["unmanaged_sample"].
-            from repro.backends.base import materialize_sample
-            from repro.engine.cache import sample_table_name
-
-            ctx.execution_table = sample_table_name(
-                ctx.query.table, fraction, config.sample_seed
-            )
-            materialize_sample(
-                ctx.backend,
-                ctx.query.table,
-                ctx.execution_table,
-                fraction,
-                seed=config.sample_seed,
-            )
-            ctx.extras["unmanaged_sample"] = ctx.execution_table
+        ctx.execution_table = ctx.cache.sample(
+            ctx.query.table, fraction, config.sample_seed
+        )
         ctx.sample_fraction = fraction
 
 
 class PlanPhase(Phase):
-    """Map surviving views onto an execution plan (the Optimizer proper)."""
+    """Map surviving views onto an execution plan (the Optimizer proper).
 
-    name = "plan"
-
-    def run(self, ctx: ExecutionContext) -> None:
-        cardinalities: dict[str, int] = {}
-        if ctx.metadata is not None and ctx.schema is not None:
-            cardinalities = {
-                spec.name: ctx.metadata.stats[spec.name].n_distinct
-                for spec in ctx.schema.dimensions
-            }
-        planner = Planner(ctx.config.planner_config())
-        ctx.plan = planner.plan(
-            ctx.surviving,
-            ctx.resolve_execution_table(),
-            ctx.query.predicate,
-            cardinalities,
-            ctx.backend.capabilities,
-            reference=ctx.reference,
-        )
-        ctx.plan_description = ctx.plan.describe()
-
-
-class CostBasedPlanner(PlanPhase):
-    """Cost-based Optimizer: enumerate candidate plans, run the cheapest.
-
-    Replaces the static capability branch that resolved
-    ``GroupByCombining.AUTO``: every feasible combining mode is planned,
+    One planner over a candidate list. The capability-declared combining
+    mode (:func:`~repro.optimizer.plan.resolve_auto_mode`) is always the
+    first candidate; with ``config.cost_based_planning`` on and
+    ``GroupByCombining.AUTO`` the other feasible modes join it, each is
     priced by :func:`~repro.optimizer.cost.estimate_plan_cost` against the
     table's statistics profile, converted to seconds with the backend's
     calibrated coefficients, and the argmin executes. Ties (strict
-    comparison) keep the capability-declared choice, so the static branch
-    remains the behavior on indifferent workloads. Every candidate is
+    comparison) keep the capability-declared choice. Every candidate is
     equivalence-preserving, so the choice changes *how* views execute,
-    never the recommendations. ``config.cost_based_planning=False``
-    reverts to the static :class:`PlanPhase` wholesale.
+    never the recommendations.
 
-    The phase keeps ``name = "plan"`` so stopwatch breakdowns and result
-    schemas are unchanged; its decision record travels on
-    ``ctx.plan_decision`` and feeds the engine's calibration loop.
+    With the flag off the single candidate is planned and nothing is
+    priced: ``ctx.plan_decision`` stays ``None``. With the flag on the
+    decision record travels on ``ctx.plan_decision`` (``cost_based`` is
+    False when there was only one candidate) and feeds the engine's
+    calibration loop.
     """
 
     name = "plan"
 
     def run(self, ctx: ExecutionContext) -> None:
         config = ctx.config
-        if not getattr(config, "cost_based_planning", False):
-            super().run(ctx)
-            return
-        from dataclasses import replace
-
-        from repro.optimizer.cost import (
-            CostModel,
-            PlanDecision,
-            choose_parallelism,
-            estimate_plan_cost,
-        )
-        from repro.optimizer.plan import GroupByCombining, resolve_auto_mode
-
         capabilities = ctx.backend.capabilities
-        profile = self._profile(ctx)
+        priced = config.cost_based_planning
+        profile = self._profile(ctx) if priced else None
         cardinalities = self._cardinalities(ctx, profile)
-        if profile is not None:
-            n_rows = profile.n_rows
-        elif ctx.base_table is not None:
-            n_rows = ctx.base_table.num_rows
-        else:
-            n_rows = 0
-        model = CostModel.for_backend(
-            ctx.backend.name,
-            ctx.cache.calibration if ctx.cache is not None else None,
-        )
         table = ctx.resolve_execution_table()
         base = config.planner_config()
 
-        mode = config.groupby_combining
-        static_choice = resolve_auto_mode(mode, capabilities)
-        if mode is GroupByCombining.AUTO:
-            # Static choice first: strict argmin keeps it on ties.
-            candidates = [static_choice] + [
-                m
-                for m in (
+        # Static choice first: strict argmin keeps it on ties.
+        candidates = [resolve_auto_mode(config.groupby_combining, capabilities)]
+        if priced and config.groupby_combining is GroupByCombining.AUTO:
+            candidates += [
+                mode
+                for mode in (
                     GroupByCombining.GROUPING_SETS,
                     GroupByCombining.ROLLUP,
                     GroupByCombining.NONE,
                 )
-                if m is not static_choice
+                if mode is not candidates[0]
             ]
-        else:
-            candidates = [static_choice]
-
-        best = None
-        candidate_seconds: dict[str, float] = {}
-        for candidate in candidates:
-            planner = Planner(replace(base, groupby_combining=candidate))
-            plan = planner.plan(
+        plans = [
+            Planner(replace(base, groupby_combining=mode)).plan(
                 ctx.surviving,
                 table,
                 ctx.query.predicate,
@@ -290,21 +208,51 @@ class CostBasedPlanner(PlanPhase):
                 capabilities,
                 reference=ctx.reference,
             )
+            for mode in candidates
+        ]
+        ctx.plan = (
+            self._cheapest(ctx, candidates, plans, profile, cardinalities)
+            if priced
+            else plans[0]
+        )
+        ctx.plan_description = ctx.plan.describe()
+
+    def _cheapest(
+        self, ctx: ExecutionContext, candidates, plans, profile, cardinalities
+    ):
+        """Price every candidate plan, record the decision, return the argmin."""
+        from repro.optimizer.cost import (
+            CostModel,
+            PlanDecision,
+            choose_parallelism,
+            estimate_plan_cost,
+        )
+
+        config = ctx.config
+        if profile is not None:
+            n_rows = profile.n_rows
+        elif ctx.base_table is not None:
+            n_rows = ctx.base_table.num_rows
+        else:
+            n_rows = 0
+        model = CostModel.for_backend(ctx.backend.name, ctx.cache.calibration)
+
+        best = None
+        candidate_seconds: dict[str, float] = {}
+        for mode, plan in zip(candidates, plans):
             cost = estimate_plan_cost(
                 plan,
                 n_rows,
                 cardinalities,
-                capabilities,
+                ctx.backend.capabilities,
                 sample_fraction=ctx.sample_fraction,
             )
             seconds = model.predict_seconds(cost)
-            candidate_seconds[candidate.value] = seconds
+            candidate_seconds[mode.value] = seconds
             if best is None or seconds < best[2]:
-                best = (plan, cost, seconds, candidate)
+                best = (plan, cost, seconds, mode)
 
         plan, cost, seconds, chosen = best
-        ctx.plan = plan
-        ctx.plan_description = plan.describe()
         decision = PlanDecision(
             kind=chosen.value,
             cost_based=len(candidates) > 1,
@@ -329,17 +277,14 @@ class CostBasedPlanner(PlanPhase):
             # overhead: degrade this run to sequential execution.
             ctx.executor = None
         ctx.plan_decision = decision
+        return plan
 
     def _profile(self, ctx: ExecutionContext):
         """The base table's statistics profile, or None when unavailable."""
         from repro.util.errors import ReproError
 
         try:
-            if ctx.cache is not None:
-                return ctx.cache.profile(ctx.query.table)
-            from repro.backends.base import collect_statistics
-
-            return collect_statistics(ctx.backend, ctx.query.table)
+            return ctx.cache.profile(ctx.query.table)
         except ReproError:
             # Statistics are advisory: fall back to metadata-derived
             # cardinalities rather than failing the recommendation.
@@ -405,7 +350,7 @@ class ScorePhase(Phase):
 
     def run(self, ctx: ExecutionContext) -> None:
         processor = self.processor(ctx)
-        if getattr(ctx.config, "batch_scoring", True):
+        if ctx.config.batch_scoring:
             ctx.scored = processor.score_batch(ctx.raw_views)
         else:
             ctx.scored = processor.score_all(ctx.raw_views)
@@ -455,7 +400,7 @@ def default_phases() -> list[Phase]:
         EnumeratePhase(),
         PrunePhase(),
         SamplePhase(),
-        CostBasedPlanner(),
+        PlanPhase(),
         ExecutePhase(),
         ScorePhase(),
         SelectPhase(),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.api.request import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -40,12 +41,14 @@ def metric_quality_on_planted(
     """Scenario 1 rows: precision@k of every distance metric."""
     backend = MemoryBackend()
     backend.register_table(dataset.table)
-    query = RowSelectQuery(dataset.table.name, dataset.predicate)
+    request = RecommendationRequest(
+        target=RowSelectQuery(dataset.table.name, dataset.predicate), k=k
+    )
     base = config if config is not None else SeeDBConfig(prune_correlated=False)
     rows = []
     for metric in metrics if metrics is not None else available_metrics():
         seedb = SeeDB(backend, base.with_overrides(metric=metric))
-        result = seedb.recommend(query, k=k)
+        result = seedb.recommend(request)
         rows.append(
             {
                 "metric": metric,
@@ -72,12 +75,14 @@ def sampling_accuracy_sweep(
     """
     backend = MemoryBackend()
     backend.register_table(dataset.table)
-    query = RowSelectQuery(dataset.table.name, dataset.predicate)
+    request = RecommendationRequest(
+        target=RowSelectQuery(dataset.table.name, dataset.predicate), k=k
+    )
     base = config if config is not None else SeeDBConfig(
         prune_correlated=False, min_rows_for_sampling=0
     )
 
-    exact = SeeDB(backend, base).recommend(query, k=k)
+    exact = SeeDB(backend, base).recommend(request)
     exact_utilities = exact.utilities
 
     rows: list[dict[str, Any]] = [
@@ -91,7 +96,7 @@ def sampling_accuracy_sweep(
     ]
     for fraction in fractions:
         sampled_config = base.with_overrides(sample_fraction=fraction)
-        result = SeeDB(backend, sampled_config).recommend(query, k=k)
+        result = SeeDB(backend, sampled_config).recommend(request)
         errors = utility_errors(exact_utilities, result.utilities)
         rows.append(
             {

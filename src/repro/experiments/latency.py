@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.backends.base import Backend
+from repro.api.request import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -35,12 +36,12 @@ def measure_recommendation(
     if not backend.has_table(table.name):
         backend.register_table(table)
     seedb = SeeDB(backend, config)
-    query = RowSelectQuery(table.name, predicate)
+    request = RecommendationRequest(target=RowSelectQuery(table.name, predicate), k=k)
 
     result_holder: dict[str, Any] = {}
 
     def run() -> None:
-        result_holder["result"] = seedb.recommend(query, k=k)
+        result_holder["result"] = seedb.recommend(request)
 
     timing = measure(run, repeats=repeats)
     result = result_holder["result"]

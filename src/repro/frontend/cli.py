@@ -300,11 +300,17 @@ def main(argv: "list[str] | None" = None) -> int:
         backend = backend_from_uri(args.backend)
         backend.register_table(table)
 
+        # Everything the flags describe folds into one declarative
+        # RecommendationRequest — the same object the HTTP API accepts.
+        reference = Reference.from_dict(args.reference)
         if args.template:
             params = _parse_template_args(args.template_arg)
-            query = build_template(args.template, table, **params)
+            request = RecommendationRequest(
+                target=build_template(args.template, table, **params),
+                reference=reference,
+            )
         else:
-            query = args.sql
+            request = RecommendationRequest.from_sql(args.sql, reference=reference)
 
         config = SeeDBConfig(
             metric=args.metric,
@@ -313,12 +319,6 @@ def main(argv: "list[str] | None" = None) -> int:
             n_workers=args.workers,
         )
         seedb = SeeDB(backend, config)
-        # Everything the flags describe folds into one declarative
-        # RecommendationRequest — the same object the HTTP API accepts.
-        request = RecommendationRequest(
-            target=seedb.resolve_query(query),
-            reference=Reference.from_dict(args.reference),
-        )
         if args.stream:
             result = None
             for partial in seedb.recommend_iter(request):

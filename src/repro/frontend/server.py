@@ -12,7 +12,7 @@ form of a :class:`~repro.api.RecommendationRequest` (a ``target`` field,
 ``schema_version`` 3; versions 1-2 still accepted) or the legacy flat
 form (``sql``/``table`` plus whitelisted config overrides — deprecated:
 responses to it carry a ``Deprecation: true`` header and a structured
-``deprecation`` object pointing at the migration table in the README),
+``deprecation`` object pointing at the README's Public API section),
 and every validation failure returns a structured 400 —
 ``{"error": {"code": ..., "message": ..., "field": ...}}`` — instead of a
 free-text message.
@@ -94,7 +94,7 @@ _LEGACY_REQUEST_FIELDS = (
 
 #: The structured deprecation notice attached to responses whose request
 #: arrived in the legacy flat body form. The legacy form still works —
-#: deprecation here means "announce, point at the migration path, keep
+#: deprecation here means "announce, point at the canonical form, keep
 #: serving", not "break".
 LEGACY_BODY_DEPRECATION = {
     "code": "legacy_flat_body",
@@ -269,7 +269,7 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
             )
         table = tables[0]
         engine = self.service.engine(backend_name)
-        config = self.service.facade(backend_name).config
+        config = self.service.config(backend_name)
         schema = engine.cache.schema(table)
         views = enumerate_views(
             schema,
@@ -319,9 +319,8 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
                 field="table",
             )
         table = tables[0]
-        facade = self.service.facade(backend_name)
         self.service.engine(backend_name).cache.schema(table)
-        k = facade.config.k
+        k = self.service.config(backend_name).k
         if "k" in params:
             try:
                 k = int(params["k"][0])

@@ -8,9 +8,10 @@ data, value with maximum change and other statistics)."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, replace
+from typing import Any
 
+from repro.api.request import RecommendationRequest, require_request
 from repro.backends.base import Backend
 from repro.core.config import SeeDBConfig
 from repro.core.result import RecommendationResult
@@ -22,8 +23,17 @@ from repro.util.errors import QueryError
 from repro.viz.render_text import render_ascii
 from repro.viz.spec import view_to_chart_spec
 
-if TYPE_CHECKING:
-    from repro.api.request import RecommendationRequest
+
+def _to_request(
+    query: "RecommendationRequest | RowSelectQuery | str", k: "int | None"
+) -> RecommendationRequest:
+    """Fold what an analyst typed into the one in-process request type."""
+    if isinstance(query, str):
+        return RecommendationRequest.from_sql(query, k=k)
+    if isinstance(query, RowSelectQuery):
+        return RecommendationRequest(target=query, k=k)
+    request = require_request(query)
+    return request if k is None else replace(request, k=k)
 
 
 @dataclass
@@ -85,10 +95,9 @@ class AnalystSession:
         self.service = service
         self.backend_name = backend_name
         self.backend = service.backend(backend_name)
-        #: The service's engine-bound facade for this backend: one cache +
-        #: shared worker pool + access log shared by every session on it.
-        self.seedb = service.facade(backend_name)
-        self.engine = self.seedb.engine
+        #: The service's engine for this backend: one cache + shared worker
+        #: pool + access log shared by every session on it.
+        self.engine = service.engine(backend_name)
         self.history: list[tuple[RowSelectQuery, RecommendationResult]] = []
 
     # -- lifecycle -------------------------------------------------------
@@ -116,10 +125,11 @@ class AnalystSession:
 
         ``query`` is canonically a
         :class:`~repro.api.RecommendationRequest` (reference specs,
-        view-space filters, and execution options all honored); a
-        :class:`RowSelectQuery` or SQL string is wrapped into one.
+        view-space filters, and execution options all honored); this is a
+        front end, so a :class:`RowSelectQuery` or SQL string is wrapped
+        into one here, and an explicit ``k`` overrides the request's own.
         """
-        request = self.seedb.as_request(query, k=k, warn=False)
+        request = _to_request(query, k)
         result = self.service.recommend(request, backend=self.backend_name)
         self.history.append((request.target, result))
         return result
@@ -133,7 +143,7 @@ class AnalystSession:
         :class:`~repro.api.PartialResult` rounds through the service's
         coalescing-aware stream fan-out, recording the final result in the
         session history like a blocking call."""
-        request = self.seedb.as_request(query, k=k, warn=False)
+        request = _to_request(query, k)
         for partial in self.service.recommend_stream(
             request, backend=self.backend_name
         ):

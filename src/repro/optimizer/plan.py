@@ -451,12 +451,11 @@ def resolve_auto_mode(
 ) -> GroupByCombining:
     """The static capability-declared resolution of ``AUTO``.
 
-    This is the PR-5 planner's whole decision procedure: shared-scan
-    GROUPING SETS iff the backend declares them, rollup otherwise. The
-    cost-based planner (:class:`repro.engine.phases.CostBasedPlanner`)
-    supersedes it for ``AUTO`` configs, but keeps it as the deterministic
-    tie-break (equal predicted cost → today's choice) and as the fallback
-    when ``config.cost_based_planning`` is off.
+    Shared-scan GROUPING SETS iff the backend declares them, rollup
+    otherwise. It is always the first candidate of
+    :class:`repro.engine.phases.PlanPhase`: the only one when
+    ``config.cost_based_planning`` is off, and the deterministic tie-break
+    (equal predicted cost → this choice) when the cost model picks.
     """
     if mode is not GroupByCombining.AUTO:
         return mode

@@ -202,9 +202,7 @@ def _bootstrap_of(name: str, slot: _BackendSlot) -> BackendBootstrap:
         slot.backend.fetch_table(table_name)
         for table_name in slot.backend.table_names()
     ]
-    return BackendBootstrap(
-        name=name, scheme=scheme, config=slot.config, tables=tables
-    )
+    return BackendBootstrap(name=name, scheme=scheme, tables=tables)
 
 
 class WorkerRing:
@@ -381,7 +379,7 @@ class WorkerRing:
             # exact request against the same base config, reproducing the
             # resolution the router keyed on.
             "request": dataclass_replace(job.request, k=job.resolved.k).to_dict(),
-            "config": job.base,
+            "config": job.slot.config,
         }
         remaining_ms = job.token.remaining_ms()
         if remaining_ms is not None:

@@ -8,8 +8,12 @@ per-script library object. This module is that process core:
 * it owns named backends and one :class:`ExecutionEngine` per backend
   (each sharing the backend-wide :class:`~repro.engine.cache.EngineCache`
   and the process-wide worker pool);
-* it schedules ``recommend()`` requests on a bounded request pool, so a
-  burst of sessions queues instead of spawning unbounded threads;
+* it takes one input â€” ``submit`` / ``recommend`` / ``recommend_stream``
+  are each ``(request, backend=None)`` over a
+  :class:`~repro.api.RecommendationRequest`, routed by the explicit
+  argument, else the request's own ``backend`` field, else
+  :data:`DEFAULT_BACKEND` â€” and schedules it on a bounded request pool, so
+  a burst of sessions queues instead of spawning unbounded threads;
 * it *coalesces* identical in-flight requests â€” same backend, query,
   configuration, and k â†’ one execution whose result fans out to every
   waiter â€” and keeps a small LRU of finished results keyed on the
@@ -22,10 +26,13 @@ There is one request lifecycle â€” key â†’ cache probe â†’ coalesce â†’ admit â†
 schedule â†’ settle â†’ release â€” written once in ``_launch`` / ``_run`` /
 ``_settle`` and shared by blocking requests (a ``Future`` sink) and
 streams (a ``_StreamBroadcast`` sink). *Where* an admitted blocking job
-executes is the only pluggable part: in-process on the backend's facade
+executes is the only pluggable part: in-process on the backend's engine
 by default, or on a worker process when a
 :class:`~repro.service.cluster.WorkerRing` is attached (``ring=``).
-Either way the finished result lands in this class's LRU, the one result
+Either way the run is the engine's
+:meth:`~repro.engine.ExecutionEngine.recommend` (streams:
+:meth:`~repro.engine.ExecutionEngine.recommend_iter`) over the resolved
+request, and the finished result lands in this class's LRU, the one result
 cache of both tiers.
 
 Both the HTTP frontend (:mod:`repro.frontend.server`) and interactive
@@ -40,19 +47,16 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from dataclasses import replace as dataclass_replace
 from typing import TYPE_CHECKING
 
 from repro.api.errors import ApiError
 from repro.api.progressive import PartialResult
-from repro.api.request import RecommendationRequest, ResolvedRequest
+from repro.api.request import RecommendationRequest, ResolvedRequest, require_request
 from repro.backends.base import Backend
 from repro.core.config import SeeDBConfig
-from repro.core.recommender import SeeDB
 from repro.core.result import RecommendationResult
-from repro.db.query import RowSelectQuery
 from repro.db.table import Table
-from repro.engine.engine import ExecutionEngine
+from repro.engine.engine import ExecutionEngine, resolve_request
 from repro.util.deadline import CancelToken, Deadline
 from repro.util.errors import (
     Cancelled,
@@ -104,7 +108,7 @@ class _BackendSlot:
 
     backend: Backend
     config: SeeDBConfig
-    facade: SeeDB
+    engine: ExecutionEngine
     owned: bool
 
 
@@ -197,7 +201,7 @@ class Job:
 
     The same record is what runs in-process and what a
     :class:`~repro.service.cluster.WorkerRing` ships to a worker: the ring
-    re-resolves ``request`` against ``base`` on the other side (the
+    re-resolves ``request`` against ``slot.config`` on the other side (the
     request crosses the process boundary through the wire codec, never by
     pickling resolved internals) and routes by ``key``.
     """
@@ -207,7 +211,6 @@ class Job:
     slot: _BackendSlot
     request: RecommendationRequest
     resolved: ResolvedRequest
-    base: SeeDBConfig
     #: Deadline measured from *admission* â€” queue wait burns budget,
     #: exactly like the paper's interactive latency bound intends.
     token: CancelToken
@@ -316,7 +319,7 @@ class SeeDBService:
             self._slots[name] = _BackendSlot(
                 backend=backend,
                 config=config if config is not None else SeeDBConfig(),
-                facade=SeeDB(backend, config),
+                engine=ExecutionEngine(backend),
                 owned=owned,
             )
 
@@ -350,17 +353,17 @@ class SeeDBService:
     def backend(self, name: str = DEFAULT_BACKEND) -> Backend:
         return self._slot(name).backend
 
-    def facade(self, name: str = DEFAULT_BACKEND) -> SeeDB:
-        """The engine-bound :class:`SeeDB` facade for one backend.
-
-        Interactive sessions use this to share the service's engine (and
-        therefore its caches and access log) for non-request work such as
-        schema lookups and query resolution.
-        """
-        return self._slot(name).facade
+    def config(self, name: str = DEFAULT_BACKEND) -> SeeDBConfig:
+        """The base config requests to one backend resolve against."""
+        return self._slot(name).config
 
     def engine(self, name: str = DEFAULT_BACKEND) -> ExecutionEngine:
-        return self._slot(name).facade.engine
+        """The :class:`ExecutionEngine` serving one backend.
+
+        Interactive sessions use this to share the service's caches and
+        access log for non-request work such as schema lookups.
+        """
+        return self._slot(name).engine
 
     def _slot(self, name: str) -> _BackendSlot:
         with self._lock:
@@ -445,46 +448,27 @@ class SeeDBService:
     # -- serving -----------------------------------------------------------
 
     def submit(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        backend: str = DEFAULT_BACKEND,
-        k: "int | None" = None,
-        config: "SeeDBConfig | None" = None,
-        **overrides,
+        self, request: RecommendationRequest, backend: "str | None" = None
     ) -> "Future[RecommendationResult]":
         """Schedule a recommendation; returns a future for its result.
 
-        ``query`` is canonically a
-        :class:`~repro.api.RecommendationRequest`; a
-        :class:`RowSelectQuery` / SQL string plus ``k`` / ``config`` /
-        ``**overrides`` is the pre-request adapter form and folds into an
-        equivalent request. Identical concurrent requests (same backend,
-        resolved request identity) share one execution when coalescing is
-        enabled; requests matching a finished result at the same
-        ``data_version`` resolve immediately from the LRU.
+        The request runs on ``backend`` if given, else on the request's
+        own ``backend`` field, else on :data:`DEFAULT_BACKEND`. Identical
+        concurrent requests (same backend, resolved request identity)
+        share one execution when coalescing is enabled; requests matching
+        a finished result at the same ``data_version`` resolve immediately
+        from the LRU.
         """
-        return self._launch(query, backend, k, config, overrides, stream=False)
+        return self._launch(request, backend, stream=False)
 
     def recommend(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        backend: str = DEFAULT_BACKEND,
-        k: "int | None" = None,
-        config: "SeeDBConfig | None" = None,
-        **overrides,
+        self, request: RecommendationRequest, backend: "str | None" = None
     ) -> RecommendationResult:
         """Blocking :meth:`submit` â€” the call interactive sessions make."""
-        return self.submit(
-            query, backend=backend, k=k, config=config, **overrides
-        ).result()
+        return self.submit(request, backend).result()
 
     def recommend_stream(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        backend: str = DEFAULT_BACKEND,
-        k: "int | None" = None,
-        config: "SeeDBConfig | None" = None,
-        **overrides,
+        self, request: RecommendationRequest, backend: "str | None" = None
     ):
         """Progressive :meth:`recommend`: an iterator of
         :class:`~repro.api.PartialResult` rounds ending in the final
@@ -495,26 +479,29 @@ class SeeDBService:
         subscriber (late joiners replay from round one); with coalescing
         off each request runs its own execution.
         """
-        return self._launch(
-            query, backend, k, config, overrides, stream=True
-        ).subscribe()
+        return self._launch(request, backend, stream=True).subscribe()
 
     def _launch(
         self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        backend: str,
-        k: "int | None",
-        config: "SeeDBConfig | None",
-        overrides: dict,
+        request: RecommendationRequest,
+        backend: "str | None",
         stream: bool,
     ) -> "Future[RecommendationResult] | _StreamBroadcast":
         """Key, probe the LRU, coalesce, admit and schedule one request;
         returns the sink its outcome will land in."""
         with self._lock:
             self._require_open()
-            backend, slot, request, resolved, base = self._canonicalize(
-                query, backend, k, config, overrides, stream
-            )
+            request = require_request(request)
+            # One routing rule: explicit argument, else the request's own
+            # backend field, else the default.
+            if backend is None:
+                backend = (
+                    request.backend
+                    if request.backend is not None
+                    else DEFAULT_BACKEND
+                )
+            slot = self._require_slot(backend)
+            resolved = resolve_request(request, slot.config, stream=stream)
             # A stream must never share an execution (or a cache entry)
             # with a batch request: it gets a key namespace of its own.
             key = (
@@ -543,7 +530,7 @@ class SeeDBService:
             self._admit_execution(backend)
             token = CancelToken(deadline=Deadline.from_ms(resolved.deadline_ms))
             job = Job(
-                key, backend, slot, request, resolved, base, token,
+                key, backend, slot, request, resolved, token,
                 sink=_StreamBroadcast(cancel_token=token) if stream else Future(),
             )
             # With coalescing off an identical key may already be in
@@ -571,7 +558,7 @@ class SeeDBService:
         result = None
         try:
             if job.stream:
-                for partial in job.slot.facade.iter_resolved(
+                for partial in job.slot.engine.recommend_iter(
                     job.resolved, cancel_token=job.token
                 ):
                     job.sink.publish(partial)
@@ -582,7 +569,7 @@ class SeeDBService:
                     self.start()
                 result = self._ring.run(job)
             else:
-                result = job.slot.facade.run_resolved(
+                result = job.slot.engine.recommend(
                     job.resolved, cancel_token=job.token
                 ).to_result()
         except BaseException as exc:  # noqa: BLE001 - delivered to waiters
@@ -627,54 +614,6 @@ class SeeDBService:
         else:
             job.sink.set_result(result)
 
-    def _canonicalize(
-        self,
-        query: "RecommendationRequest | RowSelectQuery | str",
-        backend: str,
-        k: "int | None",
-        config: "SeeDBConfig | None",
-        overrides: dict,
-        stream: bool,
-    ) -> tuple[str, _BackendSlot, RecommendationRequest, ResolvedRequest, SeeDBConfig]:
-        """Fold any accepted input into
-        ``(backend_name, slot, request, resolved, base_config)``.
-
-        A request's own ``backend`` field routes it when the caller left
-        the ``backend`` argument at its default; legacy ``**overrides``
-        fold into the request's options (``metric`` and ``k`` into their
-        first-class fields).
-
-        Caller holds the service lock.
-        """
-        if isinstance(query, RecommendationRequest):
-            request = query.with_k(k)
-            if overrides:
-                raise ConfigError(
-                    "pass config overrides inside the request's options, "
-                    "not as **overrides, when submitting a "
-                    "RecommendationRequest"
-                )
-            if request.backend is not None and backend == DEFAULT_BACKEND:
-                backend = request.backend
-        else:
-            options = dict(overrides)
-            metric = options.pop("metric", None)
-            k = options.pop("k", k)
-            request = RecommendationRequest(
-                target=self._require_slot(backend).facade.resolve_query(query),
-                k=k,
-                metric=metric,
-                options=options,
-            )
-        if stream and request.strategy != "incremental":
-            # Streaming always runs the incremental machinery; pinning the
-            # strategy *before* resolution keeps the bounded-metric
-            # validation and the coalescing key honest.
-            request = dataclass_replace(request, strategy="incremental")
-        slot = self._require_slot(backend)
-        base = config if config is not None else slot.config
-        return backend, slot, request, request.resolve(base), base
-
     def _require_slot(self, backend: str) -> _BackendSlot:
         """Look up a registered backend slot. Caller holds the lock."""
         slot = self._slots.get(backend)
@@ -695,7 +634,7 @@ class SeeDBService:
         with self._lock:
             backends = {}
             for name, slot in self._slots.items():
-                engine_cache = slot.facade.engine.cache
+                engine_cache = slot.engine.cache
                 cache_stats = engine_cache.stats
                 hits, misses = cache_stats.hits, cache_stats.misses
                 total = hits + misses
@@ -811,7 +750,7 @@ class SeeDBService:
         if self._ring is not None:
             self._ring.close()
         for slot in slots:
-            slot.facade.close()
+            slot.engine.close()
         for slot in slots:
             if slot.owned:
                 close = getattr(slot.backend, "close", None)

@@ -3,8 +3,8 @@
 Each worker is a long-lived process owning private *replicas* of the
 service's backends — constructed from the backend's URI scheme with the
 parent's tables shipped over at bootstrap — plus its own
-:class:`~repro.core.recommender.SeeDB` facade per replica (and therefore
-its own :class:`~repro.engine.cache.EngineCache`). Consistent-hash routing
+:class:`~repro.engine.ExecutionEngine` per replica (and therefore its own
+:class:`~repro.engine.cache.EngineCache`). Consistent-hash routing
 in the parent means the same request key always lands on the same worker,
 so those private caches get the affinity a shared in-process cache would.
 
@@ -45,9 +45,8 @@ from dataclasses import dataclass
 
 from repro.api.errors import ApiError
 from repro.api.request import RecommendationRequest
-from repro.core.config import SeeDBConfig
-from repro.core.recommender import SeeDB
 from repro.db.table import Table
+from repro.engine.engine import ExecutionEngine, resolve_request
 from repro.service.shm import SegmentWriter, encode_result
 from repro.testing.faults import fault_point
 from repro.util.deadline import CancelToken, Deadline
@@ -66,7 +65,6 @@ class BackendBootstrap:
 
     name: str
     scheme: str
-    config: "SeeDBConfig | None"
     tables: "list[Table]"
 
 
@@ -109,28 +107,28 @@ class _WorkerSlots:
     def __init__(self, bootstraps: "list[BackendBootstrap]"):
         from repro.backends.registry import backend_from_uri
 
-        self.facades: dict[str, SeeDB] = {}
+        self.engines: dict[str, ExecutionEngine] = {}
         self.backends = {}
         for spec in bootstraps:
             backend = backend_from_uri(spec.scheme)
             for table in spec.tables:
                 backend.register_table(table, replace=True)
             self.backends[spec.name] = backend
-            self.facades[spec.name] = SeeDB(backend, spec.config)
+            self.engines[spec.name] = ExecutionEngine(backend)
 
     def register_table(self, name: str, table: Table) -> None:
         self.backends[name].register_table(table, replace=True)
 
     def close(self) -> None:
-        for facade in self.facades.values():
-            facade.close()
+        for engine in self.engines.values():
+            engine.close()
         for backend in self.backends.values():
             backend.close()
 
     def cache_stats(self) -> dict:
         out = {}
-        for name, facade in self.facades.items():
-            stats = facade.engine.cache.stats
+        for name, engine in self.engines.items():
+            stats = engine.cache.stats
             out[name] = {
                 "hits": stats.hits,
                 "misses": stats.misses,
@@ -142,9 +140,9 @@ class _WorkerSlots:
 def _handle_request(message: dict, slots: _WorkerSlots, writer: SegmentWriter):
     """Execute one request; returns the transport fields of the reply."""
     request = RecommendationRequest.from_dict(message["request"])
-    resolved = request.resolve(message["config"])
-    facade = slots.facades.get(message["backend"])
-    if facade is None:
+    resolved = resolve_request(request, message["config"])
+    engine = slots.engines.get(message["backend"])
+    if engine is None:
         raise ApiError(
             f"worker has no backend named {message['backend']!r}",
             code="unknown_backend",
@@ -160,7 +158,7 @@ def _handle_request(message: dict, slots: _WorkerSlots, writer: SegmentWriter):
         if deadline_ms is not None
         else None
     )
-    result = facade.run_resolved(resolved, cancel_token=token).to_result()
+    result = engine.recommend(resolved, cancel_token=token).to_result()
     name = writer.write(result)
     if name is not None:
         return {"shm": name}

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -74,7 +75,7 @@ class TestWorkerDeath:
             service.start()
             start = time.monotonic()
             with pytest.raises(WorkerLost, match="died mid-request"):
-                service.recommend(QUERY)
+                service.recommend(RecommendationRequest(QUERY))
             assert time.monotonic() - start < 60
             assert service.stats.failed == 1
         finally:
@@ -114,7 +115,7 @@ class TestWorkerDeath:
             assert victim not in {w["id"] for w in health["workers"]}
             assert service.snapshot()["cluster"]["ejections"] >= 1
             # The survivor inherited the ejected shard's keyspace.
-            result = service.recommend(QUERY)
+            result = service.recommend(RecommendationRequest(QUERY))
             assert len(result.recommendations) > 0
             assert service.stats.failed == 0
         finally:
@@ -136,7 +137,9 @@ class TestWorkerHang:
             service.start()
             start = time.monotonic()
             with pytest.raises(DeadlineExceeded):
-                service.recommend(QUERY, deadline_ms=300)
+                service.recommend(
+                    RecommendationRequest(QUERY, options={"deadline_ms": 300})
+                )
             elapsed = time.monotonic() - start
             assert elapsed < 10, f"gave up after {elapsed:.1f}s, not at deadline"
             assert service.stats.deadline_exceeded == 1
@@ -152,12 +155,14 @@ class TestShmTear:
         ever visible to readers."""
         backend = MemoryBackend()
         backend.register_table(sales_table)
-        expected = SeeDB(backend, SeeDBConfig(k=3)).recommend(QUERY)
+        expected = SeeDB(backend, SeeDBConfig(k=3)).recommend(
+            RecommendationRequest(QUERY)
+        )
 
         install_injector(FaultInjector([FaultSpec("shm.put", "tear")]))
         service = make_cluster(sales_table, result_cache_size=256)
         try:
-            result = service.recommend(QUERY)
+            result = service.recommend(RecommendationRequest(QUERY))
             assert [v.spec for v in result.recommendations] == [
                 v.spec for v in expected.recommendations
             ]
@@ -171,7 +176,7 @@ class TestShmTear:
             assert worker_stats["w0"]["shm"]["put_failures"] >= 1
             # A repeat of the request still serves the same bits — the
             # torn segment never reached a reader.
-            repeat = service.recommend(QUERY)
+            repeat = service.recommend(RecommendationRequest(QUERY))
             assert [v.spec for v in repeat.recommendations] == [
                 v.spec for v in expected.recommendations
             ]

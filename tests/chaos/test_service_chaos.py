@@ -13,6 +13,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.core.result import RecommendationResult
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
@@ -87,7 +88,9 @@ class TestLifecycleInvariant:
         ) as service:
             futures = [
                 service.submit(
-                    QUERY, k=k, deadline_ms=deadline_ms, n_phases=4
+                    RecommendationRequest(
+                        QUERY, k=k, options={"deadline_ms": deadline_ms, "n_phases": 4}
+                    )
                 )
                 for k in range(1, 7)
             ]
@@ -108,7 +111,9 @@ class TestLifecycleInvariant:
             for k in range(1, 4):
                 start = time.monotonic()
                 stream = service.recommend_stream(
-                    QUERY, k=k, deadline_ms=500, n_phases=4
+                    RecommendationRequest(
+                        QUERY, k=k, options={"deadline_ms": 500, "n_phases": 4}
+                    )
                 )
                 try:
                     rounds = list(stream)
@@ -136,7 +141,7 @@ class TestSaturation:
             admitted, shed = [], 0
             for k in range(1, 8):
                 try:
-                    admitted.append(service.submit(QUERY, k=k))
+                    admitted.append(service.submit(RecommendationRequest(QUERY, k=k)))
                 except Overloaded as exc:
                     shed += 1
                     assert exc.retry_after is not None and exc.retry_after > 0
@@ -146,7 +151,7 @@ class TestSaturation:
             assert service.stats.rejected == shed
             # Recovery: with the faults gone the same service serves.
             uninstall_injector()
-            result = service.recommend(QUERY, k=2)
+            result = service.recommend(RecommendationRequest(QUERY, k=2))
             assert result.partial is False
             assert len(result.recommendations) > 0
         finally:

@@ -14,6 +14,7 @@ Two promises every backend must keep:
 import pytest
 
 from conformance_kit import medium_workload
+from repro.api import RecommendationRequest
 from repro.backends.base import collect_statistics
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -78,7 +79,7 @@ class TestCostBasedEquivalence:
         backend = make_backend()
         backend.register_table(table)
         with SeeDB(backend, config) as seedb:
-            result = seedb.recommend(query, k=5)
+            result = seedb.recommend(RecommendationRequest(query, k=5))
         return [(view.spec, view.utility) for view in result.recommendations]
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

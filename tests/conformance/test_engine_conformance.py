@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conformance_kit import BACKEND_FACTORIES, medium_workload
+from repro.api import RecommendationRequest
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
 from repro.db.expressions import col
@@ -23,7 +24,7 @@ def run_recommend(backend_factory, config):
     try:
         backend.register_table(table)
         seedb = SeeDB(backend, config)
-        result = seedb.recommend(query, k=5)
+        result = seedb.recommend(RecommendationRequest(query, k=5))
         queries = backend.queries_executed
         seedb.close()
         return result, queries

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conformance_kit import duckdb_available, medium_workload
+from repro.api import RecommendationRequest
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
 from repro.db.aggregates import Aggregate
@@ -43,7 +44,7 @@ def run(force_union_fallback: bool):
             prune_correlated=False,
         )
         seedb = SeeDB(backend, config)
-        result = seedb.recommend(query, k=5)
+        result = seedb.recommend(RecommendationRequest(query, k=5))
         counters = (backend.queries_executed, backend.statements_executed)
         seedb.close()
         return result, counters

@@ -4,9 +4,7 @@ One canonical :class:`RecommendationRequest` flows through SeeDB,
 SeeDBService, AnalystSession, and HTTP; ``from_sql()`` + ``Reference.query()``
 produce correct query-vs-query recommendations on both backends;
 ``recommend_iter()`` delivers monotonically-refining partial top-k whose
-final round is bit-identical to the blocking result; and all pre-existing
-call signatures remain equivalent to their request-API forms via the
-deprecation adapters.
+final round is bit-identical to the blocking result.
 """
 
 from __future__ import annotations
@@ -99,27 +97,21 @@ class TestReferences:
             assert top.utility == pytest.approx(expected, abs=1e-12)
 
     def test_complement_flag_and_separate_paths_agree(self, backend):
-        request = RecommendationRequest.from_sql(
-            SQL, reference=Reference.complement(), k=3
-        )
-        combined = SeeDBConfig(k=3, combine_target_comparison=True)
-        separate = SeeDBConfig(k=3, combine_target_comparison=False)
+        def request(combine):
+            return RecommendationRequest.from_sql(
+                SQL,
+                reference=Reference.complement(),
+                k=3,
+                options={"combine_target_comparison": combine},
+            )
+
         with SeeDB(backend) as seedb:
-            result_flag = seedb.recommend(request, config=combined)
-            result_sep = seedb.recommend(request, config=separate)
+            result_flag = seedb.recommend(request(True))
+            result_sep = seedb.recommend(request(False))
         for spec, view in result_flag.all_scored.items():
             assert view.utility == pytest.approx(
                 result_sep.all_scored[spec].utility, abs=1e-12
             )
-
-    def test_table_reference_matches_legacy_default(self, backend):
-        """An explicit Reference.table() is the pre-API behavior."""
-        with SeeDB(backend, SeeDBConfig(k=3)) as seedb:
-            legacy = seedb.recommend(SQL, k=3)
-            via_request = seedb.recommend(
-                RecommendationRequest.from_sql(SQL, reference=Reference.table(), k=3)
-            )
-        assert_same_scores(legacy, via_request)
 
     def test_query_reference_vs_equivalent_complement(self, backend):
         """query(everything-else) ≡ complement — two spellings, one row set."""
@@ -143,77 +135,72 @@ class TestReferences:
             )
 
 
-class TestAdapters:
-    """Deprecation adapters produce bit-identical results to the request API."""
+def _served(method):
+    def call(backend, table, given):
+        with single_backend_service(backend) as service:
+            return getattr(service, method)(given)
 
-    def test_seedb_positional_equals_request(self, backend):
-        query = RowSelectQuery("orders", col("product") == "p0")
-        with SeeDB(backend, SeeDBConfig(k=4)) as seedb:
-            legacy = seedb.recommend(query, k=4)
-            request = seedb.recommend(
-                RecommendationRequest(target=query, k=4)
-            )
-        assert_same_scores(legacy, request)
+    return call
 
-    def test_basic_framework_positional_equals_request(self, backend):
-        basic = BasicFramework(backend)
-        query = RowSelectQuery("orders", col("product") == "p0")
-        legacy = basic.recommend(query, k=3)
-        request = basic.recommend_request(
-            RecommendationRequest(target=query, k=3)
-        )
-        assert_same_scores(legacy, request)
 
-    def test_incremental_positional_equals_request(self, medium_table):
-        views = enumerate_views(medium_table.schema)
-        predicate = col("product") == "p0"
-        legacy = IncrementalRecommender(medium_table).recommend(
-            predicate, views, k=3, n_phases=5
-        )
-        request = RecommendationRequest(
-            target=RowSelectQuery("orders", predicate),
-            k=3,
-            strategy="incremental",
-            options={"n_phases": 5},
-        )
-        via_request = IncrementalRecommender(medium_table).recommend_request(
-            request, views
-        )
-        assert [(v.spec, v.utility) for v in legacy.recommendations] == [
-            (v.spec, v.utility) for v in via_request.recommendations
-        ]
-        assert legacy.utilities == via_request.utilities
-        assert legacy.pruned_at_phase == via_request.pruned_at_phase
+#: Every in-process entry point, as ``name -> call(backend, table, input)``.
+ENTRY_POINTS = {
+    "SeeDB.recommend": lambda b, t, given: SeeDB(b).recommend(given),
+    "SeeDB.recommend_iter": lambda b, t, given: SeeDB(b).recommend_iter(given),
+    "SeeDBService.submit": _served("submit"),
+    "SeeDBService.recommend": _served("recommend"),
+    "SeeDBService.recommend_stream": _served("recommend_stream"),
+    "BasicFramework.recommend": lambda b, t, given: BasicFramework(b).recommend(
+        given
+    ),
+    "IncrementalRecommender.recommend": lambda b, t, given: (
+        IncrementalRecommender(t).recommend(given, enumerate_views(t.schema))
+    ),
+    "MultiViewRecommender.recommend": lambda b, t, given: (
+        MultiViewRecommender(b).recommend(given)
+    ),
+}
 
-    def test_multiview_positional_equals_request(self, backend):
-        query = RowSelectQuery("orders", col("product") == "p0")
-        with MultiViewRecommender(backend) as legacy_rec:
-            legacy = legacy_rec.recommend(query, k=3)
-        with MultiViewRecommender(backend) as request_rec:
-            via_request = request_rec.recommend_request(
-                RecommendationRequest(target=query, k=3)
-            )
-        assert [(v.spec, v.utility) for v in legacy] == [
-            (v.spec, v.utility) for v in via_request
-        ]
 
+class TestOneWayIn:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "given",
+        [SQL, RowSelectQuery("orders", col("product") == "p0")],
+        ids=["sql", "row_select_query"],
+    )
+    def test_non_request_input_is_a_typed_error(self, entry, given, medium_table):
+        """Text and query objects are converted at the edges; behind them
+        every entry point rejects them with the same typed ApiError."""
+        from repro.api import ApiError
+
+        backend = MemoryBackend()
+        backend.register_table(medium_table)
+        with pytest.raises(ApiError) as excinfo:
+            ENTRY_POINTS[entry](backend, medium_table, given)
+        assert excinfo.value.code == "invalid_value"
+        assert excinfo.value.field == "request"
+
+
+class TestSpecialisedRecommenders:
     def test_request_metric_honored_by_every_canonical_entry(self, medium_table):
-        """recommend_request must score with the request's metric, not the
-        recommender's constructor default — a migrating caller would
-        otherwise get silently wrong rankings."""
+        """Every recommender scores with the request's metric, not its
+        constructor default — a caller would otherwise get silently wrong
+        rankings."""
         backend = MemoryBackend()
         backend.register_table(medium_table)
         query = RowSelectQuery("orders", col("product") == "p0")
         request = RecommendationRequest(target=query, k=3, metric="euclidean")
 
-        euclid_basic = BasicFramework(backend, metric="euclidean").recommend(query, k=3)
-        via_request = BasicFramework(backend).recommend_request(request)
+        plain = RecommendationRequest(query, k=3)
+        euclid_basic = BasicFramework(backend, metric="euclidean").recommend(plain)
+        via_request = BasicFramework(backend).recommend(request)
         assert_same_scores(euclid_basic, via_request)
 
         with MultiViewRecommender(backend, metric="euclidean") as expected_rec:
-            expected = expected_rec.recommend(query, k=3)
+            expected = expected_rec.recommend(plain)
         with MultiViewRecommender(backend) as request_rec:
-            got = request_rec.recommend_request(request)
+            got = request_rec.recommend(request)
         assert [(v.spec, v.utility) for v in expected] == [
             (v.spec, v.utility) for v in got
         ]
@@ -222,25 +209,15 @@ class TestAdapters:
         bounded = RecommendationRequest(target=query, k=3, metric="total_variation")
         expected_inc = IncrementalRecommender(
             medium_table, metric="total_variation"
-        ).recommend(query.predicate, views, k=3)
-        got_inc = IncrementalRecommender(medium_table).recommend_request(
-            bounded, views
-        )
+        ).recommend(plain, views)
+        got_inc = IncrementalRecommender(medium_table).recommend(bounded, views)
         assert expected_inc.utilities == got_inc.utilities
         from repro.api import ApiError
 
         with pytest.raises(ApiError):
-            IncrementalRecommender(medium_table).recommend_request(
+            IncrementalRecommender(medium_table).recommend(
                 RecommendationRequest(target=query, metric="kl"), views
             )
-
-    def test_service_positional_equals_request(self, backend):
-        with single_backend_service(backend, SeeDBConfig(k=3)) as service:
-            legacy = service.recommend(SQL, k=3, metric="euclidean")
-            via_request = service.recommend(
-                RecommendationRequest.from_sql(SQL, k=3, metric="euclidean")
-            )
-        assert_same_scores(legacy, via_request)
 
 
 class TestProgressive:
@@ -327,7 +304,13 @@ class TestProgressive:
         backend.register_table(medium_table)
         with single_backend_service(backend, SeeDBConfig(k=3)) as service:
             with pytest.raises(ApiError) as excinfo:
-                next(iter(service.recommend_stream(SQL, metric="kl")))
+                next(
+                    iter(
+                        service.recommend_stream(
+                            RecommendationRequest.from_sql(SQL, metric="kl")
+                        )
+                    )
+                )
             assert excinfo.value.code == "invalid_value"
             with pytest.raises(ApiError):
                 next(
@@ -345,20 +328,20 @@ class TestProgressive:
         backend.register_table(medium_table)
         with single_backend_service(backend) as service:
             with pytest.raises(ApiError) as excinfo:
-                service.recommend(SQL, backend="nope")
+                service.recommend(RecommendationRequest.from_sql(SQL), backend="nope")
             assert excinfo.value.code == "unknown_backend"
             assert excinfo.value.field == "backend"
 
-    def test_explicit_k_overrides_request_k_on_every_facade(self, medium_table):
+    def test_explicit_k_overrides_request_k_at_the_session_edge(self, medium_table):
+        """``AnalystSession.issue`` is the one front end that still takes a
+        ``k`` beside the request; it folds it in before the service sees it."""
         backend = MemoryBackend()
         backend.register_table(medium_table)
         query = RowSelectQuery("orders", col("product") == "p0")
         request = RecommendationRequest(target=query, k=2)
-        with SeeDB(backend) as seedb:
-            assert len(seedb.recommend(request, k=4).recommendations) == 4
-        assert len(BasicFramework(backend).recommend(request, k=4).recommendations) == 4
-        with MultiViewRecommender(backend) as multi:
-            assert len(multi.recommend(request, k=4)) == 4
+        with AnalystSession(backend) as session:
+            assert len(session.issue(request, k=4).recommendations) == 4
+            assert len(session.issue(request).recommendations) == 2
 
     def test_analyst_session_streams_and_records_history(self, backend):
         with single_backend_service(backend, SeeDBConfig(k=2)) as service:

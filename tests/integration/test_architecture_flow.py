@@ -7,6 +7,7 @@ top-k — asserting each stage's output feeds the next.
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -75,7 +76,9 @@ class TestStageByStage:
                 prune_correlated=False,
             ),
         )
-        result = seedb.recommend(RowSelectQuery("sales", predicate), k=3)
+        result = seedb.recommend(
+            RecommendationRequest(RowSelectQuery("sales", predicate), k=3)
+        )
         assert [v.spec for v in result.recommendations] == [v.spec for v in top]
         for spec, view in result.all_scored.items():
             assert view.utility == pytest.approx(scored[spec].utility)
@@ -83,7 +86,9 @@ class TestStageByStage:
     def test_phase_timings_recorded(self, memory_backend):
         seedb = SeeDB(memory_backend)
         result = seedb.recommend(
-            RowSelectQuery("sales", col("product") == "Laserwave")
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave")
+            )
         )
         for phase in ("metadata", "enumerate", "prune", "plan", "execute",
                       "score", "select"):
@@ -91,14 +96,20 @@ class TestStageByStage:
 
     def test_access_log_learns_from_queries(self, memory_backend):
         seedb = SeeDB(memory_backend)
-        seedb.recommend(RowSelectQuery("sales", col("product") == "Laserwave"))
+        seedb.recommend(
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave")
+            )
+        )
         log = seedb.metadata.access_log
         assert log.count("sales", "product") >= 1
 
     def test_sql_string_input(self, memory_backend):
         seedb = SeeDB(memory_backend)
         result = seedb.recommend(
-            "SELECT * FROM sales WHERE product = 'Laserwave'", k=2
+            RecommendationRequest.from_sql(
+                "SELECT * FROM sales WHERE product = 'Laserwave'", k=2
+            )
         )
         assert len(result.recommendations) == 2
 

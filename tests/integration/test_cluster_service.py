@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -62,7 +63,9 @@ def serial_expected(backend_kind: str, table, queries=QUERIES) -> dict:
     facade = SeeDB(backend, SeeDBConfig(k=3))
     expected = {}
     for index, query in enumerate(queries):
-        expected[index % len(queries)] = fingerprint(facade.recommend(query))
+        expected[index % len(queries)] = fingerprint(
+            facade.recommend(RecommendationRequest(query))
+        )
     facade.close()
     if backend_kind == "sqlite":
         backend.close()
@@ -85,7 +88,7 @@ class TestCrossProcessCoalescing:
 
             def client(_: int):
                 barrier.wait(timeout=30)
-                return fingerprint(service.recommend(query))
+                return fingerprint(service.recommend(RecommendationRequest(query)))
 
             with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
                 results = list(pool.map(client, range(N_CLIENTS)))
@@ -109,7 +112,7 @@ class TestCrossProcessCoalescing:
                 out = []
                 for step in range(len(QUERIES)):
                     index = (worker + step) % len(QUERIES)
-                    result = service.recommend(QUERIES[index])
+                    result = service.recommend(RecommendationRequest(QUERIES[index]))
                     out.append((index, fingerprint(result)))
                 return out
 
@@ -138,7 +141,7 @@ class TestCrossProcessCoalescing:
 
             def client(_: int):
                 barrier.wait(timeout=30)
-                return fingerprint(service.recommend(QUERIES[0]))
+                return fingerprint(service.recommend(RecommendationRequest(QUERIES[0])))
 
             with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
                 results = list(pool.map(client, range(N_CLIENTS)))
@@ -169,7 +172,7 @@ class TestWorkerCrash:
                 out = []
                 for step in range(len(QUERIES)):
                     index = (worker + step) % len(QUERIES)
-                    result = service.recommend(QUERIES[index])
+                    result = service.recommend(RecommendationRequest(QUERIES[index]))
                     out.append((index, fingerprint(result)))
                 return out
 
@@ -212,7 +215,9 @@ class TestWorkerCrash:
             assert service.respawns >= 1
 
             # And the healed pool still serves correctly.
-            assert fingerprint(service.recommend(QUERIES[0])) == expected[0]
+            assert fingerprint(
+                service.recommend(RecommendationRequest(QUERIES[0]))
+            ) == expected[0]
         finally:
             service.close()
 
@@ -226,8 +231,10 @@ class TestInvalidation:
         service = make_cluster("memory", table)
         try:
             query = QUERIES[0]
-            before = fingerprint(service.recommend(query))
-            assert fingerprint(service.recommend(query)) == before
+            before = fingerprint(service.recommend(RecommendationRequest(query)))
+            assert fingerprint(
+                service.recommend(RecommendationRequest(query))
+            ) == before
             assert service.stats.result_cache_hits >= 1
 
             # Rebuild the table with visibly different data: clip to the
@@ -243,12 +250,12 @@ class TestInvalidation:
             )
             service.update_table(updated)
 
-            after = fingerprint(service.recommend(query))
+            after = fingerprint(service.recommend(RecommendationRequest(query)))
 
             fresh_backend = MemoryBackend()
             fresh_backend.register_table(updated)
             fresh = SeeDB(fresh_backend, SeeDBConfig(k=3))
-            assert after == fingerprint(fresh.recommend(query))
+            assert after == fingerprint(fresh.recommend(RecommendationRequest(query)))
             fresh.close()
             assert after != before  # the data actually changed
             assert service.stats.failed == 0
@@ -267,7 +274,7 @@ class TestLifecycle:
         try:
             distinct = QUERIES[:3]  # QUERIES[3] repeats QUERIES[0]
             for query in distinct:
-                service.recommend(query)
+                service.recommend(RecommendationRequest(query))
             snap = service.snapshot()
             prefix = snap["cluster"]["shm_prefix"]
             executed = snap["cluster"]["executed_total"]
@@ -275,7 +282,7 @@ class TestLifecycle:
             assert list_segments(prefix) == []
 
             for query in distinct * 2:
-                service.recommend(query)
+                service.recommend(RecommendationRequest(query))
             snap = service.snapshot()
             assert snap["result_cache_hits"] == 2 * len(distinct)
             assert snap["cluster"]["executed_total"] == executed
@@ -289,7 +296,7 @@ class TestLifecycle:
         prefix = service.snapshot()["cluster"]["shm_prefix"]
         try:
             for query in QUERIES:
-                service.recommend(query)
+                service.recommend(RecommendationRequest(query))
             # A worker killed between writing a segment and announcing it
             # leaves an orphan only the close-time sweep can find.
             orphan = _open_segment(prefix + "dead.0", create=True, size=64)
@@ -302,7 +309,7 @@ class TestLifecycle:
     def test_close_is_idempotent_and_joins_workers(self):
         table = make_medium_table()
         service = make_cluster("memory", table)
-        service.recommend(QUERIES[0])
+        service.recommend(RecommendationRequest(QUERIES[0]))
         pids = [w["pid"] for w in service.health()["workers"]]
         service.close()
         service.close()  # second close is a no-op

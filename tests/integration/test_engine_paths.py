@@ -13,6 +13,7 @@ hits), and a ``data_version`` bump must invalidate and re-fetch.
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -51,14 +52,20 @@ class TestThreePathEquivalence:
         """Full-phase incremental == batch: same utilities, same top-k."""
         backend = MemoryBackend()
         backend.register_table(dataset.table)
-        batch = SeeDB(backend, SeeDBConfig(metric="js", **NO_PRUNING)).recommend(
-            query, k=5
-        )
+        batch = SeeDB(
+            backend, SeeDBConfig(metric="js", **NO_PRUNING)
+        ).recommend(RecommendationRequest(query, k=5))
 
         views = enumerate_views(dataset.table.schema, functions=("sum", "avg"))
         views, _ = split_predicate_dimensions(views, dataset.predicate)
         incremental = IncrementalRecommender(dataset.table, metric="js").recommend(
-            dataset.predicate, views, k=5, n_phases=5, delta=1e-12
+            RecommendationRequest(
+                query,
+                k=5,
+                strategy="incremental",
+                options={"n_phases": 5, "delta": 1e-12},
+            ),
+            views,
         )
 
         assert not incremental.pruned_at_phase
@@ -94,7 +101,9 @@ class TestThreePathEquivalence:
             if not (set(v.dimensions) & dataset.predicate.referenced_columns())
         ]
         top = recommender.recommend(
-            query, k=len(views), n_dimensions=2, functions=("sum",),
+            RecommendationRequest(query, k=len(views)),
+            n_dimensions=2,
+            functions=("sum",),
             include_count=False,
         )
         assert {v.spec for v in top} == set(views)
@@ -136,26 +145,92 @@ class TestThreePathEquivalence:
         """The planted deviation wins under every strategy."""
         backend = MemoryBackend()
         backend.register_table(dataset.table)
-        batch = SeeDB(backend, SeeDBConfig(**NO_PRUNING)).recommend(query, k=1)
+        batch = SeeDB(
+            backend, SeeDBConfig(**NO_PRUNING)
+        ).recommend(RecommendationRequest(query, k=1))
         views = enumerate_views(dataset.table.schema, functions=("sum", "avg"))
         views, _ = split_predicate_dimensions(views, dataset.predicate)
         incremental = IncrementalRecommender(dataset.table).recommend(
-            dataset.predicate, views, k=1, n_phases=8
+            RecommendationRequest(
+                query, k=1, strategy="incremental", options={"n_phases": 8}
+            ),
+            views,
         )
         planted = batch.recommendations[0].spec.dimension
         assert incremental.recommendations[0].spec.dimension == planted
-        multi = MultiViewRecommender(backend).recommend(query, k=1, n_dimensions=2)
+        multi = MultiViewRecommender(backend).recommend(
+            RecommendationRequest(query, k=1), n_dimensions=2
+        )
         assert planted in multi[0].spec.dimensions
+
+
+def build_backend(kind, table):
+    backend = MemoryBackend() if kind == "memory" else SqliteBackend()
+    backend.register_table(table)
+    return backend
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+class TestOneDriver:
+    """Blocking, streamed and served runs are one ``ExecutionEngine.drive``."""
+
+    def test_exhausted_streamed_and_served_finals_are_bit_identical(
+        self, kind, dataset, query
+    ):
+        from repro.service import single_backend_service
+
+        request = RecommendationRequest(
+            query, k=4, strategy="incremental", options={"n_phases": 6}
+        )
+        backend = build_backend(kind, dataset.table)
+        try:
+            with SeeDB(backend) as seedb:
+                exhausted = seedb.recommend(request)
+                streamed = list(seedb.recommend_iter(request))[-1]
+            with single_backend_service(backend) as service:
+                served = list(service.recommend_stream(request))[-1]
+        finally:
+            backend.close()
+        assert streamed.is_final and served.is_final
+        for final in (streamed.result, served.result):
+            assert [v.spec for v in final.recommendations] == [
+                v.spec for v in exhausted.recommendations
+            ]
+            assert final.utilities == exhausted.utilities
+            assert list(final.stopwatch.phases) == list(exhausted.stopwatch.phases)
+
+    def test_batch_run_feeds_calibration_exactly_once(
+        self, kind, dataset, query, monkeypatch
+    ):
+        backend = build_backend(kind, dataset.table)
+        try:
+            with SeeDB(backend) as seedb:
+                observed = []
+                monkeypatch.setattr(
+                    seedb.engine.cache.calibration,
+                    "observe",
+                    lambda *args, **kwargs: observed.append((args, kwargs)),
+                )
+                result = seedb.recommend(RecommendationRequest(query, k=3))
+        finally:
+            backend.close()
+        assert result.plan_decision is not None
+        assert len(observed) == 1
+        (name, predicted, seconds), kwargs = observed[0]
+        assert name == backend.name
+        assert predicted == result.plan_decision["predicted_seconds"]
+        assert seconds == result.stopwatch.phases["execute"]
+        assert kwargs == {"plan_kind": result.plan_decision["kind"]}
 
 
 class TestSessionCaching:
     def run_twice(self, backend, query, config):
         seedb = SeeDB(backend, config)
         before = backend.queries_executed
-        seedb.recommend(query)
+        seedb.recommend(RecommendationRequest(query))
         first = backend.queries_executed - before
         before = backend.queries_executed
-        seedb.recommend(query)
+        seedb.recommend(RecommendationRequest(query))
         second = backend.queries_executed - before
         return seedb, first, second
 
@@ -197,8 +272,8 @@ class TestSessionCaching:
         backend = MemoryBackend()
         backend.register_table(dataset.table)
         seedb = SeeDB(backend)
-        first = seedb.recommend(query, k=4)
-        second = seedb.recommend(query, k=4)
+        first = seedb.recommend(RecommendationRequest(query, k=4))
+        second = seedb.recommend(RecommendationRequest(query, k=4))
         assert [v.spec for v in first.recommendations] == [
             v.spec for v in second.recommendations
         ]
@@ -210,7 +285,7 @@ class TestSessionCaching:
         backend = MemoryBackend()
         backend.register_table(dataset.table)
         seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
-        first = seedb.recommend(query, k=3)
+        first = seedb.recommend(RecommendationRequest(query, k=3))
         # Replace the table with a shuffled-measure variant: same schema,
         # different data -> utilities must change.
         shuffled = dataset.table.take(
@@ -218,7 +293,7 @@ class TestSessionCaching:
             name=dataset.table.name,
         )
         backend.register_table(shuffled, replace=True)
-        second = seedb.recommend(query, k=3)
+        second = seedb.recommend(RecommendationRequest(query, k=3))
         assert seedb.engine.cache.stats.invalidations == 1
         # Reversed row order preserves multisets per group, so utilities
         # match; what matters is the metadata was genuinely recollected.
@@ -229,13 +304,13 @@ class TestSessionCaching:
         try:
             backend.register_table(dataset.table)
             seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
-            seedb.recommend(query)
+            seedb.recommend(RecommendationRequest(query))
             baseline = backend.queries_executed
-            seedb.recommend(query)
+            seedb.recommend(RecommendationRequest(query))
             cached_cost = backend.queries_executed - baseline
             backend.register_table(dataset.table, replace=True)  # bump
             baseline = backend.queries_executed
-            seedb.recommend(query)
+            seedb.recommend(RecommendationRequest(query))
             invalidated_cost = backend.queries_executed - baseline
             assert invalidated_cost > cached_cost  # metadata re-fetched
         finally:

@@ -9,6 +9,7 @@ must match the basic framework to floating-point accuracy.
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.basic import BasicFramework
@@ -35,7 +36,7 @@ def truth(medium_table_module):
     backend.register_table(medium_table_module)
     return BasicFramework(
         backend, aggregate_functions=("sum", "avg", "min", "max", "var")
-    ).recommend(QUERY, k=5)
+    ).recommend(RecommendationRequest(QUERY, k=5))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_all_configurations_match_basic(
             groupby_combining=mode,
             **NO_PRUNING,
         )
-        result = SeeDB(backend, config).recommend(QUERY, k=5)
+        result = SeeDB(backend, config).recommend(RecommendationRequest(QUERY, k=5))
         assert set(result.utilities) == set(truth.utilities)
         for spec, expected in truth.utilities.items():
             assert result.utilities[spec] == pytest.approx(
@@ -85,7 +86,7 @@ def test_metric_changes_scores_but_pipeline_holds(medium_table_module):
     utilities = {}
     for metric in ("js", "emd", "euclidean", "kl", "total_variation"):
         config = SeeDBConfig(metric=metric, **NO_PRUNING)
-        result = SeeDB(backend, config).recommend(QUERY, k=3)
+        result = SeeDB(backend, config).recommend(RecommendationRequest(QUERY, k=3))
         utilities[metric] = result.utilities
         assert all(np.isfinite(u) for u in result.utilities.values())
     # Different metrics genuinely differ in scale.

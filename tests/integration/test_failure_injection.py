@@ -10,6 +10,7 @@ TypeError or produce NaN utilities.
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -38,7 +39,9 @@ class TestEmptySelections:
         backend = build_backend(sales_table)
         seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
         result = seedb.recommend(
-            RowSelectQuery("sales", col("product") == "Nonexistent"), k=3
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Nonexistent"), k=3
+            )
         )
         # Empty target: distributions fall back to uniform; utilities must
         # be finite and the pipeline must not crash.
@@ -50,7 +53,7 @@ class TestEmptySelections:
         backend = build_backend(sales_table)
         seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
         result = seedb.recommend(
-            RowSelectQuery("sales", col("amount") > -1e12), k=3
+            RecommendationRequest(RowSelectQuery("sales", col("amount") > -1e12), k=3)
         )
         # Target == comparison -> all utilities ~ 0.
         for view in result.all_scored.values():
@@ -66,7 +69,9 @@ class TestDegenerateTables:
         )
         backend = build_backend(table)
         seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
-        result = seedb.recommend(RowSelectQuery("tiny", col("v") > 0), k=2)
+        result = seedb.recommend(
+            RecommendationRequest(RowSelectQuery("tiny", col("v") > 0), k=2)
+        )
         for view in result.all_scored.values():
             assert np.isfinite(view.utility)
 
@@ -81,7 +86,9 @@ class TestDegenerateTables:
         )
         backend = build_backend(table)
         seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
-        result = seedb.recommend(RowSelectQuery("nulls", col("k") == "a"), k=2)
+        result = seedb.recommend(
+            RecommendationRequest(RowSelectQuery("nulls", col("k") == "a"), k=2)
+        )
         for view in result.all_scored.values():
             assert np.isfinite(view.utility)  # NaN-sums become zero mass
 
@@ -105,7 +112,9 @@ class TestDegenerateTables:
             try:
                 seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
                 result = seedb.recommend(
-                    RowSelectQuery("unicode", col("city") == "京都"), k=2
+                    RecommendationRequest(
+                        RowSelectQuery("unicode", col("city") == "京都"), k=2
+                    )
                 )
                 assert result.recommendations
             finally:
@@ -120,7 +129,9 @@ class TestDegenerateTables:
         )
         backend = build_backend(table)
         seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
-        result = seedb.recommend(RowSelectQuery("dims_only", col("b") == "p"), k=2)
+        result = seedb.recommend(
+            RecommendationRequest(RowSelectQuery("dims_only", col("b") == "p"), k=2)
+        )
         assert all(v.spec.func == "count" for v in result.all_scored.values())
 
     def test_no_usable_views_returns_empty(self):
@@ -132,7 +143,9 @@ class TestDegenerateTables:
         )
         backend = build_backend(table)
         seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
-        result = seedb.recommend(RowSelectQuery("one_dim", col("a") == "x"), k=3)
+        result = seedb.recommend(
+            RecommendationRequest(RowSelectQuery("one_dim", col("a") == "x"), k=3)
+        )
         assert result.recommendations == []
         assert result.n_executed_views == 0
 
@@ -141,17 +154,19 @@ class TestInjectedFailures:
     def test_unknown_table_raises_library_error(self, memory_backend):
         seedb = SeeDB(memory_backend)
         with pytest.raises(ReproError):
-            seedb.recommend(RowSelectQuery("no_such_table"), k=1)
+            seedb.recommend(RecommendationRequest(RowSelectQuery("no_such_table"), k=1))
 
     def test_unknown_predicate_column(self, memory_backend):
         seedb = SeeDB(memory_backend)
         with pytest.raises(ReproError):
-            seedb.recommend(RowSelectQuery("sales", col("ghost") == 1), k=1)
+            seedb.recommend(
+                RecommendationRequest(RowSelectQuery("sales", col("ghost") == 1), k=1)
+            )
 
     def test_malformed_sql_raises_syntax_error(self, memory_backend):
         seedb = SeeDB(memory_backend)
         with pytest.raises(SqlSyntaxError):
-            seedb.recommend("SELEKT * FROM sales", k=1)
+            seedb.recommend(RecommendationRequest.from_sql("SELEKT * FROM sales", k=1))
 
     def test_dropped_table_mid_session(self, sales_table):
         backend = SqliteBackend()
@@ -159,12 +174,16 @@ class TestInjectedFailures:
         try:
             seedb = SeeDB(backend)
             seedb.recommend(
-                RowSelectQuery("sales", col("product") == "Laserwave"), k=1
+                RecommendationRequest(
+                    RowSelectQuery("sales", col("product") == "Laserwave"), k=1
+                )
             )
             backend.drop_table("sales")
             with pytest.raises(ReproError):
                 seedb.recommend(
-                    RowSelectQuery("sales", col("product") == "Laserwave"), k=1
+                    RecommendationRequest(
+                        RowSelectQuery("sales", col("product") == "Laserwave"), k=1
+                    )
                 )
         finally:
             backend.close()
@@ -173,5 +192,7 @@ class TestInjectedFailures:
         seedb = SeeDB(memory_backend, SeeDBConfig(**NO_PRUNING))
         with pytest.raises(ReproError, match="compare"):
             seedb.recommend(
-                RowSelectQuery("sales", col("amount") > "a string"), k=1
+                RecommendationRequest(
+                    RowSelectQuery("sales", col("amount") > "a string"), k=1
+                )
             )

@@ -8,6 +8,7 @@ store-dimension view at the top of the recommendations.
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -52,7 +53,9 @@ class TestFullPipelineOnLaserwave:
         )
         seedb = SeeDB(backend, SeeDBConfig(prune_correlated=False))
         result = seedb.recommend(
-            RowSelectQuery("sales", col("product") == "Laserwave"), k=3
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave"), k=3
+            )
         )
         top_dimensions = [v.spec.dimension for v in result.recommendations]
         if expect_store_top:
@@ -72,7 +75,9 @@ class TestFullPipelineOnLaserwave:
         backend = MemoryBackend()
         backend.register_table(laserwave_sales_history(n_rows=3000, seed=4))
         result = SeeDB(backend).recommend(
-            RowSelectQuery("sales", col("product") == "Laserwave")
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave")
+            )
         )
         summary = result.summary()
         assert "SeeDB recommendations" in summary

@@ -4,6 +4,7 @@ views, and the metric choice affects (but does not destroy) that.
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -33,7 +34,9 @@ class TestPlantedRecovery:
         backend.register_table(dataset.table)
         seedb = SeeDB(backend, SeeDBConfig(prune_correlated=False))
         result = seedb.recommend(
-            RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+            RecommendationRequest(
+                RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+            )
         )
         assert precision_at_k(result, dataset) >= 0.8
 
@@ -42,7 +45,9 @@ class TestPlantedRecovery:
         backend.register_table(dataset.table)
         seedb = SeeDB(backend, SeeDBConfig(prune_correlated=False))
         result = seedb.recommend(
-            RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+            RecommendationRequest(
+                RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+            )
         )
         planted = set(dataset.planted_dimensions)
         unplanted_utilities = [
@@ -69,7 +74,9 @@ class TestPlantedRecovery:
         backend = MemoryBackend()
         backend.register_table(dataset.table)
         result = SeeDB(backend, SeeDBConfig(prune_correlated=False)).recommend(
-            RowSelectQuery(dataset.table.name, dataset.predicate), k=3
+            RecommendationRequest(
+                RowSelectQuery(dataset.table.name, dataset.predicate), k=3
+            )
         )
         worst = result.worst_views(3)
         assert len(worst) == 3

@@ -6,6 +6,7 @@ optimization family, plus sampling and parallelism behaviour.
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -41,7 +42,9 @@ def run(dataset, **overrides):
     config = SeeDBConfig(**{**NO_PRUNING, **overrides})
     seedb = SeeDB(backend, config)
     result = seedb.recommend(
-        RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+        RecommendationRequest(
+            RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+        )
     )
     return backend, result
 
@@ -90,7 +93,7 @@ class TestPruning:
         backend.register_table(table)
         config = SeeDBConfig()  # default pruning on
         result = SeeDB(backend, config).recommend(
-            RowSelectQuery(table.name, dataset.predicate), k=5
+            RecommendationRequest(RowSelectQuery(table.name, dataset.predicate), k=5)
         )
         assert result.n_executed_views < result.n_candidate_views
         pruned_dimensions = {v.dimension for v, _reason in result.pruned_views()}
@@ -102,7 +105,9 @@ class TestPruning:
         backend = MemoryBackend()
         backend.register_table(dataset.table)
         pruned_result = SeeDB(backend, SeeDBConfig(prune_correlated=False)).recommend(
-            RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+            RecommendationRequest(
+                RowSelectQuery(dataset.table.name, dataset.predicate), k=5
+            )
         )
         top_unpruned = [v.spec for v in unpruned.recommendations]
         top_pruned = [v.spec for v in pruned_result.recommendations]
@@ -132,7 +137,9 @@ class TestSampling:
 
         config = SeeDBConfig(sample_fraction=0.5, min_rows_for_sampling=10_000)
         result = SeeDB(memory_backend, config).recommend(
-            RowSelectQuery("sales", col("product") == "Laserwave")
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave")
+            )
         )
         assert result.sample_fraction is None
 
@@ -152,7 +159,9 @@ class TestParallelism:
             backend.register_table(dataset.table)
             config = SeeDBConfig(n_workers=4, **NO_PRUNING)
             result = SeeDB(backend, config).recommend(
-                RowSelectQuery(dataset.table.name, dataset.predicate), k=3
+                RecommendationRequest(
+                    RowSelectQuery(dataset.table.name, dataset.predicate), k=3
+                )
             )
             assert len(result.recommendations) == 3
         finally:

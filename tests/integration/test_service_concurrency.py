@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -62,7 +63,9 @@ def test_threaded_service_matches_serial(backend_kind, coalesce):
     serial = SeeDB(serial_backend, SeeDBConfig(k=3))
     expected = {}
     for index, query in enumerate(QUERIES):
-        expected[index % len(QUERIES)] = fingerprint(serial.recommend(query))
+        expected[index % len(QUERIES)] = fingerprint(
+            serial.recommend(RecommendationRequest(query))
+        )
     serial.close()
     if backend_kind == "sqlite":
         serial_backend.close()
@@ -82,7 +85,7 @@ def test_threaded_service_matches_serial(backend_kind, coalesce):
             # Stagger starting offsets so distinct queries overlap in flight.
             for step in range(len(QUERIES)):
                 index = (worker + step) % len(QUERIES)
-                result = service.recommend(QUERIES[index])
+                result = service.recommend(RecommendationRequest(QUERIES[index]))
                 out.append((index, fingerprint(result)))
             return out
 
@@ -125,7 +128,7 @@ def test_coalescing_observed_under_concurrency():
 
         def session(_: int):
             barrier.wait(timeout=30)  # release all threads at once
-            return fingerprint(service.recommend(query))
+            return fingerprint(service.recommend(RecommendationRequest(query)))
 
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
             results = list(pool.map(session, range(N_THREADS)))
@@ -167,7 +170,8 @@ class TestInvalidationUnderWrite:
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [
-                    pool.submit(service.recommend, query) for _ in range(24)
+                    pool.submit(service.recommend, RecommendationRequest(query))
+                    for _ in range(24)
                 ]
                 results = [f.result(timeout=120) for f in futures]
         finally:
@@ -177,12 +181,12 @@ class TestInvalidationUnderWrite:
         # Same data republished: every racing run saw a consistent snapshot
         # and must agree with serial ground truth.
         fresh = SeeDB(backend, SeeDBConfig(k=3))
-        expected = fingerprint(fresh.recommend(query))
+        expected = fingerprint(fresh.recommend(RecommendationRequest(query)))
         fresh.close()
         for result in results:
             assert fingerprint(result) == expected
         # After the dust settles the service itself also agrees.
-        assert fingerprint(service.recommend(query)) == expected
+        assert fingerprint(service.recommend(RecommendationRequest(query))) == expected
         assert service.engine().cache.stats.invalidations > 0
         service.close()
 
@@ -206,7 +210,8 @@ class TestSqliteConnectionLifecycle:
         ]
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(service.recommend, queries[i % 2]) for i in range(8)
+                pool.submit(service.recommend, RecommendationRequest(queries[i % 2]))
+                for i in range(8)
             ]
             for future in futures:
                 future.result(timeout=120)
@@ -240,16 +245,18 @@ class TestAtomicAccounting:
             try:
                 query = RowSelectQuery("sales", col("product") == "Laserwave")
                 seedb = SeeDB(backend, SeeDBConfig(k=2))
-                seedb.recommend(query)  # warm the engine cache first
+                # warm the engine cache first
+                seedb.recommend(RecommendationRequest(query))
                 baseline = backend.queries_executed
-                seedb.recommend(query)
+                seedb.recommend(RecommendationRequest(query))
                 per_run = backend.queries_executed - baseline
                 assert per_run > 0
                 backend.reset_counters()
                 runs = 12
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     futures = [
-                        pool.submit(seedb.recommend, query) for _ in range(runs)
+                        pool.submit(seedb.recommend, RecommendationRequest(query))
+                        for _ in range(runs)
                     ]
                     for future in futures:
                         future.result(timeout=120)

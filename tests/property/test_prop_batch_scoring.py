@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -181,7 +182,9 @@ def test_engine_batch_equals_per_view_on_backends(backend_factory, metric_name):
     for batch in (False, True):
         backend = backend_factory()
         config = SeeDBConfig(metric=metric_name, batch_scoring=batch)
-        results[batch] = SeeDB(backend, config).recommend(query, k=3)
+        results[batch] = SeeDB(backend, config).recommend(
+            RecommendationRequest(query, k=3)
+        )
         queries[batch] = backend.queries_executed
     per_view, columnar = results[False], results[True]
     assert queries[True] == queries[False]

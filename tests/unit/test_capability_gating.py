@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -103,11 +104,11 @@ class TestEngineFollowsDeclaredCapabilities:
         objects; sqlite's UNION ALL emulation executes them, results are
         unchanged — path selection is declaration-driven end to end."""
         seedb = SeeDB(sqlite_backend, self.config())
-        baseline = seedb.recommend(self.QUERY, k=3)
+        baseline = seedb.recommend(RecommendationRequest(self.QUERY, k=3))
         assert "grouping_sets" not in baseline.plan_description
 
         flip(sqlite_backend, monkeypatch, grouping_sets=True)
-        rerouted = seedb.recommend(self.QUERY, k=3)
+        rerouted = seedb.recommend(RecommendationRequest(self.QUERY, k=3))
         assert "grouping_sets" in rerouted.plan_description
         assert [v.spec.label for v in rerouted.recommendations] == [
             v.spec.label for v in baseline.recommendations
@@ -146,7 +147,7 @@ class TestEngineFollowsDeclaredCapabilities:
         )
 
         seedb = SeeDB(sqlite_backend, config)
-        seedb.recommend(self.QUERY, k=3)
+        seedb.recommend(RecommendationRequest(self.QUERY, k=3))
         assert not calls  # native declaration -> in-DBMS sampling
 
         flip(sqlite_backend, monkeypatch, native_sampling=False)
@@ -154,7 +155,7 @@ class TestEngineFollowsDeclaredCapabilities:
         # under the same (fraction, seed) key, so force a new one.
         config = dataclasses.replace(config, sample_seed=123)
         other = SeeDB(sqlite_backend, config)
-        other.recommend(self.QUERY, k=3)
+        other.recommend(RecommendationRequest(self.QUERY, k=3))
         assert calls  # declaration flipped -> client-side fallback
         other.close()
         seedb.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
@@ -46,7 +47,7 @@ class TestCostBasedChoice:
         with make_seedb(
             SeeDBConfig(groupby_combining=GroupByCombining.AUTO)
         ) as seedb:
-            result = seedb.recommend(QUERY, k=3)
+            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
         decision = result.plan_decision
         assert decision is not None
         assert decision["cost_based"] is True
@@ -63,7 +64,7 @@ class TestCostBasedChoice:
         with make_seedb(
             SeeDBConfig(groupby_combining=GroupByCombining.ROLLUP)
         ) as seedb:
-            result = seedb.recommend(QUERY, k=3)
+            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
         decision = result.plan_decision
         assert decision["cost_based"] is False
         assert decision["kind"] == "rollup"
@@ -77,7 +78,7 @@ class TestCostBasedChoice:
             groupby_combining=GroupByCombining.AUTO, cost_based_planning=False
         )
         with make_seedb(config) as seedb:
-            result = seedb.recommend(QUERY, k=3)
+            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
             assert result.plan_decision is None
             assert seedb.engine.cache.calibration.observations_for("memory") == 0
 
@@ -92,8 +93,8 @@ class TestCostBasedChoice:
             ),
             table,
         ) as static:
-            a = cost_based.recommend(QUERY, k=4)
-            b = static.recommend(QUERY, k=4)
+            a = cost_based.recommend(RecommendationRequest(QUERY, k=4))
+            b = static.recommend(RecommendationRequest(QUERY, k=4))
         assert [(v.spec, v.utility) for v in a.recommendations] == [
             (v.spec, v.utility) for v in b.recommendations
         ]
@@ -102,7 +103,7 @@ class TestCostBasedChoice:
 class TestFeedbackLoop:
     def test_run_observes_into_the_calibration_store(self):
         with make_seedb(SeeDBConfig()) as seedb:
-            result = seedb.recommend(QUERY, k=3)
+            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
             calibration = seedb.engine.cache.calibration
             assert calibration.observations_for("memory") == 1
             snap = calibration.snapshot()["memory"]
@@ -112,12 +113,12 @@ class TestFeedbackLoop:
             )
             assert result.plan_decision["observed_seconds"] is not None
             # Second run predicts with the updated coefficients.
-            seedb.recommend(QUERY, k=3)
+            seedb.recommend(RecommendationRequest(QUERY, k=3))
             assert calibration.observations_for("memory") == 2
 
     def test_static_runs_leave_calibration_untouched(self):
         with make_seedb(SeeDBConfig(cost_based_planning=False)) as seedb:
-            seedb.recommend(QUERY, k=3)
+            seedb.recommend(RecommendationRequest(QUERY, k=3))
             assert seedb.engine.cache.calibration.snapshot() == {}
 
 
@@ -131,8 +132,8 @@ class TestSampledCosting:
         with make_seedb(exact_config, table) as exact, make_seedb(
             sampled_config, table
         ) as sampled:
-            full = exact.recommend(QUERY, k=3).plan_decision
-            tenth = sampled.recommend(QUERY, k=3).plan_decision
+            full = exact.recommend(RecommendationRequest(QUERY, k=3)).plan_decision
+            tenth = sampled.recommend(RecommendationRequest(QUERY, k=3)).plan_decision
         assert tenth["sample_fraction"] == 0.1
         assert tenth["predicted"]["rows_scanned"] == pytest.approx(
             full["predicted"]["rows_scanned"] * 0.1, rel=0.01
@@ -143,7 +144,7 @@ class TestSampledCosting:
         table = make_table(n_rows=20_000)
         config = SeeDBConfig(auto_sample_epsilon=0.05, min_rows_for_sampling=1_000)
         with make_seedb(config, table) as seedb:
-            result = seedb.recommend(QUERY, k=3)
+            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
         assert result.sample_fraction is not None
         assert 0 < result.sample_fraction < 1
         from repro.optimizer.cost import hoeffding_epsilon
@@ -155,13 +156,15 @@ class TestSampledCosting:
         with make_seedb(
             SeeDBConfig(min_rows_for_sampling=1_000), table
         ) as seedb:
-            assert seedb.recommend(QUERY, k=3).sample_fraction is None
+            assert seedb.recommend(
+                RecommendationRequest(QUERY, k=3)
+            ).sample_fraction is None
 
 
 class TestParallelismAdvice:
     def test_recommendation_recorded_without_auto_parallelism(self):
         with make_seedb(SeeDBConfig(n_workers=4)) as seedb:
-            result = seedb.recommend(QUERY, k=3)
+            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
         assert result.plan_decision["recommended_workers"] >= 1
 
     def test_auto_parallelism_downgrades_trivial_work_to_sequential(self):
@@ -172,8 +175,8 @@ class TestParallelismAdvice:
         backend = MemoryBackend()
         backend.register_table(make_table())
         with SeeDB(backend, config) as seedb:
-            ctx = seedb.run_resolved(
-                seedb.as_request(QUERY, k=3).resolve(config)
+            ctx = seedb.engine.recommend(
+                RecommendationRequest(QUERY, k=3).resolve(config)
             )
         assert ctx.plan_decision.recommended_workers == 1
         assert ctx.executor is None

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import col
 from repro.db.grouping_sets import ColumnFactorizationCache
-from repro.db.query import FlagColumn
+from repro.db.query import FlagColumn, RowSelectQuery
 from repro.db.table import Table
 from repro.util.errors import QueryError
 from repro.util.tabulate import format_table
@@ -101,7 +102,13 @@ class TestIncrementalWithHellinger:
         recommender = IncrementalRecommender(sales_table, metric="hellinger")
         views = [ViewSpec("store", "amount", "sum"), ViewSpec("month", None, "count")]
         result = recommender.recommend(
-            col("product") == "Laserwave", views, k=1, n_phases=2
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave"),
+                k=1,
+                strategy="incremental",
+                options={"n_phases": 2},
+            ),
+            views,
         )
         assert len(result.recommendations) == 1
         assert all(np.isfinite(u) for u in result.utilities.values())
@@ -111,7 +118,6 @@ class TestMultiViewCountOnly:
     def test_count_views_without_measures(self):
         from repro.backends.memory import MemoryBackend
         from repro.core.multiview import MultiViewRecommender
-        from repro.db.query import RowSelectQuery
         from repro.db.types import AttributeRole
 
         table = Table.from_columns(
@@ -127,7 +133,8 @@ class TestMultiViewCountOnly:
         backend.register_table(table)
         recommender = MultiViewRecommender(backend)
         top = recommender.recommend(
-            RowSelectQuery("d3", col("a") == "x"), k=2, n_dimensions=2,
+            RecommendationRequest(RowSelectQuery("d3", col("a") == "x"), k=2),
+            n_dimensions=2,
             functions=(),
         )
         assert top

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -11,7 +12,6 @@ from repro.db.query import RowSelectQuery
 from repro.engine import (
     EnumeratePhase,
     ExecutePhase,
-    ExecutionContext,
     ExecutionEngine,
     MetadataPhase,
     PlanPhase,
@@ -123,14 +123,8 @@ class TestSessionCache:
 
 class TestPhases:
     def make_ctx(self, backend, config=None):
-        from repro.metadata.collector import MetadataCollector
-
-        return ExecutionContext(
-            backend=backend,
-            query=QUERY,
-            config=config if config is not None else SeeDBConfig(),
-            k=3,
-            metadata_collector=MetadataCollector(),
+        return ExecutionEngine(backend).new_context(
+            QUERY, config if config is not None else SeeDBConfig(), k=3
         )
 
     def test_default_phase_names_in_figure4_order(self):
@@ -171,7 +165,7 @@ class TestPhases:
 
     def test_engine_times_every_phase(self, memory_backend):
         engine = ExecutionEngine(memory_backend)
-        ctx = engine.recommend(QUERY, SeeDBConfig(), k=2)
+        ctx = engine.recommend(RecommendationRequest(QUERY, k=2).resolve())
         assert set(ctx.stopwatch.phases) == {
             phase.name for phase in default_phases()
         }
@@ -214,11 +208,11 @@ class TestSharedPool:
         backend.register_table(medium_table)
         query = RowSelectQuery("orders", col("product") == "p0")
         seedb = SeeDB(backend, SeeDBConfig(n_workers=4))
-        first = seedb.recommend(query)
+        first = seedb.recommend(RecommendationRequest(query))
         assert len(first.plan_description.splitlines()) > 2  # multi-step plan
         executor = seedb.engine.executor
         assert executor is not None and executor.shared_pool.warm
-        seedb.recommend(query)
+        seedb.recommend(RecommendationRequest(query))
         assert seedb.engine.executor is executor
         assert executor.pool_reuses >= 1
         seedb.close()
@@ -241,8 +235,10 @@ class TestSharedPool:
         assert engine.executor_for(1) is None
 
     def test_parallel_and_sequential_agree(self, memory_backend):
-        sequential = SeeDB(memory_backend).recommend(QUERY)
-        parallel = SeeDB(memory_backend, SeeDBConfig(n_workers=4)).recommend(QUERY)
+        sequential = SeeDB(memory_backend).recommend(RecommendationRequest(QUERY))
+        parallel = SeeDB(
+            memory_backend, SeeDBConfig(n_workers=4)
+        ).recommend(RecommendationRequest(QUERY))
         assert [v.spec for v in parallel.recommendations] == [
             v.spec for v in sequential.recommendations
         ]
@@ -271,11 +267,11 @@ class TestCustomMetricInstances:
 
         query = QUERY
         stock = MultiViewRecommender(memory_backend).recommend(
-            query, k=1, n_dimensions=2
+            RecommendationRequest(query, k=1), n_dimensions=2
         )
         custom = MultiViewRecommender(
             memory_backend, metric=self.make_metric()
-        ).recommend(query, k=1, n_dimensions=2)
+        ).recommend(RecommendationRequest(query, k=1), n_dimensions=2)
         assert custom[0].utility == pytest.approx(
             min(1.0, 2.0 * stock[0].utility)
         )
@@ -299,7 +295,9 @@ class TestCustomMetricInstances:
         )
         backend = MemoryBackend()
         backend.register_table(empty)
-        assert MultiViewRecommender(backend).recommend(QUERY, k=3) == []
+        assert MultiViewRecommender(backend).recommend(
+            RecommendationRequest(QUERY, k=3)
+        ) == []
 
     def test_incremental_uses_the_instance(self, sales_table):
         from repro.core.incremental import IncrementalRecommender
@@ -307,12 +305,13 @@ class TestCustomMetricInstances:
 
         views = enumerate_views(sales_table.schema, functions=("sum",))
         views, _ = split_predicate_dimensions(views, QUERY.predicate)
-        stock = IncrementalRecommender(sales_table).recommend(
-            QUERY.predicate, views, k=len(views), n_phases=2
+        request = RecommendationRequest(
+            QUERY, k=len(views), strategy="incremental", options={"n_phases": 2}
         )
+        stock = IncrementalRecommender(sales_table).recommend(request, views)
         custom = IncrementalRecommender(
             sales_table, metric=self.make_metric()
-        ).recommend(QUERY.predicate, views, k=len(views), n_phases=2)
+        ).recommend(request, views)
         for spec, utility in stock.utilities.items():
             assert custom.utilities[spec] == pytest.approx(
                 min(1.0, 2.0 * utility)
@@ -342,15 +341,15 @@ class TestSampleLeak:
         backend = MemoryBackend()
         backend.register_table(sales_table)
         with SeeDB(backend, self.config()) as seedb:
-            seedb.recommend(QUERY)
+            seedb.recommend(RecommendationRequest(QUERY))
         assert not backend.has_table(SAMPLE_NAME)
 
     def test_sample_reused_not_regrown(self, sales_table):
         backend = MemoryBackend()
         backend.register_table(sales_table)
         seedb = SeeDB(backend, self.config())
-        seedb.recommend(QUERY)
-        seedb.recommend(QUERY)
+        seedb.recommend(RecommendationRequest(QUERY))
+        seedb.recommend(RecommendationRequest(QUERY))
         samples = [
             name for name in list(backend.catalog) if "__seedb_sample" in name
         ]

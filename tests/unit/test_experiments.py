@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.core.config import SeeDBConfig
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.experiments.accuracy import (
@@ -110,7 +111,9 @@ class TestAccuracyRunners:
         backend = MemoryBackend()
         backend.register_table(tiny_dataset.table)
         result = SeeDB(backend, SeeDBConfig(prune_correlated=False)).recommend(
-            RowSelectQuery(tiny_dataset.table.name, tiny_dataset.predicate), k=3
+            RecommendationRequest(
+                RowSelectQuery(tiny_dataset.table.name, tiny_dataset.predicate), k=3
+            )
         )
         assert 0.0 <= precision_at_k(result, tiny_dataset) <= 1.0
 

@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.core.config import SeeDBConfig
 from repro.frontend.server import result_to_json, serve_in_thread
 from repro.service import single_backend_service
@@ -451,7 +452,9 @@ class TestSerialization:
         from repro.db.query import RowSelectQuery
 
         result = SeeDB(memory_backend).recommend(
-            RowSelectQuery("sales", col("product") == "Laserwave")
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave")
+            )
         )
         payload = result_to_json(result)
         decoded = json.loads(json.dumps(payload))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.core.recommender import SeeDB
 from repro.core.config import SeeDBConfig
 from repro.db.expressions import col
@@ -13,7 +14,9 @@ from repro.viz.html_report import render_html_report, write_html_report
 def result(memory_backend):
     seedb = SeeDB(memory_backend, SeeDBConfig(prune_correlated=False))
     return seedb.recommend(
-        RowSelectQuery("sales", col("product") == "Laserwave"), k=3
+        RecommendationRequest(
+            RowSelectQuery("sales", col("product") == "Laserwave"), k=3
+        )
     )
 
 
@@ -38,7 +41,9 @@ class TestRenderHtml:
     def test_escapes_query_text(self, memory_backend):
         seedb = SeeDB(memory_backend)
         result = seedb.recommend(
-            RowSelectQuery("sales", col("store") == "Cambridge, MA"), k=1
+            RecommendationRequest(
+                RowSelectQuery("sales", col("store") == "Cambridge, MA"), k=1
+            )
         )
         html = render_html_report(result, title="a <b> & 'c'")
         assert "a &lt;b&gt; &amp; 'c'" in html

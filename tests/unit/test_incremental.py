@@ -1,13 +1,17 @@
 """Unit tests: incremental execution with early termination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.core.incremental import IncrementalRecommender, IncrementalResult
 from repro.core.space import enumerate_views
 from repro.core.view_processor import ViewProcessor
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.expressions import col
+from repro.db.query import RowSelectQuery
 from repro.metrics.registry import get_metric
 from repro.model.view import RawViewData, ViewSpec
 from repro.util.errors import ConfigError
@@ -26,6 +30,17 @@ def dataset():
 def views(dataset):
     views = enumerate_views(dataset.table.schema, functions=("sum", "avg"))
     return [v for v in views if v.dimension != "segment"]
+
+
+def phased(dataset, k=5, **knobs):
+    """An incremental request for the dataset's planted predicate, phase
+    knobs as options."""
+    return RecommendationRequest(
+        RowSelectQuery(dataset.table.name, dataset.predicate),
+        k=k,
+        strategy="incremental",
+        options=knobs,
+    )
 
 
 def exact_utilities(dataset, views):
@@ -58,7 +73,7 @@ class TestExactness:
         the accumulated estimates equal exact single-shot utilities."""
         recommender = IncrementalRecommender(dataset.table, metric="js")
         result = recommender.recommend(
-            dataset.predicate, views, k=len(views), n_phases=4, delta=1e-9
+            phased(dataset, k=len(views), n_phases=4, delta=1e-9), views
         )
         truth = exact_utilities(dataset, views)
         assert result.phases_executed == 4
@@ -68,7 +83,7 @@ class TestExactness:
 
     def test_single_phase_is_exact(self, dataset, views):
         recommender = IncrementalRecommender(dataset.table)
-        result = recommender.recommend(dataset.predicate, views, k=3, n_phases=1)
+        result = recommender.recommend(phased(dataset, k=3, n_phases=1), views)
         truth = exact_utilities(dataset, views)
         for spec in views:
             assert result.utilities[spec] == pytest.approx(truth[spec], rel=1e-9)
@@ -78,7 +93,7 @@ class TestPruning:
     def test_pruning_saves_work_and_keeps_topk(self, dataset, views):
         recommender = IncrementalRecommender(dataset.table, metric="js")
         result = recommender.recommend(
-            dataset.predicate, views, k=3, n_phases=10, delta=0.2
+            phased(dataset, k=3, n_phases=10, delta=0.2), views
         )
         truth = exact_utilities(dataset, views)
         true_top = [
@@ -93,7 +108,7 @@ class TestPruning:
     def test_pruned_views_are_truly_bad(self, dataset, views):
         recommender = IncrementalRecommender(dataset.table, metric="js")
         result = recommender.recommend(
-            dataset.predicate, views, k=3, n_phases=10, delta=0.1
+            phased(dataset, k=3, n_phases=10, delta=0.1), views
         )
         truth = exact_utilities(dataset, views)
         if not result.pruned_at_phase:
@@ -107,8 +122,7 @@ class TestPruning:
     def test_no_pruning_below_min_phases(self, dataset, views):
         recommender = IncrementalRecommender(dataset.table)
         result = recommender.recommend(
-            dataset.predicate, views, k=3, n_phases=2,
-            min_phases_before_pruning=5,
+            phased(dataset, k=3, n_phases=2, min_phases_before_pruning=5), views
         )
         assert not result.pruned_at_phase
 
@@ -118,22 +132,19 @@ class TestValidationAndEdges:
         with pytest.raises(ConfigError, match="bounded"):
             IncrementalRecommender(dataset.table, metric="kl")
 
-    def test_bad_parameters(self, dataset, views):
-        recommender = IncrementalRecommender(dataset.table)
-        with pytest.raises(ConfigError):
-            recommender.recommend(dataset.predicate, views, n_phases=0)
-        with pytest.raises(ConfigError):
-            recommender.recommend(dataset.predicate, views, delta=1.5)
-
     def test_empty_views(self, dataset):
         recommender = IncrementalRecommender(dataset.table)
-        result = recommender.recommend(dataset.predicate, [], k=3)
+        result = recommender.recommend(phased(dataset, k=3), [])
         assert result.recommendations == []
         assert result.work_saved_fraction == 0.0
 
     def test_none_predicate(self, dataset, views):
         recommender = IncrementalRecommender(dataset.table)
-        result = recommender.recommend(None, views[:4], k=2, n_phases=3)
+        request = replace(
+            phased(dataset, k=2, n_phases=3),
+            target=RowSelectQuery(dataset.table.name),
+        )
+        result = recommender.recommend(request, views[:4])
         # target == comparison everywhere -> all utilities ~0.
         for utility in result.utilities.values():
             assert utility == pytest.approx(0.0, abs=1e-9)
@@ -142,7 +153,7 @@ class TestValidationAndEdges:
         recommender = IncrementalRecommender(dataset.table)
         subset = views[:6]
         result = recommender.recommend(
-            dataset.predicate, subset, k=6, n_phases=3, delta=1e-9
+            phased(dataset, k=6, n_phases=3, delta=1e-9), subset
         )
         assert result.work_possible == 18
         assert result.work_done == 18  # k == len(views): nothing prunable

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.service import single_backend_service
@@ -31,28 +32,30 @@ def stalled_service(backend, **kwargs):
     """A service whose executions block until ``release`` is set.
 
     Returns ``(service, release, started)``: ``started`` is set once the
-    first execution reaches the facade (i.e. occupies its admission slot
+    first execution reaches the engine (i.e. occupies its admission slot
     on a worker thread).
     """
     kwargs.setdefault("result_cache_size", 0)
     service = single_backend_service(backend, **kwargs)
-    facade = service.facade()
+    engine = service.engine()
     release, started = threading.Event(), threading.Event()
-    inner = facade.run_resolved
+    inner = engine.recommend
 
-    def slow_run_resolved(resolved, **inner_kwargs):
+    def slow_recommend(resolved, **inner_kwargs):
         started.set()
         release.wait(timeout=10)
         return inner(resolved, **inner_kwargs)
 
-    facade.run_resolved = slow_run_resolved
+    engine.recommend = slow_recommend
     return service, release, started
 
 
 class TestDeadlines:
     def test_deadline_ms_travels_through_submit(self, memory_backend):
         with single_backend_service(memory_backend) as service:
-            result = service.recommend(QUERY, deadline_ms=60_000)
+            result = service.recommend(
+                RecommendationRequest(QUERY, options={"deadline_ms": 60_000})
+            )
             assert result.partial is False
             assert len(result.recommendations) > 0
 
@@ -63,7 +66,9 @@ class TestDeadlines:
             FaultInjector([FaultSpec("backend.execute", "stall", delay_s=0.1)])
         )
         try:
-            future = service.submit(QUERY, deadline_ms=30)
+            future = service.submit(
+                RecommendationRequest(QUERY, options={"deadline_ms": 30})
+            )
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=10)
             assert service.stats.deadline_exceeded == 1
@@ -76,10 +81,16 @@ class TestDeadlines:
         fat budget must never inherit a starved execution's failure."""
         service, release, started = stalled_service(memory_backend, max_workers=4)
         try:
-            first = service.submit(QUERY, deadline_ms=60_000)
+            first = service.submit(
+                RecommendationRequest(QUERY, options={"deadline_ms": 60_000})
+            )
             assert started.wait(timeout=10)
-            second = service.submit(QUERY, deadline_ms=120_000)
-            third = service.submit(QUERY, deadline_ms=60_000)
+            second = service.submit(
+                RecommendationRequest(QUERY, options={"deadline_ms": 120_000})
+            )
+            third = service.submit(
+                RecommendationRequest(QUERY, options={"deadline_ms": 60_000})
+            )
             assert second is not first  # different budget: own execution
             assert third is first  # same budget: coalesced
             release.set()
@@ -96,10 +107,10 @@ class TestAdmissionControl:
             memory_backend, max_workers=1, max_queue_depth=0
         )
         try:
-            first = service.submit(QUERY, k=2)
+            first = service.submit(RecommendationRequest(QUERY, k=2))
             assert started.wait(timeout=10)
             with pytest.raises(Overloaded) as excinfo:
-                service.submit(QUERY, k=3)
+                service.submit(RecommendationRequest(QUERY, k=3))
             assert excinfo.value.retry_after is not None
             assert excinfo.value.retry_after > 0
             assert excinfo.value.http_status == 429
@@ -107,7 +118,7 @@ class TestAdmissionControl:
             release.set()
             first.result(timeout=10)
             # The slot was released: the same request is admitted now.
-            service.recommend(QUERY, k=3)
+            service.recommend(RecommendationRequest(QUERY, k=3))
         finally:
             release.set()
             service.close()
@@ -117,10 +128,10 @@ class TestAdmissionControl:
             memory_backend, max_workers=4, backend_inflight_limit=1
         )
         try:
-            first = service.submit(QUERY, k=2)
+            first = service.submit(RecommendationRequest(QUERY, k=2))
             assert started.wait(timeout=10)
             with pytest.raises(Overloaded, match="in-flight cap"):
-                service.submit(QUERY, k=3)
+                service.submit(RecommendationRequest(QUERY, k=3))
             release.set()
             first.result(timeout=10)
         finally:
@@ -132,9 +143,10 @@ class TestAdmissionControl:
             memory_backend, max_workers=1, max_queue_depth=0
         )
         try:
-            first = service.submit(QUERY, k=2)
+            first = service.submit(RecommendationRequest(QUERY, k=2))
             assert started.wait(timeout=10)
-            joiner = service.submit(QUERY, k=2)  # identical: no new slot
+            # identical: no new slot
+            joiner = service.submit(RecommendationRequest(QUERY, k=2))
             assert joiner is first
             assert service.stats.rejected == 0
             release.set()
@@ -147,21 +159,24 @@ class TestAdmissionControl:
         service = single_backend_service(
             memory_backend, max_workers=1, max_queue_depth=0
         )
-        facade = service.facade()
+        engine = service.engine()
         try:
-            warm = service.recommend(QUERY, k=2)  # populate the cache
+            # populate the cache
+            warm = service.recommend(RecommendationRequest(QUERY, k=2))
             release, started = threading.Event(), threading.Event()
-            inner = facade.run_resolved
+            inner = engine.recommend
 
-            def slow_run_resolved(resolved, **kwargs):
+            def slow_recommend(resolved, **kwargs):
                 started.set()
                 release.wait(timeout=10)
                 return inner(resolved, **kwargs)
 
-            facade.run_resolved = slow_run_resolved
-            blocker = service.submit(QUERY, k=3)  # saturate the only slot
+            engine.recommend = slow_recommend
+            # saturate the only slot
+            blocker = service.submit(RecommendationRequest(QUERY, k=3))
             assert started.wait(timeout=10)
-            cached = service.submit(QUERY, k=2)  # cache hit: admitted free
+            # cache hit: admitted free
+            cached = service.submit(RecommendationRequest(QUERY, k=2))
             assert cached.result(timeout=1) is warm
             release.set()
             blocker.result(timeout=10)
@@ -192,7 +207,9 @@ class TestStreamLifecycle:
         with single_backend_service(memory_backend) as service:
             rounds = list(
                 service.recommend_stream(
-                    QUERY, deadline_ms=150, n_phases=4
+                    RecommendationRequest(
+                        QUERY, options={"deadline_ms": 150, "n_phases": 4}
+                    )
                 )
             )
             final = rounds[-1]
@@ -211,19 +228,25 @@ class TestStreamLifecycle:
         with single_backend_service(memory_backend) as service:
             rounds = list(
                 service.recommend_stream(
-                    QUERY, deadline_ms=150, n_phases=4
+                    RecommendationRequest(
+                        QUERY, options={"deadline_ms": 150, "n_phases": 4}
+                    )
                 )
             )
             assert rounds[-1].result.partial is True
             uninstall_injector()  # next run is healthy
-            full = service.recommend(QUERY, n_phases=4)
+            full = service.recommend(
+                RecommendationRequest(QUERY, options={"n_phases": 4})
+            )
             assert full.partial is False
             assert service.stats.result_cache_hits == 0
 
     def test_last_subscriber_disconnect_cancels_execution(self, memory_backend):
         self.stall_rounds(delay_s=0.2)
         with single_backend_service(memory_backend) as service:
-            stream = service.recommend_stream(QUERY, n_phases=6)
+            stream = service.recommend_stream(
+                RecommendationRequest(QUERY, options={"n_phases": 6})
+            )
             first = next(stream)
             assert first.round == 1
             stream.close()  # last subscriber leaves mid-stream
@@ -234,9 +257,13 @@ class TestStreamLifecycle:
     def test_sibling_subscriber_survives_one_disconnect(self, memory_backend):
         self.stall_rounds(delay_s=0.2)
         with single_backend_service(memory_backend) as service:
-            leaver = service.recommend_stream(QUERY, n_phases=4)
+            leaver = service.recommend_stream(
+                RecommendationRequest(QUERY, options={"n_phases": 4})
+            )
             next(leaver)
-            stayer = service.recommend_stream(QUERY, n_phases=4)
+            stayer = service.recommend_stream(
+                RecommendationRequest(QUERY, options={"n_phases": 4})
+            )
             assert service.stats.coalesced == 1  # one shared execution
             leaver.close()  # refcount 2 -> 1: no cancellation
             rounds = list(stayer)
@@ -286,7 +313,8 @@ class TestLifecycleParity:
         )
         blocker = None
         if outcome == "overloaded":
-            blocker = service.submit(QUERY, k=2)  # takes the only slot
+            # takes the only slot
+            blocker = service.submit(RecommendationRequest(QUERY, k=2))
             assert started.wait(timeout=10)
         else:
             release.set()
@@ -306,8 +334,8 @@ class TestLifecycleParity:
 
         def drive():
             if path == "submit":
-                return service.submit(QUERY).result(timeout=10)
-            return list(service.recommend_stream(QUERY))
+                return service.submit(RecommendationRequest(QUERY)).result(timeout=10)
+            return list(service.recommend_stream(RecommendationRequest(QUERY)))
 
         try:
             before = service.snapshot()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.multiview import (
@@ -81,7 +82,10 @@ class TestRecommendation:
         recommender = MultiViewRecommender(memory_backend, metric="js")
         query = RowSelectQuery("sales", col("product") == "Laserwave")
         top = recommender.recommend(
-            query, k=10, n_dimensions=2, functions=("sum",), include_count=False
+            RecommendationRequest(query, k=10),
+            n_dimensions=2,
+            functions=("sum",),
+            include_count=False,
         )
         # Manual: sum(amount) by (store, month) target vs comparison.
         target = memory_backend.execute(
@@ -116,21 +120,23 @@ class TestRecommendation:
     def test_predicate_dimensions_excluded(self, memory_backend):
         recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        top = recommender.recommend(query, k=20, n_dimensions=2)
+        top = recommender.recommend(RecommendationRequest(query, k=20), n_dimensions=2)
         for view in top:
             assert "product" not in view.spec.dimensions
 
     def test_groups_are_tuples(self, memory_backend):
         recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        top = recommender.recommend(query, k=1, n_dimensions=2)
+        top = recommender.recommend(RecommendationRequest(query, k=1), n_dimensions=2)
         assert top
         assert all(isinstance(group, tuple) for group in top[0].groups)
 
     def test_distributions_valid(self, memory_backend):
         recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("amount") > 50)
-        for view in recommender.recommend(query, k=5, n_dimensions=2):
+        for view in recommender.recommend(
+            RecommendationRequest(query, k=5), n_dimensions=2
+        ):
             assert view.target_distribution.sum() == pytest.approx(1.0)
             assert view.comparison_distribution.sum() == pytest.approx(1.0)
             assert math.isfinite(view.utility)
@@ -138,10 +144,10 @@ class TestRecommendation:
     def test_works_on_sqlite(self, sqlite_backend, memory_backend):
         query = RowSelectQuery("sales", col("product") == "Laserwave")
         lite = MultiViewRecommender(sqlite_backend).recommend(
-            query, k=3, n_dimensions=2
+            RecommendationRequest(query, k=3), n_dimensions=2
         )
         mem = MultiViewRecommender(memory_backend).recommend(
-            query, k=3, n_dimensions=2
+            RecommendationRequest(query, k=3), n_dimensions=2
         )
         assert [v.spec for v in lite] == [v.spec for v in mem]
         for a, b in zip(lite, mem):
@@ -150,6 +156,8 @@ class TestRecommendation:
     def test_k_and_ties_deterministic(self, memory_backend):
         recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        first = recommender.recommend(query, k=4, n_dimensions=2)
-        second = recommender.recommend(query, k=4, n_dimensions=2)
+        first = recommender.recommend(RecommendationRequest(query, k=4), n_dimensions=2)
+        second = recommender.recommend(
+            RecommendationRequest(query, k=4), n_dimensions=2
+        )
         assert [v.spec for v in first] == [v.spec for v in second]

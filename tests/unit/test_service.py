@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
@@ -15,6 +16,7 @@ from repro.service import SeeDBService, single_backend_service
 from repro.util.errors import ConfigError, QueryError
 
 QUERY = RowSelectQuery("sales", col("product") == "Laserwave")
+REQUEST = RecommendationRequest(QUERY)
 SQL = "SELECT * FROM sales WHERE product = 'Laserwave'"
 
 
@@ -29,13 +31,13 @@ class TestBackendRegistry:
     def test_unknown_backend_rejected(self, memory_backend):
         with single_backend_service(memory_backend) as service:
             with pytest.raises(QueryError, match="no backend named"):
-                service.recommend(QUERY, backend="nope")
+                service.recommend(REQUEST, backend="nope")
 
     def test_closed_service_rejects_requests(self, memory_backend):
         service = single_backend_service(memory_backend)
         service.close()
         with pytest.raises(QueryError, match="closed"):
-            service.submit(QUERY)
+            service.submit(REQUEST)
 
     def test_multiple_backends_serve_independently(self, sales_table):
         a, b = MemoryBackend(), MemoryBackend()
@@ -45,8 +47,8 @@ class TestBackendRegistry:
         service.register_backend("a", a)
         service.register_backend("b", b, config=SeeDBConfig(k=1))
         try:
-            result_a = service.recommend(QUERY, backend="a")
-            result_b = service.recommend(QUERY, backend="b")
+            result_a = service.recommend(REQUEST, backend="a")
+            result_b = service.recommend(REQUEST, backend="b")
             assert len(result_b.recommendations) == 1
             assert [v.spec for v in result_b.recommendations] == [
                 v.spec for v in result_a.recommendations[:1]
@@ -55,11 +57,34 @@ class TestBackendRegistry:
             service.close()
 
 
+    def test_explicit_backend_argument_beats_the_request_field(self, sales_table):
+        """Routing has one rule — explicit argument, else ``request.backend``,
+        else the default — and no backend *name* doubles as "not given"."""
+        default, other = MemoryBackend(), MemoryBackend()
+        default.register_table(sales_table)
+        other.register_table(sales_table)
+        service = SeeDBService(result_cache_size=0)
+        service.register_backend("default", default)
+        service.register_backend("other", other)
+        routed = RecommendationRequest(QUERY, backend="other")
+        try:
+            service.recommend(routed, backend="default")
+            assert default.queries_executed > 0
+            assert other.queries_executed == 0
+            service.recommend(routed)  # no argument: the request's field
+            assert other.queries_executed > 0
+            before = default.queries_executed
+            service.recommend(REQUEST)  # neither: the default backend
+            assert default.queries_executed > before
+        finally:
+            service.close()
+
+
 class TestServiceResults:
     def test_matches_direct_facade(self, memory_backend):
-        direct = SeeDB(memory_backend).recommend(QUERY)
+        direct = SeeDB(memory_backend).recommend(REQUEST)
         with single_backend_service(memory_backend) as service:
-            served = service.recommend(QUERY)
+            served = service.recommend(REQUEST)
         assert [v.spec for v in served.recommendations] == [
             v.spec for v in direct.recommendations
         ]
@@ -68,8 +93,8 @@ class TestServiceResults:
 
     def test_sql_and_query_objects_share_cache_entries(self, memory_backend):
         with single_backend_service(memory_backend) as service:
-            first = service.recommend(SQL)
-            second = service.recommend(QUERY)
+            first = service.recommend(RecommendationRequest.from_sql(SQL))
+            second = service.recommend(REQUEST)
             # The SQL string resolves to the same canonical request: the
             # second call is a result-cache hit, not a new execution.
             assert service.stats.executions == 1
@@ -78,7 +103,9 @@ class TestServiceResults:
 
     def test_error_propagates_to_waiter(self, memory_backend):
         with single_backend_service(memory_backend) as service:
-            future = service.submit(RowSelectQuery("missing_table"))
+            future = service.submit(
+                RecommendationRequest(RowSelectQuery("missing_table"))
+            )
             with pytest.raises(Exception):
                 future.result(timeout=10)
             assert service.stats.failed == 1
@@ -93,24 +120,24 @@ class TestCoalescing:
         self, memory_backend
     ):
         service = self.make_service(memory_backend, max_workers=4)
-        facade = service.facade()
+        engine = service.engine()
         release = threading.Event()
         calls = []
-        inner = facade.run_resolved
+        inner = engine.recommend
 
-        def slow_run_resolved(resolved, **kwargs):
+        def slow_recommend(resolved, **kwargs):
             calls.append(resolved)
             release.wait(timeout=10)
             return inner(resolved, **kwargs)
 
-        # The service executes through the facade's resolved-request entry
+        # The service executes through the engine's resolved-request entry
         # point; stalling it holds the first request in flight.
-        facade.run_resolved = slow_run_resolved
+        engine.recommend = slow_recommend
         try:
-            first = service.submit(QUERY)
+            first = service.submit(REQUEST)
             while not calls:  # the first request is on a worker thread
                 pass
-            joiners = [service.submit(QUERY) for _ in range(5)]
+            joiners = [service.submit(REQUEST) for _ in range(5)]
             assert all(f is first for f in joiners)
             release.set()
             results = [f.result(timeout=10) for f in [first, *joiners]]
@@ -127,7 +154,7 @@ class TestCoalescing:
             memory_backend, coalesce_requests=False, max_workers=4
         )
         try:
-            futures = [service.submit(QUERY) for _ in range(3)]
+            futures = [service.submit(REQUEST) for _ in range(3)]
             results = [f.result(timeout=10) for f in futures]
             assert service.stats.coalesced == 0
             assert service.stats.executions == 3
@@ -142,8 +169,8 @@ class TestCoalescing:
     def test_different_k_does_not_coalesce(self, memory_backend):
         service = self.make_service(memory_backend)
         try:
-            a = service.recommend(QUERY, k=2)
-            b = service.recommend(QUERY, k=3)
+            a = service.recommend(RecommendationRequest(QUERY, k=2))
+            b = service.recommend(RecommendationRequest(QUERY, k=3))
             assert service.stats.executions == 2
             assert len(a.recommendations) == 2
             assert len(b.recommendations) == 3
@@ -154,17 +181,17 @@ class TestCoalescing:
 class TestResultCache:
     def test_repeat_request_served_from_cache(self, memory_backend):
         with single_backend_service(memory_backend) as service:
-            first = service.recommend(QUERY)
-            second = service.recommend(QUERY)
+            first = service.recommend(REQUEST)
+            second = service.recommend(REQUEST)
             assert second is first
             assert service.stats.result_cache_hits == 1
             assert service.stats.executions == 1
 
     def test_data_change_retires_cached_results(self, memory_backend, nan_table):
         with single_backend_service(memory_backend) as service:
-            service.recommend(QUERY)
+            service.recommend(REQUEST)
             memory_backend.register_table(nan_table)  # bumps data_version
-            service.recommend(QUERY)
+            service.recommend(REQUEST)
             assert service.stats.result_cache_hits == 0
             assert service.stats.executions == 2
 
@@ -172,8 +199,8 @@ class TestResultCache:
         with single_backend_service(
             memory_backend, result_cache_size=0
         ) as service:
-            service.recommend(QUERY)
-            service.recommend(QUERY)
+            service.recommend(REQUEST)
+            service.recommend(REQUEST)
             assert service.stats.result_cache_hits == 0
             assert service.stats.executions == 2
 
@@ -182,18 +209,18 @@ class TestResultCache:
             memory_backend, result_cache_size=2
         ) as service:
             for k in (1, 2, 3):
-                service.recommend(QUERY, k=k)
+                service.recommend(RecommendationRequest(QUERY, k=k))
             assert service.snapshot()["result_cache_entries"] == 2
             # k=1 was evicted (least recently used), k=3 still cached.
-            service.recommend(QUERY, k=3)
+            service.recommend(RecommendationRequest(QUERY, k=3))
             assert service.stats.result_cache_hits == 1
-            service.recommend(QUERY, k=1)
+            service.recommend(RecommendationRequest(QUERY, k=1))
             assert service.stats.executions == 4
 
     def test_stats_invariant(self, memory_backend):
         with single_backend_service(memory_backend) as service:
             for _ in range(3):
-                service.recommend(QUERY)
+                service.recommend(REQUEST)
             stats = service.stats
             assert stats.requests == (
                 stats.executions + stats.coalesced + stats.result_cache_hits
@@ -203,7 +230,7 @@ class TestResultCache:
 class TestSnapshot:
     def test_snapshot_shape(self, memory_backend):
         with single_backend_service(memory_backend) as service:
-            service.recommend(QUERY)
+            service.recommend(REQUEST)
             snapshot = service.snapshot()
         assert snapshot["requests"] == 1
         assert snapshot["in_flight"] == 0
@@ -222,7 +249,7 @@ class TestOwnership:
         path = backend._path
         backend.register_table(sales_table)
         service = single_backend_service(backend, owned=True)
-        service.recommend(QUERY)
+        service.recommend(REQUEST)
         assert backend.open_connections >= 1
         service.close()
         assert backend.open_connections == 0
@@ -230,7 +257,7 @@ class TestOwnership:
 
     def test_unowned_backend_left_open(self, memory_backend):
         service = single_backend_service(memory_backend)
-        service.recommend(QUERY)
+        service.recommend(REQUEST)
         service.close()
         assert memory_backend.has_table("sales")
 
@@ -248,7 +275,7 @@ class TestSessionServiceJoining:
         instead of stranding waiters on a never-completed future."""
         service = single_backend_service(memory_backend)
         service._pool.shutdown(wait=True)  # simulate close() winning the race
-        future = service.submit(QUERY)
+        future = service.submit(REQUEST)
         with pytest.raises(QueryError, match="closed while scheduling"):
             future.result(timeout=10)
         service._closed = True  # finish the teardown by hand
@@ -295,7 +322,7 @@ class TestEngineCacheSharing:
         config = SeeDBConfig(sample_fraction=0.5, min_rows_for_sampling=0)
         a = SeeDB(memory_backend, config)
         b = SeeDB(memory_backend, config)
-        a.recommend(QUERY)
+        a.recommend(REQUEST)
         samples = a.engine.cache.live_samples
         assert samples and all(memory_backend.has_table(s) for s in samples)
         a.close()  # b still holds the cache: samples survive

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.viz.vega import to_vega_lite
 from repro.viz.vega_schema import (
     VEGA_LITE_MINI_SCHEMA,
@@ -103,7 +104,9 @@ class TestEmittedSpecsConform:
         from repro.viz.spec import view_to_chart_spec
 
         result = SeeDB(memory_backend).recommend(
-            "SELECT * FROM sales WHERE product = 'Laserwave'"
+            RecommendationRequest.from_sql(
+                "SELECT * FROM sales WHERE product = 'Laserwave'"
+            )
         )
         assert result.recommendations
         for view in result.recommendations:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.db.schema import ColumnSpec
 from repro.db.types import AttributeRole, DataType
 from repro.model.view import ScoredView, ViewSpec
@@ -232,7 +233,9 @@ class TestExport:
 
         seedb = SeeDB(memory_backend)
         result = seedb.recommend(
-            RowSelectQuery("sales", col("product") == "Laserwave"), k=2
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave"), k=2
+            )
         )
         schema = memory_backend.schema("sales")
         paths = export_recommendations(result, tmp_path / "charts", schema)
@@ -253,7 +256,9 @@ class TestExport:
         from repro.viz.export import export_recommendations
 
         result = SeeDB(memory_backend).recommend(
-            RowSelectQuery("sales", col("product") == "Laserwave"), k=2
+            RecommendationRequest(
+                RowSelectQuery("sales", col("product") == "Laserwave"), k=2
+            )
         )
         paths = export_recommendations(
             result, tmp_path / "bare", schema=None, formats=("vega",)
