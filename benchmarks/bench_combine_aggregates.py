@@ -15,7 +15,7 @@ import pytest
 from repro.backends.memory import MemoryBackend
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.model.view import ViewSpec
-from repro.optimizer.plan import ExecutionPlan, FlagStep, ViewGroup
+from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +33,10 @@ def workload():
 def plans_for(n_measures: int, predicate):
     views = tuple(ViewSpec("d0", f"m{i}", "sum") for i in range(n_measures))
     one_per_view = ExecutionPlan(
-        [FlagStep("synthetic", predicate, ViewGroup("d0", (v,))) for v in views]
+        [ExecutionStep("synthetic", predicate, (ViewGroup("d0", (v,)),)) for v in views]
     )
     combined = ExecutionPlan(
-        [FlagStep("synthetic", predicate, ViewGroup("d0", views))]
+        [ExecutionStep("synthetic", predicate, (ViewGroup("d0", views),))]
     )
     return one_per_view, combined
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.model.view import ViewSpec
-from repro.optimizer.plan import ExecutionPlan, FlagStep, SeparateStep, ViewGroup
+from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
 VIEWS = [ViewSpec(f"d{i}", "m0", "sum") for i in range(5)]
 
@@ -24,10 +24,14 @@ def backend(synth_large):
 
 
 def make_plan(predicate, combined: bool) -> ExecutionPlan:
-    step_type = FlagStep if combined else SeparateStep
     return ExecutionPlan(
         [
-            step_type("synthetic", predicate, ViewGroup(v.dimension, (v,)))
+            ExecutionStep(
+                "synthetic",
+                predicate,
+                (ViewGroup(v.dimension, (v,)),),
+                combine_flag=combined,
+            )
             for v in VIEWS
         ]
     )

@@ -18,7 +18,7 @@ from repro.core.view_processor import ViewProcessor
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.query import RowSelectQuery
 from repro.metrics.registry import get_metric
-from repro.optimizer.plan import ExecutionPlan, FlagStep, ViewGroup
+from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 from repro.sampling.accuracy import topk_precision
 
 
@@ -44,8 +44,8 @@ def exact_run(dataset, views):
         grouped.setdefault(view.dimension, []).append(view)
     plan = ExecutionPlan(
         [
-            FlagStep(dataset.table.name, dataset.predicate,
-                     ViewGroup(dim, tuple(members)))
+            ExecutionStep(dataset.table.name, dataset.predicate,
+                          (ViewGroup(dim, tuple(members)),))
             for dim, members in grouped.items()
         ]
     )

@@ -27,7 +27,7 @@ from repro.optimizer.parallel import (
     configure_shared_pool,
     get_shared_pool,
 )
-from repro.optimizer.plan import ExecutionPlan, FlagStep, ViewGroup
+from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
 #: The sweep goes up to 8 workers; on small machines the shared pool's
 #: default bound (cpu-derived) would silently cap effective parallelism
@@ -47,8 +47,8 @@ def workload():
     views = [ViewSpec(f"d{i}", "m0", "sum") for i in range(12)]
     plan = ExecutionPlan(
         [
-            FlagStep(dataset.table.name, dataset.predicate,
-                     ViewGroup(v.dimension, (v,)))
+            ExecutionStep(dataset.table.name, dataset.predicate,
+                          (ViewGroup(v.dimension, (v,)),))
             for v in views
         ]
     )

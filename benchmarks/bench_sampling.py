@@ -16,7 +16,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.experiments.accuracy import sampling_accuracy_sweep
 from repro.metrics.registry import get_metric
 from repro.model.view import ViewSpec
-from repro.optimizer.plan import ExecutionPlan, FlagStep, ViewGroup
+from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 from repro.sampling import BernoulliSampler, StratifiedSampler, topk_precision
 
 
@@ -65,7 +65,10 @@ def _utilities_on(table, predicate, views):
     backend = MemoryBackend()
     backend.register_table(table)
     plan = ExecutionPlan(
-        [FlagStep(table.name, predicate, ViewGroup(v.dimension, (v,))) for v in views]
+        [
+            ExecutionStep(table.name, predicate, (ViewGroup(v.dimension, (v,)),))
+            for v in views
+        ]
     )
     processor = ViewProcessor(get_metric("js"))
     return {

@@ -181,7 +181,7 @@ def test_score_batch_microbench(benchmark, workload):
     from repro.core.space import enumerate_views
     from repro.core.view_processor import ViewProcessor
     from repro.metrics.registry import get_metric
-    from repro.optimizer.plan import ExecutionPlan, FlagStep, ViewGroup
+    from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
     dataset, _query = workload
     backend = MemoryBackend()
@@ -194,8 +194,8 @@ def test_score_batch_microbench(benchmark, workload):
         grouped.setdefault(view.dimension, []).append(view)
     plan = ExecutionPlan(
         [
-            FlagStep(dataset.table.name, dataset.predicate,
-                     ViewGroup(dimension, tuple(members)))
+            ExecutionStep(dataset.table.name, dataset.predicate,
+                          (ViewGroup(dimension, tuple(members)),))
             for dimension, members in grouped.items()
         ]
     )

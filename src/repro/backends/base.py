@@ -35,9 +35,9 @@ class BackendCapabilities:
     * ``grouping_sets`` — multiple group-by sets share one scan
       ("if the SQL GROUPING SETS functionality is available in the
       underlying DBMS, SEEDB can leverage that", §3.3). False steers the
-      planner away from :class:`~repro.optimizer.plan.MultiDimStep` and
-      makes ``execute_grouping_sets`` a fallback (per-set queries or one
-      UNION ALL statement).
+      planner away from ``GROUPING_SETS`` steps and makes
+      ``execute_grouping_sets`` a fallback (per-set queries or one UNION
+      ALL statement).
     * ``parallel_queries`` — concurrent query execution is safe and useful.
     * ``native_var_std`` — VAR/STD can be pushed down unrewritten.
     * ``native_sampling`` — :meth:`Backend.create_sample` materializes the

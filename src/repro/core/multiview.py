@@ -8,9 +8,9 @@ combinations. Everything else — the flag-combined execution, partition
 merging, normalization, distance scoring, top-k — is exactly the
 single-attribute machinery, which is the point the sentence makes: the
 recommender below is a phase list over the shared
-:class:`~repro.engine.ExecutionEngine` (tuple-dimension enumeration and
-planning from :mod:`repro.engine.multiview`, then the standard
-Execute/Score/Select phases).
+:class:`~repro.engine.ExecutionEngine` (tuple-dimension enumeration from
+:mod:`repro.engine.multiview`, then the standard Plan/Execute/Score/Select
+phases).
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ class MultiViewRecommender:
     """Top-k recommendation over multi-attribute views.
 
     Executes one flag-combined query per dimension *combination* (all
-    aggregates shared), reconstructs target/comparison distributions over
-    attribute-value tuples, and scores them with the configured metric —
-    all through the shared engine phases.
+    aggregates shared; two queries for a query-vs-query reference),
+    reconstructs target/comparison distributions over attribute-value
+    tuples, and scores them with the configured metric — all through the
+    shared engine phases.
     """
 
     def __init__(
@@ -144,27 +145,34 @@ class MultiViewRecommender:
     ) -> list[ScoredView]:
         """The k most deviating ``n_dimensions``-attribute views for a
         declarative request (reference and dimension/measure filters
-        honored; only flag-combinable references — table / complement —
-        are supported on this path)."""
+        honored)."""
         from repro.api.request import require_request
         from repro.engine.multiview import (
             DropEmptyViewsPhase,
             MultiViewEnumeratePhase,
-            MultiViewPlanPhase,
             MultiViewPrunePhase,
         )
-        from repro.engine.phases import ExecutePhase, ScorePhase, SelectPhase
+        from repro.engine.phases import (
+            ExecutePhase,
+            PlanPhase,
+            ScorePhase,
+            SelectPhase,
+        )
 
         request = require_request(request)
         k = request.k if request.k is not None else 5
         metric = (
             get_metric(request.metric) if request.metric is not None else self.metric
         )
-        config = SeeDBConfig(normalization=self.normalization, k=k)
+        # The default knobs plan one flag-combined query per dimension
+        # combination; nothing is priced, so no statistics are fetched.
+        config = SeeDBConfig(
+            normalization=self.normalization, k=k, cost_based_planning=False
+        )
         phases = [
             MultiViewEnumeratePhase(n_dimensions, functions, include_count),
             MultiViewPrunePhase(),
-            MultiViewPlanPhase(),
+            PlanPhase(),
             ExecutePhase(),
             # Metric passed as an instance: custom DistanceMetric objects
             # need no registry entry.

@@ -42,10 +42,15 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :mod:`repro.metrics.normalize` relies on.
     """
     if values.dtype == object:
-        # np.unique on object arrays requires orderable values; dimension
-        # columns are strings by construction so plain unique works.
-        uniques, codes = np.unique(values.astype(str), return_inverse=True)
-        return codes, uniques
+        # np.unique on object arrays requires orderable values, so groups
+        # form (and order) on the string rendering; each group is then
+        # labelled with one of its own original values — a NULL stays
+        # ``None``, as under a multi-key group-by — found by an O(n)
+        # scatter rather than a second sort.
+        rendered, codes = np.unique(values.astype(str), return_inverse=True)
+        representative = np.empty(len(rendered), dtype=np.intp)
+        representative[codes] = np.arange(len(codes))
+        return codes, values[representative]
     uniques, codes = np.unique(values, return_inverse=True)
     return codes, uniques
 

@@ -24,7 +24,6 @@ from repro.engine.incremental import (
 from repro.engine.multiview import (
     DropEmptyViewsPhase,
     MultiViewEnumeratePhase,
-    MultiViewPlanPhase,
     MultiViewPrunePhase,
 )
 from repro.engine.phases import (
@@ -67,6 +66,5 @@ __all__ = [
     "TRACE_KEY",
     "MultiViewEnumeratePhase",
     "MultiViewPrunePhase",
-    "MultiViewPlanPhase",
     "DropEmptyViewsPhase",
 ]

@@ -34,7 +34,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.phases import Phase, ScorePhase
 from repro.metrics.normalize import canonical_key
 from repro.model.view import RawViewData, ViewSpec
-from repro.optimizer.combine import dedup_aggregates, merge_spec
+from repro.optimizer.combine import aux_aggregates, merge_spec
 from repro.optimizer.extract import FLAG_NAME
 from repro.testing.faults import fault_point
 
@@ -320,11 +320,7 @@ class PhasedExecutePhase(Phase):
         for view in views:
             groups.setdefault(view.dimension, []).append(view)
         states = {
-            dimension: DimensionState(
-                aux=dedup_aggregates(
-                    [a for v in members for a in merge_spec(v.aggregate).aux]
-                )
-            )
+            dimension: DimensionState(aux=aux_aggregates(members))
             for dimension, members in groups.items()
         }
 

@@ -1,13 +1,14 @@
-"""Multi-attribute views as a swappable Enumerate/Prune/Plan phase set.
+"""Multi-attribute views as a swappable Enumerate/Prune phase pair.
 
 The §2 generalization ("SEEDB techniques can directly be used to recommend
-visualizations for multiple column views") re-hosted on the shared engine:
+visualizations for multiple column views") on the shared engine:
 enumeration produces :class:`~repro.core.multiview.MultiViewSpec`
-candidates, planning maps each dimension *combination* onto one
-:class:`~repro.optimizer.plan.MultiFlagStep`, and the standard
-Execute/Score/Select phases — including the persistent worker pool and the
-shared View Processor — do the rest. The multiview path therefore shares
-every line of execution, alignment, normalization, and top-k code with the
+candidates, and from there the standard phases take over — the one
+:class:`~repro.optimizer.plan.Planner` groups views by their dimension
+*tuple* (one step per combination, aggregates shared, any reference), and
+Execute/Score/Select, the persistent worker pool and the shared View
+Processor do the rest. The multiview path therefore shares every line of
+planning, execution, alignment, normalization, and top-k code with the
 batch path, which is the point the paper's sentence makes.
 """
 
@@ -18,7 +19,6 @@ from typing import Sequence
 from repro.core.multiview import MultiViewSpec, enumerate_multi_views
 from repro.engine.context import ExecutionContext
 from repro.engine.phases import Phase
-from repro.optimizer.plan import ExecutionPlan, MultiFlagStep
 from repro.pruning.base import PruneReport
 
 
@@ -102,35 +102,3 @@ class DropEmptyViewsPhase(Phase):
         ctx.scored = {
             spec: view for spec, view in ctx.scored.items() if view.groups
         }
-
-
-class MultiViewPlanPhase(Phase):
-    """One flag-combined query per dimension combination, aggregates shared."""
-
-    name = "plan"
-
-    def run(self, ctx: ExecutionContext) -> None:
-        if not ctx.reference.flag_combinable:
-            from repro.util.errors import QueryError
-
-            raise QueryError(
-                "multi-attribute views support only flag-combinable "
-                "references (table / complement), not query-vs-query"
-            )
-        by_dims: dict[tuple[str, ...], list[MultiViewSpec]] = {}
-        for view in ctx.surviving:
-            by_dims.setdefault(view.dimensions, []).append(view)
-        table = ctx.resolve_execution_table()
-        ctx.plan = ExecutionPlan(
-            steps=[
-                MultiFlagStep(
-                    table=table,
-                    predicate=ctx.query.predicate,
-                    dimensions=dims,
-                    view_specs=tuple(members),
-                    reference=ctx.reference,
-                )
-                for dims, members in by_dims.items()
-            ]
-        )
-        ctx.plan_description = ctx.plan.describe()

@@ -6,7 +6,7 @@ Metadata Collector → Query Generator (enumerate + prune) → Optimizer
 a ``run(ctx)`` that reads/writes :class:`~repro.engine.context.ExecutionContext`
 fields. Alternative strategies swap individual phases: incremental
 execution replaces Execute/Score (:mod:`repro.engine.incremental`),
-multi-attribute views replace Enumerate/Prune/Plan
+multi-attribute views replace Enumerate/Prune
 (:mod:`repro.engine.multiview`).
 """
 
@@ -18,7 +18,7 @@ from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.topk import top_k_views
 from repro.core.view_processor import ViewProcessor
 from repro.engine.context import ExecutionContext
-from repro.optimizer.plan import GroupByCombining, Planner, resolve_auto_mode
+from repro.optimizer.plan import Planner, candidate_kinds
 from repro.pruning.base import PruneReport
 
 
@@ -158,22 +158,23 @@ class SamplePhase(Phase):
 class PlanPhase(Phase):
     """Map surviving views onto an execution plan (the Optimizer proper).
 
-    One planner over a candidate list. The capability-declared combining
-    mode (:func:`~repro.optimizer.plan.resolve_auto_mode`) is always the
-    first candidate; with ``config.cost_based_planning`` on and
-    ``GroupByCombining.AUTO`` the other feasible modes join it, each is
-    priced by :func:`~repro.optimizer.cost.estimate_plan_cost` against the
-    table's statistics profile, converted to seconds with the backend's
-    calibrated coefficients, and the argmin executes. Ties (strict
-    comparison) keep the capability-declared choice. Every candidate is
-    equivalence-preserving, so the choice changes *how* views execute,
-    never the recommendations.
+    One :class:`~repro.optimizer.plan.Planner`, one plan per candidate
+    kind. The candidates are the rows of
+    :data:`~repro.optimizer.plan.PLAN_KINDS` that
+    ``config.groupby_combining`` admits
+    (:func:`~repro.optimizer.plan.candidate_kinds`), the
+    capability-declared one first. With ``config.cost_based_planning`` on,
+    each plan is priced by :func:`~repro.optimizer.cost.estimate_plan_cost`
+    against the table's statistics profile, converted to seconds with the
+    backend's calibrated coefficients, and the argmin executes; ties
+    (strict comparison) keep the capability-declared kind. Every candidate
+    is equivalence-preserving, so the choice changes *how* views execute,
+    never the recommendations. The decision record travels on
+    ``ctx.plan_decision`` (``cost_based`` is False when the mode was pinned
+    to one kind) and feeds the engine's calibration loop.
 
-    With the flag off the single candidate is planned and nothing is
-    priced: ``ctx.plan_decision`` stays ``None``. With the flag on the
-    decision record travels on ``ctx.plan_decision`` (``cost_based`` is
-    False when there was only one candidate) and feeds the engine's
-    calibration loop.
+    With the flag off only the first candidate is planned and nothing is
+    priced: ``ctx.plan_decision`` stays ``None``.
     """
 
     name = "plan"
@@ -187,20 +188,11 @@ class PlanPhase(Phase):
         table = ctx.resolve_execution_table()
         base = config.planner_config()
 
-        # Static choice first: strict argmin keeps it on ties.
-        candidates = [resolve_auto_mode(config.groupby_combining, capabilities)]
-        if priced and config.groupby_combining is GroupByCombining.AUTO:
-            candidates += [
-                mode
-                for mode in (
-                    GroupByCombining.GROUPING_SETS,
-                    GroupByCombining.ROLLUP,
-                    GroupByCombining.NONE,
-                )
-                if mode is not candidates[0]
-            ]
+        candidates = candidate_kinds(config.groupby_combining, capabilities)
+        if not priced:
+            candidates = candidates[:1]
         plans = [
-            Planner(replace(base, groupby_combining=mode)).plan(
+            Planner(replace(base, groupby_combining=kind)).plan(
                 ctx.surviving,
                 table,
                 ctx.query.predicate,
@@ -208,7 +200,7 @@ class PlanPhase(Phase):
                 capabilities,
                 reference=ctx.reference,
             )
-            for mode in candidates
+            for kind in candidates
         ]
         ctx.plan = (
             self._cheapest(ctx, candidates, plans, profile, cardinalities)

@@ -149,7 +149,7 @@ def align_batch(
     """
     index_a = _key_index(keys_a, matrix_a, "first")
     index_b = _key_index(keys_b, matrix_b, "second")
-    union = sorted(set(index_a) | set(index_b), key=_sort_key)
+    union = sorted(set(index_a) | set(index_b), key=group_sort_key)
     aligned_a = _scatter(matrix_a, index_a, union, fill)
     aligned_b = _scatter(matrix_b, index_b, union, fill)
     return union, aligned_a, aligned_b
@@ -202,6 +202,12 @@ def canonical_key(key: Any) -> Any:
     return key
 
 
-def _sort_key(key: Any) -> tuple[str, Any]:
-    """Sort mixed-type key unions deterministically by (type name, value)."""
+def group_sort_key(key: Any) -> tuple[str, Any]:
+    """Sort mixed-type key unions deterministically by (type name, value).
+
+    Tuple keys (multi-attribute views) order component-wise by the same
+    rule, so a NULL component never meets a string in a comparison.
+    """
+    if isinstance(key, tuple):
+        return ("tuple", tuple(group_sort_key(part) for part in key))
     return (type(key).__name__, key)

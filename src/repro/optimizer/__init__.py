@@ -25,15 +25,10 @@ from repro.optimizer.binpack import (
 from repro.optimizer.plan import (
     ExecutionPlan,
     ExecutionStep,
-    FlagStep,
     GroupByCombining,
-    MultiDimStep,
     Planner,
     PlannerConfig,
-    RollupStep,
-    SeparateStep,
     ViewGroup,
-    resolve_auto_mode,
 )
 from repro.optimizer.parallel import ParallelExecutor
 from repro.optimizer.cost import (
@@ -57,15 +52,10 @@ __all__ = [
     "pack_dimensions",
     "ExecutionPlan",
     "ExecutionStep",
-    "FlagStep",
     "GroupByCombining",
-    "MultiDimStep",
     "Planner",
     "PlannerConfig",
-    "RollupStep",
-    "SeparateStep",
     "ViewGroup",
-    "resolve_auto_mode",
     "ParallelExecutor",
     "CostModel",
     "PlanCost",

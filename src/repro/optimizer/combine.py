@@ -116,6 +116,13 @@ def dedup_aggregates(aggregates: "list[Aggregate] | tuple[Aggregate, ...]") -> t
     return tuple(unique)
 
 
+def aux_aggregates(views) -> tuple[Aggregate, ...]:
+    """Deduped auxiliary (mergeable) aggregates that ``views`` decompose into."""
+    return dedup_aggregates(
+        [aux for view in views for aux in merge_spec(view.aggregate).aux]
+    )
+
+
 def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         result = numerator / denominator

@@ -9,6 +9,8 @@ Two layers, mirroring the ``StatInfo`` / ``blocks_accessed`` ×
   query = one scan of its base table; a grouping-sets query = one scan
   and one logical query on backends with native support, one scan and one
   logical query *per set* otherwise (still a single UNION ALL statement).
+  Pricing reads a step's ``queries()`` only: rollup marginalization
+  re-reads the small result, not the base table, and is not counted.
   Plans executing against a materialized ``__seedb_sample`` table are
   priced at the sampled row count, not the base table's.
 * :class:`CostModel` converts work units into predicted seconds with
@@ -29,14 +31,14 @@ import re
 from dataclasses import dataclass, field
 
 from repro.backends.base import BackendCapabilities
-from repro.db.query import AggregateQuery, GroupingSetsQuery
+from repro.db.query import GroupingSetsQuery
 from repro.metadata.calibration import (
     CalibrationStore,
     CostCoefficients,
     DEFAULT_COEFFICIENTS,
     SEEDED_COEFFICIENTS,
 )
-from repro.optimizer.plan import ExecutionPlan, RollupStep
+from repro.optimizer.plan import ExecutionPlan
 
 #: Parses the knobs out of a cache-materialized sample-table name
 #: (``<source>__seedb_sample_<fraction*1e6>_<seed>`` — see
@@ -175,15 +177,10 @@ def estimate_plan_cost(
                 for key_set in query.sets:
                     result_groups += _set_groups(key_set, cardinalities)
             else:
-                assert isinstance(query, AggregateQuery)
                 n_queries += 1
                 n_scans += 1
                 rows_scanned += step_rows
                 result_groups += _set_groups(query.group_by, cardinalities)
-        if isinstance(step, RollupStep):
-            # Marginalization re-reads the rollup result, not the base
-            # table: negligible, not counted as scans.
-            pass
     return PlanCost(
         n_queries=n_queries,
         n_scans=n_scans,

@@ -24,7 +24,7 @@ import numpy as np
 from repro.model.view import RawViewData, ViewBlock, ViewSpec
 from repro.db.aggregates import Aggregate
 from repro.db.table import Table
-from repro.metrics.normalize import align_batch, canonical_key
+from repro.metrics.normalize import align_batch, canonical_key, group_sort_key
 from repro.optimizer.combine import (
     merge_aux_arrays,
     merge_fill_value,
@@ -64,9 +64,7 @@ def align_aux(
     """
     index_a = {key: i for i, key in enumerate(keys_a)}
     index_b = {key: i for i, key in enumerate(keys_b)}
-    union = sorted(
-        set(index_a) | set(index_b), key=lambda k: (type(k).__name__, k)
-    )
+    union = sorted(set(index_a) | set(index_b), key=group_sort_key)
     aligned_a: dict[str, np.ndarray] = {}
     aligned_b: dict[str, np.ndarray] = {}
     for aggregate in aggregates:
@@ -98,143 +96,105 @@ def dimension_keys(part: Table, dimension: "str | tuple[str, ...]") -> list:
     return [canonical_key(k) for k in part.column(dimension)]
 
 
-def raw_from_flag_table(
-    result: Table,
+def view_dimension(view) -> "str | tuple[str, ...]":
+    """What ``view`` groups by: one attribute name, or a tuple of names for a
+    multi-attribute view (specs are duck-typed on ``dimension`` /
+    ``dimensions``)."""
+    dimension = getattr(view, "dimension", None)
+    return dimension if dimension is not None else tuple(view.dimensions)
+
+
+def extract_views(
+    results: "tuple[Table, ...]",
     dimension: "str | tuple[str, ...]",
     views: tuple[ViewSpec, ...],
-    flag_name: str = FLAG_NAME,
+    aggregates: tuple[Aggregate, ...],
     merge: bool = True,
 ) -> dict[ViewSpec, RawViewData]:
-    """Recover target and comparison series from a flag-combined result.
+    """Per-view target and comparison series from one group's results.
 
-    ``result`` is grouped by ``(flag, dimension)`` with auxiliary
-    aggregates. Target = flag=1 partition; comparison = merge of both
-    partitions when ``merge`` (the comparison view covers the entire
-    table, §2 — the ``table`` reference), or the flag=0 partition alone
-    when ``merge=False`` (the ``complement`` reference: comparison over
-    D ∖ D_Q). ``dimension`` may be a tuple of attribute names, in which
-    case group keys are attribute-value tuples (multi-attribute views).
+    ``results`` is what the group's queries returned, all grouped by
+    ``dimension`` (a tuple of names yields attribute-value tuple keys —
+    multi-attribute views) and carrying ``aggregates``:
+
+    * ``(combined,)`` — one flag-combined result grouped by
+      ``(flag, dimension)``. Target = the flag=1 partition; comparison =
+      both partitions merged when ``merge`` (the comparison view covers
+      the entire table, §2 — the ``table`` reference), or the flag=0
+      partition alone (the ``complement`` reference, D ∖ D_Q).
+    * ``(target, comparison)`` — one result per side; the comparison
+      query already selected the reference's rows, nothing is merged.
+
+    A view reads its own aggregate's column when the queries carried it and
+    is otherwise reconstructed from the auxiliary columns they carried
+    instead (``avg`` from ``sum``/``countv``, ...).
     """
-    flags = np.asarray(result.column(flag_name))
-    target_part = result.mask(flags == 1)
-    rest_part = result.mask(flags == 0)
-
-    all_aux = _all_aux(views)
-    target_keys = dimension_keys(target_part, dimension)
-    target_aux = aux_arrays(target_part, all_aux)
-    rest_keys = dimension_keys(rest_part, dimension)
-    rest_aux = aux_arrays(rest_part, all_aux)
-
+    if len(results) == 1:
+        (combined,) = results
+        flags = np.asarray(combined.column(FLAG_NAME))
+        target, comparison = combined.mask(flags == 1), combined.mask(flags == 0)
+    else:
+        target, comparison = results
+        merge = False
+    # One key list per side, aliased by every view of the group: lets
+    # blocks_from_raw recognize the shared universe by identity instead of
+    # re-canonicalizing keys per view.
+    target_keys = dimension_keys(target, dimension)
+    target_columns = aux_arrays(target, aggregates)
+    comparison_keys = dimension_keys(comparison, dimension)
+    comparison_columns = aux_arrays(comparison, aggregates)
     if merge:
-        union, aligned_target, aligned_rest = align_aux(
-            target_keys, target_aux, rest_keys, rest_aux, all_aux
+        comparison_keys, aligned_target, aligned_rest = align_aux(
+            target_keys, target_columns, comparison_keys, comparison_columns,
+            aggregates,
         )
-        comparison_aux = {
+        comparison_columns = {
             aggregate.alias: merge_aux_arrays(
                 aggregate,
                 aligned_target[aggregate.alias],
                 aligned_rest[aggregate.alias],
             )
-            for aggregate in all_aux
+            for aggregate in aggregates
         }
-        comparison_keys = union
-    else:
-        comparison_aux = rest_aux
-        comparison_keys = rest_keys
 
-    extracted: dict[ViewSpec, RawViewData] = {}
-    # One shared key-list object per side: views of one step alias the same
-    # lists, which lets blocks_from_raw recognize the shared universe by
-    # identity instead of re-canonicalizing keys per view.
-    shared_target_keys = list(target_keys)
-    shared_comparison_keys = list(comparison_keys)
-    for view in views:
-        spec = merge_spec(view.aggregate)
-        extracted[view] = RawViewData(
-            spec=view,
-            target_keys=shared_target_keys,
-            target_values=spec.reconstruct(target_aux),
-            comparison_keys=shared_comparison_keys,
-            comparison_values=spec.reconstruct(comparison_aux),
-        )
-    return extracted
+    def values(view: ViewSpec, columns: dict[str, np.ndarray]) -> np.ndarray:
+        alias = view.aggregate.alias
+        if alias in columns:
+            return columns[alias]
+        return merge_spec(view.aggregate).reconstruct(columns)
 
-
-def raw_from_separate_tables(
-    target_result: Table,
-    comparison_result: Table,
-    dimension: str,
-    views: tuple[ViewSpec, ...],
-    use_aux: bool = False,
-) -> dict[ViewSpec, RawViewData]:
-    """Per-view series from separate target and comparison results.
-
-    ``use_aux=True`` when the queries carried decomposed auxiliary
-    aggregates (rollup plans); otherwise each view's own aggregate column
-    is read directly.
-    """
-    extracted: dict[ViewSpec, RawViewData] = {}
-    if use_aux:
-        all_aux = _all_aux(views)
-        target_keys = [canonical_key(k) for k in target_result.column(dimension)]
-        comparison_keys = [
-            canonical_key(k) for k in comparison_result.column(dimension)
-        ]
-        target_aux = aux_arrays(target_result, all_aux)
-        comparison_aux = aux_arrays(comparison_result, all_aux)
-        for view in views:
-            spec = merge_spec(view.aggregate)
-            extracted[view] = RawViewData(
-                spec=view,
-                target_keys=target_keys,
-                target_values=spec.reconstruct(target_aux),
-                comparison_keys=comparison_keys,
-                comparison_values=spec.reconstruct(comparison_aux),
-            )
-        return extracted
-    target_keys = [canonical_key(k) for k in target_result.column(dimension)]
-    comparison_keys = [canonical_key(k) for k in comparison_result.column(dimension)]
-    for view in views:
-        extracted[view] = RawViewData(
+    return {
+        view: RawViewData(
             spec=view,
             target_keys=target_keys,
-            target_values=np.asarray(
-                target_result.column(view.aggregate.alias), dtype=np.float64
-            ),
+            target_values=values(view, target_columns),
             comparison_keys=comparison_keys,
-            comparison_values=np.asarray(
-                comparison_result.column(view.aggregate.alias), dtype=np.float64
-            ),
+            comparison_values=values(view, comparison_columns),
         )
-    return extracted
+        for view in views
+    }
 
 
 def marginalize(
     result: Table,
-    dimension: str,
+    keys: tuple[str, ...],
     aggregates: tuple[Aggregate, ...],
     flag_name: "str | None" = None,
 ) -> Table:
-    """Project a multi-dimensional rollup result onto one dimension.
+    """Project a multi-dimensional rollup result onto one view group's keys.
 
-    Groups the (small) result rows by ``dimension`` (and the flag, when
-    present) and merges each auxiliary aggregate across the collapsed
-    dimensions — additive aggregates sum, extrema take fmin/fmax. This is
-    the backend post-processing step of the "Combine Multiple Group-bys"
-    optimization.
+    Groups the (small) result rows by ``keys`` (and the flag, when present)
+    and merges each auxiliary aggregate across the collapsed dimensions —
+    additive aggregates sum, extrema take fmin/fmax. This is the backend
+    post-processing step of the "Combine Multiple Group-bys" optimization.
     """
     from repro.db.groupby import factorize  # local import to avoid cycles
     from repro.db.schema import Schema
 
-    group_columns = [dimension] if flag_name is None else [flag_name, dimension]
-    code_parts = []
-    cards = []
+    group_columns = ([] if flag_name is None else [flag_name]) + list(keys)
+    combined = np.zeros(result.num_rows, dtype=np.int64)
     for name in group_columns:
         codes, uniques = factorize(result.column(name))
-        code_parts.append((codes, uniques))
-        cards.append(len(uniques))
-    combined = code_parts[0][0].astype(np.int64)
-    for codes, uniques in code_parts[1:]:
         combined = combined * len(uniques) + codes
     unique_codes, first_index, compact = np.unique(
         combined, return_index=True, return_inverse=True
@@ -265,7 +225,7 @@ def marginalize(
     specs = tuple(
         result.schema[name] for name in group_columns
     ) + tuple(result.schema[aggregate.alias] for aggregate in aggregates)
-    return Table(f"{result.name}_marg_{dimension}", Schema(specs), arrays)
+    return Table(f"{result.name}_marg_{'_'.join(keys)}", Schema(specs), arrays)
 
 
 def blocks_from_raw(
@@ -301,11 +261,8 @@ def blocks_from_raw(
 
     buckets: dict[tuple, list[RawViewData]] = {}
     for raw in raw_views:
-        dimension = getattr(raw.spec, "dimension", None)
-        if dimension is None:
-            dimension = tuple(raw.spec.dimensions)
         bucket_key = (
-            dimension,
+            view_dimension(raw.spec),
             canonical_tuple(raw.target_keys),
             canonical_tuple(raw.comparison_keys),
         )
@@ -350,13 +307,3 @@ def _stack_values(
             )
         matrix[row] = values
     return matrix
-
-
-def _all_aux(views: tuple[ViewSpec, ...]) -> tuple[Aggregate, ...]:
-    """Deduped auxiliary aggregates needed by ``views``."""
-    from repro.optimizer.combine import dedup_aggregates
-
-    collected: list[Aggregate] = []
-    for view in views:
-        collected.extend(merge_spec(view.aggregate).aux)
-    return dedup_aggregates(collected)

@@ -1,24 +1,28 @@
 """Execution plans: how view queries are combined and executed.
 
-The Planner maps candidate views + optimizer toggles onto a list of
-:class:`ExecutionStep` objects. Each step knows its logical queries and how
-to extract per-view raw series from their results. Step types, from no
-sharing to maximal sharing:
+The paper's §3.3 query-combining optimizations are two independent
+choices, and a plan step carries one field for each:
 
-* :class:`SeparateStep` — target and comparison as two queries (basic
-  framework; with aggregate-combining the group still shares one pair).
-* :class:`FlagStep` — one query ``GROUP BY (flag, a)`` serving both sides.
-* :class:`MultiDimStep` — several dimensions in one GROUPING SETS query
-  (shared scan where the backend supports it).
-* :class:`RollupStep` — several dimensions in one multi-attribute group-by,
-  marginalized in post-processing; dimension sets chosen by bin-packing
-  under the working-memory budget.
+* **sides** (``combine_flag``) — target and comparison share one query
+  ``GROUP BY (flag, a)`` whose partitions are merged afterwards, or run as
+  two queries (the only option for a query-vs-query reference: one 0/1
+  flag cannot partition two possibly overlapping selections).
+* **sharing** (:class:`GroupByCombining`) — how several view groups share
+  a scan: not at all (one group per step), one GROUPING SETS query, or one
+  multi-attribute rollup marginalized per group in post-processing.
+
+:class:`ExecutionStep` is the one step type; it knows its logical queries
+and how to extract per-view raw series from their results. The ways of
+arranging view groups into steps are the rows of :data:`PLAN_KINDS`;
+:class:`Planner` looks its mode up there and the engine's cost-based
+``PlanPhase`` prices one plan per row.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.backends.base import Backend, BackendCapabilities
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
@@ -26,384 +30,170 @@ from repro.model.view import RawViewData, ViewSpec
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import Expression, TruePredicate
 from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery
+from repro.db.table import Table
 from repro.optimizer.binpack import pack_dimensions
 from repro.util.deadline import check_current
-from repro.optimizer.combine import dedup_aggregates, merge_spec
+from repro.optimizer.combine import aux_aggregates, dedup_aggregates
 from repro.optimizer.extract import (
     FLAG_NAME,
+    extract_views,
     marginalize,
-    raw_from_flag_table,
-    raw_from_separate_tables,
+    view_dimension,
 )
 from repro.util.errors import ConfigError
 
 
+class GroupByCombining(enum.Enum):
+    """Strategy for the "Combine Multiple Group-bys" optimization."""
+
+    NONE = "none"
+    GROUPING_SETS = "grouping_sets"
+    ROLLUP = "rollup"
+    AUTO = "auto"  # resolved per backend through PLAN_KINDS
+
+
 @dataclass(frozen=True)
 class ViewGroup:
-    """Views sharing one group-by dimension (the unit of aggregate combining)."""
+    """Views sharing one group-by dimension (the unit of aggregate combining).
 
-    dimension: str
+    ``dimension`` is an attribute name, or a tuple of names for
+    multi-attribute views (§2), whose group keys are attribute-value tuples.
+    """
+
+    dimension: "str | tuple[str, ...]"
     views: tuple[ViewSpec, ...]
 
     def __post_init__(self) -> None:
         if not self.views:
             raise ConfigError("a view group needs at least one view")
         for view in self.views:
-            if view.dimension != self.dimension:
+            if view_dimension(view) != self.dimension:
                 raise ConfigError(
                     f"view {view.label!r} does not group by {self.dimension!r}"
                 )
 
     @property
-    def direct_aggregates(self) -> tuple[Aggregate, ...]:
-        """The views' own aggregates, deduped (for separate-query plans)."""
-        return dedup_aggregates([view.aggregate for view in self.views])
-
-    @property
-    def aux_aggregates(self) -> tuple[Aggregate, ...]:
-        """Decomposed mergeable aggregates, deduped (for shared plans)."""
-        collected: list[Aggregate] = []
-        for view in self.views:
-            collected.extend(merge_spec(view.aggregate).aux)
-        return dedup_aggregates(collected)
+    def keys(self) -> tuple[str, ...]:
+        """The group-by attribute names, as a tuple either way."""
+        if isinstance(self.dimension, str):
+            return (self.dimension,)
+        return self.dimension
 
 
+@dataclass
 class ExecutionStep:
-    """One unit of plan execution (independent of any other step)."""
+    """One unit of plan execution (independent of any other step).
 
-    table: str
-
-    @property
-    def views(self) -> tuple[ViewSpec, ...]:
-        raise NotImplementedError
-
-    def queries(self) -> list:
-        """The logical queries this step will issue (for costing/tests)."""
-        raise NotImplementedError
-
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        """Execute against ``backend`` and extract per-view raw series."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass
-class SeparateStep(ExecutionStep):
-    """Target and comparison view queries executed independently.
-
-    The comparison query's row set is the step's reference: the whole
-    table (predicate None, §2), the target's complement, or an arbitrary
-    second selection (query-vs-query).
+    ``groups`` run together: one group when ``sharing`` is ``NONE``,
+    several dimensions in one GROUPING SETS query (a shared scan where the
+    backend supports it), or several in one multi-attribute ``ROLLUP``
+    group-by marginalized per group afterwards. ``combine_flag`` folds
+    target and comparison into one query ``GROUP BY (flag, ...)``;
+    otherwise the comparison runs as a second query over the reference's
+    rows: the whole table (predicate None, §2), the target's complement,
+    or an arbitrary second selection (query-vs-query).
     """
 
     table: str
     predicate: "Expression | None"
-    group: ViewGroup
-    reference: ResolvedReference = TABLE_REFERENCE
-
-    @property
-    def views(self) -> tuple[ViewSpec, ...]:
-        return self.group.views
-
-    def queries(self) -> list:
-        aggregates = self.group.direct_aggregates
-        return [
-            AggregateQuery(
-                self.table, (self.group.dimension,), aggregates, self.predicate
-            ),
-            AggregateQuery(
-                self.table,
-                (self.group.dimension,),
-                aggregates,
-                self.reference.predicate,
-            ),
-        ]
-
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        target_query, comparison_query = self.queries()
-        target_result = backend.execute(target_query)
-        comparison_result = backend.execute(comparison_query)
-        return raw_from_separate_tables(
-            target_result, comparison_result, self.group.dimension, self.group.views
-        )
-
-    def describe(self) -> str:
-        return (
-            f"separate[{self.group.dimension}: "
-            f"{len(self.group.views)} view(s), 2 queries]"
-        )
-
-
-@dataclass
-class FlagStep(ExecutionStep):
-    """One combined query ``GROUP BY (flag, a)`` for target + comparison.
-
-    Only flag-combinable references run through this step: ``table``
-    merges both partitions into the comparison, ``complement`` takes the
-    flag=0 partition alone.
-    """
-
-    table: str
-    predicate: "Expression | None"
-    group: ViewGroup
-    reference: ResolvedReference = TABLE_REFERENCE
-
-    @property
-    def views(self) -> tuple[ViewSpec, ...]:
-        return self.group.views
-
-    def _flag(self) -> FlagColumn:
-        predicate = self.predicate if self.predicate is not None else TruePredicate()
-        return FlagColumn(FLAG_NAME, predicate)
-
-    def queries(self) -> list:
-        return [
-            AggregateQuery(
-                self.table,
-                (self._flag(), self.group.dimension),
-                self.group.aux_aggregates,
-                None,
-            )
-        ]
-
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        (query,) = self.queries()
-        result = backend.execute(query)
-        return raw_from_flag_table(
-            result,
-            self.group.dimension,
-            self.group.views,
-            merge=self.reference.merge_partitions,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"flag[{self.group.dimension}: "
-            f"{len(self.group.views)} view(s), 1 query]"
-        )
-
-
-@dataclass
-class MultiFlagStep(ExecutionStep):
-    """One flag-combined query grouped by a *tuple* of dimensions.
-
-    The execution unit of the multi-attribute generalization (§2): all
-    views sharing one dimension combination run as a single
-    ``GROUP BY (flag, a1, ..., ak)`` query whose result is post-processed
-    into per-view tuple-keyed series. Views are duck-typed — any spec with
-    ``aggregate`` and a matching ``dimensions`` tuple works.
-    """
-
-    table: str
-    predicate: "Expression | None"
-    dimensions: tuple[str, ...]
-    view_specs: tuple
+    groups: tuple[ViewGroup, ...]
+    sharing: GroupByCombining = GroupByCombining.NONE
+    combine_flag: bool = True
     reference: ResolvedReference = TABLE_REFERENCE
 
     def __post_init__(self) -> None:
-        if not self.view_specs:
-            raise ConfigError("a multi-dimension step needs at least one view")
-        for view in self.view_specs:
-            if tuple(view.dimensions) != self.dimensions:
-                raise ConfigError(
-                    f"view {view.label!r} does not group by {self.dimensions!r}"
-                )
-
-    @property
-    def views(self) -> tuple:
-        return self.view_specs
-
-    def _aggregates(self) -> tuple[Aggregate, ...]:
-        collected: list[Aggregate] = []
-        for view in self.view_specs:
-            collected.extend(merge_spec(view.aggregate).aux)
-        return dedup_aggregates(collected)
-
-    def queries(self) -> list:
-        predicate = self.predicate if self.predicate is not None else TruePredicate()
-        flag = FlagColumn(FLAG_NAME, predicate)
-        return [
-            AggregateQuery(
-                self.table, (flag,) + self.dimensions, self._aggregates(), None
-            )
-        ]
-
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        (query,) = self.queries()
-        result = backend.execute(query)
-        return raw_from_flag_table(
-            result,
-            self.dimensions,
-            self.view_specs,
-            merge=self.reference.merge_partitions,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"multi_flag[{list(self.dimensions)}: "
-            f"{len(self.view_specs)} view(s), 1 query]"
-        )
-
-
-@dataclass
-class MultiDimStep(ExecutionStep):
-    """Several dimensions per query via GROUPING SETS."""
-
-    table: str
-    predicate: "Expression | None"
-    groups: tuple[ViewGroup, ...]
-    combine_flag: bool
-    reference: ResolvedReference = TABLE_REFERENCE
-
-    @property
-    def views(self) -> tuple[ViewSpec, ...]:
-        return tuple(view for group in self.groups for view in group.views)
-
-    def _flag(self) -> FlagColumn:
-        predicate = self.predicate if self.predicate is not None else TruePredicate()
-        return FlagColumn(FLAG_NAME, predicate)
-
-    def _aggregates(self) -> tuple[Aggregate, ...]:
-        collected: list[Aggregate] = []
-        for group in self.groups:
-            collected.extend(
-                group.aux_aggregates if self.combine_flag else group.direct_aggregates
-            )
-        return dedup_aggregates(collected)
-
-    def queries(self) -> list:
-        aggregates = self._aggregates()
-        if self.combine_flag:
-            flag = self._flag()
-            sets = tuple((flag, group.dimension) for group in self.groups)
-            return [GroupingSetsQuery(self.table, sets, aggregates, None)]
-        sets = tuple((group.dimension,) for group in self.groups)
-        return [
-            GroupingSetsQuery(self.table, sets, aggregates, self.predicate),
-            GroupingSetsQuery(
-                self.table, sets, aggregates, self.reference.predicate
-            ),
-        ]
-
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        extracted: dict[ViewSpec, RawViewData] = {}
-        if self.combine_flag:
-            (query,) = self.queries()
-            results = backend.execute_grouping_sets(query)
-            for group, result in zip(self.groups, results):
-                extracted.update(
-                    raw_from_flag_table(
-                        result,
-                        group.dimension,
-                        group.views,
-                        merge=self.reference.merge_partitions,
-                    )
-                )
-            return extracted
-        target_query, comparison_query = self.queries()
-        target_results = backend.execute_grouping_sets(target_query)
-        comparison_results = backend.execute_grouping_sets(comparison_query)
-        for group, target_result, comparison_result in zip(
-            self.groups, target_results, comparison_results
+        if self.sharing is GroupByCombining.AUTO:
+            raise ConfigError("a step's sharing must be a resolved plan kind")
+        if not self.groups or (
+            self.sharing is GroupByCombining.NONE and len(self.groups) != 1
         ):
-            extracted.update(
-                raw_from_separate_tables(
-                    target_result, comparison_result, group.dimension, group.views
-                )
+            raise ConfigError(
+                f"sharing {self.sharing.value!r} cannot run {len(self.groups)} "
+                "view group(s) in one step"
             )
-        return extracted
-
-    def describe(self) -> str:
-        dimensions = [group.dimension for group in self.groups]
-        n_queries = 1 if self.combine_flag else 2
-        return f"grouping_sets[{dimensions}, {n_queries} query(ies)]"
-
-
-@dataclass
-class RollupStep(ExecutionStep):
-    """One multi-attribute group-by, marginalized per dimension afterwards."""
-
-    table: str
-    predicate: "Expression | None"
-    groups: tuple[ViewGroup, ...]
-    combine_flag: bool
-    reference: ResolvedReference = TABLE_REFERENCE
 
     @property
     def views(self) -> tuple[ViewSpec, ...]:
         return tuple(view for group in self.groups for view in group.views)
 
-    def _flag(self) -> FlagColumn:
-        predicate = self.predicate if self.predicate is not None else TruePredicate()
-        return FlagColumn(FLAG_NAME, predicate)
-
-    def _aggregates(self) -> tuple[Aggregate, ...]:
-        collected: list[Aggregate] = []
-        for group in self.groups:
-            collected.extend(group.aux_aggregates)
-        return dedup_aggregates(collected)
-
-    def _dimensions(self) -> tuple[str, ...]:
-        return tuple(group.dimension for group in self.groups)
+    def aggregates(self) -> tuple[Aggregate, ...]:
+        """What every query of the step computes: the decomposed mergeable
+        aggregates wherever results are merged afterwards (flag partitions,
+        rollup marginals), else the views' own aggregates."""
+        if self.combine_flag or self.sharing is GroupByCombining.ROLLUP:
+            return aux_aggregates(self.views)
+        return dedup_aggregates([view.aggregate for view in self.views])
 
     def queries(self) -> list:
-        aggregates = self._aggregates()
+        """The logical queries this step will issue (for costing/tests)."""
         if self.combine_flag:
-            group_by = (self._flag(),) + self._dimensions()
-            return [AggregateQuery(self.table, group_by, aggregates, None)]
+            flag = FlagColumn(
+                FLAG_NAME,
+                self.predicate if self.predicate is not None else TruePredicate(),
+            )
+            sides = [((flag,), None)]
+        else:
+            sides = [((), self.predicate), ((), self.reference.predicate)]
+        aggregates = self.aggregates()
+        if self.sharing is GroupByCombining.GROUPING_SETS:
+            return [
+                GroupingSetsQuery(
+                    self.table,
+                    tuple(prefix + group.keys for group in self.groups),
+                    aggregates,
+                    predicate,
+                )
+                for prefix, predicate in sides
+            ]
+        # NONE groups by its one group's keys, ROLLUP by every group's.
+        keys = tuple(dict.fromkeys(k for group in self.groups for k in group.keys))
         return [
-            AggregateQuery(self.table, self._dimensions(), aggregates, self.predicate),
-            AggregateQuery(
-                self.table,
-                self._dimensions(),
-                aggregates,
-                self.reference.predicate,
-            ),
+            AggregateQuery(self.table, prefix + keys, aggregates, predicate)
+            for prefix, predicate in sides
         ]
 
     def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        aggregates = self._aggregates()
+        """Execute against ``backend`` and extract per-view raw series."""
+        queries = self.queries()
+        sides = [self._group_results(backend, query) for query in queries]
         extracted: dict[ViewSpec, RawViewData] = {}
-        if self.combine_flag:
-            (query,) = self.queries()
-            rollup = backend.execute(query)
-            for group in self.groups:
-                marginal = marginalize(
-                    rollup, group.dimension, aggregates, flag_name=FLAG_NAME
-                )
-                extracted.update(
-                    raw_from_flag_table(
-                        marginal,
-                        group.dimension,
-                        group.views,
-                        merge=self.reference.merge_partitions,
-                    )
-                )
-            return extracted
-        target_query, comparison_query = self.queries()
-        target_rollup = backend.execute(target_query)
-        comparison_rollup = backend.execute(comparison_query)
-        for group in self.groups:
-            target_marginal = marginalize(target_rollup, group.dimension, aggregates)
-            comparison_marginal = marginalize(
-                comparison_rollup, group.dimension, aggregates
-            )
+        for group, *results in zip(self.groups, *sides):
             extracted.update(
-                raw_from_separate_tables(
-                    target_marginal,
-                    comparison_marginal,
+                extract_views(
+                    tuple(results),
                     group.dimension,
                     group.views,
-                    use_aux=True,
+                    queries[0].aggregates,
+                    merge=self.reference.merge_partitions,
                 )
             )
         return extracted
 
+    def _group_results(self, backend: Backend, query) -> list[Table]:
+        """Run one side's query; one result table per group, in order."""
+        if self.sharing is GroupByCombining.GROUPING_SETS:
+            return backend.execute_grouping_sets(query)
+        result = backend.execute(query)
+        if self.sharing is GroupByCombining.NONE:
+            return [result]
+        flag_name = FLAG_NAME if self.combine_flag else None
+        return [
+            marginalize(result, group.keys, query.aggregates, flag_name)
+            for group in self.groups
+        ]
+
     def describe(self) -> str:
         n_queries = 1 if self.combine_flag else 2
-        return f"rollup[{list(self._dimensions())}, {n_queries} query(ies)]"
+        if self.sharing is not GroupByCombining.NONE:
+            dimensions = [group.dimension for group in self.groups]
+            return f"{self.sharing.value}[{dimensions}, {n_queries} query(ies)]"
+        (group,) = self.groups
+        sides = "flag" if self.combine_flag else "separate"
+        noun = "query" if self.combine_flag else "queries"
+        return (
+            f"{sides}[{group.dimension}: {len(group.views)} view(s), "
+            f"{n_queries} {noun}]"
+        )
 
 
 @dataclass
@@ -437,35 +227,6 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
-class GroupByCombining(enum.Enum):
-    """Strategy for the "Combine Multiple Group-bys" optimization."""
-
-    NONE = "none"
-    GROUPING_SETS = "grouping_sets"
-    ROLLUP = "rollup"
-    AUTO = "auto"  # grouping sets if the backend supports them, else rollup
-
-
-def resolve_auto_mode(
-    mode: GroupByCombining, capabilities: BackendCapabilities
-) -> GroupByCombining:
-    """The static capability-declared resolution of ``AUTO``.
-
-    Shared-scan GROUPING SETS iff the backend declares them, rollup
-    otherwise. It is always the first candidate of
-    :class:`repro.engine.phases.PlanPhase`: the only one when
-    ``config.cost_based_planning`` is off, and the deterministic tie-break
-    (equal predicted cost → this choice) when the cost model picks.
-    """
-    if mode is not GroupByCombining.AUTO:
-        return mode
-    return (
-        GroupByCombining.GROUPING_SETS
-        if capabilities.grouping_sets
-        else GroupByCombining.ROLLUP
-    )
-
-
 @dataclass
 class PlannerConfig:
     """Optimizer toggles — the demo Scenario 2 "knobs" (§4)."""
@@ -488,6 +249,84 @@ class PlannerConfig:
             raise ConfigError("max_dims_per_query must be >= 1")
 
 
+
+@dataclass(frozen=True)
+class PlanKind:
+    """One way of arranging view groups into steps.
+
+    ``declared`` says whether a backend's capabilities make this kind the
+    static resolution of ``AUTO``; ``arrange`` partitions the groups into
+    the per-step bins (a bin of one runs unshared).
+    """
+
+    declared: Callable[[BackendCapabilities], bool]
+    arrange: Callable[
+        [list[ViewGroup], PlannerConfig, dict[str, int], bool],
+        list[list[ViewGroup]],
+    ]
+
+
+def _unshared(groups, config, cardinalities, combine_flag):
+    return [[group] for group in groups]
+
+
+def _chunked(groups, config, cardinalities, combine_flag):
+    size = config.max_dims_per_query
+    return [groups[i : i + size] for i in range(0, len(groups), size)]
+
+
+def _bin_packed(groups, config, cardinalities, combine_flag):
+    """Bin-pack dimensions under the rollup working-memory budget. The flag
+    column doubles the group count, so the budget halves when combined; a
+    dimension of unknown cardinality is conservatively too large to share."""
+    budget = config.memory_budget_cells
+    if combine_flag:
+        budget = max(budget // 2, 2)
+    by_dimension = {group.dimension: group for group in groups}
+    packed = pack_dimensions(
+        {
+            dimension: cardinalities.get(dimension, budget + 1)
+            for dimension in by_dimension
+        },
+        budget_cells=budget,
+        max_dims_per_bin=config.max_dims_per_query,
+        exact_threshold=config.binpack_exact_threshold,
+    )
+    return [[by_dimension[name] for name in members] for members in packed.bins]
+
+
+#: Every plan kind, in ``AUTO``'s order of preference: shared-scan GROUPING
+#: SETS where the backend declares them, rollup otherwise. All three run on
+#: every backend (grouping sets fall back to a UNION ALL emulation), so the
+#: cost-based planner prices them all.
+PLAN_KINDS: dict[GroupByCombining, PlanKind] = {
+    GroupByCombining.GROUPING_SETS: PlanKind(
+        lambda capabilities: capabilities.grouping_sets, _chunked
+    ),
+    GroupByCombining.ROLLUP: PlanKind(lambda capabilities: True, _bin_packed),
+    GroupByCombining.NONE: PlanKind(lambda capabilities: True, _unshared),
+}
+
+
+def candidate_kinds(
+    mode: GroupByCombining, capabilities: BackendCapabilities
+) -> list[GroupByCombining]:
+    """The plan kinds ``mode`` admits on a backend, preferred one first.
+
+    A pinned mode admits itself. ``AUTO`` admits every row of
+    :data:`PLAN_KINDS`, led by the first one the capabilities declare —
+    the static resolution: the only kind planned when nothing is priced,
+    and the deterministic tie-break (equal predicted cost → this choice)
+    when the cost model picks.
+    """
+    if mode is not GroupByCombining.AUTO:
+        return [mode]
+    declared = next(
+        kind for kind, row in PLAN_KINDS.items() if row.declared(capabilities)
+    )
+    return [declared] + [kind for kind in PLAN_KINDS if kind is not declared]
+
+
 class Planner:
     """Builds an :class:`ExecutionPlan` from views and optimizer toggles."""
 
@@ -501,132 +340,46 @@ class Planner:
         predicate: "Expression | None",
         cardinalities: dict[str, int],
         capabilities: BackendCapabilities,
-        reference: "ResolvedReference | None" = None,
+        reference: ResolvedReference = TABLE_REFERENCE,
     ) -> ExecutionPlan:
         """Plan execution of ``views`` against ``table``.
 
         ``cardinalities`` (dimension -> distinct count) comes from the
-        metadata collector and drives bin-packing; a dimension missing from
-        it is conservatively treated as too large to share a rollup.
-        ``reference`` selects the comparison row set (defaults to the whole
-        table); a non-flag-combinable reference (query-vs-query) forces
-        separate target/comparison queries even when target/comparison
-        combining is enabled — one 0/1 flag cannot partition two possibly
-        overlapping selections.
+        metadata collector and drives bin-packing. ``reference`` selects
+        the comparison row set; a non-flag-combinable one (query-vs-query)
+        forces separate target/comparison queries even when
+        target/comparison combining is enabled.
         """
-        if not views:
-            return ExecutionPlan(steps=[])
-        if reference is None:
-            reference = TABLE_REFERENCE
         config = self.config
         combine_flag = config.combine_target_comparison and reference.flag_combinable
-        mode = resolve_auto_mode(config.groupby_combining, capabilities)
-
+        kind = candidate_kinds(config.groupby_combining, capabilities)[0]
         # Group-by combining subsumes aggregate combining within its merged
         # queries (a shared query necessarily carries all the aggregates).
-        by_dimension = config.combine_aggregates or mode is not GroupByCombining.NONE
+        by_dimension = config.combine_aggregates or kind is not GroupByCombining.NONE
         groups = self._group_views(views, by_dimension)
-
-        if mode is GroupByCombining.NONE:
-            return ExecutionPlan(
-                steps=[
-                    self._single_group_step(
-                        g, table, predicate, reference, combine_flag
-                    )
-                    for g in groups
-                ]
-            )
-
-        if mode is GroupByCombining.GROUPING_SETS:
-            steps: list[ExecutionStep] = []
-            for chunk in _chunks(groups, config.max_dims_per_query):
-                if len(chunk) == 1:
-                    steps.append(
-                        self._single_group_step(
-                            chunk[0], table, predicate, reference, combine_flag
-                        )
-                    )
-                else:
-                    steps.append(
-                        MultiDimStep(
-                            table=table,
-                            predicate=predicate,
-                            groups=tuple(chunk),
-                            combine_flag=combine_flag,
-                            reference=reference,
-                        )
-                    )
-            return ExecutionPlan(steps=steps)
-
-        # ROLLUP: bin-pack dimensions under the memory budget. The flag
-        # column doubles the group count, so halve the budget when combined.
-        budget = config.memory_budget_cells
-        if combine_flag:
-            budget = max(budget // 2, 2)
-        group_by_dimension = {group.dimension: group for group in groups}
-        packing_cards = {
-            dimension: cardinalities.get(dimension, budget + 1)
-            for dimension in group_by_dimension
-        }
-        packed = pack_dimensions(
-            packing_cards,
-            budget_cells=budget,
-            max_dims_per_bin=config.max_dims_per_query,
-            exact_threshold=config.binpack_exact_threshold,
-        )
-        steps = []
-        for bin_members in packed.bins:
-            bin_groups = tuple(group_by_dimension[name] for name in bin_members)
-            if len(bin_groups) == 1:
-                steps.append(
-                    self._single_group_step(
-                        bin_groups[0], table, predicate, reference, combine_flag
-                    )
+        bins = PLAN_KINDS[kind].arrange(groups, config, cardinalities, combine_flag)
+        return ExecutionPlan(
+            steps=[
+                ExecutionStep(
+                    table=table,
+                    predicate=predicate,
+                    groups=tuple(members),
+                    sharing=kind if len(members) > 1 else GroupByCombining.NONE,
+                    combine_flag=combine_flag,
+                    reference=reference,
                 )
-            else:
-                steps.append(
-                    RollupStep(
-                        table=table,
-                        predicate=predicate,
-                        groups=bin_groups,
-                        combine_flag=combine_flag,
-                        reference=reference,
-                    )
-                )
-        return ExecutionPlan(steps=steps)
-
-    def _single_group_step(
-        self,
-        group: ViewGroup,
-        table: str,
-        predicate: "Expression | None",
-        reference: ResolvedReference = TABLE_REFERENCE,
-        combine_flag: "bool | None" = None,
-    ) -> ExecutionStep:
-        if combine_flag is None:
-            combine_flag = (
-                self.config.combine_target_comparison and reference.flag_combinable
-            )
-        if combine_flag:
-            return FlagStep(
-                table=table, predicate=predicate, group=group, reference=reference
-            )
-        return SeparateStep(
-            table=table, predicate=predicate, group=group, reference=reference
+                for members in bins
+            ]
         )
 
     @staticmethod
     def _group_views(views: list[ViewSpec], by_dimension: bool) -> list[ViewGroup]:
         if not by_dimension:
-            return [ViewGroup(view.dimension, (view,)) for view in views]
-        grouped: dict[str, list[ViewSpec]] = {}
+            return [ViewGroup(view_dimension(view), (view,)) for view in views]
+        grouped: dict["str | tuple[str, ...]", list[ViewSpec]] = {}
         for view in views:
-            grouped.setdefault(view.dimension, []).append(view)
+            grouped.setdefault(view_dimension(view), []).append(view)
         return [
             ViewGroup(dimension, tuple(members))
             for dimension, members in grouped.items()
         ]
-
-
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]

@@ -15,7 +15,7 @@ from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
-from repro.optimizer.plan import GroupByCombining, MultiDimStep
+from repro.optimizer.plan import GroupByCombining
 
 
 def run_recommend(backend_factory, config):
@@ -90,7 +90,7 @@ class TestCapabilityDrivenPlanning:
             backend.capabilities,
         )
         uses_shared_scan = any(
-            isinstance(step, MultiDimStep) for step in plan.steps
+            step.sharing is GroupByCombining.GROUPING_SETS for step in plan.steps
         )
         assert uses_shared_scan == backend.capabilities.grouping_sets
 

@@ -1,9 +1,14 @@
 """Property tests: every plan shape extracts identical view data.
 
 The optimizer's central contract — combining strategies change *work*, not
-*answers* — verified on randomized tables (random group structures, NaN
-measures, random predicates) against the two-independent-queries baseline.
+*answers* — verified on randomized tables (random group structures, a
+dimension carrying NULLs, NaN measures, random predicates) over the whole
+step grid: sharing × sides × reference × single-/multi-attribute
+dimension × backend, each cell against the all-separate baseline (one
+unshared two-query step per view) on the same backend.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,62 +16,97 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.memory import MemoryBackend
+from repro.backends.sqlite import SqliteBackend
+from repro.core.multiview import MultiViewSpec
 from repro.db.expressions import col
 from repro.db.table import Table
 from repro.db.types import AttributeRole
+from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
 from repro.optimizer.plan import (
     ExecutionPlan,
-    FlagStep,
-    MultiDimStep,
-    RollupStep,
-    SeparateStep,
+    ExecutionStep,
+    GroupByCombining,
     ViewGroup,
 )
 
 FUNCS = ["sum", "avg", "min", "max", "count", "var"]
+D2_VALUES = ["x", "y", "z", "w"]
+BACKENDS = {"memory": MemoryBackend, "sqlite": SqliteBackend}
+SHARINGS = [
+    GroupByCombining.NONE,
+    GroupByCombining.GROUPING_SETS,
+    GroupByCombining.ROLLUP,
+]
+#: One 0/1 flag cannot partition a query reference's two selections, so the
+#: planner never combines sides for it; every other pairing is a real cell.
+GRID = [
+    cell
+    for cell in itertools.product(
+        SHARINGS,
+        [True, False],
+        ["table", "complement", "query"],
+        ["name", "tuple"],
+        sorted(BACKENDS),
+    )
+    if not (cell[1] and cell[2] == "query")
+]
 
 
 @st.composite
-def workloads(draw):
-    n_rows = draw(st.integers(2, 80))
-    d1 = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n_rows, max_size=n_rows))
-    d2 = draw(st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=n_rows, max_size=n_rows))
-    measures = draw(
-        st.lists(
-            st.one_of(
-                st.floats(-100, 100, allow_nan=False, allow_infinity=False),
-                st.just(float("nan")),
-            ),
-            min_size=n_rows,
-            max_size=n_rows,
-        )
-    )
+def workloads(draw, allow_nan):
+    n_rows = draw(st.integers(2, 60))
+
+    def column(values):
+        # Row 0 pins a string, so type inference never sees an all-NULL column.
+        rest = st.lists(st.sampled_from(values), min_size=n_rows - 1, max_size=n_rows - 1)
+        return [values[0]] + draw(rest)
+
+    finite = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    measure = st.one_of(finite, st.just(float("nan"))) if allow_nan else finite
     table = Table.from_columns(
         "t",
-        {"d1": d1, "d2": d2, "m": measures},
+        {
+            "d1": column(["a", "b", "c", None]),
+            "d2": column(D2_VALUES),
+            "d3": column(["p", "q"]),
+            "m": draw(st.lists(measure, min_size=n_rows, max_size=n_rows)),
+        },
         roles={
             "d1": AttributeRole.DIMENSION,
             "d2": AttributeRole.DIMENSION,
+            "d3": AttributeRole.DIMENSION,
             "m": AttributeRole.MEASURE,
         },
     )
-    predicate_value = draw(st.sampled_from(["x", "y", "z", "w"]))
-    funcs = draw(
-        st.lists(st.sampled_from(FUNCS), min_size=1, max_size=3, unique=True)
+    target_value, other_value = draw(
+        st.lists(st.sampled_from(D2_VALUES), min_size=2, max_size=2)
     )
-    views = []
-    for func in funcs:
-        measure = None if func == "count" else "m"
-        views.append(ViewSpec("d1", measure, func))
-    return table, (col("d2") == predicate_value), views
+    funcs = draw(st.lists(st.sampled_from(FUNCS), min_size=1, max_size=3, unique=True))
+    return table, target_value, other_value, funcs
 
 
-def baseline(backend, predicate, views):
-    plan = ExecutionPlan(
-        [SeparateStep("t", predicate, ViewGroup(v.dimension, (v,))) for v in views]
-    )
-    return plan.run(backend)
+def resolve(kind, target_value, other_value):
+    predicate = col("d2") == target_value
+    if kind == "table":
+        return predicate, TABLE_REFERENCE
+    if kind == "complement":
+        return predicate, ResolvedReference("complement", ~predicate)
+    # Overlaps the target whenever other_value == target_value.
+    second = col("d2").isin([other_value, "w"])
+    return predicate, ResolvedReference("query", second)
+
+
+def view_groups(dimension_kind, funcs):
+    """Two groups, so GROUPING SETS and ROLLUP really share a query; the
+    first groups by the NULL-carrying ``d1`` (alone, or with ``d3``)."""
+    measures = [(None if func == "count" else "m", func) for func in funcs]
+    if dimension_kind == "name":
+        first = ViewGroup("d1", tuple(ViewSpec("d1", m, f) for m, f in measures))
+    else:
+        dims = ("d1", "d3")
+        first = ViewGroup(dims, tuple(MultiViewSpec(dims, m, f) for m, f in measures))
+    return first, ViewGroup("d2", (ViewSpec("d2", "m", "avg"),))
 
 
 def assert_matches(actual, expected):
@@ -85,57 +125,51 @@ def assert_matches(actual, expected):
         )
 
 
-@settings(max_examples=40, deadline=None)
-@given(workload=workloads())
-def test_flag_step_equals_baseline(workload):
-    table, predicate, views = workload
-    backend = MemoryBackend()
-    backend.register_table(table)
-    expected = baseline(backend, predicate, views)
-    plan = ExecutionPlan([FlagStep("t", predicate, ViewGroup("d1", tuple(views)))])
-    assert_matches(plan.run(backend), expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(workload=workloads(), combine_flag=st.booleans())
-def test_multidim_step_equals_baseline(workload, combine_flag):
-    table, predicate, views = workload
-    backend = MemoryBackend()
-    backend.register_table(table)
-    expected = baseline(backend, predicate, views)
-    # Add a second dimension group to force real grouping-sets execution.
-    extra = ViewSpec("d2", "m", "sum")
-    expected.update(baseline(backend, predicate, [extra]))
-    plan = ExecutionPlan(
-        [
-            MultiDimStep(
-                "t",
-                predicate,
-                (ViewGroup("d1", tuple(views)), ViewGroup("d2", (extra,))),
-                combine_flag=combine_flag,
-            )
-        ]
+@pytest.mark.parametrize(
+    "sharing,combine_flag,reference_kind,dimension_kind,backend_name",
+    GRID,
+    ids=lambda value: getattr(value, "value", str(value)),
+)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_step_grid_equals_all_separate_baseline(
+    sharing, combine_flag, reference_kind, dimension_kind, backend_name, data
+):
+    # SQL SUM over an all-NULL group is NULL where numpy's is 0, and the
+    # additive partition merge does not paper over that; NaN measures stay
+    # on the memory backend, whose cells they can tell apart.
+    table, target_value, other_value, funcs = data.draw(
+        workloads(allow_nan=backend_name == "memory")
     )
-    assert_matches(plan.run(backend), expected)
+    predicate, reference = resolve(reference_kind, target_value, other_value)
+    groups = view_groups(dimension_kind, funcs)
 
+    def step(step_groups, step_sharing, flag):
+        return ExecutionStep(
+            "t", predicate, step_groups, step_sharing, flag, reference
+        )
 
-@settings(max_examples=40, deadline=None)
-@given(workload=workloads(), combine_flag=st.booleans())
-def test_rollup_step_equals_baseline(workload, combine_flag):
-    table, predicate, views = workload
-    backend = MemoryBackend()
-    backend.register_table(table)
-    expected = baseline(backend, predicate, views)
-    extra = ViewSpec("d2", "m", "avg")
-    expected.update(baseline(backend, predicate, [extra]))
-    plan = ExecutionPlan(
-        [
-            RollupStep(
-                "t",
-                predicate,
-                (ViewGroup("d1", tuple(views)), ViewGroup("d2", (extra,))),
-                combine_flag=combine_flag,
-            )
-        ]
-    )
-    assert_matches(plan.run(backend), expected)
+    backend = BACKENDS[backend_name]()
+    try:
+        backend.register_table(table)
+        expected = ExecutionPlan(
+            [
+                step((ViewGroup(group.dimension, (view,)),), SHARINGS[0], False)
+                for group in groups
+                for view in group.views
+            ]
+        ).run(backend)
+        if sharing is GroupByCombining.NONE:
+            steps = [step((group,), sharing, combine_flag) for group in groups]
+        else:
+            steps = [step(groups, sharing, combine_flag)]
+        actual = ExecutionPlan(steps).run(backend)
+    finally:
+        backend.close()
+
+    assert_matches(actual, expected)
+    # A NULL dimension value is the object None on every path and backend,
+    # never the string 'None'.
+    for raw in expected.values():
+        for key in raw.target_keys + raw.comparison_keys:
+            assert "None" not in (key if isinstance(key, tuple) else (key,))

@@ -19,13 +19,10 @@ from repro.core.recommender import SeeDB
 from repro.core.space import enumerate_views
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
-from repro.optimizer.plan import (
-    GroupByCombining,
-    MultiDimStep,
-    Planner,
-    PlannerConfig,
-    RollupStep,
-)
+from repro.optimizer.plan import GroupByCombining, Planner, PlannerConfig
+
+GROUPING_SETS = GroupByCombining.GROUPING_SETS
+ROLLUP = GroupByCombining.ROLLUP
 
 
 def flip(backend, monkeypatch, **changes):
@@ -46,18 +43,18 @@ def plan_for(backend, sales_table):
     )
 
 
-def step_types(plan):
-    return {type(step) for step in plan.steps}
+def step_sharings(plan):
+    return {step.sharing for step in plan.steps}
 
 
 class TestPlannerFollowsDeclaredCapabilities:
     def test_memory_defaults_to_shared_scan(self, memory_backend, sales_table):
-        assert MultiDimStep in step_types(plan_for(memory_backend, sales_table))
+        assert GROUPING_SETS in step_sharings(plan_for(memory_backend, sales_table))
 
     def test_sqlite_defaults_to_rollup_fallback(self, sqlite_backend, sales_table):
-        steps = step_types(plan_for(sqlite_backend, sales_table))
-        assert MultiDimStep not in steps
-        assert RollupStep in steps
+        steps = step_sharings(plan_for(sqlite_backend, sales_table))
+        assert GROUPING_SETS not in steps
+        assert ROLLUP in steps
 
     def test_flipping_capability_flips_the_plan_not_the_class(
         self, memory_backend, sqlite_backend, sales_table, monkeypatch
@@ -65,15 +62,15 @@ class TestPlannerFollowsDeclaredCapabilities:
         # sqlite instance declared grouping-sets-capable: now plans the
         # shared scan, while remaining a plain SqliteBackend.
         flip(sqlite_backend, monkeypatch, grouping_sets=True)
-        steps = step_types(plan_for(sqlite_backend, sales_table))
-        assert MultiDimStep in steps
+        steps = step_sharings(plan_for(sqlite_backend, sales_table))
+        assert GROUPING_SETS in steps
         assert type(sqlite_backend) is SqliteBackend
 
         # memory instance stripped of the capability: falls back to rollup.
         flip(memory_backend, monkeypatch, grouping_sets=False)
-        steps = step_types(plan_for(memory_backend, sales_table))
-        assert MultiDimStep not in steps
-        assert RollupStep in steps
+        steps = step_sharings(plan_for(memory_backend, sales_table))
+        assert GROUPING_SETS not in steps
+        assert ROLLUP in steps
         assert type(memory_backend) is MemoryBackend
 
     def test_plan_query_counts_shrink_with_shared_scan(

@@ -20,6 +20,17 @@ class TestFactorize:
         assert list(uniques) == ["a", "b", "c"]
         assert list(codes) == [1, 0, 1, 2]
 
+    def test_null_key_keeps_its_object(self):
+        """A NULL is labelled None, as under a multi-key group-by — not 'None'."""
+        values = np.array(["b", None, "a", None, "b"], dtype=object)
+        codes, uniques = factorize(values)
+        assert list(uniques) == [None, "a", "b"]
+        assert list(codes) == [2, 0, 1, 0, 2]
+        multi = factorize_multi(
+            {"d": values, "e": np.array(["x"] * 5, dtype=object)}, 5
+        )
+        assert list(multi.keys["d"]) == list(uniques)
+
     def test_ints(self):
         codes, uniques = factorize(np.array([30, 10, 30]))
         assert list(uniques) == [10, 30]

@@ -139,3 +139,40 @@ class TestMultiViewCountOnly:
         )
         assert top
         assert all(v.spec.func == "count" for v in top)
+
+
+class TestNullDimensionLabel:
+    @pytest.mark.parametrize("combine", [True, False])
+    def test_null_group_is_none_on_every_plan_and_backend(self, combine):
+        """One-key (separate) and multi-key (flag) group-bys label a NULL
+        dimension value alike, and like SQL does."""
+        from repro.backends.memory import MemoryBackend
+        from repro.backends.sqlite import SqliteBackend
+        from repro.core.config import SeeDBConfig
+        from repro.core.recommender import SeeDB
+        from repro.db.types import AttributeRole
+
+        table = Table.from_columns(
+            "t",
+            {
+                "d": ["a", None, "b", "c", None, "a", "b", "c"],
+                "p": ["x", "x", "x", "x", "y", "y", "y", "y"],
+                "m": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+            },
+            roles={
+                "d": AttributeRole.DIMENSION,
+                "p": AttributeRole.DIMENSION,
+                "m": AttributeRole.MEASURE,
+            },
+        )
+        request = RecommendationRequest(RowSelectQuery("t", col("p") == "x"), k=1)
+        for backend_type in (MemoryBackend, SqliteBackend):
+            backend = backend_type()
+            backend.register_table(table)
+            with SeeDB(
+                backend, SeeDBConfig(combine_target_comparison=combine)
+            ) as seedb:
+                (top,) = seedb.recommend(request).recommendations
+            backend.close()
+            assert top.spec.dimension == "d"
+            assert top.groups == [None, "a", "b", "c"], backend_type.__name__

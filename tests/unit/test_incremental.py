@@ -46,7 +46,7 @@ def phased(dataset, k=5, **knobs):
 def exact_utilities(dataset, views):
     """Ground truth via full single-shot execution."""
     from repro.backends.memory import MemoryBackend
-    from repro.optimizer.plan import ExecutionPlan, FlagStep, ViewGroup
+    from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
     backend = MemoryBackend()
     backend.register_table(dataset.table)
@@ -55,8 +55,8 @@ def exact_utilities(dataset, views):
         grouped.setdefault(view.dimension, []).append(view)
     plan = ExecutionPlan(
         [
-            FlagStep(dataset.table.name, dataset.predicate,
-                     ViewGroup(dim, tuple(members)))
+            ExecutionStep(dataset.table.name, dataset.predicate,
+                          (ViewGroup(dim, tuple(members)),))
             for dim, members in grouped.items()
         ]
     )

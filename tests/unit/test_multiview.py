@@ -153,6 +153,54 @@ class TestRecommendation:
         for a, b in zip(lite, mem):
             assert a.utility == pytest.approx(b.utility, rel=1e-9)
 
+    @pytest.mark.parametrize("backend_fixture", ["memory_backend", "sqlite_backend"])
+    def test_query_reference_matches_manual_computation(
+        self, backend_fixture, request
+    ):
+        """Query-vs-query runs as two tuple-keyed queries per combination."""
+        from repro.api import Reference
+        from repro.metrics.normalize import align_series, normalize_distribution
+        from repro.metrics.registry import get_metric
+
+        backend = request.getfixturevalue(backend_fixture)
+        target_predicate = col("product") == "Laserwave"
+        second_predicate = col("amount") < 150  # overlaps the target
+        before = backend.queries_executed
+        top = MultiViewRecommender(backend, metric="js").recommend(
+            RecommendationRequest(
+                RowSelectQuery("sales", target_predicate),
+                k=10,
+                reference=Reference.query(RowSelectQuery("sales", second_predicate)),
+            ),
+            n_dimensions=2,
+            functions=("sum",),
+            include_count=False,
+        )
+        # (store, month) is the one combination the predicate leaves.
+        assert backend.queries_executed - before == 2
+        sides = []
+        for predicate in (target_predicate, second_predicate):
+            result = backend.execute(
+                AggregateQuery(
+                    "sales", ("store", "month"), (Aggregate("sum", "amount"),),
+                    predicate,
+                )
+            )
+            keys = [
+                (str(a), int(b))
+                for a, b in zip(result.column("store"), result.column("month"))
+            ]
+            sides.append((keys, result.column("sum(amount)")))
+        _groups, t, c = align_series(*sides[0], *sides[1])
+        expected = get_metric("js").distance(
+            normalize_distribution(t), normalize_distribution(c)
+        )
+        view = next(
+            v for v in top
+            if v.spec.dimensions == ("store", "month") and v.spec.measure == "amount"
+        )
+        assert view.utility == pytest.approx(expected, rel=1e-9)
+
     def test_k_and_ties_deterministic(self, memory_backend):
         recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("product") == "Laserwave")

@@ -10,13 +10,10 @@ from repro.model.view import ViewSpec
 from repro.optimizer.cost import estimate_plan_cost
 from repro.optimizer.extract import FLAG_NAME, marginalize
 from repro.optimizer.plan import (
-    FlagStep,
+    ExecutionStep,
     GroupByCombining,
-    MultiDimStep,
     Planner,
     PlannerConfig,
-    RollupStep,
-    SeparateStep,
     ViewGroup,
 )
 from repro.util.errors import ConfigError
@@ -46,7 +43,8 @@ class TestViewGroup:
             "store",
             (ViewSpec("store", "amount", "sum"), ViewSpec("store", "amount", "avg")),
         )
-        aliases = [a.alias for a in group.aux_aggregates]
+        step = ExecutionStep("sales", None, (group,), combine_flag=True)
+        aliases = [a.alias for a in step.aggregates()]
         assert aliases == ["sum(amount)", "countv(amount)"]
 
     def test_direct_aggregates(self):
@@ -54,10 +52,22 @@ class TestViewGroup:
             "store",
             (ViewSpec("store", "amount", "sum"), ViewSpec("store", "amount", "avg")),
         )
-        assert [a.alias for a in group.direct_aggregates] == [
+        step = ExecutionStep("sales", None, (group,), combine_flag=False)
+        assert [a.alias for a in step.aggregates()] == [
             "sum(amount)",
             "avg(amount)",
         ]
+
+    def test_tuple_dimension_keys(self):
+        from repro.core.multiview import MultiViewSpec
+
+        view = MultiViewSpec(("store", "month"), "amount", "sum")
+        assert ViewGroup(("store", "month"), (view,)).keys == ("store", "month")
+        assert ViewGroup("store", (ViewSpec("store", None, "count"),)).keys == (
+            "store",
+        )
+        with pytest.raises(ConfigError, match="does not group by"):
+            ViewGroup(("month", "store"), (view,))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="does not group by"):
@@ -75,7 +85,10 @@ class TestPlannerShapes:
             combine_aggregates=False,
             groupby_combining=GroupByCombining.NONE,
         )
-        assert all(isinstance(s, SeparateStep) for s in plan.steps)
+        assert all(
+            s.sharing is GroupByCombining.NONE and not s.combine_flag
+            for s in plan.steps
+        )
         assert len(plan.steps) == len(VIEWS)  # one step per view
         assert plan.total_queries() == 2 * len(VIEWS)
 
@@ -85,7 +98,10 @@ class TestPlannerShapes:
             combine_aggregates=False,
             groupby_combining=GroupByCombining.NONE,
         )
-        assert all(isinstance(s, FlagStep) for s in plan.steps)
+        assert all(
+            s.sharing is GroupByCombining.NONE and s.combine_flag
+            for s in plan.steps
+        )
         assert plan.total_queries() == len(VIEWS)
 
     def test_aggregate_combining_groups_by_dimension(self):
@@ -104,7 +120,7 @@ class TestPlannerShapes:
             groupby_combining=GroupByCombining.GROUPING_SETS,
         )
         assert len(plan.steps) == 1
-        assert isinstance(plan.steps[0], MultiDimStep)
+        assert plan.steps[0].sharing is GroupByCombining.GROUPING_SETS
         assert plan.total_queries() == 1
 
     def test_grouping_sets_without_flag_two_queries(self):
@@ -122,7 +138,7 @@ class TestPlannerShapes:
         )
         # All three dims (4*2*4=32 cells * 2 flag = 64) fit one rollup.
         assert len(plan.steps) == 1
-        assert isinstance(plan.steps[0], RollupStep)
+        assert plan.steps[0].sharing is GroupByCombining.ROLLUP
 
     def test_rollup_splits_when_budget_tight(self):
         plan = plan_with(
@@ -133,7 +149,7 @@ class TestPlannerShapes:
         # 4*2=8 fits; 4*4=16 does not; expect >= 2 steps.
         assert len(plan.steps) >= 2
         for step in plan.steps:
-            if isinstance(step, RollupStep):
+            if step.sharing is GroupByCombining.ROLLUP:
                 product = 1
                 for group in step.groups:
                     product *= CARDINALITIES[group.dimension]
@@ -143,9 +159,13 @@ class TestPlannerShapes:
         config = PlannerConfig(groupby_combining=GroupByCombining.AUTO)
         plan_gs = Planner(config).plan(VIEWS, "s", None, CARDINALITIES, CAPS_GS)
         plan_rollup = Planner(config).plan(VIEWS, "s", None, CARDINALITIES, CAPS_NO_GS)
-        assert any(isinstance(s, MultiDimStep) for s in plan_gs.steps)
         assert any(
-            isinstance(s, (RollupStep, FlagStep)) for s in plan_rollup.steps
+            s.sharing is GroupByCombining.GROUPING_SETS for s in plan_gs.steps
+        )
+        assert all(
+            s.sharing in (GroupByCombining.ROLLUP, GroupByCombining.NONE)
+            and s.combine_flag
+            for s in plan_rollup.steps
         )
 
     def test_max_dims_per_query_chunks(self):
@@ -161,14 +181,32 @@ class TestPlannerShapes:
         plan = Planner(config).plan(views, "s", None, CARDINALITIES, CAPS_GS)
         mystery_steps = [
             s for s in plan.steps
-            if isinstance(s, (FlagStep, SeparateStep))
+            if s.sharing is GroupByCombining.NONE
             and s.views[0].dimension == "mystery"
         ]
         assert len(mystery_steps) == 1
 
-    def test_empty_views_empty_plan(self):
-        plan = Planner().plan([], "s", None, {}, CAPS_GS)
+    @pytest.mark.parametrize("mode", list(GroupByCombining))
+    def test_empty_views_empty_plan(self, mode):
+        config = PlannerConfig(groupby_combining=mode)
+        plan = Planner(config).plan([], "s", None, {}, CAPS_GS)
         assert plan.steps == [] and plan.total_queries() == 0
+
+    def test_candidate_kinds_lead_with_the_declared_one(self):
+        from repro.optimizer.plan import PLAN_KINDS, candidate_kinds
+
+        gs, rollup, none = (
+            GroupByCombining.GROUPING_SETS,
+            GroupByCombining.ROLLUP,
+            GroupByCombining.NONE,
+        )
+        assert list(PLAN_KINDS) == [gs, rollup, none]
+        assert candidate_kinds(GroupByCombining.AUTO, CAPS_GS) == [gs, rollup, none]
+        assert candidate_kinds(GroupByCombining.AUTO, CAPS_NO_GS) == [
+            rollup, gs, none,
+        ]
+        for pinned in PLAN_KINDS:
+            assert candidate_kinds(pinned, CAPS_NO_GS) == [pinned]
 
     def test_describe_mentions_steps(self):
         plan = plan_with()
@@ -185,7 +223,7 @@ class TestPlannerShapes:
 class TestStepQueries:
     def test_flag_step_query_shape(self):
         group = ViewGroup("store", (ViewSpec("store", "amount", "avg"),))
-        step = FlagStep("sales", col("x") == 1, group)
+        step = ExecutionStep("sales", col("x") == 1, (group,))
         (query,) = step.queries()
         assert isinstance(query, AggregateQuery)
         assert query.predicate is None  # flag carries the predicate
@@ -195,17 +233,56 @@ class TestStepQueries:
 
     def test_separate_step_queries(self):
         group = ViewGroup("store", (ViewSpec("store", "amount", "sum"),))
-        step = SeparateStep("sales", col("x") == 1, group)
+        step = ExecutionStep("sales", col("x") == 1, (group,), combine_flag=False)
         target, comparison = step.queries()
         assert target.predicate is not None
         assert comparison.predicate is None
+
+    def test_describe_leads_with_the_plan_shape(self):
+        groups = (
+            ViewGroup("a", (ViewSpec("a", "m", "sum"),)),
+            ViewGroup("b", (ViewSpec("b", "m", "sum"),)),
+        )
+        one = groups[:1]
+        assert (
+            ExecutionStep("t", None, one).describe()
+            == "flag[a: 1 view(s), 1 query]"
+        )
+        assert (
+            ExecutionStep("t", None, one, combine_flag=False).describe()
+            == "separate[a: 1 view(s), 2 queries]"
+        )
+        assert (
+            ExecutionStep("t", None, groups, GroupByCombining.GROUPING_SETS).describe()
+            == "grouping_sets[['a', 'b'], 1 query(ies)]"
+        )
+        assert (
+            ExecutionStep(
+                "t", None, groups, GroupByCombining.ROLLUP, combine_flag=False
+            ).describe()
+            == "rollup[['a', 'b'], 2 query(ies)]"
+        )
+
+    def test_step_shape_validated(self):
+        groups = (
+            ViewGroup("a", (ViewSpec("a", "m", "sum"),)),
+            ViewGroup("b", (ViewSpec("b", "m", "sum"),)),
+        )
+        with pytest.raises(ConfigError, match="view group"):
+            ExecutionStep("t", None, groups)  # NONE shares nothing
+        with pytest.raises(ConfigError, match="view group"):
+            ExecutionStep("t", None, (), GroupByCombining.ROLLUP)
+        with pytest.raises(ConfigError, match="resolved"):
+            ExecutionStep("t", None, groups, GroupByCombining.AUTO)
 
     def test_multidim_step_sets(self):
         groups = (
             ViewGroup("a", (ViewSpec("a", "m", "sum"),)),
             ViewGroup("b", (ViewSpec("b", "m", "sum"),)),
         )
-        step = MultiDimStep("t", None, groups, combine_flag=True)
+        step = ExecutionStep(
+            "t", None, groups, GroupByCombining.GROUPING_SETS, combine_flag=True
+        )
         (query,) = step.queries()
         assert isinstance(query, GroupingSetsQuery)
         assert len(query.sets) == 2
@@ -215,7 +292,9 @@ class TestStepQueries:
             ViewGroup("a", (ViewSpec("a", "m", "sum"),)),
             ViewGroup("b", (ViewSpec("b", "m", "avg"),)),
         )
-        step = RollupStep("t", col("x") == 1, groups, combine_flag=True)
+        step = ExecutionStep(
+            "t", col("x") == 1, groups, GroupByCombining.ROLLUP, combine_flag=True
+        )
         (query,) = step.queries()
         assert query.key_names == (FLAG_NAME, "a", "b")
 
@@ -232,7 +311,9 @@ class TestMarginalize:
             )
         )
         marginal = marginalize(
-            rollup, "store", (Aggregate("sum", "amount"), Aggregate("countv", "amount"))
+            rollup,
+            ("store",),
+            (Aggregate("sum", "amount"), Aggregate("countv", "amount")),
         )
         direct = memory_backend.execute(
             AggregateQuery(
@@ -255,7 +336,7 @@ class TestMarginalize:
             AggregateQuery("sales", ("store", "product"), (Aggregate("avg", "amount"),))
         )
         with pytest.raises(QueryError, match="marginalize"):
-            marginalize(rollup, "store", (Aggregate("avg", "amount"),))
+            marginalize(rollup, ("store",), (Aggregate("avg", "amount"),))
 
 
 class TestCostModel:

@@ -1,4 +1,4 @@
-"""Unit tests: every step type produces identical per-view raw data.
+"""Unit tests: every step shape produces identical per-view raw data.
 
 Strategy: compute ground truth with independent queries, then assert each
 sharing strategy (flag, grouping sets, rollup; with and without flag
@@ -13,10 +13,8 @@ from repro.model.view import ViewSpec
 from repro.optimizer.parallel import ParallelExecutor
 from repro.optimizer.plan import (
     ExecutionPlan,
-    FlagStep,
-    MultiDimStep,
-    RollupStep,
-    SeparateStep,
+    ExecutionStep,
+    GroupByCombining,
     ViewGroup,
 )
 
@@ -40,7 +38,9 @@ def predicate():
 @pytest.fixture
 def ground_truth(memory_backend, predicate):
     steps = [
-        SeparateStep("sales", predicate, ViewGroup(v.dimension, (v,)))
+        ExecutionStep(
+            "sales", predicate, (ViewGroup(v.dimension, (v,)),), combine_flag=False
+        )
         for v in VIEWS + PRODUCT_VIEWS
     ]
     return ExecutionPlan(steps).run(memory_backend)
@@ -63,66 +63,70 @@ def assert_same_raw(actual, expected):
         )
 
 
-class TestFlagStep:
+class TestFlagSides:
     def test_matches_ground_truth(self, memory_backend, predicate, ground_truth):
         steps = [
-            FlagStep("sales", predicate, ViewGroup("store", VIEWS)),
-            FlagStep("sales", predicate, ViewGroup("product", PRODUCT_VIEWS)),
+            ExecutionStep("sales", predicate, (ViewGroup("store", VIEWS),)),
+            ExecutionStep("sales", predicate, (ViewGroup("product", PRODUCT_VIEWS),)),
         ]
         actual = ExecutionPlan(steps).run(memory_backend)
         assert_same_raw(actual, ground_truth)
 
     def test_none_predicate_target_equals_comparison(self, memory_backend):
         view = ViewSpec("store", "amount", "sum")
-        step = FlagStep("sales", None, ViewGroup("store", (view,)))
+        step = ExecutionStep("sales", None, (ViewGroup("store", (view,)),))
         raw = step.run(memory_backend)[view]
         np.testing.assert_allclose(raw.target_values, raw.comparison_values)
 
 
-class TestMultiDimStep:
+class TestGroupingSetsSharing:
     @pytest.mark.parametrize("combine_flag", [True, False])
     def test_matches_ground_truth(
         self, memory_backend, predicate, ground_truth, combine_flag
     ):
-        step = MultiDimStep(
+        step = ExecutionStep(
             "sales",
             predicate,
             (ViewGroup("store", VIEWS), ViewGroup("product", PRODUCT_VIEWS)),
+            GroupByCombining.GROUPING_SETS,
             combine_flag=combine_flag,
         )
         actual = ExecutionPlan([step]).run(memory_backend)
         assert_same_raw(actual, ground_truth)
 
     def test_works_on_sqlite_fallback(self, sqlite_backend, predicate, ground_truth):
-        step = MultiDimStep(
+        step = ExecutionStep(
             "sales",
             predicate,
             (ViewGroup("store", VIEWS), ViewGroup("product", PRODUCT_VIEWS)),
+            GroupByCombining.GROUPING_SETS,
             combine_flag=True,
         )
         actual = ExecutionPlan([step]).run(sqlite_backend)
         assert_same_raw(actual, ground_truth)
 
 
-class TestRollupStep:
+class TestRollupSharing:
     @pytest.mark.parametrize("combine_flag", [True, False])
     def test_matches_ground_truth(
         self, memory_backend, predicate, ground_truth, combine_flag
     ):
-        step = RollupStep(
+        step = ExecutionStep(
             "sales",
             predicate,
             (ViewGroup("store", VIEWS), ViewGroup("product", PRODUCT_VIEWS)),
+            GroupByCombining.ROLLUP,
             combine_flag=combine_flag,
         )
         actual = ExecutionPlan([step]).run(memory_backend)
         assert_same_raw(actual, ground_truth)
 
     def test_rollup_on_sqlite(self, sqlite_backend, predicate, ground_truth):
-        step = RollupStep(
+        step = ExecutionStep(
             "sales",
             predicate,
             (ViewGroup("store", VIEWS), ViewGroup("product", PRODUCT_VIEWS)),
+            GroupByCombining.ROLLUP,
             combine_flag=True,
         )
         actual = ExecutionPlan([step]).run(sqlite_backend)
@@ -134,8 +138,8 @@ class TestParallelExecutor:
         self, memory_backend, predicate, ground_truth
     ):
         steps = [
-            FlagStep("sales", predicate, ViewGroup("store", VIEWS)),
-            FlagStep("sales", predicate, ViewGroup("product", PRODUCT_VIEWS)),
+            ExecutionStep("sales", predicate, (ViewGroup("store", VIEWS),)),
+            ExecutionStep("sales", predicate, (ViewGroup("product", PRODUCT_VIEWS),)),
         ]
         plan = ExecutionPlan(steps)
         extracted, report = ParallelExecutor(n_workers=4).run(plan, memory_backend)
@@ -147,7 +151,7 @@ class TestParallelExecutor:
     def test_single_worker_sequential_path(self, memory_backend, predicate):
         view = ViewSpec("store", "amount", "sum")
         plan = ExecutionPlan(
-            [FlagStep("sales", predicate, ViewGroup("store", (view,)))]
+            [ExecutionStep("sales", predicate, (ViewGroup("store", (view,)),))]
         )
         extracted, report = ParallelExecutor(n_workers=1).run(plan, memory_backend)
         assert view in extracted
