@@ -237,7 +237,7 @@ class DuckDbBackend(Backend):
             return self._run_to_table(
                 sql, f"{query.table}_selected", self._schemas[query.table]
             )
-        sql = render_aggregate_query(query, native_var_std=True)
+        sql = render_aggregate_query(query, native_var_std=True, rowid_base=0)
         return self._run_to_table(
             sql, f"{query.table}_view", self._result_schema(query)
         )
@@ -260,7 +260,7 @@ class DuckDbBackend(Backend):
         row's set" NULLs from genuine NULL data values in a key.
         """
         sql, union_keys, mask_to_set = render_grouping_sets_native(
-            query, native_var_std=True
+            query, native_var_std=True, rowid_base=0
         )
         rows = self._run(sql, logical_queries=1)
         # Positions come from the renderer's returned key list — the
@@ -283,7 +283,9 @@ class DuckDbBackend(Backend):
     ) -> list[Table]:
         """The SQLite-style emulation: one UNION ALL statement, one logical
         query per set (the comparison baseline for the native path)."""
-        sql = render_grouping_sets_union(query, native_var_std=True)
+        sql = render_grouping_sets_union(
+            query, native_var_std=True, rowid_base=0
+        )
         rows = self._run(sql, logical_queries=len(singles))
         per_set = split_grouping_rows(
             rows, singles, union_key_positions(query), int

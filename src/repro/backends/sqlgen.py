@@ -22,6 +22,7 @@ from repro.db.expressions import (
     In,
     Not,
     Or,
+    RowPartition,
     TruePredicate,
 )
 from repro.db.query import (
@@ -61,8 +62,10 @@ def render_literal(value: Any) -> str:
     raise QueryError(f"cannot render literal of type {type(value).__name__}")
 
 
-def render_expression(expression: Expression) -> str:
-    """Render a predicate AST to a SQL boolean expression."""
+def render_expression(expression: Expression, rowid_base: int = 1) -> str:
+    """Render a predicate AST to a SQL boolean expression. ``rowid_base`` is
+    the dialect's first ``rowid`` (1 on SQLite, 0 on DuckDB): what turns it
+    into the 0-based load position a ``RowPartition`` selects on."""
     if isinstance(expression, TruePredicate):
         return "1=1"
     if isinstance(expression, Comparison):
@@ -81,12 +84,15 @@ def render_expression(expression: Expression) -> str:
         low = render_literal(expression.low)
         high = render_literal(expression.high)
         return f"{column} BETWEEN {low} AND {high}"
-    if isinstance(expression, And):
-        return "(" + " AND ".join(render_expression(op) for op in expression.operands) + ")"
-    if isinstance(expression, Or):
-        return "(" + " OR ".join(render_expression(op) for op in expression.operands) + ")"
+    if isinstance(expression, (And, Or)):
+        word = " AND " if isinstance(expression, And) else " OR "
+        operands = (render_expression(op, rowid_base) for op in expression.operands)
+        return "(" + word.join(operands) + ")"
     if isinstance(expression, Not):
-        return "NOT (" + render_expression(expression.operand) + ")"
+        return "NOT (" + render_expression(expression.operand, rowid_base) + ")"
+    if isinstance(expression, RowPartition):
+        position = f"(rowid - {rowid_base})" if rowid_base else "rowid"
+        return f"{position} % {expression.of} = {expression.index}"
     raise QueryError(f"cannot render expression type {type(expression).__name__}")
 
 
@@ -130,7 +136,7 @@ def render_grouping_key(key: GroupingKey) -> tuple[str, str]:
 
 
 def render_aggregate_query(
-    query: AggregateQuery, native_var_std: bool = False
+    query: AggregateQuery, native_var_std: bool = False, rowid_base: int = 1
 ) -> str:
     """Full SELECT for an aggregate view query, deterministically ordered."""
     select_items: list[str] = []
@@ -144,7 +150,7 @@ def render_aggregate_query(
 
     sql = f"SELECT {', '.join(select_items)} FROM {quote_identifier(query.table)}"
     if query.predicate is not None:
-        sql += f" WHERE {render_expression(query.predicate)}"
+        sql += f" WHERE {render_expression(query.predicate, rowid_base)}"
     if group_expressions:
         # Ordinal references (GROUP BY 1, 2) avoid re-evaluating flag CASE
         # expressions per clause; supported by SQLite and PostgreSQL alike.
@@ -183,6 +189,7 @@ def render_grouping_sets_union(
     query: GroupingSetsQuery,
     native_var_std: bool = False,
     set_column: str = "__seedb_set",
+    rowid_base: int = 1,
 ) -> str:
     """One UNION ALL statement emulating GROUPING SETS on dialects without it.
 
@@ -218,7 +225,7 @@ def render_grouping_sets_union(
             f"FROM {quote_identifier(query.table)}"
         )
         if query.predicate is not None:
-            sql += f" WHERE {render_expression(query.predicate)}"
+            sql += f" WHERE {render_expression(query.predicate, rowid_base)}"
         if group_ordinals:
             sql += " GROUP BY " + ", ".join(str(o) for o in group_ordinals)
         arms.append(sql)
@@ -231,6 +238,7 @@ def render_grouping_sets_native(
     query: GroupingSetsQuery,
     native_var_std: bool = False,
     mask_column: str = "__seedb_grouping",
+    rowid_base: int = 1,
 ) -> tuple[str, "list[GroupingKey]", dict[int, int]]:
     """One native ``GROUP BY GROUPING SETS`` statement (PostgreSQL/DuckDB).
 
@@ -288,7 +296,7 @@ def render_grouping_sets_native(
     )
     sql = f"SELECT {', '.join(head)} FROM {quote_identifier(query.table)}"
     if query.predicate is not None:
-        sql += f" WHERE {render_expression(query.predicate)}"
+        sql += f" WHERE {render_expression(query.predicate, rowid_base)}"
     sql += " GROUP BY GROUPING SETS (" + ", ".join(set_clauses) + ")"
     order = ", ".join(str(i + 1) for i in range(1 + len(union_keys)))
     sql += f" ORDER BY {order}"

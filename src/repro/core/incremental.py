@@ -10,10 +10,11 @@ current top-k are dropped before they consume further work.
 
 The machinery lives in :mod:`repro.engine.incremental` as an alternative
 Execute/Score phase pair on the shared
-:class:`~repro.engine.ExecutionEngine` — partitioning, Hoeffding pruning,
-and mergeable-aggregate accumulation there; alignment, normalization,
-scoring, and top-k through the same View Processor and selection phases as
-the batch path. This module keeps the stable user-facing API.
+:class:`~repro.engine.ExecutionEngine` — Hoeffding pruning and the running
+per-group aggregates there; the partition queries are ordinary plan steps
+executed on the backend; alignment, normalization, scoring, and top-k go
+through the same View Processor and selection phases as the batch path.
+This module keeps the stable user-facing API.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class IncrementalResult:
 class IncrementalRecommender:
     """Phase-at-a-time recommendation with early view pruning.
 
-    Operates on an in-memory :class:`Table` (obtain one from any backend
-    via ``backend.fetch_table(name)``); partitioning strategy and pruning
-    are backend-independent by construction.
+    Takes an in-memory :class:`Table` and executes on its own
+    :class:`MemoryBackend` holding it — a request must target that table.
+    Partitioning and pruning are backend-independent by construction.
     """
 
     def __init__(
@@ -83,7 +84,6 @@ class IncrementalRecommender:
         metric: "str | DistanceMetric" = "js",
         normalization: NormalizationPolicy = NormalizationPolicy.SHIFT,
     ):
-        self.table = table
         self.metric = get_metric(metric)
         if self.metric.name not in BOUNDED_METRICS:
             raise ConfigError(
@@ -92,9 +92,7 @@ class IncrementalRecommender:
                 f"{sorted(BOUNDED_METRICS)})"
             )
         self.normalization = normalization
-        # One session engine, like the other facades. The backend exists
-        # only to anchor the ExecutionContext — phased execution reads the
-        # in-memory table directly and issues no backend queries.
+        # One session engine, like the other facades.
         backend = MemoryBackend()
         backend.register_table(table)
         self.engine = ExecutionEngine(backend)
@@ -143,7 +141,11 @@ class IncrementalRecommender:
         if not views:
             return IncrementalResult([], {}, {}, 0, knobs["n_phases"], 0, 0)
 
-        config = SeeDBConfig(normalization=self.normalization, k=k)
+        # The view list is explicit, so nothing is enumerated or profiled:
+        # plan statically (no statistics pass), like MultiViewRecommender.
+        config = SeeDBConfig(
+            normalization=self.normalization, k=k, cost_based_planning=False
+        )
         ctx = self.engine.new_context(
             request.target,
             config,
@@ -155,10 +157,7 @@ class IncrementalRecommender:
         # DistanceMetric objects survive the trip (no registry round trip).
         phases = [
             PhasedExecutePhase(
-                table=self.table,
-                metric=metric,
-                normalization=self.normalization,
-                **knobs,
+                metric=metric, normalization=self.normalization, **knobs
             ),
             IncrementalScorePhase(
                 metric=metric, normalization=self.normalization

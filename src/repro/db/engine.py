@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.db.aggregates import Aggregate
 from repro.db.catalog import Catalog
+from repro.db.expressions import split_partition
 from repro.db.groupby import (
     Factorization,
     aggregate_by_codes,
@@ -35,7 +36,7 @@ from repro.db.query import (
 )
 from repro.db.schema import ColumnSpec, Schema
 from repro.db.table import Table
-from repro.db.types import AttributeRole, DataType, infer_data_type
+from repro.db.types import AttributeRole, DataType
 from repro.util.errors import QueryError
 
 
@@ -170,6 +171,11 @@ class Engine:
 
     @staticmethod
     def _apply_predicate(table: Table, predicate) -> Table:
+        # A row partition is a strided view of every column, not a mask:
+        # nothing is copied until the rest of the predicate filters it.
+        partition, predicate = split_partition(predicate)
+        if partition is not None:
+            table = table.take(slice(partition.index, None, partition.of))
         if predicate is None:
             return table
         return table.mask(predicate.evaluate(table))
@@ -220,8 +226,3 @@ class Engine:
             )
         key_names = "_".join(grouping_key_name(k) for k in group_by) or "all"
         return Table(f"{base_table.name}_by_{key_names}", Schema(tuple(specs)), arrays)
-
-
-def infer_result_dtype(values: np.ndarray) -> DataType:
-    """Data type of a computed result column (exported for backends)."""
-    return infer_data_type(values)

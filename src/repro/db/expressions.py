@@ -210,6 +210,43 @@ class Not(Expression):
         return self.operand.referenced_columns()
 
 
+@dataclass(frozen=True)
+class RowPartition(Expression):
+    """Rows whose 0-based load position is ``index`` modulo ``of``.
+
+    ``of`` disjoint, exhaustive, interleaved slices of a table — each an
+    unbiased sample, and the same row set on every backend. Engine-internal
+    (phased execution ANDs it onto a plan step's queries): it has no wire
+    form and the SQL parser never produces it.
+    """
+
+    index: int
+    of: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.index < self.of:
+            raise QueryError(f"row partition index {self.index} outside [0, {self.of})")
+
+    def evaluate(self, table: Table) -> np.ndarray:
+        return np.arange(table.num_rows) % self.of == self.index
+
+    def referenced_columns(self) -> frozenset[str]:
+        return frozenset()
+
+
+def split_partition(
+    predicate: "Expression | None",
+) -> "tuple[RowPartition | None, Expression | None]":
+    """``(partition, rest)`` of a WHERE clause led by a :class:`RowPartition`
+    — the shape a partitioned plan step builds — else ``(None, predicate)``."""
+    if isinstance(predicate, RowPartition):
+        return predicate, None
+    if isinstance(predicate, And) and isinstance(predicate.operands[0], RowPartition):
+        partition, *rest = predicate.operands
+        return partition, rest[0] if len(rest) == 1 else And(tuple(rest))
+    return None, predicate
+
+
 class _ColumnBuilder:
     """Fluent predicate builder: ``col('price') > 10`` etc.
 

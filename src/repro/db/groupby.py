@@ -28,10 +28,6 @@ class Factorization:
     n_groups: int
     keys: dict[str, np.ndarray]
 
-    @property
-    def key_names(self) -> tuple[str, ...]:
-        return tuple(self.keys)
-
 
 def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map ``values`` to dense codes; return ``(codes, uniques)``.
@@ -130,23 +126,5 @@ def finalize_aggregates(
     """Turn partial states into final per-group values, ``{alias: array}``."""
     return {
         aggregate.alias: aggregate.function.finalize(partials_by_alias[aggregate.alias])
-        for aggregate in aggregates
-    }
-
-
-def merge_aggregate_partials(
-    a: dict[str, Partials],
-    b: dict[str, Partials],
-    aggregates: tuple[Aggregate, ...],
-) -> dict[str, Partials]:
-    """Merge two partial-state maps over the *same* group universe.
-
-    Used when recovering the comparison view (all rows) from the flag=0 and
-    flag=1 partitions of a combined query.
-    """
-    return {
-        aggregate.alias: aggregate.function.merge_partials(
-            a[aggregate.alias], b[aggregate.alias]
-        )
         for aggregate in aggregates
     }

@@ -170,8 +170,9 @@ class Table:
         arrays = {col: array[keep] for col, array in self.columns.items()}
         return Table(name or self.name, self.schema, arrays)
 
-    def take(self, indices: np.ndarray, name: str | None = None) -> "Table":
-        """Select rows by integer position (used by samplers)."""
+    def take(self, indices: "np.ndarray | slice", name: str | None = None) -> "Table":
+        """Select rows by integer position (samplers) or by slice (row
+        partitions — a strided view, no column is copied)."""
         arrays = {col: array[indices] for col, array in self.columns.items()}
         return Table(name or self.name, self.schema, arrays)
 

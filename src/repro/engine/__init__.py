@@ -14,7 +14,6 @@ from repro.engine.context import ExecutionContext, describe_predicate
 from repro.engine.engine import ExecutionEngine
 from repro.engine.incremental import (
     BOUNDED_METRICS,
-    DimensionState,
     IncrementalRound,
     IncrementalScorePhase,
     IncrementalTrace,
@@ -61,7 +60,6 @@ __all__ = [
     "IncrementalRound",
     "IncrementalScorePhase",
     "IncrementalTrace",
-    "DimensionState",
     "BOUNDED_METRICS",
     "TRACE_KEY",
     "MultiViewEnumeratePhase",

@@ -171,29 +171,14 @@ class SessionCache:
                 self.stats.hits += 1
             return self._schemas[table]
 
-    def base_table(self, table: str, max_rows: "int | None" = None) -> Table:
-        """A (possibly row-capped) materialization of ``table``.
-
-        Bounded memory: a full materialization serves every capped request
-        by slicing, and fetching the full table evicts any capped copies —
-        at most one stored materialization per table once the full one
-        exists.
-        """
+    def base_table(self, table: str, max_rows: "int | None") -> Table:
+        """A row-capped materialization of ``table`` (what metadata
+        collection reads), fetched once per (data version, cap)."""
+        key = (table, max_rows)
         with self._lock:
-            full = self._tables.get((table, None))
-            if full is not None:
-                self.stats.hits += 1
-                if max_rows is not None and full.num_rows > max_rows:
-                    return full.head(max_rows)
-                return full
-            key = (table, max_rows)
             if key not in self._tables:
                 self.stats.misses += 1
-                fetched = self.backend.fetch_table(table, max_rows=max_rows)
-                if max_rows is None:
-                    for stale in [k for k in self._tables if k[0] == table]:
-                        del self._tables[stale]
-                self._tables[key] = fetched
+                self._tables[key] = self.backend.fetch_table(table, max_rows=max_rows)
             else:
                 self.stats.hits += 1
             return self._tables[key]

@@ -52,15 +52,7 @@ from repro.engine.incremental import (
     IncrementalScorePhase,
     PhasedExecutePhase,
 )
-from repro.engine.phases import (
-    EnumeratePhase,
-    MetadataPhase,
-    Phase,
-    PrunePhase,
-    RenderPhase,
-    SelectPhase,
-    default_phases,
-)
+from repro.engine.phases import Phase, RenderPhase, default_phases
 from repro.metadata.collector import MetadataCollector
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.optimizer.parallel import ParallelExecutor, get_shared_pool
@@ -91,19 +83,16 @@ def resolve_request(
 
 
 def phases_for(resolved: "ResolvedRequest") -> list[Phase]:
-    """The phase list a resolved request runs: strategy picks the
-    execute/score pair, a render block appends :class:`RenderPhase`."""
+    """The phase list a resolved request runs: the default pipeline, its
+    execute/score pair swapped for the phased one when the strategy is
+    incremental, plus :class:`RenderPhase` when a render block asks."""
+    phases = default_phases()
     if resolved.strategy == "incremental":
-        phases = [
-            MetadataPhase(),
-            EnumeratePhase(),
-            PrunePhase(),
-            PhasedExecutePhase(**resolved.incremental),
-            IncrementalScorePhase(),
-            SelectPhase(),
-        ]
-    else:
-        phases = default_phases()
+        swapped = {
+            "execute": PhasedExecutePhase(**resolved.incremental),
+            "score": IncrementalScorePhase(),
+        }
+        phases = [swapped.get(phase.name, phase) for phase in phases]
     if resolved.render.get("format", "none") != "none":
         phases.append(RenderPhase(resolved.render))
     return phases
@@ -291,6 +280,10 @@ class ExecutionEngine:
         """
         decision = ctx.plan_decision
         if decision is None or decision.predicted_seconds <= 0:
+            return
+        if TRACE_KEY in ctx.extras:
+            # A phased run's execute clock spans every round's partition
+            # scan and re-estimate; the prediction priced one full scan.
             return
         observed = ctx.stopwatch.phases.get("execute")
         if observed is None:

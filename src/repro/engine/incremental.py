@@ -1,210 +1,41 @@
 """Incremental execution as swappable Execute/Score phases.
 
 The phased-execution scheme of §1 challenge (d) — interleaved row
-partitions, running mergeable-aggregate state per view, Hoeffding-style
-confidence pruning between phases — re-hosted on the shared engine.
-:class:`PhasedExecutePhase` replaces the batch ``ExecutePhase`` and leaves
-ordinary :class:`~repro.model.view.RawViewData` in the context, so the
-standard View Processor / top-k phases finish the run: the incremental
-path no longer carries private copies of align/normalize/score/top-k.
-
-State is columnar: each :class:`DimensionState` keeps one dense
-``(2 flags, n_groups)`` array per auxiliary aggregate, merged per phase
-with vectorized scatter updates (one dict lookup per result row for the
-key→column mapping; everything else is whole-array arithmetic), and the
-per-phase utility re-estimates run through the shared batch scorer.
+partitions, running mergeable aggregates per view group, Hoeffding-style
+confidence pruning between phases — hosted on the shared engine and the
+shared plan. :class:`PhasedExecutePhase` replaces the batch
+``ExecutePhase`` and runs ``ctx.plan`` once per round, every step
+restricted to that round's :class:`~repro.db.expressions.RowPartition`:
+each view query of a phased run is issued to the backend by
+:meth:`~repro.optimizer.plan.ExecutionStep.fetch`, so rounds share scans
+and are priced, counted and interruptible like a blocking run. A round's
+result tables are folded into the group's running ones with the rollup
+merge (:func:`fold_partition`), read back with the batch extractor, and
+re-estimated through the shared batch scorer; ordinary
+:class:`~repro.model.view.RawViewData` is left in the context, so the
+standard View Processor / top-k phases finish the run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from repro.core.view_processor import ViewProcessor
-from repro.db.aggregates import Aggregate
-from repro.db.catalog import Catalog
-from repro.db.engine import Engine
-from repro.db.expressions import TruePredicate
-from repro.db.query import AggregateQuery, FlagColumn
+from repro.db.expressions import RowPartition
 from repro.db.table import Table
 from repro.engine.context import ExecutionContext
-from repro.engine.phases import Phase, ScorePhase
-from repro.metrics.normalize import canonical_key
+from repro.engine.phases import Phase, PlanPhase, ScorePhase
 from repro.model.view import RawViewData, ViewSpec
-from repro.optimizer.combine import aux_aggregates, merge_spec
-from repro.optimizer.extract import FLAG_NAME
+from repro.optimizer.extract import FLAG_NAME, extract_views, marginalize
+from repro.optimizer.plan import ViewGroup
 from repro.testing.faults import fault_point
+from repro.util.errors import DeadlineExceeded
 
 #: Metrics whose values are bounded in [0, 1], the precondition for the
 #: Hoeffding-style pruning bound.
 BOUNDED_METRICS = frozenset(
     {"js", "total_variation", "maxdev", "chisquare", "emd", "hellinger"}
 )
-
-#: Accumulation mode per auxiliary aggregate function.
-_ACCUMULATE_ADD = frozenset({"sum", "count", "countv", "sumsq"})
-
-
-@dataclass
-class DimensionState:
-    """Accumulated per-(flag, group) aux values for one dimension.
-
-    Running partial distributions live in dense 2-D arrays: per auxiliary
-    aggregate one ``(2, n_groups)`` value matrix (row = flag partition),
-    plus one shared presence mask distinguishing "group never seen under
-    this flag" from a genuine accumulated value. Columns are assigned in
-    first-seen order and the sorted view of the key universe is cached
-    between phases.
-    """
-
-    aux: tuple[Aggregate, ...]
-    #: key -> column, in first-seen order.
-    index: dict[Any, int] = field(default_factory=dict)
-    #: Column's key, aligned with ``index`` values.
-    keys: list[Any] = field(default_factory=list)
-    #: alias -> (2, n_groups) accumulated values.
-    data: dict[str, np.ndarray] = field(default_factory=dict)
-    #: (2, n_groups) — whether a (flag, group) cell has been absorbed.
-    present: np.ndarray = field(default_factory=lambda: np.zeros((2, 0), dtype=bool))
-    _sorted_columns: "np.ndarray | None" = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        for aggregate in self.aux:
-            self.data.setdefault(aggregate.alias, np.zeros((2, 0), dtype=np.float64))
-
-    def absorb(self, result: Table, dimension: str) -> None:
-        """Merge one phase's flag-combined result into the running state."""
-        if result.num_rows == 0:
-            return
-        flags = np.asarray(result.column(FLAG_NAME)).astype(np.int64)
-        self._absorb(flags, result, dimension)
-
-    def absorb_partition(self, result: Table, dimension: str, flag: int) -> None:
-        """Merge a single-side result (no flag column) under ``flag``.
-
-        Query references issue separate target/reference queries per
-        partition; their rows all land in one flag row of the state
-        (1 = target, 0 = reference).
-        """
-        if result.num_rows == 0:
-            return
-        flags = np.full(result.num_rows, flag, dtype=np.int64)
-        self._absorb(flags, result, dimension)
-
-    def _absorb(self, flags: np.ndarray, result: Table, dimension: str) -> None:
-        n_rows = result.num_rows
-        raw_keys = result.column(dimension)
-        index = self.index
-        columns = np.empty(n_rows, dtype=np.int64)
-        for i in range(n_rows):
-            key = canonical_key(raw_keys[i])
-            column = index.get(key)
-            if column is None:
-                column = len(index)
-                index[key] = column
-                self.keys.append(key)
-                self._sorted_columns = None
-            columns[i] = column
-        self._grow(len(index))
-
-        existing = self.present[flags, columns]
-        new = ~existing
-        for aggregate in self.aux:
-            values = np.asarray(result.column(aggregate.alias), dtype=np.float64)
-            data = self.data[aggregate.alias]
-            if aggregate.func in _ACCUMULATE_ADD:
-                # NaN partial sums never overwrite accumulated mass; a NaN
-                # *first* value is kept verbatim (matching scalar merge).
-                add = existing & ~np.isnan(values)
-                data[flags[add], columns[add]] += values[add]
-            else:
-                merge = np.fmin if aggregate.func == "min" else np.fmax
-                data[flags[existing], columns[existing]] = merge(
-                    data[flags[existing], columns[existing]], values[existing]
-                )
-            data[flags[new], columns[new]] = values[new]
-        self.present[flags, columns] = True
-
-    def _grow(self, n_columns: int) -> None:
-        current = self.present.shape[1]
-        if n_columns <= current:
-            return
-        pad = n_columns - current
-        self.present = np.pad(self.present, ((0, 0), (0, pad)))
-        for alias, data in self.data.items():
-            self.data[alias] = np.pad(data, ((0, 0), (0, pad)))
-
-    def _ordered_columns(self) -> np.ndarray:
-        """Column indices in sorted-key order (cached between phases)."""
-        if self._sorted_columns is None:
-            order = sorted(
-                range(len(self.keys)),
-                key=lambda column: (
-                    type(self.keys[column]).__name__,
-                    self.keys[column],
-                ),
-            )
-            self._sorted_columns = np.asarray(order, dtype=np.int64)
-        return self._sorted_columns
-
-    def raw_view(
-        self, view: ViewSpec, comparison_flags: tuple[int, ...] = (0, 1)
-    ) -> RawViewData:
-        """The view's target/comparison series reconstructed from state.
-
-        ``comparison_flags`` selects which flag partitions make up the
-        comparison side: ``(0, 1)`` merges both (the whole-table
-        reference), ``(0,)`` takes the non-target partition alone
-        (complement and query references). Returning :class:`RawViewData`
-        is what lets the shared View Processor score incremental estimates
-        exactly like batch results.
-        """
-        spec = merge_spec(view.aggregate)
-        ordered = self._ordered_columns()
-        if ordered.size:
-            target_columns = ordered[self.present[1, ordered]]
-            comparison_columns = ordered[
-                self.present[list(comparison_flags)][:, ordered].any(axis=0)
-            ]
-        else:
-            target_columns = comparison_columns = ordered
-        target_keys = [self.keys[column] for column in target_columns]
-        comparison_keys = [self.keys[column] for column in comparison_columns]
-        return RawViewData(
-            spec=view,
-            target_keys=target_keys,
-            target_values=spec.reconstruct(self._merged(target_columns, (1,))),
-            comparison_keys=comparison_keys,
-            comparison_values=spec.reconstruct(
-                self._merged(comparison_columns, comparison_flags)
-            ),
-        )
-
-    def _merged(
-        self, columns: np.ndarray, flags: tuple[int, ...]
-    ) -> dict[str, np.ndarray]:
-        """{alias: values} over ``columns``, merged across ``flags``.
-
-        Additive aggregates sum present cells (absent = neutral 0); extrema
-        take the NaN-ignoring min/max with NaN as the absent fill — the
-        vectorized form of the scalar per-cell merge.
-        """
-        rows = list(flags)
-        arrays: dict[str, np.ndarray] = {}
-        for aggregate in self.aux:
-            data = self.data[aggregate.alias][rows][:, columns]
-            present = self.present[rows][:, columns]
-            if aggregate.func in _ACCUMULATE_ADD:
-                merged = np.where(present, data, 0.0).sum(axis=0)
-            else:
-                stacked = np.where(present, data, np.nan)
-                merge = np.fmin if aggregate.func == "min" else np.fmax
-                merged = merge.reduce(stacked, axis=0)
-            arrays[aggregate.alias] = np.asarray(merged, dtype=np.float64)
-        return arrays
 
 
 @dataclass
@@ -244,8 +75,27 @@ class IncrementalRound:
     epsilon: "float | None" = None
 
 
+def fold_partition(running, tables, keys, aggregates, flag_name=None):
+    """Fold one partition's result ``tables`` (one per side, as
+    :meth:`ExecutionStep.fetch` returns them for a group) into the group's
+    ``running`` ones (None before the first partition).
+
+    The rollup merge over old ++ new rows, side by side. The first
+    partition is folded too, so a SQL ``SUM`` over an all-NULL slice
+    (NULL) is the additive identity by the time it reaches an estimate. A
+    shared step whose other groups died carries fewer aggregates than the
+    rounds before it: the running rows are projected onto the new columns.
+    """
+    if running is not None:
+        tables = tuple(
+            old.select_columns(new.schema.names).concat(new)
+            for old, new in zip(running, tables)
+        )
+    return tuple(marginalize(table, keys, aggregates, flag_name) for table in tables)
+
+
 class PhasedExecutePhase(Phase):
-    """Execute view queries one partition at a time with early pruning.
+    """Execute the plan one row partition at a time with early pruning.
 
     Partitions are interleaved row slices (row ``i`` belongs to phase
     ``i mod n_phases``), so each phase is an unbiased sample. Pruning uses
@@ -259,7 +109,6 @@ class PhasedExecutePhase(Phase):
 
     def __init__(
         self,
-        table: "Table | None" = None,
         n_phases: int = 10,
         delta: float = 0.05,
         min_phases_before_pruning: int = 2,
@@ -267,7 +116,6 @@ class PhasedExecutePhase(Phase):
         metric=None,
         normalization=None,
     ):
-        self.table = table
         self.n_phases = n_phases
         self.delta = delta
         self.min_phases_before_pruning = min_phases_before_pruning
@@ -279,17 +127,21 @@ class PhasedExecutePhase(Phase):
         for _round in self.rounds(ctx):
             pass
 
+    def epsilon(self, m: int) -> float:
+        """The Hoeffding half-width ε_m after ``m`` executed phases."""
+        return self.epsilon_scale * math.sqrt(math.log(2.0 / self.delta) / (2.0 * m))
+
     def rounds(self, ctx: ExecutionContext):
         """Drive phased execution, yielding one :class:`IncrementalRound`
         per executed phase — the progressive-delivery hook behind
         :meth:`repro.SeeDB.recommend_iter`. Exhausting the generator
         finalizes ``ctx.raw_views`` exactly like :meth:`run`.
 
-        The context's reference selects the comparison side: table and
-        complement references share the flag-combined per-phase query
-        (comparison = both partitions merged, or flag=0 alone); a query
-        reference issues separate target/reference queries per phase —
-        the two selections may overlap, which one 0/1 flag cannot encode.
+        Every round executes the steps of ``ctx.plan``, trimmed to the
+        groups with a view still alive, on ``ctx.backend``: sharing and the
+        reference's query shape (one flag-combined query or a
+        target/reference pair) are whatever ``PlanPhase`` chose. A
+        hand-assembled phase list without one is planned here.
         """
         views = list(ctx.surviving)
         trace = IncrementalTrace(
@@ -298,100 +150,63 @@ class PhasedExecutePhase(Phase):
         ctx.extras[TRACE_KEY] = trace
         if not views:
             return
-        table = self.table if self.table is not None else self._fetch(ctx)
-        reference = ctx.reference
-        comparison_flags = (0, 1) if reference.merge_partitions else (0,)
-        predicate = (
-            ctx.query.predicate
-            if ctx.query.predicate is not None
-            else TruePredicate()
-        )
-        metric = (
-            self.metric if self.metric is not None else ctx.config.resolve_metric()
-        )
-        normalization = (
-            self.normalization
-            if self.normalization is not None
-            else ctx.config.normalization
-        )
-        processor = ViewProcessor(metric, normalization)
+        if ctx.plan is None:
+            PlanPhase().run(ctx)
+        processor = ScorePhase(self.metric, self.normalization).processor(ctx)
+        merge = ctx.reference.merge_partitions
 
-        groups: dict[str, list[ViewSpec]] = {}
-        for view in views:
-            groups.setdefault(view.dimension, []).append(view)
-        states = {
-            dimension: DimensionState(aux=aux_aggregates(members))
-            for dimension, members in groups.items()
-        }
-
+        #: Per view group, its accumulated result table(s) so far.
+        running: dict[ViewGroup, tuple[Table, ...]] = {}
+        raw: dict[ViewSpec, RawViewData] = {}
         alive: set[ViewSpec] = set(views)
-        k = ctx.k
-        indices = np.arange(table.num_rows)
         token = ctx.cancel_token
         for phase in range(self.n_phases):
-            # Chaos seam: phased queries run on a local engine, so this is
-            # the round-granular injection point the backend-level hook
-            # cannot cover. Placed before the token check so an injected
-            # stall is *observed* by the deadline logic, like real slowness.
+            # Chaos seam: a stalled or failing *round* (the backend seam
+            # covers single statements). Placed before the token check so an
+            # injected stall is observed by the deadline logic, like real
+            # slowness.
             fault_point("engine.round")
             if token is not None:
-                # Explicit cancellation always aborts; deadline expiry
-                # degrades gracefully once at least one unbiased round has
-                # been absorbed — the best current top-k ships marked
-                # partial, with the Hoeffding ε saying how far any
-                # estimate can still move.
                 token.check_cancel()
-                if token.expired():
-                    if trace.phases_executed >= 1:
-                        ctx.partial = True
-                        ctx.partial_epsilon = self.epsilon_scale * math.sqrt(
-                            math.log(2.0 / self.delta)
-                            / (2.0 * trace.phases_executed)
-                        )
-                        break
-                    token.check()
-            active_dimensions = {v.dimension for v in alive}
-            if not active_dimensions:
+                if token.expired() and self._degrade(ctx, trace):
+                    break
+                token.check()
+            if not alive:
                 break
-            partition = table.take(indices[phase :: self.n_phases], name="__phase")
-            catalog = Catalog()
-            catalog.register(partition)
-            engine = Engine(catalog)
-            flag = FlagColumn(FLAG_NAME, predicate)
-            for dimension in sorted(active_dimensions):
-                state = states[dimension]
-                if reference.flag_combinable:
-                    result = engine.execute(
-                        AggregateQuery("__phase", (flag, dimension), state.aux, None)
+            partition = RowPartition(phase, self.n_phases)
+            steps = []
+            for step in ctx.plan.steps:
+                groups = tuple(g for g in step.groups if not alive.isdisjoint(g.views))
+                if groups:
+                    steps.append(replace(step, groups=groups, partition=partition))
+            try:
+                fetched = [step.fetch(ctx.backend) for step in steps]
+            except DeadlineExceeded:
+                # The backend's interrupt fired inside the round: drop it
+                # whole (state only ever holds complete rounds) and apply
+                # the between-rounds rule.
+                if self._degrade(ctx, trace):
+                    break
+                raise
+            raw = {}
+            for step, (aggregates, results) in zip(steps, fetched):
+                flag_name = FLAG_NAME if step.combine_flag else None
+                for group, tables in zip(step.groups, results):
+                    running[group] = fold_partition(
+                        running.get(group), tables, group.keys, aggregates, flag_name
                     )
-                    assert isinstance(result, Table)
-                    state.absorb(result, dimension)
-                else:
-                    target_result = engine.execute(
-                        AggregateQuery(
-                            "__phase", (dimension,), state.aux, ctx.query.predicate
+                    survivors = tuple(v for v in group.views if v in alive)
+                    raw.update(
+                        extract_views(
+                            running[group], group.dimension, survivors, aggregates, merge
                         )
                     )
-                    reference_result = engine.execute(
-                        AggregateQuery(
-                            "__phase", (dimension,), state.aux, reference.predicate
-                        )
-                    )
-                    assert isinstance(target_result, Table)
-                    assert isinstance(reference_result, Table)
-                    state.absorb_partition(target_result, dimension, flag=1)
-                    state.absorb_partition(reference_result, dimension, flag=0)
-                trace.work_done += sum(1 for v in groups[dimension] if v in alive)
+                    trace.work_done += len(survivors)
             trace.phases_executed = phase + 1
 
             # Re-estimate utilities for alive views via the shared batch
             # scorer (one dense block per dimension, not one call per view).
-            estimates = processor.score_batch(
-                [
-                    states[view.dimension].raw_view(view, comparison_flags)
-                    for view in alive
-                ]
-            )
+            estimates = processor.score_batch(raw)
             for view, scored in estimates.items():
                 trace.utilities[view] = scored.utility
 
@@ -400,15 +215,13 @@ class PhasedExecutePhase(Phase):
             if (
                 trace.phases_executed >= self.min_phases_before_pruning
                 and trace.phases_executed < self.n_phases
-                and len(alive) > k
+                and len(alive) > ctx.k
             ):
-                epsilon = self.epsilon_scale * math.sqrt(
-                    math.log(2.0 / self.delta) / (2.0 * trace.phases_executed)
-                )
+                epsilon = self.epsilon(trace.phases_executed)
                 lower_bounds = sorted(
                     (trace.utilities[view] - epsilon for view in alive), reverse=True
                 )
-                threshold = lower_bounds[k - 1] if len(lower_bounds) >= k else -1.0
+                threshold = lower_bounds[ctx.k - 1] if len(lower_bounds) >= ctx.k else -1.0
                 for view in list(alive):
                     if trace.utilities[view] + epsilon < threshold:
                         alive.discard(view)
@@ -423,19 +236,17 @@ class PhasedExecutePhase(Phase):
                 epsilon=epsilon,
             )
 
-        ctx.raw_views = {
-            view: states[view.dimension].raw_view(view, comparison_flags)
-            for view in views
-            if view in alive
-        }
+        ctx.raw_views = {view: raw[view] for view in views if view in alive}
 
-    @staticmethod
-    def _fetch(ctx: ExecutionContext) -> Table:
-        # Deliberately NOT ctx.base_table: MetadataPhase materializes that
-        # capped at config.metadata_max_rows (a row *prefix*, fine for
-        # statistics, biased for execution). Phased execution needs the
-        # full table.
-        return ctx.cache.base_table(ctx.query.table, max_rows=None)
+    def _degrade(self, ctx: ExecutionContext, trace: IncrementalTrace) -> bool:
+        """Deadline expiry (never explicit cancellation) degrades gracefully
+        once one unbiased round has been absorbed: the best current top-k
+        ships marked partial, ε saying how far an estimate can still move."""
+        if trace.phases_executed < 1:
+            return False
+        ctx.partial = True
+        ctx.partial_epsilon = self.epsilon(trace.phases_executed)
+        return True
 
 
 class IncrementalScorePhase(ScorePhase):

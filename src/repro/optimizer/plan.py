@@ -11,11 +11,12 @@ choices, and a plan step carries one field for each:
   a scan: not at all (one group per step), one GROUPING SETS query, or one
   multi-attribute rollup marginalized per group in post-processing.
 
-:class:`ExecutionStep` is the one step type; it knows its logical queries
-and how to extract per-view raw series from their results. The ways of
-arranging view groups into steps are the rows of :data:`PLAN_KINDS`;
-:class:`Planner` looks its mode up there and the engine's cost-based
-``PlanPhase`` prices one plan per row.
+:class:`ExecutionStep` is the one step type and every strategy executes
+it: it knows its logical queries, fetches their results and extracts
+per-view raw series from them; a phased run fetches it one row partition
+at a time. The ways of arranging view groups into steps are the rows of
+:data:`PLAN_KINDS`; :class:`Planner` looks its mode up there and the
+engine's cost-based ``PlanPhase`` prices one plan per row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.backends.base import Backend, BackendCapabilities
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import RawViewData, ViewSpec
 from repro.db.aggregates import Aggregate
-from repro.db.expressions import Expression, TruePredicate
+from repro.db.expressions import Expression, RowPartition, TruePredicate
 from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery
 from repro.db.table import Table
 from repro.optimizer.binpack import pack_dimensions
@@ -92,6 +93,11 @@ class ExecutionStep:
     otherwise the comparison runs as a second query over the reference's
     rows: the whole table (predicate None, §2), the target's complement,
     or an arbitrary second selection (query-vs-query).
+
+    ``partition`` restricts every query of the step to one interleaved row
+    slice — how phased execution runs the plan a partition at a time. It
+    is a predicate AND-ed onto each WHERE clause, so every sharing kind
+    and every backend executes it like any other step.
     """
 
     table: str
@@ -100,6 +106,7 @@ class ExecutionStep:
     sharing: GroupByCombining = GroupByCombining.NONE
     combine_flag: bool = True
     reference: ResolvedReference = TABLE_REFERENCE
+    partition: "RowPartition | None" = None
 
     def __post_init__(self) -> None:
         if self.sharing is GroupByCombining.AUTO:
@@ -119,8 +126,9 @@ class ExecutionStep:
     def aggregates(self) -> tuple[Aggregate, ...]:
         """What every query of the step computes: the decomposed mergeable
         aggregates wherever results are merged afterwards (flag partitions,
-        rollup marginals), else the views' own aggregates."""
-        if self.combine_flag or self.sharing is GroupByCombining.ROLLUP:
+        rollup marginals, row partitions), else the views' own aggregates."""
+        merged = self.combine_flag or self.partition is not None
+        if merged or self.sharing is GroupByCombining.ROLLUP:
             return aux_aggregates(self.views)
         return dedup_aggregates([view.aggregate for view in self.views])
 
@@ -134,6 +142,12 @@ class ExecutionStep:
             sides = [((flag,), None)]
         else:
             sides = [((), self.predicate), ((), self.reference.predicate)]
+        if self.partition is not None:
+            part = self.partition
+            sides = [
+                (prefix, part if predicate is None else part & predicate)
+                for prefix, predicate in sides
+            ]
         aggregates = self.aggregates()
         if self.sharing is GroupByCombining.GROUPING_SETS:
             return [
@@ -152,18 +166,25 @@ class ExecutionStep:
             for prefix, predicate in sides
         ]
 
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        """Execute against ``backend`` and extract per-view raw series."""
+    def fetch(self, backend: Backend) -> "tuple[tuple[Aggregate, ...], list[tuple[Table, ...]]]":
+        """Execute against ``backend``: the aggregates the queries carried
+        and, per group in order, its result tables — ``(combined,)`` when
+        flag-combined, else ``(target, comparison)``."""
         queries = self.queries()
         sides = [self._group_results(backend, query) for query in queries]
+        return queries[0].aggregates, list(zip(*sides))
+
+    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
+        """Execute against ``backend`` and extract per-view raw series."""
+        aggregates, fetched = self.fetch(backend)
         extracted: dict[ViewSpec, RawViewData] = {}
-        for group, *results in zip(self.groups, *sides):
+        for group, results in zip(self.groups, fetched):
             extracted.update(
                 extract_views(
-                    tuple(results),
+                    results,
                     group.dimension,
                     group.views,
-                    queries[0].aggregates,
+                    aggregates,
                     merge=self.reference.merge_partitions,
                 )
             )

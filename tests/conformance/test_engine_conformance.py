@@ -13,8 +13,11 @@ from conformance_kit import BACKEND_FACTORIES, medium_workload
 from repro.api import RecommendationRequest
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
-from repro.db.expressions import col
-from repro.db.query import RowSelectQuery
+from repro.db.aggregates import Aggregate
+from repro.db.expressions import RowPartition, col
+from repro.db.query import AggregateQuery, GroupingSetsQuery, RowSelectQuery
+from repro.db.table import Table
+from repro.db.types import AttributeRole
 from repro.optimizer.plan import GroupByCombining
 
 
@@ -112,6 +115,84 @@ class TestCapabilityDrivenPlanning:
         assert [v.spec.label for v in result_auto.recommendations] == [
             v.spec.label for v in result_none.recommendations
         ]
+
+
+class TestRowPartitions:
+    """Phased execution's partition predicate: the same interleaved row
+    slices on every backend, and rounds that really run there."""
+
+    N_ROWS, N_PARTS = 11, 3
+
+    def ordinal_table(self):
+        return Table.from_columns(
+            "ordinal",
+            {
+                "pos": list(range(self.N_ROWS)),
+                "tag": [f"t{i % 2}" for i in range(self.N_ROWS)],
+                "one": [1.0] * self.N_ROWS,
+            },
+            roles={
+                "pos": AttributeRole.DIMENSION,
+                "tag": AttributeRole.DIMENSION,
+                "one": AttributeRole.MEASURE,
+            },
+        )
+
+    def test_partition_is_memorys_strided_slice_of_load_order(self, make_backend):
+        """Partition ``i`` holds load positions ``[i::n]`` — partition 0
+        contains position 0, whatever the dialect's first ``rowid`` is —
+        through the single-query and the shared-scan renderers alike, and
+        again after the table is replaced."""
+        backend = make_backend()
+        count = (Aggregate("count"),)
+        for replace in (False, True):
+            backend.register_table(self.ordinal_table(), replace=replace)
+            for index in range(self.N_PARTS):
+                partition = RowPartition(index, self.N_PARTS)
+                expected = list(range(self.N_ROWS))[index :: self.N_PARTS]
+                single = backend.execute(
+                    AggregateQuery("ordinal", ("pos",), count, partition)
+                )
+                assert [int(p) for p in single.column("pos")] == expected
+                shared, by_tag = backend.execute_grouping_sets(
+                    GroupingSetsQuery(
+                        "ordinal", (("pos",), ("tag",)), count, partition
+                    )
+                )
+                assert [int(p) for p in shared.column("pos")] == expected
+                assert by_tag.column("count(*)").sum() == len(expected)
+
+    def test_incremental_request_runs_on_the_backend(self, backend_name):
+        table, query = medium_workload()
+        request = RecommendationRequest(
+            query, k=5, strategy="incremental", options={"n_phases": 4}
+        )
+
+        def final_round(name):
+            backend = BACKEND_FACTORIES[name]()
+            try:
+                backend.register_table(table)
+                with SeeDB(backend, SeeDBConfig(**BASE_CONFIG)) as seedb:
+                    seedb.recommend(RecommendationRequest(query))  # warm caches
+                    before = backend.statements_executed
+                    final = list(seedb.recommend_iter(request))[-1]
+                    return final, backend.statements_executed - before
+            finally:
+                backend.close()
+
+        reference, _ = final_round("memory")
+        final, statements = final_round(backend_name)
+        assert final.is_final and final.round == 4
+        assert statements > 0
+        assert final.result.n_queries > 0
+        assert [v.spec.label for v in final.recommendations] == [
+            v.spec.label for v in reference.recommendations
+        ]
+        np.testing.assert_allclose(
+            [v.utility for v in final.recommendations],
+            [v.utility for v in reference.recommendations],
+            rtol=1e-6,
+        )
 
 
 @pytest.fixture

@@ -5,10 +5,13 @@ The optimizer's central contract — combining strategies change *work*, not
 dimension carrying NULLs, NaN measures, random predicates) over the whole
 step grid: sharing × sides × reference × single-/multi-attribute
 dimension × backend, each cell against the all-separate baseline (one
-unshared two-query step per view) on the same backend.
+unshared two-query step per view) on the same backend — and, along the
+partition axis, against itself run one row partition at a time and folded
+the way phased execution folds its rounds.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +21,13 @@ from hypothesis import strategies as st
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.multiview import MultiViewSpec
-from repro.db.expressions import col
+from repro.db.expressions import RowPartition, col
 from repro.db.table import Table
 from repro.db.types import AttributeRole
+from repro.engine.incremental import fold_partition
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
+from repro.optimizer.extract import FLAG_NAME, extract_views
 from repro.optimizer.plan import (
     ExecutionPlan,
     ExecutionStep,
@@ -125,6 +130,30 @@ def assert_matches(actual, expected):
         )
 
 
+def run_partitioned(steps, backend, n):
+    """Every step run as ``n`` row-partitioned steps whose ``fetch`` results
+    are folded with the phased path's merge, then extracted once."""
+    extracted = {}
+    for step in steps:
+        flag_name = FLAG_NAME if step.combine_flag else None
+        running = [None] * len(step.groups)
+        for index in range(n):
+            part = replace(step, partition=RowPartition(index, n))
+            aggregates, fetched = part.fetch(backend)
+            running = [
+                fold_partition(old, tables, group.keys, aggregates, flag_name)
+                for old, tables, group in zip(running, fetched, step.groups)
+            ]
+        for group, tables in zip(step.groups, running):
+            extracted.update(
+                extract_views(
+                    tables, group.dimension, group.views, aggregates,
+                    merge=step.reference.merge_partitions,
+                )
+            )
+    return extracted
+
+
 @pytest.mark.parametrize(
     "sharing,combine_flag,reference_kind,dimension_kind,backend_name",
     GRID,
@@ -164,10 +193,14 @@ def test_step_grid_equals_all_separate_baseline(
         else:
             steps = [step(groups, sharing, combine_flag)]
         actual = ExecutionPlan(steps).run(backend)
+        partitioned = {n: run_partitioned(steps, backend, n) for n in (1, 3)}
     finally:
         backend.close()
 
     assert_matches(actual, expected)
+    # The partition axis: n interleaved row slices, folded, are the step.
+    for folded in partitioned.values():
+        assert_matches(folded, actual)
     # A NULL dimension value is the object None on every path and backend,
     # never the string 'None'.
     for raw in expected.values():

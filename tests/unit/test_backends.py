@@ -10,11 +10,13 @@ from repro.backends.sqlgen import (
     render_aggregate,
     render_aggregate_query,
     render_expression,
+    render_grouping_sets_native,
+    render_grouping_sets_union,
     render_literal,
     render_row_select,
 )
 from repro.db.aggregates import Aggregate
-from repro.db.expressions import TruePredicate, col
+from repro.db.expressions import RowPartition, TruePredicate, col
 from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery, RowSelectQuery
 from repro.db.table import Table
 from repro.util.errors import BackendError, QueryError
@@ -86,6 +88,32 @@ class TestSqlGen:
     def test_row_select(self):
         sql = render_row_select(RowSelectQuery("t", col("x") > 2))
         assert sql == 'SELECT * FROM "t" WHERE "x" > 2'
+
+    def test_row_partition_in_both_rowid_spellings(self):
+        """0-based load position: SQLite's rowid counts from 1, DuckDB's
+        from 0 — its renderer calls pass ``rowid_base=0``."""
+        partition = RowPartition(2, 10)
+        assert render_expression(partition) == "(rowid - 1) % 10 = 2"
+        assert render_expression(partition, rowid_base=0) == "rowid % 10 = 2"
+        where = partition & (col("p") == 1)
+        query = AggregateQuery("t", ("a",), (Aggregate("count"),), where)
+        assert 'WHERE ((rowid - 1) % 10 = 2 AND "p" = 1) GROUP BY' in (
+            render_aggregate_query(query)
+        )
+        assert 'WHERE (rowid % 10 = 2 AND "p" = 1) GROUP BY' in (
+            render_aggregate_query(query, native_var_std=True, rowid_base=0)
+        )
+        sets = GroupingSetsQuery("t", (("a",), ("b",)), (Aggregate("count"),), partition)
+        union = render_grouping_sets_union(sets, rowid_base=0)
+        assert union.count("WHERE rowid % 10 = 2") == 2
+        assert render_grouping_sets_union(sets).count("WHERE (rowid - 1) % 10 = 2") == 2
+        native, _keys, _masks = render_grouping_sets_native(sets, rowid_base=0)
+        assert "WHERE rowid % 10 = 2 GROUP BY GROUPING SETS" in native
+
+    def test_row_partition_index_must_be_inside_the_modulus(self):
+        for index, of in [(-1, 3), (3, 3), (0, 0)]:
+            with pytest.raises(QueryError, match="row partition"):
+                RowPartition(index, of)
 
 
 class TestMemoryBackend:

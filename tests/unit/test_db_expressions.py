@@ -14,8 +14,10 @@ from repro.db.expressions import (
     Literal,
     Not,
     Or,
+    RowPartition,
     TruePredicate,
     col,
+    split_partition,
 )
 from repro.db.table import Table
 from repro.util.errors import QueryError
@@ -107,6 +109,42 @@ class TestBooleanCombinators:
     def test_or_requires_two_operands(self):
         with pytest.raises(QueryError):
             Or((TruePredicate(),))
+
+
+class TestRowPartition:
+    def test_partitions_are_disjoint_exhaustive_interleaved(self, table):
+        masks = [RowPartition(index, 3).evaluate(table) for index in range(3)]
+        assert [names(table, mask) for mask in masks] == [
+            ["ann", "dee"], ["bob"], ["cid"],
+        ]
+        assert np.sum(masks, axis=0).tolist() == [1, 1, 1, 1]
+        assert RowPartition(0, 3).referenced_columns() == frozenset()
+
+    def test_memory_engine_takes_a_strided_view_not_a_copy(self, table):
+        from repro.db.engine import Engine
+
+        sliced = Engine._apply_predicate(table, RowPartition(1, 2))
+        assert names(sliced, slice(None)) == ["bob", "dee"]
+        assert np.shares_memory(sliced.column("age"), table.column("age"))
+        rest = RowPartition(1, 2) & (col("age") == 25) & (col("name") == "dee")
+        assert names(Engine._apply_predicate(table, rest), slice(None)) == ["dee"]
+
+    def test_split_peels_only_a_leading_partition(self):
+        partition, other = RowPartition(0, 2), col("age") == 25
+        assert split_partition(None) == (None, None)
+        assert split_partition(partition) == (partition, None)
+        assert split_partition(partition & other) == (partition, other)
+        assert split_partition(other & partition) == (None, other & partition)
+        assert split_partition(And((partition, other, other))) == (
+            partition, other & other,
+        )
+
+    def test_has_no_wire_form(self):
+        from repro.api.codec import expression_to_wire
+        from repro.api.errors import ApiError
+
+        with pytest.raises(ApiError):
+            expression_to_wire(RowPartition(0, 2))
 
 
 class TestReferencedColumns:

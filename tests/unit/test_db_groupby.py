@@ -9,7 +9,6 @@ from repro.db.groupby import (
     factorize,
     factorize_multi,
     finalize_aggregates,
-    merge_aggregate_partials,
 )
 from repro.util.errors import QueryError
 
@@ -108,20 +107,3 @@ class TestAggregateByCodes:
         aggregates = (Aggregate("sum", "v", "x"), Aggregate("avg", "v", "x"))
         with pytest.raises(QueryError, match="duplicate"):
             aggregate_by_codes(fact, {"v": np.array([1.0])}, aggregates)
-
-    def test_merge_partials_across_partitions(self):
-        keys = np.array(["a", "b", "a", "b"], dtype=object)
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        fact_all = factorize_multi({"k": keys}, 4)
-        aggregates = (Aggregate("avg", "v"),)
-        all_partials = aggregate_by_codes(fact_all, {"v": values}, aggregates)
-
-        first = factorize_multi({"k": keys[:2]}, 2)
-        second = factorize_multi({"k": keys[2:]}, 2)
-        partials_first = aggregate_by_codes(first, {"v": values[:2]}, aggregates)
-        partials_second = aggregate_by_codes(second, {"v": values[2:]}, aggregates)
-        merged = merge_aggregate_partials(partials_first, partials_second, aggregates)
-
-        expected = finalize_aggregates(all_partials, aggregates)["avg(v)"]
-        actual = finalize_aggregates(merged, aggregates)["avg(v)"]
-        np.testing.assert_allclose(actual, expected)
