@@ -84,7 +84,7 @@ def test_batch_scoring_speedup(record_rows, workload):
         rows.append(
             {
                 "mode": mode,
-                "n_views_scored": len(result.all_scored),
+                "n_views_scored": len(result.utilities),
                 "score_seconds": best[mode],
                 "total_seconds": result.total_seconds,
                 "queries_executed": executed,
@@ -149,7 +149,7 @@ def test_duckdb_backend_axis(record_rows, workload):
             rows.append(
                 {
                     "mode": mode,
-                    "n_views_scored": len(result.all_scored),
+                    "n_views_scored": len(result.utilities),
                     "total_seconds": round(total, 4),
                     "queries_executed": backend.queries_executed,
                     "statements_executed": backend.statements_executed,

@@ -39,8 +39,12 @@ class MemoryBackend(Backend):
     # -- data management -------------------------------------------------
 
     def register_table(self, table: Table, replace: bool = False) -> None:
+        # A registration is a new Table over the same arrays: its
+        # dictionary encoding lives as long as the registration, so
+        # registering one object again encodes its columns again.
+        registered = Table(table.name, table.schema, table.columns)
         with self._accounting_lock:
-            self.catalog.register(table, replace=replace)
+            self.catalog.register(registered, replace=replace)
             self._bump_data_version()
 
     def drop_table(self, name: str) -> None:

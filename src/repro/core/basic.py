@@ -121,13 +121,13 @@ class BasicFramework:
         with stopwatch.time("select"):
             recommendations = top_k_views(scored.values(), k)
 
-        return RecommendationResult(
+        return RecommendationResult.from_scored(
+            scored,
+            recommendations,
             table=query.table,
             predicate_description=describe_predicate(query),
             k=k,
             metric=metric_name,
-            recommendations=recommendations,
-            all_scored=scored,
             prune_reports=[],
             stopwatch=stopwatch,
             n_candidate_views=len(views),

@@ -3,17 +3,21 @@
 Besides the top-k views themselves, the result carries everything the demo
 frontend displays — per-view metadata, the "bad views" (pruned or
 low-utility, shown on request in Scenario 1), per-phase timings, and the
-work counters the performance scenario plots.
+work counters the performance scenario plots. It keeps the utility of
+every executed view but the distributions of only the views it shows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.view import ScoredView, ViewSpec
 from repro.pruning.base import PruneReport
 from repro.util.tabulate import format_table
 from repro.util.timing import Stopwatch, format_duration
+
+#: Lowest-utility views a result keeps whole for the "bad views" panel.
+WORST_VIEWS_KEPT = 3
 
 
 @dataclass
@@ -26,7 +30,11 @@ class RecommendationResult:
     metric: str
     #: The k highest-utility views, descending.
     recommendations: list[ScoredView]
-    #: Every executed view's score (recommendations included).
+    #: Every executed view's utility (recommendations included).
+    utilities: dict[ViewSpec, float]
+    #: The scored views the result shows, distributions included: the
+    #: recommendations plus the :data:`WORST_VIEWS_KEPT` lowest-utility
+    #: views, in scoring order.
     all_scored: dict[ViewSpec, ScoredView]
     #: Views removed before execution, per pruning rule.
     prune_reports: list[PruneReport]
@@ -63,10 +71,35 @@ class RecommendationResult:
     #: the charts with the data.
     visualizations: "list[dict] | None" = None
 
-    @property
-    def utilities(self) -> dict[ViewSpec, float]:
-        """{view: utility} over all executed views."""
-        return {spec: view.utility for spec, view in self.all_scored.items()}
+    @classmethod
+    def from_scored(
+        cls,
+        scored: dict[ViewSpec, ScoredView],
+        recommendations: list[ScoredView],
+        **fields,
+    ) -> "RecommendationResult":
+        """The result of one run from every view it scored: utilities for
+        all of them, whole views for the recommendations and the
+        :data:`WORST_VIEWS_KEPT` lowest-utility ones.
+
+        A scored view's arrays are rows of its scoring block's matrices;
+        the kept views get their own copies so the blocks can be freed.
+        """
+        worst = sorted(scored.values(), key=lambda view: view.utility)
+        kept = {
+            id(view): _detached(view)
+            for view in [*recommendations, *worst[:WORST_VIEWS_KEPT]]
+        }
+        return cls(
+            recommendations=[kept[id(view)] for view in recommendations],
+            utilities={spec: view.utility for spec, view in scored.items()},
+            all_scored={
+                spec: kept[id(view)]
+                for spec, view in scored.items()
+                if id(view) in kept
+            },
+            **fields,
+        )
 
     @property
     def total_seconds(self) -> float:
@@ -76,8 +109,11 @@ class RecommendationResult:
         """All (view, reason) pairs removed by pruning."""
         return [entry for report in self.prune_reports for entry in report.pruned]
 
-    def worst_views(self, n: int = 3) -> list[ScoredView]:
-        """The lowest-utility executed views — the demo's "bad views"."""
+    def worst_views(self, n: int = WORST_VIEWS_KEPT) -> list[ScoredView]:
+        """The lowest-utility executed views — the demo's "bad views".
+
+        Exact for ``n <= WORST_VIEWS_KEPT``, the most a result keeps.
+        """
         ranked = sorted(self.all_scored.values(), key=lambda view: view.utility)
         return ranked[:n]
 
@@ -113,3 +149,14 @@ class RecommendationResult:
                 f"utilities are estimates ({epsilon})"
             )
         return "\n".join(lines)
+
+
+def _detached(view: ScoredView) -> ScoredView:
+    """``view`` over copies of its arrays, which pin nothing else."""
+    return replace(
+        view,
+        target_distribution=view.target_distribution.copy(),
+        comparison_distribution=view.comparison_distribution.copy(),
+        target_values=view.target_values.copy(),
+        comparison_values=view.comparison_values.copy(),
+    )

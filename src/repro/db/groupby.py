@@ -51,6 +51,29 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, uniques
 
 
+def compact_codes(
+    codes: np.ndarray, uniques: np.ndarray, values: "np.ndarray | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the ``uniques`` no row of ``codes`` uses and renumber the rest.
+
+    The dictionary of a row subset without a sort: one ``bincount`` marks
+    the values present and a ``cumsum`` renumbers them in their sorted
+    order, so codes cut from a column's :func:`factorize` compact to
+    exactly ``factorize(subset)``. An object column's groups are labelled
+    from the subset's own ``values`` by the same last-occurrence scatter
+    :func:`factorize` uses, because a group may hold more than one value
+    (``None`` and the string ``"None"`` render alike).
+    """
+    present = np.bincount(codes, minlength=len(uniques)) > 0
+    codes = (np.cumsum(present) - 1)[codes]
+    uniques = uniques[present]
+    if values is not None and values.dtype == object and len(codes):
+        representative = np.empty(len(uniques), dtype=np.intp)
+        representative[codes] = np.arange(len(codes))
+        uniques = values[representative]
+    return codes, uniques
+
+
 def factorize_multi(
     arrays: dict[str, np.ndarray], n_rows: int
 ) -> Factorization:
@@ -72,21 +95,42 @@ def factorize_multi(
         codes, uniques = factorize(arrays[name])
         return Factorization(codes=codes, n_groups=len(uniques), keys={name: uniques})
 
-    per_column: list[tuple[np.ndarray, np.ndarray]] = [
-        factorize(arrays[name]) for name in names
-    ]
-    combined = per_column[0][0].astype(np.int64)
-    for codes, uniques in per_column[1:]:
+    return combine_codes(
+        [factorize(arrays[name]) for name in names],
+        [arrays[name] for name in names],
+        names,
+    )
+
+
+def combine_codes(
+    encoded: "list[tuple[np.ndarray, np.ndarray]]",
+    arrays: "list[np.ndarray]",
+    names: "list[str]",
+) -> Factorization:
+    """Factorize a multi-column key from each column's ``(codes, uniques)``.
+
+    Mixed-radix codes are compacted to the key combinations present, in
+    sorted order; each group is keyed by its first row's raw values.
+    While the radix product stays within a few times the row count the
+    compaction is a ``bincount`` (:func:`compact_codes`), not a sort.
+    """
+    combined = encoded[0][0].astype(np.int64)
+    radix = len(encoded[0][1])
+    for codes, uniques in encoded[1:]:
         combined = combined * len(uniques) + codes
-    compact_values, first_index, compact_codes = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    keys = {
-        name: arrays[name][first_index] for name in names
-    }
-    return Factorization(
-        codes=compact_codes, n_groups=len(compact_values), keys=keys
-    )
+        radix *= len(uniques)
+    n_rows = len(combined)
+    if radix <= max(4 * n_rows, 1 << 16):
+        group_codes, present = compact_codes(combined, np.arange(radix))
+        first_index = np.empty(len(present), dtype=np.intp)
+        # Reversed scatter: the last write per group is its first row.
+        first_index[group_codes[::-1]] = np.arange(n_rows - 1, -1, -1)
+    else:
+        _, first_index, group_codes = np.unique(
+            combined, return_index=True, return_inverse=True
+        )
+    keys = {name: array[first_index] for name, array in zip(names, arrays)}
+    return Factorization(codes=group_codes, n_groups=len(first_index), keys=keys)
 
 
 def aggregate_by_codes(

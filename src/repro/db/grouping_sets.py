@@ -2,10 +2,10 @@
 
 The heart of SeeDB's "Combine Multiple Group-bys" optimization on the
 in-memory backend: the filtered table is scanned once, every referenced key
-column is factorized once, and each grouping set reuses those cached
-factorizations. With ``k`` sets over ``n`` rows this does one pass of
-filtering plus one factorization per *distinct column* instead of ``k``
-full passes.
+column's codes are cut from the base table's dictionary encoding, and each
+grouping set reuses them. With ``k`` sets over ``n`` rows this does one
+pass of filtering plus one code compaction per *distinct column* instead
+of ``k`` full passes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from repro.db.aggregates import Aggregate
 from repro.db.groupby import (
     Factorization,
     aggregate_by_codes,
-    factorize,
+    combine_codes,
+    compact_codes,
     finalize_aggregates,
 )
 from repro.db.query import FlagColumn, GroupingKey, grouping_key_name
@@ -24,13 +25,22 @@ from repro.db.table import Table
 from repro.util.errors import QueryError
 
 
+#: The dictionary of a flag column: its codes are the 0/1 flag itself.
+_FLAG_UNIQUES = np.array([0, 1], dtype=np.int64)
+
+
 class ColumnFactorizationCache:
-    """Caches ``(codes, uniques)`` per key column of one (filtered) table."""
+    """``(codes, uniques)`` per grouping key of one (filtered) table.
+
+    A base column's come from the table's dictionary encoding
+    (:meth:`Table.codes`: cut from the base table's, no sort); a flag's
+    are the 0/1 flag itself, compacted the same way.
+    """
 
     def __init__(self, table: Table, flag_arrays: dict[str, np.ndarray]):
         self._table = table
         self._flag_arrays = flag_arrays
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._flags: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def key_array(self, key: GroupingKey) -> np.ndarray:
         """Raw values of a grouping key (base column or materialized flag)."""
@@ -45,14 +55,16 @@ class ColumnFactorizationCache:
         return self._table.column(name)
 
     def factorized(self, key: GroupingKey) -> tuple[np.ndarray, np.ndarray]:
-        """Cached factorization of one grouping key."""
+        """The dictionary encoding of one grouping key."""
         name = grouping_key_name(key)
-        if name not in self._cache:
-            self._cache[name] = factorize(self.key_array(key))
-        return self._cache[name]
+        if not isinstance(key, FlagColumn):
+            return self._table.codes(name)
+        if name not in self._flags:
+            self._flags[name] = compact_codes(self.key_array(key), _FLAG_UNIQUES)
+        return self._flags[name]
 
     def factorize_set(self, keys: tuple[GroupingKey, ...]) -> Factorization:
-        """Combined factorization for a grouping set, reusing column caches."""
+        """Combined factorization for a grouping set, reusing column codes."""
         n_rows = self._table.num_rows
         if not keys:
             return Factorization(
@@ -67,25 +79,10 @@ class ColumnFactorizationCache:
                 n_groups=len(uniques),
                 keys={grouping_key_name(keys[0]): uniques},
             )
-        combined = None
-        per_key = []
-        for key in keys:
-            codes, uniques = self.factorized(key)
-            per_key.append((grouping_key_name(key), codes, uniques))
-            if combined is None:
-                combined = codes.astype(np.int64)
-            else:
-                combined = combined * len(uniques) + codes
-        assert combined is not None
-        _, first_index, compact_codes = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        key_values = {
-            name: self.key_array(key)[first_index]
-            for key, (name, _, _) in zip(keys, per_key)
-        }
-        return Factorization(
-            codes=compact_codes, n_groups=len(first_index), keys=key_values
+        return combine_codes(
+            [self.factorized(key) for key in keys],
+            [self.key_array(key) for key in keys],
+            [grouping_key_name(key) for key in keys],
         )
 
 

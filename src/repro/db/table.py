@@ -4,15 +4,24 @@ A :class:`Table` stores each column as one numpy array (column-major, like
 an analytics engine), which makes SeeDB's workload — scan, filter, group,
 aggregate — vectorizable. Tables are immutable by convention: operations
 return new tables sharing column arrays where possible.
+
+Dimension columns are dictionary-encoded on first use (:meth:`Table.codes`):
+sorted once per ``Table`` object, then read as integer codes by metadata
+statistics, planning and the group-by. A table cut from another by
+:meth:`~Table.mask`, :meth:`~Table.take`, :meth:`~Table.head`,
+:meth:`~Table.select_columns` or :meth:`~Table.rename` slices its
+parent's codes by the same row selector instead of sorting again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.db.groupby import compact_codes, factorize
 from repro.db.schema import ColumnSpec, Schema
 from repro.db.types import AttributeRole, DataType, coerce_array, default_role, infer_data_type
 from repro.util.errors import SchemaError
@@ -30,6 +39,17 @@ class Table:
     name: str
     schema: Schema
     columns: Mapping[str, np.ndarray]
+    #: The table this one was cut from and the row selector that cut it
+    #: (None: rows unchanged); None for a table built from its arrays.
+    _parent: "tuple[Table, Any] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _codes: dict = field(  # guarded-by: _codes_lock
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _codes_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         missing = set(self.schema.names) - set(self.columns)
@@ -143,6 +163,54 @@ class Table:
         self.schema[name]  # validates
         return self.columns[name]
 
+    def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Dictionary encoding of column ``name``: integer ``codes`` and
+        the sorted ``uniques`` they index, equal to :func:`factorize` of it.
+
+        A dimension column is encoded once per ``Table`` object and kept
+        for its lifetime, its codes in the narrowest signed integer type
+        that indexes the dictionary; a derived table cuts its parent's
+        codes with the selector that cut its rows and compacts them (no
+        sort). Other columns are factorized on each call and not kept.
+        """
+        if self.schema[name].role is not AttributeRole.DIMENSION:
+            return factorize(self.columns[name])
+        with self._codes_lock:
+            encoded = self._codes.get(name)
+            if encoded is None:
+                encoded = self._encode(name)
+                self._codes[name] = encoded
+            return encoded
+
+    def _encode(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        if self._parent is None:
+            codes, uniques = factorize(self.columns[name])
+            narrow = np.min_scalar_type(-max(len(uniques), 1))
+            return codes.astype(narrow), uniques
+        parent, rows = self._parent
+        codes, uniques = parent.codes(name)
+        if rows is None:
+            return codes, uniques
+        return compact_codes(codes[rows], uniques, self.columns[name])
+
+    def _derive(
+        self,
+        arrays: Mapping[str, np.ndarray],
+        rows: Any,
+        name: "str | None" = None,
+        schema: "Schema | None" = None,
+    ) -> "Table":
+        """A table over ``arrays`` whose codes come from this table's,
+        cut by ``rows`` (None when the rows are unchanged)."""
+        derived = Table(name or self.name, schema or self.schema, arrays)
+        object.__setattr__(derived, "_parent", (self, rows))
+        return derived
+
+    def __reduce__(self):
+        # Pickle the data, not the encoding: an unpickled table is a new
+        # object that encodes its own columns on first use.
+        return (Table, (self.name, self.schema, dict(self.columns)))
+
     def row(self, index: int) -> dict[str, Any]:
         """Row ``index`` as a ``{column: value}`` dict (for tests/debugging)."""
         return {name: self.columns[name][index] for name in self.schema.names}
@@ -168,28 +236,29 @@ class Table:
                 f"mask must be a boolean array of length {self.num_rows}"
             )
         arrays = {col: array[keep] for col, array in self.columns.items()}
-        return Table(name or self.name, self.schema, arrays)
+        return self._derive(arrays, keep, name)
 
     def take(self, indices: "np.ndarray | slice", name: str | None = None) -> "Table":
         """Select rows by integer position (samplers) or by slice (row
         partitions — a strided view, no column is copied)."""
         arrays = {col: array[indices] for col, array in self.columns.items()}
-        return Table(name or self.name, self.schema, arrays)
+        return self._derive(arrays, indices, name)
 
     def select_columns(self, names: Sequence[str], name: str | None = None) -> "Table":
         """Project onto ``names`` preserving their given order."""
         specs = tuple(self.schema[n] for n in names)
         arrays = {n: self.columns[n] for n in names}
-        return Table(name or self.name, Schema(specs), arrays)
+        return self._derive(arrays, None, name, Schema(specs))
 
     def rename(self, name: str) -> "Table":
         """The same table under a new name."""
-        return Table(name, self.schema, self.columns)
+        return self._derive(self.columns, None, name)
 
     def head(self, n: int = 5) -> "Table":
         """The first ``n`` rows (for previews and view metadata)."""
-        arrays = {col: array[:n] for col, array in self.columns.items()}
-        return Table(self.name, self.schema, arrays)
+        rows = slice(None, n)
+        arrays = {col: array[rows] for col, array in self.columns.items()}
+        return self._derive(arrays, rows)
 
     def concat(self, other: "Table", name: str | None = None) -> "Table":
         """Rows of ``self`` followed by rows of ``other`` (schemas must match)."""
@@ -203,16 +272,6 @@ class Table:
             for col in self.schema.names
         }
         return Table(name or self.name, self.schema, arrays)
-
-    def nbytes(self) -> int:
-        """Approximate in-memory footprint of the column arrays."""
-        total = 0
-        for array in self.columns.values():
-            if array.dtype == object:
-                total += sum(len(str(v)) for v in array) + 8 * len(array)
-            else:
-                total += array.nbytes
-        return total
 
     def __repr__(self) -> str:
         return (

@@ -160,13 +160,13 @@ class ExecutionContext:
         """Package the finished context as a :class:`RecommendationResult`."""
         from repro.core.result import RecommendationResult
 
-        return RecommendationResult(
+        return RecommendationResult.from_scored(
+            self.scored,
+            self.recommendations,
             table=self.query.table,
             predicate_description=describe_predicate(self.query),
             k=self.k,
             metric=self.config.metric,
-            recommendations=self.recommendations,
-            all_scored=self.scored,
             prune_reports=self.prune_reports,
             stopwatch=self.stopwatch,
             n_candidate_views=len(self.candidates),

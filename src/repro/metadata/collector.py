@@ -20,7 +20,7 @@ from repro.metadata.access_log import AccessLog
 from repro.metadata.stats import (
     TableStats,
     compute_table_stats,
-    cramers_v,
+    cramers_v_codes,
     pearson_correlation,
 )
 from repro.util.rng import derive_rng
@@ -94,15 +94,14 @@ class MetadataCollector:
         associations: dict[frozenset, float] = {}
         for i, spec_a in enumerate(dimensions):
             for spec_b in dimensions[i + 1 :]:
-                values_a = sampled.column(spec_a.name)
-                values_b = sampled.column(spec_b.name)
-                both_numeric = (
-                    spec_a.dtype.is_numeric and spec_b.dtype.is_numeric
-                )
-                if both_numeric:
-                    score = pearson_correlation(values_a, values_b)
+                if spec_a.dtype.is_numeric and spec_b.dtype.is_numeric:
+                    score = pearson_correlation(
+                        sampled.column(spec_a.name), sampled.column(spec_b.name)
+                    )
                 else:
-                    score = cramers_v(values_a, values_b)
+                    score = cramers_v_codes(
+                        sampled.codes(spec_a.name), sampled.codes(spec_b.name)
+                    )
                 associations[frozenset((spec_a.name, spec_b.name))] = score
         return associations
 

@@ -57,7 +57,6 @@ class TableStats:
 
     table_name: str
     n_rows: int
-    n_bytes: int
     columns: dict[str, ColumnStats]
 
     def __getitem__(self, name: str) -> ColumnStats:
@@ -65,25 +64,31 @@ class TableStats:
 
 
 def compute_column_stats(table: Table, name: str, top_k: int = 10) -> ColumnStats:
-    """Compute :class:`ColumnStats` for ``table.column(name)``."""
+    """Compute :class:`ColumnStats` for ``table.column(name)``.
+
+    Counts come from the column's dictionary encoding
+    (:meth:`Table.codes`); only a float column's NaNs count as NULL —
+    ``np.unique`` gathers them into one last group, dropped here.
+    """
     spec = table.schema[name]
     values = table.column(name)
     n_rows = len(values)
+    codes, uniques = table.codes(name)
+    counts = np.bincount(codes, minlength=len(uniques))
 
-    if values.dtype.kind == "f":
-        null_count = int(np.isnan(values).sum())
+    null_count = 0
+    valid = values
+    if values.dtype.kind == "f" and len(uniques) and np.isnan(uniques[-1]):
+        null_count = int(counts[-1])
+        counts, uniques = counts[:-1], uniques[:-1]
         valid = values[~np.isnan(values)]
-    else:
-        null_count = 0
-        valid = values
 
     if len(valid) == 0:
         return ColumnStats(
             name, spec.dtype, spec.role, n_rows, 0, null_count, 0.0, 0.0
         )
 
-    codes, uniques = factorize(valid)
-    counts = np.bincount(codes, minlength=len(uniques)).astype(np.float64)
+    counts = counts.astype(np.float64)
     probabilities = counts / counts.sum()
     nonzero = probabilities[probabilities > 0]
     entropy = float(-(nonzero * np.log2(nonzero)).sum())
@@ -127,7 +132,6 @@ def compute_table_stats(table: Table, top_k: int = 10) -> TableStats:
     return TableStats(
         table_name=table.name,
         n_rows=table.num_rows,
-        n_bytes=table.nbytes(),
         columns={
             name: compute_column_stats(table, name, top_k=top_k)
             for name in table.schema.names
@@ -201,37 +205,50 @@ class TableProfile:
         }
 
 
-def _null_mask(values: np.ndarray) -> np.ndarray:
-    """Boolean NULL mask under the canonical table representation."""
+def _null_counts(
+    values: np.ndarray, codes: np.ndarray, uniques: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """NULL rows per group of a dictionary-encoded column.
+
+    NaN and NaT sort into groups of their own. ``None`` shares its group
+    with anything rendering as ``"None"`` (groups form on the string
+    rendering), so only that one group's rows are checked one by one.
+    """
     if values.dtype.kind == "f":
-        return np.isnan(values)
+        return np.where(np.isnan(uniques), counts, 0)
     if values.dtype.kind == "M":
-        return np.isnat(values)
+        return np.where(np.isnat(uniques), counts, 0)
+    nulls = np.zeros_like(counts)
     if values.dtype == object:
-        return np.array([value is None for value in values], dtype=bool)
-    return np.zeros(len(values), dtype=bool)
+        for group, label in enumerate(uniques):
+            if str(label) == "None":
+                members = values[codes == group]
+                nulls[group] = sum(member is None for member in members)
+    return nulls
 
 
 def profile_column(table: Table, name: str) -> AttributeProfile:
-    """Client-side :class:`AttributeProfile` of one column (numpy path)."""
+    """Client-side :class:`AttributeProfile` of one column (numpy path),
+    read off the column's dictionary encoding."""
     values = table.column(name)
     n_rows = len(values)
-    nulls = _null_mask(values)
-    valid = values[~nulls]
-    if len(valid) == 0:
+    codes, uniques = table.codes(name)
+    counts = np.bincount(codes, minlength=len(uniques))
+    counts = counts - _null_counts(values, codes, uniques, counts)
+    counts = counts[counts > 0]
+    n_valid = int(counts.sum())
+    if n_valid == 0:
         return AttributeProfile(
             name=name,
             n_distinct=0,
             null_fraction=1.0 if n_rows else 0.0,
             max_group_fraction=0.0,
         )
-    codes, uniques = factorize(valid)
-    counts = np.bincount(codes, minlength=len(uniques))
     return AttributeProfile(
         name=name,
-        n_distinct=len(uniques),
-        null_fraction=float(nulls.sum()) / n_rows if n_rows else 0.0,
-        max_group_fraction=float(counts.max()) / len(valid),
+        n_distinct=len(counts),
+        null_fraction=float(n_rows - n_valid) / n_rows,
+        max_group_fraction=float(counts.max()) / n_valid,
     )
 
 
@@ -263,16 +280,25 @@ def cramers_v(values_a: np.ndarray, values_b: np.ndarray) -> float:
     """
     if len(values_a) != len(values_b):
         raise ValueError("columns must have equal length")
-    n = len(values_a)
-    if n == 0:
-        return 0.0
-    codes_a, uniques_a = factorize(values_a)
-    codes_b, uniques_b = factorize(values_b)
+    return cramers_v_codes(factorize(values_a), factorize(values_b))
+
+
+def cramers_v_codes(
+    encoded_a: tuple[np.ndarray, np.ndarray],
+    encoded_b: tuple[np.ndarray, np.ndarray],
+) -> float:
+    """:func:`cramers_v` from two equal-length ``(codes, uniques)``
+    encodings: the contingency table is one ``bincount``."""
+    (codes_a, uniques_a), (codes_b, uniques_b) = encoded_a, encoded_b
+    n = len(codes_a)
     r, k = len(uniques_a), len(uniques_b)
-    if r <= 1 or k <= 1:
+    if n == 0 or r <= 1 or k <= 1:
         return 0.0
-    contingency = np.zeros((r, k), dtype=np.float64)
-    np.add.at(contingency, (codes_a, codes_b), 1.0)
+    contingency = (
+        np.bincount(codes_a.astype(np.int64) * k + codes_b, minlength=r * k)
+        .reshape(r, k)
+        .astype(np.float64)
+    )
     row_totals = contingency.sum(axis=1, keepdims=True)
     col_totals = contingency.sum(axis=0, keepdims=True)
     expected = row_totals @ col_totals / n

@@ -22,7 +22,7 @@ from repro.db.types import AttributeRole
 from repro.util.errors import QueryError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewSpec:
     """A candidate view: group-by ``dimension``, aggregate ``func(measure)``.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.db.groupby import factorize
 from repro.db.table import Table
 from repro.sampling.base import Sampler
 from repro.util.errors import SamplingError
@@ -32,7 +31,7 @@ class StratifiedSampler(Sampler):
         self.min_per_stratum = min_per_stratum
 
     def sample_indices(self, table: Table, rng) -> np.ndarray:
-        codes, uniques = factorize(table.column(self.column))
+        codes, uniques = table.codes(self.column)
         chosen: list[np.ndarray] = []
         for group in range(len(uniques)):
             members = np.flatnonzero(codes == group)

@@ -219,8 +219,24 @@ def _view_from_dict(payload: dict, entries, buf, region_start):
 def encode_result(
     result: RecommendationResult, digest: str = "", data_version: int = 0
 ) -> bytes:
-    """Serialize a result into one self-describing byte blob (no pickle)."""
+    """Serialize a result into one self-describing byte blob (no pickle).
+
+    Each shown view is written once: ``recommendations`` and
+    ``all_scored`` are indices into one ``views`` list. Utilities ride
+    as one float64 buffer beside their view specs.
+    """
     arrays = _ArrayTable()
+    views: list = []
+    index: dict[int, int] = {}
+
+    def ref(view) -> int:
+        if id(view) not in index:
+            index[id(view)] = len(views)
+            views.append(_view_to_dict(view, arrays))
+        return index[id(view)]
+
+    recommendations = [ref(view) for view in result.recommendations]
+    all_scored = [ref(view) for view in result.all_scored.values()]
     header = {
         "digest": digest,
         "data_version": data_version,
@@ -229,13 +245,15 @@ def encode_result(
             "predicate_description": result.predicate_description,
             "k": result.k,
             "metric": result.metric,
-            "recommendations": [
-                _view_to_dict(view, arrays) for view in result.recommendations
-            ],
-            "all_scored": [
-                _view_to_dict(view, arrays)
-                for view in result.all_scored.values()
-            ],
+            "views": views,
+            "recommendations": recommendations,
+            "all_scored": all_scored,
+            "utilities": {
+                "specs": [_spec_to_dict(spec) for spec in result.utilities],
+                "values": arrays.add(
+                    np.fromiter(result.utilities.values(), dtype=np.float64)
+                ),
+            },
             "prune_reports": [
                 {
                     "rule": report.rule,
@@ -304,20 +322,23 @@ def decode_result(buf) -> tuple[str, int, RecommendationResult]:
     region_start = (_HEADER_FIXED + header_len + 7) & ~7
     entries = header["arrays"]
     payload = header["result"]
-    all_scored_views = [
+    views = [
         _view_from_dict(item, entries, buf, region_start)
-        for item in payload["all_scored"]
+        for item in payload["views"]
     ]
+    utilities = payload["utilities"]
+    utility_values = _take_array(utilities["values"], entries, buf, region_start)
     result = RecommendationResult(
         table=payload["table"],
         predicate_description=payload["predicate_description"],
         k=payload["k"],
         metric=payload["metric"],
-        recommendations=[
-            _view_from_dict(item, entries, buf, region_start)
-            for item in payload["recommendations"]
-        ],
-        all_scored={view.spec: view for view in all_scored_views},
+        recommendations=[views[i] for i in payload["recommendations"]],
+        utilities={
+            _spec_from_dict(spec): float(value)
+            for spec, value in zip(utilities["specs"], utility_values)
+        },
+        all_scored={views[i].spec: views[i] for i in payload["all_scored"]},
         prune_reports=[
             PruneReport(
                 rule=report["rule"],

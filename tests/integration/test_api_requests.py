@@ -50,9 +50,7 @@ def assert_same_scores(result_a, result_b):
     assert [v.utility for v in result_a.recommendations] == [
         v.utility for v in result_b.recommendations
     ]
-    assert set(result_a.all_scored) == set(result_b.all_scored)
-    for spec, view in result_a.all_scored.items():
-        assert view.utility == result_b.all_scored[spec].utility
+    assert result_a.utilities == result_b.utilities
 
 
 class TestReferences:
@@ -108,9 +106,9 @@ class TestReferences:
         with SeeDB(backend) as seedb:
             result_flag = seedb.recommend(request(True))
             result_sep = seedb.recommend(request(False))
-        for spec, view in result_flag.all_scored.items():
-            assert view.utility == pytest.approx(
-                result_sep.all_scored[spec].utility, abs=1e-12
+        for spec, utility in result_flag.utilities.items():
+            assert utility == pytest.approx(
+                result_sep.utilities[spec], abs=1e-12
             )
 
     def test_query_reference_vs_equivalent_complement(self, backend):
@@ -129,10 +127,8 @@ class TestReferences:
         with SeeDB(backend, config) as seedb:
             a = seedb.recommend(complement)
             b = seedb.recommend(spelled_out)
-        for spec, view in a.all_scored.items():
-            assert view.utility == pytest.approx(
-                b.all_scored[spec].utility, abs=1e-12
-            )
+        for spec, utility in a.utilities.items():
+            assert utility == pytest.approx(b.utilities[spec], abs=1e-12)
 
 
 def _served(method):
@@ -361,6 +357,6 @@ class TestViewSpaceFilters:
         )
         with SeeDB(backend) as seedb:
             result = seedb.recommend(request)
-        for view in result.all_scored:
+        for view in result.utilities:
             assert view.dimension in ("region", "quantity_band")
             assert view.measure in (None, "amount")

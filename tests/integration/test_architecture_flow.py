@@ -80,8 +80,8 @@ class TestStageByStage:
             RecommendationRequest(RowSelectQuery("sales", predicate), k=3)
         )
         assert [v.spec for v in result.recommendations] == [v.spec for v in top]
-        for spec, view in result.all_scored.items():
-            assert view.utility == pytest.approx(scored[spec].utility)
+        for spec, utility in result.utilities.items():
+            assert utility == pytest.approx(scored[spec].utility)
 
     def test_phase_timings_recorded(self, memory_backend):
         seedb = SeeDB(memory_backend)

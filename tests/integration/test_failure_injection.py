@@ -46,8 +46,8 @@ class TestEmptySelections:
         # Empty target: distributions fall back to uniform; utilities must
         # be finite and the pipeline must not crash.
         assert len(result.recommendations) == 3
-        for view in result.all_scored.values():
-            assert np.isfinite(view.utility)
+        for utility in result.utilities.values():
+            assert np.isfinite(utility)
 
     def test_predicate_matching_everything(self, sales_table):
         backend = build_backend(sales_table)
@@ -56,8 +56,8 @@ class TestEmptySelections:
             RecommendationRequest(RowSelectQuery("sales", col("amount") > -1e12), k=3)
         )
         # Target == comparison -> all utilities ~ 0.
-        for view in result.all_scored.values():
-            assert view.utility == pytest.approx(0.0, abs=1e-9)
+        for utility in result.utilities.values():
+            assert utility == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDegenerateTables:
@@ -72,8 +72,8 @@ class TestDegenerateTables:
         result = seedb.recommend(
             RecommendationRequest(RowSelectQuery("tiny", col("v") > 0), k=2)
         )
-        for view in result.all_scored.values():
-            assert np.isfinite(view.utility)
+        for utility in result.utilities.values():
+            assert np.isfinite(utility)
 
     def test_all_nan_measure(self):
         table = Table.from_columns(
@@ -89,8 +89,8 @@ class TestDegenerateTables:
         result = seedb.recommend(
             RecommendationRequest(RowSelectQuery("nulls", col("k") == "a"), k=2)
         )
-        for view in result.all_scored.values():
-            assert np.isfinite(view.utility)  # NaN-sums become zero mass
+        for utility in result.utilities.values():
+            assert np.isfinite(utility)  # NaN-sums become zero mass
 
     def test_unicode_dimension_values(self):
         table = Table.from_columns(
@@ -132,7 +132,7 @@ class TestDegenerateTables:
         result = seedb.recommend(
             RecommendationRequest(RowSelectQuery("dims_only", col("b") == "p"), k=2)
         )
-        assert all(v.spec.func == "count" for v in result.all_scored.values())
+        assert all(spec.func == "count" for spec in result.utilities)
 
     def test_no_usable_views_returns_empty(self):
         # Single dimension constrained by the predicate -> nothing to show.

@@ -114,7 +114,7 @@ class TestStreamedResultsReportTheWorkDone:
         steps = planned_steps(result)
         if expected_steps is None:
             # One flag[...] step per surviving dimension.
-            assert steps == len({v.spec.dimension for v in result.all_scored.values()})
+            assert steps == len({spec.dimension for spec in result.utilities})
             assert steps >= 9
         else:
             assert steps == expected_steps

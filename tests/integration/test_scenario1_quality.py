@@ -51,14 +51,14 @@ class TestPlantedRecovery:
         )
         planted = set(dataset.planted_dimensions)
         unplanted_utilities = [
-            v.utility
-            for v in result.all_scored.values()
-            if v.spec.dimension not in planted and v.spec.dimension != "segment"
+            utility
+            for spec, utility in result.utilities.items()
+            if spec.dimension not in planted and spec.dimension != "segment"
         ]
         planted_utilities = [
-            v.utility
-            for v in result.all_scored.values()
-            if v.spec.dimension in planted
+            utility
+            for spec, utility in result.utilities.items()
+            if spec.dimension in planted
         ]
         assert max(planted_utilities) > 3 * max(unplanted_utilities)
 

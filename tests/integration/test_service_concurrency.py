@@ -43,7 +43,7 @@ def fingerprint(result) -> tuple:
     runs: the ranked specs and every executed view's exact utility."""
     return (
         tuple(view.spec for view in result.recommendations),
-        tuple(sorted((spec, view.utility) for spec, view in result.all_scored.items())),
+        tuple(sorted(result.utilities.items())),
     )
 
 

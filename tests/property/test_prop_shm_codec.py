@@ -145,6 +145,7 @@ def results(draw) -> RecommendationResult:
         k=k,
         metric=draw(st.sampled_from(["js", "emd", "euclidean"])),
         recommendations=views[:k],
+        utilities={view.spec: view.utility for view in views},
         all_scored={view.spec: view for view in views},
         prune_reports=[
             PruneReport(
@@ -217,6 +218,7 @@ def test_round_trip_is_bit_exact(result, version):
     assert len(decoded.recommendations) == len(result.recommendations)
     for got, expected in zip(decoded.recommendations, result.recommendations):
         assert_view_identical(got, expected)
+    assert list(decoded.utilities.items()) == list(result.utilities.items())
     assert list(decoded.all_scored) == list(result.all_scored)
     for got, expected in zip(
         decoded.all_scored.values(), result.all_scored.values()

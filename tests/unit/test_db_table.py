@@ -1,5 +1,7 @@
 """Unit tests: the columnar Table."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,26 @@ class TestOperations:
     def test_rename(self, table):
         assert table.rename("new").name == "new"
 
-    def test_nbytes_positive(self, table):
-        assert table.nbytes() > 0
+    def test_codes_index_sorted_uniques_in_the_narrowest_type(self, table):
+        codes, uniques = table.codes("k")
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [0, 1, 0, 2]
+        assert uniques.tolist() == ["a", "b", "c"]
+
+    def test_derived_table_cuts_its_parents_codes(self, table):
+        kept = table.mask(np.array([False, True, False, True]))
+        codes, uniques = kept.codes("k")
+        assert codes.tolist() == [0, 1]
+        assert uniques.tolist() == ["b", "c"]
+
+    def test_pickle_ships_the_data_not_the_encoding(self, table):
+        # Tables cross to cluster workers by pickle; the copy is a new
+        # object that encodes its own columns on first use.
+        kept = table.mask(np.array([True, True, False, True]))
+        kept.codes("k")
+        copy = pickle.loads(pickle.dumps(kept))
+        assert copy.to_rows() == kept.to_rows()
+        assert copy.codes("k")[0].tolist() == kept.codes("k")[0].tolist()
 
     def test_column_unknown_raises(self, table):
         with pytest.raises(SchemaError):

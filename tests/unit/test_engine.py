@@ -161,7 +161,9 @@ class TestPhases:
         assert len(ctx.recommendations) == 3
         result = ctx.to_result()
         assert result.n_candidate_views == len(ctx.candidates)
-        assert result.recommendations is ctx.recommendations
+        assert [(v.spec, v.utility) for v in result.recommendations] == [
+            (v.spec, v.utility) for v in ctx.recommendations
+        ]
 
     def test_engine_times_every_phase(self, memory_backend):
         engine = ExecutionEngine(memory_backend)

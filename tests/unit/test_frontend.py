@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import RecommendationRequest
 from repro.db.expressions import And, Between, Comparison, In, col
 from repro.db.query import RowSelectQuery
 from repro.frontend import AnalystSession, QueryBuilder, available_templates, build_template
@@ -274,10 +275,14 @@ class TestCliTemplatesAndHtml:
 class TestViewMetadataSignificance:
     def test_p_value_present_for_count_views(self, memory_backend):
         session = AnalystSession(memory_backend)
-        result = session.issue("SELECT * FROM sales WHERE product = 'Laserwave'")
-        count_view = next(
-            v for v in result.all_scored.values() if v.spec.func == "count"
+        # No measures: every candidate, so every recommendation, is a count view.
+        result = session.issue(
+            RecommendationRequest.from_sql(
+                "SELECT * FROM sales WHERE product = 'Laserwave'", measures=()
+            )
         )
+        count_view = result.recommendations[0]
+        assert count_view.spec.func == "count"
         metadata = session.view_metadata(count_view)
         assert metadata.p_value is not None
         assert 0.0 <= metadata.p_value <= 1.0

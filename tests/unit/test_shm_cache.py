@@ -80,6 +80,7 @@ def make_result(utility: float = 0.75, groups=None) -> RecommendationResult:
         k=1,
         metric="js",
         recommendations=[view],
+        utilities={view.spec: view.utility, low.spec: low.utility},
         all_scored={view.spec: view, low.spec: low},
         prune_reports=[
             PruneReport(rule="variance", examined=3, pruned=[(other, "flat")])
@@ -97,9 +98,7 @@ def make_result(utility: float = 0.75, groups=None) -> RecommendationResult:
 def fingerprint(result: RecommendationResult) -> tuple:
     return (
         tuple(view.spec for view in result.recommendations),
-        tuple(
-            sorted((spec, view.utility) for spec, view in result.all_scored.items())
-        ),
+        tuple(sorted(result.utilities.items())),
     )
 
 

@@ -292,6 +292,7 @@ class TestExport:
             metric="js",
             k=1,
             recommendations=[view],
+            utilities={},
             all_scored={},
             prune_reports=[],
             stopwatch=Stopwatch(),
