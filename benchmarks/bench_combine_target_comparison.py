@@ -66,16 +66,19 @@ def test_results_identical(benchmark, backend, synth_large):
 
 
 def _check_identical(backend, synth_large):
-    separate = make_plan(synth_large.predicate, combined=False).run(backend)
-    combined = make_plan(synth_large.predicate, combined=True).run(backend)
+    def comparisons(plan):
+        return {
+            spec: block.comparison[row]
+            for block in plan.run(backend)
+            for row, spec in enumerate(block.specs)
+        }
+
+    separate = comparisons(make_plan(synth_large.predicate, combined=False))
+    combined = comparisons(make_plan(synth_large.predicate, combined=True))
     import numpy as np
 
     for view in VIEWS:
-        np.testing.assert_allclose(
-            separate[view].comparison_values,
-            combined[view].comparison_values,
-            equal_nan=True,
-        )
+        np.testing.assert_allclose(separate[view], combined[view], equal_nan=True)
 
 
 @pytest.fixture(scope="module")

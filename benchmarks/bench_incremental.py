@@ -50,8 +50,8 @@ def exact_run(dataset, views):
         ]
     )
     start = time.perf_counter()
-    raw = plan.run(backend)
-    scored = ViewProcessor(get_metric("js")).score_all(raw)
+    blocks = plan.run(backend)
+    scored = ViewProcessor(get_metric("js")).score_blocks(blocks)
     elapsed = time.perf_counter() - start
     return {spec: view.utility for spec, view in scored.items()}, elapsed
 

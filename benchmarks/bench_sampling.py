@@ -73,7 +73,7 @@ def _utilities_on(table, predicate, views):
     processor = ViewProcessor(get_metric("js"))
     return {
         spec: scored.utility
-        for spec, scored in processor.score_all(plan.run(backend)).items()
+        for spec, scored in processor.score_blocks(plan.run(backend)).items()
     }
 
 

@@ -177,7 +177,7 @@ def test_duckdb_backend_axis(record_rows, workload):
 
 
 def test_score_batch_microbench(benchmark, workload):
-    """Direct View-Processor cost on the extracted raw views (no engine)."""
+    """Direct View-Processor cost on the plan's view blocks (no engine)."""
     from repro.core.space import enumerate_views
     from repro.core.view_processor import ViewProcessor
     from repro.metrics.registry import get_metric
@@ -199,8 +199,8 @@ def test_score_batch_microbench(benchmark, workload):
             for dimension, members in grouped.items()
         ]
     )
-    raw_views = plan.run(backend)
+    blocks = plan.run(backend)
     processor = ViewProcessor(get_metric("js"))
 
-    scored = benchmark(lambda: processor.score_batch(raw_views))
-    assert len(scored) == len(raw_views)
+    scored = benchmark(lambda: processor.score_blocks(blocks))
+    assert len(scored) == sum(block.n_views for block in blocks)

@@ -3,21 +3,22 @@
 "Results of the optimized queries are processed by the View Processor in a
 streaming fashion to produce results for individual views. Individual view
 results are then normalized and the utility of each view is computed"
-(§3.1). Raw per-view series come in from plan extraction; aligned
+(§3.1). Plan execution hands over one dense
+:class:`~repro.model.view.ViewBlock` per view group; aligned
 distributions and utilities come out.
 
 Two scoring paths share one semantics:
 
+* :meth:`ViewProcessor.score_blocks` — the columnar path: a block's rows
+  are normalized in one pass and scored with one vectorized
+  ``distance_batch`` call. :meth:`ViewProcessor.score_batch` first
+  regroups per-view :class:`~repro.model.view.RawViewData` into blocks.
 * :meth:`ViewProcessor.score` / :meth:`ViewProcessor.score_all` — the
   classic per-view loop (align one series pair, normalize, one scalar
-  metric call).
-* :meth:`ViewProcessor.score_batch` / :meth:`ViewProcessor.score_blocks` —
-  the columnar path: views are regrouped into dense per-attribute
-  :class:`~repro.model.view.ViewBlock` matrices, normalized row-wise in
-  one pass, and scored with one vectorized ``distance_batch`` call per
-  block. Utilities and distributions are bit-for-bit identical to the
-  per-view path (the property suite asserts this); only the constant
-  factor changes.
+  metric call); :meth:`ViewProcessor.score_rows` runs it over block rows.
+  Utilities and distributions are bit-for-bit identical to the columnar
+  path (the property suite asserts this); only the constant factor
+  changes.
 """
 
 from __future__ import annotations
@@ -51,17 +52,22 @@ class ViewProcessor:
 
     def score(self, raw: RawViewData) -> ScoredView:
         """Align, normalize, and score one view (utility = S(P_target, P_comparison))."""
+        return self._score_series(
+            raw.spec, raw.target_keys, raw.target_values,
+            raw.comparison_keys, raw.comparison_values,
+        )
+
+    def _score_series(
+        self, spec, target_keys, target_values, comparison_keys, comparison_values
+    ) -> ScoredView:
         groups, target_values, comparison_values = align_series(
-            raw.target_keys,
-            raw.target_values,
-            raw.comparison_keys,
-            raw.comparison_values,
+            target_keys, target_values, comparison_keys, comparison_values
         )
         if not groups:
             # Neither side produced any group (empty selection on an empty
             # table): define utility as 0 — nothing deviates.
             return ScoredView(
-                spec=raw.spec,
+                spec=spec,
                 utility=0.0,
                 groups=[],
                 target_distribution=np.empty(0),
@@ -73,7 +79,7 @@ class ViewProcessor:
         )
         utility = self.metric.distance(target_distribution, comparison_distribution)
         return ScoredView(
-            spec=raw.spec,
+            spec=spec,
             utility=utility,
             groups=groups,
             target_distribution=target_distribution,
@@ -89,6 +95,17 @@ class ViewProcessor:
         if isinstance(raw_views, Mapping):
             raw_views = raw_views.values()
         return {raw.spec: self.score(raw) for raw in raw_views}
+
+    def score_rows(self, blocks: Iterable[ViewBlock]) -> dict[ViewSpec, ScoredView]:
+        """:meth:`score_all` over block rows: each view is scored alone, on
+        its block's groups, exactly as :meth:`score` scores its series."""
+        return {
+            spec: self._score_series(
+                spec, block.groups, block.target[row], block.groups, block.comparison[row]
+            )
+            for block in blocks
+            for row, spec in enumerate(block.specs)
+        }
 
     def score_batch(
         self, raw_views: "Mapping[ViewSpec, RawViewData] | Iterable[RawViewData]"

@@ -1,16 +1,15 @@
-"""Aggregate functions with mergeable partial states.
+"""Aggregate functions of the memory engine's group-by.
 
-SeeDB's optimizer rewrites the target and comparison view queries into one
-query grouped by ``(flag, a)`` (§3.3 "Combine target and comparison view
-query"). Recovering the comparison view — which covers the *entire* table —
-then requires merging the per-group aggregates of the flag=0 and flag=1
-partitions. That only works for *algebraic* aggregates carried as partial
-states (sum, count, min, max, sum of squares), so every aggregate here is
-defined in terms of:
+Every aggregate here is defined in terms of per-group partial states (sum,
+count, min, max, sum of squares):
 
 * ``compute_partials(values, codes, n_groups)`` — vectorized per-group state,
-* ``merge_partials(a, b)`` — combine states of two disjoint row sets,
 * ``finalize(partials)`` — produce the user-visible value.
+
+Merging the results of disjoint row sets — the flag partitions of SeeDB's
+combined target/comparison query (§3.3), or the rounds of a phased run —
+is the optimizer's job: :func:`repro.optimizer.combine.merge_partials`
+over an aggregate's mergeable decomposition.
 
 Float inputs may contain NaN, which is treated like SQL NULL: excluded from
 counts, sums, and extrema.
@@ -61,10 +60,6 @@ class AggregateFunction:
         self, values: np.ndarray | None, codes: np.ndarray, n_groups: int
     ) -> Partials:
         raise NotImplementedError
-
-    def merge_partials(self, a: Partials, b: Partials) -> Partials:
-        """Combine the states of two disjoint row partitions (default: sum)."""
-        return {key: a[key] + b[key] for key in a}
 
     def finalize(self, partials: Partials) -> np.ndarray:
         raise NotImplementedError
@@ -128,12 +123,6 @@ class _ExtremumFunction(AggregateFunction):
             self._ufunc.at(out, codes[mask], values[mask].astype(np.float64))
             counts = np.bincount(codes[mask], minlength=n_groups).astype(np.float64)
         return {"extreme": out, "count": counts}
-
-    def merge_partials(self, a, b):
-        return {
-            "extreme": self._ufunc(a["extreme"], b["extreme"]),
-            "count": a["count"] + b["count"],
-        }
 
     def finalize(self, partials):
         return np.where(partials["count"] > 0, partials["extreme"], np.nan)

@@ -260,19 +260,6 @@ class Table:
         arrays = {col: array[rows] for col, array in self.columns.items()}
         return self._derive(arrays, rows)
 
-    def concat(self, other: "Table", name: str | None = None) -> "Table":
-        """Rows of ``self`` followed by rows of ``other`` (schemas must match)."""
-        if self.schema.names != other.schema.names:
-            raise SchemaError(
-                f"cannot concat tables with different columns: "
-                f"{self.schema.names} vs {other.schema.names}"
-            )
-        arrays = {
-            col: np.concatenate([self.columns[col], other.columns[col]])
-            for col in self.schema.names
-        }
-        return Table(name or self.name, self.schema, arrays)
-
     def __repr__(self) -> str:
         return (
             f"Table({self.name!r}, rows={self.num_rows}, "

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from repro.db.table import Table
     from repro.engine.cache import SessionCache
     from repro.metadata.collector import MetadataCollector, TableMetadata
-    from repro.model.view import RawViewData, ScoredView
+    from repro.model.view import ScoredView, ViewBlock
     from repro.optimizer.cost import PlanDecision
     from repro.optimizer.parallel import ParallelExecutor
     from repro.optimizer.plan import ExecutionPlan
@@ -92,7 +92,7 @@ class ExecutionContext:
     plan_decision: "PlanDecision | None" = None
 
     # -- ExecutePhase -----------------------------------------------------
-    raw_views: "dict[Any, RawViewData]" = field(default_factory=dict)
+    blocks: "list[ViewBlock]" = field(default_factory=list)
 
     # -- ScorePhase -------------------------------------------------------
     scored: "dict[Any, ScoredView]" = field(default_factory=dict)

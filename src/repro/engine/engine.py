@@ -261,7 +261,7 @@ class ExecutionEngine:
             round=trace.phases_executed if trace is not None else 0,
             n_rounds=trace.n_phases if trace is not None else 0,
             recommendations=list(result.recommendations),
-            views_alive=len(ctx.raw_views),
+            views_alive=sum(block.n_views for block in ctx.blocks),
             views_pruned=len(trace.pruned_at_phase) if trace is not None else 0,
             epsilon=result.partial_epsilon if result.partial else 0.0,
             is_final=True,

@@ -9,10 +9,11 @@ restricted to that round's :class:`~repro.db.expressions.RowPartition`:
 each view query of a phased run is issued to the backend by
 :meth:`~repro.optimizer.plan.ExecutionStep.fetch`, so rounds share scans
 and are priced, counted and interruptible like a blocking run. A round's
-result tables are folded into the group's running ones with the rollup
-merge (:func:`fold_partition`), read back with the batch extractor, and
-re-estimated through the shared batch scorer; ordinary
-:class:`~repro.model.view.RawViewData` is left in the context, so the
+partials are folded into each group's running ones, side by side, with
+the one merge of partial aggregates
+(:func:`~repro.optimizer.combine.merge_partials`); the running partials
+become view blocks for the alive views, which the shared batch scorer
+re-estimates. The final blocks are left in ``ctx.blocks``, so the
 standard View Processor / top-k phases finish the run.
 """
 
@@ -22,11 +23,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.db.expressions import RowPartition
-from repro.db.table import Table
 from repro.engine.context import ExecutionContext
 from repro.engine.phases import Phase, PlanPhase, ScorePhase
-from repro.model.view import RawViewData, ViewSpec
-from repro.optimizer.extract import FLAG_NAME, extract_views, marginalize
+from repro.model.view import ViewBlock, ViewSpec
+from repro.optimizer.combine import Partial, merge_partials
+from repro.optimizer.extract import group_block
 from repro.optimizer.plan import ViewGroup
 from repro.testing.faults import fault_point
 from repro.util.errors import DeadlineExceeded
@@ -75,23 +76,20 @@ class IncrementalRound:
     epsilon: "float | None" = None
 
 
-def fold_partition(running, tables, keys, aggregates, flag_name=None):
-    """Fold one partition's result ``tables`` (one per side, as
-    :meth:`ExecutionStep.fetch` returns them for a group) into the group's
-    ``running`` ones (None before the first partition).
+def _project(state, aggregates) -> tuple[Partial, ...]:
+    """A group's running partials cut to ``aggregates``: a shared step whose
+    other groups died carries fewer aggregates than the rounds before it."""
+    carried, sides = state
+    if carried == aggregates:
+        return sides
+    rows = [carried.index(aggregate) for aggregate in aggregates]
+    return tuple(Partial(side.keys, side.values[rows]) for side in sides)
 
-    The rollup merge over old ++ new rows, side by side. The first
-    partition is folded too, so a SQL ``SUM`` over an all-NULL slice
-    (NULL) is the additive identity by the time it reaches an estimate. A
-    shared step whose other groups died carries fewer aggregates than the
-    rounds before it: the running rows are projected onto the new columns.
-    """
-    if running is not None:
-        tables = tuple(
-            old.select_columns(new.schema.names).concat(new)
-            for old, new in zip(running, tables)
-        )
-    return tuple(marginalize(table, keys, aggregates, flag_name) for table in tables)
+
+def _alive_rows(block: ViewBlock, alive) -> ViewBlock:
+    rows = [row for row, spec in enumerate(block.specs) if spec in alive]
+    specs = tuple(block.specs[row] for row in rows)
+    return replace(block, specs=specs, target=block.target[rows], comparison=block.comparison[rows])
 
 
 class PhasedExecutePhase(Phase):
@@ -135,7 +133,7 @@ class PhasedExecutePhase(Phase):
         """Drive phased execution, yielding one :class:`IncrementalRound`
         per executed phase — the progressive-delivery hook behind
         :meth:`repro.SeeDB.recommend_iter`. Exhausting the generator
-        finalizes ``ctx.raw_views`` exactly like :meth:`run`.
+        finalizes ``ctx.blocks`` exactly like :meth:`run`.
 
         Every round executes the steps of ``ctx.plan``, trimmed to the
         groups with a view still alive, on ``ctx.backend``: sharing and the
@@ -153,11 +151,10 @@ class PhasedExecutePhase(Phase):
         if ctx.plan is None:
             PlanPhase().run(ctx)
         processor = ScorePhase(self.metric, self.normalization).processor(ctx)
-        merge = ctx.reference.merge_partitions
 
-        #: Per view group, its accumulated result table(s) so far.
-        running: dict[ViewGroup, tuple[Table, ...]] = {}
-        raw: dict[ViewSpec, RawViewData] = {}
+        #: Per view group, its carried aggregates and folded partials.
+        running: dict[ViewGroup, tuple[tuple, tuple[Partial, Partial]]] = {}
+        blocks: list[ViewBlock] = []
         alive: set[ViewSpec] = set(views)
         token = ctx.cancel_token
         for phase in range(self.n_phases):
@@ -188,25 +185,29 @@ class PhasedExecutePhase(Phase):
                 if self._degrade(ctx, trace):
                     break
                 raise
-            raw = {}
+            blocks = []
             for step, (aggregates, results) in zip(steps, fetched):
-                flag_name = FLAG_NAME if step.combine_flag else None
-                for group, tables in zip(step.groups, results):
-                    running[group] = fold_partition(
-                        running.get(group), tables, group.keys, aggregates, flag_name
-                    )
+                for group, sides in zip(step.groups, results):
+                    if group in running:
+                        old_sides = _project(running[group], aggregates)
+                        sides = tuple(
+                            merge_partials(old, new, aggregates)
+                            for old, new in zip(old_sides, sides)
+                        )
+                    running[group] = (aggregates, sides)
                     survivors = tuple(v for v in group.views if v in alive)
-                    raw.update(
-                        extract_views(
-                            running[group], group.dimension, survivors, aggregates, merge
+                    blocks.append(
+                        group_block(
+                            group.dimension, survivors, sides, aggregates,
+                            step.merges_sides,
                         )
                     )
                     trace.work_done += len(survivors)
             trace.phases_executed = phase + 1
 
             # Re-estimate utilities for alive views via the shared batch
-            # scorer (one dense block per dimension, not one call per view).
-            estimates = processor.score_batch(raw)
+            # scorer (one dense block per group, not one call per view).
+            estimates = processor.score_blocks(blocks)
             for view, scored in estimates.items():
                 trace.utilities[view] = scored.utility
 
@@ -236,7 +237,12 @@ class PhasedExecutePhase(Phase):
                 epsilon=epsilon,
             )
 
-        ctx.raw_views = {view: raw[view] for view in views if view in alive}
+        # The last round's alive rows, in the order the views were enumerated.
+        position = {view: index for index, view in enumerate(views)}
+        ctx.blocks = sorted(
+            (_alive_rows(b, alive) for b in blocks if not alive.isdisjoint(b.specs)),
+            key=lambda block: position[block.specs[0]],
+        )
 
     def _degrade(self, ctx: ExecutionContext, trace: IncrementalTrace) -> bool:
         """Deadline expiry (never explicit cancellation) degrades gracefully

@@ -304,18 +304,19 @@ class ExecutePhase(Phase):
         if ctx.plan is None:
             return
         if ctx.executor is not None:
-            ctx.raw_views, report = ctx.executor.run(ctx.plan, ctx.backend)
+            ctx.blocks, report = ctx.executor.run(ctx.plan, ctx.backend)
             ctx.extras["parallel_report"] = report
         else:
-            ctx.raw_views = ctx.plan.run(ctx.backend)
+            ctx.blocks = ctx.plan.run(ctx.backend)
 
 
 class ScorePhase(Phase):
-    """View Processor: align, normalize, and score every raw view.
+    """View Processor: normalize and score every executed view block.
 
-    Scores through the columnar batch path by default (dense per-attribute
-    blocks, vectorized metrics — bit-for-bit identical utilities); set
-    ``config.batch_scoring = False`` to fall back to the per-view loop.
+    Scores each block through the columnar batch path by default
+    (vectorized metrics — bit-for-bit identical utilities); set
+    ``config.batch_scoring = False`` to score each block row through the
+    per-view loop instead.
 
     ``metric``/``normalization`` override the context config — the hook
     through which facades holding a custom :class:`DistanceMetric`
@@ -343,9 +344,9 @@ class ScorePhase(Phase):
     def run(self, ctx: ExecutionContext) -> None:
         processor = self.processor(ctx)
         if ctx.config.batch_scoring:
-            ctx.scored = processor.score_batch(ctx.raw_views)
+            ctx.scored = processor.score_blocks(ctx.blocks)
         else:
-            ctx.scored = processor.score_all(ctx.raw_views)
+            ctx.scored = processor.score_rows(ctx.blocks)
 
 
 class SelectPhase(Phase):

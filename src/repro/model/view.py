@@ -126,10 +126,9 @@ class RawViewData:
 class ViewBlock:
     """Columnar batch of views sharing one dimension and key universe.
 
-    The Score-path representation the View Processor operates on: instead
-    of one ``RawViewData`` per view, all views grouping by the same
-    ``dimension`` (and extracted from the same query results, hence sharing
-    group-key lists) are materialized as two dense ``(n_views, n_groups)``
+    The hand-off from plan execution to the View Processor: the views of
+    one view group (all grouping by ``dimension`` and read from the same
+    query results) are materialized as two dense ``(n_views, n_groups)``
     matrices over the aligned union key universe. Row ``i`` of ``target`` /
     ``comparison`` holds the raw aggregate series of ``specs[i]``; absent
     groups are already filled with 0 (no mass).

@@ -15,7 +15,7 @@ minimizes DBMS work by sharing it:
 * **Parallel execution** — independent plan steps run on a thread pool.
 """
 
-from repro.optimizer.combine import MergeSpec, merge_spec, merge_aux_arrays
+from repro.optimizer.combine import MergeSpec, merge_partials, merge_spec
 from repro.optimizer.binpack import (
     PackedBins,
     branch_and_bound_pack,
@@ -45,7 +45,7 @@ from repro.optimizer.cost import (
 __all__ = [
     "MergeSpec",
     "merge_spec",
-    "merge_aux_arrays",
+    "merge_partials",
     "PackedBins",
     "branch_and_bound_pack",
     "first_fit_decreasing",

@@ -1,4 +1,4 @@
-"""Aggregate decomposition for shared execution.
+"""Aggregate decomposition and the one merge of partial aggregates.
 
 When the optimizer folds a view's target and comparison queries into one
 ``GROUP BY (flag, a)`` query, the comparison view (over *all* rows) must be
@@ -9,28 +9,74 @@ reconstructed afterwards — ``avg = sum / countv``,
 ``var = sumsq/countv - (sum/countv)²``. The same decomposition powers the
 rollup strategy for combining group-bys, where per-dimension views are
 marginalized out of a multi-attribute result.
+
+Results travel as :class:`Partial`\\ s, and :func:`merge_partials` is the
+one merge of them: it recovers the ``table`` comparison from the two flag
+partitions and folds every round of a phased run, NaN (an absent key, or
+SQL's NULL ``SUM``) being its identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.db.aggregates import Aggregate
+from repro.metrics.normalize import align_batch
 from repro.util.errors import QueryError
 
-#: How two partitions' values of an auxiliary aggregate combine, and the
-#: neutral fill used when a group is absent from one partition.
-_MERGE_OPS: dict[str, tuple[Callable, float]] = {
-    "sum": (np.add, 0.0),
-    "count": (np.add, 0.0),
-    "countv": (np.add, 0.0),
-    "sumsq": (np.add, 0.0),
-    "min": (np.fmin, np.nan),  # fmin/fmax ignore NaN -> absent group is neutral
-    "max": (np.fmax, np.nan),
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` with NaN as the identity: NaN only where both are NaN."""
+    return np.where(np.isnan(a), b, np.where(np.isnan(b), a, a + b))
+
+
+#: How two partials' values of an auxiliary aggregate combine.
+_MERGE_OPS: dict[str, Callable] = {
+    "sum": _add,
+    "count": _add,
+    "countv": _add,
+    "sumsq": _add,
+    "min": np.fmin,
+    "max": np.fmax,
 }
+
+
+class Partial(NamedTuple):
+    """One side of a view group's result: canonical ``keys`` sorted by
+    :func:`~repro.metrics.normalize.group_sort_key`, and a float64
+    ``(n_aggregates, n_keys)`` matrix, one row per aggregate carried."""
+
+    keys: list
+    values: np.ndarray
+
+
+def merge_partials(
+    a: Partial, b: Partial, aggregates: "tuple[Aggregate, ...]"
+) -> Partial:
+    """Merge two partials of disjoint row sets on their key union, an
+    absent key reading NaN: each aggregate's row merges with its operation
+    — additive values sum, extrema take ``fmin`` / ``fmax`` — NaN being the
+    identity (additive rows stay NaN only where both sides are)."""
+    if a.keys == b.keys:
+        keys, values_a, values_b = a.keys, a.values, b.values
+    else:
+        keys, values_a, values_b = align_batch(
+            a.keys, a.values, b.keys, b.values, fill=np.nan
+        )
+    rows_by_operation: dict[Callable, list[int]] = {}
+    for row, aggregate in enumerate(aggregates):
+        try:
+            operation = _MERGE_OPS[aggregate.func]
+        except KeyError:
+            raise QueryError(f"aggregate {aggregate.func!r} is not mergeable") from None
+        rows_by_operation.setdefault(operation, []).append(row)
+    merged = np.empty_like(values_a)
+    for operation, rows in rows_by_operation.items():
+        merged[rows] = operation(values_a[rows], values_b[rows])
+    return Partial(keys, merged)
 
 
 @dataclass(frozen=True)
@@ -82,25 +128,6 @@ def merge_spec(aggregate: Aggregate) -> MergeSpec:
     raise QueryError(f"no merge decomposition for aggregate {func!r}")
 
 
-def merge_fill_value(aux: Aggregate) -> float:
-    """Neutral value for a group absent from one partition."""
-    try:
-        return _MERGE_OPS[aux.func][1]
-    except KeyError:
-        raise QueryError(f"aggregate {aux.func!r} is not mergeable") from None
-
-
-def merge_aux_arrays(
-    aux: Aggregate, values_a: np.ndarray, values_b: np.ndarray
-) -> np.ndarray:
-    """Combine two aligned partitions' values of one auxiliary aggregate."""
-    try:
-        operation, _fill = _MERGE_OPS[aux.func]
-    except KeyError:
-        raise QueryError(f"aggregate {aux.func!r} is not mergeable") from None
-    return operation(values_a, values_b)
-
-
 def dedup_aggregates(aggregates: "list[Aggregate] | tuple[Aggregate, ...]") -> tuple[Aggregate, ...]:
     """Drop duplicate aggregates (same alias), preserving first-seen order.
 
@@ -124,6 +151,5 @@ def aux_aggregates(views) -> tuple[Aggregate, ...]:
 
 
 def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        result = numerator / denominator
-    return np.where(denominator > 0, result, np.nan)
+    empty = np.full(np.shape(numerator), np.nan)
+    return np.divide(numerator, denominator, out=empty, where=denominator > 0)

@@ -1,18 +1,16 @@
-"""Extraction of per-view series from shared query results.
+"""From shared query results to the View Processor's blocks.
 
 Plan steps produce result tables whose shape depends on the combining
 strategy (flag-partitioned, grouping-set, multi-dimensional rollup). This
-module turns any of them back into per-view :class:`RawViewData` — the
-"post-process results at the backend" the paper mentions — including the
-partition merge that recovers the comparison view and the marginalization
-that recovers single-dimension views from a rollup.
-
-It also hosts the columnar side of the Execute→Score data plane:
-:func:`blocks_from_raw` regroups extracted views by dimension attribute and
-materializes one dense ``(views, groups)`` :class:`ViewBlock` per
-attribute, computing each attribute's union key universe **once** instead
-of re-deriving it per view — the representation
-:meth:`repro.core.view_processor.ViewProcessor.score_batch` consumes.
+module is the "post-process results at the backend" the paper mentions:
+:func:`side_partials` turns one view group's results into its
+:class:`~repro.optimizer.combine.Partial`\\ s, one per side (a rollup
+result is first projected onto the group's keys by :func:`marginalize`),
+and :func:`group_block` turns those into the group's dense
+:class:`ViewBlock` — merging the two flag partitions into the ``table``
+comparison and reconstructing algebraic aggregates on the way.
+:func:`blocks_from_raw` builds blocks from per-view :class:`RawViewData`
+(the scalar scoring oracle's input).
 """
 
 from __future__ import annotations
@@ -25,11 +23,7 @@ from repro.model.view import RawViewData, ViewBlock, ViewSpec
 from repro.db.aggregates import Aggregate
 from repro.db.table import Table
 from repro.metrics.normalize import align_batch, canonical_key, group_sort_key
-from repro.optimizer.combine import (
-    merge_aux_arrays,
-    merge_fill_value,
-    merge_spec,
-)
+from repro.optimizer.combine import Partial, merge_partials, merge_spec
 from repro.util.errors import MetricError, QueryError
 
 #: Name of the virtual target/comparison flag column in combined queries.
@@ -42,60 +36,6 @@ def table_series(table: Table, key_column: str, value_column: str):
     return keys, np.asarray(table.column(value_column), dtype=np.float64)
 
 
-def aux_arrays(table: Table, aggregates: tuple[Aggregate, ...]):
-    """{alias: values} for the auxiliary aggregate columns of a result."""
-    return {
-        aggregate.alias: np.asarray(table.column(aggregate.alias), dtype=np.float64)
-        for aggregate in aggregates
-    }
-
-
-def align_aux(
-    keys_a: list,
-    arrays_a: dict[str, np.ndarray],
-    keys_b: list,
-    arrays_b: dict[str, np.ndarray],
-    aggregates: tuple[Aggregate, ...],
-):
-    """Align two partitions' aux arrays on the union of their group keys.
-
-    Missing groups get each aggregate's neutral fill (0 for sums/counts,
-    NaN for extrema). Returns ``(union_keys, aligned_a, aligned_b)``.
-    """
-    index_a = {key: i for i, key in enumerate(keys_a)}
-    index_b = {key: i for i, key in enumerate(keys_b)}
-    union = sorted(set(index_a) | set(index_b), key=group_sort_key)
-    aligned_a: dict[str, np.ndarray] = {}
-    aligned_b: dict[str, np.ndarray] = {}
-    for aggregate in aggregates:
-        fill = merge_fill_value(aggregate)
-        values_a = arrays_a[aggregate.alias]
-        values_b = arrays_b[aggregate.alias]
-        aligned_a[aggregate.alias] = np.array(
-            [values_a[index_a[k]] if k in index_a else fill for k in union]
-        )
-        aligned_b[aggregate.alias] = np.array(
-            [values_b[index_b[k]] if k in index_b else fill for k in union]
-        )
-    return union, aligned_a, aligned_b
-
-
-def dimension_keys(part: Table, dimension: "str | tuple[str, ...]") -> list:
-    """Canonicalized group keys of a result partition.
-
-    A single dimension yields scalar keys; a tuple of dimensions yields
-    tuple keys over the attribute-value combinations (the multi-attribute
-    generalization of §2).
-    """
-    if isinstance(dimension, tuple):
-        columns = [part.column(name) for name in dimension]
-        return [
-            tuple(canonical_key(column[i]) for column in columns)
-            for i in range(part.num_rows)
-        ]
-    return [canonical_key(k) for k in part.column(dimension)]
-
-
 def view_dimension(view) -> "str | tuple[str, ...]":
     """What ``view`` groups by: one attribute name, or a tuple of names for a
     multi-attribute view (specs are duck-typed on ``dimension`` /
@@ -104,75 +44,96 @@ def view_dimension(view) -> "str | tuple[str, ...]":
     return dimension if dimension is not None else tuple(view.dimensions)
 
 
-def extract_views(
+def side_partials(
     results: "tuple[Table, ...]",
     dimension: "str | tuple[str, ...]",
-    views: tuple[ViewSpec, ...],
     aggregates: tuple[Aggregate, ...],
-    merge: bool = True,
-) -> dict[ViewSpec, RawViewData]:
-    """Per-view target and comparison series from one group's results.
+) -> tuple[Partial, Partial]:
+    """One view group's partials, ``(target, second side)``.
 
     ``results`` is what the group's queries returned, all grouped by
     ``dimension`` (a tuple of names yields attribute-value tuple keys —
-    multi-attribute views) and carrying ``aggregates``:
-
-    * ``(combined,)`` — one flag-combined result grouped by
-      ``(flag, dimension)``. Target = the flag=1 partition; comparison =
-      both partitions merged when ``merge`` (the comparison view covers
-      the entire table, §2 — the ``table`` reference), or the flag=0
-      partition alone (the ``complement`` reference, D ∖ D_Q).
-    * ``(target, comparison)`` — one result per side; the comparison
-      query already selected the reference's rows, nothing is merged.
-
-    A view reads its own aggregate's column when the queries carried it and
-    is otherwise reconstructed from the auxiliary columns they carried
-    instead (``avg`` from ``sum``/``countv``, ...).
+    multi-attribute views) and carrying ``aggregates``: ``(combined,)``
+    grouped by ``(flag, dimension)``, whose flag=1 rows are the target and
+    flag=0 rows the rest, or ``(target, comparison)``, one result per side.
     """
     if len(results) == 1:
         (combined,) = results
         flags = np.asarray(combined.column(FLAG_NAME))
-        target, comparison = combined.mask(flags == 1), combined.mask(flags == 0)
+        return (
+            _partial(combined, dimension, aggregates, flags == 1),
+            _partial(combined, dimension, aggregates, flags == 0),
+        )
+    target, comparison = results
+    return (
+        _partial(target, dimension, aggregates),
+        _partial(comparison, dimension, aggregates),
+    )
+
+
+def _partial(table, dimension, aggregates, rows=None) -> Partial:
+    """The partial of ``table``'s ``rows`` (all when None), keys sorted."""
+    names = dimension if isinstance(dimension, tuple) else (dimension,)
+    columns = [table.column(name) for name in names]
+    values = np.array(
+        [table.column(aggregate.alias) for aggregate in aggregates],
+        dtype=np.float64,
+    ).reshape(len(aggregates), table.num_rows)
+    if rows is not None:
+        columns = [column[rows] for column in columns]
+        values = values[:, rows]
+    if isinstance(dimension, tuple):
+        keys = [tuple(canonical_key(v) for v in row) for row in zip(*columns)]
     else:
-        target, comparison = results
-        merge = False
-    # One key list per side, aliased by every view of the group: lets
-    # blocks_from_raw recognize the shared universe by identity instead of
-    # re-canonicalizing keys per view.
-    target_keys = dimension_keys(target, dimension)
-    target_columns = aux_arrays(target, aggregates)
-    comparison_keys = dimension_keys(comparison, dimension)
-    comparison_columns = aux_arrays(comparison, aggregates)
+        keys = [canonical_key(v) for v in columns[0]]
+    order = sorted(range(len(keys)), key=lambda i: group_sort_key(keys[i]))
+    return Partial([keys[i] for i in order], values[:, order])
+
+
+def group_block(
+    dimension: "str | tuple[str, ...]",
+    views: tuple[ViewSpec, ...],
+    sides: tuple[Partial, Partial],
+    aggregates: tuple[Aggregate, ...],
+    merge: bool,
+) -> ViewBlock:
+    """The :class:`ViewBlock` of ``views`` from their group's partials.
+
+    With ``merge`` the comparison is both flag partitions merged (it covers
+    the entire table, §2 — the ``table`` reference), otherwise the second
+    side as fetched. A key missing from one side reads 0 (no mass).
+    """
+    target, comparison = sides
     if merge:
-        comparison_keys, aligned_target, aligned_rest = align_aux(
-            target_keys, target_columns, comparison_keys, comparison_columns,
-            aggregates,
+        comparison = merge_partials(target, comparison, aggregates)
+    target_values = _view_values(views, target, aggregates)
+    comparison_values = _view_values(views, comparison, aggregates)
+    if target.keys == comparison.keys:
+        groups = target.keys
+    else:
+        groups, target_values, comparison_values = align_batch(
+            target.keys, target_values, comparison.keys, comparison_values
         )
-        comparison_columns = {
-            aggregate.alias: merge_aux_arrays(
-                aggregate,
-                aligned_target[aggregate.alias],
-                aligned_rest[aggregate.alias],
-            )
-            for aggregate in aggregates
-        }
+    return ViewBlock(
+        dimension=dimension,
+        specs=tuple(views),
+        groups=groups,
+        target=target_values,
+        comparison=comparison_values,
+    )
 
-    def values(view: ViewSpec, columns: dict[str, np.ndarray]) -> np.ndarray:
+
+def _view_values(views, partial: Partial, aggregates) -> np.ndarray:
+    """``(n_views, n_keys)``: each view's own aggregate row when the
+    queries carried it, else its reconstruction from the auxiliary rows."""
+    rows = dict(zip((aggregate.alias for aggregate in aggregates), partial.values))
+    values = np.empty((len(views), len(partial.keys)), dtype=np.float64)
+    for index, view in enumerate(views):
         alias = view.aggregate.alias
-        if alias in columns:
-            return columns[alias]
-        return merge_spec(view.aggregate).reconstruct(columns)
-
-    return {
-        view: RawViewData(
-            spec=view,
-            target_keys=target_keys,
-            target_values=values(view, target_columns),
-            comparison_keys=comparison_keys,
-            comparison_values=values(view, comparison_columns),
+        values[index] = (
+            rows[alias] if alias in rows else merge_spec(view.aggregate).reconstruct(rows)
         )
-        for view in views
-    }
+    return values
 
 
 def marginalize(
@@ -185,8 +146,10 @@ def marginalize(
 
     Groups the (small) result rows by ``keys`` (and the flag, when present)
     and merges each auxiliary aggregate across the collapsed dimensions —
-    additive aggregates sum, extrema take fmin/fmax. This is the backend
-    post-processing step of the "Combine Multiple Group-bys" optimization.
+    additive aggregates sum, extrema take fmin/fmax, NaN (SQL NULL) being
+    the identity as in :func:`~repro.optimizer.combine.merge_partials`.
+    This is the backend post-processing step of the "Combine Multiple
+    Group-bys" optimization.
     """
     from repro.db.groupby import factorize  # local import to avoid cycles
     from repro.db.schema import Schema
@@ -212,6 +175,7 @@ def marginalize(
             merged = np.bincount(
                 compact[mask], weights=values[mask], minlength=n_groups
             ).astype(np.float64)
+            merged[np.bincount(compact[mask], minlength=n_groups) == 0] = np.nan
         elif aggregate.func in ("min", "max"):
             merged = np.full(n_groups, np.nan)
             ufunc = np.fmin if aggregate.func == "min" else np.fmax
@@ -233,14 +197,10 @@ def blocks_from_raw(
 ) -> list[ViewBlock]:
     """Regroup per-view series into dense per-attribute :class:`ViewBlock`\\ s.
 
-    Views are bucketed by ``(dimension, target keys, comparison keys)`` —
-    views extracted from the same shared query alias the same key-list
-    objects, so the bucket key is usually resolved by identity without
-    touching the keys at all. Each bucket's union key universe and
-    key→column mapping are then computed once (:func:`align_batch`) and
-    every member view's values are scattered into the block matrices in
-    bulk, replacing the per-view dict merge + sorted-union work the scalar
-    path performs ``n_views`` times.
+    Views are bucketed by ``(dimension, target keys, comparison keys)``,
+    keys canonicalized. Each bucket's union key universe and key→column
+    mapping are then computed once (:func:`align_batch`) and every member
+    view's values are scattered into the block matrices in bulk.
 
     Scoring a block row-by-row yields bit-for-bit the same distributions
     and utilities as scoring each member's :class:`RawViewData` alone,
@@ -248,23 +208,12 @@ def blocks_from_raw(
     """
     if isinstance(raw_views, Mapping):
         raw_views = raw_views.values()
-    key_memo: dict[int, tuple] = {}
-    referents: list = []  # keep memoized key-list objects alive (id reuse)
-
-    def canonical_tuple(keys) -> tuple:
-        cached = key_memo.get(id(keys))
-        if cached is None:
-            cached = tuple(canonical_key(key) for key in keys)
-            key_memo[id(keys)] = cached
-            referents.append(keys)
-        return cached
-
     buckets: dict[tuple, list[RawViewData]] = {}
     for raw in raw_views:
         bucket_key = (
             view_dimension(raw.spec),
-            canonical_tuple(raw.target_keys),
-            canonical_tuple(raw.comparison_keys),
+            tuple(canonical_key(key) for key in raw.target_keys),
+            tuple(canonical_key(key) for key in raw.comparison_keys),
         )
         buckets.setdefault(bucket_key, []).append(raw)
 

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.backends.base import Backend
-from repro.model.view import RawViewData, ViewSpec
+from repro.model.view import ViewBlock
 from repro.optimizer.plan import ExecutionPlan, ExecutionStep
 from repro.util.deadline import cancel_scope, check_current, current_token
 from repro.util.errors import ConfigError
@@ -180,20 +180,20 @@ class ParallelExecutor:
 
     def run(
         self, plan: ExecutionPlan, backend: Backend
-    ) -> tuple[dict[ViewSpec, RawViewData], ParallelRunReport]:
-        """Execute ``plan``; returns extracted data and a timing report."""
+    ) -> tuple[list[ViewBlock], ParallelRunReport]:
+        """Execute ``plan``; returns its view blocks and a timing report."""
         start = time.perf_counter()
-        extracted: dict[ViewSpec, RawViewData] = {}
+        blocks: list[ViewBlock] = []
         step_seconds: list[float] = []
         token = current_token()
 
         if self.n_workers == 1 or len(plan.steps) <= 1:
             for step in plan.steps:
                 result, elapsed = _timed_run(step, backend)
-                extracted.update(result)
+                blocks.extend(result)
                 step_seconds.append(elapsed)
         elif self.shared_pool is not None:
-            extracted, step_seconds = self._run_on_shared(plan, backend)
+            blocks, step_seconds = self._run_on_shared(plan, backend)
         elif self.persistent:
             pool = self._ensure_pool()
             futures = [
@@ -204,7 +204,7 @@ class ParallelExecutor:
                 for future in futures:
                     check_current()
                     result, elapsed = future.result()
-                    extracted.update(result)
+                    blocks.extend(result)
                     step_seconds.append(elapsed)
             except BaseException:
                 # Match the per-run pool's guarantee (its `with` block joins
@@ -224,7 +224,7 @@ class ParallelExecutor:
                 for future in futures:
                     check_current()
                     result, elapsed = future.result()
-                    extracted.update(result)
+                    blocks.extend(result)
                     step_seconds.append(elapsed)
 
         report = ParallelRunReport(
@@ -232,11 +232,11 @@ class ParallelExecutor:
             total_seconds=time.perf_counter() - start,
             step_seconds=step_seconds,
         )
-        return extracted, report
+        return blocks, report
 
     def _run_on_shared(
         self, plan: ExecutionPlan, backend: Backend
-    ) -> tuple[dict[ViewSpec, RawViewData], list[float]]:
+    ) -> tuple[list[ViewBlock], list[float]]:
         """Work-queue execution on the shared pool.
 
         ``min(n_workers, len(steps))`` claimer tasks pull step indices from
@@ -289,15 +289,15 @@ class ParallelExecutor:
         if failures:
             raise failures[0]
 
-        extracted: dict[ViewSpec, RawViewData] = {}
+        blocks: list[ViewBlock] = []
         step_seconds: list[float] = []
         for outcome in results:
             if outcome is None:  # unclaimed trailing steps after a failure
                 continue
             result, elapsed = outcome
-            extracted.update(result)
+            blocks.extend(result)
             step_seconds.append(elapsed)
-        return extracted, step_seconds
+        return blocks, step_seconds
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -323,7 +323,7 @@ class ParallelExecutor:
 
 def _timed_run(
     step: ExecutionStep, backend: Backend
-) -> tuple[dict[ViewSpec, RawViewData], float]:
+) -> tuple[list[ViewBlock], float]:
     start = time.perf_counter()
     result = step.run(backend)
     return result, time.perf_counter() - start
@@ -331,7 +331,7 @@ def _timed_run(
 
 def _scoped_run(
     token, step: ExecutionStep, backend: Backend
-) -> tuple[dict[ViewSpec, RawViewData], float]:
+) -> tuple[list[ViewBlock], float]:
     """Run one step on a pool thread under the submitter's cancel token.
 
     Thread-local cancel scopes do not cross thread boundaries on their

@@ -12,9 +12,10 @@ choices, and a plan step carries one field for each:
   multi-attribute rollup marginalized per group in post-processing.
 
 :class:`ExecutionStep` is the one step type and every strategy executes
-it: it knows its logical queries, fetches their results and extracts
-per-view raw series from them; a phased run fetches it one row partition
-at a time. The ways of arranging view groups into steps are the rows of
+it: it knows its logical queries and fetches their results as each view
+group's partials, which ``run`` makes one view block per group; a phased
+run fetches it one row partition at a time. The ways of arranging view
+groups into steps are the rows of
 :data:`PLAN_KINDS`; :class:`Planner` looks its mode up there and the
 engine's cost-based ``PlanPhase`` prices one plan per row.
 """
@@ -27,18 +28,19 @@ from typing import Callable
 
 from repro.backends.base import Backend, BackendCapabilities
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
-from repro.model.view import RawViewData, ViewSpec
+from repro.model.view import ViewBlock, ViewSpec
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import Expression, RowPartition, TruePredicate
 from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery
 from repro.db.table import Table
 from repro.optimizer.binpack import pack_dimensions
 from repro.util.deadline import check_current
-from repro.optimizer.combine import aux_aggregates, dedup_aggregates
+from repro.optimizer.combine import Partial, aux_aggregates, dedup_aggregates
 from repro.optimizer.extract import (
     FLAG_NAME,
-    extract_views,
+    group_block,
     marginalize,
+    side_partials,
     view_dimension,
 )
 from repro.util.errors import ConfigError
@@ -166,29 +168,34 @@ class ExecutionStep:
             for prefix, predicate in sides
         ]
 
-    def fetch(self, backend: Backend) -> "tuple[tuple[Aggregate, ...], list[tuple[Table, ...]]]":
+    @property
+    def merges_sides(self) -> bool:
+        """Whether the comparison is both flag partitions merged (``table``)."""
+        return self.combine_flag and self.reference.merge_partitions
+
+    def fetch(
+        self, backend: Backend
+    ) -> "tuple[tuple[Aggregate, ...], list[tuple[Partial, Partial]]]":
         """Execute against ``backend``: the aggregates the queries carried
-        and, per group in order, its result tables — ``(combined,)`` when
+        and, per group in order, its partials — ``(target, rest)`` when
         flag-combined, else ``(target, comparison)``."""
         queries = self.queries()
+        aggregates = queries[0].aggregates
         sides = [self._group_results(backend, query) for query in queries]
-        return queries[0].aggregates, list(zip(*sides))
+        return aggregates, [
+            side_partials(results, group.dimension, aggregates)
+            for group, results in zip(self.groups, zip(*sides))
+        ]
 
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        """Execute against ``backend`` and extract per-view raw series."""
+    def run(self, backend: Backend) -> list[ViewBlock]:
+        """Execute against ``backend``; one view block per group."""
         aggregates, fetched = self.fetch(backend)
-        extracted: dict[ViewSpec, RawViewData] = {}
-        for group, results in zip(self.groups, fetched):
-            extracted.update(
-                extract_views(
-                    results,
-                    group.dimension,
-                    group.views,
-                    aggregates,
-                    merge=self.reference.merge_partitions,
-                )
+        return [
+            group_block(
+                group.dimension, group.views, sides, aggregates, self.merges_sides
             )
-        return extracted
+            for group, sides in zip(self.groups, fetched)
+        ]
 
     def _group_results(self, backend: Backend, query) -> list[Table]:
         """Run one side's query; one result table per group, in order."""
@@ -232,15 +239,15 @@ class ExecutionPlan:
         backends without native support may add more — see cost model)."""
         return sum(len(step.queries()) for step in self.steps)
 
-    def run(self, backend: Backend) -> dict[ViewSpec, RawViewData]:
-        """Execute all steps sequentially."""
-        extracted: dict[ViewSpec, RawViewData] = {}
+    def run(self, backend: Backend) -> list[ViewBlock]:
+        """Execute all steps sequentially; one view block per group."""
+        blocks: list[ViewBlock] = []
         for step in self.steps:
             # Per-step checkpoint: abort a cancelled multi-step plan at a
             # step boundary even when the backend has no finer-grained one.
             check_current()
-            extracted.update(step.run(backend))
-        return extracted
+            blocks.extend(step.run(backend))
+        return blocks
 
     def describe(self) -> str:
         lines = [f"plan: {len(self.steps)} step(s), {self.total_queries()} query(ies)"]

@@ -127,3 +127,26 @@ def nan_table() -> Table:
             "value": AttributeRole.MEASURE,
         },
     )
+
+
+def view_rows(blocks) -> dict:
+    """``{spec: (groups, target row, comparison row)}`` of view blocks."""
+    return {
+        spec: (block.groups, block.target[row], block.comparison[row])
+        for block in blocks
+        for row, spec in enumerate(block.specs)
+    }
+
+
+def assert_same_views(actual, expected, **tolerance):
+    """Two lists of view blocks give every view the same groups and the
+    same target and comparison values (NaN equal to NaN)."""
+    actual, expected = view_rows(actual), view_rows(expected)
+    assert set(actual) == set(expected)
+    for spec, (groups, target, comparison) in expected.items():
+        got_groups, got_target, got_comparison = actual[spec]
+        assert got_groups == groups, spec.label
+        for got, want in ((got_target, target), (got_comparison, comparison)):
+            np.testing.assert_allclose(
+                got, want, equal_nan=True, err_msg=spec.label, **tolerance
+            )

@@ -266,6 +266,7 @@ class TestProgressive:
         assert len(final.result.recommendations) == 2
 
     def test_service_stream_fans_out_one_execution(self, medium_table):
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
         backend = MemoryBackend()
@@ -276,11 +277,23 @@ class TestProgressive:
         with single_backend_service(
             backend, SeeDBConfig(k=3), owned=True, max_workers=4
         ) as service:
+            # The execution's first round waits until all four streams have
+            # joined it: one that finished before a late subscriber arrived
+            # would leave that subscriber an execution of its own.
+            joined = threading.Barrier(5, timeout=30)
+            engine = service.engine()
+            inner = engine.recommend_iter
+
+            def held_recommend_iter(resolved, **kwargs):
+                joined.wait()
+                yield from inner(resolved, **kwargs)
+
+            engine.recommend_iter = held_recommend_iter
+
             def consume(_):
-                return [
-                    (p.round, p.is_final)
-                    for p in service.recommend_stream(request)
-                ]
+                stream = service.recommend_stream(request)
+                joined.wait()
+                return [(p.round, p.is_final) for p in stream]
 
             with ThreadPoolExecutor(max_workers=4) as pool:
                 sequences = list(pool.map(consume, range(4)))

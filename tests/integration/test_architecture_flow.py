@@ -58,9 +58,9 @@ class TestStageByStage:
         assert plan.total_queries() < 2 * len(surviving)  # sharing happened
 
         # 4. DBMS execution + 5. View Processor
-        raw = plan.run(backend)
+        blocks = plan.run(backend)
         processor = ViewProcessor(get_metric("js"))
-        scored = processor.score_all(raw)
+        scored = processor.score_blocks(blocks)
         assert set(scored) == set(surviving)
 
         # 6. top-k

@@ -137,17 +137,28 @@ class TestCrossProcessCoalescing:
         table = make_medium_table()
         service = make_cluster("memory", table, result_cache_size=0)
         try:
-            barrier = threading.Barrier(N_CLIENTS)
+            # The job is dispatched to a worker only once every client has
+            # submitted: a reply that came back before a late client
+            # arrived would leave nothing in flight to coalesce onto.
+            joined = threading.Barrier(N_CLIENTS + 1, timeout=30)
+            inner = service._run
+
+            def held_run(job):
+                joined.wait()
+                inner(job)
+
+            service._run = held_run
 
             def client(_: int):
-                barrier.wait(timeout=30)
-                return fingerprint(service.recommend(RecommendationRequest(QUERIES[0])))
+                future = service.submit(RecommendationRequest(QUERIES[0]))
+                joined.wait()
+                return fingerprint(future.result(timeout=60))
 
             with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
                 results = list(pool.map(client, range(N_CLIENTS)))
             assert len(set(results)) == 1
-            assert service.stats.coalesced > 0
-            assert service.stats.executions < N_CLIENTS
+            assert service.stats.coalesced == N_CLIENTS - 1
+            assert service.stats.executions == 1
             prefix = service.snapshot()["cluster"]["shm_prefix"]
             assert list_segments(prefix) == []  # nothing outlives its reply
         finally:

@@ -123,18 +123,30 @@ def test_coalescing_observed_under_concurrency():
         result_cache_size=0,
     )
     try:
-        barrier = threading.Barrier(N_THREADS)
+        # The execution starts only once every session has submitted: a run
+        # that finished before a late session arrived would leave nothing
+        # in flight to coalesce onto.
+        joined = threading.Barrier(N_THREADS + 1, timeout=30)
+        engine = service.engine()
+        inner = engine.recommend
+
+        def held_recommend(resolved, **kwargs):
+            joined.wait()
+            return inner(resolved, **kwargs)
+
+        engine.recommend = held_recommend
         query = QUERIES[0]
 
         def session(_: int):
-            barrier.wait(timeout=30)  # release all threads at once
-            return fingerprint(service.recommend(RecommendationRequest(query)))
+            future = service.submit(RecommendationRequest(query))
+            joined.wait()
+            return fingerprint(future.result(timeout=60))
 
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
             results = list(pool.map(session, range(N_THREADS)))
         assert len(set(results)) == 1
-        assert service.stats.coalesced > 0
-        assert service.stats.executions < N_THREADS
+        assert service.stats.coalesced == N_THREADS - 1
+        assert service.stats.executions == 1
     finally:
         service.close()
 

@@ -1,4 +1,4 @@
-"""Property tests: every plan shape extracts identical view data.
+"""Property tests: every plan shape hands the scorer identical view data.
 
 The optimizer's central contract — combining strategies change *work*, not
 *answers* — verified on randomized tables (random group structures, a
@@ -7,27 +7,28 @@ step grid: sharing × sides × reference × single-/multi-attribute
 dimension × backend, each cell against the all-separate baseline (one
 unshared two-query step per view) on the same backend — and, along the
 partition axis, against itself run one row partition at a time and folded
-the way phased execution folds its rounds.
+the way phased execution folds its rounds. The duckdb cells skip when the
+optional wheel is absent.
 """
 
 import itertools
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends.duckdb import DuckDbBackend
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.multiview import MultiViewSpec
 from repro.db.expressions import RowPartition, col
 from repro.db.table import Table
 from repro.db.types import AttributeRole
-from repro.engine.incremental import fold_partition
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
-from repro.optimizer.extract import FLAG_NAME, extract_views
+from repro.optimizer.combine import merge_partials
+from repro.optimizer.extract import group_block
 from repro.optimizer.plan import (
     ExecutionPlan,
     ExecutionStep,
@@ -35,9 +36,11 @@ from repro.optimizer.plan import (
     ViewGroup,
 )
 
+from tests.conftest import assert_same_views, view_rows
+
 FUNCS = ["sum", "avg", "min", "max", "count", "var"]
 D2_VALUES = ["x", "y", "z", "w"]
-BACKENDS = {"memory": MemoryBackend, "sqlite": SqliteBackend}
+BACKENDS = {"duckdb": DuckDbBackend, "memory": MemoryBackend, "sqlite": SqliteBackend}
 SHARINGS = [
     GroupByCombining.NONE,
     GroupByCombining.GROUPING_SETS,
@@ -59,7 +62,7 @@ GRID = [
 
 
 @st.composite
-def workloads(draw, allow_nan):
+def workloads(draw):
     n_rows = draw(st.integers(2, 60))
 
     def column(values):
@@ -68,7 +71,7 @@ def workloads(draw, allow_nan):
         return [values[0]] + draw(rest)
 
     finite = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
-    measure = st.one_of(finite, st.just(float("nan"))) if allow_nan else finite
+    measure = st.one_of(finite, st.just(float("nan")))
     table = Table.from_columns(
         "t",
         {
@@ -114,44 +117,27 @@ def view_groups(dimension_kind, funcs):
     return first, ViewGroup("d2", (ViewSpec("d2", "m", "avg"),))
 
 
-def assert_matches(actual, expected):
-    assert set(actual) == set(expected)
-    for spec in expected:
-        a, e = actual[spec], expected[spec]
-        assert a.target_keys == e.target_keys, spec.label
-        assert a.comparison_keys == e.comparison_keys, spec.label
-        np.testing.assert_allclose(
-            a.target_values, e.target_values, equal_nan=True, atol=1e-9,
-            err_msg=spec.label,
-        )
-        np.testing.assert_allclose(
-            a.comparison_values, e.comparison_values, equal_nan=True, atol=1e-9,
-            err_msg=spec.label,
-        )
-
-
 def run_partitioned(steps, backend, n):
-    """Every step run as ``n`` row-partitioned steps whose ``fetch`` results
-    are folded with the phased path's merge, then extracted once."""
-    extracted = {}
+    """Every step run as ``n`` row-partitioned steps whose fetched partials
+    are folded side by side with the phased path's merge, then made view
+    blocks once."""
+    blocks = []
     for step in steps:
-        flag_name = FLAG_NAME if step.combine_flag else None
-        running = [None] * len(step.groups)
+        running = None
         for index in range(n):
             part = replace(step, partition=RowPartition(index, n))
             aggregates, fetched = part.fetch(backend)
-            running = [
-                fold_partition(old, tables, group.keys, aggregates, flag_name)
-                for old, tables, group in zip(running, fetched, step.groups)
+            running = fetched if running is None else [
+                tuple(merge_partials(old, new, aggregates) for old, new in zip(olds, news))
+                for olds, news in zip(running, fetched)
             ]
-        for group, tables in zip(step.groups, running):
-            extracted.update(
-                extract_views(
-                    tables, group.dimension, group.views, aggregates,
-                    merge=step.reference.merge_partitions,
-                )
+        blocks.extend(
+            group_block(
+                group.dimension, group.views, sides, aggregates, step.merges_sides
             )
-    return extracted
+            for group, sides in zip(step.groups, running)
+        )
+    return blocks
 
 
 @pytest.mark.parametrize(
@@ -164,12 +150,9 @@ def run_partitioned(steps, backend, n):
 def test_step_grid_equals_all_separate_baseline(
     sharing, combine_flag, reference_kind, dimension_kind, backend_name, data
 ):
-    # SQL SUM over an all-NULL group is NULL where numpy's is 0, and the
-    # additive partition merge does not paper over that; NaN measures stay
-    # on the memory backend, whose cells they can tell apart.
-    table, target_value, other_value, funcs = data.draw(
-        workloads(allow_nan=backend_name == "memory")
-    )
+    if backend_name == "duckdb":
+        pytest.importorskip("duckdb")
+    table, target_value, other_value, funcs = data.draw(workloads())
     predicate, reference = resolve(reference_kind, target_value, other_value)
     groups = view_groups(dimension_kind, funcs)
 
@@ -197,12 +180,12 @@ def test_step_grid_equals_all_separate_baseline(
     finally:
         backend.close()
 
-    assert_matches(actual, expected)
+    assert_same_views(actual, expected, atol=1e-9)
     # The partition axis: n interleaved row slices, folded, are the step.
     for folded in partitioned.values():
-        assert_matches(folded, actual)
+        assert_same_views(folded, actual, atol=1e-9)
     # A NULL dimension value is the object None on every path and backend,
     # never the string 'None'.
-    for raw in expected.values():
-        for key in raw.target_keys + raw.comparison_keys:
+    for groups, _target, _comparison in view_rows(expected).values():
+        for key in groups:
             assert "None" not in (key if isinstance(key, tuple) else (key,))

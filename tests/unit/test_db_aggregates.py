@@ -92,28 +92,31 @@ class TestEmptyGroups:
 
 
 class TestMerging:
-    """merge_partials(a, b) must equal computing over the union of rows."""
+    """The one merge of partial aggregates (``optimizer.combine``), over an
+    aggregate's mergeable decomposition, equals computing over the union of
+    rows."""
 
     @pytest.mark.parametrize(
         "func", ["count", "sum", "avg", "min", "max", "var", "std", "countv", "sumsq"]
     )
     def test_merge_equals_union(self, func):
-        function = AGGREGATE_FUNCTIONS[func]
-        codes_a, values_a = CODES[:3], VALUES[:3]
-        codes_b, values_b = CODES[3:], VALUES[3:]
-        part_a = function.compute_partials(
-            None if func == "count" else values_a, codes_a, N_GROUPS
+        from repro.optimizer.combine import Partial, merge_partials, merge_spec
+
+        spec = merge_spec(Aggregate(func, None if func == "count" else "x"))
+
+        def partial(values, codes):
+            rows = [
+                finalize(aux.func, None if aux.func == "count" else values, codes)
+                for aux in spec.aux
+            ]
+            return Partial(list(range(N_GROUPS)), np.array(rows))
+
+        merged = merge_partials(
+            partial(VALUES[:3], CODES[:3]), partial(VALUES[3:], CODES[3:]), spec.aux
         )
-        part_b = function.compute_partials(
-            None if func == "count" else values_b, codes_b, N_GROUPS
-        )
-        merged = function.finalize(function.merge_partials(part_a, part_b))
-        expected = function.finalize(
-            function.compute_partials(
-                None if func == "count" else VALUES, CODES, N_GROUPS
-            )
-        )
-        np.testing.assert_allclose(merged, expected, equal_nan=True)
+        rows = dict(zip((aux.alias for aux in spec.aux), merged.values))
+        expected = finalize(func, None if func == "count" else VALUES)
+        np.testing.assert_allclose(spec.reconstruct(rows), expected, equal_nan=True)
 
 
 class TestAggregateDataclass:

@@ -87,15 +87,6 @@ class TestOperations:
     def test_head(self, table):
         assert table.head(2).num_rows == 2
 
-    def test_concat(self, table):
-        doubled = table.concat(table)
-        assert doubled.num_rows == 8
-
-    def test_concat_schema_mismatch(self, table):
-        other = Table.from_columns("o", {"x": ["q"]})
-        with pytest.raises(SchemaError, match="different columns"):
-            table.concat(other)
-
     def test_row_and_iteration(self, table):
         assert table.row(1) == {"k": "b", "v": 2.0}
         assert len(list(table.iter_rows())) == 4

@@ -154,7 +154,7 @@ class TestPhases:
         PlanPhase().run(ctx)
         assert ctx.plan is not None and ctx.plan.steps
         ExecutePhase().run(ctx)
-        assert set(ctx.raw_views) == set(ctx.surviving)
+        assert {s for b in ctx.blocks for s in b.specs} == set(ctx.surviving)
         ScorePhase().run(ctx)
         assert set(ctx.scored) == set(ctx.surviving)
         SelectPhase().run(ctx)
@@ -188,7 +188,7 @@ class TestPhases:
             ctx,
         )
         # Without PrunePhase even predicate-dimension views execute.
-        assert set(ctx.raw_views) == set(ctx.candidates)
+        assert {s for b in ctx.blocks for s in b.specs} == set(ctx.candidates)
         assert len(ctx.recommendations) == 2
 
 

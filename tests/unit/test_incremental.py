@@ -13,7 +13,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.metrics.registry import get_metric
-from repro.model.view import RawViewData, ViewSpec
+from repro.model.view import ViewSpec
 from repro.util.errors import ConfigError
 
 
@@ -63,7 +63,7 @@ def exact_utilities(dataset, views):
     processor = ViewProcessor(get_metric("js"))
     return {
         spec: scored.utility
-        for spec, scored in processor.score_all(plan.run(backend)).items()
+        for spec, scored in processor.score_blocks(plan.run(backend)).items()
     }
 
 

@@ -1,13 +1,13 @@
-"""Unit tests: aggregate decomposition and partition merging."""
+"""Unit tests: aggregate decomposition and the merge of partials."""
 
 import numpy as np
 import pytest
 
 from repro.db.aggregates import Aggregate
 from repro.optimizer.combine import (
+    Partial,
     dedup_aggregates,
-    merge_aux_arrays,
-    merge_fill_value,
+    merge_partials,
     merge_spec,
 )
 from repro.util.errors import QueryError
@@ -67,33 +67,59 @@ class TestMergeSpec:
         assert spec.aux[0].alias == "count(*)"
 
 
+def partial(keys, *rows):
+    return Partial(list(keys), np.array(rows, dtype=np.float64))
+
+
 class TestMergeOperations:
     def test_additive_merge(self):
         aggregate = Aggregate("sum", "x")
-        merged = merge_aux_arrays(
-            aggregate, np.array([1.0, 2.0]), np.array([10.0, 20.0])
+        merged = merge_partials(
+            partial("ab", [1.0, 2.0]), partial("ab", [10.0, 20.0]), (aggregate,)
         )
-        assert list(merged) == [11.0, 22.0]
-        assert merge_fill_value(aggregate) == 0.0
+        assert merged.keys == ["a", "b"]
+        assert merged.values.tolist() == [[11.0, 22.0]]
+
+    def test_null_sum_is_the_identity(self):
+        # SQL SUM over all-NULL rows is NULL (NaN): it must not erase the
+        # other side's mass, and stays NaN only when both sides are NaN.
+        aggregate = Aggregate("sum", "x")
+        merged = merge_partials(
+            partial("abc", [np.nan, 2.0, np.nan]),
+            partial("abc", [1.0, np.nan, np.nan]),
+            (aggregate,),
+        )
+        assert merged.values[0, :2].tolist() == [1.0, 2.0]
+        assert np.isnan(merged.values[0, 2])
+
+    def test_keys_align_on_their_union(self):
+        # An absent key reads NaN, the identity of every operation.
+        aggregates = (Aggregate("count"), Aggregate("max", "x"))
+        merged = merge_partials(
+            partial("ac", [1.0, 3.0], [5.0, 7.0]),
+            partial("bc", [2.0, 4.0], [6.0, 9.0]),
+            aggregates,
+        )
+        assert merged.keys == ["a", "b", "c"]
+        assert merged.values.tolist() == [[1.0, 2.0, 7.0], [5.0, 6.0, 9.0]]
 
     def test_min_merge_ignores_nan_fill(self):
         aggregate = Aggregate("min", "x")
-        merged = merge_aux_arrays(
-            aggregate, np.array([np.nan, 5.0]), np.array([3.0, np.nan])
+        merged = merge_partials(
+            partial("ab", [np.nan, 5.0]), partial("ab", [3.0, np.nan]), (aggregate,)
         )
-        assert merged[0] == 3.0 and merged[1] == 5.0
-        assert np.isnan(merge_fill_value(aggregate))
+        assert merged.values.tolist() == [[3.0, 5.0]]
 
     def test_max_merge(self):
         aggregate = Aggregate("max", "x")
-        merged = merge_aux_arrays(aggregate, np.array([1.0]), np.array([9.0]))
-        assert merged[0] == 9.0
+        merged = merge_partials(partial("a", [1.0]), partial("a", [9.0]), (aggregate,))
+        assert merged.values[0, 0] == 9.0
 
     def test_non_mergeable_rejected(self):
         with pytest.raises(QueryError, match="not mergeable"):
-            merge_aux_arrays(Aggregate("avg", "x"), np.array([1.0]), np.array([1.0]))
-        with pytest.raises(QueryError, match="not mergeable"):
-            merge_fill_value(Aggregate("var", "x"))
+            merge_partials(
+                partial("a", [1.0]), partial("a", [1.0]), (Aggregate("avg", "x"),)
+            )
 
 
 class TestDedup:

@@ -1,14 +1,17 @@
-"""Unit tests: every step shape produces identical per-view raw data.
+"""Unit tests: every step shape hands the scorer identical view blocks.
 
 Strategy: compute ground truth with independent queries, then assert each
 sharing strategy (flag, grouping sets, rollup; with and without flag
-combining) extracts the same target and comparison series.
+combining) yields the same target and comparison series per view.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends.sqlite import SqliteBackend
 from repro.db.expressions import col
+from repro.db.table import Table
+from repro.db.types import AttributeRole
 from repro.model.view import ViewSpec
 from repro.optimizer.parallel import ParallelExecutor
 from repro.optimizer.plan import (
@@ -17,6 +20,8 @@ from repro.optimizer.plan import (
     GroupByCombining,
     ViewGroup,
 )
+
+from tests.conftest import assert_same_views, view_rows
 
 VIEWS = (
     ViewSpec("store", "amount", "sum"),
@@ -46,23 +51,6 @@ def ground_truth(memory_backend, predicate):
     return ExecutionPlan(steps).run(memory_backend)
 
 
-def assert_same_raw(actual, expected):
-    assert set(actual) == set(expected)
-    for spec in expected:
-        a, e = actual[spec], expected[spec]
-        assert a.target_keys == e.target_keys, spec.label
-        assert a.comparison_keys == e.comparison_keys, spec.label
-        np.testing.assert_allclose(
-            a.target_values, e.target_values, equal_nan=True, err_msg=spec.label
-        )
-        np.testing.assert_allclose(
-            a.comparison_values,
-            e.comparison_values,
-            equal_nan=True,
-            err_msg=spec.label,
-        )
-
-
 class TestFlagSides:
     def test_matches_ground_truth(self, memory_backend, predicate, ground_truth):
         steps = [
@@ -70,13 +58,51 @@ class TestFlagSides:
             ExecutionStep("sales", predicate, (ViewGroup("product", PRODUCT_VIEWS),)),
         ]
         actual = ExecutionPlan(steps).run(memory_backend)
-        assert_same_raw(actual, ground_truth)
+        assert_same_views(actual, ground_truth)
 
     def test_none_predicate_target_equals_comparison(self, memory_backend):
         view = ViewSpec("store", "amount", "sum")
         step = ExecutionStep("sales", None, (ViewGroup("store", (view,)),))
-        raw = step.run(memory_backend)[view]
-        np.testing.assert_allclose(raw.target_values, raw.comparison_values)
+        (block,) = step.run(memory_backend)
+        np.testing.assert_allclose(block.target, block.comparison)
+
+    def test_all_null_target_partition_keeps_the_comparison_mass(self):
+        """SQL SUM over a partition whose measure is all NULL is NULL; the
+        flag merge treats it as the identity, so the combined step's
+        comparison equals the whole-table query's."""
+        table = Table.from_columns(
+            "t",
+            {
+                "d": ["a", "a", "b", "b"],
+                "s": ["x", "y", "x", "y"],
+                "m": [float("nan"), 1.0, 2.0, 3.0],
+            },
+            roles={
+                "d": AttributeRole.DIMENSION,
+                "s": AttributeRole.DIMENSION,
+                "m": AttributeRole.MEASURE,
+            },
+        )
+        view = ViewSpec("d", "m", "sum")
+        backend = SqliteBackend()
+        try:
+            backend.register_table(table)
+
+            def run(combine_flag):
+                step = ExecutionStep(
+                    "t", col("s") == "x", (ViewGroup("d", (view,)),),
+                    combine_flag=combine_flag,
+                )
+                return step.run(backend)
+
+            flag, separate = run(True), run(False)
+        finally:
+            backend.close()
+        assert_same_views(flag, separate)
+        groups, target, comparison = view_rows(flag)[view]
+        assert groups == ["a", "b"]
+        assert np.isnan(target[0]) and target[1] == 2.0
+        assert comparison.tolist() == [1.0, 5.0]
 
 
 class TestGroupingSetsSharing:
@@ -92,7 +118,7 @@ class TestGroupingSetsSharing:
             combine_flag=combine_flag,
         )
         actual = ExecutionPlan([step]).run(memory_backend)
-        assert_same_raw(actual, ground_truth)
+        assert_same_views(actual, ground_truth)
 
     def test_works_on_sqlite_fallback(self, sqlite_backend, predicate, ground_truth):
         step = ExecutionStep(
@@ -103,7 +129,7 @@ class TestGroupingSetsSharing:
             combine_flag=True,
         )
         actual = ExecutionPlan([step]).run(sqlite_backend)
-        assert_same_raw(actual, ground_truth)
+        assert_same_views(actual, ground_truth)
 
 
 class TestRollupSharing:
@@ -119,7 +145,7 @@ class TestRollupSharing:
             combine_flag=combine_flag,
         )
         actual = ExecutionPlan([step]).run(memory_backend)
-        assert_same_raw(actual, ground_truth)
+        assert_same_views(actual, ground_truth)
 
     def test_rollup_on_sqlite(self, sqlite_backend, predicate, ground_truth):
         step = ExecutionStep(
@@ -130,7 +156,7 @@ class TestRollupSharing:
             combine_flag=True,
         )
         actual = ExecutionPlan([step]).run(sqlite_backend)
-        assert_same_raw(actual, ground_truth)
+        assert_same_views(actual, ground_truth)
 
 
 class TestParallelExecutor:
@@ -142,8 +168,8 @@ class TestParallelExecutor:
             ExecutionStep("sales", predicate, (ViewGroup("product", PRODUCT_VIEWS),)),
         ]
         plan = ExecutionPlan(steps)
-        extracted, report = ParallelExecutor(n_workers=4).run(plan, memory_backend)
-        assert_same_raw(extracted, ground_truth)
+        blocks, report = ParallelExecutor(n_workers=4).run(plan, memory_backend)
+        assert_same_views(blocks, ground_truth)
         assert report.n_workers == 4
         assert len(report.step_seconds) == 2
         assert report.total_seconds > 0
@@ -153,8 +179,8 @@ class TestParallelExecutor:
         plan = ExecutionPlan(
             [ExecutionStep("sales", predicate, (ViewGroup("store", (view,)),))]
         )
-        extracted, report = ParallelExecutor(n_workers=1).run(plan, memory_backend)
-        assert view in extracted
+        blocks, report = ParallelExecutor(n_workers=1).run(plan, memory_backend)
+        assert view in view_rows(blocks)
         assert report.mean_step_seconds >= 0.0
         assert report.max_step_seconds >= report.mean_step_seconds
 
