@@ -6,7 +6,7 @@ or engine-shaped receiver — must route its accounting through exactly the
 seams the conformance suite audits: a direct call to
 ``_record_queries`` / ``_record_metadata_queries``, or a call to a
 same-class helper that records directly (one interprocedural hop, which
-covers the ``_run`` / ``_metadata_sql`` / ``_run_to_table`` wrappers the
+covers the ``_run`` / ``_run_to_table`` wrappers the
 SQL backends funnel everything through).
 
 Data-management methods (``register_table``, ``drop_table``,

@@ -48,11 +48,6 @@ class BackendCapabilities:
       columnar arrays without a per-row decode hop (memory engine tables,
       DuckDB ``fetchnumpy``); surfaced in the capability matrix, not
       consulted for path selection.
-    * ``stats_pushdown`` — the planner's table-statistics pass (row count,
-      per-attribute distinct counts, null fractions, group-size skew) runs
-      as aggregate SQL inside the DBMS (two statements total); False
-      routes :func:`collect_statistics` through the client-side fallback,
-      which fetches the table once and profiles it with numpy.
     * ``threading_model`` — how the backend achieves thread safety, one of
       :data:`THREADING_MODELS`: ``"shared"`` (one engine object safely
       shared), ``"connection-per-thread"`` (each thread gets its own
@@ -66,7 +61,6 @@ class BackendCapabilities:
     native_var_std: bool
     native_sampling: bool = True
     zero_copy_extract: bool = False
-    stats_pushdown: bool = False
     threading_model: str = "shared"
 
     def __post_init__(self) -> None:
@@ -196,40 +190,6 @@ class Backend:
         """
         raise NotImplementedError
 
-    # -- table statistics (cost-based planning inputs) ---------------------
-
-    def collect_statistics_pushdown(
-        self, table_name: str, attributes: "tuple[str, ...] | None" = None
-    ):
-        """Backend-pushed statistics pass (≤ 2 statements, no row transfer).
-
-        Only called when ``capabilities.stats_pushdown`` holds; SQL
-        backends override this with the two-statement aggregate pass from
-        :func:`repro.backends.sqlgen.render_profile_queries`. Never bumps
-        ``data_version`` — statistics are reads, and a bump here would
-        self-invalidate the cache that keyed the profile on it.
-        """
-        raise NotImplementedError
-
-    def collect_statistics_clientside(
-        self, table_name: str, attributes: "tuple[str, ...] | None" = None
-    ):
-        """Client-side fallback: one table fetch, profiled with numpy."""
-        from repro.metadata.stats import profile_from_table
-
-        self._require_table(table_name)
-        self._record_metadata_queries(1)
-        table = self.fetch_table(table_name)
-        return profile_from_table(table, attributes)
-
-    def _resolve_profile_attributes(
-        self, table_name: str, attributes: "tuple[str, ...] | None"
-    ) -> tuple[str, ...]:
-        """Default the profiled attribute set to the dimension columns."""
-        if attributes is not None:
-            return tuple(attributes)
-        return tuple(spec.name for spec in self.schema(table_name).dimensions)
-
     # -- accounting --------------------------------------------------------
 
     @property
@@ -259,9 +219,10 @@ class Backend:
         """Statistics/metadata round trips since construction/reset.
 
         Kept apart from :attr:`queries_executed` (the unit the paper's
-        combining optimizations minimize): stats collection must be
-        observable — the conformance kit asserts it stays ≤ 2 per table —
-        without perturbing view-query accounting.
+        combining optimizations minimize): metadata lookups such as
+        :meth:`row_count` must be observable — the conformance kit asserts
+        a warm request issues none — without perturbing view-query
+        accounting.
         """
         with self._accounting_lock:
             return self._metadata_queries_executed
@@ -390,60 +351,3 @@ def materialize_sample(
         return backend.create_sample(source, sample_name, fraction, seed=seed)
     return backend.create_sample_clientside(source, sample_name, fraction, seed=seed)
 
-
-def collect_statistics(
-    backend: Backend,
-    table_name: str,
-    attributes: "tuple[str, ...] | None" = None,
-):
-    """Collect a table profile the way the backend's capabilities dictate.
-
-    The planner's single entry point for the statistics pass, mirroring
-    :func:`materialize_sample`: ``stats_pushdown`` picks between in-DBMS
-    aggregate SQL and the client-side numpy fallback, so a backend (or a
-    test) flips the path by declaration alone.
-    """
-    if backend.capabilities.stats_pushdown:
-        return backend.collect_statistics_pushdown(table_name, attributes)
-    return backend.collect_statistics_clientside(table_name, attributes)
-
-
-def profile_from_pushed_rows(
-    table_name: str,
-    attributes: "tuple[str, ...]",
-    summary_row: tuple,
-    skew_rows: "list[tuple]",
-):
-    """Assemble a TableProfile from the two pushed statements' results.
-
-    Shared by every SQL backend. ``summary_row`` is
-    ``(COUNT(*), COUNT(a1), COUNT(DISTINCT a1), ...)``; ``skew_rows`` are
-    ``(attribute_name, max_group_rows)`` pairs, matched by name (UNION ALL
-    arm order is not relied on).
-    """
-    from repro.metadata.stats import AttributeProfile, TableProfile
-
-    n_rows = int(summary_row[0])
-    max_rows_by_attr = {str(name): row for name, row in skew_rows}
-    profiles: dict[str, AttributeProfile] = {}
-    for index, name in enumerate(attributes):
-        non_null = int(summary_row[1 + 2 * index])
-        n_distinct = int(summary_row[2 + 2 * index])
-        raw_max = max_rows_by_attr.get(name)
-        max_group_rows = int(raw_max) if raw_max is not None else 0
-        profiles[name] = AttributeProfile(
-            name=name,
-            n_distinct=n_distinct,
-            null_fraction=(
-                (n_rows - non_null) / n_rows if n_rows else 0.0
-            ),
-            max_group_fraction=(
-                max_group_rows / non_null if non_null else 0.0
-            ),
-        )
-    return TableProfile(
-        table_name=table_name,
-        n_rows=n_rows,
-        attributes=profiles,
-        source="pushed",
-    )

@@ -29,7 +29,6 @@ from repro.backends.base import (
     Backend,
     BackendCapabilities,
     aggregate_result_schema,
-    profile_from_pushed_rows,
     rows_to_table,
 )
 from repro.backends.sqlgen import (
@@ -37,7 +36,6 @@ from repro.backends.sqlgen import (
     render_aggregate_query,
     render_grouping_sets_native,
     render_grouping_sets_union,
-    render_profile_queries,
     render_row_select,
     split_grouping_rows,
     union_key_positions,
@@ -93,7 +91,6 @@ class DuckDbBackend(Backend):
         native_var_std=True,
         native_sampling=True,
         zero_copy_extract=True,
-        stats_pushdown=True,
         threading_model="connection-per-thread",
     )
 
@@ -223,10 +220,9 @@ class DuckDbBackend(Backend):
 
     def row_count(self, table_name: str) -> int:
         self._require_table(table_name)
-        rows = self._metadata_rows(
-            f"SELECT COUNT(*) FROM {quote_identifier(table_name)}"
-        )
-        return int(rows[0][0])
+        self._record_metadata_queries(1)
+        sql = f"SELECT COUNT(*) FROM {quote_identifier(table_name)}"
+        return int(self._sql(self._connection(), sql).fetchall()[0][0])
 
     # -- execution -------------------------------------------------------------
 
@@ -342,28 +338,12 @@ class DuckDbBackend(Backend):
             self._schemas[sample_name] = self._schemas[source]
         return sample_name
 
-    def collect_statistics_pushdown(
-        self, table_name: str, attributes: "tuple[str, ...] | None" = None
-    ):
-        """The two-statement aggregate statistics pass, fully in DuckDB."""
-        self._require_table(table_name)
-        names = self._resolve_profile_attributes(table_name, attributes)
-        summary_sql, skew_sql = render_profile_queries(table_name, names)
-        summary_row = self._metadata_rows(summary_sql)[0]
-        skew_rows = self._metadata_rows(skew_sql) if skew_sql is not None else []
-        return profile_from_pushed_rows(table_name, names, summary_row, skew_rows)
-
     @property
     def calibration_path(self) -> "str | None":
         """Sidecar location for persisted calibration (file-backed only)."""
         return calibration_sidecar_path(self._path)
 
     # -- internals --------------------------------------------------------------------
-
-    def _metadata_rows(self, sql: str) -> list[tuple]:
-        """Run one counted *metadata* statement (statistics collection)."""
-        self._record_metadata_queries(1)
-        return self._sql(self._connection(), sql).fetchall()
 
     def _sql(self, connection, sql: str):
         """Execute uncounted maintenance SQL (DDL, loads, counts)."""
@@ -380,7 +360,7 @@ class DuckDbBackend(Backend):
                 unregister = token.on_cancel(interrupt)
         try:
             # _sql is the shared raw seam; counted callers (_run,
-            # _run_to_table, _metadata_rows) record before reaching it.
+            # _run_to_table, row_count) record before reaching it.
             # seedb-lint: disable=counter-accounting -- bare DDL/loads are deliberately uncounted
             return connection.execute(sql)
         except Exception as exc:

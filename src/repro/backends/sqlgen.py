@@ -339,39 +339,3 @@ def render_row_select(query: RowSelectQuery) -> str:
         sql += f" LIMIT {int(query.limit)}"
     return sql
 
-
-def render_profile_queries(
-    table: str, attributes: "tuple[str, ...]"
-) -> "tuple[str, str | None]":
-    """The two statements of the backend-pushed statistics pass.
-
-    Statement one is a single full-table aggregate scan producing the row
-    count plus per-attribute non-null and distinct counts; statement two
-    is one UNION ALL of per-attribute group-size maxima (the skew input).
-    Two physical statements total, independent of attribute count — the
-    bound the stats-pushdown conformance case asserts. Returns
-    ``(summary_sql, skew_sql)``; ``skew_sql`` is None when there are no
-    attributes to profile.
-    """
-    quoted_table = quote_identifier(table)
-    select_terms = ["COUNT(*)"]
-    for name in attributes:
-        quoted = quote_identifier(name)
-        select_terms.append(f"COUNT({quoted})")
-        select_terms.append(f"COUNT(DISTINCT {quoted})")
-    summary_sql = f"SELECT {', '.join(select_terms)} FROM {quoted_table}"
-    if not attributes:
-        return summary_sql, None
-    arms = []
-    for name in attributes:
-        quoted = quote_identifier(name)
-        # NULLs are excluded so the pushed skew matches the client-side
-        # fallback (which profiles non-null values only).
-        arms.append(
-            f"SELECT {render_literal(name)} AS attr, MAX(group_rows) AS max_rows "
-            f"FROM (SELECT COUNT(*) AS group_rows FROM {quoted_table} "
-            f"WHERE {quoted} IS NOT NULL GROUP BY {quoted}) AS "
-            f"{quote_identifier('g_' + name)}"
-        )
-    skew_sql = " UNION ALL ".join(arms)
-    return summary_sql, skew_sql

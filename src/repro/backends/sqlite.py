@@ -27,14 +27,12 @@ from repro.backends.base import (
     Backend,
     BackendCapabilities,
     aggregate_result_schema,
-    profile_from_pushed_rows,
     rows_to_table,
 )
 from repro.backends.sqlgen import (
     quote_identifier,
     render_aggregate_query,
     render_grouping_sets_union,
-    render_profile_queries,
     render_row_select,
     split_grouping_rows,
     union_key_positions,
@@ -71,7 +69,6 @@ class SqliteBackend(Backend):
         native_var_std=False,
         native_sampling=True,
         zero_copy_extract=False,
-        stats_pushdown=True,
         threading_model="connection-per-thread",
     )
 
@@ -275,22 +272,6 @@ class SqliteBackend(Backend):
         self._schemas[sample_name] = self._schemas[source]
         return sample_name
 
-    def collect_statistics_pushdown(
-        self, table_name: str, attributes: "tuple[str, ...] | None" = None
-    ):
-        """The two-statement aggregate statistics pass, fully in SQLite.
-
-        No base-table rows cross the wire and ``data_version`` is
-        untouched; both statements count as metadata queries, never as
-        logical view queries.
-        """
-        self._require_table(table_name)
-        names = self._resolve_profile_attributes(table_name, attributes)
-        summary_sql, skew_sql = render_profile_queries(table_name, names)
-        summary_row = self._metadata_sql(summary_sql)[0]
-        skew_rows = self._metadata_sql(skew_sql) if skew_sql is not None else []
-        return profile_from_pushed_rows(table_name, names, summary_row, skew_rows)
-
     @property
     def calibration_path(self) -> "str | None":
         """Where cost-model calibration may persist: beside a user-owned
@@ -301,14 +282,6 @@ class SqliteBackend(Backend):
         return calibration_sidecar_path(self._path)
 
     # -- internals --------------------------------------------------------------------
-
-    def _metadata_sql(self, sql: str) -> list[tuple]:
-        """Run one counted *metadata* statement (statistics collection)."""
-        self._record_metadata_queries(1)
-        try:
-            return self._connection().execute(sql).fetchall()
-        except sqlite3.Error as exc:
-            raise BackendError(f"sqlite error for SQL {sql!r}: {exc}") from exc
 
     def _run(self, sql: str, logical_queries: int = 1) -> list[tuple]:
         # A UNION ALL batch is one round trip but several logical view

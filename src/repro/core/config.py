@@ -66,11 +66,11 @@ class SeeDBConfig:
     memory_budget_cells: int = 100_000
     max_dims_per_query: int = 8
     binpack_exact_threshold: int = 12
-    #: Resolve ``groupby_combining=AUTO`` by estimated cost (backend-pushed
-    #: table statistics + calibrated per-backend coefficients) over every
-    #: plan kind, instead of taking the capability-declared one. Every
-    #: candidate plan is equivalence-preserving, so this only changes *how*
-    #: views execute, never the recommendations.
+    #: Resolve ``groupby_combining=AUTO`` by estimated cost (the Metadata
+    #: phase's dimension statistics + calibrated per-backend coefficients)
+    #: over every plan kind, instead of taking the capability-declared one.
+    #: Every candidate plan is equivalence-preserving, so this only changes
+    #: *how* views execute, never the recommendations.
     cost_based_planning: bool = True
 
     # -- sampling (§3.3) ----------------------------------------------------

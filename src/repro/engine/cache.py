@@ -2,8 +2,11 @@
 
 Repeated ``recommend()`` calls in an analyst session hit the same table
 with different predicates; the schema, the metadata statistics, the base
-table materialization, and any sampled execution table are all invariant
-until the data changes. The cache keys every entry on the backend's
+table materialization, the exact row count, and any sampled execution
+table are all invariant until the data changes. The metadata entry is the
+only statistics pass: the pruners and the cost-based planner read its
+dimension statistics, and the planner takes ``n_rows`` from the cached
+row count. The cache keys every entry on the backend's
 ``data_version`` counter (bumped by ``register_table``/``drop_table``):
 an unchanged counter means cache hits and strictly fewer DBMS round trips,
 a changed counter evicts everything — including materialized
@@ -28,11 +31,10 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 
-from repro.backends.base import Backend, collect_statistics, materialize_sample
+from repro.backends.base import Backend, materialize_sample
 from repro.db.table import Table
 from repro.metadata.calibration import CalibrationStore
 from repro.metadata.collector import MetadataCollector, TableMetadata
-from repro.metadata.stats import TableProfile
 
 #: Suffix of cache-owned sampled execution tables.
 SAMPLE_SUFFIX = "__seedb_sample"
@@ -96,7 +98,6 @@ class SessionCache:
         self._row_counts: dict[str, int] = {}  # guarded-by: _lock
         # source -> entry
         self._samples: dict[str, _SampleEntry] = {}  # guarded-by: _lock
-        self._profiles: dict[str, TableProfile] = {}  # guarded-by: _lock
         #: Cost-model calibration — deliberately *not* keyed on
         #: ``data_version`` and never evicted by :meth:`invalidate`:
         #: per-unit costs describe the machine and backend, not the data.
@@ -131,7 +132,6 @@ class SessionCache:
             self._tables.clear()
             self._metadata.clear()
             self._row_counts.clear()
-            self._profiles.clear()
             self.stats.invalidations += 1
 
     def drop_samples(self) -> None:
@@ -192,16 +192,16 @@ class SessionCache:
         """Table metadata computed once per (data version, row cap).
 
         Keyed on ``max_rows`` too: statistics from a capped materialization
-        must not serve a call with a different cap. ``refresh=True``
-        bypasses the collector's own per-name cache so a data change
-        genuinely recomputes statistics.
+        must not serve a call with a different cap. The collector keeps no
+        cache of its own, so after a data change :meth:`sync` evicts the
+        entry and the next call recomputes it.
         """
         key = (table, max_rows)
         with self._lock:
             if key not in self._metadata:
                 self.stats.misses += 1
                 base = self.base_table(table, max_rows=max_rows)
-                self._metadata[key] = collector.collect(base, refresh=True)
+                self._metadata[key] = collector.collect(base)
             else:
                 self.stats.hits += 1
             return self._metadata[key]
@@ -214,22 +214,6 @@ class SessionCache:
             else:
                 self.stats.hits += 1
             return self._row_counts[table]
-
-    def profile(self, table: str) -> TableProfile:
-        """The table's planner profile, collected once per data version.
-
-        Capability-dispatched (:func:`collect_statistics`): pushed
-        aggregate SQL or the client-side fallback, per the backend's
-        declaration. Collection never bumps ``data_version``, so the
-        entry survives until genuine data changes evict it via ``sync``.
-        """
-        with self._lock:
-            if table not in self._profiles:
-                self.stats.misses += 1
-                self._profiles[table] = collect_statistics(self.backend, table)
-            else:
-                self.stats.hits += 1
-            return self._profiles[table]
 
     def sample(self, source: str, fraction: float, seed: int) -> str:
         """Name of a materialized sample of ``source``, creating on miss.

@@ -163,11 +163,14 @@ class PlanPhase(Phase):
     :data:`~repro.optimizer.plan.PLAN_KINDS` that
     ``config.groupby_combining`` admits
     (:func:`~repro.optimizer.plan.candidate_kinds`), the
-    capability-declared one first. With ``config.cost_based_planning`` on,
-    each plan is priced by :func:`~repro.optimizer.cost.estimate_plan_cost`
-    against the table's statistics profile, converted to seconds with the
-    backend's calibrated coefficients, and the argmin executes; ties
-    (strict comparison) keep the capability-declared kind. Every candidate
+    capability-declared one first. Dimension cardinalities come from the
+    Metadata phase's statistics (``ctx.metadata``), the one statistics
+    pass per ``(table, data_version)``. With ``config.cost_based_planning``
+    on, each plan is priced by
+    :func:`~repro.optimizer.cost.estimate_plan_cost` from those
+    cardinalities and the exact, cached row count, converted to seconds
+    with the backend's calibrated coefficients, and the argmin executes;
+    ties (strict comparison) keep the capability-declared kind. Every candidate
     is equivalence-preserving, so the choice changes *how* views execute,
     never the recommendations. The decision record travels on
     ``ctx.plan_decision`` (``cost_based`` is False when the mode was pinned
@@ -183,8 +186,9 @@ class PlanPhase(Phase):
         config = ctx.config
         capabilities = ctx.backend.capabilities
         priced = config.cost_based_planning
-        profile = self._profile(ctx) if priced else None
-        cardinalities = self._cardinalities(ctx, profile)
+        cardinalities = (
+            ctx.metadata.stats.cardinalities() if ctx.metadata is not None else {}
+        )
         table = ctx.resolve_execution_table()
         base = config.planner_config()
 
@@ -203,15 +207,13 @@ class PlanPhase(Phase):
             for kind in candidates
         ]
         ctx.plan = (
-            self._cheapest(ctx, candidates, plans, profile, cardinalities)
+            self._cheapest(ctx, candidates, plans, cardinalities)
             if priced
             else plans[0]
         )
         ctx.plan_description = ctx.plan.describe()
 
-    def _cheapest(
-        self, ctx: ExecutionContext, candidates, plans, profile, cardinalities
-    ):
+    def _cheapest(self, ctx: ExecutionContext, candidates, plans, cardinalities):
         """Price every candidate plan, record the decision, return the argmin."""
         from repro.optimizer.cost import (
             CostModel,
@@ -221,12 +223,7 @@ class PlanPhase(Phase):
         )
 
         config = ctx.config
-        if profile is not None:
-            n_rows = profile.n_rows
-        elif ctx.base_table is not None:
-            n_rows = ctx.base_table.num_rows
-        else:
-            n_rows = 0
+        n_rows = ctx.cache.row_count(ctx.query.table)
         model = CostModel.for_backend(ctx.backend.name, ctx.cache.calibration)
 
         best = None
@@ -270,29 +267,6 @@ class PlanPhase(Phase):
             ctx.executor = None
         ctx.plan_decision = decision
         return plan
-
-    def _profile(self, ctx: ExecutionContext):
-        """The base table's statistics profile, or None when unavailable."""
-        from repro.util.errors import ReproError
-
-        try:
-            return ctx.cache.profile(ctx.query.table)
-        except ReproError:
-            # Statistics are advisory: fall back to metadata-derived
-            # cardinalities rather than failing the recommendation.
-            return None
-
-    def _cardinalities(self, ctx: ExecutionContext, profile) -> dict[str, int]:
-        """Dimension cardinalities: profile first, metadata stats fallback."""
-        cardinalities: dict[str, int] = {}
-        if ctx.metadata is not None and ctx.schema is not None:
-            cardinalities = {
-                spec.name: ctx.metadata.stats[spec.name].n_distinct
-                for spec in ctx.schema.dimensions
-            }
-        if profile is not None:
-            cardinalities.update(profile.cardinalities())
-        return cardinalities
 
 
 class ExecutePhase(Phase):

@@ -7,13 +7,10 @@ access patterns from SeeDB-specific tracking.
 """
 
 from repro.metadata.stats import (
-    AttributeProfile,
     ColumnStats,
-    TableProfile,
     TableStats,
     cramers_v,
     pearson_correlation,
-    profile_from_table,
 )
 from repro.metadata.calibration import (
     CalibrationStore,
@@ -25,13 +22,10 @@ from repro.metadata.collector import MetadataCollector, TableMetadata
 from repro.metadata.access_log import AccessLog
 
 __all__ = [
-    "AttributeProfile",
     "ColumnStats",
-    "TableProfile",
     "TableStats",
     "cramers_v",
     "pearson_correlation",
-    "profile_from_table",
     "CalibrationStore",
     "CostCoefficients",
     "DEFAULT_COEFFICIENTS",

@@ -2,15 +2,17 @@
 
 "First, the Metadata Collector module queries metadata tables ... for
 information such as table sizes, column types, data distribution, and table
-access patterns" (§3.1). This module computes and caches exactly that:
-:class:`TableMetadata` bundles table stats, the pairwise dimension
-association matrix, and the access log, and is handed to the Query
-Generator (candidate enumeration + pruning).
+access patterns" (§3.1). This module computes exactly that:
+:class:`TableMetadata` bundles the dimension statistics, the pairwise
+dimension association matrix, and the access log, and is handed to the
+Query Generator (candidate enumeration + pruning) and the cost-based
+planner. The engine cache (:meth:`repro.engine.cache.SessionCache.metadata`)
+holds the result once per ``(table, data_version)``; the collector itself
+caches nothing.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ from repro.util.rng import derive_rng
 
 @dataclass(frozen=True)
 class TableMetadata:
-    """Everything the pruners need to know about one table."""
+    """Everything the pruners and the planner need to know about one table."""
 
     stats: TableStats
     #: Pairwise association between dimension columns, in [0, 1];
@@ -42,7 +44,7 @@ class TableMetadata:
 
 
 class MetadataCollector:
-    """Computes and caches :class:`TableMetadata` per table.
+    """Computes :class:`TableMetadata` for a table.
 
     ``association_sample_rows`` bounds the cost of the pairwise dimension
     association matrix on large tables: associations are estimated on a
@@ -59,31 +61,15 @@ class MetadataCollector:
         self.access_log = access_log if access_log is not None else AccessLog()
         self.association_sample_rows = association_sample_rows
         self._seed = seed
-        self._cache: dict[str, TableMetadata] = {}
-        # Collectors are shared across a service's concurrent sessions;
-        # the lock keeps the per-name cache consistent and collapses
-        # duplicate concurrent computations of the same table's metadata.
-        self._lock = threading.RLock()
 
-    def collect(self, table: Table, refresh: bool = False) -> TableMetadata:
-        """Return (cached) metadata for ``table``."""
-        with self._lock:
-            if table.name in self._cache and not refresh:
-                return self._cache[table.name]
-            stats = compute_table_stats(table)
-            associations = self._dimension_associations(table)
-            metadata = TableMetadata(
-                stats=stats,
-                dimension_associations=associations,
-                access_log=self.access_log,
-            )
-            self._cache[table.name] = metadata
-            return metadata
-
-    def invalidate(self, table_name: str) -> None:
-        """Drop cached metadata (call after data changes)."""
-        with self._lock:
-            self._cache.pop(table_name, None)
+    def collect(self, table: Table) -> TableMetadata:
+        """Compute the metadata of ``table``: dimension statistics and
+        pairwise dimension associations, bundled with the access log."""
+        return TableMetadata(
+            stats=compute_table_stats(table),
+            dimension_associations=self._dimension_associations(table),
+            access_log=self.access_log,
+        )
 
     def _dimension_associations(self, table: Table) -> dict[frozenset, float]:
         """Pairwise association of dimension columns on a row sample."""

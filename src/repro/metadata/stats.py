@@ -1,8 +1,11 @@
 """Column and table statistics.
 
 These are the "data distribution" inputs to variance-based and
-correlation-based pruning (§3.3). Statistics are computed once per table by
-the :class:`~repro.metadata.collector.MetadataCollector` and cached.
+correlation-based pruning (§3.3) and the cost-based planner's
+cardinalities. :class:`TableStats` covers the dimension columns and is
+computed once per ``(table, data_version)`` by the
+:class:`~repro.metadata.collector.MetadataCollector`; a measure's
+statistics are computed on demand by :func:`compute_column_stats`.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class ColumnStats:
 
 @dataclass(frozen=True)
 class TableStats:
-    """Statistics for a whole table."""
+    """Statistics for the dimension columns of a table."""
 
     table_name: str
     n_rows: int
@@ -61,6 +64,10 @@ class TableStats:
 
     def __getitem__(self, name: str) -> ColumnStats:
         return self.columns[name]
+
+    def cardinalities(self) -> dict[str, int]:
+        """{dimension: n_distinct} for every dimension column."""
+        return {name: stats.n_distinct for name, stats in self.columns.items()}
 
 
 def compute_column_stats(table: Table, name: str, top_k: int = 10) -> ColumnStats:
@@ -128,145 +135,14 @@ def compute_column_stats(table: Table, name: str, top_k: int = 10) -> ColumnStat
 
 
 def compute_table_stats(table: Table, top_k: int = 10) -> TableStats:
-    """Compute stats for every column of ``table``."""
+    """Compute stats for every dimension column of ``table``."""
     return TableStats(
         table_name=table.name,
         n_rows=table.num_rows,
         columns={
-            name: compute_column_stats(table, name, top_k=top_k)
-            for name in table.schema.names
+            spec.name: compute_column_stats(table, spec.name, top_k=top_k)
+            for spec in table.schema.dimensions
         },
-    )
-
-
-@dataclass(frozen=True)
-class AttributeProfile:
-    """Lightweight planner-facing summary of one (dimension) attribute.
-
-    The cheap sibling of :class:`ColumnStats`: only what the cost-based
-    planner consumes — distinct count, null fraction, and group-size skew —
-    all computable by aggregate SQL pushed to the backend (no base-table
-    transfer). NULLs are excluded from distinct counts and group sizes on
-    both the pushed and client-side paths.
-    """
-
-    name: str
-    n_distinct: int
-    null_fraction: float
-    #: Fraction of non-null rows landing in the largest group (1.0 for a
-    #: constant column, ~1/n_distinct for a uniform one).
-    max_group_fraction: float
-
-    def skew(self) -> float:
-        """Largest-group share relative to uniform (1.0 = perfectly even)."""
-        if self.n_distinct <= 0:
-            return 1.0
-        return self.max_group_fraction * self.n_distinct
-
-
-@dataclass(frozen=True)
-class TableProfile:
-    """Backend-pushed table statistics for cost-based planning.
-
-    Collected by :func:`repro.backends.base.collect_statistics` — via
-    aggregate SQL where the backend declares ``stats_pushdown``, otherwise
-    client-side from one table fetch — and cached per
-    ``(table, data_version)`` in the engine cache.
-    """
-
-    table_name: str
-    n_rows: int
-    attributes: dict[str, AttributeProfile]
-    #: ``"pushed"`` (aggregate SQL on the backend) or ``"clientside"``.
-    source: str = "clientside"
-
-    def __getitem__(self, name: str) -> AttributeProfile:
-        return self.attributes[name]
-
-    def cardinalities(self) -> dict[str, int]:
-        """{attribute: n_distinct} for every profiled attribute."""
-        return {
-            name: profile.n_distinct for name, profile in self.attributes.items()
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table_name,
-            "n_rows": self.n_rows,
-            "source": self.source,
-            "attributes": {
-                name: {
-                    "n_distinct": profile.n_distinct,
-                    "null_fraction": profile.null_fraction,
-                    "max_group_fraction": profile.max_group_fraction,
-                }
-                for name, profile in sorted(self.attributes.items())
-            },
-        }
-
-
-def _null_counts(
-    values: np.ndarray, codes: np.ndarray, uniques: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """NULL rows per group of a dictionary-encoded column.
-
-    NaN and NaT sort into groups of their own. ``None`` shares its group
-    with anything rendering as ``"None"`` (groups form on the string
-    rendering), so only that one group's rows are checked one by one.
-    """
-    if values.dtype.kind == "f":
-        return np.where(np.isnan(uniques), counts, 0)
-    if values.dtype.kind == "M":
-        return np.where(np.isnat(uniques), counts, 0)
-    nulls = np.zeros_like(counts)
-    if values.dtype == object:
-        for group, label in enumerate(uniques):
-            if str(label) == "None":
-                members = values[codes == group]
-                nulls[group] = sum(member is None for member in members)
-    return nulls
-
-
-def profile_column(table: Table, name: str) -> AttributeProfile:
-    """Client-side :class:`AttributeProfile` of one column (numpy path),
-    read off the column's dictionary encoding."""
-    values = table.column(name)
-    n_rows = len(values)
-    codes, uniques = table.codes(name)
-    counts = np.bincount(codes, minlength=len(uniques))
-    counts = counts - _null_counts(values, codes, uniques, counts)
-    counts = counts[counts > 0]
-    n_valid = int(counts.sum())
-    if n_valid == 0:
-        return AttributeProfile(
-            name=name,
-            n_distinct=0,
-            null_fraction=1.0 if n_rows else 0.0,
-            max_group_fraction=0.0,
-        )
-    return AttributeProfile(
-        name=name,
-        n_distinct=len(counts),
-        null_fraction=float(n_rows - n_valid) / n_rows,
-        max_group_fraction=float(counts.max()) / n_valid,
-    )
-
-
-def profile_from_table(
-    table: Table, attributes: "tuple[str, ...] | None" = None
-) -> TableProfile:
-    """Client-side fallback for backend-pushed statistics collection.
-
-    ``attributes`` defaults to the table's dimension columns — the only
-    ones whose cardinality and skew drive plan choice.
-    """
-    if attributes is None:
-        attributes = tuple(spec.name for spec in table.schema.dimensions)
-    return TableProfile(
-        table_name=table.name,
-        n_rows=table.num_rows,
-        attributes={name: profile_column(table, name) for name in attributes},
-        source="clientside",
     )
 
 

@@ -1,11 +1,12 @@
-"""Contract: the planner's statistics pass and the cost-based choice.
+"""Contract: the one statistics pass and the cost-based choice.
 
 Two promises every backend must keep:
 
-* ``collect_statistics`` is *cheap and invisible* — at most two logical
-  metadata queries, zero view-query round trips, and never a
-  ``data_version`` bump (a stats pass must not invalidate caches) — and
-  the pushed SQL path agrees exactly with the client-side numpy fallback.
+* Statistics are collected *once* per ``(table, data_version)``, by the
+  Metadata phase: a warm request exports no table, issues no metadata
+  statement and never bumps ``data_version``, and the planner prices
+  plans from the pruners' own dimension statistics plus the exact row
+  count — so every backend plans from the same numbers.
 * The cost-based planner is *equivalence-preserving* — whatever candidate
   it picks, the top-k recommendations are bit-identical to the static
   planner's, across every combining mode.
@@ -15,56 +16,91 @@ import pytest
 
 from conformance_kit import medium_workload
 from repro.api import RecommendationRequest
-from repro.backends.base import collect_statistics
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
-from repro.metadata.stats import profile_from_table
+from repro.db.expressions import col
+from repro.db.query import RowSelectQuery
+from repro.metadata.stats import compute_column_stats
+from repro.optimizer import cost
 from repro.optimizer.plan import GroupByCombining
 
 
-class TestStatisticsContract:
-    def test_stats_cost_and_invisibility(self, backend):
-        """<= 2 logical metadata queries, 0 view queries, no version bump."""
-        version = backend.data_version
-        queries = backend.queries_executed
-        metadata_queries = backend.metadata_queries_executed
+def request(product: str) -> RecommendationRequest:
+    return RecommendationRequest(
+        RowSelectQuery("conformance", col("product") == product), k=2
+    )
 
-        profile = collect_statistics(backend, "conformance")
 
-        assert backend.data_version == version
-        assert backend.queries_executed == queries
-        assert backend.metadata_queries_executed - metadata_queries <= 2
-        assert profile.n_rows == 16
+@pytest.fixture
+def fetches(backend, monkeypatch) -> list:
+    """Every ``fetch_table`` call the backend serves, by table name."""
+    calls: list = []
+    fetch = backend.fetch_table
 
-    def test_source_matches_capability_declaration(self, backend):
-        profile = collect_statistics(backend, "conformance")
-        expected = "pushed" if backend.capabilities.stats_pushdown else "clientside"
-        assert profile.source == expected
+    def counting_fetch(name, *args, **kwargs):
+        calls.append(name)
+        return fetch(name, *args, **kwargs)
 
-    def test_pushed_agrees_with_clientside(self, backend, contract_table):
-        """Both paths profile the NULL-bearing contract table identically."""
-        collected = collect_statistics(backend, "conformance")
-        reference = profile_from_table(contract_table)
-        assert set(collected.attributes) == set(reference.attributes)
-        assert collected.n_rows == reference.n_rows
-        for name, expected in reference.attributes.items():
-            actual = collected[name]
-            assert actual.n_distinct == expected.n_distinct, name
-            assert actual.null_fraction == pytest.approx(
-                expected.null_fraction
-            ), name
-            assert actual.max_group_fraction == pytest.approx(
-                expected.max_group_fraction
-            ), name
+    monkeypatch.setattr(backend, "fetch_table", counting_fetch)
+    return calls
 
-    def test_region_nulls_are_profiled_not_counted_as_a_group(self, backend):
-        """The contract table's NULL region rows: excluded from distinct
-        and group-size accounting, surfaced as the null fraction."""
-        profile = collect_statistics(backend, "conformance")
-        region = profile["region"]
-        assert region.n_distinct == 3  # r0/r1/r2, NULL excluded
-        assert region.null_fraction == pytest.approx(2 / 16)
-        assert region.max_group_fraction == pytest.approx(6 / 14)
+
+@pytest.fixture
+def priced(monkeypatch) -> list:
+    """``(n_rows, cardinalities)`` of every plan the cost model prices."""
+    calls: list = []
+    estimate = cost.estimate_plan_cost
+
+    def recording_estimate(plan, n_rows, cardinalities, *args, **kwargs):
+        calls.append((n_rows, dict(cardinalities)))
+        return estimate(plan, n_rows, cardinalities, *args, **kwargs)
+
+    monkeypatch.setattr(cost, "estimate_plan_cost", recording_estimate)
+    return calls
+
+
+class TestOneStatisticsPass:
+    def test_cold_request_exports_the_table_once(self, backend, fetches):
+        with SeeDB(backend, SeeDBConfig()) as seedb:
+            seedb.recommend(request("p0"))
+        assert fetches == ["conformance"]
+
+    def test_warm_request_collects_nothing(self, backend, fetches):
+        """No export, no metadata statement, no version bump."""
+        with SeeDB(backend, SeeDBConfig()) as seedb:
+            seedb.recommend(request("p0"))
+            fetches.clear()
+            version = backend.data_version
+            metadata_queries = backend.metadata_queries_executed
+            seedb.recommend(request("p1"))
+            assert fetches == []
+            assert backend.metadata_queries_executed == metadata_queries
+            assert backend.data_version == version
+
+    def test_planner_cardinalities_are_the_pruners_n_distinct(
+        self, backend, contract_table, priced
+    ):
+        """Every backend plans from the same numbers; the NULL-bearing
+        ``region`` counts its NULL group (r0, r1, r2, NULL)."""
+        with SeeDB(backend, SeeDBConfig()) as seedb:
+            seedb.recommend(request("p0"))
+        expected = {
+            spec.name: compute_column_stats(contract_table, spec.name).n_distinct
+            for spec in contract_table.schema.dimensions
+        }
+        assert expected["region"] == 4
+        assert priced and all(
+            cardinalities == expected for _, cardinalities in priced
+        )
+
+    def test_capped_metadata_still_prices_every_row(self, backend, priced):
+        """``metadata_max_rows`` caps the statistics, not the row count."""
+        with SeeDB(backend, SeeDBConfig(metadata_max_rows=10)) as seedb:
+            result = seedb.recommend(request("p0"))
+        predicted = result.plan_decision["predicted"]
+        assert predicted["n_scans"] > 0
+        assert predicted["rows_scanned"] == 16 * predicted["n_scans"]
+        assert priced and all(n_rows == 16 for n_rows, _ in priced)
 
 
 class TestCostBasedEquivalence:

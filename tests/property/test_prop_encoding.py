@@ -5,7 +5,7 @@ from it by ``mask``, ``take``, a ``RowPartition`` slice or ``head`` cuts
 the codes with the same selector and compacts them. Every consumer must
 then answer exactly as if it had factorized the raw values of the rows it
 sees: the codes themselves, the engine's group-by tables, the collector's
-Cramér's V, and the column statistics and planner profile. Columns carry
+Cramér's V, and the column statistics. Columns carry
 the awkward values: ``None``, the string ``"None"`` (the same rendering),
 NaN in an object column, NaN floats and NaT dates.
 """
@@ -28,14 +28,7 @@ from repro.db.schema import ColumnSpec, Schema
 from repro.db.table import Table
 from repro.db.types import AttributeRole, DataType
 from repro.metadata.collector import MetadataCollector
-from repro.metadata.stats import (
-    AttributeProfile,
-    ColumnStats,
-    TableProfile,
-    compute_column_stats,
-    cramers_v,
-    profile_from_table,
-)
+from repro.metadata.stats import ColumnStats, compute_column_stats, cramers_v
 from repro.util.rng import derive_rng
 
 DIMENSION = AttributeRole.DIMENSION
@@ -224,16 +217,6 @@ def test_collector_associations_equal_cramers_v(data, sample_rows):
 # -- the statistics as computed from raw values, one factorize per call ------
 
 
-def _raw_null_mask(values: np.ndarray) -> np.ndarray:
-    if values.dtype.kind == "f":
-        return np.isnan(values)
-    if values.dtype.kind == "M":
-        return np.isnat(values)
-    if values.dtype == object:
-        return np.array([value is None for value in values], dtype=bool)
-    return np.zeros(len(values), dtype=bool)
-
-
 def _python(value):
     return value.item() if isinstance(value, np.generic) else value
 
@@ -277,31 +260,9 @@ def raw_column_stats(table: Table, name: str, top_k: int = 10) -> ColumnStats:
     )
 
 
-def raw_profile(table: Table) -> TableProfile:
-    attributes = {}
-    for name in DIMENSIONS:
-        values = table.column(name)
-        nulls = _raw_null_mask(values)
-        valid = values[~nulls]
-        if len(valid) == 0:
-            attributes[name] = AttributeProfile(
-                name, 0, 1.0 if len(values) else 0.0, 0.0
-            )
-            continue
-        codes, uniques = factorize(valid)
-        counts = np.bincount(codes, minlength=len(uniques))
-        attributes[name] = AttributeProfile(
-            name,
-            n_distinct=len(uniques),
-            null_fraction=float(nulls.sum()) / len(values),
-            max_group_fraction=float(counts.max()) / len(valid),
-        )
-    return TableProfile(table.name, table.num_rows, attributes, "clientside")
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_stats_and_profile_match_the_raw_computation(data):
+def test_column_stats_match_the_raw_computation(data):
     table = data.draw(tables())
     if data.draw(st.booleans()):
         table = data.draw(derived(table))
@@ -309,4 +270,3 @@ def test_stats_and_profile_match_the_raw_computation(data):
         assert repr(compute_column_stats(table, name)) == repr(
             raw_column_stats(table, name)
         )
-    assert repr(profile_from_table(table)) == repr(raw_profile(table))

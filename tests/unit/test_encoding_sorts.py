@@ -1,9 +1,10 @@
 """Dimension columns are sorted once per registration, and the sorts are counted.
 
 ``np.unique`` is the sort behind ``factorize``. Wrapping it records every
-array sorted; a call is charged to a dimension when it sorted that
-column's full-length values (their string rendering for an object
-column, which is what ``factorize`` sorts).
+array sorted; a call is charged to a column when it sorted that column's
+full-length values (their string rendering for an object column, which
+is what ``factorize`` sorts). Measure columns are never sorted: only the
+dimensions carry statistics.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ TABLE = generate_synthetic(
     seed=3,
 ).table
 DIMENSIONS = [spec.name for spec in TABLE.schema.dimensions]
+MEASURES = [spec.name for spec in TABLE.schema.measures]
 
 
 @pytest.fixture
@@ -37,10 +39,10 @@ def sorted_arrays(monkeypatch) -> list:
     return calls
 
 
-def sorts_per_dimension(calls: list) -> dict[str, int]:
-    """How many recorded sorts ran over each full dimension column."""
+def sorts_per_column(calls: list, names: list = DIMENSIONS) -> dict[str, int]:
+    """How many recorded sorts ran over each of the full columns ``names``."""
     counts = {}
-    for name in DIMENSIONS:
+    for name in names:
         values = TABLE.column(name)
         rendered = values.astype(str) if values.dtype == object else values
         counts[name] = sum(
@@ -68,7 +70,12 @@ def seedb(request):
 
 def test_cold_request_sorts_each_dimension_once(seedb, sorted_arrays):
     recommend(seedb, "d0=v0")
-    assert sorts_per_dimension(sorted_arrays) == {name: 1 for name in DIMENSIONS}
+    assert sorts_per_column(sorted_arrays) == {name: 1 for name in DIMENSIONS}
+
+
+def test_cold_request_sorts_no_measure_column(seedb, sorted_arrays):
+    recommend(seedb, "d0=v0")
+    assert sorts_per_column(sorted_arrays, MEASURES) == {name: 0 for name in MEASURES}
 
 
 def test_next_request_with_a_new_predicate_sorts_nothing(seedb, sorted_arrays):
@@ -83,10 +90,10 @@ def test_registering_the_same_object_again_pays_again(seedb, sorted_arrays):
     seedb.backend.register_table(TABLE, replace=True)
     sorted_arrays.clear()
     recommend(seedb, "d0=v1")
-    assert sorts_per_dimension(sorted_arrays) == {name: 1 for name in DIMENSIONS}
+    assert sorts_per_column(sorted_arrays) == {name: 1 for name in DIMENSIONS}
 
 
 def test_a_registration_encodes_once_across_requests(seedb, sorted_arrays):
     for value in ("d0=v0", "d0=v1", "d0=v2"):
         recommend(seedb, value)
-    assert sorts_per_dimension(sorted_arrays) == {name: 1 for name in DIMENSIONS}
+    assert sorts_per_column(sorted_arrays) == {name: 1 for name in DIMENSIONS}

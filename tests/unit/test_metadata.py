@@ -58,8 +58,8 @@ class TestColumnStats:
     def test_table_stats(self, sales_table):
         stats = compute_table_stats(sales_table)
         assert stats.n_rows == 12
-        assert set(stats.columns) == set(sales_table.schema.names)
-        assert stats["store"].n_distinct == 4
+        assert list(stats.columns) == ["store", "product", "month"]
+        assert stats.cardinalities() == {"store": 4, "product": 2, "month": 4}
 
 
 class TestAssociations:
@@ -146,20 +146,6 @@ class TestAccessLog:
 
 
 class TestCollector:
-    def test_collect_and_cache(self, sales_table):
-        collector = MetadataCollector()
-        first = collector.collect(sales_table)
-        second = collector.collect(sales_table)
-        assert first is second  # cached
-        refreshed = collector.collect(sales_table, refresh=True)
-        assert refreshed is not first
-
-    def test_invalidate(self, sales_table):
-        collector = MetadataCollector()
-        first = collector.collect(sales_table)
-        collector.invalidate(sales_table.name)
-        assert collector.collect(sales_table) is not first
-
     def test_dimension_associations_present(self, sales_table):
         metadata = MetadataCollector().collect(sales_table)
         value = metadata.association("store", "product")
