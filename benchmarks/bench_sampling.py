@@ -36,8 +36,6 @@ def test_sampling_fraction_sweep(benchmark, record_rows, synth_large):
     for row in rows:
         if row["fraction"] >= 0.05:
             assert row["topk_precision"] >= 0.6, row
-    # Latency at 1% must clearly beat exact.
-    assert rows[-1]["latency_s"] < rows[0]["latency_s"]
 
 
 def test_recommend_on_one_percent_sample(benchmark, synth_large):

@@ -50,8 +50,6 @@ def test_latency_vs_attributes(benchmark, record_rows):
     views = [row["views"] for row in rows]
     # Quadratic-ish view growth: 6x attributes -> far more than 6x views.
     assert views[-1] > 6 * views[0]
-    for row in rows:
-        assert row["optimized_s"] < row["basic_s"], row
     # Optimized query count tracks dimensions (1-2 GS queries), basic 2x views.
     assert rows[-1]["optimized_queries"] <= 4
     assert rows[-1]["basic_queries"] == 2 * rows[-1]["views"]

@@ -39,8 +39,6 @@ def test_optimization_ablation(benchmark, record_rows, synth_large):
     )
     assert combined["queries"] < by_config["+combine target/comparison"]["queries"]
     assert grouped["queries"] <= combined["queries"]
-    # Wall-clock: the fully combined configuration must beat basic clearly.
-    assert grouped["latency_s"] < basic["latency_s"]
 
 
 def test_answers_invariant_across_bundles(benchmark, synth_large):

@@ -1,18 +1,14 @@
 """Shared benchmark fixtures and result recording.
 
 Every benchmark writes the rows behind its table/figure to
-``benchmarks/results/<experiment>.csv`` so EXPERIMENTS.md can be
-regenerated from the same artifacts the benchmarks assert on, plus a
-machine-readable ``BENCH_<experiment>.json`` (rows with their timing and
-query-count columns surfaced) so the performance trajectory can be diffed
-across PRs without parsing CSV.
+``benchmarks/results/<experiment>.csv``, so the measured-results appendix
+can be regenerated (``python -m repro.experiments.regen``) from the same
+rows the benchmarks assert on. The assertions are on shape (query counts,
+answers, precision, monotone trends); timings are recorded, not asserted.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import time
 from pathlib import Path
 
 import pytest
@@ -22,77 +18,12 @@ from repro.experiments.report import write_rows_csv
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Column-name fragments/suffixes classified as timings / query counts.
-_TIMING_FRAGMENTS = ("latency", "seconds", "time")
-_TIMING_SUFFIXES = ("_s", "_ms", "_us")
-_QUERY_HINTS = ("queries", "query")
-
-
-def _is_timing_column(column: str) -> bool:
-    lowered = column.lower()
-    return any(hint in lowered for hint in _TIMING_FRAGMENTS) or lowered.endswith(
-        _TIMING_SUFFIXES
-    )
-
-
-def _jsonable(value):
-    """Coerce numpy scalars and other exotica into plain JSON values.
-
-    Non-finite floats become null: json.dumps would otherwise emit bare
-    NaN/Infinity tokens that strict parsers (jq, JSON.parse) reject.
-    """
-    if hasattr(value, "item"):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def write_bench_json(name: str, rows: list[dict], results_dir: Path = RESULTS_DIR) -> Path:
-    """Write ``BENCH_<name>.json``: the rows plus timing/query summaries."""
-    clean_rows = [
-        {key: _jsonable(value) for key, value in row.items()} for row in rows
-    ]
-    columns = sorted({key for row in clean_rows for key in row})
-    timings = {
-        column: [row.get(column) for row in clean_rows]
-        for column in columns
-        if _is_timing_column(column)
-    }
-    query_counts = {
-        column: [row.get(column) for row in clean_rows]
-        for column in columns
-        if any(hint in column.lower() for hint in _QUERY_HINTS)
-    }
-    payload = {
-        "benchmark": name,
-        "recorded_unix": time.time(),
-        "n_rows": len(clean_rows),
-        "columns": columns,
-        "timings": timings,
-        "query_counts": query_counts,
-        "rows": clean_rows,
-    }
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / f"BENCH_{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
-    return path
-
 
 @pytest.fixture(scope="session")
 def record_rows():
-    """Callable ``record_rows(name, rows)`` persisting experiment rows.
-
-    Writes both the CSV artifact EXPERIMENTS.md regenerates from and the
-    ``BENCH_<name>.json`` performance-trajectory artifact.
-    """
+    """Callable ``record_rows(name, rows)`` writing ``<name>.csv``."""
 
     def _record(name: str, rows: list[dict]) -> Path:
-        write_bench_json(name, rows)
         return write_rows_csv(rows, RESULTS_DIR / f"{name}.csv")
 
     return _record

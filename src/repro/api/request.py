@@ -37,12 +37,13 @@ from repro.util.errors import ConfigError, MetricError
 
 #: Wire schema version emitted by ``to_dict``. Version 2 added the
 #: ``deadline_ms`` lifecycle option; version 3 added the ``render`` block
-#: (response visualizations). Version-1/2 payloads (which never carry
-#: either) are still accepted, so each bump is backward-compatible.
-SCHEMA_VERSION = 3
+#: (response visualizations); version 4 removed two options that only
+#: benchmarks set. Older payloads are still accepted unless they name a
+#: removed option (``unknown_field`` at any version).
+SCHEMA_VERSION = 4
 
 #: Wire schema versions ``from_dict`` accepts.
-ACCEPTED_SCHEMA_VERSIONS = (1, 2, 3)
+ACCEPTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
 #: Execution strategies a request may name.
 STRATEGIES = ("batch", "incremental")

@@ -2,7 +2,7 @@
 
 :func:`request_json_schema` returns a JSON-Schema-style document for the
 current :class:`~repro.api.request.RecommendationRequest` wire form
-(``schema_version`` 3; version-1/2 payloads remain accepted);
+(``schema_version`` 4; version-1/2/3 payloads remain accepted);
 :func:`response_json_schema` does the same for the response frames —
 the ``/recommend`` result body, the NDJSON stream round, and the
 ``visualizations`` entries the v3 ``render`` block adds to both. The

@@ -42,10 +42,6 @@ class SeeDBConfig:
     exclude_predicate_dimensions: bool = True
     #: Handling of negative/NaN aggregate values during normalization.
     normalization: NormalizationPolicy = NormalizationPolicy.SHIFT
-    #: Score views through the columnar batch path (dense per-attribute
-    #: blocks + vectorized metrics). Produces bit-for-bit the same scores
-    #: as the per-view loop; disable only to benchmark the scalar path.
-    batch_scoring: bool = True
 
     # -- view-space pruning (§3.3) ---------------------------------------
     prune_low_variance: bool = True
@@ -65,7 +61,6 @@ class SeeDBConfig:
     groupby_combining: GroupByCombining = GroupByCombining.NONE
     memory_budget_cells: int = 100_000
     max_dims_per_query: int = 8
-    binpack_exact_threshold: int = 12
     #: Resolve ``groupby_combining=AUTO`` by estimated cost (the Metadata
     #: phase's dimension statistics + calibrated per-backend coefficients)
     #: over every plan kind, instead of taking the capability-declared one.
@@ -132,7 +127,6 @@ class SeeDBConfig:
             groupby_combining=self.groupby_combining,
             memory_budget_cells=self.memory_budget_cells,
             max_dims_per_query=self.max_dims_per_query,
-            binpack_exact_threshold=self.binpack_exact_threshold,
         )
 
     def pruning_pipeline(self) -> PruningPipeline:

@@ -11,8 +11,7 @@ Two scoring paths share one semantics:
 
 * :meth:`ViewProcessor.score_blocks` — the columnar path: a block's rows
   are normalized in one pass and scored with one vectorized
-  ``distance_batch`` call. :meth:`ViewProcessor.score_batch` first
-  regroups per-view :class:`~repro.model.view.RawViewData` into blocks.
+  ``distance_batch`` call.
 * :meth:`ViewProcessor.score` / :meth:`ViewProcessor.score_all` — the
   classic per-view loop (align one series pair, normalize, one scalar
   metric call); :meth:`ViewProcessor.score_rows` runs it over block rows.
@@ -36,7 +35,6 @@ from repro.metrics.normalize import (
     normalize_distribution,
 )
 from repro.model.view import ViewBlock
-from repro.optimizer.extract import blocks_from_raw
 
 
 class ViewProcessor:
@@ -106,13 +104,6 @@ class ViewProcessor:
             for block in blocks
             for row, spec in enumerate(block.specs)
         }
-
-    def score_batch(
-        self, raw_views: "Mapping[ViewSpec, RawViewData] | Iterable[RawViewData]"
-    ) -> dict[ViewSpec, ScoredView]:
-        """Columnar :meth:`score_all`: regroup into per-attribute blocks,
-        then normalize and score each block in whole-matrix operations."""
-        return self.score_blocks(blocks_from_raw(raw_views))
 
     def score_blocks(
         self, blocks: Iterable[ViewBlock]

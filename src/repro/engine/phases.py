@@ -285,12 +285,8 @@ class ExecutePhase(Phase):
 
 
 class ScorePhase(Phase):
-    """View Processor: normalize and score every executed view block.
-
-    Scores each block through the columnar batch path by default
-    (vectorized metrics — bit-for-bit identical utilities); set
-    ``config.batch_scoring = False`` to score each block row through the
-    per-view loop instead.
+    """View Processor: normalize and score every executed view block
+    through the columnar path (vectorized metrics).
 
     ``metric``/``normalization`` override the context config — the hook
     through which facades holding a custom :class:`DistanceMetric`
@@ -316,11 +312,7 @@ class ScorePhase(Phase):
         return ViewProcessor(metric, normalization)
 
     def run(self, ctx: ExecutionContext) -> None:
-        processor = self.processor(ctx)
-        if ctx.config.batch_scoring:
-            ctx.scored = processor.score_blocks(ctx.blocks)
-        else:
-            ctx.scored = processor.score_rows(ctx.blocks)
+        ctx.scored = self.processor(ctx).score_blocks(ctx.blocks)
 
 
 class SelectPhase(Phase):

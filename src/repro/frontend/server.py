@@ -9,7 +9,7 @@ warm service — same engine caches, same coalescing, same stats.
 Request bodies are validated through the declarative request API
 (:mod:`repro.api`): ``POST /recommend`` accepts either the versioned wire
 form of a :class:`~repro.api.RecommendationRequest` (a ``target`` field,
-``schema_version`` 3; versions 1-2 still accepted) or the legacy flat
+``schema_version`` 4; versions 1-3 still accepted) or the legacy flat
 form (``sql``/``table`` plus whitelisted config overrides — deprecated:
 responses to it carry a ``Deprecation: true`` header and a structured
 ``deprecation`` object pointing at the README's Public API section),
@@ -49,9 +49,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.api import ApiError, RecommendationRequest
-# Re-exported for backwards compatibility: these wire helpers lived here
-# before the api package centralized the schema.
-from repro.api.wire import plain as _plain  # noqa: F401
 from repro.api.wire import result_to_json, view_to_json
 from repro.core.space import enumerate_views
 from repro.service import DEFAULT_BACKEND, SeeDBService

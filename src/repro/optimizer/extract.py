@@ -9,22 +9,18 @@ result is first projected onto the group's keys by :func:`marginalize`),
 and :func:`group_block` turns those into the group's dense
 :class:`ViewBlock` — merging the two flag partitions into the ``table``
 comparison and reconstructing algebraic aggregates on the way.
-:func:`blocks_from_raw` builds blocks from per-view :class:`RawViewData`
-(the scalar scoring oracle's input).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
 import numpy as np
 
-from repro.model.view import RawViewData, ViewBlock, ViewSpec
+from repro.model.view import ViewBlock, ViewSpec
 from repro.db.aggregates import Aggregate
 from repro.db.table import Table
 from repro.metrics.normalize import align_batch, canonical_key, group_sort_key
 from repro.optimizer.combine import Partial, merge_partials, merge_spec
-from repro.util.errors import MetricError, QueryError
+from repro.util.errors import QueryError
 
 #: Name of the virtual target/comparison flag column in combined queries.
 FLAG_NAME = "__seedb_flag"
@@ -190,69 +186,3 @@ def marginalize(
         result.schema[name] for name in group_columns
     ) + tuple(result.schema[aggregate.alias] for aggregate in aggregates)
     return Table(f"{result.name}_marg_{'_'.join(keys)}", Schema(specs), arrays)
-
-
-def blocks_from_raw(
-    raw_views: "Mapping[ViewSpec, RawViewData] | Iterable[RawViewData]",
-) -> list[ViewBlock]:
-    """Regroup per-view series into dense per-attribute :class:`ViewBlock`\\ s.
-
-    Views are bucketed by ``(dimension, target keys, comparison keys)``,
-    keys canonicalized. Each bucket's union key universe and key→column
-    mapping are then computed once (:func:`align_batch`) and every member
-    view's values are scattered into the block matrices in bulk.
-
-    Scoring a block row-by-row yields bit-for-bit the same distributions
-    and utilities as scoring each member's :class:`RawViewData` alone,
-    because a bucket's key universe *is* each member's own key union.
-    """
-    if isinstance(raw_views, Mapping):
-        raw_views = raw_views.values()
-    buckets: dict[tuple, list[RawViewData]] = {}
-    for raw in raw_views:
-        bucket_key = (
-            view_dimension(raw.spec),
-            tuple(canonical_key(key) for key in raw.target_keys),
-            tuple(canonical_key(key) for key in raw.comparison_keys),
-        )
-        buckets.setdefault(bucket_key, []).append(raw)
-
-    blocks: list[ViewBlock] = []
-    for (dimension, target_keys, comparison_keys), members in buckets.items():
-        target_matrix = _stack_values(members, "target", len(target_keys))
-        comparison_matrix = _stack_values(
-            members, "comparison", len(comparison_keys)
-        )
-        union, aligned_target, aligned_comparison = align_batch(
-            target_keys, target_matrix, comparison_keys, comparison_matrix
-        )
-        blocks.append(
-            ViewBlock(
-                dimension=dimension,
-                specs=tuple(raw.spec for raw in members),
-                groups=union,
-                target=aligned_target,
-                comparison=aligned_comparison,
-            )
-        )
-    return blocks
-
-
-def _stack_values(
-    members: list[RawViewData], side: str, n_keys: int
-) -> np.ndarray:
-    """Stack one side's value arrays into a ``(n_views, n_keys)`` matrix."""
-    label = "first" if side == "target" else "second"
-    matrix = np.empty((len(members), n_keys), dtype=np.float64)
-    for row, raw in enumerate(members):
-        values = np.asarray(getattr(raw, f"{side}_values"), dtype=np.float64)
-        if values.ndim != 1:
-            raise MetricError(
-                f"{label} series values must be 1-D, got shape {values.shape}"
-            )
-        if values.shape[0] != n_keys:
-            raise MetricError(
-                f"{label} series: {n_keys} keys but {values.shape[0]} values"
-            )
-        matrix[row] = values
-    return matrix

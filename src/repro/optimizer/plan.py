@@ -267,15 +267,12 @@ class PlannerConfig:
     #: Upper bound on dimensions per combined query (keeps post-processing
     #: and GROUPING SETS statements manageable).
     max_dims_per_query: int = 8
-    #: Use the exact bin-packing solver up to this many dimensions.
-    binpack_exact_threshold: int = 12
 
     def __post_init__(self) -> None:
         if self.memory_budget_cells < 2:
             raise ConfigError("memory_budget_cells must be >= 2")
         if self.max_dims_per_query < 1:
             raise ConfigError("max_dims_per_query must be >= 1")
-
 
 
 @dataclass(frozen=True)
@@ -318,7 +315,6 @@ def _bin_packed(groups, config, cardinalities, combine_flag):
         },
         budget_cells=budget,
         max_dims_per_bin=config.max_dims_per_query,
-        exact_threshold=config.binpack_exact_threshold,
     )
     return [[by_dimension[name] for name in members] for members in packed.bins]
 

@@ -26,7 +26,6 @@ from repro.service.cluster import (
     ClusterService,
     ClusterTimeouts,
     WorkerRing,
-    cluster_service_from_uri,
     single_backend_cluster,
 )
 from repro.service.hashring import HashRing, stable_hash
@@ -46,7 +45,6 @@ __all__ = [
     "HashRing",
     "WorkerRing",
     "DEFAULT_BACKEND",
-    "cluster_service_from_uri",
     "decode_result",
     "encode_result",
     "single_backend_cluster",

@@ -399,7 +399,7 @@ class WorkerRing:
                 ) from exc
         # In-band fallback (shared memory unavailable or the write tore):
         # same encoding, shipped as bytes.
-        return decode_result(reply["payload"])[2]
+        return decode_result(reply["payload"])
 
     def _dispatch(self, message: dict, digest: str, token: CancelToken) -> dict:
         dispatch = _Dispatch(message, digest)
@@ -808,18 +808,6 @@ class ClusterService(SeeDBService):
     def respawns(self) -> int:
         """Workers respawned after a crash, so far."""
         return self._ring.respawns
-
-
-def cluster_service_from_uri(
-    uri: str,
-    config: "SeeDBConfig | None" = None,
-    workers: int = 2,
-    **service_kwargs,
-) -> ClusterService:
-    """A started cluster over one URI-constructed backend (CLI helper)."""
-    service = ClusterService(workers=workers, **service_kwargs)
-    service.register_backend_uri(DEFAULT_BACKEND, uri, config=config)
-    return service
 
 
 def single_backend_cluster(

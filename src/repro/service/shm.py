@@ -15,8 +15,8 @@ Wire layout of one segment (or in-band byte blob)::
 
     [0:8)    magic  b"SDBRES1\\0"
     [8:16)   uint64 header length H (little-endian)
-    [16:16+H) header JSON — digest, data_version, the result's scalar
-              fields, and an array table of (dtype, shape, offset, nbytes)
+    [16:16+H) header JSON — the result's scalar fields and an array
+              table of (dtype, shape, offset, nbytes)
     [...]     the numpy buffers, 8-byte aligned, at the header's offsets
 
 Everything numeric (utilities, distributions, raw values) round-trips
@@ -216,9 +216,7 @@ def _view_from_dict(payload: dict, entries, buf, region_start):
     )
 
 
-def encode_result(
-    result: RecommendationResult, digest: str = "", data_version: int = 0
-) -> bytes:
+def encode_result(result: RecommendationResult) -> bytes:
     """Serialize a result into one self-describing byte blob (no pickle).
 
     Each shown view is written once: ``recommendations`` and
@@ -238,8 +236,6 @@ def encode_result(
     recommendations = [ref(view) for view in result.recommendations]
     all_scored = [ref(view) for view in result.all_scored.values()]
     header = {
-        "digest": digest,
-        "data_version": data_version,
         "result": {
             "table": result.table,
             "predicate_description": result.predicate_description,
@@ -311,8 +307,8 @@ def peek_header(buf) -> dict:
         view.release()
 
 
-def decode_result(buf) -> tuple[str, int, RecommendationResult]:
-    """Decode a blob back into ``(digest, data_version, result)``.
+def decode_result(buf) -> RecommendationResult:
+    """Decode a blob back into the result it encodes.
 
     Arrays are copied out of ``buf``, so the returned result outlives any
     shared-memory segment the blob came from.
@@ -328,7 +324,7 @@ def decode_result(buf) -> tuple[str, int, RecommendationResult]:
     ]
     utilities = payload["utilities"]
     utility_values = _take_array(utilities["values"], entries, buf, region_start)
-    result = RecommendationResult(
+    return RecommendationResult(
         table=payload["table"],
         predicate_description=payload["predicate_description"],
         k=payload["k"],
@@ -357,12 +353,10 @@ def decode_result(buf) -> tuple[str, int, RecommendationResult]:
         sample_fraction=payload["sample_fraction"],
         plan_description=payload["plan_description"],
         reference_description=payload["reference_description"],
-        # .get: tolerate blobs written by a pre-lifecycle encoder.
-        partial=payload.get("partial", False),
-        partial_epsilon=payload.get("partial_epsilon"),
-        visualizations=payload.get("visualizations"),
+        partial=payload["partial"],
+        partial_epsilon=payload["partial_epsilon"],
+        visualizations=payload["visualizations"],
     )
-    return header["digest"], header["data_version"], result
 
 
 # -- shared-memory segments -------------------------------------------------
@@ -478,7 +472,7 @@ def read_segment(name: str) -> RecommendationResult:
     """
     segment = _open_segment(name)
     try:
-        return decode_result(segment.buf)[2]
+        return decode_result(segment.buf)
     finally:
         unlink_segment(name)
         segment.close()

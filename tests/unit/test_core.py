@@ -1,5 +1,7 @@
 """Unit tests: view specs, space enumeration, processing, top-k, config."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,20 @@ class TestSeeDBConfig:
         with pytest.raises(ConfigError):
             config.with_overrides(k=-1)
         assert config.with_overrides(k=9).k == 9
+
+    @pytest.mark.parametrize(
+        "name, value", [("batch_scoring", False), ("binpack_exact_threshold", 5)]
+    )
+    def test_removed_knobs_are_rejected(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            SeeDBConfig(**{name: value})
+
+    def test_planner_config_mirrors_the_planner_fields(self):
+        """Every planner knob is a SeeDBConfig field forwarded as is."""
+        config = SeeDBConfig(memory_budget_cells=4_000, max_dims_per_query=3)
+        planner = config.planner_config()
+        for field in dataclasses.fields(planner):
+            assert getattr(planner, field.name) == getattr(config, field.name)
 
     def test_basic_framework_preset(self):
         assert not BASIC_FRAMEWORK.combine_target_comparison

@@ -7,6 +7,7 @@ from repro.backends.base import BackendCapabilities
 from repro.db.expressions import col
 from repro.db.query import AggregateQuery, GroupingSetsQuery
 from repro.model.view import ViewSpec
+from repro.optimizer.binpack import pack_dimensions
 from repro.optimizer.cost import estimate_plan_cost
 from repro.optimizer.extract import FLAG_NAME, marginalize
 from repro.optimizer.plan import (
@@ -154,6 +155,24 @@ class TestPlannerShapes:
                 for group in step.groups:
                     product *= CARDINALITIES[group.dimension]
                 assert 2 * product <= 20
+
+    def test_rollup_bins_are_packed_exactly(self):
+        # Cells 8,8,4,4,4,4 under 128: first-fit-decreasing needs three
+        # rollups ({8,8}, {4,4,4}, {4}); the exact solver finds two
+        # ({8,4,4} twice), and the planner uses it at this size.
+        cardinalities = {f"d{i}": c for i, c in enumerate((8, 8, 4, 4, 4, 4))}
+        views = [ViewSpec(name, None, "count") for name in cardinalities]
+        assert pack_dimensions(cardinalities, 128, exact_threshold=0).n_bins == 3
+        config = PlannerConfig(
+            combine_target_comparison=False,
+            groupby_combining=GroupByCombining.ROLLUP,
+            memory_budget_cells=128,
+        )
+        plan = Planner(config).plan(views, "s", None, cardinalities, CAPS_GS)
+        assert len(plan.steps) == 2
+        for step in plan.steps:
+            cells = np.prod([cardinalities[g.dimension] for g in step.groups])
+            assert cells <= 128
 
     def test_auto_resolves_by_capability(self):
         config = PlannerConfig(groupby_combining=GroupByCombining.AUTO)

@@ -153,15 +153,14 @@ class TestWireAndTransports:
 
     def test_shm_codec_round_trips_frames(self, memory_backend):
         result = self.result_with_frames(memory_backend)
-        _, _, decoded = decode_result(encode_result(result))
+        decoded = decode_result(encode_result(result))
         assert decoded.visualizations == result.visualizations
 
-    def test_shm_codec_tolerates_pre_v3_blobs(self, memory_backend):
-        """Blobs written by an encoder without the field decode to None —
-        mixed-version worker pools must not crash on old cache entries."""
+    def test_shm_codec_round_trips_absent_frames(self, memory_backend):
+        """A result without a render request decodes with no frames."""
         result = SeeDB(memory_backend, SeeDBConfig(k=2)).recommend(
             RecommendationRequest.from_sql(SQL)
         )
         assert result.visualizations is None
-        _, _, decoded = decode_result(encode_result(result))
+        decoded = decode_result(encode_result(result))
         assert decoded.visualizations is None

@@ -25,6 +25,7 @@ from repro.service.shm import (
     encode_result,
     encode_value,
     list_segments,
+    peek_header,
     read_segment,
     unlink_prefix,
     unlink_segment,
@@ -142,10 +143,7 @@ class TestValueTags:
 class TestCodec:
     def test_round_trip_bit_exact(self):
         result = make_result()
-        digest = "ab" * 32
-        blob = encode_result(result, digest=digest, data_version=9)
-        got_digest, got_version, decoded = decode_result(blob)
-        assert (got_digest, got_version) == (digest, 9)
+        decoded = decode_result(encode_result(result))
         assert fingerprint(decoded) == fingerprint(result)
         for original, copy in zip(
             result.all_scored.values(), decoded.all_scored.values()
@@ -163,7 +161,7 @@ class TestCodec:
 
     def test_date_groups_round_trip(self):
         result = make_result(groups=[date(2014, 9, 1), date(2014, 9, 2)])
-        _, _, decoded = decode_result(encode_result(result))
+        decoded = decode_result(encode_result(result))
         assert decoded.recommendations[0].groups == [
             date(2014, 9, 1),
             date(2014, 9, 2),
@@ -173,7 +171,7 @@ class TestCodec:
         result = make_result()
         view = result.recommendations[0]
         view.target_values = np.array(["x", None, 3.5], dtype=object)
-        _, _, decoded = decode_result(encode_result(result))
+        decoded = decode_result(encode_result(result))
         got = decoded.recommendations[0].target_values
         assert got.dtype == object
         assert list(got) == ["x", None, 3.5]
@@ -184,11 +182,22 @@ class TestCodec:
         view.target_values = np.array(
             ["2014-09-01", "NaT"], dtype="datetime64[D]"
         )
-        _, _, decoded = decode_result(encode_result(result))
+        decoded = decode_result(encode_result(result))
         got = decoded.recommendations[0].target_values
         assert got.dtype == np.dtype("datetime64[D]")
         assert got[0] == np.datetime64("2014-09-01", "D")
         assert np.isnat(got[1])
+
+    @pytest.mark.parametrize("partial, epsilon", [(False, None), (True, 0.05)])
+    def test_lifecycle_fields_round_trip(self, partial, epsilon):
+        result = make_result()
+        result.partial, result.partial_epsilon = partial, epsilon
+        decoded = decode_result(encode_result(result))
+        assert (decoded.partial, decoded.partial_epsilon) == (partial, epsilon)
+
+    def test_header_holds_only_the_result_and_array_table(self):
+        header = peek_header(encode_result(make_result()))
+        assert set(header) == {"result", "arrays"}
 
     def test_bad_magic_rejected(self):
         blob = encode_result(make_result())
@@ -199,7 +208,7 @@ class TestCodec:
 
     def test_decoded_arrays_are_owned_copies(self):
         blob = bytearray(encode_result(make_result()))
-        _, _, decoded = decode_result(blob)
+        decoded = decode_result(blob)
         view = decoded.recommendations[0]
         before = view.target_distribution.copy()
         blob[:] = b"\0" * len(blob)  # scribble over the source buffer

@@ -3,8 +3,10 @@
 The schema_version 3 bump added the ``options.render`` block and the
 ``visualizations`` response list. Old clients must notice nothing: this
 suite proves version-1 and version-2 bodies still decode, canonicalize to
-the same coalescing keys as a defaults-only v3 body, execute to
+the same coalescing keys as a defaults-only current body, execute to
 bit-identical response payloads, and never grow a ``visualizations`` key.
+The version 4 bump removed two options, which every version now rejects;
+version-3 bodies behave exactly as current ones otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def stable(payload: dict) -> dict:
 
 class TestVersionAcceptance:
     def test_to_dict_emits_current_version(self):
-        assert wire_body(SCHEMA_VERSION)["schema_version"] == 3
+        assert wire_body(SCHEMA_VERSION)["schema_version"] == 4
 
     @pytest.mark.parametrize("version", ACCEPTED_SCHEMA_VERSIONS)
     def test_all_published_versions_decode(self, version):
@@ -57,9 +59,19 @@ class TestVersionAcceptance:
             RecommendationRequest.from_dict(wire_body(99))
         assert excinfo.value.code == "schema_version"
 
+    @pytest.mark.parametrize("version", ACCEPTED_SCHEMA_VERSIONS)
+    @pytest.mark.parametrize(
+        "name, value", [("batch_scoring", False), ("binpack_exact_threshold", 5)]
+    )
+    def test_removed_options_are_unknown(self, version, name, value):
+        with pytest.raises(ApiError) as excinfo:
+            RecommendationRequest.from_dict(wire_body(version, options={name: value}))
+        assert excinfo.value.code == "unknown_field"
+        assert excinfo.value.field == f"options.{name}"
+
 
 class TestCanonicalization:
-    """v1/v2 bodies and defaults-only v3 bodies coalesce together."""
+    """v1–v3 bodies and defaults-only current bodies coalesce together."""
 
     def config(self) -> SeeDBConfig:
         return SeeDBConfig(k=2)
@@ -68,7 +80,7 @@ class TestCanonicalization:
         request = RecommendationRequest.from_dict(body)
         return request.resolve(self.config()).key_parts()
 
-    @pytest.mark.parametrize("version", (1, 2))
+    @pytest.mark.parametrize("version", (1, 2, 3))
     def test_old_versions_share_the_v3_coalescing_key(self, version):
         assert self.key_for(wire_body(version)) == self.key_for(
             wire_body(SCHEMA_VERSION)
@@ -96,7 +108,7 @@ class TestCanonicalization:
 
 
 class TestExecutionUnchanged:
-    @pytest.mark.parametrize("version", (1, 2))
+    @pytest.mark.parametrize("version", (1, 2, 3))
     def test_old_bodies_execute_bit_identically_to_v3(
         self, memory_backend, version
     ):
@@ -107,7 +119,7 @@ class TestExecutionUnchanged:
         )
         assert stable(result_to_json(old)) == stable(result_to_json(new))
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", ACCEPTED_SCHEMA_VERSIONS)
     def test_no_visualizations_key_without_a_render_request(
         self, memory_backend, version
     ):
