@@ -4,7 +4,8 @@ The latency/accuracy trade-off of §1 challenge (d), realized as phased
 execution with confidence-based view pruning. Recorded per delta setting:
 work saved (fraction of per-view phase executions skipped), top-k
 precision vs. the exact run, and wall-clock latency vs. single-shot
-execution.
+execution. Work is read from the streamed rounds: every executed view runs
+in round 1, and each later round runs the views alive after the one before.
 """
 
 import time
@@ -12,7 +13,8 @@ import time
 import pytest
 
 from repro.api import RecommendationRequest
-from repro.core.incremental import IncrementalRecommender
+from repro.backends.memory import MemoryBackend
+from repro.core.recommender import SeeDB
 from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.view_processor import ViewProcessor
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
@@ -35,8 +37,6 @@ def workload():
 
 
 def exact_run(dataset, views):
-    from repro.backends.memory import MemoryBackend
-
     backend = MemoryBackend()
     backend.register_table(dataset.table)
     grouped = {}
@@ -59,6 +59,8 @@ def exact_run(dataset, views):
 def test_early_termination_tradeoff(benchmark, record_rows, workload):
     dataset, views = workload
     truth, exact_seconds = exact_run(dataset, views)
+    backend = MemoryBackend()
+    backend.register_table(dataset.table)
 
     def sweep():
         rows = [
@@ -74,26 +76,34 @@ def test_early_termination_tradeoff(benchmark, record_rows, workload):
             ("balanced (d=0.2, c=0.25)", 0.2, 0.25),
             ("aggressive (d=0.2, c=0.1)", 0.2, 0.1),
         ):
-            recommender = IncrementalRecommender(dataset.table, metric="js")
             start = time.perf_counter()
-            result = recommender.recommend(
-                RecommendationRequest(
-                    RowSelectQuery(dataset.table.name, dataset.predicate),
-                    k=5,
-                    strategy="incremental",
-                    options={
-                        "n_phases": 10,
-                        "delta": delta,
-                        "epsilon_scale": scale,
-                    },
-                ),
-                views,
-            )
+            with SeeDB(backend) as seedb:
+                *rounds, final = seedb.recommend_iter(
+                    RecommendationRequest(
+                        RowSelectQuery(dataset.table.name, dataset.predicate),
+                        k=5,
+                        metric="js",
+                        options={
+                            "n_phases": 10,
+                            "delta": delta,
+                            "epsilon_scale": scale,
+                            # The executed views are the workload's views.
+                            "prune_low_variance": False,
+                            "prune_cardinality": False,
+                            "prune_correlated": False,
+                        },
+                    )
+                )
             elapsed = time.perf_counter() - start
+            result = final.result
+            assert result.n_executed_views == len(views)
+            work_done = result.n_executed_views + sum(
+                r.views_alive for r in rounds[:-1]
+            )
             rows.append(
                 {
                     "configuration": label,
-                    "work_saved": round(result.work_saved_fraction, 3),
+                    "work_saved": round(1.0 - work_done / (len(views) * 10), 3),
                     "topk_precision": round(
                         topk_precision(truth, result.utilities, k=5), 2
                     ),

@@ -8,11 +8,9 @@ from pathlib import Path
 
 from repro import MemoryBackend, RowSelectQuery, SeeDB, SeeDBConfig
 from repro.api import RecommendationRequest
-from repro.core.incremental import IncrementalRecommender
-from repro.core.multiview import MultiViewRecommender
-from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.datasets import generate_store_orders
 from repro.db.expressions import col
+from repro.engine.multiview import multiview_phases
 from repro.viz.html_report import write_html_report
 
 OUTPUT_DIR = Path(__file__).parent / "output" / "extensions"
@@ -24,13 +22,15 @@ def main() -> None:
     backend.register_table(table)
     predicate = col("category") == "Technology"
     query = RowSelectQuery("store_orders", predicate)
+    seedb = SeeDB(backend, SeeDBConfig(metric="js"))
 
     # ------------------------------------------------------------------
     # 1. Multi-attribute views (§2's "> 2 columns" generalization).
     # ------------------------------------------------------------------
     print("=== multi-attribute views: f(m) by (a1, a2) ===")
-    multi = MultiViewRecommender(backend, metric="js")
-    top_pairs = multi.recommend(RecommendationRequest(query, k=4), n_dimensions=2)
+    top_pairs = seedb.recommend(
+        RecommendationRequest(query, k=4), phases=multiview_phases(2)
+    ).recommendations
     for rank, view in enumerate(top_pairs, 1):
         print(f"  {rank}. {view.spec.label:42s} u={view.utility:.4f} "
               f"({len(view.groups)} combination groups)")
@@ -39,23 +39,30 @@ def main() -> None:
     # 2. Incremental execution with early termination (§1 challenge d).
     # ------------------------------------------------------------------
     print("\n=== incremental execution with early termination ===")
-    views = enumerate_views(table.schema, functions=("sum", "avg"))
-    views, _ = split_predicate_dimensions(views, predicate)
-    incremental = IncrementalRecommender(table, metric="js")
-    result = incremental.recommend(
+    # Every enumerated view runs: no metadata rule prunes ahead of round 1.
+    *rounds, final = seedb.recommend_iter(
         RecommendationRequest(
             query,
             k=5,
-            strategy="incremental",
-            options={"n_phases": 10, "delta": 0.2},
-        ),
-        views,
+            options={
+                "n_phases": 10,
+                "delta": 0.2,
+                "prune_low_variance": False,
+                "prune_cardinality": False,
+                "prune_correlated": False,
+            },
+        )
     )
-    print(f"  views considered: {len(views)}")
-    print(f"  phases executed:  {result.phases_executed}/{result.n_phases}")
-    print(f"  work saved:       {result.work_saved_fraction:.1%} "
-          f"({result.work_done}/{result.work_possible} view-phase executions)")
-    print(f"  pruned early:     {len(result.pruned_at_phase)} views")
+    result = final.result
+    n_views = result.n_executed_views
+    # Round 1 runs every view; each later round runs the views left alive.
+    work_done = n_views + sum(r.views_alive for r in rounds[:-1])
+    work_possible = n_views * rounds[-1].n_rounds
+    print(f"  views considered: {n_views}")
+    print(f"  phases executed:  {len(rounds)}/{rounds[-1].n_rounds}")
+    print(f"  work saved:       {1 - work_done / work_possible:.1%} "
+          f"({work_done}/{work_possible} view-phase executions)")
+    print(f"  pruned early:     {n_views - len(result.utilities)} views")
     for rank, view in enumerate(result.recommendations, 1):
         print(f"  {rank}. {view.spec.label:36s} u={view.utility:.4f}")
 
@@ -63,7 +70,6 @@ def main() -> None:
     # 3. Shareable HTML report of a standard recommendation (§1 step 4).
     # ------------------------------------------------------------------
     print("\n=== standalone HTML report ===")
-    seedb = SeeDB(backend, SeeDBConfig(metric="js"))
     standard = seedb.recommend(RecommendationRequest(query, k=4))
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     path = write_html_report(

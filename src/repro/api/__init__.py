@@ -16,7 +16,7 @@ deviates most from a reference" — as a first-class, serializable object:
   :meth:`repro.SeeDB.recommend_iter` and ``POST /recommend/stream``.
 * :class:`ApiError` — structured failure taxonomy (code + field path).
 
-``SeeDB``, ``SeeDBService`` and the specialised recommenders take a
+``SeeDB``, ``SeeDBService`` and ``BasicFramework`` take a
 :class:`RecommendationRequest` and nothing else; ``AnalystSession``, the
 CLI, and the HTTP frontend are the edges that build one from SQL text,
 flags, or a JSON body.

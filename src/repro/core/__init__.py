@@ -5,11 +5,15 @@ Given an analyst query ``Q`` over a table, enumerate all candidate views
 comparison view queries through the optimizer, score each view's deviation
 with a distance metric, and return the top-k (Problem 2.1).
 
-Public entry point: :class:`~repro.core.recommender.SeeDB`.
+Public entry point: :class:`~repro.core.recommender.SeeDB`. Incremental
+execution is a request strategy (``strategy="incremental"``), and
+multi-attribute views (:class:`MultiViewSpec`, :func:`enumerate_multi_views`)
+run through the :func:`~repro.engine.multiview.multiview_phases` preset.
 """
 
 from repro.core.view import ViewSpec, RawViewData, ScoredView
 from repro.core.space import (
+    enumerate_multi_views,
     enumerate_views,
     split_predicate_dimensions,
     view_space_size,
@@ -18,12 +22,7 @@ from repro.core.config import SeeDBConfig, GroupByCombining
 from repro.core.result import RecommendationResult
 from repro.core.recommender import SeeDB
 from repro.core.basic import BasicFramework
-from repro.core.incremental import IncrementalRecommender, IncrementalResult
-from repro.core.multiview import (
-    MultiViewRecommender,
-    MultiViewSpec,
-    enumerate_multi_views,
-)
+from repro.model.view import MultiViewSpec
 
 __all__ = [
     "ViewSpec",
@@ -37,9 +36,6 @@ __all__ = [
     "RecommendationResult",
     "SeeDB",
     "BasicFramework",
-    "IncrementalRecommender",
-    "IncrementalResult",
-    "MultiViewRecommender",
     "MultiViewSpec",
     "enumerate_multi_views",
 ]

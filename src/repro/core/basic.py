@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.backends.base import Backend
-from repro.core.config import SeeDBConfig
 from repro.core.result import RecommendationResult
 from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.topk import top_k_views
@@ -138,5 +137,4 @@ class BasicFramework:
         )
 
 
-# Re-export for discoverability alongside SeeDBConfig.BASIC_FRAMEWORK.
-__all__ = ["BasicFramework", "SeeDBConfig"]
+__all__ = ["BasicFramework"]

@@ -152,19 +152,3 @@ class SeeDBConfig:
     def with_overrides(self, **overrides) -> "SeeDBConfig":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **overrides)
-
-
-#: Configuration matching the paper's *basic framework* (§3.3): no pruning,
-#: no combining, no sampling, sequential execution.
-BASIC_FRAMEWORK = SeeDBConfig(
-    prune_low_variance=False,
-    prune_cardinality=False,
-    prune_correlated=False,
-    prune_rare_access=False,
-    combine_target_comparison=False,
-    combine_aggregates=False,
-    groupby_combining=GroupByCombining.NONE,
-    cost_based_planning=False,
-    sample_fraction=None,
-    n_workers=1,
-)

@@ -16,6 +16,9 @@ A :class:`~repro.api.RecommendationRequest` is the only input:
 streams :class:`~repro.api.PartialResult` rounds from the same drive. SQL
 text and :class:`~repro.db.query.RowSelectQuery` objects become requests
 at the edge (``RecommendationRequest.from_sql`` / the constructor).
+Incremental execution is ``strategy="incremental"``; multi-attribute views
+are the :func:`~repro.engine.multiview.multiview_phases` preset passed as
+``recommend(request, phases=...)``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from repro.core.config import SeeDBConfig
 from repro.core.result import RecommendationResult
 from repro.engine.engine import ExecutionEngine, resolve_request
 from repro.metadata.collector import MetadataCollector
-from repro.util.errors import QueryError
 
 if TYPE_CHECKING:
     from repro.api.progressive import PartialResult
     from repro.api.request import RecommendationRequest
+    from repro.engine.phases import Phase
 
 
 class SeeDB:
@@ -60,34 +63,27 @@ class SeeDB:
         backend: Backend,
         config: "SeeDBConfig | None" = None,
         metadata_collector: "MetadataCollector | None" = None,
-        engine: "ExecutionEngine | None" = None,
     ):
-        if engine is not None:
-            if metadata_collector is not None:
-                raise QueryError(
-                    "pass either engine or metadata_collector, not both: "
-                    "a provided engine already owns its collector"
-                )
-            if engine.backend is not backend:
-                raise QueryError(
-                    "the provided engine is bound to a different backend"
-                )
         self.backend = backend
         self.config = config if config is not None else SeeDBConfig()
-        self._owns_engine = engine is None
-        self.engine = (
-            engine
-            if engine is not None
-            else ExecutionEngine(backend, metadata_collector)
-        )
+        self.engine = ExecutionEngine(backend, metadata_collector)
         self.metadata = self.engine.metadata
 
     # ------------------------------------------------------------------
 
-    def recommend(self, request: "RecommendationRequest") -> RecommendationResult:
-        """Recommend the top-k most deviating views for ``request``."""
+    def recommend(
+        self,
+        request: "RecommendationRequest",
+        phases: "list[Phase] | None" = None,
+    ) -> RecommendationResult:
+        """Recommend the top-k most deviating views for ``request``.
+
+        ``phases`` runs a preset phase list (for example
+        :func:`~repro.engine.multiview.multiview_phases`) instead of the
+        one the request's strategy selects.
+        """
         resolved = resolve_request(request, self.config)
-        return self.engine.recommend(resolved).to_result()
+        return self.engine.recommend(resolved, phases=phases).to_result()
 
     def recommend_iter(
         self, request: "RecommendationRequest"
@@ -107,13 +103,8 @@ class SeeDB:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release session resources (cached samples, worker pool).
-
-        A caller-injected engine is the caller's to close — it may be
-        shared with other facades; only a self-built engine is torn down.
-        """
-        if self._owns_engine:
-            self.engine.close()
+        """Release session resources (cached samples, worker pool)."""
+        self.engine.close()
 
     def __enter__(self) -> "SeeDB":
         return self

@@ -6,14 +6,20 @@ aggregate functions), plus one ``count(*)`` view per dimension when enabled.
 attributes": with ``n`` attributes split between dimensions and measures,
 ``|A|·|M|`` is maximized at ``(n/2)²`` — benchmark E6 verifies exactly this
 quadratic growth.
+
+:func:`enumerate_multi_views` is the §2 generalization: views grouping by
+a tuple of ``n_dimensions`` attributes, run by the
+:func:`~repro.engine.multiview.multiview_phases` preset.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
-from repro.core.view import ViewSpec
 from repro.db.schema import Schema
+from repro.db.types import AttributeRole
+from repro.model.view import MultiViewSpec, ViewSpec
 from repro.util.errors import ConfigError
 
 #: Aggregates enumerated by default. The full set in
@@ -48,6 +54,40 @@ def enumerate_views(
         for measure in measure_names:
             for func in functions:
                 views.append(ViewSpec(dimension, measure, func))
+    return views
+
+
+def enumerate_multi_views(
+    schema: Schema,
+    n_dimensions: int = 2,
+    functions: Sequence[str] = DEFAULT_FUNCTIONS,
+    include_count: bool = True,
+    dimensions: "Sequence[str] | None" = None,
+) -> list[MultiViewSpec]:
+    """All ``n_dimensions``-attribute views of ``schema``.
+
+    The space is C(|A|, k) x |M| x |F| — combinatorially larger than the
+    single-attribute space, which is why the paper's prototype stops at
+    k=1 and this generalization is opt-in.
+    """
+    if n_dimensions < 2:
+        raise ConfigError("n_dimensions must be >= 2")
+    dimension_names = (
+        list(dimensions)
+        if dimensions is not None
+        else [spec.name for spec in schema.dimensions]
+    )
+    for name in dimension_names:
+        schema.require(name, AttributeRole.DIMENSION)
+    measure_names = [spec.name for spec in schema.measures]
+
+    views: list[MultiViewSpec] = []
+    for dims in combinations(dimension_names, n_dimensions):
+        if include_count:
+            views.append(MultiViewSpec(dims, None, "count"))
+        for measure in measure_names:
+            for func in functions:
+                views.append(MultiViewSpec(dims, measure, func))
     return views
 
 

@@ -24,6 +24,7 @@ from repro.engine.multiview import (
     DropEmptyViewsPhase,
     MultiViewEnumeratePhase,
     MultiViewPrunePhase,
+    multiview_phases,
 )
 from repro.engine.phases import (
     EnumeratePhase,
@@ -65,4 +66,5 @@ __all__ = [
     "MultiViewEnumeratePhase",
     "MultiViewPrunePhase",
     "DropEmptyViewsPhase",
+    "multiview_phases",
 ]

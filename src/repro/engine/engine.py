@@ -25,8 +25,10 @@ and the cancel scope, stepping a phase that exposes ``rounds(ctx)`` one
 round at a time. :meth:`~ExecutionEngine.recommend` is that generator
 exhausted; :meth:`~ExecutionEngine.recommend_iter` is the same generator
 with each round packaged as a :class:`~repro.api.PartialResult`. The
-facade, the service, the cluster workers and the specialised recommenders
-all execute through these.
+facade, the service and the cluster workers all execute through these;
+a preset such as :func:`~repro.engine.multiview.multiview_phases` is a
+phase list handed to :meth:`~ExecutionEngine.recommend` in place of
+:func:`phases_for`'s.
 
 Everything is reentrant: all mutable run state lives in the per-call
 :class:`~repro.engine.context.ExecutionContext`, the cache and collector
@@ -46,12 +48,7 @@ from repro.core.topk import top_k_views
 from repro.db.query import RowSelectQuery
 from repro.engine.cache import EngineCache, SessionCache
 from repro.engine.context import ExecutionContext
-from repro.engine.incremental import (
-    TRACE_KEY,
-    IncrementalRound,
-    IncrementalScorePhase,
-    PhasedExecutePhase,
-)
+from repro.engine.incremental import TRACE_KEY, IncrementalRound, PhasedExecutePhase
 from repro.engine.phases import Phase, RenderPhase, default_phases
 from repro.metadata.collector import MetadataCollector
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
@@ -84,15 +81,12 @@ def resolve_request(
 
 def phases_for(resolved: "ResolvedRequest") -> list[Phase]:
     """The phase list a resolved request runs: the default pipeline, its
-    execute/score pair swapped for the phased one when the strategy is
+    execute phase swapped for the phased one when the strategy is
     incremental, plus :class:`RenderPhase` when a render block asks."""
     phases = default_phases()
     if resolved.strategy == "incremental":
-        swapped = {
-            "execute": PhasedExecutePhase(**resolved.incremental),
-            "score": IncrementalScorePhase(),
-        }
-        phases = [swapped.get(phase.name, phase) for phase in phases]
+        phased = PhasedExecutePhase(**resolved.incremental)
+        phases = [phased if phase.name == "execute" else phase for phase in phases]
     if resolved.render.get("format", "none") != "none":
         phases.append(RenderPhase(resolved.render))
     return phases
@@ -211,12 +205,19 @@ class ExecutionEngine:
         self,
         resolved: "ResolvedRequest",
         cancel_token: "CancelToken | None" = None,
+        *,
+        phases: "list[Phase] | None" = None,
     ) -> ExecutionContext:
         """Blocking execution of a resolved request; returns the finished
-        context (``.to_result()`` packages it)."""
-        return self.run(
-            phases_for(resolved), self._context_for(resolved, cancel_token)
-        )
+        context (``.to_result()`` packages it).
+
+        ``phases`` replaces :func:`phases_for`'s list (a preset such as
+        :func:`~repro.engine.multiview.multiview_phases`); the context is
+        built from ``resolved`` either way.
+        """
+        if phases is None:
+            phases = phases_for(resolved)
+        return self.run(phases, self._context_for(resolved, cancel_token))
 
     def recommend_iter(
         self,

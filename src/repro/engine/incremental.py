@@ -49,8 +49,6 @@ class IncrementalTrace:
     pruned_at_phase: dict[ViewSpec, int] = field(default_factory=dict)
     phases_executed: int = 0
     n_phases: int = 0
-    work_done: int = 0
-    work_possible: int = 0
 
 
 #: ``ctx.extras`` key under which the trace is published.
@@ -111,15 +109,11 @@ class PhasedExecutePhase(Phase):
         delta: float = 0.05,
         min_phases_before_pruning: int = 2,
         epsilon_scale: float = 0.25,
-        metric=None,
-        normalization=None,
     ):
         self.n_phases = n_phases
         self.delta = delta
         self.min_phases_before_pruning = min_phases_before_pruning
         self.epsilon_scale = epsilon_scale
-        self.metric = metric
-        self.normalization = normalization
 
     def run(self, ctx: ExecutionContext) -> None:
         for _round in self.rounds(ctx):
@@ -142,15 +136,13 @@ class PhasedExecutePhase(Phase):
         hand-assembled phase list without one is planned here.
         """
         views = list(ctx.surviving)
-        trace = IncrementalTrace(
-            n_phases=self.n_phases, work_possible=len(views) * self.n_phases
-        )
+        trace = IncrementalTrace(n_phases=self.n_phases)
         ctx.extras[TRACE_KEY] = trace
         if not views:
             return
         if ctx.plan is None:
             PlanPhase().run(ctx)
-        processor = ScorePhase(self.metric, self.normalization).processor(ctx)
+        processor = ScorePhase.processor(ctx)
 
         #: Per view group, its carried aggregates and folded partials.
         running: dict[ViewGroup, tuple[tuple, tuple[Partial, Partial]]] = {}
@@ -202,7 +194,6 @@ class PhasedExecutePhase(Phase):
                             step.merges_sides,
                         )
                     )
-                    trace.work_done += len(survivors)
             trace.phases_executed = phase + 1
 
             # Re-estimate utilities for alive views via the shared batch
@@ -255,17 +246,6 @@ class PhasedExecutePhase(Phase):
         return True
 
 
-class IncrementalScorePhase(ScorePhase):
-    """Standard scoring, plus folding final utilities back into the trace.
-
-    Scored utilities equal the last running estimates by construction
-    (both come from the same accumulated state through the same View
-    Processor); the fold keeps the published trace exact.
-    """
-
-    def run(self, ctx: ExecutionContext) -> None:
-        super().run(ctx)
-        trace = ctx.extras.get(TRACE_KEY)
-        if isinstance(trace, IncrementalTrace):
-            for spec, scored in ctx.scored.items():
-                trace.utilities[spec] = scored.utility
+#: A phased run is scored like any other: the final blocks hold the last
+#: round's alive views. The name stays for pipelines assembled by hand.
+IncrementalScorePhase = ScorePhase

@@ -1,41 +1,42 @@
-"""Multi-attribute views as a swappable Enumerate/Prune phase pair.
+"""Multi-attribute views as a phase-list preset.
 
 The §2 generalization ("SEEDB techniques can directly be used to recommend
 visualizations for multiple column views") on the shared engine:
-enumeration produces :class:`~repro.core.multiview.MultiViewSpec`
-candidates, and from there the standard phases take over — the one
+:func:`multiview_phases` swaps Enumerate/Prune for tuple-dimension ones
+that produce :class:`~repro.model.view.MultiViewSpec` candidates, and from
+there the standard phases take over — the one
 :class:`~repro.optimizer.plan.Planner` groups views by their dimension
 *tuple* (one step per combination, aggregates shared, any reference), and
 Execute/Score/Select, the persistent worker pool and the shared View
-Processor do the rest. The multiview path therefore shares every line of
-planning, execution, alignment, normalization, and top-k code with the
-batch path, which is the point the paper's sentence makes.
+Processor do the rest. Run it with
+``SeeDB(backend).recommend(request, phases=multiview_phases(3))``; the
+request's config, k, reference, filters and deadline all apply.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.multiview import MultiViewSpec, enumerate_multi_views
+from repro.core.space import enumerate_multi_views
 from repro.engine.context import ExecutionContext
-from repro.engine.phases import Phase
+from repro.engine.phases import (
+    ExecutePhase,
+    Phase,
+    PlanPhase,
+    ScorePhase,
+    SelectPhase,
+    filter_view_space,
+)
+from repro.model.view import MultiViewSpec
 from repro.pruning.base import PruneReport
 
 
 class MultiViewEnumeratePhase(Phase):
-    """Enumerate all ``n_dimensions``-attribute views of the schema."""
+    """Enumerate all ``n_dimensions``-attribute views of the schema, with
+    the configured aggregate functions and count views."""
 
     name = "enumerate"
 
-    def __init__(
-        self,
-        n_dimensions: int = 2,
-        functions: Sequence[str] = ("sum", "avg"),
-        include_count: bool = True,
-    ):
+    def __init__(self, n_dimensions: int = 2):
         self.n_dimensions = n_dimensions
-        self.functions = tuple(functions)
-        self.include_count = include_count
 
     def run(self, ctx: ExecutionContext) -> None:
         ctx.mark_query_baseline()
@@ -43,12 +44,10 @@ class MultiViewEnumeratePhase(Phase):
         ctx.candidates = enumerate_multi_views(
             ctx.schema,
             self.n_dimensions,
-            self.functions,
-            self.include_count,
+            ctx.config.aggregate_functions,
+            ctx.config.include_count_views,
             dimensions=list(ctx.dimensions) if ctx.dimensions is not None else None,
         )
-        from repro.engine.phases import filter_view_space
-
         ctx.candidates = filter_view_space(ctx.candidates, None, ctx.measures)
         ctx.surviving = list(ctx.candidates)
 
@@ -102,3 +101,19 @@ class DropEmptyViewsPhase(Phase):
         ctx.scored = {
             spec: view for spec, view in ctx.scored.items() if view.groups
         }
+
+
+def multiview_phases(n_dimensions: int = 2) -> list[Phase]:
+    """The multi-attribute pipeline: enumerate ``n_dimensions``-attribute
+    views, prune predicate-constrained ones, then plan, execute, score,
+    drop empty views and select. There is no Metadata phase, so nothing is
+    priced: the planner takes the capability-declared plan kind."""
+    return [
+        MultiViewEnumeratePhase(n_dimensions),
+        MultiViewPrunePhase(),
+        PlanPhase(),
+        ExecutePhase(),
+        ScorePhase(),
+        DropEmptyViewsPhase(),
+        SelectPhase(),
+    ]

@@ -5,9 +5,10 @@ Metadata Collector → Query Generator (enumerate + prune) → Optimizer
 (select). Each phase is an object with a ``name`` (its stopwatch key) and
 a ``run(ctx)`` that reads/writes :class:`~repro.engine.context.ExecutionContext`
 fields. Alternative strategies swap individual phases: incremental
-execution replaces Execute/Score (:mod:`repro.engine.incremental`),
-multi-attribute views replace Enumerate/Prune
-(:mod:`repro.engine.multiview`).
+execution replaces Execute (``strategy="incremental"``,
+:mod:`repro.engine.incremental`), and the
+:func:`~repro.engine.multiview.multiview_phases` preset replaces
+Enumerate/Prune with multi-attribute ones.
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ class PlanPhase(Phase):
     ``ctx.plan_decision`` (``cost_based`` is False when the mode was pinned
     to one kind) and feeds the engine's calibration loop.
 
-    With the flag off only the first candidate is planned and nothing is
-    priced: ``ctx.plan_decision`` stays ``None``.
+    With the flag off, or with no statistics to price from (a phase list
+    without the Metadata phase), only the first candidate is planned and
+    nothing is priced: ``ctx.plan_decision`` stays ``None``.
     """
 
     name = "plan"
@@ -185,7 +187,7 @@ class PlanPhase(Phase):
     def run(self, ctx: ExecutionContext) -> None:
         config = ctx.config
         capabilities = ctx.backend.capabilities
-        priced = config.cost_based_planning
+        priced = config.cost_based_planning and ctx.metadata is not None
         cardinalities = (
             ctx.metadata.stats.cardinalities() if ctx.metadata is not None else {}
         )
@@ -286,30 +288,17 @@ class ExecutePhase(Phase):
 
 class ScorePhase(Phase):
     """View Processor: normalize and score every executed view block
-    through the columnar path (vectorized metrics).
-
-    ``metric``/``normalization`` override the context config — the hook
-    through which facades holding a custom :class:`DistanceMetric`
-    *instance* (not just a registry name) keep it across the pipeline.
+    through the columnar path (vectorized metrics), with the configured
+    metric and normalization. A custom metric reaches this phase through
+    :func:`~repro.metrics.registry.register_metric`.
     """
 
     name = "score"
 
-    def __init__(self, metric=None, normalization=None):
-        self.metric = metric
-        self.normalization = normalization
-
-    def processor(self, ctx: ExecutionContext) -> ViewProcessor:
+    @staticmethod
+    def processor(ctx: ExecutionContext) -> ViewProcessor:
         """The View Processor configured for this run."""
-        metric = (
-            self.metric if self.metric is not None else ctx.config.resolve_metric()
-        )
-        normalization = (
-            self.normalization
-            if self.normalization is not None
-            else ctx.config.normalization
-        )
-        return ViewProcessor(metric, normalization)
+        return ViewProcessor(ctx.config.resolve_metric(), ctx.config.normalization)
 
     def run(self, ctx: ExecutionContext) -> None:
         ctx.scored = self.processor(ctx).score_blocks(ctx.blocks)

@@ -106,6 +106,50 @@ class ViewSpec:
         return self.label
 
 
+@dataclass(frozen=True)
+class MultiViewSpec:
+    """A view grouping by several dimensions: ``f(m) by (a1, ..., ak)``.
+
+    The paper's stated generalization (§2): "SEEDB techniques can directly
+    be used to recommend visualizations for multiple column views (> 2
+    columns) that are generated via multi-attribute grouping and
+    aggregation." Its distribution ranges over existing attribute-value
+    combinations.
+    """
+
+    dimensions: tuple[str, ...]
+    measure: "str | None"
+    func: str
+
+    def __post_init__(self) -> None:
+        if len(self.dimensions) < 2:
+            raise QueryError(
+                "multi-attribute views need >= 2 dimensions; use ViewSpec "
+                "for single-attribute views"
+            )
+        if len(set(self.dimensions)) != len(self.dimensions):
+            raise QueryError(f"duplicate dimensions in {self.dimensions}")
+        if self.measure is None and self.func != "count":
+            raise QueryError("only 'count' may omit the measure")
+
+    @property
+    def aggregate(self) -> Aggregate:
+        return Aggregate(self.func, self.measure)
+
+    @property
+    def label(self) -> str:
+        measure = self.measure if self.measure is not None else "*"
+        dims = ", ".join(self.dimensions)
+        return f"{self.func}({measure}) by ({dims})"
+
+    @property
+    def sort_key(self) -> tuple:
+        return (self.dimensions, self.measure or "", self.func)
+
+    def __lt__(self, other: "MultiViewSpec") -> bool:
+        return self.sort_key < other.sort_key
+
+
 @dataclass
 class RawViewData:
     """Un-normalized series for one view, straight from query results.

@@ -45,7 +45,7 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from repro.core.result import RecommendationResult
-from repro.core.view import ViewSpec
+from repro.model.view import MultiViewSpec, ViewSpec
 from repro.pruning.base import PruneReport
 from repro.testing.faults import fault_point
 from repro.util.errors import ConfigError
@@ -172,8 +172,6 @@ def _spec_to_dict(spec) -> dict:
 
 def _spec_from_dict(payload: dict):
     if "dims" in payload:
-        from repro.core.multiview import MultiViewSpec
-
         return MultiViewSpec(
             dimensions=tuple(payload["dims"]),
             measure=payload["m"],

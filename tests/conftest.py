@@ -114,6 +114,17 @@ def medium_table() -> Table:
 
 
 @pytest.fixture
+def register_metric(monkeypatch):
+    """``register_metric(metric)`` for one test: a custom metric (or one
+    shadowing a built-in name) reaches every path through the registry,
+    and the registry is restored when the test ends."""
+    from repro.metrics import registry
+
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    return lambda metric: registry.register_metric(metric, replace=True)
+
+
+@pytest.fixture
 def nan_table() -> Table:
     """A table whose float measure contains NaN (SQL NULL semantics)."""
     return Table.from_columns(

@@ -17,10 +17,7 @@ from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.basic import BasicFramework
 from repro.core.config import SeeDBConfig
-from repro.core.incremental import IncrementalRecommender
-from repro.core.multiview import MultiViewRecommender
 from repro.core.recommender import SeeDB
-from repro.core.space import enumerate_views
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.frontend.session import AnalystSession
@@ -149,12 +146,6 @@ ENTRY_POINTS = {
     "BasicFramework.recommend": lambda b, t, given: BasicFramework(b).recommend(
         given
     ),
-    "IncrementalRecommender.recommend": lambda b, t, given: (
-        IncrementalRecommender(t).recommend(given, enumerate_views(t.schema))
-    ),
-    "MultiViewRecommender.recommend": lambda b, t, given: (
-        MultiViewRecommender(b).recommend(given)
-    ),
 }
 
 
@@ -193,26 +184,30 @@ class TestSpecialisedRecommenders:
         via_request = BasicFramework(backend).recommend(request)
         assert_same_scores(euclid_basic, via_request)
 
-        with MultiViewRecommender(backend, metric="euclidean") as expected_rec:
-            expected = expected_rec.recommend(plain)
-        with MultiViewRecommender(backend) as request_rec:
-            got = request_rec.recommend(request)
-        assert [(v.spec, v.utility) for v in expected] == [
-            (v.spec, v.utility) for v in got
-        ]
+        from repro.engine.multiview import multiview_phases
 
-        views = enumerate_views(medium_table.schema)
-        bounded = RecommendationRequest(target=query, k=3, metric="total_variation")
-        expected_inc = IncrementalRecommender(
-            medium_table, metric="total_variation"
-        ).recommend(plain, views)
-        got_inc = IncrementalRecommender(medium_table).recommend(bounded, views)
-        assert expected_inc.utilities == got_inc.utilities
+        with SeeDB(backend, SeeDBConfig(metric="euclidean")) as expected_rec:
+            expected = expected_rec.recommend(plain, phases=multiview_phases())
+        with SeeDB(backend) as request_rec:
+            got = request_rec.recommend(request, phases=multiview_phases())
+        assert_same_scores(expected, got)
+
+        incremental = {"strategy": "incremental", "options": {"n_phases": 3}}
+        bounded = RecommendationRequest(
+            target=query, k=3, metric="total_variation", **incremental
+        )
+        with SeeDB(backend, SeeDBConfig(metric="total_variation")) as seedb:
+            expected_inc = seedb.recommend(
+                RecommendationRequest(query, k=3, **incremental)
+            )
+        with SeeDB(backend) as seedb:
+            got_inc = seedb.recommend(bounded)
+        assert_same_scores(expected_inc, got_inc)
         from repro.api import ApiError
 
         with pytest.raises(ApiError):
-            IncrementalRecommender(medium_table).recommend(
-                RecommendationRequest(target=query, metric="kl"), views
+            SeeDB(backend).recommend(
+                RecommendationRequest(target=query, metric="kl", **incremental)
             )
 
 

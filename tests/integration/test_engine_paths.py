@@ -17,13 +17,12 @@ from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
-from repro.core.incremental import IncrementalRecommender
-from repro.core.multiview import MultiViewRecommender, enumerate_multi_views
 from repro.core.recommender import SeeDB
-from repro.core.space import enumerate_views, split_predicate_dimensions
+from repro.core.space import enumerate_multi_views
 from repro.db.aggregates import Aggregate
 from repro.db.query import AggregateQuery, RowSelectQuery
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
+from repro.engine.multiview import multiview_phases
 
 NO_PRUNING = dict(
     prune_low_variance=False,
@@ -56,19 +55,19 @@ class TestThreePathEquivalence:
             backend, SeeDBConfig(metric="js", **NO_PRUNING)
         ).recommend(RecommendationRequest(query, k=5))
 
-        views = enumerate_views(dataset.table.schema, functions=("sum", "avg"))
-        views, _ = split_predicate_dimensions(views, dataset.predicate)
-        incremental = IncrementalRecommender(dataset.table, metric="js").recommend(
+        incremental = SeeDB(
+            backend, SeeDBConfig(metric="js", **NO_PRUNING)
+        ).recommend(
             RecommendationRequest(
                 query,
                 k=5,
                 strategy="incremental",
                 options={"n_phases": 5, "delta": 1e-12},
-            ),
-            views,
+            )
         )
 
-        assert not incremental.pruned_at_phase
+        # Nothing was pruned: every executed view has a final utility.
+        assert len(incremental.utilities) == incremental.n_executed_views
         assert set(batch.utilities) == set(incremental.utilities)
         for spec, utility in batch.utilities.items():
             assert incremental.utilities[spec] == pytest.approx(
@@ -91,7 +90,6 @@ class TestThreePathEquivalence:
 
         backend = MemoryBackend()
         backend.register_table(dataset.table)
-        recommender = MultiViewRecommender(backend, metric="js")
         views = [
             v
             for v in enumerate_multi_views(
@@ -100,12 +98,14 @@ class TestThreePathEquivalence:
             )
             if not (set(v.dimensions) & dataset.predicate.referenced_columns())
         ]
-        top = recommender.recommend(
-            RecommendationRequest(query, k=len(views)),
-            n_dimensions=2,
-            functions=("sum",),
-            include_count=False,
-        )
+        top = SeeDB(backend, SeeDBConfig(metric="js")).recommend(
+            RecommendationRequest(
+                query,
+                k=len(views),
+                options={"aggregate_functions": ["sum"], "include_count_views": False},
+            ),
+            phases=multiview_phases(2),
+        ).recommendations
         assert {v.spec for v in top} == set(views)
 
         metric = get_metric("js")
@@ -148,20 +148,18 @@ class TestThreePathEquivalence:
         batch = SeeDB(
             backend, SeeDBConfig(**NO_PRUNING)
         ).recommend(RecommendationRequest(query, k=1))
-        views = enumerate_views(dataset.table.schema, functions=("sum", "avg"))
-        views, _ = split_predicate_dimensions(views, dataset.predicate)
-        incremental = IncrementalRecommender(dataset.table).recommend(
+        seedb = SeeDB(backend, SeeDBConfig(**NO_PRUNING))
+        incremental = seedb.recommend(
             RecommendationRequest(
                 query, k=1, strategy="incremental", options={"n_phases": 8}
-            ),
-            views,
+            )
         )
         planted = batch.recommendations[0].spec.dimension
         assert incremental.recommendations[0].spec.dimension == planted
-        multi = MultiViewRecommender(backend).recommend(
-            RecommendationRequest(query, k=1), n_dimensions=2
+        multi = seedb.recommend(
+            RecommendationRequest(query, k=1), phases=multiview_phases(2)
         )
-        assert planted in multi[0].spec.dimensions
+        assert planted in multi.recommendations[0].spec.dimensions
 
 
 def build_backend(kind, table):

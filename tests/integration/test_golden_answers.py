@@ -1,7 +1,9 @@
 """Golden answers: the top-k labels and every utility, pinned in a file.
 
 A small synthetic table answers a fixed set of requests on every cell of
-{memory, sqlite} × {blocking, incremental-final} × {table, complement}.
+{memory, sqlite} × {blocking, incremental-final} × {table, complement},
+and the multi-attribute preset answers the segment predicate on every cell
+of {memory, sqlite} × {2, 3} dimensions × {table, complement, query}.
 ``tests/data/golden_answers.json`` records each answer: the ranked labels
 and the utility of every view the result scored. A change to execution,
 merging or scoring that moves any answer fails here — labels must match
@@ -27,6 +29,7 @@ from repro.core.recommender import SeeDB
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
+from repro.engine.multiview import multiview_phases
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_answers.json"
 TOLERANCE = 1e-12
@@ -43,6 +46,13 @@ PREDICATES = {
     "mixed": (col("d2").isin(["d2=v0", "d2=v1"]) | (col("d3") == "d3=v5"))
     & (col("segment") != "rest"),
 }
+#: Multi-attribute cells: tuple width × reference, on the segment predicate.
+MULTIVIEW_DIMENSIONS = (2, 3)
+MULTIVIEW_REFERENCES = {
+    "table": Reference.table(),
+    "complement": Reference.complement(),
+    "query": Reference.query(RowSelectQuery("golden", col("d1") != "d1=v3")),
+}
 
 
 def golden_table():
@@ -57,6 +67,32 @@ def golden_table():
 
 def cell_id(backend: str, strategy: str, reference: str, predicate: str) -> str:
     return f"{backend}/{strategy}/{reference}/{predicate}"
+
+
+def multiview_cell_id(backend: str, n_dimensions: int, reference: str) -> str:
+    return cell_id(backend, f"multiview{n_dimensions}", reference, "segment")
+
+
+def answer(result) -> dict:
+    return {
+        "labels": [v.spec.label for v in result.recommendations],
+        "utilities": {
+            spec.label: utility
+            for spec, utility in sorted(result.utilities.items())
+        },
+    }
+
+
+def all_cells() -> list[str]:
+    return [
+        cell_id(*parts)
+        for parts in itertools.product(BACKENDS, STRATEGIES, REFERENCES, PREDICATES)
+    ] + [
+        multiview_cell_id(*parts)
+        for parts in itertools.product(
+            BACKENDS, MULTIVIEW_DIMENSIONS, MULTIVIEW_REFERENCES
+        )
+    ]
 
 
 def compute_answers() -> dict:
@@ -82,14 +118,20 @@ def compute_answers() -> dict:
                         strategy=strategy,
                         options={"n_phases": 4} if strategy == "incremental" else {},
                     )
-                    result = seedb.recommend(request)
-                    answers[cell_id(backend_name, strategy, reference, name)] = {
-                        "labels": [v.spec.label for v in result.recommendations],
-                        "utilities": {
-                            spec.label: utility
-                            for spec, utility in sorted(result.utilities.items())
-                        },
-                    }
+                    answers[cell_id(backend_name, strategy, reference, name)] = (
+                        answer(seedb.recommend(request))
+                    )
+                for n, (reference, spec) in itertools.product(
+                    MULTIVIEW_DIMENSIONS, MULTIVIEW_REFERENCES.items()
+                ):
+                    request = RecommendationRequest(
+                        RowSelectQuery(table.name, PREDICATES["segment"]),
+                        k=K,
+                        reference=spec,
+                    )
+                    answers[multiview_cell_id(backend_name, n, reference)] = (
+                        answer(seedb.recommend(request, phases=multiview_phases(n)))
+                    )
         finally:
             backend.close()
     return answers
@@ -109,21 +151,10 @@ def golden():
 
 
 def test_every_cell_is_recorded(answers, golden):
-    assert sorted(answers) == sorted(golden)
-    assert len(golden) == (
-        len(BACKENDS) * len(STRATEGIES) * len(REFERENCES) * len(PREDICATES)
-    )
+    assert sorted(answers) == sorted(golden) == sorted(all_cells())
 
 
-@pytest.mark.parametrize(
-    "cell",
-    [
-        cell_id(*parts)
-        for parts in itertools.product(
-            BACKENDS, STRATEGIES, REFERENCES, PREDICATES
-        )
-    ],
-)
+@pytest.mark.parametrize("cell", all_cells())
 def test_answer_matches_golden(cell, answers, golden):
     got, expected = answers[cell], golden[cell]
     assert got["labels"] == expected["labels"]

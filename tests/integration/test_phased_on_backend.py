@@ -14,9 +14,7 @@ from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
-from repro.core.incremental import IncrementalRecommender
 from repro.core.recommender import SeeDB
-from repro.core.space import enumerate_views
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.query import RowSelectQuery
 from repro.optimizer.plan import GroupByCombining
@@ -26,7 +24,7 @@ from repro.testing.faults import (
     install_injector,
     uninstall_injector,
 )
-from repro.util.errors import BackendError, DeadlineExceeded
+from repro.util.errors import DeadlineExceeded
 
 N_PHASES = 10
 #: Pruning never engages: every round runs every step of the plan.
@@ -179,30 +177,6 @@ class TestCalibrationFeedback:
             assert calibration.snapshot() == before
             seedb.recommend(RecommendationRequest(query))
             assert calibration.snapshot() != before
-
-
-class TestIncrementalRecommenderBackend:
-    def test_executes_on_its_own_memory_backend(self, dataset, query):
-        recommender = IncrementalRecommender(dataset.table)
-        views = enumerate_views(dataset.table.schema, functions=("sum",))[:6]
-        backend = recommender.engine.backend
-        before = backend.statements_executed
-        result = recommender.recommend(
-            RecommendationRequest(query, k=2, strategy="incremental",
-                                  options={"n_phases": 3, "delta": 1e-9}),
-            views,
-        )
-        assert result.phases_executed == 3
-        assert backend.statements_executed > before
-
-    def test_foreign_table_is_a_typed_backend_error(self, dataset):
-        recommender = IncrementalRecommender(dataset.table)
-        views = enumerate_views(dataset.table.schema, functions=("sum",))[:2]
-        request = RecommendationRequest(
-            RowSelectQuery("elsewhere"), k=1, strategy="incremental"
-        )
-        with pytest.raises(BackendError, match="elsewhere"):
-            recommender.recommend(request, views)
 
 
 class TestDeadlineInsideARound:

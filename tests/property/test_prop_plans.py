@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.backends.duckdb import DuckDbBackend
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
-from repro.core.multiview import MultiViewSpec
+from repro.core import MultiViewSpec
 from repro.db.expressions import RowPartition, col
 from repro.db.table import Table
 from repro.db.types import AttributeRole

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multiview import MultiViewSpec
+from repro.core import MultiViewSpec
 from repro.core.result import RecommendationResult
 from repro.core.view import ScoredView, ViewSpec
 from repro.pruning.base import PruneReport

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.config import BASIC_FRAMEWORK, SeeDBConfig
+from repro.core.config import SeeDBConfig
 from repro.core.space import enumerate_views, view_space_size
 from repro.core.topk import top_k_views
 from repro.core.view_processor import ViewProcessor
@@ -13,7 +13,6 @@ from repro.db.types import AttributeRole
 from repro.metrics.normalize import NormalizationPolicy
 from repro.metrics.registry import get_metric
 from repro.model.view import RawViewData, ScoredView, ViewSpec
-from repro.optimizer.plan import GroupByCombining
 from repro.util.errors import ConfigError, QueryError, SchemaError
 
 
@@ -219,8 +218,3 @@ class TestSeeDBConfig:
         planner = config.planner_config()
         for field in dataclasses.fields(planner):
             assert getattr(planner, field.name) == getattr(config, field.name)
-
-    def test_basic_framework_preset(self):
-        assert not BASIC_FRAMEWORK.combine_target_comparison
-        assert BASIC_FRAMEWORK.groupby_combining is GroupByCombining.NONE
-        assert not BASIC_FRAMEWORK.pruning_pipeline().rules

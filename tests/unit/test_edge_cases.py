@@ -95,20 +95,19 @@ class TestAggregateEdges:
 
 
 class TestIncrementalWithHellinger:
-    def test_full_run(self, sales_table):
-        from repro.core.incremental import IncrementalRecommender
-        from repro.model.view import ViewSpec
+    def test_full_run(self, memory_backend):
+        from repro.core.recommender import SeeDB
 
-        recommender = IncrementalRecommender(sales_table, metric="hellinger")
-        views = [ViewSpec("store", "amount", "sum"), ViewSpec("month", None, "count")]
-        result = recommender.recommend(
+        result = SeeDB(memory_backend).recommend(
             RecommendationRequest(
                 RowSelectQuery("sales", col("product") == "Laserwave"),
                 k=1,
+                metric="hellinger",
+                dimensions=("store", "month"),
+                measures=("amount",),
                 strategy="incremental",
-                options={"n_phases": 2},
-            ),
-            views,
+                options={"n_phases": 2, "aggregate_functions": ["sum"]},
+            )
         )
         assert len(result.recommendations) == 1
         assert all(np.isfinite(u) for u in result.utilities.values())
@@ -117,8 +116,9 @@ class TestIncrementalWithHellinger:
 class TestMultiViewCountOnly:
     def test_count_views_without_measures(self):
         from repro.backends.memory import MemoryBackend
-        from repro.core.multiview import MultiViewRecommender
+        from repro.core.recommender import SeeDB
         from repro.db.types import AttributeRole
+        from repro.engine.multiview import multiview_phases
 
         table = Table.from_columns(
             "d3",
@@ -131,12 +131,14 @@ class TestMultiViewCountOnly:
         )
         backend = MemoryBackend()
         backend.register_table(table)
-        recommender = MultiViewRecommender(backend)
-        top = recommender.recommend(
-            RecommendationRequest(RowSelectQuery("d3", col("a") == "x"), k=2),
-            n_dimensions=2,
-            functions=(),
-        )
+        top = SeeDB(backend).recommend(
+            RecommendationRequest(
+                RowSelectQuery("d3", col("a") == "x"),
+                k=2,
+                options={"aggregate_functions": []},
+            ),
+            phases=multiview_phases(2),
+        ).recommendations
         assert top
         assert all(v.spec.func == "count" for v in top)
 

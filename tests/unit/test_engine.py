@@ -249,8 +249,8 @@ class TestSharedPool:
 
 
 class TestCustomMetricInstances:
-    """Facades accept DistanceMetric *instances*, not just registry names —
-    they must survive the trip through the engine phases unchanged."""
+    """A custom metric registered under a name reaches every path: the
+    multiview preset and the incremental strategy score with it."""
 
     @staticmethod
     def make_metric():
@@ -264,16 +264,20 @@ class TestCustomMetricInstances:
 
         return DoubledJS()
 
-    def test_multiview_uses_the_instance(self, memory_backend):
-        from repro.core.multiview import MultiViewRecommender
+    @staticmethod
+    def multiview(backend, request):
+        from repro.engine.multiview import multiview_phases
 
-        query = QUERY
-        stock = MultiViewRecommender(memory_backend).recommend(
-            RecommendationRequest(query, k=1), n_dimensions=2
-        )
-        custom = MultiViewRecommender(
-            memory_backend, metric=self.make_metric()
-        ).recommend(RecommendationRequest(query, k=1), n_dimensions=2)
+        with SeeDB(backend) as seedb:
+            return seedb.recommend(request, phases=multiview_phases(2))
+
+    def test_multiview_uses_the_registered_metric(
+        self, memory_backend, register_metric
+    ):
+        request = RecommendationRequest(QUERY, k=1)
+        stock = self.multiview(memory_backend, request).recommendations
+        register_metric(self.make_metric())
+        custom = self.multiview(memory_backend, request).recommendations
         assert custom[0].utility == pytest.approx(
             min(1.0, 2.0 * stock[0].utility)
         )
@@ -281,7 +285,6 @@ class TestCustomMetricInstances:
     def test_multiview_empty_table_returns_no_views(self):
         """Regression: no-group views are filtered, not recommended as
         zero-utility placeholders with empty distributions."""
-        from repro.core.multiview import MultiViewRecommender
         from repro.db.table import Table
         from repro.db.types import AttributeRole
 
@@ -297,23 +300,31 @@ class TestCustomMetricInstances:
         )
         backend = MemoryBackend()
         backend.register_table(empty)
-        assert MultiViewRecommender(backend).recommend(
-            RecommendationRequest(QUERY, k=3)
-        ) == []
+        result = self.multiview(backend, RecommendationRequest(QUERY, k=3))
+        assert result.recommendations == []
 
-    def test_incremental_uses_the_instance(self, sales_table):
-        from repro.core.incremental import IncrementalRecommender
-        from repro.core.space import enumerate_views, split_predicate_dimensions
-
-        views = enumerate_views(sales_table.schema, functions=("sum",))
-        views, _ = split_predicate_dimensions(views, QUERY.predicate)
+    def test_incremental_uses_the_registered_metric(
+        self, memory_backend, register_metric
+    ):
         request = RecommendationRequest(
-            QUERY, k=len(views), strategy="incremental", options={"n_phases": 2}
+            QUERY,
+            k=100,
+            strategy="incremental",
+            options={
+                "n_phases": 2,
+                "aggregate_functions": ["sum"],
+                "prune_low_variance": False,
+                "prune_cardinality": False,
+                "prune_correlated": False,
+            },
         )
-        stock = IncrementalRecommender(sales_table).recommend(request, views)
-        custom = IncrementalRecommender(
-            sales_table, metric=self.make_metric()
-        ).recommend(request, views)
+        with SeeDB(memory_backend) as seedb:
+            stock = seedb.recommend(request)
+        register_metric(self.make_metric())
+        with SeeDB(memory_backend) as seedb:
+            custom = seedb.recommend(request)
+        assert stock.utilities
+        assert set(custom.utilities) == set(stock.utilities)
         for spec, utility in stock.utilities.items():
             assert custom.utilities[spec] == pytest.approx(
                 min(1.0, 2.0 * utility)

@@ -1,20 +1,29 @@
-"""Unit tests: incremental execution with early termination."""
+"""Unit tests: incremental execution with early termination.
+
+An incremental run is ``SeeDB.recommend_iter`` on a request with
+``strategy="incremental"``; its pruning progress is read from the rounds.
+"""
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.api import RecommendationRequest
-from repro.core.incremental import IncrementalRecommender, IncrementalResult
+from repro.api import ApiError, RecommendationRequest
+from repro.backends.memory import MemoryBackend
+from repro.core.recommender import SeeDB
 from repro.core.space import enumerate_views
 from repro.core.view_processor import ViewProcessor
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
-from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.metrics.registry import get_metric
 from repro.model.view import ViewSpec
-from repro.util.errors import ConfigError
+
+#: The view list is the enumerated space itself: no rule may prune it.
+NO_PRUNING = {
+    "prune_low_variance": False,
+    "prune_cardinality": False,
+    "prune_correlated": False,
+}
 
 
 @pytest.fixture(scope="module")
@@ -27,25 +36,52 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
+def backend(dataset):
+    backend = MemoryBackend()
+    backend.register_table(dataset.table)
+    return backend
+
+
+@pytest.fixture(scope="module")
 def views(dataset):
     views = enumerate_views(dataset.table.schema, functions=("sum", "avg"))
     return [v for v in views if v.dimension != "segment"]
 
 
-def phased(dataset, k=5, **knobs):
+def phased(dataset, k=5, dimensions=None, measures=None, **options):
     """An incremental request for the dataset's planted predicate, phase
     knobs as options."""
     return RecommendationRequest(
         RowSelectQuery(dataset.table.name, dataset.predicate),
         k=k,
+        dimensions=dimensions,
+        measures=measures,
         strategy="incremental",
-        options=knobs,
+        options={**NO_PRUNING, **options},
     )
+
+
+def run(backend, request):
+    """Stream ``request``: its final result and its executed rounds."""
+    with SeeDB(backend) as seedb:
+        *rounds, final = seedb.recommend_iter(request)
+    assert final.is_final
+    return final.result, rounds
+
+
+def work_done(result, rounds) -> int:
+    """(view, phase) executions: every executed view runs in round 1, and
+    each later round runs the views alive after the round before it."""
+    return result.n_executed_views + sum(r.views_alive for r in rounds[:-1])
+
+
+def pruned(result, views) -> set:
+    """Views dropped before the last round: executed but not scored."""
+    return set(views) - set(result.utilities)
 
 
 def exact_utilities(dataset, views):
     """Ground truth via full single-shot execution."""
-    from repro.backends.memory import MemoryBackend
     from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
     backend = MemoryBackend()
@@ -68,32 +104,29 @@ def exact_utilities(dataset, views):
 
 
 class TestExactness:
-    def test_full_phases_match_single_shot(self, dataset, views):
+    def test_full_phases_match_single_shot(self, dataset, backend, views):
         """With no pruning opportunity (delta tiny) and all phases run,
         the accumulated estimates equal exact single-shot utilities."""
-        recommender = IncrementalRecommender(dataset.table, metric="js")
-        result = recommender.recommend(
-            phased(dataset, k=len(views), n_phases=4, delta=1e-9), views
+        result, rounds = run(
+            backend, phased(dataset, k=len(views), n_phases=4, delta=1e-9)
         )
         truth = exact_utilities(dataset, views)
-        assert result.phases_executed == 4
-        assert not result.pruned_at_phase
+        assert len(rounds) == 4
+        assert not pruned(result, views)
         for spec, utility in truth.items():
             assert result.utilities[spec] == pytest.approx(utility, rel=1e-9)
 
-    def test_single_phase_is_exact(self, dataset, views):
-        recommender = IncrementalRecommender(dataset.table)
-        result = recommender.recommend(phased(dataset, k=3, n_phases=1), views)
+    def test_single_phase_is_exact(self, dataset, backend, views):
+        result, _rounds = run(backend, phased(dataset, k=3, n_phases=1))
         truth = exact_utilities(dataset, views)
         for spec in views:
             assert result.utilities[spec] == pytest.approx(truth[spec], rel=1e-9)
 
 
 class TestPruning:
-    def test_pruning_saves_work_and_keeps_topk(self, dataset, views):
-        recommender = IncrementalRecommender(dataset.table, metric="js")
-        result = recommender.recommend(
-            phased(dataset, k=3, n_phases=10, delta=0.2), views
+    def test_pruning_saves_work_and_keeps_topk(self, dataset, backend, views):
+        result, rounds = run(
+            backend, phased(dataset, k=3, n_phases=10, delta=0.2)
         )
         truth = exact_utilities(dataset, views)
         true_top = [
@@ -102,58 +135,73 @@ class TestPruning:
         ][:3]
         recommended = [v.spec for v in result.recommendations]
         assert len(set(recommended) & set(true_top)) >= 2
-        assert result.work_saved_fraction > 0.0
-        assert result.pruned_at_phase  # something was pruned early
+        assert work_done(result, rounds) < len(views) * 10
+        assert pruned(result, views)  # something was pruned early
 
-    def test_pruned_views_are_truly_bad(self, dataset, views):
-        recommender = IncrementalRecommender(dataset.table, metric="js")
-        result = recommender.recommend(
-            phased(dataset, k=3, n_phases=10, delta=0.1), views
+    def test_pruned_views_are_truly_bad(self, dataset, backend, views):
+        result, _rounds = run(
+            backend, phased(dataset, k=3, n_phases=10, delta=0.1)
         )
         truth = exact_utilities(dataset, views)
-        if not result.pruned_at_phase:
+        dropped = pruned(result, views)
+        if not dropped:
             pytest.skip("nothing pruned on this workload")
         top3 = sorted(truth.values(), reverse=True)[2]
-        for spec in result.pruned_at_phase:
+        for spec in dropped:
             # A pruned view must not actually belong in the exact top-3
             # by a wide margin (the bound's failure mode).
             assert truth[spec] < top3 + 0.05
 
-    def test_no_pruning_below_min_phases(self, dataset, views):
-        recommender = IncrementalRecommender(dataset.table)
-        result = recommender.recommend(
-            phased(dataset, k=3, n_phases=2, min_phases_before_pruning=5), views
+    def test_no_pruning_below_min_phases(self, dataset, backend, views):
+        result, _rounds = run(
+            backend,
+            phased(dataset, k=3, n_phases=2, min_phases_before_pruning=5),
         )
-        assert not result.pruned_at_phase
+        assert not pruned(result, views)
 
 
 class TestValidationAndEdges:
-    def test_unbounded_metric_rejected(self, dataset):
-        with pytest.raises(ConfigError, match="bounded"):
-            IncrementalRecommender(dataset.table, metric="kl")
+    def test_unbounded_metric_rejected(self, dataset, backend):
+        with pytest.raises(ApiError, match="bounded") as excinfo:
+            SeeDB(backend).recommend(
+                replace(phased(dataset, k=3), metric="kl")
+            )
+        assert excinfo.value.field == "metric"
 
-    def test_empty_views(self, dataset):
-        recommender = IncrementalRecommender(dataset.table)
-        result = recommender.recommend(phased(dataset, k=3), [])
+    def test_empty_views(self, dataset, backend):
+        result, rounds = run(backend, phased(dataset, k=3, dimensions=()))
         assert result.recommendations == []
-        assert result.work_saved_fraction == 0.0
+        assert rounds == []
 
-    def test_none_predicate(self, dataset, views):
-        recommender = IncrementalRecommender(dataset.table)
+    def test_none_predicate(self, dataset, backend):
         request = replace(
-            phased(dataset, k=2, n_phases=3),
+            phased(dataset, k=2, dimensions=("d0",), measures=("m0",),
+                   n_phases=3),
             target=RowSelectQuery(dataset.table.name),
         )
-        result = recommender.recommend(request, views[:4])
+        result, _rounds = run(backend, request)
+        assert result.utilities
         # target == comparison everywhere -> all utilities ~0.
         for utility in result.utilities.values():
             assert utility == pytest.approx(0.0, abs=1e-9)
 
-    def test_work_accounting(self, dataset, views):
-        recommender = IncrementalRecommender(dataset.table)
-        subset = views[:6]
-        result = recommender.recommend(
-            phased(dataset, k=6, n_phases=3, delta=1e-9), subset
+    def test_work_accounting(self, dataset, backend):
+        result, rounds = run(
+            backend,
+            phased(dataset, k=6, dimensions=("d0", "d1"), measures=("m0",),
+                   n_phases=3, delta=1e-9),
         )
-        assert result.work_possible == 18
-        assert result.work_done == 18  # k == len(views): nothing prunable
+        assert result.n_executed_views == 6
+        assert len(rounds) == 3
+        assert work_done(result, rounds) == 18  # k == views: nothing prunable
+
+    def test_aggregate_functions_option_is_honoured(self, dataset, backend):
+        """Request options shape the incremental view space, as they do the
+        batch one."""
+        result, _rounds = run(
+            backend,
+            phased(dataset, k=3, n_phases=2, aggregate_functions=["sum"],
+                   include_count_views=False),
+        )
+        assert result.utilities
+        assert {spec.func for spec in result.utilities} == {"sum"}

@@ -40,9 +40,11 @@ class TestHellinger:
         assert HellingerDistance().distance(p, q) == pytest.approx(expected)
 
     def test_usable_by_incremental(self, sales_table):
-        from repro.core.incremental import IncrementalRecommender
+        from repro.api import RecommendationRequest
 
-        IncrementalRecommender(sales_table, metric="hellinger")  # no raise
+        RecommendationRequest.from_sql(
+            "SELECT * FROM sales", metric="hellinger", strategy="incremental"
+        ).resolve()  # no raise: hellinger is [0, 1]-bounded
 
 
 def make_view(target_values, comparison_distribution):

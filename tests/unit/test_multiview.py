@@ -1,4 +1,5 @@
-"""Unit tests: the multi-attribute view extension (§2 generalization)."""
+"""Unit tests: the multi-attribute view extension (§2 generalization),
+run as the ``multiview_phases`` preset through ``SeeDB.recommend``."""
 
 import math
 
@@ -8,15 +9,23 @@ import pytest
 from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
-from repro.core.multiview import (
-    MultiViewRecommender,
-    MultiViewSpec,
-    enumerate_multi_views,
-)
+from repro.core import MultiViewSpec, SeeDB, enumerate_multi_views
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import col
 from repro.db.query import AggregateQuery, RowSelectQuery
+from repro.engine.multiview import multiview_phases
 from repro.util.errors import ConfigError, QueryError
+
+#: Sum views only: the options of a hand-checked multiview request.
+SUMS_ONLY = {"aggregate_functions": ["sum"], "include_count_views": False}
+
+
+def multiview(backend, request, n_dimensions=2):
+    """The recommendations of ``request`` under the multiview preset."""
+    with SeeDB(backend) as seedb:
+        return seedb.recommend(
+            request, phases=multiview_phases(n_dimensions)
+        ).recommendations
 
 
 class TestSpec:
@@ -79,13 +88,10 @@ class TestRecommendation:
         from repro.metrics.normalize import align_series, normalize_distribution
         from repro.metrics.registry import get_metric
 
-        recommender = MultiViewRecommender(memory_backend, metric="js")
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        top = recommender.recommend(
-            RecommendationRequest(query, k=10),
-            n_dimensions=2,
-            functions=("sum",),
-            include_count=False,
+        top = multiview(
+            memory_backend,
+            RecommendationRequest(query, k=10, metric="js", options=SUMS_ONLY),
         )
         # Manual: sum(amount) by (store, month) target vs comparison.
         target = memory_backend.execute(
@@ -118,37 +124,43 @@ class TestRecommendation:
         assert view.utility == pytest.approx(expected, rel=1e-9)
 
     def test_predicate_dimensions_excluded(self, memory_backend):
-        recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        top = recommender.recommend(RecommendationRequest(query, k=20), n_dimensions=2)
+        top = multiview(memory_backend, RecommendationRequest(query, k=20))
         for view in top:
             assert "product" not in view.spec.dimensions
 
-    def test_groups_are_tuples(self, memory_backend):
-        recommender = MultiViewRecommender(memory_backend)
+    def test_include_count_views_option_is_honoured(self, memory_backend):
+        """Request options shape the multiview space, as they do the
+        batch one."""
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        top = recommender.recommend(RecommendationRequest(query, k=1), n_dimensions=2)
+        with_counts = multiview(memory_backend, RecommendationRequest(query, k=20))
+        assert any(view.spec.func == "count" for view in with_counts)
+        top = multiview(
+            memory_backend,
+            RecommendationRequest(
+                query, k=20, options={"include_count_views": False}
+            ),
+        )
+        assert top
+        assert all(view.spec.func != "count" for view in top)
+
+    def test_groups_are_tuples(self, memory_backend):
+        query = RowSelectQuery("sales", col("product") == "Laserwave")
+        top = multiview(memory_backend, RecommendationRequest(query, k=1))
         assert top
         assert all(isinstance(group, tuple) for group in top[0].groups)
 
     def test_distributions_valid(self, memory_backend):
-        recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("amount") > 50)
-        for view in recommender.recommend(
-            RecommendationRequest(query, k=5), n_dimensions=2
-        ):
+        for view in multiview(memory_backend, RecommendationRequest(query, k=5)):
             assert view.target_distribution.sum() == pytest.approx(1.0)
             assert view.comparison_distribution.sum() == pytest.approx(1.0)
             assert math.isfinite(view.utility)
 
     def test_works_on_sqlite(self, sqlite_backend, memory_backend):
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        lite = MultiViewRecommender(sqlite_backend).recommend(
-            RecommendationRequest(query, k=3), n_dimensions=2
-        )
-        mem = MultiViewRecommender(memory_backend).recommend(
-            RecommendationRequest(query, k=3), n_dimensions=2
-        )
+        lite = multiview(sqlite_backend, RecommendationRequest(query, k=3))
+        mem = multiview(memory_backend, RecommendationRequest(query, k=3))
         assert [v.spec for v in lite] == [v.spec for v in mem]
         for a, b in zip(lite, mem):
             assert a.utility == pytest.approx(b.utility, rel=1e-9)
@@ -166,15 +178,15 @@ class TestRecommendation:
         target_predicate = col("product") == "Laserwave"
         second_predicate = col("amount") < 150  # overlaps the target
         before = backend.queries_executed
-        top = MultiViewRecommender(backend, metric="js").recommend(
+        top = multiview(
+            backend,
             RecommendationRequest(
                 RowSelectQuery("sales", target_predicate),
                 k=10,
+                metric="js",
                 reference=Reference.query(RowSelectQuery("sales", second_predicate)),
+                options=SUMS_ONLY,
             ),
-            n_dimensions=2,
-            functions=("sum",),
-            include_count=False,
         )
         # (store, month) is the one combination the predicate leaves.
         assert backend.queries_executed - before == 2
@@ -202,10 +214,7 @@ class TestRecommendation:
         assert view.utility == pytest.approx(expected, rel=1e-9)
 
     def test_k_and_ties_deterministic(self, memory_backend):
-        recommender = MultiViewRecommender(memory_backend)
         query = RowSelectQuery("sales", col("product") == "Laserwave")
-        first = recommender.recommend(RecommendationRequest(query, k=4), n_dimensions=2)
-        second = recommender.recommend(
-            RecommendationRequest(query, k=4), n_dimensions=2
-        )
+        first = multiview(memory_backend, RecommendationRequest(query, k=4))
+        second = multiview(memory_backend, RecommendationRequest(query, k=4))
         assert [v.spec for v in first] == [v.spec for v in second]

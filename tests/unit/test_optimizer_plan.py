@@ -60,7 +60,7 @@ class TestViewGroup:
         ]
 
     def test_tuple_dimension_keys(self):
-        from repro.core.multiview import MultiViewSpec
+        from repro.core import MultiViewSpec
 
         view = MultiViewSpec(("store", "month"), "amount", "sum")
         assert ViewGroup(("store", "month"), (view,)).keys == ("store", "month")
