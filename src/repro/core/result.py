@@ -67,8 +67,8 @@ class RecommendationResult:
     #: JSON-safe visualization frames (one per recommended view, built by
     #: the RenderPhase) when the request's ``options.render`` asked for
     #: them; None otherwise. Carried inside the result so every transport
-    #: — result LRU, coalesced joiners, the shm cluster transport — ships
-    #: the charts with the data.
+    #: — result LRU, coalesced joiners, the cluster reply pipe — ships the
+    #: charts with the data.
     visualizations: "list[dict] | None" = None
 
     @classmethod

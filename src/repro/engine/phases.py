@@ -323,8 +323,8 @@ class RenderPhase(Phase):
     semantic tag, series count) and emitted as a JSON-safe frame —
     Vega-Lite spec or standalone SVG plus the chart-type rationale.
     Frames live on ``ctx.visualizations`` and travel inside the result,
-    so coalesced joiners, the result LRU, and the shm cluster transport
-    all carry them without re-rendering.
+    so coalesced joiners, the result LRU, and the cluster reply pipe all
+    carry them without re-rendering.
     """
 
     name = "render"

@@ -157,7 +157,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker *processes* for the sharded cluster tier (0 = serve "
         "from threads in this process; N >= 1 spawns N process shards "
-        "with consistent-hash routing and shared-memory result transport)",
+        "with consistent-hash routing; results return on each worker's "
+        "reply pipe)",
     )
     parser.add_argument(
         "--query-workers",

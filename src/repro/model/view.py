@@ -43,6 +43,12 @@ class ViewSpec:
                 "may omit the measure"
             )
 
+    def __reduce__(self):
+        # Pickle as a constructor call: a cluster reply carries one spec
+        # per executed view, and the slots-dataclass state protocol costs
+        # a Python-level call per spec on each side of the pipe.
+        return (ViewSpec, (self.dimension, self.measure, self.func))
+
     @property
     def sort_key(self) -> tuple[str, str, str]:
         """None-safe lexicographic ordering key."""

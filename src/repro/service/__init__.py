@@ -10,8 +10,9 @@ attach a :class:`WorkerRing` (``SeeDBService(ring=...)``, or the
 :class:`ClusterService` constructor that builds one) and blocking jobs
 execute on a consistent-hash ring of worker *processes* with private
 backend replicas instead — for workloads the GIL caps in a single
-process. Results come back in per-reply shared-memory segments
-(:mod:`repro.service.shm`) and are cached once, in the service's LRU.
+process. Results come back pickled on each worker's reply pipe
+(:func:`encode_result` / :func:`decode_result`) and are cached once, in
+the service's LRU.
 The HTTP frontend (:mod:`repro.frontend.server`) and interactive analyst
 sessions both route through one service, sharing one set of warm caches.
 
@@ -35,7 +36,7 @@ from repro.service.service import (
     ServiceStats,
     single_backend_service,
 )
-from repro.service.shm import decode_result, encode_result
+from repro.service.worker import decode_result, encode_result
 
 __all__ = [
     "SeeDBService",

@@ -26,14 +26,12 @@ identically in both tiers:
   re-resolves the wire-form request against the same base config the
   router resolved it against — same inputs, same pipeline, bit-identical
   results.
-* **Results cross processes without pickle, and are cached once.** A
-  worker writes each finished result into a shared-memory segment named
-  for that one reply (:mod:`repro.service.shm`); only the name rides the
-  reply pipe, and the router decodes and unlinks the segment at once
-  (encoded bytes ride in-band when shared memory is unavailable or the
-  write tore). The decoded result then lands in the service's LRU — the
-  router is the only reader there ever was, so that is the one result
-  cache.
+* **Results ride the reply pipe, and are cached once.** A worker
+  pickles each finished result into its reply
+  (:func:`~repro.service.worker.encode_result`); the router thread only
+  multiplexes replies, and the caller waiting on the job unpickles its
+  own. The decoded result then lands in the service's LRU — the router
+  is the only reader there ever was, so that is the one result cache.
 * **Crashes are contained.** A monitor thread watches process sentinels;
   a dead worker is respawned from the current authoritative bootstrap,
   and its in-flight requests are retried once on the next ring node.
@@ -46,8 +44,8 @@ same interface, and plain ``SeeDBService`` remains the no-process tier —
 
 Streams (``recommend_stream``) deliberately execute on the router process
 whether or not a ring is attached: progressive rounds are latency-bound,
-not throughput-bound, and fanning partial rounds through shared memory
-would buy nothing.
+not throughput-bound, and fanning partial rounds through worker
+processes would buy nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ import multiprocessing
 import random
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from multiprocessing import connection as mp_connection
@@ -69,13 +66,12 @@ from repro.core.result import RecommendationResult
 from repro.db.table import Table
 from repro.service.hashring import HashRing
 from repro.service.service import DEFAULT_BACKEND, Job, SeeDBService, _BackendSlot
-from repro.service.shm import (
+from repro.service.worker import (
+    BackendBootstrap,
+    decode_error,
     decode_result,
-    read_segment,
-    unlink_prefix,
-    validate_prefix,
+    worker_main,
 )
-from repro.service.worker import BackendBootstrap, decode_error, worker_main
 from repro.util.deadline import CancelToken
 from repro.util.errors import ConfigError, DeadlineExceeded, QueryError, WorkerLost
 
@@ -225,7 +221,6 @@ class WorkerRing:
         self,
         workers: int = 2,
         ring_replicas: int = 64,
-        shm_prefix: "str | None" = None,
         start_method: "str | None" = None,
         timeouts: "ClusterTimeouts | None" = None,
     ):
@@ -235,11 +230,6 @@ class WorkerRing:
         self.timeouts = timeouts or ClusterTimeouts()
         self._ctx = multiprocessing.get_context(
             start_method or default_start_method()
-        )
-        #: Every reply segment a worker writes is named under this prefix,
-        #: so close() can sweep what a killed worker never announced.
-        self.shm_prefix = validate_prefix(
-            shm_prefix or f"sdb{uuid.uuid4().hex[:8]}."
         )
         self._hash = HashRing(replicas=ring_replicas)
         self._lock = threading.RLock()
@@ -305,7 +295,6 @@ class WorkerRing:
             args=(
                 worker_id,
                 list(self._bootstraps.values()),
-                self.shm_prefix,
                 inbox,
                 writer,
                 self.timeouts.worker_idle_poll_s,
@@ -320,8 +309,8 @@ class WorkerRing:
         return _WorkerHandle(worker_id, process, inbox, reader, generation)
 
     def close(self) -> None:
-        """Stop workers and threads, fail what is still pending, release
-        every segment under the prefix (idempotent).
+        """Stop workers and threads, fail what is still pending
+        (idempotent).
 
         The driver drains its own in-flight jobs first; until this runs
         the monitor still covers crashes.
@@ -338,9 +327,6 @@ class WorkerRing:
             if self._monitor_thread is not None:
                 self._monitor_thread.join(timeout=self.timeouts.monitor_join_s)
         self._fail_all_pending(QueryError("service closed"))
-        # Read segments are already gone (the read unlinks them); this
-        # catches what a killed worker wrote and never announced.
-        unlink_prefix(self.shm_prefix)
 
     def _shutdown_workers(self) -> None:
         with self._lock:
@@ -370,7 +356,8 @@ class WorkerRing:
         """Execute one job on the worker owning its key's shard.
 
         Blocks the calling thread until the worker replies, the job's
-        token is cancelled, or its deadline (plus dispatch grace) lands.
+        token is cancelled, or its deadline (plus dispatch grace) lands,
+        then decodes the reply on this thread, not the router's.
         """
         message = {
             "op": "request",
@@ -389,16 +376,6 @@ class WorkerRing:
         reply = self._dispatch(message, key_digest(job.key), job.token)
         if "error" in reply:
             raise decode_error(reply["error"])
-        if "shm" in reply:
-            try:
-                return read_segment(reply["shm"])
-            except (FileNotFoundError, OSError, ConfigError) as exc:
-                raise QueryError(
-                    f"worker result segment {reply['shm']!r} vanished "
-                    f"before the router read it: {exc}"
-                ) from exc
-        # In-band fallback (shared memory unavailable or the write tore):
-        # same encoding, shipped as bytes.
         return decode_result(reply["payload"])
 
     def _dispatch(self, message: dict, digest: str, token: CancelToken) -> dict:
@@ -777,14 +754,13 @@ class WorkerRing:
             "ejections": ejections,
             "executed_total": executed_total,
             "worker_stats": worker_stats,
-            "shm_prefix": self.shm_prefix,
         }
 
 
 class ClusterService(SeeDBService):
     """A :class:`SeeDBService` with a :class:`WorkerRing` attached.
 
-    Only a constructor: ``workers`` / ``ring_replicas`` / ``shm_prefix`` /
+    Only a constructor: ``workers`` / ``ring_replicas`` /
     ``start_method`` / ``timeouts`` build the ring, everything else is
     the service's. ``max_workers`` still bounds concurrent *dispatches*
     and should be >= ``workers`` to keep every shard busy. Register
@@ -796,12 +772,11 @@ class ClusterService(SeeDBService):
         self,
         workers: int = 2,
         ring_replicas: int = 64,
-        shm_prefix: "str | None" = None,
         start_method: "str | None" = None,
         timeouts: "ClusterTimeouts | None" = None,
         **service_kwargs,
     ):
-        ring = WorkerRing(workers, ring_replicas, shm_prefix, start_method, timeouts)
+        ring = WorkerRing(workers, ring_replicas, start_method, timeouts)
         super().__init__(ring=ring, **service_kwargs)
 
     @property

@@ -12,11 +12,10 @@ Requests cross the process boundary in wire form — the PR 4 codec's
 ``RecommendationRequest.to_dict()`` — and the worker re-runs the exact
 resolution the router ran (same request, same base config), which is what
 makes cluster results bit-identical to single-process ones. Each
-finished result leaves in a shared-memory segment written for that one
-reply (:class:`~repro.service.shm.SegmentWriter`); only the segment name
-(or, if shared memory fails, the encoded bytes) travels on the reply
-pipe, and the router unlinks the segment as it reads it. Workers cache no
-results — the router's LRU is the one result cache.
+finished result rides its reply as one pickled blob
+(:func:`encode_result`), which the waiting router thread unpickles
+(:func:`decode_result`); every result field crosses by construction.
+Workers cache no results — the router's LRU is the one result cache.
 
 The message protocol (dicts over a ``multiprocessing`` queue inbound and
 a private per-worker ``Pipe`` outbound — private so one SIGKILLed worker
@@ -26,8 +25,8 @@ can only tear its own reply stream, never a shared channel's framing):
 parent -> worker   ``request`` (execute + reply), ``register_table``
                    (replica data update), ``ping``, ``stats``,
                    ``shutdown``
-worker -> parent   ``result`` (with ``shm`` | ``payload`` | ``error``),
-                   ``ack``, ``stats``, ``bye``
+worker -> parent   ``result`` (with ``payload`` | ``error``), ``ack``,
+                   ``stats``, ``bye``
 =================  =====================================================
 
 Every reply carries the request ``id`` and the worker's id; the parent's
@@ -39,15 +38,16 @@ when available) and re-raised parent-side for the waiting future.
 from __future__ import annotations
 
 import os
+import pickle
 import queue
 import signal
 from dataclasses import dataclass
 
 from repro.api.errors import ApiError
 from repro.api.request import RecommendationRequest
+from repro.core.result import RecommendationResult
 from repro.db.table import Table
 from repro.engine.engine import ExecutionEngine, resolve_request
-from repro.service.shm import SegmentWriter, encode_result
 from repro.testing.faults import fault_point
 from repro.util.deadline import CancelToken, Deadline
 from repro.util.errors import QueryError
@@ -66,6 +66,16 @@ class BackendBootstrap:
     name: str
     scheme: str
     tables: "list[Table]"
+
+
+def encode_result(result: RecommendationResult) -> bytes:
+    """A finished result's wire form for the reply pipe."""
+    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_result(blob: bytes) -> RecommendationResult:
+    """The result :func:`encode_result` encoded (router side)."""
+    return pickle.loads(blob)
 
 
 def encode_error(exc: BaseException) -> dict:
@@ -137,7 +147,7 @@ class _WorkerSlots:
         return out
 
 
-def _handle_request(message: dict, slots: _WorkerSlots, writer: SegmentWriter):
+def _handle_request(message: dict, slots: _WorkerSlots) -> dict:
     """Execute one request; returns the transport fields of the reply."""
     request = RecommendationRequest.from_dict(message["request"])
     resolved = resolve_request(request, message["config"])
@@ -159,11 +169,6 @@ def _handle_request(message: dict, slots: _WorkerSlots, writer: SegmentWriter):
         else None
     )
     result = engine.recommend(resolved, cancel_token=token).to_result()
-    name = writer.write(result)
-    if name is not None:
-        return {"shm": name}
-    # Shared memory unavailable/exhausted (or the write tore): ship the
-    # same pickle-free encoding in-band instead.
     return {"payload": encode_result(result)}
 
 
@@ -183,7 +188,6 @@ def _send(outbox, message: dict) -> None:
 def worker_main(
     worker_id: str,
     bootstraps: "list[BackendBootstrap]",
-    shm_prefix: str,
     inbox,
     outbox,
     idle_poll_s: float,
@@ -198,7 +202,6 @@ def worker_main(
     # requests before the parent has drained them.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    writer = SegmentWriter(shm_prefix)
     counters = {"executed": 0, "errors": 0, "tables_registered": 0}
     try:
         slots = _WorkerSlots(bootstraps)
@@ -234,7 +237,7 @@ def worker_main(
                     # worker between dequeue and execution (the window the
                     # monitor's reassign logic exists for).
                     fault_point("worker.request")
-                    reply.update(_handle_request(message, slots, writer))
+                    reply.update(_handle_request(message, slots))
                     counters["executed"] += 1
                 elif op == "register_table":
                     slots.register_table(message["backend"], message["table"])
@@ -243,7 +246,6 @@ def worker_main(
                     reply["op"] = "stats"
                     reply["stats"] = {
                         **counters,
-                        "shm": writer.stats(),
                         "engine_cache": slots.cache_stats(),
                     }
                 elif op == "ping":

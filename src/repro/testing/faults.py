@@ -1,8 +1,8 @@
 """Deterministic fault injection for the chaos suite.
 
 Production code marks its failure seams with :func:`fault_point` calls —
-backend query execution, worker request handling, shared-memory segment
-writes, dispatch queues. With no injector installed (the default, always
+backend query execution, incremental rounds, worker request handling.
+With no injector installed (the default, always
 in production) a fault point is one global read and a ``None`` check.
 
 Tests install a :class:`FaultInjector` built from :class:`FaultSpec`
@@ -20,9 +20,6 @@ Actions:
 ``error``  raise ``error_type`` (default :class:`FaultInjected`).
 ``die``    ``os._exit(86)`` — models a worker process crash. Never fires
            in the parent service process unless you install it there.
-``tear``   no side effect here; the *call site* asks via the returned
-           action set and simulates the failure itself (e.g. a
-           shared-memory segment write that did not complete).
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ class FaultSpec:
     """
 
     point: str
-    action: str  # stall | hang | error | die | tear
+    action: str  # stall | hang | error | die
     probability: float = 1.0
     delay_s: float = 0.05
     limit: "int | None" = None
@@ -99,8 +96,7 @@ class FaultInjector:
     def evaluate(self, point: str) -> "set[str]":
         """Decide which actions fire at ``point`` and apply side effects.
 
-        Returns the actions that fired; behavior-flip actions (``tear``)
-        carry no side effect here — the call site inspects the set.
+        Returns the actions that fired.
         """
         actions: "set[str]" = set()
         to_apply: "list[FaultSpec]" = []
@@ -152,8 +148,7 @@ def fault_point(point: str) -> "set[str]":
     """Evaluate ``point`` against the installed injector, if any.
 
     The production fast path is one module-global read. Returns the set
-    of actions that fired so behavior-flip call sites (``tear``) can ask
-    ``"tear" in fault_point("shm.put")``.
+    of actions that fired.
     """
     injector = _INJECTOR
     if injector is None:

@@ -11,7 +11,7 @@ A frame is plain JSON: the paired view's label and rank, the chart type
 with the selector's rationale (DataVizard-style presentation rules), and
 the artifact itself — a Vega-Lite v5 spec or a standalone SVG document.
 Frames attach to :class:`~repro.core.result.RecommendationResult` and ride
-every transport (result LRU, coalesced joiners, the shm cluster codec)
+every transport (result LRU, coalesced joiners, the cluster reply pipe)
 without re-rendering.
 """
 

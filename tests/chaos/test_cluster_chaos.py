@@ -1,4 +1,4 @@
-"""Chaos suite: process-tier faults — worker kills, hangs, and shm tears.
+"""Chaos suite: process-tier faults — worker kills and hangs.
 
 The injector is installed in the *parent* before ``start()``; with the
 ``fork`` start method every worker (including monitor respawns) inherits
@@ -18,7 +18,6 @@ import pytest
 from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
 from repro.core.config import SeeDBConfig
-from repro.core.recommender import SeeDB
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.service import ClusterTimeouts, single_backend_cluster
@@ -146,39 +145,3 @@ class TestWorkerHang:
         finally:
             service.close()
 
-
-class TestShmTear:
-    def test_torn_shm_write_falls_back_in_band(self, sales_table):
-        """Every shared-memory publish tears mid-write: the worker ships
-        the encoded result in-band instead, the client's answer is
-        bit-identical to a serial run, and no half-written segment is
-        ever visible to readers."""
-        backend = MemoryBackend()
-        backend.register_table(sales_table)
-        expected = SeeDB(backend, SeeDBConfig(k=3)).recommend(
-            RecommendationRequest(QUERY)
-        )
-
-        install_injector(FaultInjector([FaultSpec("shm.put", "tear")]))
-        service = make_cluster(sales_table, result_cache_size=256)
-        try:
-            result = service.recommend(RecommendationRequest(QUERY))
-            assert [v.spec for v in result.recommendations] == [
-                v.spec for v in expected.recommendations
-            ]
-            assert [v.utility for v in result.recommendations] == [
-                v.utility for v in expected.recommendations
-            ]
-            assert service.stats.failed == 0
-            # The tear actually fired: the worker's counter proves the
-            # degraded path was taken.
-            worker_stats = service.snapshot()["cluster"]["worker_stats"]
-            assert worker_stats["w0"]["shm"]["put_failures"] >= 1
-            # A repeat of the request still serves the same bits — the
-            # torn segment never reached a reader.
-            repeat = service.recommend(RecommendationRequest(QUERY))
-            assert [v.spec for v in repeat.recommendations] == [
-                v.spec for v in expected.recommendations
-            ]
-        finally:
-            service.close()

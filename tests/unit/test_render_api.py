@@ -1,8 +1,8 @@
 """Unit tests: the v3 ``options.render`` block end to end.
 
 Validation of the block itself, the RenderPhase's frames on blocking
-execution, wire serialization, and the shared-memory codec carrying
-frames across the cluster tier.
+execution, wire serialization, and the cluster result codec carrying
+frames across processes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.api.request import RENDER_OPTION_DEFAULTS
 from repro.api.wire import result_to_json
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
-from repro.service.shm import decode_result, encode_result
+from repro.service import decode_result, encode_result
 
 SQL = "SELECT * FROM sales WHERE product = 'Laserwave'"
 
