@@ -5,35 +5,63 @@ the total latency decreases at the cost of increased per query execution
 time." The workload is a plan of independent per-dimension steps on the
 SQLite backend (whose C-level execution releases the GIL, so threads give
 real concurrency); we sweep the worker count and record both total and
-mean per-step latency. Only the shape is asserted — every worker count
-executes every step; the latencies depend on the machine's cores.
+mean per-query latency. Only the shape is asserted — every worker count
+executes every query; the latencies depend on the machine's cores.
 
-Executors run in the engines' production mode — bounded views over the
-process-wide shared :class:`WorkerPool`, warmed before timing — so the
-numbers reflect steady-state service throughput, not cold pool startup
-(the old sweep built a throwaway executor per run and paid thread-spawn
-cost inside every measurement).
+Plans run the way the engine runs them — :meth:`ExecutionPlan.run` over
+the process-wide bounded pool, warmed before timing — and each query is
+timed at the backend seam by a bench-local :class:`SqliteBackend`
+subclass. The sweep stops at :data:`MAX_TOTAL_WORKERS`, the pool's bound:
+a larger ``n_workers`` would claim no more threads than that.
 """
 
 import os
+import threading
+import time
 
 import pytest
 
 from repro.backends.sqlite import SqliteBackend
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.model.view import ViewSpec
-from repro.optimizer.parallel import (
-    DEFAULT_MAX_TOTAL_WORKERS,
-    ParallelExecutor,
-    configure_shared_pool,
-    get_shared_pool,
-)
+from repro.optimizer.parallel import MAX_TOTAL_WORKERS
 from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
-#: The sweep goes up to 8 workers; on small machines the shared pool's
-#: default bound (cpu-derived) would silently cap effective parallelism
-#: below the row label, so widen it for the sweep and restore after.
-SWEEP_MAX_WORKERS = 8
+SWEEP = tuple(n for n in (1, 2, 4, 8) if n <= MAX_TOTAL_WORKERS)
+
+
+class TimedSqliteBackend(SqliteBackend):
+    """Records the wall-clock seconds of every ``execute`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.query_seconds: list[float] = []
+        self._timings_lock = threading.Lock()
+
+    def execute(self, query):
+        start = time.perf_counter()
+        try:
+            return super().execute(query)
+        finally:
+            elapsed = time.perf_counter() - start
+            with self._timings_lock:
+                self.query_seconds.append(elapsed)
+
+    def timed_run(self, plan: ExecutionPlan, n_workers: int) -> dict:
+        """Run ``plan`` once; its total and per-query latencies."""
+        with self._timings_lock:
+            self.query_seconds = []
+        start = time.perf_counter()
+        plan.run(self, n_workers)
+        total = time.perf_counter() - start
+        with self._timings_lock:
+            seconds = list(self.query_seconds)
+        return {
+            "queries": len(seconds),
+            "total_s": round(total, 4),
+            "mean_per_query_s": round(sum(seconds) / len(seconds), 4),
+            "max_query_s": round(max(seconds), 4),
+        }
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +71,7 @@ def workload():
                         cardinality=10),
         seed=55,
     )
-    backend = SqliteBackend()
+    backend = TimedSqliteBackend()
     backend.register_table(dataset.table)
     views = [ViewSpec(f"d{i}", "m0", "sum") for i in range(12)]
     plan = ExecutionPlan(
@@ -60,43 +88,27 @@ def workload():
 def test_parallelism_sweep(benchmark, record_rows, workload):
     backend, plan = workload
     n_cores = len(os.sched_getaffinity(0))
-    pool = configure_shared_pool(
-        max(SWEEP_MAX_WORKERS, DEFAULT_MAX_TOTAL_WORKERS)
-    )
 
     def sweep():
         rows = []
-        for n_workers in (1, 2, 4, 8):
-            # One persistent shared-pool executor per configuration, with a
-            # warmup run before timing: measurements see warm threads, the
-            # steady state a long-lived service actually runs in.
-            executor = ParallelExecutor(n_workers, pool=pool)
-            executor.run(plan, backend)
+        for n_workers in SWEEP:
+            # A warmup run before timing: measurements see warm pool
+            # threads (and their sqlite connections), the steady state a
+            # long-lived service actually runs in.
+            backend.timed_run(plan, n_workers)
             # Best-of-2 per configuration: thread scheduling on small
             # containers is noisy and a single run misleads.
-            reports = [executor.run(plan, backend)[1] for _ in range(2)]
-            best = min(reports, key=lambda r: r.total_seconds)
-            rows.append(
-                {
-                    "workers": n_workers,
-                    "cores": n_cores,
-                    "pool_reuses": executor.pool_reuses,
-                    "steps": len(best.step_seconds),
-                    "total_s": round(best.total_seconds, 4),
-                    "mean_per_step_s": round(best.mean_step_seconds, 4),
-                    "max_step_s": round(best.max_step_seconds, 4),
-                }
-            )
+            runs = [backend.timed_run(plan, n_workers) for _ in range(2)]
+            best = min(runs, key=lambda run: run["total_s"])
+            rows.append({"workers": n_workers, "cores": n_cores, **best})
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    configure_shared_pool(DEFAULT_MAX_TOTAL_WORKERS)  # restore the default
     record_rows("e11_parallelism", rows)
-    assert all(row["steps"] == len(plan.steps) for row in rows), rows
+    assert all(row["queries"] == plan.total_queries() for row in rows), rows
 
 
 def test_four_workers_latency(benchmark, workload):
     backend, plan = workload
-    executor = ParallelExecutor(4, pool=get_shared_pool())
-    executor.run(plan, backend)  # warm the shared pool before timing
-    benchmark.pedantic(lambda: executor.run(plan, backend), rounds=3, iterations=1)
+    plan.run(backend, 4)  # warm the shared pool before timing
+    benchmark.pedantic(lambda: plan.run(backend, 4), rounds=3, iterations=1)

@@ -6,7 +6,7 @@ deviates most from a reference" — as a first-class, serializable object:
 * :class:`RecommendationRequest` — target spec + reference spec + metric /
   k / view-space filters + execution options (including the
   ``deadline_ms`` latency budget and the ``render`` visualization block),
-  with a versioned JSON codec (``schema_version`` 3, versions 1-2
+  with a versioned JSON codec (``schema_version`` 4, versions 1-3
   accepted) and :meth:`~RecommendationRequest.from_sql` ingestion of raw
   SQL.
 * :class:`Reference` — pluggable comparison side: the whole table (§2

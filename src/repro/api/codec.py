@@ -2,9 +2,9 @@
 
 Serializes :class:`~repro.db.query.RowSelectQuery` targets and their
 predicate ASTs to plain-JSON dictionaries and back. The ``target`` /
-predicate encoding has not changed since wire version 1 — versions 2 and 3
-added request options, not query syntax — so one codec serves every
-accepted ``schema_version``. The structured form is
+predicate encoding has not changed since wire version 1 — versions 2 to 4
+added or removed request options, not query syntax — so one codec serves
+every accepted ``schema_version``. The structured form is
 the canonical wire representation (lossless and versionable); ``from``
 decoding additionally accepts a raw SQL string anywhere a query is
 expected, parsed through :mod:`repro.sqlparser` with syntax failures

@@ -7,7 +7,7 @@ the metric and k, optional dimension/measure filters on the view space,
 the execution strategy, and validated execution options. It is plain data:
 construct it from code, from SQL (:meth:`RecommendationRequest.from_sql`),
 or from the versioned wire form (:meth:`RecommendationRequest.from_dict`,
-``schema_version`` 3; versions 1 and 2 remain accepted), and hand it to
+``schema_version`` 4; versions 1 to 3 remain accepted), and hand it to
 :meth:`repro.SeeDB.recommend`,
 :meth:`repro.SeeDB.recommend_iter`, :class:`repro.service.SeeDBService`,
 :class:`repro.AnalystSession`, the CLI, or ``POST /recommend`` — they all

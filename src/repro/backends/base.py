@@ -20,10 +20,6 @@ from repro.db.types import AttributeRole, DataType
 from repro.util.errors import BackendError
 
 
-#: Closed vocabulary for :attr:`BackendCapabilities.threading_model`.
-THREADING_MODELS = ("shared", "connection-per-thread", "serial")
-
-
 @dataclass(frozen=True)
 class BackendCapabilities:
     """What the underlying DBMS can do; the optimizer adapts to these.
@@ -38,7 +34,6 @@ class BackendCapabilities:
       planner away from ``GROUPING_SETS`` steps and makes
       ``execute_grouping_sets`` a fallback (per-set queries or one UNION
       ALL statement).
-    * ``parallel_queries`` — concurrent query execution is safe and useful.
     * ``native_var_std`` — VAR/STD can be pushed down unrewritten.
     * ``native_sampling`` — :meth:`Backend.create_sample` materializes the
       sample inside the DBMS; False routes the sampling optimization
@@ -48,27 +43,17 @@ class BackendCapabilities:
       columnar arrays without a per-row decode hop (memory engine tables,
       DuckDB ``fetchnumpy``); surfaced in the capability matrix, not
       consulted for path selection.
-    * ``threading_model`` — how the backend achieves thread safety, one of
-      :data:`THREADING_MODELS`: ``"shared"`` (one engine object safely
-      shared), ``"connection-per-thread"`` (each thread gets its own
-      connection/cursor to one database), or ``"serial"`` (the engine
-      executes plans sequentially regardless of the configured worker
-      count — see :meth:`ExecutionEngine.executor_for`).
+
+    Every backend must be safe to call from many threads at once: plan
+    steps run concurrently on the process-wide worker pool
+    (:func:`~repro.optimizer.parallel.run_steps`) and service sessions
+    share one backend.
     """
 
     grouping_sets: bool
-    parallel_queries: bool
     native_var_std: bool
     native_sampling: bool = True
     zero_copy_extract: bool = False
-    threading_model: str = "shared"
-
-    def __post_init__(self) -> None:
-        if self.threading_model not in THREADING_MODELS:
-            raise ValueError(
-                f"threading_model must be one of {THREADING_MODELS}, "
-                f"got {self.threading_model!r}"
-            )
 
 
 class Backend:

@@ -81,17 +81,15 @@ class DuckDbBackend(Backend):
     ``force_union_fallback=True`` disables the native grouping-sets path
     and runs the same UNION ALL emulation SQLite uses — the knob the
     shared-scan benchmarks and conformance tests flip to compare the two
-    paths on one engine.
+    paths on one engine. Thread-safe through one cursor per thread.
     """
 
     name = "duckdb"
     capabilities = BackendCapabilities(
         grouping_sets=True,
-        parallel_queries=True,
         native_var_std=True,
         native_sampling=True,
         zero_copy_extract=True,
-        threading_model="connection-per-thread",
     )
 
     def __init__(

@@ -18,17 +18,16 @@ class MemoryBackend(Backend):
 
     Fully supports shared-scan GROUPING SETS, making it the backend where
     the "Combine Multiple Group-bys" optimization shows its true effect —
-    verifiable through ``engine.stats`` scan counters.
+    verifiable through ``engine.stats`` scan counters. One engine object
+    is shared safely by every thread.
     """
 
     name = "memory"
     capabilities = BackendCapabilities(
         grouping_sets=True,
-        parallel_queries=True,
         native_var_std=True,
         native_sampling=True,
         zero_copy_extract=True,
-        threading_model="shared",
     )
 
     def __init__(self) -> None:

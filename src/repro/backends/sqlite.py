@@ -60,16 +60,17 @@ _HASH_MODULUS = 1_000_000
 
 
 class SqliteBackend(Backend):
-    """Backend over stdlib ``sqlite3``."""
+    """Backend over stdlib ``sqlite3``.
+
+    Thread-safe through one connection per thread to one database file.
+    """
 
     name = "sqlite"
     capabilities = BackendCapabilities(
         grouping_sets=False,
-        parallel_queries=True,
         native_var_std=False,
         native_sampling=True,
         zero_copy_extract=False,
-        threading_model="connection-per-thread",
     )
 
     def __init__(self, path: "str | None" = None):
@@ -101,7 +102,7 @@ class SqliteBackend(Backend):
             connection.create_function("sqrt", 1, _safe_sqrt)
             # Analytics-session pragmas: SeeDB view queries are bulk loads
             # followed by read-heavy aggregate scans, so durability can be
-            # traded away wholesale. WAL lets the parallel executor's reader
+            # traded away wholesale. WAL lets the worker pool's reader
             # threads proceed under a concurrent load; synchronous=OFF skips
             # fsync on load (the database is rebuilt per session); the 64 MiB
             # page cache keeps the working set of repeated per-view scans

@@ -7,9 +7,8 @@ parallelism) → DBMS → View Processor (normalize + score) → top-k — lives
 resolved request onto its phase list and
 :meth:`~repro.engine.ExecutionEngine.drive` runs it. This class holds what
 a session keeps between calls — one engine (metadata collector + session
-cache + worker-pool views) and the base :class:`SeeDBConfig` requests
-resolve against — and packages finished contexts as
-:class:`RecommendationResult`.
+cache) and the base :class:`SeeDBConfig` requests resolve against — and
+packages finished contexts as :class:`RecommendationResult`.
 
 A :class:`~repro.api.RecommendationRequest` is the only input:
 :meth:`SeeDB.recommend` runs it to completion, :meth:`SeeDB.recommend_iter`
@@ -52,10 +51,10 @@ class SeeDB:
     One instance holds an :class:`~repro.engine.ExecutionEngine` across
     queries: its metadata collector (with the access log) lets
     access-frequency pruning learn from session history, its cache lets
-    repeated calls skip redundant backend round trips, and its worker pool
-    is reused instead of rebuilt per call. Use the instance as a context
-    manager (or call :meth:`close`) to release cached sample tables and
-    pool threads at session end.
+    repeated calls skip redundant backend round trips, and plan steps run
+    on the process-wide worker pool rather than threads of its own. Use
+    the instance as a context manager (or call :meth:`close`) to release
+    cached sample tables at session end.
     """
 
     def __init__(
@@ -103,7 +102,7 @@ class SeeDB:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release session resources (cached samples, worker pool)."""
+        """Release session resources (cached samples)."""
         self.engine.close()
 
     def __enter__(self) -> "SeeDB":

@@ -5,8 +5,9 @@ Optimizer, DBMS, View Processor, top-k — and this package makes each an
 explicit, independently timed, swappable :class:`Phase`. The batch
 recommender, incremental (phased + Hoeffding-pruned) execution, and
 multi-attribute views are all phase lists over the same
-:class:`ExecutionEngine`, which owns the session cache and the persistent
-worker pool.
+:class:`ExecutionEngine`, which owns the session cache; plan steps run on
+the process-wide bounded worker pool
+(:func:`~repro.optimizer.parallel.run_steps`).
 """
 
 from repro.engine.cache import SAMPLE_SUFFIX, CacheStats, EngineCache, SessionCache

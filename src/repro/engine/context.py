@@ -27,7 +27,6 @@ if TYPE_CHECKING:
     from repro.metadata.collector import MetadataCollector, TableMetadata
     from repro.model.view import ScoredView, ViewBlock
     from repro.optimizer.cost import PlanDecision
-    from repro.optimizer.parallel import ParallelExecutor
     from repro.optimizer.plan import ExecutionPlan
     from repro.pruning.base import PruneReport
     from repro.util.deadline import CancelToken, Deadline
@@ -59,7 +58,6 @@ class ExecutionContext:
     measures: "tuple[str, ...] | None" = None
 
     # -- injected by the engine ------------------------------------------
-    executor: "ParallelExecutor | None" = None
     metadata_collector: "MetadataCollector | None" = None
     stopwatch: Stopwatch = field(default_factory=Stopwatch)
     #: Request-lifecycle budget: the engine checks the token at phase
@@ -109,8 +107,8 @@ class ExecutionContext:
     #: Backend query counter at the start of view-query execution; metadata
     #: round trips are deliberately excluded from ``n_queries``.
     queries_before: "int | None" = None
-    #: Phase-specific side outputs (parallel reports, incremental pruning
-    #: traces, ...) keyed by a phase-chosen name.
+    #: Phase-specific side outputs (incremental pruning traces, ...) keyed
+    #: by a phase-chosen name.
     extras: dict[str, Any] = field(default_factory=dict)
     #: Set by the phased executor when a deadline expired mid-run and it
     #: degraded to the best current answer instead of erroring.

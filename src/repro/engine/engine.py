@@ -7,11 +7,6 @@ not support:
   identity and ``data_version`` — every engine on one backend reuses the
   same schema/metadata/sample lookups, across sessions and across the
   service layer's worker threads;
-* run-scoped :class:`~repro.optimizer.parallel.ParallelExecutor` views
-  over the process-wide bounded worker pool
-  (:func:`~repro.optimizer.parallel.get_shared_pool`) — engines own no
-  threads, so total DBMS concurrency stays bounded however many engines
-  exist;
 * one :class:`~repro.metadata.collector.MetadataCollector` whose access
   log accumulates session history for access-frequency pruning.
 
@@ -32,8 +27,10 @@ phase list handed to :meth:`~ExecutionEngine.recommend` in place of
 
 Everything is reentrant: all mutable run state lives in the per-call
 :class:`~repro.engine.context.ExecutionContext`, the cache and collector
-are internally synchronized, and the executor map is guarded — concurrent
-calls on one engine are safe and produce the same results as serial ones.
+are internally synchronized, and engines own no threads (a plan's steps
+run on :func:`~repro.optimizer.parallel.run_steps`'s process-wide bounded
+pool) — concurrent calls on one engine are safe and produce the same
+results as serial ones.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from repro.engine.incremental import TRACE_KEY, IncrementalRound, PhasedExecuteP
 from repro.engine.phases import Phase, RenderPhase, default_phases
 from repro.metadata.collector import MetadataCollector
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
-from repro.optimizer.parallel import ParallelExecutor, get_shared_pool
 from repro.util.deadline import CancelToken, Deadline, cancel_scope
 
 if TYPE_CHECKING:
@@ -108,8 +104,6 @@ class ExecutionEngine:
         self.cache = cache if cache is not None else EngineCache.acquire(backend)
         self._lock = threading.Lock()
         self._closed = False
-        #: n_workers -> shared-pool-backed executor view (threadless).
-        self._executors: dict[int, ParallelExecutor] = {}
 
     # -- running pipelines ------------------------------------------------
 
@@ -133,7 +127,6 @@ class ExecutionEngine:
             dimensions=dimensions,
             measures=measures,
             cache=self.cache,
-            executor=self.executor_for(config.n_workers),
             metadata_collector=self.metadata,
             cancel_token=cancel_token,
         )
@@ -299,59 +292,18 @@ class ExecutionEngine:
 
     # -- session services ---------------------------------------------------
 
-    def executor_for(self, n_workers: int) -> "ParallelExecutor | None":
-        """An executor bounded to ``n_workers`` over the shared pool.
-
-        ``None`` for sequential execution. The returned executor owns no
-        threads — it is a reusable view claiming at most ``n_workers`` of
-        the process-wide pool per run, so concurrent calls with different
-        worker counts never tear down each other's pools.
-
-        Capability-gated: a backend declaring ``parallel_queries=False``
-        or a ``"serial"`` threading model executes sequentially no matter
-        what ``n_workers`` asks for — the declaration, not the backend
-        class, is what the engine trusts.
-        """
-        capabilities = self.backend.capabilities
-        if not capabilities.parallel_queries:
-            return None
-        if capabilities.threading_model == "serial":
-            return None
-        if n_workers <= 1:
-            return None
-        with self._lock:
-            executor = self._executors.get(n_workers)
-            if executor is None:
-                executor = ParallelExecutor(
-                    n_workers=n_workers, pool=get_shared_pool()
-                )
-                self._executors[n_workers] = executor
-            return executor
-
-    @property
-    def executor(self) -> "ParallelExecutor | None":
-        """The most recently built executor view, if any."""
-        with self._lock:
-            if not self._executors:
-                return None
-            return next(reversed(self._executors.values()))
-
     def close(self) -> None:
-        """Release session resources: executor views and the cache lease.
+        """Release this engine's cache lease.
 
-        The shared worker pool stays up (other engines borrow from it);
-        closing the cache releases this engine's lease — the backend-wide
-        shared cache drops samples only when its last engine closes.
-        Idempotent: a second close (context-manager exit after an explicit
-        close) must not release a lease some *other* engine still holds.
+        The backend-wide shared cache drops samples only when its last
+        engine closes. Idempotent: a second close (context-manager exit
+        after an explicit close) must not release a lease some *other*
+        engine still holds.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            executors, self._executors = list(self._executors.values()), {}
-        for executor in executors:
-            executor.close()
         self.cache.close()
 
     def __enter__(self) -> "ExecutionEngine":

@@ -7,7 +7,7 @@ that produce :class:`~repro.model.view.MultiViewSpec` candidates, and from
 there the standard phases take over — the one
 :class:`~repro.optimizer.plan.Planner` groups views by their dimension
 *tuple* (one step per combination, aggregates shared, any reference), and
-Execute/Score/Select, the persistent worker pool and the shared View
+Execute/Score/Select, the process-wide worker pool and the shared View
 Processor do the rest. Run it with
 ``SeeDB(backend).recommend(request, phases=multiview_phases(3))``; the
 request's config, k, reference, filters and deadline all apply.

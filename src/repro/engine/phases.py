@@ -259,31 +259,32 @@ class PlanPhase(Phase):
             seconds / n_steps if n_steps else 0.0,
             config.n_workers,
         )
-        if (
-            config.auto_parallelism
-            and ctx.executor is not None
-            and decision.recommended_workers <= 1
-        ):
-            # Predicted per-step work cannot amortize worker dispatch
-            # overhead: degrade this run to sequential execution.
-            ctx.executor = None
         ctx.plan_decision = decision
         return plan
 
 
 class ExecutePhase(Phase):
-    """Run the plan against the DBMS, parallel when a pool is available."""
+    """Run the plan against the DBMS on ``config.n_workers`` pool threads.
+
+    The one place the worker count is decided: with ``auto_parallelism``
+    a plan whose predicted per-step work cannot amortize worker dispatch
+    (``recommended_workers <= 1``) runs sequentially.
+    """
 
     name = "execute"
 
     def run(self, ctx: ExecutionContext) -> None:
         if ctx.plan is None:
             return
-        if ctx.executor is not None:
-            ctx.blocks, report = ctx.executor.run(ctx.plan, ctx.backend)
-            ctx.extras["parallel_report"] = report
-        else:
-            ctx.blocks = ctx.plan.run(ctx.backend)
+        n_workers = ctx.config.n_workers
+        decision = ctx.plan_decision
+        if (
+            ctx.config.auto_parallelism
+            and decision is not None
+            and decision.recommended_workers <= 1
+        ):
+            n_workers = 1
+        ctx.blocks = ctx.plan.run(ctx.backend, n_workers)
 
 
 class ScorePhase(Phase):

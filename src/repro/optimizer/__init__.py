@@ -12,7 +12,8 @@ minimizes DBMS work by sharing it:
   marginalized; which dimensions may share a rollup is a bin-packing
   problem over the working-memory budget, solved exactly (branch-and-bound,
   the ILP of the paper) or by first-fit-decreasing.
-* **Parallel execution** — independent plan steps run on a thread pool.
+* **Parallel execution** — independent plan steps run on one bounded,
+  process-wide thread pool (:func:`run_steps`).
 """
 
 from repro.optimizer.combine import MergeSpec, merge_partials, merge_spec
@@ -30,7 +31,7 @@ from repro.optimizer.plan import (
     PlannerConfig,
     ViewGroup,
 )
-from repro.optimizer.parallel import ParallelExecutor
+from repro.optimizer.parallel import run_steps
 from repro.optimizer.cost import (
     CostModel,
     PlanCost,
@@ -56,7 +57,7 @@ __all__ = [
     "Planner",
     "PlannerConfig",
     "ViewGroup",
-    "ParallelExecutor",
+    "run_steps",
     "CostModel",
     "PlanCost",
     "PlanDecision",

@@ -34,7 +34,7 @@ from repro.db.expressions import Expression, RowPartition, TruePredicate
 from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery
 from repro.db.table import Table
 from repro.optimizer.binpack import pack_dimensions
-from repro.util.deadline import check_current
+from repro.optimizer.parallel import run_steps
 from repro.optimizer.combine import Partial, aux_aggregates, dedup_aggregates
 from repro.optimizer.extract import (
     FLAG_NAME,
@@ -239,15 +239,10 @@ class ExecutionPlan:
         backends without native support may add more — see cost model)."""
         return sum(len(step.queries()) for step in self.steps)
 
-    def run(self, backend: Backend) -> list[ViewBlock]:
-        """Execute all steps sequentially; one view block per group."""
-        blocks: list[ViewBlock] = []
-        for step in self.steps:
-            # Per-step checkpoint: abort a cancelled multi-step plan at a
-            # step boundary even when the backend has no finer-grained one.
-            check_current()
-            blocks.extend(step.run(backend))
-        return blocks
+    def run(self, backend: Backend, n_workers: int = 1) -> list[ViewBlock]:
+        """Execute all steps, on up to ``n_workers`` pool threads; one view
+        block per group, in step order (see :func:`run_steps`)."""
+        return run_steps(self.steps, backend, n_workers)
 
     def describe(self) -> str:
         lines = [f"plan: {len(self.steps)} step(s), {self.total_queries()} query(ies)"]

@@ -12,9 +12,9 @@ Backends sit several layers below the planner and must not grow token
 parameters through every signature, so the module also provides a
 thread-local *cancel scope*: the engine installs the active token with
 :func:`cancel_scope` and backends consult :func:`current_token` /
-:func:`check_current` without any plumbing. Scopes are per-thread; work
-handed to helper threads (the parallel executor) is still bounded by the
-phase-boundary and round-boundary checks on the coordinating thread.
+:func:`check_current` without any plumbing. Scopes are per-thread, so
+work handed to pool threads re-installs the submitter's token there
+(:func:`~repro.optimizer.parallel.run_steps` does this per claimer).
 """
 
 from __future__ import annotations

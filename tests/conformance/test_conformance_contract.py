@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.backends.base import THREADING_MODELS, BackendCapabilities
+from repro.backends.base import BackendCapabilities
 from repro.db.query import AggregateQuery, RowSelectQuery
 from repro.db.aggregates import Aggregate
 from repro.db.types import AttributeRole
@@ -18,13 +18,11 @@ class TestCapabilityDeclaration:
         assert isinstance(caps, BackendCapabilities)
         for flag in (
             "grouping_sets",
-            "parallel_queries",
             "native_var_std",
             "native_sampling",
             "zero_copy_extract",
         ):
             assert isinstance(getattr(caps, flag), bool), flag
-        assert caps.threading_model in THREADING_MODELS
 
     def test_capabilities_are_immutable(self, backend):
         with pytest.raises(dataclasses.FrozenInstanceError):

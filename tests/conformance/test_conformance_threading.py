@@ -3,7 +3,6 @@
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from conformance_kit import groups_of
 from repro.db.aggregates import Aggregate
@@ -25,15 +24,7 @@ def view_query(step: int) -> AggregateQuery:
     )
 
 
-@pytest.fixture
-def concurrent_backend(backend):
-    if not backend.capabilities.parallel_queries:
-        pytest.skip("backend declares parallel_queries=False")
-    return backend
-
-
-def test_concurrent_results_match_serial(concurrent_backend):
-    backend = concurrent_backend
+def test_concurrent_results_match_serial(backend):
     serial = [
         groups_of(
             backend.execute(view_query(step)),
@@ -61,8 +52,7 @@ def test_concurrent_results_match_serial(concurrent_backend):
                 np.testing.assert_allclose(got[key], want[key])
 
 
-def test_query_accounting_is_exact_under_concurrency(concurrent_backend):
-    backend = concurrent_backend
+def test_query_accounting_is_exact_under_concurrency(backend):
     backend.reset_counters()
 
     def worker(_thread: int):
@@ -76,9 +66,8 @@ def test_query_accounting_is_exact_under_concurrency(concurrent_backend):
     assert backend.statements_executed == N_THREADS * QUERIES_PER_THREAD
 
 
-def test_concurrent_registration_and_reads(concurrent_backend, contract_table):
+def test_concurrent_registration_and_reads(backend, contract_table):
     """Reads racing a derived-table registration stay consistent."""
-    backend = concurrent_backend
 
     def reader(_thread: int):
         for _ in range(5):

@@ -25,10 +25,10 @@ from repro.optimizer.plan import GroupByCombining, Planner, PlannerConfig
 DIMS = ("d0", "d1", "d2", "d3", "d4")
 
 NATIVE = BackendCapabilities(
-    grouping_sets=True, parallel_queries=True, native_var_std=True
+    grouping_sets=True, native_var_std=True
 )
 EMULATED = BackendCapabilities(
-    grouping_sets=False, parallel_queries=True, native_var_std=True
+    grouping_sets=False, native_var_std=True
 )
 
 

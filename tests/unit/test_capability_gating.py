@@ -112,22 +112,6 @@ class TestEngineFollowsDeclaredCapabilities:
         ]
         seedb.close()
 
-    def test_serial_threading_model_disables_parallel_execution(
-        self, memory_backend, monkeypatch
-    ):
-        """A ``serial`` declaration makes the engine ignore n_workers."""
-        from repro.engine.engine import ExecutionEngine
-
-        engine = ExecutionEngine(memory_backend)
-        try:
-            assert engine.executor_for(4) is not None
-            flip(memory_backend, monkeypatch, threading_model="serial")
-            assert engine.executor_for(4) is None
-            flip(memory_backend, monkeypatch, parallel_queries=False)
-            assert engine.executor_for(4) is None
-        finally:
-            engine.close()
-
     def test_native_sampling_declaration_reroutes_sampling(
         self, sqlite_backend, monkeypatch
     ):

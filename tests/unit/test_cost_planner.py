@@ -167,11 +167,19 @@ class TestParallelismAdvice:
             result = seedb.recommend(RecommendationRequest(QUERY, k=3))
         assert result.plan_decision["recommended_workers"] >= 1
 
-    def test_auto_parallelism_downgrades_trivial_work_to_sequential(self):
-        """A 400-row in-memory workload cannot amortize worker dispatch:
-        with the opt-in flag the run executes sequentially (no parallel
-        report), though the pool itself stays available for later runs."""
-        config = SeeDBConfig(n_workers=4, auto_parallelism=True)
+    @staticmethod
+    def workers_reaching_the_runner(monkeypatch, config):
+        """Run one recommendation; the ``n_workers`` each plan run got."""
+        from repro.optimizer import plan as plan_module
+
+        seen = []
+        real_run_steps = plan_module.run_steps
+
+        def spy(steps, backend, n_workers=1):
+            seen.append(n_workers)
+            return real_run_steps(steps, backend, n_workers)
+
+        monkeypatch.setattr(plan_module, "run_steps", spy)
         backend = MemoryBackend()
         backend.register_table(make_table())
         with SeeDB(backend, config) as seedb:
@@ -179,5 +187,19 @@ class TestParallelismAdvice:
                 RecommendationRequest(QUERY, k=3).resolve(config)
             )
         assert ctx.plan_decision.recommended_workers == 1
-        assert ctx.executor is None
-        assert "parallel_report" not in ctx.extras
+        return seen
+
+    def test_auto_parallelism_downgrades_trivial_work_to_sequential(
+        self, monkeypatch
+    ):
+        """A 400-row in-memory workload cannot amortize worker dispatch:
+        with the opt-in flag the plan's steps reach the runner with one
+        worker."""
+        config = SeeDBConfig(n_workers=4, auto_parallelism=True)
+        assert self.workers_reaching_the_runner(monkeypatch, config) == [1]
+
+    def test_without_auto_parallelism_n_workers_reaches_the_runner(
+        self, monkeypatch
+    ):
+        config = SeeDBConfig(n_workers=4)
+        assert self.workers_reaching_the_runner(monkeypatch, config) == [4]

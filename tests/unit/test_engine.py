@@ -193,49 +193,6 @@ class TestPhases:
 
 
 class TestSharedPool:
-    def test_executor_reused_across_calls(self, memory_backend):
-        from repro.optimizer.parallel import get_shared_pool
-
-        engine = ExecutionEngine(memory_backend)
-        config = SeeDBConfig(n_workers=4)
-        first = engine.executor_for(config.n_workers)
-        second = engine.executor_for(config.n_workers)
-        assert first is second
-        # Engines own no threads: the executor is a bounded view over the
-        # process-wide shared pool.
-        assert first.shared_pool is get_shared_pool()
-
-    def test_pool_survives_between_recommends(self, medium_table):
-        backend = MemoryBackend()
-        backend.register_table(medium_table)
-        query = RowSelectQuery("orders", col("product") == "p0")
-        seedb = SeeDB(backend, SeeDBConfig(n_workers=4))
-        first = seedb.recommend(RecommendationRequest(query))
-        assert len(first.plan_description.splitlines()) > 2  # multi-step plan
-        executor = seedb.engine.executor
-        assert executor is not None and executor.shared_pool.warm
-        seedb.recommend(RecommendationRequest(query))
-        assert seedb.engine.executor is executor
-        assert executor.pool_reuses >= 1
-        seedb.close()
-        # The executor view is released, but the shared pool survives for
-        # every other engine in the process.
-        assert seedb.engine.executor is None
-        assert executor.shared_pool.warm
-
-    def test_engines_share_one_pool(self, memory_backend):
-        a = ExecutionEngine(memory_backend)
-        b = ExecutionEngine(memory_backend)
-        assert a.executor_for(4).shared_pool is b.executor_for(2).shared_pool
-
-    def test_pool_kept_per_worker_count(self, memory_backend):
-        engine = ExecutionEngine(memory_backend)
-        four = engine.executor_for(4)
-        two = engine.executor_for(2)
-        assert four is not two and two.n_workers == 2
-        assert engine.executor_for(4) is four  # both sizes stay cached
-        assert engine.executor_for(1) is None
-
     def test_parallel_and_sequential_agree(self, memory_backend):
         sequential = SeeDB(memory_backend).recommend(RecommendationRequest(QUERY))
         parallel = SeeDB(

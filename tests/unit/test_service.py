@@ -281,26 +281,6 @@ class TestSessionServiceJoining:
         service._closed = True  # finish the teardown by hand
 
 
-class TestSharedPoolResize:
-    def test_configure_resizes_in_place(self):
-        from repro.optimizer.parallel import (
-            DEFAULT_MAX_TOTAL_WORKERS,
-            configure_shared_pool,
-            get_shared_pool,
-        )
-
-        pool = get_shared_pool()
-        try:
-            resized = configure_shared_pool(3)
-            # Existing references (engines' cached executors) see the new
-            # bound because the singleton object is resized, not replaced.
-            assert resized is pool
-            assert pool.max_workers == 3
-            assert pool.submit(lambda: 42).result(timeout=10) == 42
-        finally:
-            configure_shared_pool(DEFAULT_MAX_TOTAL_WORKERS)
-
-
 class TestEngineCacheSharing:
     def test_engines_on_one_backend_share_a_cache(self, memory_backend):
         from repro.engine.engine import ExecutionEngine
