@@ -7,16 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.query import (
-    AggregateQuery,
-    FlagColumn,
-    GroupingSetsQuery,
-    RowSelectQuery,
-    grouping_key_name,
-)
-from repro.db.schema import ColumnSpec, Schema
+from repro.db.query import AggregateQuery, GroupingSetsQuery, RowSelectQuery
+from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.db.types import AttributeRole, DataType
+from repro.db.types import DataType
 from repro.util.errors import BackendError
 
 
@@ -39,10 +33,6 @@ class BackendCapabilities:
       sample inside the DBMS; False routes the sampling optimization
       through the client-side Bernoulli fallback
       (:meth:`Backend.create_sample_clientside`).
-    * ``zero_copy_extract`` — informational: query results arrive as
-      columnar arrays without a per-row decode hop (memory engine tables,
-      DuckDB ``fetchnumpy``); surfaced in the capability matrix, not
-      consulted for path selection.
 
     Every backend must be safe to call from many threads at once: plan
     steps run concurrently on the process-wide worker pool
@@ -53,7 +43,6 @@ class BackendCapabilities:
     grouping_sets: bool
     native_var_std: bool
     native_sampling: bool = True
-    zero_copy_extract: bool = False
 
 
 class Backend:
@@ -293,33 +282,6 @@ def rows_to_table(name: str, schema: Schema, rows: list) -> Table:
         raw = [row[index] for row in rows]
         arrays[spec.name] = decode_result_column(raw, spec.dtype, spec.name)
     return Table(name, schema, arrays)
-
-
-def aggregate_result_schema(base: Schema, query: AggregateQuery) -> Schema:
-    """Result-table schema of an aggregate query over ``base``.
-
-    Shared by every SQL backend: grouping keys keep their base dtype and
-    semantic (flags become INT), aggregates are FLOAT measures.
-    """
-    specs: list[ColumnSpec] = []
-    for key in query.group_by:
-        if isinstance(key, FlagColumn):
-            specs.append(ColumnSpec(key.name, DataType.INT, AttributeRole.DIMENSION))
-        else:
-            base_spec = base[key]
-            specs.append(
-                ColumnSpec(
-                    grouping_key_name(key),
-                    base_spec.dtype,
-                    AttributeRole.DIMENSION,
-                    base_spec.semantic,
-                )
-            )
-    for aggregate in query.aggregates:
-        specs.append(
-            ColumnSpec(aggregate.alias, DataType.FLOAT, AttributeRole.MEASURE)
-        )
-    return Schema(tuple(specs))
 
 
 def materialize_sample(

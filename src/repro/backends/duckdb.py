@@ -25,12 +25,7 @@ from datetime import datetime
 
 import numpy as np
 
-from repro.backends.base import (
-    Backend,
-    BackendCapabilities,
-    aggregate_result_schema,
-    rows_to_table,
-)
+from repro.backends.base import Backend, BackendCapabilities, rows_to_table
 from repro.backends.sqlgen import (
     quote_identifier,
     render_aggregate_query,
@@ -45,6 +40,7 @@ from repro.db.query import (
     AggregateQuery,
     GroupingSetsQuery,
     RowSelectQuery,
+    aggregate_result_schema,
     grouping_key_name,
 )
 from repro.db.schema import Schema
@@ -89,7 +85,6 @@ class DuckDbBackend(Backend):
         grouping_sets=True,
         native_var_std=True,
         native_sampling=True,
-        zero_copy_extract=True,
     )
 
     def __init__(

@@ -27,7 +27,6 @@ class MemoryBackend(Backend):
         grouping_sets=True,
         native_var_std=True,
         native_sampling=True,
-        zero_copy_extract=True,
     )
 
     def __init__(self) -> None:

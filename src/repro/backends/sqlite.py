@@ -23,12 +23,7 @@ from datetime import date, datetime
 
 import numpy as np
 
-from repro.backends.base import (
-    Backend,
-    BackendCapabilities,
-    aggregate_result_schema,
-    rows_to_table,
-)
+from repro.backends.base import Backend, BackendCapabilities, rows_to_table
 from repro.backends.sqlgen import (
     quote_identifier,
     render_aggregate_query,
@@ -38,7 +33,12 @@ from repro.backends.sqlgen import (
     union_key_positions,
 )
 from repro.metadata.calibration import calibration_sidecar_path
-from repro.db.query import AggregateQuery, GroupingSetsQuery, RowSelectQuery
+from repro.db.query import (
+    AggregateQuery,
+    GroupingSetsQuery,
+    RowSelectQuery,
+    aggregate_result_schema,
+)
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.types import DataType
@@ -70,7 +70,6 @@ class SqliteBackend(Backend):
         grouping_sets=False,
         native_var_std=False,
         native_sampling=True,
-        zero_copy_extract=False,
     )
 
     def __init__(self, path: "str | None" = None):

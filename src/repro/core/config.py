@@ -99,6 +99,11 @@ class SeeDBConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not self.aggregate_functions and not self.include_count_views:
             raise ConfigError("no view aggregates configured")
+        if "count" in self.aggregate_functions:
+            raise ConfigError(
+                "'count' is not an aggregate over a measure; count(*) views "
+                "come from include_count_views"
+            )
         if self.sample_fraction is not None and not (0.0 < self.sample_fraction <= 1.0):
             raise ConfigError(
                 f"sample_fraction must be in (0, 1], got {self.sample_fraction}"

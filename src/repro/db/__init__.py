@@ -2,11 +2,11 @@
 
 SeeDB is "a layer on top of a traditional relational database system"
 (paper §3.1). This package is that underlying system, built from scratch:
-typed columns backed by numpy arrays, a predicate AST, single- and
-multi-attribute group-by with algebraic aggregates, GROUPING SETS executed
-in a single shared scan, and an execution engine with exact scan/row
-accounting so the paper's shared-computation claims can be verified
-deterministically rather than only by wall-clock time.
+typed columns backed by numpy arrays, a predicate AST, one reducer per
+aggregate, and an execution engine whose one group-by path is GROUPING
+SETS over a single shared scan (a plain group-by is a one-set query),
+with exact scan/row accounting so the paper's shared-computation claims
+can be verified deterministically rather than only by wall-clock time.
 """
 
 from repro.db.types import DataType, AttributeRole, infer_data_type

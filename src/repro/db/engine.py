@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.db.aggregates import Aggregate
 from repro.db.catalog import Catalog
 from repro.db.expressions import split_partition
-from repro.db.groupby import (
-    Factorization,
-    aggregate_by_codes,
-    finalize_aggregates,
-)
-from repro.db.grouping_sets import ColumnFactorizationCache, execute_sets_shared_scan
+from repro.db.groupby import aggregate_by_codes, combine_codes, compact_codes
 from repro.db.query import (
     AggregateQuery,
     FlagColumn,
@@ -32,12 +26,14 @@ from repro.db.query import (
     GroupingSetsQuery,
     Query,
     RowSelectQuery,
+    aggregate_result_schema,
     grouping_key_name,
 )
-from repro.db.schema import ColumnSpec, Schema
 from repro.db.table import Table
-from repro.db.types import AttributeRole, DataType
 from repro.util.errors import QueryError
+
+#: The dictionary of a flag column: its codes are the 0/1 flag itself.
+_FLAG_UNIQUES = np.array([0, 1], dtype=np.int64)
 
 
 @dataclass
@@ -47,7 +43,6 @@ class ExecutionStats:
     queries: int = 0
     table_scans: int = 0
     rows_scanned: int = 0
-    groups_produced: int = 0
     #: One engine serves every session of a service process; the lock keeps
     #: the counters exact when queries run on concurrent worker threads.
     _lock: threading.Lock = field(
@@ -60,7 +55,6 @@ class ExecutionStats:
             self.queries = 0
             self.table_scans = 0
             self.rows_scanned = 0
-            self.groups_produced = 0
 
     def count_scan(self, rows: int) -> None:
         """Atomically record one query executing one scan over ``rows``."""
@@ -69,16 +63,9 @@ class ExecutionStats:
             self.table_scans += 1
             self.rows_scanned += rows
 
-    def count_groups(self, n: int) -> None:
-        """Atomically record ``n`` output groups."""
-        with self._lock:
-            self.groups_produced += n
-
     def snapshot(self) -> "ExecutionStats":
         """An independent copy (for before/after diffs in benchmarks)."""
-        return ExecutionStats(
-            self.queries, self.table_scans, self.rows_scanned, self.groups_produced
-        )
+        return ExecutionStats(self.queries, self.table_scans, self.rows_scanned)
 
     def delta(self, before: "ExecutionStats") -> "ExecutionStats":
         """Counters accumulated since ``before``."""
@@ -86,7 +73,6 @@ class ExecutionStats:
             self.queries - before.queries,
             self.table_scans - before.table_scans,
             self.rows_scanned - before.rows_scanned,
-            self.groups_produced - before.groups_produced,
         )
 
 
@@ -114,7 +100,7 @@ class Engine:
     def execute_select(self, query: RowSelectQuery) -> Table:
         """Filter the base table by the query predicate (then LIMIT)."""
         table = self.catalog.get(query.table)
-        self._count_scan(table)
+        self.stats.count_scan(table.num_rows)
         if query.predicate is not None:
             mask = query.predicate.evaluate(table)
             table = table.mask(mask, name=f"{table.name}_selected")
@@ -123,51 +109,66 @@ class Engine:
         return table
 
     def execute_aggregate(self, query: AggregateQuery) -> Table:
-        """Filter, group, aggregate — one scan."""
+        """Filter, group, aggregate — a one-set grouping-sets query."""
+        (result,) = self.execute_grouping_sets(
+            GroupingSetsQuery(
+                query.table, (query.group_by,), query.aggregates, query.predicate
+            )
+        )
+        return result
+
+    def execute_grouping_sets(self, query: GroupingSetsQuery) -> list[Table]:
+        """Execute every grouping set over one shared scan.
+
+        The table is filtered once and each grouping key encoded once — a
+        base column's codes cut from the table's dictionary encoding
+        (:meth:`Table.codes`, no sort), a flag's from its evaluated 0/1
+        array — then every set combines its keys' codes and reduces each
+        aggregate by them.
+        """
+        singles = query.as_single_queries()
         table = self.catalog.get(query.table)
-        self._count_scan(table)
+        self.stats.count_scan(table.num_rows)
         filtered = self._apply_predicate(table, query.predicate)
-        flag_arrays = self._materialize_flags(filtered, query.group_by)
-        cache = ColumnFactorizationCache(filtered, flag_arrays)
-        factorization = cache.factorize_set(query.group_by)
         measure_arrays = {
             aggregate.column: filtered.column(aggregate.column)
             for aggregate in query.aggregates
             if aggregate.column is not None
         }
-        partials = aggregate_by_codes(factorization, measure_arrays, query.aggregates)
-        finalized = finalize_aggregates(partials, query.aggregates)
-        self.stats.count_groups(factorization.n_groups)
-        return self._build_result(
-            table, query.group_by, factorization, finalized, query.aggregates
-        )
+        encoded: dict[tuple[bool, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def execute_grouping_sets(self, query: GroupingSetsQuery) -> list[Table]:
-        """Execute all grouping sets over one shared scan."""
-        table = self.catalog.get(query.table)
-        self._count_scan(table)
-        filtered = self._apply_predicate(table, query.predicate)
-        all_keys = tuple(
-            key for key_set in query.sets for key in key_set
-        )
-        flag_arrays = self._materialize_flags(filtered, all_keys)
+        def encode(key: GroupingKey) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """``(raw values, codes, uniques)`` of one grouping key."""
+            slot = (isinstance(key, FlagColumn), grouping_key_name(key))
+            if slot not in encoded:
+                if isinstance(key, FlagColumn):
+                    flags = key.predicate.evaluate(filtered).astype(np.int64)
+                    encoded[slot] = (flags, *compact_codes(flags, _FLAG_UNIQUES))
+                else:
+                    encoded[slot] = (filtered.column(key), *filtered.codes(key))
+            return encoded[slot]
 
-        def build(factorization: Factorization, finalized, key_set):
-            self.stats.count_groups(factorization.n_groups)
-            return self._build_result(
-                table, key_set, factorization, finalized, query.aggregates
+        results: list[Table] = []
+        for single in singles:
+            keys = [encode(key) for key in single.group_by]
+            factorization = combine_codes(
+                [(codes, uniques) for _, codes, uniques in keys],
+                [values for values, _, _ in keys],
+                list(single.key_names),
+                filtered.num_rows,
             )
-
-        return execute_sets_shared_scan(
-            filtered, query.sets, query.aggregates, flag_arrays, build
-        )
+            arrays = dict(factorization.keys)
+            arrays.update(
+                aggregate_by_codes(factorization, measure_arrays, query.aggregates)
+            )
+            name = "_".join(single.key_names) or "all"
+            schema = aggregate_result_schema(table.schema, single)
+            results.append(Table(f"{table.name}_by_{name}", schema, arrays))
+        return results
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _count_scan(self, table: Table) -> None:
-        self.stats.count_scan(table.num_rows)
 
     @staticmethod
     def _apply_predicate(table: Table, predicate) -> Table:
@@ -179,50 +180,3 @@ class Engine:
         if predicate is None:
             return table
         return table.mask(predicate.evaluate(table))
-
-    @staticmethod
-    def _materialize_flags(
-        table: Table, keys: tuple[GroupingKey, ...]
-    ) -> dict[str, np.ndarray]:
-        """Evaluate every FlagColumn among ``keys`` to an int64 0/1 array."""
-        flags: dict[str, np.ndarray] = {}
-        for key in keys:
-            if isinstance(key, FlagColumn) and key.name not in flags:
-                flags[key.name] = key.predicate.evaluate(table).astype(np.int64)
-        return flags
-
-    @staticmethod
-    def _build_result(
-        base_table: Table,
-        group_by: tuple[GroupingKey, ...],
-        factorization: Factorization,
-        finalized: dict[str, np.ndarray],
-        aggregates: tuple[Aggregate, ...],
-    ) -> Table:
-        """Assemble the result table: key columns then aggregate columns."""
-        specs: list[ColumnSpec] = []
-        arrays: dict[str, np.ndarray] = {}
-        for key in group_by:
-            name = grouping_key_name(key)
-            key_values = factorization.keys[name]
-            if isinstance(key, FlagColumn):
-                dtype = DataType.INT
-                semantic = None
-            else:
-                base_spec = base_table.schema[name]
-                dtype = base_spec.dtype
-                semantic = base_spec.semantic
-                if dtype is DataType.STR:
-                    key_values = np.asarray(key_values, dtype=object)
-            specs.append(ColumnSpec(name, dtype, AttributeRole.DIMENSION, semantic))
-            arrays[name] = key_values
-        for aggregate in aggregates:
-            specs.append(
-                ColumnSpec(aggregate.alias, DataType.FLOAT, AttributeRole.MEASURE)
-            )
-            # np.bincount yields int64 for empty inputs; results are FLOAT.
-            arrays[aggregate.alias] = np.asarray(
-                finalized[aggregate.alias], dtype=np.float64
-            )
-        key_names = "_".join(grouping_key_name(k) for k in group_by) or "all"
-        return Table(f"{base_table.name}_by_{key_names}", Schema(tuple(specs)), arrays)

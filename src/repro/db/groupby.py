@@ -1,9 +1,9 @@
 """Vectorized group-by: factorization and grouped aggregation.
 
 The executor's core primitive. A *factorization* maps each row to a dense
-group code ``0..n_groups-1``; grouped aggregation then reduces measure
-columns by code using the mergeable partial states of
-:mod:`repro.db.aggregates`.
+group code ``0..n_groups-1``; grouped aggregation then reduces each measure
+column by code with its aggregate's reducer (:mod:`repro.db.aggregates`)
+straight to final per-group values.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.aggregates import Aggregate, Partials
+from repro.db.aggregates import Aggregate
 from repro.util.errors import QueryError
 
 
@@ -79,26 +79,17 @@ def factorize_multi(
 ) -> Factorization:
     """Factorize the combination of several key columns in one pass.
 
-    Single-column group-by (SeeDB's common case) short-circuits to
-    :func:`factorize`. Multi-column keys are combined via mixed-radix codes
-    then re-compacted, avoiding materializing row tuples.
+    Each column is encoded by :func:`factorize`; single-column group-by
+    (SeeDB's common case) is that encoding. Multi-column keys are combined
+    via mixed-radix codes then re-compacted (:func:`combine_codes`),
+    avoiding materializing row tuples.
     """
-    if not arrays:
-        # GROUP BY () — a single global group (used for table-level stats).
-        return Factorization(
-            codes=np.zeros(n_rows, dtype=np.int64), n_groups=1 if n_rows else 0, keys={}
-        )
-
     names = list(arrays)
-    if len(names) == 1:
-        name = names[0]
-        codes, uniques = factorize(arrays[name])
-        return Factorization(codes=codes, n_groups=len(uniques), keys={name: uniques})
-
     return combine_codes(
         [factorize(arrays[name]) for name in names],
         [arrays[name] for name in names],
         names,
+        n_rows,
     )
 
 
@@ -106,20 +97,29 @@ def combine_codes(
     encoded: "list[tuple[np.ndarray, np.ndarray]]",
     arrays: "list[np.ndarray]",
     names: "list[str]",
+    n_rows: int,
 ) -> Factorization:
-    """Factorize a multi-column key from each column's ``(codes, uniques)``.
+    """Factorize a key set from each column's ``(codes, uniques)``.
 
-    Mixed-radix codes are compacted to the key combinations present, in
-    sorted order; each group is keyed by its first row's raw values.
-    While the radix product stays within a few times the row count the
-    compaction is a ``bincount`` (:func:`compact_codes`), not a sort.
+    No key is ``GROUP BY ()``, a single global group; one key is its own
+    encoding. Several keys' mixed-radix codes are compacted to the key
+    combinations present, in sorted order; each group is keyed by its
+    first row's raw values. While the radix product stays within a few
+    times the row count the compaction is a ``bincount``
+    (:func:`compact_codes`), not a sort.
     """
+    if not encoded:
+        return Factorization(
+            codes=np.zeros(n_rows, dtype=np.int64), n_groups=1 if n_rows else 0, keys={}
+        )
+    if len(encoded) == 1:
+        codes, uniques = encoded[0]
+        return Factorization(codes=codes, n_groups=len(uniques), keys={names[0]: uniques})
     combined = encoded[0][0].astype(np.int64)
     radix = len(encoded[0][1])
     for codes, uniques in encoded[1:]:
         combined = combined * len(uniques) + codes
         radix *= len(uniques)
-    n_rows = len(combined)
     if radix <= max(4 * n_rows, 1 << 16):
         group_codes, present = compact_codes(combined, np.arange(radix))
         first_index = np.empty(len(present), dtype=np.intp)
@@ -137,16 +137,12 @@ def aggregate_by_codes(
     factorization: Factorization,
     measure_arrays: dict[str, np.ndarray],
     aggregates: tuple[Aggregate, ...],
-) -> dict[str, Partials]:
-    """Compute partial states for each aggregate under ``factorization``.
-
-    Returns ``{alias: partials}``. Finalization into user-visible values is
-    a separate step (:func:`finalize_aggregates`) so the optimizer can merge
-    partials across partitions first.
-    """
-    partials_by_alias: dict[str, Partials] = {}
+) -> dict[str, np.ndarray]:
+    """Final per-group values of each aggregate under ``factorization``,
+    ``{alias: float64 array}``."""
+    values_by_alias: dict[str, np.ndarray] = {}
     for aggregate in aggregates:
-        if aggregate.alias in partials_by_alias:
+        if aggregate.alias in values_by_alias:
             raise QueryError(f"duplicate aggregate alias {aggregate.alias!r}")
         if aggregate.column is None:
             values = None
@@ -157,18 +153,7 @@ def aggregate_by_codes(
                     f"{aggregate.column!r}"
                 )
             values = measure_arrays[aggregate.column]
-        partials_by_alias[aggregate.alias] = aggregate.function.compute_partials(
+        values_by_alias[aggregate.alias] = aggregate.reduce(
             values, factorization.codes, factorization.n_groups
         )
-    return partials_by_alias
-
-
-def finalize_aggregates(
-    partials_by_alias: dict[str, Partials],
-    aggregates: tuple[Aggregate, ...],
-) -> dict[str, np.ndarray]:
-    """Turn partial states into final per-group values, ``{alias: array}``."""
-    return {
-        aggregate.alias: aggregate.function.finalize(partials_by_alias[aggregate.alias])
-        for aggregate in aggregates
-    }
+    return values_by_alias

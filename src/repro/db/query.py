@@ -22,6 +22,8 @@ from typing import Union
 
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import Expression
+from repro.db.schema import ColumnSpec, Schema
+from repro.db.types import AttributeRole, DataType
 from repro.util.errors import QueryError
 
 
@@ -113,8 +115,9 @@ class GroupingSetsQuery:
             raise QueryError("grouping-sets query needs at least one aggregate")
 
     def as_single_queries(self) -> tuple[AggregateQuery, ...]:
-        """The semantically equivalent independent queries (for fallback
-        execution on backends without shared-scan support)."""
+        """The semantically equivalent independent queries: one per set,
+        validated as such. They shape each set's result, and backends
+        without shared-scan support execute them as the fallback."""
         return tuple(
             AggregateQuery(
                 table=self.table,
@@ -127,3 +130,23 @@ class GroupingSetsQuery:
 
 
 Query = Union[RowSelectQuery, AggregateQuery, GroupingSetsQuery]
+
+
+def aggregate_result_schema(base: Schema, query: AggregateQuery) -> Schema:
+    """Result-table schema of an aggregate query over ``base``.
+
+    Shared by every backend: grouping keys keep their base dtype and
+    semantic (flags become INT), aggregates are FLOAT measures.
+    """
+    specs: list[ColumnSpec] = []
+    for key in query.group_by:
+        if isinstance(key, FlagColumn):
+            specs.append(ColumnSpec(key.name, DataType.INT, AttributeRole.DIMENSION))
+        else:
+            base_spec = base[key]
+            specs.append(
+                ColumnSpec(key, base_spec.dtype, AttributeRole.DIMENSION, base_spec.semantic)
+            )
+    for aggregate in query.aggregates:
+        specs.append(ColumnSpec(aggregate.alias, DataType.FLOAT, AttributeRole.MEASURE))
+    return Schema(tuple(specs))

@@ -20,7 +20,6 @@ class TestCapabilityDeclaration:
             "grouping_sets",
             "native_var_std",
             "native_sampling",
-            "zero_copy_extract",
         ):
             assert isinstance(getattr(caps, flag), bool), flag
 

@@ -16,6 +16,7 @@ from repro.db.aggregates import Aggregate
 from repro.db.expressions import col
 from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery
 from repro.optimizer.extract import FLAG_NAME
+from repro.util.errors import QueryError
 
 
 def nan_aware(values):
@@ -134,6 +135,17 @@ class TestGroupingSets:
             AggregateQuery("conformance", ("product",), self.AGGREGATES)
         )
         assert_same_groups(only, single, "product", "sum(units)")
+
+    def test_duplicate_key_or_alias_in_a_set_rejected(self, backend):
+        twice = (Aggregate("sum", "units", "x"), Aggregate("avg", "units", "x"))
+        for sets, aggregates in (
+            ((("region", "region"),), self.AGGREGATES),
+            (self.SETS, twice),
+        ):
+            with pytest.raises(QueryError, match="duplicate"):
+                backend.execute_grouping_sets(
+                    GroupingSetsQuery("conformance", sets, aggregates)
+                )
 
 
 class TestFlagPartitioning:

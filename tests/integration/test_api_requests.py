@@ -9,19 +9,23 @@ final round is bit-identical to the blocking result.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.api import PartialResult, RecommendationRequest, Reference
+from repro.api import ApiError, PartialResult, RecommendationRequest, Reference
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.basic import BasicFramework
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
+from repro.db.aggregates import Aggregate
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.frontend.session import AnalystSession
 from repro.service import single_backend_service
+from repro.util.errors import ConfigError, QueryError
 
 SQL = "SELECT * FROM orders WHERE product = 'p0'"
 
@@ -368,3 +372,25 @@ class TestViewSpaceFilters:
         for view in result.utilities:
             assert view.dimension in ("region", "quantity_band")
             assert view.measure in (None, "amount")
+
+    def test_count_is_not_a_measure_aggregate(self, memory_backend, sqlite_backend):
+        """``count`` in aggregate_functions is rejected up front, alike on
+        every backend and on the wire; count(*) views come from
+        include_count_views, and COUNT(m) is the ``countv`` aggregate."""
+        with pytest.raises(ConfigError, match="include_count_views"):
+            SeeDBConfig(aggregate_functions=("count",))
+        with pytest.raises(QueryError, match="countv"):
+            Aggregate("count", "amount")
+        request = RecommendationRequest(
+            RowSelectQuery("sales", col("product") == "Laserwave"),
+            options={"aggregate_functions": ["count"]},
+        )
+        wire = RecommendationRequest.from_dict(json.loads(json.dumps(request.to_dict())))
+        for backend in (memory_backend, sqlite_backend):
+            for sent in (request, wire):
+                with pytest.raises(ApiError) as raised:
+                    SeeDB(backend).recommend(sent)
+                assert (raised.value.code, raised.value.field) == (
+                    "invalid_value",
+                    "options",
+                )

@@ -11,7 +11,12 @@ from repro.db.aggregates import Aggregate
 from repro.db.catalog import Catalog
 from repro.db.engine import Engine
 from repro.db.expressions import col
-from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery
+from repro.db.query import (
+    AggregateQuery,
+    FlagColumn,
+    GroupingSetsQuery,
+    grouping_key_name,
+)
 from repro.db.table import Table
 from repro.db.types import AttributeRole
 
@@ -50,45 +55,105 @@ def random_tables(draw):
     )
 
 
-def brute_force(table, func):
-    """Reference group-by via plain Python dicts (NaN = NULL)."""
+ALL_FUNCS = ("count", "sum", "avg", "min", "max", "var", "std", "countv", "sumsq")
+
+
+def aggregate_of(func):
+    return Aggregate(func) if func == "count" else Aggregate(func, "v")
+
+
+def reduce_group(func, values):
+    """One group's aggregate in plain Python (NaN = NULL)."""
+    valid = [v for v in values if not math.isnan(v)]
+    if func == "count":
+        return float(len(values))
+    if func == "countv":
+        return float(len(valid))
+    if func == "sum":
+        return float(sum(valid))
+    if func == "sumsq":
+        return float(sum(v * v for v in valid))
+    if not valid:
+        return float("nan")
+    if func == "avg":
+        return sum(valid) / len(valid)
+    if func == "min":
+        return min(valid)
+    if func == "max":
+        return max(valid)
+    mean = sum(valid) / len(valid)
+    variance = sum((v - mean) ** 2 for v in valid) / len(valid)
+    return variance if func == "var" else math.sqrt(variance)
+
+
+def brute_force(table, func, keys=("k",)):
+    """Reference group-by via plain Python dicts: ``{group: value}``, a
+    group being the ``str`` of each key's value (a flag's is "0"/"1")."""
+    columns = [
+        key.predicate.evaluate(table).astype(int)
+        if isinstance(key, FlagColumn)
+        else table.column(key)
+        for key in keys
+    ]
     groups = {}
-    for key, value in zip(table.column("k"), table.column("v")):
-        groups.setdefault(str(key), []).append(float(value))
-    result = {}
-    for key, values in groups.items():
-        valid = [v for v in values if not math.isnan(v)]
-        if func == "count":
-            result[key] = float(len(values))
-        elif func == "sum":
-            result[key] = float(sum(valid))
-        elif func == "countv":
-            result[key] = float(len(valid))
-        elif func == "avg":
-            result[key] = sum(valid) / len(valid) if valid else float("nan")
-        elif func == "min":
-            result[key] = min(valid) if valid else float("nan")
-        elif func == "max":
-            result[key] = max(valid) if valid else float("nan")
-    return result
+    for row, value in enumerate(table.column("v")):
+        group = tuple(str(column[row]) for column in columns)
+        groups.setdefault(group, []).append(float(value))
+    return {group: reduce_group(func, values) for group, values in groups.items()}
 
 
-@settings(max_examples=50, deadline=None)
-@given(table=random_tables(), func=st.sampled_from(["count", "sum", "avg", "min", "max", "countv"]))
-def test_groupby_matches_brute_force(table, func):
-    catalog = Catalog()
-    catalog.register(table)
-    engine = Engine(catalog)
-    aggregate = Aggregate(func) if func == "count" else Aggregate(func, "v")
-    result = engine.execute(AggregateQuery("t", ("k",), (aggregate,)))
-    expected = brute_force(table, func)
+def assert_matches_brute_force(result, table, func, keys=("k",)):
+    expected = brute_force(table, func, keys)
     assert result.num_rows == len(expected)
-    for key, value in zip(result.column("k"), result.column(aggregate.alias)):
-        reference = expected[str(key)]
+    names = [grouping_key_name(key) for key in keys]
+    values = result.column(aggregate_of(func).alias)
+    for row, value in enumerate(values):
+        reference = expected[tuple(str(result.column(name)[row]) for name in names)]
         if math.isnan(reference):
             assert math.isnan(value)
+        elif func == "std":
+            # sqrt magnifies the one-pass variance's cancellation error.
+            assert value**2 == pytest.approx(reference**2, rel=1e-9, abs=1e-6)
         else:
-            assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
+            # Only var's one-pass formula cancels where the two-pass oracle
+            # does not; every other aggregate adds in the oracle's order.
+            tol = 1e-6 if func == "var" else 1e-9
+            assert value == pytest.approx(reference, rel=1e-9, abs=tol)
+
+
+def engine_over(table):
+    catalog = Catalog()
+    catalog.register(table)
+    return Engine(catalog)
+
+
+# 75 examples over nine functions keep the ~8 per function that 50 gave six.
+@settings(max_examples=75, deadline=None)
+@given(table=random_tables(), func=st.sampled_from(ALL_FUNCS))
+def test_groupby_matches_brute_force(table, func):
+    engine = engine_over(table)
+    result = engine.execute(AggregateQuery("t", ("k",), (aggregate_of(func),)))
+    assert_matches_brute_force(result, table, func)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=random_tables())
+def test_grouping_sets_with_flag_and_empty_sets(table):
+    """A flag key, a two-key set and the empty set in one shared scan:
+    each set equals its own group-by and the brute-force answer."""
+    engine = engine_over(table)
+    flag = FlagColumn("f", col("j") == "x")
+    query = GroupingSetsQuery(
+        "t", ((flag, "k"), ("k", "j"), ()), tuple(aggregate_of(f) for f in ALL_FUNCS)
+    )
+    shared = engine.execute_grouping_sets(query)
+    for single, result in zip(query.as_single_queries(), shared):
+        alone = engine.execute_aggregate(single)
+        assert result.schema == alone.schema
+        for name in result.schema.names:
+            np.testing.assert_array_equal(result.column(name), alone.column(name))
+        for func in ALL_FUNCS:
+            assert_matches_brute_force(result, table, func, single.group_by)
 
 
 @settings(max_examples=40, deadline=None)

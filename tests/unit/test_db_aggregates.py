@@ -1,4 +1,4 @@
-"""Unit tests: aggregate functions, partial states, and merging."""
+"""Unit tests: aggregate reducers and merging."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,12 @@ N_GROUPS = 3
 
 
 def finalize(func_name, values=VALUES, codes=CODES, n_groups=N_GROUPS):
-    function = AGGREGATE_FUNCTIONS[func_name]
-    return function.finalize(function.compute_partials(values, codes, n_groups))
+    return AGGREGATE_FUNCTIONS[func_name](values, codes, n_groups)
 
 
 class TestBasicValues:
     def test_count_star(self):
-        function = AGGREGATE_FUNCTIONS["count"]
-        result = function.finalize(function.compute_partials(None, CODES, N_GROUPS))
+        result = finalize("count", None)
         assert list(result) == [2, 3, 1]
 
     def test_sum(self):
@@ -56,8 +54,7 @@ class TestNaNHandling:
         assert list(finalize("sum", self.NAN_VALUES)) == [1.0, 10.0, 0.0]
 
     def test_count_star_includes_nan_rows(self):
-        function = AGGREGATE_FUNCTIONS["count"]
-        result = function.finalize(function.compute_partials(None, CODES, N_GROUPS))
+        result = finalize("count", None)
         assert list(result) == [2, 3, 1]
 
     def test_countv_skips_nan(self):

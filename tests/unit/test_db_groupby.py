@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db.aggregates import Aggregate
-from repro.db.groupby import (
-    aggregate_by_codes,
-    factorize,
-    factorize_multi,
-    finalize_aggregates,
-)
+from repro.db.groupby import aggregate_by_codes, factorize, factorize_multi
 from repro.util.errors import QueryError
 
 
@@ -90,10 +85,7 @@ class TestAggregateByCodes:
     def test_basic_flow(self):
         fact = factorize_multi({"k": np.array(["a", "b", "a"], dtype=object)}, 3)
         aggregates = (Aggregate("sum", "v"), Aggregate("count"))
-        partials = aggregate_by_codes(
-            fact, {"v": np.array([1.0, 2.0, 3.0])}, aggregates
-        )
-        final = finalize_aggregates(partials, aggregates)
+        final = aggregate_by_codes(fact, {"v": np.array([1.0, 2.0, 3.0])}, aggregates)
         assert list(final["sum(v)"]) == [4.0, 2.0]
         assert list(final["count(*)"]) == [2.0, 1.0]
 

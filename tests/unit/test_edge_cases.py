@@ -6,33 +6,61 @@ import pytest
 from repro.api import RecommendationRequest
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import col
-from repro.db.grouping_sets import ColumnFactorizationCache
-from repro.db.query import FlagColumn, RowSelectQuery
+from repro.db.query import FlagColumn, GroupingSetsQuery, RowSelectQuery
 from repro.db.table import Table
-from repro.util.errors import QueryError
 from repro.util.tabulate import format_table
 from repro.viz.spec import ChartType, single_series_spec
 from repro.viz.svg import render_svg
 
 
-class TestGroupingSetsCache:
-    def test_unmaterialized_flag_rejected(self, sales_table):
-        cache = ColumnFactorizationCache(sales_table, flag_arrays={})
-        flag = FlagColumn("missing_flag", col("product") == "Laserwave")
-        with pytest.raises(QueryError, match="materialized"):
-            cache.key_array(flag)
+class TestGroupingSetsEncoding:
+    """One grouping-sets query filters once and encodes each key once."""
 
-    def test_factorization_cached_per_column(self, sales_table):
-        cache = ColumnFactorizationCache(sales_table, flag_arrays={})
-        first = cache.factorized("store")
-        second = cache.factorized("store")
-        assert first[0] is second[0]  # same codes array object: cached
+    @staticmethod
+    def _engine(table):
+        from repro.db.catalog import Catalog
+        from repro.db.engine import Engine
 
-    def test_empty_key_set(self, sales_table):
-        cache = ColumnFactorizationCache(sales_table, flag_arrays={})
-        fact = cache.factorize_set(())
-        assert fact.n_groups == 1
-        assert fact.keys == {}
+        catalog = Catalog()
+        catalog.register(table)
+        return Engine(catalog)
+
+    def test_empty_key_set_single_group(self, sales_table):
+        (result,) = self._engine(sales_table).execute_grouping_sets(
+            GroupingSetsQuery("sales", ((),), (Aggregate("count"),))
+        )
+        assert result.num_rows == 1
+        assert result.schema.names == ("count(*)",)
+        assert result.column("count(*)").tolist() == [12.0]
+
+    def test_shared_key_encoded_once(self, sales_table, monkeypatch):
+        import repro.db.engine as engine_module
+
+        column_codes: list[str] = []
+        flag_codes: list[int] = []
+        real_codes, real_compact = Table.codes, engine_module.compact_codes
+
+        def codes(table, name):
+            column_codes.append(name)
+            return real_codes(table, name)
+
+        def compact(*args):
+            flag_codes.append(1)
+            return real_compact(*args)
+
+        monkeypatch.setattr(Table, "codes", codes)
+        monkeypatch.setattr(engine_module, "compact_codes", compact)
+        flag = FlagColumn("is_laserwave", col("product") == "Laserwave")
+        results = self._engine(sales_table).execute_grouping_sets(
+            GroupingSetsQuery(
+                "sales",
+                ((flag, "store"), (flag, "month"), ("store",)),
+                (Aggregate("sum", "amount"),),
+            )
+        )
+        assert [r.num_rows for r in results] == [8, 8, 4]
+        assert sorted(column_codes) == ["month", "store"]
+        assert flag_codes == [1]
 
 
 class TestSvgEdgeCases:
@@ -85,13 +113,8 @@ class TestAggregateEdges:
         assert np.isfinite(values).all()
 
     def test_var_single_value_group_zero(self):
-        from repro.db.aggregates import AGGREGATE_FUNCTIONS
-
-        function = AGGREGATE_FUNCTIONS["var"]
-        partials = function.compute_partials(
-            np.array([7.0]), np.array([0]), 1
-        )
-        assert function.finalize(partials)[0] == pytest.approx(0.0)
+        result = Aggregate("var", "v").reduce(np.array([7.0]), np.array([0]), 1)
+        assert result[0] == pytest.approx(0.0)
 
 
 class TestIncrementalWithHellinger:
