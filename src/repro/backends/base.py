@@ -28,7 +28,6 @@ class BackendCapabilities:
       planner away from ``GROUPING_SETS`` steps and makes
       ``execute_grouping_sets`` a fallback (per-set queries or one UNION
       ALL statement).
-    * ``native_var_std`` — VAR/STD can be pushed down unrewritten.
     * ``native_sampling`` — :meth:`Backend.create_sample` materializes the
       sample inside the DBMS; False routes the sampling optimization
       through the client-side Bernoulli fallback
@@ -41,7 +40,6 @@ class BackendCapabilities:
     """
 
     grouping_sets: bool
-    native_var_std: bool
     native_sampling: bool = True
 
 

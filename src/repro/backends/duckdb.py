@@ -35,7 +35,6 @@ from repro.backends.sqlgen import (
     split_grouping_rows,
     union_key_positions,
 )
-from repro.metadata.calibration import calibration_sidecar_path
 from repro.db.query import (
     AggregateQuery,
     GroupingSetsQuery,
@@ -83,7 +82,6 @@ class DuckDbBackend(Backend):
     name = "duckdb"
     capabilities = BackendCapabilities(
         grouping_sets=True,
-        native_var_std=True,
         native_sampling=True,
     )
 
@@ -330,11 +328,6 @@ class DuckDbBackend(Backend):
         with self._accounting_lock:
             self._schemas[sample_name] = self._schemas[source]
         return sample_name
-
-    @property
-    def calibration_path(self) -> "str | None":
-        """Sidecar location for persisted calibration (file-backed only)."""
-        return calibration_sidecar_path(self._path)
 
     # -- internals --------------------------------------------------------------------
 

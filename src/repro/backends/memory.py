@@ -25,7 +25,6 @@ class MemoryBackend(Backend):
     name = "memory"
     capabilities = BackendCapabilities(
         grouping_sets=True,
-        native_var_std=True,
         native_sampling=True,
     )
 

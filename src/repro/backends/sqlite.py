@@ -32,7 +32,6 @@ from repro.backends.sqlgen import (
     split_grouping_rows,
     union_key_positions,
 )
-from repro.metadata.calibration import calibration_sidecar_path
 from repro.db.query import (
     AggregateQuery,
     GroupingSetsQuery,
@@ -68,7 +67,6 @@ class SqliteBackend(Backend):
     name = "sqlite"
     capabilities = BackendCapabilities(
         grouping_sets=False,
-        native_var_std=False,
         native_sampling=True,
     )
 
@@ -271,15 +269,6 @@ class SqliteBackend(Backend):
             )
         self._schemas[sample_name] = self._schemas[source]
         return sample_name
-
-    @property
-    def calibration_path(self) -> "str | None":
-        """Where cost-model calibration may persist: beside a user-owned
-        database file, never beside an owned temp file (which close()
-        deletes — a sidecar would outlive its database)."""
-        if self._owns_file:
-            return None
-        return calibration_sidecar_path(self._path)
 
     # -- internals --------------------------------------------------------------------
 

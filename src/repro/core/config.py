@@ -62,7 +62,7 @@ class SeeDBConfig:
     memory_budget_cells: int = 100_000
     max_dims_per_query: int = 8
     #: Resolve ``groupby_combining=AUTO`` by estimated cost (the Metadata
-    #: phase's dimension statistics + calibrated per-backend coefficients)
+    #: phase's dimension statistics + fixed per-backend coefficients)
     #: over every plan kind, instead of taking the capability-declared one.
     #: Every candidate plan is equivalence-preserving, so this only changes
     #: *how* views execute, never the recommendations.
@@ -84,7 +84,7 @@ class SeeDBConfig:
 
     # -- parallelism (§3.3) ----------------------------------------------------
     n_workers: int = 1
-    #: Opt-in calibrated parallelism: let the cost-based planner *lower*
+    #: Opt-in cost-based parallelism: let the cost-based planner *lower*
     #: the effective worker count (down to sequential) when the predicted
     #: per-step work cannot amortize worker dispatch overhead. Off by
     #: default — ``n_workers`` alone stays authoritative.

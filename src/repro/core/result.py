@@ -52,8 +52,9 @@ class RecommendationResult:
     plan_description: str = ""
     #: Cost-based planner decision record: chosen combining mode,
     #: predicted work units and seconds, per-candidate predictions, the
-    #: coefficients used, and the observed execute-phase seconds. None
-    #: when the static planner ran (``cost_based_planning=False``).
+    #: coefficients used, and the observed execute-phase seconds (None
+    #: after a phased run). None when the static planner ran
+    #: (``cost_based_planning=False``).
     plan_decision: "dict | None" = None
     #: The comparison row set the utilities were scored against
     #: ("table" = the paper's whole-table reference).

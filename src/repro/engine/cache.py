@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from repro.backends.base import Backend, materialize_sample
 from repro.db.table import Table
-from repro.metadata.calibration import CalibrationStore
 from repro.metadata.collector import MetadataCollector, TableMetadata
 
 #: Suffix of cache-owned sampled execution tables.
@@ -98,14 +97,6 @@ class SessionCache:
         self._row_counts: dict[str, int] = {}  # guarded-by: _lock
         # source -> entry
         self._samples: dict[str, _SampleEntry] = {}  # guarded-by: _lock
-        #: Cost-model calibration — deliberately *not* keyed on
-        #: ``data_version`` and never evicted by :meth:`invalidate`:
-        #: per-unit costs describe the machine and backend, not the data.
-        #: Shared through :class:`EngineCache`, so every engine, service
-        #: worker, and cluster replica on one backend learns from all runs.
-        self.calibration = CalibrationStore(
-            path=getattr(backend, "calibration_path", None)
-        )
 
     # -- lifecycle -------------------------------------------------------
 

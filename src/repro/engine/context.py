@@ -85,8 +85,7 @@ class ExecutionContext:
     plan: "ExecutionPlan | None" = None
     plan_description: str = ""
     #: The cost-based planner's choice record (None on the static path);
-    #: the engine fills in ``observed_seconds`` after execution and feeds
-    #: the calibration store.
+    #: the engine fills in ``observed_seconds`` after a blocking run.
     plan_decision: "PlanDecision | None" = None
 
     # -- ExecutePhase -----------------------------------------------------

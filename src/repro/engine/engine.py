@@ -264,31 +264,14 @@ class ExecutionEngine:
         )
 
     def _observe_plan_outcome(self, ctx: ExecutionContext) -> None:
-        """Close the cost-model feedback loop after a cost-planned run.
-
-        Reconciles the planner's predicted seconds with the observed
-        execute-phase wall clock and folds the ratio into the session
-        cache's shared :class:`~repro.metadata.calibration.CalibrationStore`
-        (EWMA per backend) — the next prediction on this backend starts
-        from coefficients scaled toward what this machine actually does.
-        """
+        """Record the observed execute seconds on a cost-planned blocking
+        run's decision, beside the planner's prediction."""
         decision = ctx.plan_decision
-        if decision is None or decision.predicted_seconds <= 0:
-            return
-        if TRACE_KEY in ctx.extras:
+        if decision is None or TRACE_KEY in ctx.extras:
             # A phased run's execute clock spans every round's partition
             # scan and re-estimate; the prediction priced one full scan.
             return
-        observed = ctx.stopwatch.phases.get("execute")
-        if observed is None:
-            return
-        decision.observed_seconds = observed
-        self.cache.calibration.observe(
-            self.backend.name,
-            decision.predicted_seconds,
-            observed,
-            plan_kind=decision.kind,
-        )
+        decision.observed_seconds = ctx.stopwatch.phases.get("execute")
 
     # -- session services ---------------------------------------------------
 

@@ -149,7 +149,6 @@ class SamplePhase(Phase):
             fraction = choose_sample_fraction(rows, config.auto_sample_epsilon)
             if fraction is None or fraction >= 1.0:
                 return
-            ctx.extras["auto_sample_fraction"] = fraction
         ctx.execution_table = ctx.cache.sample(
             ctx.query.table, fraction, config.sample_seed
         )
@@ -170,12 +169,12 @@ class PlanPhase(Phase):
     on, each plan is priced by
     :func:`~repro.optimizer.cost.estimate_plan_cost` from those
     cardinalities and the exact, cached row count, converted to seconds
-    with the backend's calibrated coefficients, and the argmin executes;
+    with the backend's fixed coefficients, and the argmin executes;
     ties (strict comparison) keep the capability-declared kind. Every candidate
     is equivalence-preserving, so the choice changes *how* views execute,
     never the recommendations. The decision record travels on
     ``ctx.plan_decision`` (``cost_based`` is False when the mode was pinned
-    to one kind) and feeds the engine's calibration loop.
+    to one kind).
 
     With the flag off, or with no statistics to price from (a phase list
     without the Metadata phase), only the first candidate is planned and
@@ -218,15 +217,15 @@ class PlanPhase(Phase):
     def _cheapest(self, ctx: ExecutionContext, candidates, plans, cardinalities):
         """Price every candidate plan, record the decision, return the argmin."""
         from repro.optimizer.cost import (
-            CostModel,
             PlanDecision,
             choose_parallelism,
+            coefficients_for,
             estimate_plan_cost,
         )
 
         config = ctx.config
         n_rows = ctx.cache.row_count(ctx.query.table)
-        model = CostModel.for_backend(ctx.backend.name, ctx.cache.calibration)
+        coefficients = coefficients_for(ctx.backend.name)
 
         best = None
         candidate_seconds: dict[str, float] = {}
@@ -238,7 +237,7 @@ class PlanPhase(Phase):
                 ctx.backend.capabilities,
                 sample_fraction=ctx.sample_fraction,
             )
-            seconds = model.predict_seconds(cost)
+            seconds = coefficients.predict_seconds(cost)
             candidate_seconds[mode.value] = seconds
             if best is None or seconds < best[2]:
                 best = (plan, cost, seconds, mode)
@@ -250,7 +249,7 @@ class PlanPhase(Phase):
             predicted=cost,
             predicted_seconds=seconds,
             candidate_seconds=candidate_seconds,
-            coefficients=model.coefficients,
+            coefficients=coefficients,
             sample_fraction=ctx.sample_fraction,
         )
         n_steps = len(plan.steps)

@@ -273,22 +273,10 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
             functions=config.aggregate_functions,
             include_count=config.include_count_views,
         )
-        calibration = engine.cache.calibration
         return {
             "backend": backend_name,
             "table": table,
             "n_views": len(views),
-            # Cost-based planner state for this backend: the calibrated
-            # coefficients the next plan choice will use, plus the last
-            # chosen plan kind and predicted-vs-observed seconds (None
-            # until a cost-planned recommendation has run).
-            "planner": {
-                "cost_based_planning": config.cost_based_planning,
-                "coefficients": calibration.coefficients_for(
-                    engine.backend.name
-                ).to_dict(),
-                "calibration": calibration.snapshot().get(engine.backend.name),
-            },
             "views": [
                 {
                     "dimension": view.dimension,

@@ -12,12 +12,6 @@ from repro.metadata.stats import (
     cramers_v,
     pearson_correlation,
 )
-from repro.metadata.calibration import (
-    CalibrationStore,
-    CostCoefficients,
-    DEFAULT_COEFFICIENTS,
-    SEEDED_COEFFICIENTS,
-)
 from repro.metadata.collector import MetadataCollector, TableMetadata
 from repro.metadata.access_log import AccessLog
 
@@ -26,10 +20,6 @@ __all__ = [
     "TableStats",
     "cramers_v",
     "pearson_correlation",
-    "CalibrationStore",
-    "CostCoefficients",
-    "DEFAULT_COEFFICIENTS",
-    "SEEDED_COEFFICIENTS",
     "MetadataCollector",
     "TableMetadata",
     "AccessLog",

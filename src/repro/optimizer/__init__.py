@@ -33,14 +33,14 @@ from repro.optimizer.plan import (
 )
 from repro.optimizer.parallel import run_steps
 from repro.optimizer.cost import (
-    CostModel,
+    CostCoefficients,
     PlanCost,
     PlanDecision,
     choose_parallelism,
     choose_sample_fraction,
+    coefficients_for,
     estimate_plan_cost,
     hoeffding_epsilon,
-    sample_fraction_from_table,
 )
 
 __all__ = [
@@ -58,12 +58,12 @@ __all__ = [
     "PlannerConfig",
     "ViewGroup",
     "run_steps",
-    "CostModel",
+    "CostCoefficients",
     "PlanCost",
     "PlanDecision",
     "choose_parallelism",
     "choose_sample_fraction",
+    "coefficients_for",
     "estimate_plan_cost",
     "hoeffding_epsilon",
-    "sample_fraction_from_table",
 ]

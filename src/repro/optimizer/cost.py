@@ -1,4 +1,4 @@
-"""Plan cost model: deterministic work units + calibrated seconds.
+"""Plan cost model: deterministic work units + per-backend seconds.
 
 Two layers, mirroring the ``StatInfo`` / ``blocks_accessed`` ×
 ``reduction_factor`` idiom of classic cost-based planners:
@@ -11,12 +11,12 @@ Two layers, mirroring the ``StatInfo`` / ``blocks_accessed`` ×
   logical query *per set* otherwise (still a single UNION ALL statement).
   Pricing reads a step's ``queries()`` only: rollup marginalization
   re-reads the small result, not the base table, and is not counted.
-  Plans executing against a materialized ``__seedb_sample`` table are
-  priced at the sampled row count, not the base table's.
-* :class:`CostModel` converts work units into predicted seconds with
-  per-backend coefficients seeded in
-  :mod:`repro.metadata.calibration` and refined by the engine's
-  predicted-vs-observed feedback loop.
+  A sampled run is priced at the sampled row count, not the base table's.
+* :class:`CostCoefficients` converts work units into predicted seconds.
+  The coefficients are fixed per backend (:func:`coefficients_for`), so
+  a plan's price is a pure function of the plan, the statistics and the
+  backend name: the same request is priced the same in every process,
+  on its first run and its hundredth.
 
 The module also hosts the two data-dependent knob selectors the
 cost-based planner consults: candidate sampling fractions (bounding the
@@ -27,24 +27,11 @@ overhead vs per-step work).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 from repro.backends.base import BackendCapabilities
 from repro.db.query import GroupingSetsQuery
-from repro.metadata.calibration import (
-    CalibrationStore,
-    CostCoefficients,
-    DEFAULT_COEFFICIENTS,
-    SEEDED_COEFFICIENTS,
-)
 from repro.optimizer.plan import ExecutionPlan
-
-#: Parses the knobs out of a cache-materialized sample-table name
-#: (``<source>__seedb_sample_<fraction*1e6>_<seed>`` — see
-#: :func:`repro.engine.cache.sample_table_name`), which is what lets the
-#: estimator recover the effective row count from the plan alone.
-_SAMPLE_NAME = re.compile(r"__seedb_sample_(\d+)_\d+$")
 
 #: Candidate sampling fractions the planner may pick from, descending.
 SAMPLE_FRACTION_CANDIDATES = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
@@ -79,15 +66,85 @@ class PlanCost:
         }
 
 
+@dataclass(frozen=True)
+class CostCoefficients:
+    """Seconds per cost-model work unit on one backend."""
+
+    #: Seconds per base-table row scanned.
+    row_scan_seconds: float
+    #: Seconds per result group materialized.
+    group_seconds: float
+    #: Fixed seconds per logical query (per grouping-set arm: rendering,
+    #: result decode, per-arm evaluation in a UNION ALL emulation).
+    query_seconds: float
+    #: Fixed seconds per physical statement (round trip, parse, plan).
+    statement_seconds: float
+
+    def predict_seconds(self, cost: PlanCost) -> float:
+        """Predicted wall-clock of a :class:`PlanCost`."""
+        return (
+            self.row_scan_seconds * cost.rows_scanned
+            + self.group_seconds * cost.result_groups
+            + self.query_seconds * cost.n_queries
+            + self.statement_seconds * cost.n_statements
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "row_scan_seconds": self.row_scan_seconds,
+            "group_seconds": self.group_seconds,
+            "query_seconds": self.query_seconds,
+            "statement_seconds": self.statement_seconds,
+        }
+
+
+#: Per-backend coefficients (order-of-magnitude priors). Only their
+#: relative shape matters for plan choice: the memory engine has
+#: near-zero statement overhead, sqlite pays per prepared statement,
+#: duckdb pays more per statement but scans columnar-fast.
+SEEDED_COEFFICIENTS: dict[str, CostCoefficients] = {
+    "memory": CostCoefficients(
+        row_scan_seconds=6e-9,
+        group_seconds=2.5e-7,
+        query_seconds=1.5e-4,
+        statement_seconds=0.0,
+    ),
+    "sqlite": CostCoefficients(
+        row_scan_seconds=2.2e-7,
+        group_seconds=5e-7,
+        query_seconds=1.5e-4,
+        statement_seconds=8e-4,
+    ),
+    "duckdb": CostCoefficients(
+        row_scan_seconds=6e-8,
+        group_seconds=4e-7,
+        query_seconds=1.0e-4,
+        statement_seconds=1.2e-3,
+    ),
+}
+
+#: Fallback for backends without a seeded entry.
+DEFAULT_COEFFICIENTS = CostCoefficients(
+    row_scan_seconds=2e-7,
+    group_seconds=5e-7,
+    query_seconds=2e-4,
+    statement_seconds=6e-4,
+)
+
+
+def coefficients_for(backend_name: str) -> CostCoefficients:
+    """The coefficients plans on ``backend_name`` are priced with."""
+    return SEEDED_COEFFICIENTS.get(backend_name, DEFAULT_COEFFICIENTS)
+
+
 @dataclass
 class PlanDecision:
     """What the cost-based planner chose and why, kept for observability.
 
-    Travels on the :class:`~repro.engine.context.ExecutionContext`, into
-    the :class:`~repro.core.result.RecommendationResult`, and out through
-    ``/stats`` — and closes the feedback loop: the engine fills in
-    ``observed_seconds`` after execution and feeds the predicted/observed
-    pair to the :class:`~repro.metadata.calibration.CalibrationStore`.
+    Travels on the :class:`~repro.engine.context.ExecutionContext` into
+    the :class:`~repro.core.result.RecommendationResult`. After a
+    blocking run the engine fills in ``observed_seconds``, so every
+    blocking result reports predicted vs observed execute seconds.
     """
 
     #: Resolved :class:`~repro.optimizer.plan.GroupByCombining` value.
@@ -104,7 +161,8 @@ class PlanDecision:
     #: Worker count the cost model recommends (applied only under the
     #: opt-in ``auto_parallelism``; recorded regardless).
     recommended_workers: int = 1
-    #: Wall-clock of the execute phase, filled in by the engine.
+    #: Wall-clock of the execute phase, filled in by the engine after a
+    #: blocking run (None after a phased one).
     observed_seconds: "float | None" = None
 
     def to_dict(self) -> dict:
@@ -125,26 +183,6 @@ class PlanDecision:
         }
 
 
-def sample_fraction_from_table(table: str) -> "float | None":
-    """The sampling fraction encoded in a sample-table name, else None."""
-    match = _SAMPLE_NAME.search(table)
-    if match is None:
-        return None
-    return int(match.group(1)) / 1_000_000
-
-
-def _effective_rows(
-    table: str, n_rows: int, sample_fraction: "float | None"
-) -> int:
-    """Rows one scan of ``table`` touches: the sampled count for samples."""
-    fraction = sample_fraction_from_table(table)
-    if fraction is None:
-        return n_rows
-    if sample_fraction is not None:
-        fraction = sample_fraction
-    return max(1, int(round(n_rows * fraction)))
-
-
 def estimate_plan_cost(
     plan: ExecutionPlan,
     n_rows: int,
@@ -154,18 +192,20 @@ def estimate_plan_cost(
 ) -> PlanCost:
     """Estimate queries/scans/rows/groups/statements for ``plan``.
 
-    ``n_rows`` is the *base table's* row count; steps whose table is a
-    materialized ``__seedb_sample`` are priced at the effective sampled
-    count (``sample_fraction`` overrides the fraction encoded in the
-    sample's name when given).
+    ``n_rows`` is the *base table's* row count; a plan run on a sample of
+    ``sample_fraction`` of it scans that share of the rows.
     """
+    step_rows = (
+        n_rows
+        if sample_fraction is None
+        else max(1, int(round(n_rows * sample_fraction)))
+    )
     n_queries = 0
     n_scans = 0
     n_statements = 0
     rows_scanned = 0
     result_groups = 0
     for step in plan.steps:
-        step_rows = _effective_rows(step.table, n_rows, sample_fraction)
         for query in step.queries():
             n_statements += 1
             if isinstance(query, GroupingSetsQuery):
@@ -199,29 +239,6 @@ def _set_groups(key_set, cardinalities: dict[str, int]) -> int:
         else:  # a flag column doubles the group count
             groups *= 2
     return groups
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Work units → predicted seconds, with per-backend coefficients."""
-
-    coefficients: CostCoefficients = field(default=DEFAULT_COEFFICIENTS)
-
-    @classmethod
-    def for_backend(
-        cls, backend_name: str, calibration: "CalibrationStore | None" = None
-    ) -> "CostModel":
-        """Seeded (and, when a store is given, calibrated) model."""
-        if calibration is not None:
-            return cls(coefficients=calibration.coefficients_for(backend_name))
-        return cls(
-            coefficients=SEEDED_COEFFICIENTS.get(
-                backend_name, DEFAULT_COEFFICIENTS
-            )
-        )
-
-    def predict_seconds(self, cost: PlanCost) -> float:
-        return self.coefficients.predict_seconds(cost)
 
 
 def hoeffding_epsilon(n: int, delta: float = HOEFFDING_DELTA) -> float:

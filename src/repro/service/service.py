@@ -638,7 +638,6 @@ class SeeDBService:
                 cache_stats = engine_cache.stats
                 hits, misses = cache_stats.hits, cache_stats.misses
                 total = hits + misses
-                calibration = engine_cache.calibration
                 backends[name] = {
                     "backend": slot.backend.name,
                     "data_version": slot.backend.data_version,
@@ -646,17 +645,6 @@ class SeeDBService:
                     "metadata_queries_executed": (
                         slot.backend.metadata_queries_executed
                     ),
-                    # Cost-based planner state: the coefficients the next
-                    # prediction will use and the last predicted/observed
-                    # reconciliation (None before any cost-planned run).
-                    "planner": {
-                        "coefficients": calibration.coefficients_for(
-                            slot.backend.name
-                        ).to_dict(),
-                        "calibration": calibration.snapshot().get(
-                            slot.backend.name
-                        ),
-                    },
                     "engine_cache": {
                         "hits": hits,
                         "misses": misses,

@@ -16,11 +16,7 @@ class TestCapabilityDeclaration:
     def test_capabilities_declared(self, backend):
         caps = backend.capabilities
         assert isinstance(caps, BackendCapabilities)
-        for flag in (
-            "grouping_sets",
-            "native_var_std",
-            "native_sampling",
-        ):
+        for flag in ("grouping_sets", "native_sampling"):
             assert isinstance(getattr(caps, flag), bool), flag
 
     def test_capabilities_are_immutable(self, backend):

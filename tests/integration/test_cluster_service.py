@@ -166,8 +166,7 @@ class TestResultFields:
     def test_plan_decision_crosses_the_process_boundary(self, backend_kind):
         """Regression: a cluster result used to arrive with
         ``plan_decision=None``. It must carry the planner's decision
-        record like an in-process run of the same request does. Predicted
-        seconds are not compared: each process calibrates on its own."""
+        record like an in-process run of the same request does."""
         table = make_medium_table()
         request = RecommendationRequest(QUERIES[0])
         backend = make_backend(backend_kind, table)

@@ -3,7 +3,8 @@
 Incremental / streamed requests run ``ctx.plan`` one row partition at a
 time through ``ExecutionStep.fetch`` — so they issue statements on the
 backend they were sent to, report that work, inherit the planner's sharing
-and the sampling knobs, and stay out of the cost model's feedback loop.
+and the sampling knobs, and leave the plan decision's observed seconds
+unset (one scan was priced; every round was timed).
 """
 
 import re
@@ -164,19 +165,17 @@ class TestEveryPlanKindThroughRounds:
         assert finals["grouping_sets"].plan_description != expected.plan_description
 
 
-class TestCalibrationFeedback:
-    def test_a_phased_run_does_not_feed_the_cost_model(self, dataset, query):
-        """Ten rounds of wall clock against a one-scan prediction would
-        blow the backend's scale up; only blocking runs observe."""
+class TestObservedSeconds:
+    def test_a_phased_run_leaves_observed_seconds_unset(self, dataset, query):
+        """Ten rounds of wall clock are not comparable with a one-scan
+        prediction; only blocking runs report observed seconds."""
         backend = build_backend("memory", dataset.table)
         with SeeDB(backend) as seedb:
-            calibration = seedb.engine.cache.calibration
-            before = calibration.snapshot()
             _rounds, result = stream(seedb, query)
             assert result.plan_decision is not None
-            assert calibration.snapshot() == before
-            seedb.recommend(RecommendationRequest(query))
-            assert calibration.snapshot() != before
+            assert result.plan_decision["observed_seconds"] is None
+            blocking = seedb.recommend(RecommendationRequest(query))
+            assert blocking.plan_decision["observed_seconds"] is not None
 
 
 class TestDeadlineInsideARound:

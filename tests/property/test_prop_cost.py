@@ -7,29 +7,31 @@ cost more than their UNION ALL emulation, and smaller sampling fractions
 never scan more. These are the invariants the argmin choice leans on.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.base import BackendCapabilities
-from repro.metadata.calibration import SEEDED_COEFFICIENTS
 from repro.model.view import ViewSpec
 from repro.optimizer.cost import (
-    CostModel,
+    DEFAULT_COEFFICIENTS,
+    SEEDED_COEFFICIENTS,
+    CostCoefficients,
+    PlanCost,
     choose_sample_fraction,
+    coefficients_for,
     estimate_plan_cost,
     hoeffding_epsilon,
-    sample_fraction_from_table,
 )
 from repro.optimizer.plan import GroupByCombining, Planner, PlannerConfig
 
 DIMS = ("d0", "d1", "d2", "d3", "d4")
 
-NATIVE = BackendCapabilities(
-    grouping_sets=True, native_var_std=True
-)
-EMULATED = BackendCapabilities(
-    grouping_sets=False, native_var_std=True
-)
+NATIVE = BackendCapabilities(grouping_sets=True)
+EMULATED = BackendCapabilities(grouping_sets=False)
+
+#: Every coefficient set a plan can be priced with.
+ALL_COEFFICIENTS = (DEFAULT_COEFFICIENTS, *SEEDED_COEFFICIENTS.values())
 
 
 @st.composite
@@ -71,8 +73,10 @@ def test_more_rows_never_cheaper(inputs, rows, extra):
     small = estimate_plan_cost(plan, rows, cardinalities, NATIVE)
     large = estimate_plan_cost(plan, rows + extra, cardinalities, NATIVE)
     assert large.rows_scanned >= small.rows_scanned
-    for model in (CostModel(), *(CostModel(c) for c in SEEDED_COEFFICIENTS.values())):
-        assert model.predict_seconds(large) >= model.predict_seconds(small)
+    for coefficients in ALL_COEFFICIENTS:
+        assert coefficients.predict_seconds(large) >= coefficients.predict_seconds(
+            small
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,8 +92,10 @@ def test_native_grouping_sets_never_dearer_than_fanout(inputs, rows):
     assert native.n_scans <= fanout.n_scans
     assert native.rows_scanned <= fanout.rows_scanned
     assert native.n_statements == fanout.n_statements  # one UNION ALL batch
-    for model in (CostModel(), *(CostModel(c) for c in SEEDED_COEFFICIENTS.values())):
-        assert model.predict_seconds(native) <= model.predict_seconds(fanout)
+    for coefficients in ALL_COEFFICIENTS:
+        assert coefficients.predict_seconds(native) <= coefficients.predict_seconds(
+            fanout
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +116,17 @@ def test_smaller_sample_fraction_never_scans_more(inputs, rows, fractions):
     assert small.n_queries == large.n_queries  # sampling changes rows, not shape
 
 
+@settings(max_examples=60, deadline=None)
+@given(inputs=plan_inputs(), rows=st.integers(1, 10**6))
+def test_a_full_sample_prices_the_whole_table(inputs, rows):
+    """``sample_fraction=1.0`` and no sampling price the same work."""
+    views, cardinalities, mode = inputs
+    plan = build_plan(views, cardinalities, mode, NATIVE)
+    exact = estimate_plan_cost(plan, rows, cardinalities, NATIVE)
+    full = estimate_plan_cost(plan, rows, cardinalities, NATIVE, sample_fraction=1.0)
+    assert full == exact
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10**8))
 def test_hoeffding_epsilon_shrinks_with_n(n):
@@ -124,9 +141,24 @@ def test_chosen_fraction_meets_epsilon_budget(rows, epsilon):
         assert hoeffding_epsilon(int(rows * fraction)) <= epsilon
 
 
-def test_sample_fraction_roundtrips_through_table_name():
-    from repro.engine.cache import sample_table_name
+def test_predict_is_linear_in_work_units():
+    coefficients = CostCoefficients(1.0, 10.0, 100.0, 1000.0)
+    cost = PlanCost(
+        n_queries=2, n_scans=3, rows_scanned=5, result_groups=7, n_statements=11
+    )
+    assert coefficients.predict_seconds(cost) == (
+        5 * 1.0 + 7 * 10.0 + 2 * 100.0 + 11 * 1000.0
+    )
 
-    name = sample_table_name("orders", 0.05, 7)
-    assert sample_fraction_from_table(name) == 0.05
-    assert sample_fraction_from_table("orders") is None
+
+def test_every_backend_has_seeds():
+    assert set(SEEDED_COEFFICIENTS) >= {"memory", "sqlite", "duckdb"}
+
+
+@pytest.mark.parametrize("backend_name", ["memory", "sqlite", "duckdb"])
+def test_coefficients_for_returns_the_backend_seed(backend_name):
+    assert coefficients_for(backend_name) is SEEDED_COEFFICIENTS[backend_name]
+
+
+def test_unknown_backend_is_priced_with_the_default():
+    assert coefficients_for("no-such-backend") is DEFAULT_COEFFICIENTS

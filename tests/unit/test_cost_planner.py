@@ -1,16 +1,19 @@
-"""Unit tests: the cost-based planner phase and its feedback loop."""
+"""Unit tests: the cost-based planner phase and its decision record."""
 
 import pytest
 
 from repro.api import RecommendationRequest
 from repro.backends.memory import MemoryBackend
+from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
 from repro.db.table import Table
 from repro.db.types import AttributeRole
+from repro.optimizer.cost import PlanCost, coefficients_for
 from repro.optimizer.plan import GroupByCombining
+from repro.service import single_backend_cluster
 
 
 def make_table(n_rows=400, name="orders"):
@@ -73,14 +76,13 @@ class TestCostBasedChoice:
 
     def test_escape_hatch_reverts_to_static_planner(self):
         """cost_based_planning=False reproduces the static path exactly:
-        same plan description, no decision record, no calibration."""
+        same plan description, no decision record."""
         config = SeeDBConfig(
             groupby_combining=GroupByCombining.AUTO, cost_based_planning=False
         )
         with make_seedb(config) as seedb:
             result = seedb.recommend(RecommendationRequest(QUERY, k=3))
-            assert result.plan_decision is None
-            assert seedb.engine.cache.calibration.observations_for("memory") == 0
+        assert result.plan_decision is None
 
     def test_auto_matches_static_top_k_bit_for_bit(self):
         table = make_table()
@@ -100,26 +102,80 @@ class TestCostBasedChoice:
         ]
 
 
-class TestFeedbackLoop:
-    def test_run_observes_into_the_calibration_store(self):
-        with make_seedb(SeeDBConfig()) as seedb:
-            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
-            calibration = seedb.engine.cache.calibration
-            assert calibration.observations_for("memory") == 1
-            snap = calibration.snapshot()["memory"]
-            assert snap["last_plan_kind"] == result.plan_decision["kind"]
-            assert snap["last_predicted_seconds"] == pytest.approx(
-                result.plan_decision["predicted_seconds"]
-            )
-            assert result.plan_decision["observed_seconds"] is not None
-            # Second run predicts with the updated coefficients.
-            seedb.recommend(RecommendationRequest(QUERY, k=3))
-            assert calibration.observations_for("memory") == 2
+class TestPlanDecisionIsStateless:
+    """A plan is priced from the plan, the statistics and the backend name
+    alone: neither earlier requests nor the serving tier move it."""
 
-    def test_static_runs_leave_calibration_untouched(self):
-        with make_seedb(SeeDBConfig(cost_based_planning=False)) as seedb:
-            seedb.recommend(RecommendationRequest(QUERY, k=3))
-            assert seedb.engine.cache.calibration.snapshot() == {}
+    @staticmethod
+    def priced(result) -> dict:
+        """The decision record without its wall-clock observation."""
+        decision = dict(result.plan_decision)
+        assert decision.pop("observed_seconds") is not None
+        return decision
+
+    @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
+    def test_history_and_tier_leave_the_decision_unchanged(self, backend_kind):
+        table = make_table()
+        config = SeeDBConfig(groupby_combining=GroupByCombining.AUTO)
+        request = RecommendationRequest(QUERY, k=3)
+
+        def make_backend():
+            backend = MemoryBackend() if backend_kind == "memory" else SqliteBackend()
+            backend.register_table(table)
+            return backend
+
+        backend = make_backend()
+        try:
+            with SeeDB(backend, config) as seedb:
+                decisions = [self.priced(seedb.recommend(request)) for _ in range(12)]
+        finally:
+            backend.close()
+        assert decisions[-1] == decisions[0]
+
+        cluster = single_backend_cluster(make_backend(), config, owned=True)
+        try:
+            remote = self.priced(cluster.recommend(request))
+        finally:
+            cluster.close()
+        assert remote == decisions[0]
+
+    @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
+    def test_repeated_requests_price_with_the_backend_seed(self, backend_kind):
+        """Observed seconds are reported, never learned from: after many
+        blocking runs the coefficients are still the backend's seed."""
+        backend = MemoryBackend() if backend_kind == "memory" else SqliteBackend()
+        backend.register_table(make_table())
+        try:
+            with SeeDB(backend, SeeDBConfig()) as seedb:
+                for _ in range(5):
+                    decision = seedb.recommend(
+                        RecommendationRequest(QUERY, k=3)
+                    ).plan_decision
+        finally:
+            backend.close()
+        assert decision["coefficients"] == coefficients_for(backend.name).to_dict()
+
+    @pytest.mark.parametrize("mode", list(GroupByCombining))
+    def test_predicted_seconds_prices_the_predicted_work(self, mode):
+        with make_seedb(SeeDBConfig(groupby_combining=mode)) as seedb:
+            decision = seedb.recommend(RecommendationRequest(QUERY, k=3)).plan_decision
+        seconds = coefficients_for("memory").predict_seconds(
+            PlanCost(**decision["predicted"])
+        )
+        assert decision["predicted_seconds"] == seconds
+
+    def test_a_file_backed_database_gets_no_sidecar(self, tmp_path):
+        """Nothing about pricing is persisted beside the database file."""
+        path = tmp_path / "views.sqlite"
+        backend = SqliteBackend(str(path))
+        backend.register_table(make_table())
+        try:
+            with SeeDB(backend, SeeDBConfig()) as seedb:
+                result = seedb.recommend(RecommendationRequest(QUERY, k=3))
+        finally:
+            backend.close()
+        assert result.plan_decision["observed_seconds"] is not None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["views.sqlite"]
 
 
 class TestSampledCosting:

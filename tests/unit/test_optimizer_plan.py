@@ -19,8 +19,8 @@ from repro.optimizer.plan import (
 )
 from repro.util.errors import ConfigError
 
-CAPS_GS = BackendCapabilities(grouping_sets=True, native_var_std=True)
-CAPS_NO_GS = BackendCapabilities(grouping_sets=False, native_var_std=False)
+CAPS_GS = BackendCapabilities(grouping_sets=True)
+CAPS_NO_GS = BackendCapabilities(grouping_sets=False)
 
 VIEWS = [
     ViewSpec("store", "amount", "sum"),

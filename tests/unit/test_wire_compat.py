@@ -24,9 +24,8 @@ from repro.core.recommender import SeeDB
 SQL = "SELECT * FROM sales WHERE product = 'Laserwave'"
 
 #: Response keys that legitimately vary between two identical executions:
-#: wall-clock timings, and the plan decision whose predicted seconds move
-#: with the calibration EWMA the first run feeds back.
-VOLATILE_KEYS = ("phase_seconds", "total_seconds", "plan_decision")
+#: the wall-clock timings, including the plan decision's observed seconds.
+VOLATILE_KEYS = ("phase_seconds", "total_seconds")
 
 
 def wire_body(version: int, **extra) -> dict:
@@ -42,6 +41,8 @@ def stable(payload: dict) -> dict:
     payload = json.loads(json.dumps(payload))
     for key in VOLATILE_KEYS:
         payload.pop(key, None)
+    if payload.get("plan_decision") is not None:
+        payload["plan_decision"].pop("observed_seconds")
     return payload
 
 
