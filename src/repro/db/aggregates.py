@@ -4,9 +4,9 @@ Each aggregate is one reducer, ``reduce(values, codes, n_groups)``: a
 vectorized pass from a measure column and dense group codes to one float64
 value per group. Merging the results of disjoint row sets — the flag
 partitions of SeeDB's combined target/comparison query (§3.3), or the
-rounds of a phased run — is the optimizer's job:
-:func:`repro.optimizer.combine.merge_partials` over an aggregate's
-mergeable decomposition.
+rounds of a phased run — is the optimizer's job: the fold of
+:class:`repro.optimizer.combine.GroupState` over an aggregate's mergeable
+decomposition.
 
 Float inputs may contain NaN, which is treated like SQL NULL: excluded from
 counts, sums, and extrema.

@@ -36,42 +36,41 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which makes group order deterministic across engines (SQL ``ORDER BY``
     and numpy both sort), an invariant the distribution-alignment code in
     :mod:`repro.metrics.normalize` relies on.
+
+    An object column's NULL (``None``, or a float NaN) is one group, code
+    0, labelled ``None`` — the way SQL groups NULLs, and never merged with
+    the string ``"None"``.
     """
-    if values.dtype == object:
-        # np.unique on object arrays requires orderable values, so groups
-        # form (and order) on the string rendering; each group is then
-        # labelled with one of its own original values — a NULL stays
-        # ``None``, as under a multi-key group-by — found by an O(n)
-        # scatter rather than a second sort.
-        rendered, codes = np.unique(values.astype(str), return_inverse=True)
-        representative = np.empty(len(rendered), dtype=np.intp)
-        representative[codes] = np.arange(len(codes))
-        return codes, values[representative]
-    uniques, codes = np.unique(values, return_inverse=True)
-    return codes, uniques
+    if values.dtype != object:
+        uniques, codes = np.unique(values, return_inverse=True)
+        return codes, uniques
+    # Strings sort as a fixed-width array, not through Python comparisons.
+    # Only a group rendered "None" or "nan" can hold a NULL, so only its
+    # rows are looked at one by one.
+    rendered, codes = np.unique(values.astype(str), return_inverse=True)
+    uniques = rendered.astype(object)
+    suspects = np.flatnonzero((rendered == "None") | (rendered == "nan"))
+    rows = np.flatnonzero(np.isin(codes, suspects)) if len(suspects) else suspects
+    null = rows[[value is None or value != value for value in values[rows]]]
+    if not len(null):
+        return codes, uniques
+    codes = codes + 1
+    codes[null] = 0
+    return compact_codes(codes, np.concatenate([np.array([None], dtype=object), uniques]))
 
 
 def compact_codes(
-    codes: np.ndarray, uniques: np.ndarray, values: "np.ndarray | None" = None
+    codes: np.ndarray, uniques: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop the ``uniques`` no row of ``codes`` uses and renumber the rest.
 
     The dictionary of a row subset without a sort: one ``bincount`` marks
     the values present and a ``cumsum`` renumbers them in their sorted
     order, so codes cut from a column's :func:`factorize` compact to
-    exactly ``factorize(subset)``. An object column's groups are labelled
-    from the subset's own ``values`` by the same last-occurrence scatter
-    :func:`factorize` uses, because a group may hold more than one value
-    (``None`` and the string ``"None"`` render alike).
+    exactly ``factorize(subset)``.
     """
     present = np.bincount(codes, minlength=len(uniques)) > 0
-    codes = (np.cumsum(present) - 1)[codes]
-    uniques = uniques[present]
-    if values is not None and values.dtype == object and len(codes):
-        representative = np.empty(len(uniques), dtype=np.intp)
-        representative[codes] = np.arange(len(codes))
-        uniques = values[representative]
-    return codes, uniques
+    return (np.cumsum(present) - 1)[codes], uniques[present]
 
 
 def factorize_multi(

@@ -191,7 +191,7 @@ class Table:
         codes, uniques = parent.codes(name)
         if rows is None:
             return codes, uniques
-        return compact_codes(codes[rows], uniques, self.columns[name])
+        return compact_codes(codes[rows], uniques)
 
     def _derive(
         self,

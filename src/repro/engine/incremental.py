@@ -9,11 +9,10 @@ restricted to that round's :class:`~repro.db.expressions.RowPartition`:
 each view query of a phased run is issued to the backend by
 :meth:`~repro.optimizer.plan.ExecutionStep.fetch`, so rounds share scans
 and are priced, counted and interruptible like a blocking run. A round's
-partials are folded into each group's running ones, side by side, with
-the one merge of partial aggregates
-(:func:`~repro.optimizer.combine.merge_partials`); the running partials
-become view blocks for the alive views, which the shared batch scorer
-re-estimates. The final blocks are left in ``ctx.blocks``, so the
+results fold into each group's one
+:class:`~repro.optimizer.combine.GroupState` — the state a blocking run
+fills once — and its blocks, cut to the alive views, go to the shared
+batch scorer. The final blocks are left in ``ctx.blocks``, so the
 standard View Processor / top-k phases finish the run.
 """
 
@@ -26,8 +25,7 @@ from repro.db.expressions import RowPartition
 from repro.engine.context import ExecutionContext
 from repro.engine.phases import Phase, PlanPhase, ScorePhase
 from repro.model.view import ViewBlock, ViewSpec
-from repro.optimizer.combine import Partial, merge_partials
-from repro.optimizer.extract import group_block
+from repro.optimizer.combine import GroupState
 from repro.optimizer.plan import ViewGroup
 from repro.testing.faults import fault_point
 from repro.util.errors import DeadlineExceeded
@@ -72,16 +70,6 @@ class IncrementalRound:
     views_alive: int
     views_pruned: int
     epsilon: "float | None" = None
-
-
-def _project(state, aggregates) -> tuple[Partial, ...]:
-    """A group's running partials cut to ``aggregates``: a shared step whose
-    other groups died carries fewer aggregates than the rounds before it."""
-    carried, sides = state
-    if carried == aggregates:
-        return sides
-    rows = [carried.index(aggregate) for aggregate in aggregates]
-    return tuple(Partial(side.keys, side.values[rows]) for side in sides)
 
 
 def _alive_rows(block: ViewBlock, alive) -> ViewBlock:
@@ -144,8 +132,7 @@ class PhasedExecutePhase(Phase):
             PlanPhase().run(ctx)
         processor = ScorePhase.processor(ctx)
 
-        #: Per view group, its carried aggregates and folded partials.
-        running: dict[ViewGroup, tuple[tuple, tuple[Partial, Partial]]] = {}
+        states: dict[ViewGroup, GroupState] = {}
         blocks: list[ViewBlock] = []
         alive: set[ViewSpec] = set(views)
         token = ctx.cancel_token
@@ -177,23 +164,13 @@ class PhasedExecutePhase(Phase):
                 if self._degrade(ctx, trace):
                     break
                 raise
-            blocks = []
-            for step, (aggregates, results) in zip(steps, fetched):
-                for group, sides in zip(step.groups, results):
-                    if group in running:
-                        old_sides = _project(running[group], aggregates)
-                        sides = tuple(
-                            merge_partials(old, new, aggregates)
-                            for old, new in zip(old_sides, sides)
-                        )
-                    running[group] = (aggregates, sides)
-                    survivors = tuple(v for v in group.views if v in alive)
-                    blocks.append(
-                        group_block(
-                            group.dimension, survivors, sides, aggregates,
-                            step.merges_sides,
-                        )
-                    )
+            for step, results in zip(steps, fetched):
+                step.fold(results, states)
+            blocks = [
+                _alive_rows(states[group].block(step.merges_sides), alive)
+                for step in steps
+                for group in step.groups
+            ]
             trace.phases_executed = phase + 1
 
             # Re-estimate utilities for alive views via the shared batch

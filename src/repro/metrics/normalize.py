@@ -191,14 +191,21 @@ def _scatter(
 
 
 def canonical_key(key: Any) -> Any:
-    """Make numpy scalar keys hashable/comparable across array dtypes.
+    """The one identity of a group key across backends and array dtypes.
 
     Group keys cross several representations (numpy scalars from the memory
     engine, Python scalars from sqlite rows); canonicalizing to Python
-    scalars makes dict-based alignment work across backends.
+    scalars makes dict-based alignment work across backends. A NULL is
+    ``None`` however it arrived — a FLOAT column's NaN, a DATE column's NaT
+    — so, as in SQL, all NULLs are one group (``nan != nan`` would open a
+    new one at every lookup). A tuple key canonicalizes component-wise.
     """
+    if isinstance(key, tuple):
+        return tuple(canonical_key(part) for part in key)
     if isinstance(key, np.generic):
-        return key.item()
+        key = key.item()
+    if isinstance(key, float) and key != key:
+        return None
     return key
 
 

@@ -176,17 +176,18 @@ class RawViewData:
 class ViewBlock:
     """Columnar batch of views sharing one dimension and key universe.
 
-    The hand-off from plan execution to the View Processor: the views of
-    one view group (all grouping by ``dimension`` and read from the same
-    query results) are materialized as two dense ``(n_views, n_groups)``
-    matrices over the aligned union key universe. Row ``i`` of ``target`` /
-    ``comparison`` holds the raw aggregate series of ``specs[i]``; absent
-    groups are already filled with 0 (no mass).
+    The hand-off from plan execution to the View Processor, made by
+    :meth:`~repro.optimizer.combine.GroupState.block` from the one state a
+    view group's results fold into: the group's views (all grouping by
+    ``dimension``) as two dense ``(n_views, n_groups)`` matrices over every
+    key either side carried. Row ``i`` of ``target`` / ``comparison`` holds
+    the raw aggregate series of ``specs[i]``; a key absent from a side
+    reads 0 (no mass), a NULL aggregate NaN.
     """
 
     dimension: "str | tuple[str, ...]"
     specs: tuple
-    #: Union group keys, sorted — the shared support of every row.
+    #: Group keys sorted by ``group_sort_key`` — the shared support.
     groups: list[Any]
     target: np.ndarray
     comparison: np.ndarray

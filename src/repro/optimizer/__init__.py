@@ -8,15 +8,20 @@ minimizes DBMS work by sharing it:
 * **Combine multiple aggregates** — views sharing a group-by attribute
   execute as one multi-aggregate query.
 * **Combine multiple group-bys** — several dimensions per query, either via
-  shared-scan GROUPING SETS or a multi-attribute rollup that is then
-  marginalized; which dimensions may share a rollup is a bin-packing
-  problem over the working-memory budget, solved exactly (branch-and-bound,
-  the ILP of the paper) or by first-fit-decreasing.
+  shared-scan GROUPING SETS or a multi-attribute rollup whose rows each
+  group folds onto its own keys; which dimensions may share a rollup is a
+  bin-packing problem over the working-memory budget, solved exactly
+  (branch-and-bound, the ILP of the paper) or by first-fit-decreasing.
 * **Parallel execution** — independent plan steps run on one bounded,
   process-wide thread pool (:func:`run_steps`).
+
+Every view group's results — both flag partitions, a target/comparison
+pair, a rollup's several rows per key, each round of a phased run — fold
+into the group's one :class:`GroupState` with one merge, and its view
+block is made from there.
 """
 
-from repro.optimizer.combine import MergeSpec, merge_partials, merge_spec
+from repro.optimizer.combine import GroupState, MergeSpec, merge_spec
 from repro.optimizer.binpack import (
     PackedBins,
     branch_and_bound_pack,
@@ -46,7 +51,7 @@ from repro.optimizer.cost import (
 __all__ = [
     "MergeSpec",
     "merge_spec",
-    "merge_partials",
+    "GroupState",
     "PackedBins",
     "branch_and_bound_pack",
     "first_fit_decreasing",

@@ -9,22 +9,26 @@ choices, and a plan step carries one field for each:
   flag cannot partition two possibly overlapping selections).
 * **sharing** (:class:`GroupByCombining`) — how several view groups share
   a scan: not at all (one group per step), one GROUPING SETS query, or one
-  multi-attribute rollup marginalized per group in post-processing.
+  multi-attribute rollup that each group folds onto its own keys.
 
 :class:`ExecutionStep` is the one step type and every strategy executes
-it: it knows its logical queries and fetches their results as each view
-group's partials, which ``run`` makes one view block per group; a phased
-run fetches it one row partition at a time. The ways of arranging view
-groups into steps are the rows of
-:data:`PLAN_KINDS`; :class:`Planner` looks its mode up there and the
-engine's cost-based ``PlanPhase`` prices one plan per row.
+it: it knows its logical queries and folds their results into each view
+group's :class:`~repro.optimizer.combine.GroupState`, from which ``run``
+makes one view block per group; a phased run fetches it one row
+partition at a time and folds every round into the same states. The ways
+of arranging view groups into steps are the rows of :data:`PLAN_KINDS`;
+:class:`Planner` looks its mode up there and the engine's cost-based
+``PlanPhase`` prices one plan per row.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 from repro.backends.base import Backend, BackendCapabilities
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
@@ -35,14 +39,8 @@ from repro.db.query import AggregateQuery, FlagColumn, GroupingSetsQuery
 from repro.db.table import Table
 from repro.optimizer.binpack import pack_dimensions
 from repro.optimizer.parallel import run_steps
-from repro.optimizer.combine import Partial, aux_aggregates, dedup_aggregates
-from repro.optimizer.extract import (
-    FLAG_NAME,
-    group_block,
-    marginalize,
-    side_partials,
-    view_dimension,
-)
+from repro.optimizer.combine import GroupState, MergeSpec, dedup_aggregates, merge_spec
+from repro.optimizer.extract import FLAG_NAME, view_dimension
 from repro.util.errors import ConfigError
 
 
@@ -82,15 +80,30 @@ class ViewGroup:
             return (self.dimension,)
         return self.dimension
 
+    @cached_property
+    def merge_specs(self) -> tuple[MergeSpec, ...]:
+        """Each view's decomposition, derived once per group."""
+        return tuple(merge_spec(view.aggregate) for view in self.views)
 
-@dataclass
+    @cached_property
+    def aux(self) -> tuple[Aggregate, ...]:
+        """The deduped mergeable aggregates the views decompose into."""
+        return dedup_aggregates(aux for spec in self.merge_specs for aux in spec.aux)
+
+    @cached_property
+    def own(self) -> tuple[Aggregate, ...]:
+        """The views' own aggregates, deduped."""
+        return dedup_aggregates(view.aggregate for view in self.views)
+
+
+@dataclass(frozen=True)
 class ExecutionStep:
     """One unit of plan execution (independent of any other step).
 
     ``groups`` run together: one group when ``sharing`` is ``NONE``,
     several dimensions in one GROUPING SETS query (a shared scan where the
     backend supports it), or several in one multi-attribute ``ROLLUP``
-    group-by marginalized per group afterwards. ``combine_flag`` folds
+    group-by that each group folds onto its own keys. ``combine_flag`` folds
     target and comparison into one query ``GROUP BY (flag, ...)``;
     otherwise the comparison runs as a second query over the reference's
     rows: the whole table (predicate None, §2), the target's complement,
@@ -125,17 +138,30 @@ class ExecutionStep:
     def views(self) -> tuple[ViewSpec, ...]:
         return tuple(view for group in self.groups for view in group.views)
 
+    @property
+    def merged(self) -> bool:
+        """Whether results merge afterwards: flag partitions, rollup rows or
+        row partitions."""
+        rollup = self.sharing is GroupByCombining.ROLLUP
+        return self.combine_flag or self.partition is not None or rollup
+
     def aggregates(self) -> tuple[Aggregate, ...]:
         """What every query of the step computes: the decomposed mergeable
-        aggregates wherever results are merged afterwards (flag partitions,
-        rollup marginals, row partitions), else the views' own aggregates."""
-        merged = self.combine_flag or self.partition is not None
-        if merged or self.sharing is GroupByCombining.ROLLUP:
-            return aux_aggregates(self.views)
-        return dedup_aggregates([view.aggregate for view in self.views])
+        aggregates wherever results are merged afterwards, else the views'
+        own aggregates."""
+        return self.queries()[0].aggregates
 
     def queries(self) -> list:
         """The logical queries this step will issue (for costing/tests)."""
+        return self._queries
+
+    @cached_property
+    def _queries(self) -> list:
+        aggregates = dedup_aggregates(
+            aggregate
+            for group in self.groups
+            for aggregate in (group.aux if self.merged else group.own)
+        )
         if self.combine_flag:
             flag = FlagColumn(
                 FLAG_NAME,
@@ -150,7 +176,6 @@ class ExecutionStep:
                 (prefix, part if predicate is None else part & predicate)
                 for prefix, predicate in sides
             ]
-        aggregates = self.aggregates()
         if self.sharing is GroupByCombining.GROUPING_SETS:
             return [
                 GroupingSetsQuery(
@@ -173,42 +198,42 @@ class ExecutionStep:
         """Whether the comparison is both flag partitions merged (``table``)."""
         return self.combine_flag and self.reference.merge_partitions
 
-    def fetch(
-        self, backend: Backend
-    ) -> "tuple[tuple[Aggregate, ...], list[tuple[Partial, Partial]]]":
-        """Execute against ``backend``: the aggregates the queries carried
-        and, per group in order, its partials — ``(target, rest)`` when
-        flag-combined, else ``(target, comparison)``."""
-        queries = self.queries()
-        aggregates = queries[0].aggregates
-        sides = [self._group_results(backend, query) for query in queries]
-        return aggregates, [
-            side_partials(results, group.dimension, aggregates)
-            for group, results in zip(self.groups, zip(*sides))
-        ]
+    def fetch(self, backend: Backend) -> "list[tuple[Table, ...]]":
+        """Execute against ``backend``: per group in order, its results —
+        ``(combined,)`` when flag-combined, else ``(target, comparison)``."""
+        return list(zip(*(self._group_results(backend, query) for query in self.queries())))
+
+    def fold(
+        self, fetched: "list[tuple[Table, ...]]", states: "dict[ViewGroup, GroupState]"
+    ) -> None:
+        """Fold fetched results into each group's state in ``states``, made
+        on first use; a phased run folds every round into the same states.
+        A flag-combined result's flag=1 rows are the target side and its
+        flag=0 rows the rest; a (target, comparison) pair lands one per side."""
+        for group, results in zip(self.groups, fetched):
+            if group not in states:
+                states[group] = GroupState(group, self.merged)
+            state = states[group]
+            sides = [state.read(table) for table in results]
+            if len(sides) == 1:
+                (positions, values), (combined,) = sides[0], results
+                flags = np.asarray(combined.column(FLAG_NAME))
+                sides = [(positions[f], values[:, f]) for f in (flags == 1, flags == 0)]
+            for side, (positions, values) in enumerate(sides):
+                state.fold(side, positions, values)
 
     def run(self, backend: Backend) -> list[ViewBlock]:
         """Execute against ``backend``; one view block per group."""
-        aggregates, fetched = self.fetch(backend)
-        return [
-            group_block(
-                group.dimension, group.views, sides, aggregates, self.merges_sides
-            )
-            for group, sides in zip(self.groups, fetched)
-        ]
+        states: dict[ViewGroup, GroupState] = {}
+        self.fold(self.fetch(backend), states)
+        return [states[group].block(self.merges_sides) for group in self.groups]
 
     def _group_results(self, backend: Backend, query) -> list[Table]:
-        """Run one side's query; one result table per group, in order."""
+        """Run one side's query; one result table per group, in order. A
+        rollup result serves every group, each folding it onto its keys."""
         if self.sharing is GroupByCombining.GROUPING_SETS:
             return backend.execute_grouping_sets(query)
-        result = backend.execute(query)
-        if self.sharing is GroupByCombining.NONE:
-            return [result]
-        flag_name = FLAG_NAME if self.combine_flag else None
-        return [
-            marginalize(result, group.keys, query.aggregates, flag_name)
-            for group in self.groups
-        ]
+        return [backend.execute(query)] * len(self.groups)
 
     def describe(self) -> str:
         n_queries = 1 if self.combine_flag else 2

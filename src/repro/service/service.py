@@ -598,7 +598,7 @@ class SeeDBService:
             else:
                 self.stats.completed += 1
                 if result is not None and result.partial:
-                    # Partial results are deadline accidents, not the
+                    # Degraded results are deadline accidents, not the
                     # request's true answer — caching one would serve a
                     # degraded result to a future caller with a fresh
                     # budget.

@@ -1,6 +1,6 @@
 """Property tests: the columnar Score path equals the per-view path.
 
-The batch data plane (``group_block`` → ``align_batch`` →
+The batch data plane (``GroupState.block`` →
 ``normalize_batch`` → ``distance_batch`` via
 ``ViewProcessor.score_blocks``) must produce bit-for-bit the same
 utilities, distributions, and group universes as the classic per-view
@@ -28,8 +28,8 @@ from repro.engine.engine import ExecutionEngine
 from repro.metrics.normalize import NormalizationPolicy, group_sort_key
 from repro.metrics.registry import available_metrics, get_metric
 from repro.model.view import RawViewData, ViewSpec
-from repro.optimizer.combine import Partial
-from repro.optimizer.extract import group_block
+from repro.optimizer.combine import GroupState
+from repro.optimizer.plan import ViewGroup
 
 ALL_METRICS = tuple(available_metrics())
 
@@ -48,14 +48,14 @@ def _values(draw, size: int, allow_negative: bool) -> list[float]:
     return draw(st.lists(element, min_size=size, max_size=size))
 
 
-def _partial(draw, n_views: int, allow_negative: bool) -> Partial:
+def _partial(draw, n_views: int, allow_negative: bool) -> tuple:
     """One side of a view group: sorted keys, one value row per view."""
     keys = sorted(
         draw(st.lists(st.sampled_from(KEY_POOL), unique=True, max_size=6)),
         key=group_sort_key,
     )
     values = [_values(draw, len(keys), allow_negative) for _ in range(n_views)]
-    return Partial(keys, np.asarray(values, dtype=np.float64).reshape(n_views, len(keys)))
+    return keys, np.asarray(values, dtype=np.float64).reshape(n_views, len(keys))
 
 
 @st.composite
@@ -74,22 +74,28 @@ def view_workload(draw, allow_negative: bool = True) -> list[tuple]:
     return groups
 
 
+def group_block(dimension, views, target, comparison):
+    """The production block of a group whose two sides were fetched as
+    ``(keys, values)``: each folded into its side of the group's state."""
+    state = GroupState(ViewGroup(dimension, views), merged=False)
+    for side, (keys, values) in enumerate((target, comparison)):
+        state.fold(side, state.index([np.array(keys, dtype=object)]), values)
+    return state.block(merge=False)
+
+
 def blocks_and_raws(groups):
     """Each group's production block, and the same series as per-view
     :class:`RawViewData` for the scalar oracle."""
     blocks, raws = [], []
     for dimension, views, target, comparison in groups:
-        aggregates = tuple(view.aggregate for view in views)
-        blocks.append(
-            group_block(dimension, views, (target, comparison), aggregates, merge=False)
-        )
+        blocks.append(group_block(dimension, views, target, comparison))
         raws.extend(
             RawViewData(
                 spec=view,
-                target_keys=target.keys,
-                target_values=target.values[row],
-                comparison_keys=comparison.keys,
-                comparison_values=comparison.values[row],
+                target_keys=target[0],
+                target_values=target[1][row],
+                comparison_keys=comparison[0],
+                comparison_values=comparison[1][row],
             )
             for row, view in enumerate(views)
         )
@@ -142,7 +148,7 @@ def test_batch_bitwise_equals_per_view_strict(metric_name, groups):
 
 def test_empty_views_score_zero_on_both_paths():
     spec = ViewSpec("d", "m", "sum")
-    empty = Partial([], np.empty((1, 0)))
+    empty = ([], np.empty((1, 0)))
     processor = ViewProcessor(get_metric("js"), NormalizationPolicy.SHIFT)
     assert_block_path_matches_oracle(processor, [("d", (spec,), empty, empty)])
     blocks, _ = blocks_and_raws([("d", (spec,), empty, empty)])
@@ -161,8 +167,8 @@ def test_custom_scalar_metric_falls_back_to_loop():
 
     processor = ViewProcessor(FirstBinGap(), NormalizationPolicy.SHIFT)
     views = tuple(ViewSpec("d", f"m{i}", "sum") for i in range(3))
-    target = Partial(["a", "b"], np.array([[1.0, 3.0 + i] for i in range(3)]))
-    comparison = Partial(["a", "b", "c"], np.full((3, 3), 2.0))
+    target = (["a", "b"], np.array([[1.0, 3.0 + i] for i in range(3)]))
+    comparison = (["a", "b", "c"], np.full((3, 3), 2.0))
     assert_block_path_matches_oracle(processor, [("d", views, target, comparison)])
 
 

@@ -1,8 +1,9 @@
 """Property tests: every plan shape hands the scorer identical view data.
 
 The optimizer's central contract — combining strategies change *work*, not
-*answers* — verified on randomized tables (random group structures, a
-dimension carrying NULLs, NaN measures, random predicates) over the whole
+*answers* — verified on randomized tables (random group structures, a string
+dimension carrying both NULL and the string ``'None'``, a FLOAT dimension
+carrying NaN, NaN measures, random predicates) over the whole
 step grid: sharing × sides × reference × single-/multi-attribute
 dimension × backend, each cell against the all-separate baseline (one
 unshared two-query step per view) on the same backend — and, along the
@@ -14,6 +15,7 @@ optional wheel is absent.
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +27,10 @@ from repro.core import MultiViewSpec
 from repro.db.expressions import RowPartition, col
 from repro.db.table import Table
 from repro.db.types import AttributeRole
+from repro.metrics.normalize import canonical_key
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
-from repro.optimizer.combine import merge_partials
-from repro.optimizer.extract import group_block
+from repro.optimizer.extract import view_dimension
 from repro.optimizer.plan import (
     ExecutionPlan,
     ExecutionStep,
@@ -75,15 +77,17 @@ def workloads(draw):
     table = Table.from_columns(
         "t",
         {
-            "d1": column(["a", "b", "c", None]),
+            "d1": column(["a", "b", "c", None, "None"]),
             "d2": column(D2_VALUES),
             "d3": column(["p", "q"]),
+            "f": column([0.5, 1.5, float("nan")]),
             "m": draw(st.lists(measure, min_size=n_rows, max_size=n_rows)),
         },
         roles={
             "d1": AttributeRole.DIMENSION,
             "d2": AttributeRole.DIMENSION,
             "d3": AttributeRole.DIMENSION,
+            "f": AttributeRole.DIMENSION,
             "m": AttributeRole.MEASURE,
         },
     )
@@ -106,37 +110,33 @@ def resolve(kind, target_value, other_value):
 
 
 def view_groups(dimension_kind, funcs):
-    """Two groups, so GROUPING SETS and ROLLUP really share a query; the
-    first groups by the NULL-carrying ``d1`` (alone, or with ``d3``)."""
+    """Three groups, so GROUPING SETS and ROLLUP really share a query; the
+    first groups by the NULL-carrying ``d1`` (alone, or with ``d3``), the
+    last by the NaN-carrying FLOAT ``f``."""
     measures = [(None if func == "count" else "m", func) for func in funcs]
     if dimension_kind == "name":
         first = ViewGroup("d1", tuple(ViewSpec("d1", m, f) for m, f in measures))
     else:
         dims = ("d1", "d3")
         first = ViewGroup(dims, tuple(MultiViewSpec(dims, m, f) for m, f in measures))
-    return first, ViewGroup("d2", (ViewSpec("d2", "m", "avg"),))
+    return (
+        first,
+        ViewGroup("d2", (ViewSpec("d2", "m", "avg"),)),
+        ViewGroup("f", (ViewSpec("f", None, "count"),)),
+    )
 
 
 def run_partitioned(steps, backend, n):
-    """Every step run as ``n`` row-partitioned steps whose fetched partials
-    are folded side by side with the phased path's merge, then made view
-    blocks once."""
+    """Every step run as ``n`` row-partitioned steps whose fetched results
+    fold into one state per group, as the phased path's rounds do, then
+    made view blocks once."""
     blocks = []
     for step in steps:
-        running = None
+        states = {}
         for index in range(n):
             part = replace(step, partition=RowPartition(index, n))
-            aggregates, fetched = part.fetch(backend)
-            running = fetched if running is None else [
-                tuple(merge_partials(old, new, aggregates) for old, new in zip(olds, news))
-                for olds, news in zip(running, fetched)
-            ]
-        blocks.extend(
-            group_block(
-                group.dimension, group.views, sides, aggregates, step.merges_sides
-            )
-            for group, sides in zip(step.groups, running)
-        )
+            part.fold(part.fetch(backend), states)
+        blocks.extend(states[group].block(step.merges_sides) for group in step.groups)
     return blocks
 
 
@@ -184,8 +184,15 @@ def test_step_grid_equals_all_separate_baseline(
     # The partition axis: n interleaved row slices, folded, are the step.
     for folded in partitioned.values():
         assert_same_views(folded, actual, atol=1e-9)
-    # A NULL dimension value is the object None on every path and backend,
-    # never the string 'None'.
-    for groups, _target, _comparison in view_rows(expected).values():
-        for key in groups:
-            assert "None" not in (key if isinstance(key, tuple) else (key,))
+    # A NULL dimension value (NaN in a FLOAT column) is the object None on
+    # every path and backend: one group, apart from the string 'None'. Each
+    # view's groups are the distinct keys of the rows either side reads.
+    rows = np.ones(table.num_rows, dtype=bool)
+    if reference.predicate is not None:
+        rows = predicate.evaluate(table) | reference.predicate.evaluate(table)
+    for spec, (groups, _target, _comparison) in view_rows(expected).items():
+        dimension = view_dimension(spec)
+        names = dimension if isinstance(dimension, tuple) else (dimension,)
+        keys = zip(*(table.column(name)[rows] for name in names))
+        raw = {canonical_key(key if len(names) > 1 else key[0]) for key in keys}
+        assert len(set(groups)) == len(groups) and set(groups) == raw, spec.label

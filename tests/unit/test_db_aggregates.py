@@ -89,7 +89,7 @@ class TestEmptyGroups:
 
 
 class TestMerging:
-    """The one merge of partial aggregates (``optimizer.combine``), over an
+    """The fold of a view group's state (``optimizer.combine``), over an
     aggregate's mergeable decomposition, equals computing over the union of
     rows."""
 
@@ -97,23 +97,23 @@ class TestMerging:
         "func", ["count", "sum", "avg", "min", "max", "var", "std", "countv", "sumsq"]
     )
     def test_merge_equals_union(self, func):
-        from repro.optimizer.combine import Partial, merge_partials, merge_spec
+        from repro.model.view import ViewSpec
+        from repro.optimizer.combine import GroupState
+        from repro.optimizer.plan import ViewGroup
 
-        spec = merge_spec(Aggregate(func, None if func == "count" else "x"))
-
-        def partial(values, codes):
+        measure = None if func == "count" else "x"
+        state = GroupState(ViewGroup("d", (ViewSpec("d", measure, func),)), merged=True)
+        positions = state.index([np.arange(N_GROUPS)])
+        for values, codes in ((VALUES[:3], CODES[:3]), (VALUES[3:], CODES[3:])):
             rows = [
                 finalize(aux.func, None if aux.func == "count" else values, codes)
-                for aux in spec.aux
+                for aux in state.aggregates
             ]
-            return Partial(list(range(N_GROUPS)), np.array(rows))
-
-        merged = merge_partials(
-            partial(VALUES[:3], CODES[:3]), partial(VALUES[3:], CODES[3:]), spec.aux
-        )
-        rows = dict(zip((aux.alias for aux in spec.aux), merged.values))
+            state.fold(0, positions, np.array(rows))
         expected = finalize(func, None if func == "count" else VALUES)
-        np.testing.assert_allclose(spec.reconstruct(rows), expected, equal_nan=True)
+        np.testing.assert_allclose(
+            state.block(merge=False).target[0], expected, equal_nan=True
+        )
 
 
 class TestAggregateDataclass:

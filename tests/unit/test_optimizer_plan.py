@@ -9,7 +9,8 @@ from repro.db.query import AggregateQuery, GroupingSetsQuery
 from repro.model.view import ViewSpec
 from repro.optimizer.binpack import pack_dimensions
 from repro.optimizer.cost import estimate_plan_cost
-from repro.optimizer.extract import FLAG_NAME, marginalize
+from repro.optimizer.combine import GroupState
+from repro.optimizer.extract import FLAG_NAME
 from repro.optimizer.plan import (
     ExecutionStep,
     GroupByCombining,
@@ -318,7 +319,16 @@ class TestStepQueries:
         assert query.key_names == (FLAG_NAME, "a", "b")
 
 
+def fold_rollup(rollup, group, merged=True):
+    """``rollup``'s rows folded onto ``group``'s keys, as a rollup step does."""
+    state = GroupState(group, merged)
+    state.fold(0, *state.read(rollup))
+    return state
+
+
 class TestMarginalize:
+    """Folding a multi-dimensional rollup result onto one group's keys."""
+
     def test_marginalize_sums(self, memory_backend):
         from repro.db.aggregates import Aggregate
 
@@ -329,11 +339,11 @@ class TestMarginalize:
                 (Aggregate("sum", "amount"), Aggregate("countv", "amount")),
             )
         )
-        marginal = marginalize(
-            rollup,
-            ("store",),
-            (Aggregate("sum", "amount"), Aggregate("countv", "amount")),
+        group = ViewGroup(
+            "store",
+            (ViewSpec("store", "amount", "sum"), ViewSpec("store", "amount", "countv")),
         )
+        marginal = fold_rollup(rollup, group).block(merge=False)
         direct = memory_backend.execute(
             AggregateQuery(
                 "sales",
@@ -341,9 +351,10 @@ class TestMarginalize:
                 (Aggregate("sum", "amount"), Aggregate("countv", "amount")),
             )
         )
-        assert marginal.num_rows == direct.num_rows
+        assert marginal.n_groups == direct.num_rows
+        assert marginal.groups == list(direct.column("store"))
         np.testing.assert_allclose(
-            np.asarray(marginal.column("sum(amount)"), dtype=float),
+            marginal.target[0],
             np.asarray(direct.column("sum(amount)"), dtype=float),
         )
 
@@ -354,8 +365,9 @@ class TestMarginalize:
         rollup = memory_backend.execute(
             AggregateQuery("sales", ("store", "product"), (Aggregate("avg", "amount"),))
         )
-        with pytest.raises(QueryError, match="marginalize"):
-            marginalize(rollup, ("store",), (Aggregate("avg", "amount"),))
+        group = ViewGroup("store", (ViewSpec("store", "amount", "avg"),))
+        with pytest.raises(QueryError, match="not mergeable"):
+            fold_rollup(rollup, group, merged=False)
 
 
 class TestCostModel:
