@@ -188,6 +188,11 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
     server_version = "seedb"
     #: Set by :func:`make_server` on the server object; read via self.server.
     protocol_version = "HTTP/1.1"
+    #: ``StreamRequestHandler.setup()`` sets ``TCP_NODELAY`` on each accepted
+    #: socket. A reply is a header write then a body write; with Nagle on,
+    #: the body of every keep-alive reply waits out the client's delayed
+    #: ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SeeDBService:
@@ -200,6 +205,9 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         parsed = urlparse(self.path)
+        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+            # A GET's body is never read: see do_POST's unknown route.
+            self.close_connection = True
         try:
             if parsed.path == "/healthz":
                 # Delegated to the service so the cluster tier can report
@@ -212,17 +220,10 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
             elif parsed.path == "/views":
                 self._reply(200, self._views(parse_qs(parsed.query)))
             elif parsed.path == "/dashboard":
-                self._reply_html(200, self._dashboard(parse_qs(parsed.query)))
+                html = self._dashboard(parse_qs(parsed.query))
+                self._send(200, html.encode("utf-8"), "text/html; charset=utf-8")
             else:
-                self._reply(
-                    404,
-                    {
-                        "error": {
-                            "code": "not_found",
-                            "message": f"no route {parsed.path!r}",
-                        }
-                    },
-                )
+                self._not_found(parsed.path)
         except ReproError as error:
             self._reply_error(error)
         except Exception as error:  # noqa: BLE001 - keep-alive clients need
@@ -236,15 +237,10 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
         elif parsed.path == "/recommend/stream":
             handler = self._recommend_stream
         else:
-            self._reply(
-                404,
-                {
-                    "error": {
-                        "code": "not_found",
-                        "message": f"no route {parsed.path!r}",
-                    }
-                },
-            )
+            # The body is never read: its bytes would be parsed as the next
+            # request on this connection, so the reply ends it.
+            self.close_connection = True
+            self._not_found(parsed.path)
             return
         try:
             handler(self._read_json())
@@ -380,20 +376,26 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         limit = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
+        chunked = "Transfer-Encoding" in self.headers
+        declared = self.headers.get("Content-Length", "0").strip()
+        length = int(declared) if declared.isdecimal() and not chunked else -1
+        if not 0 <= length <= limit:
+            # Rejected *before* reading: an oversized body never enters
+            # memory, a negative length would read until the client hangs
+            # up, and chunked bodies are not decoded. The unread bytes
+            # would be parsed as the next request on this connection, so
+            # the reply ends it.
+            self.close_connection = True
+            if length > limit:
+                raise ApiError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{limit}-byte limit",
+                    code="payload_too_large",
+                )
             raise ApiError(
-                "Content-Length must be an integer", code="invalid_request"
-            ) from None
-        if length > limit:
-            # Rejected *before* reading: the oversized body never enters
-            # memory. The connection must close (the unread bytes would
-            # desync the next keep-alive request's framing).
-            raise ApiError(
-                f"request body of {length} bytes exceeds the "
-                f"{limit}-byte limit",
-                code="payload_too_large",
+                "a request body needs a non-negative integer Content-Length "
+                f"and no Transfer-Encoding; got Content-Length {declared!r}",
+                code="invalid_request",
             )
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -418,21 +420,20 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
                 headers["Retry-After"] = str(max(1, math.ceil(error.retry_after)))
         elif isinstance(error, ApiError) and error.code == "payload_too_large":
             status = 413
-            self.close_connection = True
         self._reply(status, error_body(error), headers=headers)
 
-    def _reply_html(self, status: int, html: str) -> None:
-        body = html.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _not_found(self, path: str) -> None:
+        message = f"no route {path!r}"
+        self._reply(404, {"error": {"code": "not_found", "message": message}})
 
     def _reply(self, status: int, payload: dict, headers: "dict | None" = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send(status, json.dumps(payload).encode("utf-8"), "application/json", headers)
+
+    def _send(
+        self, status: int, body: bytes, content_type: str, headers: "dict | None" = None
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)

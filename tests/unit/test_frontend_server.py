@@ -1,6 +1,7 @@
 """Unit tests: the HTTP/JSON frontend over a live in-process server."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -8,7 +9,11 @@ import pytest
 
 from repro.api import RecommendationRequest
 from repro.core.config import SeeDBConfig
-from repro.frontend.server import result_to_json, serve_in_thread
+from repro.frontend.server import (
+    SeeDBRequestHandler,
+    result_to_json,
+    serve_in_thread,
+)
 from repro.service import single_backend_service
 
 
@@ -367,6 +372,101 @@ class TestErrors:
             400,
         )
         assert error["code"] == "schema_version"
+
+
+class TestConnections:
+    """Replies leave on a no-delay socket, and a reply sent before its
+    request body was read ends the keep-alive connection: the unread bytes
+    must never be parsed as a second request."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    def exchange(self, base: str, raw: bytes) -> tuple[list, bool]:
+        """Send raw bytes on one socket; return the replies' status lines
+        and bodies, and whether the server closed the connection."""
+        host, port = base.removeprefix("http://").split(":")
+        data, closed = b"", False
+        with socket.create_connection((host, int(port)), timeout=3) as sock:
+            sock.sendall(raw)
+            try:
+                while chunk := sock.recv(65536):
+                    data += chunk
+                closed = True
+            except TimeoutError:
+                pass
+        replies = []
+        while data:
+            head, _, data = data.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            fields = dict(line.split(": ", 1) for line in lines[1:])
+            length = int(fields["Content-Length"])
+            replies.append((lines[0], data[:length]))
+            data = data[length:]
+        return replies, closed
+
+    def test_accepted_sockets_have_tcp_nodelay(self, served, monkeypatch):
+        _, base = served
+        seen = []
+        setup = SeeDBRequestHandler.setup
+
+        def probe(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(SeeDBRequestHandler, "setup", probe)
+        assert get(base, "/healthz")["status"] == "ok"
+        assert len(seen) == 1 and seen[0] != 0
+
+    def test_keep_alive_serves_both_requests(self, served):
+        """Only an unread body ends the connection: once the body is read,
+        a pipelined second request is answered on the same socket."""
+        _, base = served
+        body = b'{"table": "sales", "k": 1}'
+        first = (
+            b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        last = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        replies, closed = self.exchange(base, first + last)
+        assert [status for status, _ in replies] == [
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 200 OK",
+        ]
+        assert closed
+
+    @pytest.mark.parametrize(
+        "request_line, framing, status, code",
+        [
+            (b"POST /nope", b"Content-Length: %d" % len(SMUGGLED), "404", "not_found"),
+            (b"POST /recommend", b"Content-Length: abc", "400", "invalid_request"),
+            # rfile.read(-1) would block until the client hangs up; this
+            # client keeps its socket open, so only a prompt 400 passes.
+            (b"POST /recommend", b"Content-Length: -1", "400", "invalid_request"),
+            (b"POST /recommend", b"Transfer-Encoding: chunked", "400", "invalid_request"),
+            (b"GET /healthz", b"Content-Length: %d" % len(SMUGGLED), "200", None),
+        ],
+        ids=[
+            "unknown-route",
+            "non-integer-length",
+            "negative-length",
+            "chunked-body",
+            "get-with-body",
+        ],
+    )
+    def test_unread_body_is_not_served_as_a_request(
+        self, served, request_line, framing, status, code
+    ):
+        service, base = served
+        raw = request_line + b" HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n\r\n"
+        replies, closed = self.exchange(base, raw + self.SMUGGLED)
+        assert len(replies) == 1, replies
+        assert replies[0][0].split(" ")[1] == status
+        if code is not None:
+            assert json.loads(replies[0][1])["error"]["code"] == code
+        assert closed
+        assert service.stats.requests == 0
 
 
 class TestStructuredRequests:
