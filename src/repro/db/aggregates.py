@@ -1,10 +1,10 @@
 """Aggregate functions of the memory engine's group-by.
 
-Each aggregate is one reducer, ``reduce(values, codes, n_groups)``: a
-vectorized pass from a measure column and dense group codes to one float64
-value per group. Merging the results of disjoint row sets — the flag
-partitions of SeeDB's combined target/comparison query (§3.3), or the
-rounds of a phased run — is the optimizer's job: the fold of
+Each aggregate is one reducer: a read of one measure's :class:`Grouped`
+rows, which a step derives once for all of that measure's aggregates
+(§3.3's "combine multiple aggregates"), to one value per group. Merging
+the results of disjoint row sets — the flag partitions of SeeDB's combined
+target/comparison query, or the rounds of a phased run — is the fold of
 :class:`repro.optimizer.combine.GroupState` over an aggregate's mergeable
 decomposition.
 
@@ -15,101 +15,101 @@ counts, sums, and extrema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.util.errors import QueryError
 
-#: ``reduce(values, codes, n_groups)`` — per-group values of one aggregate.
-Reducer = Callable[["np.ndarray | None", np.ndarray, int], np.ndarray]
+
+def nan_mask(values: np.ndarray) -> "np.ndarray | None":
+    """The NULL (NaN) rows of ``values``, or None when it has none."""
+    if values.dtype.kind != "f":
+        return None
+    mask = np.isnan(values)
+    return mask if mask.any() else None
 
 
-def _valid(values: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values as float64, codes)`` of the non-NULL (non-NaN) entries."""
-    if values.dtype.kind == "f":
-        mask = ~np.isnan(values)
-        return values[mask].astype(np.float64), codes[mask]
-    return values.astype(np.float64), codes
+class Grouped:
+    """One measure's non-NULL rows under a step's dense group codes.
+
+    ``counts`` is each group's non-NULL row count (float64); ``sums`` and
+    ``squares`` are one weighted ``bincount`` each, in row order, taken on
+    first use. A measure without NULLs shares the step's codes and
+    ``COUNT(*)`` (then its ``COUNT(m)``); ``values`` is None for
+    ``COUNT(*)``'s own view of the rows.
+    """
+
+    def __init__(self, codes: np.ndarray, n_groups: int, values=None, counts=None) -> None:
+        self.codes, self.n_groups, self.values = codes, n_groups, values
+        if counts is None:
+            counts = np.bincount(codes, minlength=n_groups).astype(np.float64)
+        self.counts = counts
+
+    def measure(self, values: np.ndarray, nulls: "np.ndarray | None") -> "Grouped":
+        """``values``' view of these rows, less its ``nulls`` (None: none)."""
+        if values.dtype.kind not in "biuf":
+            values = values.astype(np.float64)
+        if nulls is None:
+            return Grouped(self.codes, self.n_groups, values, self.counts)
+        keep = ~nulls
+        return Grouped(self.codes[keep], self.n_groups, values[keep])
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        return np.bincount(self.codes, weights=self.values, minlength=self.n_groups)
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        squares = np.square(self.values, dtype=np.float64)
+        return np.bincount(self.codes, weights=squares, minlength=self.n_groups)
+
+    def where_present(self, result: np.ndarray) -> np.ndarray:
+        """``result``, NaN for the groups with no non-NULL value."""
+        return np.where(self.counts > 0, result, np.nan)
 
 
-def _count(values, codes, n_groups):
-    """``COUNT(*)`` — row count per group (NaN rows still count)."""
-    return np.bincount(codes, minlength=n_groups).astype(np.float64)
-
-
-def _countv(values, codes, n_groups):
-    """``COUNT(m)`` — count of non-NULL values; the optimizer's auxiliary
-    for decomposed AVG/VAR/STD (avg = sum / countv)."""
-    if values.dtype.kind == "f":
-        codes = codes[~np.isnan(values)]
-    return _count(None, codes, n_groups)
-
-
-def _sum(values, codes, n_groups):
-    """``SUM(m)`` — 0 for empty groups (more useful than SQL's NULL here,
-    because view distributions treat an absent group as zero mass)."""
-    values, codes = _valid(values, codes)
-    return np.bincount(codes, weights=values, minlength=n_groups)
-
-
-def _sumsq(values, codes, n_groups):
-    """``SUM(m*m)`` — auxiliary aggregate for decomposed VAR/STD."""
-    values, codes = _valid(values, codes)
-    return np.bincount(codes, weights=values**2, minlength=n_groups)
-
-
-def _avg(values, codes, n_groups):
+def _avg(grouped: Grouped) -> np.ndarray:
     """``AVG(m)`` — NaN for groups with no valid values."""
-    values, codes = _valid(values, codes)
-    sums = np.bincount(codes, weights=values, minlength=n_groups)
-    counts = _count(None, codes, n_groups)
     with np.errstate(invalid="ignore", divide="ignore"):
-        result = sums / counts
-    return np.where(counts > 0, result, np.nan)
+        return grouped.where_present(grouped.sums / grouped.counts)
 
 
-def _extremum(ufunc: np.ufunc, init: float) -> Reducer:
+def _extremum(ufunc: np.ufunc, init: float) -> Callable[[Grouped], np.ndarray]:
     """``MIN``/``MAX`` via ``ufunc.at`` scatter reduction; NaN when empty."""
 
-    def reduce(values, codes, n_groups):
-        values, codes = _valid(values, codes)
-        out = np.full(n_groups, init, dtype=np.float64)
-        ufunc.at(out, codes, values)
-        return np.where(_count(None, codes, n_groups) > 0, out, np.nan)
+    def reduce(grouped: Grouped) -> np.ndarray:
+        out = np.full(grouped.n_groups, init, dtype=np.float64)
+        ufunc.at(out, grouped.codes, grouped.values)
+        return grouped.where_present(out)
 
     return reduce
 
 
-def _var(values, codes, n_groups):
+def _var(grouped: Grouped) -> np.ndarray:
     """Population variance via the (sum, sum of squares, count) sketch."""
-    values, codes = _valid(values, codes)
-    sums = np.bincount(codes, weights=values, minlength=n_groups)
-    sumsq = np.bincount(codes, weights=values**2, minlength=n_groups)
-    counts = _count(None, codes, n_groups)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = sums / counts
-        variance = sumsq / counts - mean**2
+        mean = grouped.sums / grouped.counts
+        variance = grouped.squares / grouped.counts - mean**2
     # Clamp tiny negative values caused by floating-point cancellation.
-    variance = np.maximum(variance, 0.0)
-    return np.where(counts > 0, variance, np.nan)
+    return grouped.where_present(np.maximum(variance, 0.0))
 
 
-def _std(values, codes, n_groups):
-    """Population standard deviation (sqrt of ``var``)."""
-    return np.sqrt(_var(values, codes, n_groups))
-
-
-AGGREGATE_FUNCTIONS: Mapping[str, Reducer] = {
-    "count": _count,
-    "sum": _sum,
+#: ``reduce(grouped)`` — per-group values of one aggregate. COUNT(m), the
+#: optimizer's auxiliary for decomposed AVG/VAR/STD, is ``countv``.
+AGGREGATE_FUNCTIONS: Mapping[str, Callable[[Grouped], np.ndarray]] = {
+    "count": lambda grouped: grouped.counts,
+    # SUM is 0 for empty groups (more useful than SQL's NULL here, because
+    # view distributions treat an absent group as zero mass).
+    "sum": lambda grouped: grouped.sums,
     "avg": _avg,
     "min": _extremum(np.minimum, np.inf),
     "max": _extremum(np.maximum, -np.inf),
     "var": _var,
-    "std": _std,
-    "countv": _countv,
-    "sumsq": _sumsq,
+    "std": lambda grouped: np.sqrt(_var(grouped)),
+    "countv": lambda grouped: grouped.counts,
+    "sumsq": lambda grouped: grouped.squares,
 }
 
 
@@ -144,14 +144,6 @@ class Aggregate:
                 f"{self.func}({self.column})" if self.column else f"{self.func}(*)"
             )
             object.__setattr__(self, "alias", default_alias)
-
-    def reduce(
-        self, values: "np.ndarray | None", codes: np.ndarray, n_groups: int
-    ) -> np.ndarray:
-        """Per-group float64 values of this aggregate over ``values``."""
-        reducer = AGGREGATE_FUNCTIONS[self.func]
-        # np.bincount yields int64 for empty inputs; results are FLOAT.
-        return np.asarray(reducer(values, codes, n_groups), dtype=np.float64)
 
     def __str__(self) -> str:
         return self.alias

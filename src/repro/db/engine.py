@@ -123,18 +123,17 @@ class Engine:
         The table is filtered once and each grouping key encoded once — a
         base column's codes cut from the table's dictionary encoding
         (:meth:`Table.codes`, no sort), a flag's from its evaluated 0/1
-        array — then every set combines its keys' codes and reduces each
-        aggregate by them.
+        array — and each measure's NULL rows are read from the table
+        (:meth:`Table.nulls`); then every set combines its keys' codes and
+        reduces each aggregate by them.
         """
         singles = query.as_single_queries()
         table = self.catalog.get(query.table)
         self.stats.count_scan(table.num_rows)
         filtered = self._apply_predicate(table, query.predicate)
-        measure_arrays = {
-            aggregate.column: filtered.column(aggregate.column)
-            for aggregate in query.aggregates
-            if aggregate.column is not None
-        }
+        measures = {a.column for a in query.aggregates if a.column is not None}
+        measure_arrays = {name: filtered.column(name) for name in measures}
+        nulls = {name: filtered.nulls(name) for name in measures}
         encoded: dict[tuple[bool, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
         def encode(key: GroupingKey) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,7 +158,9 @@ class Engine:
             )
             arrays = dict(factorization.keys)
             arrays.update(
-                aggregate_by_codes(factorization, measure_arrays, query.aggregates)
+                aggregate_by_codes(
+                    factorization, measure_arrays, query.aggregates, nulls
+                )
             )
             name = "_".join(single.key_names) or "all"
             schema = aggregate_result_schema(table.schema, single)

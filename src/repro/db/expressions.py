@@ -13,16 +13,24 @@ SQL *rendering* lives in :mod:`repro.backends.sqlgen` and *parsing* in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from datetime import date
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.db.table import Table
 from repro.util.errors import QueryError
 
-_COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class Expression:
@@ -82,36 +90,61 @@ def _coerce_literal(value: Any) -> Any:
     return value
 
 
+def _is_null(value: Any) -> bool:
+    """``None``, or a NaN / NaT literal: SQL NULL."""
+    return value is None or value != value
+
+
+def _matching(
+    table: Table, name: str, test: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Rows of column ``name`` whose non-NULL value passes ``test``.
+
+    A NULL row never matches, as in SQL. An object (string) column is
+    tested once per distinct value, over its dictionary encoding
+    (:meth:`Table.codes`), and the flags are indexed by each row's code.
+    """
+    values = table.column(name)
+    if values.dtype == object:
+        codes, uniques = table.codes(name)
+        present = np.array([value is not None for value in uniques], dtype=bool)
+        flags = np.zeros(len(uniques), dtype=bool)
+        flags[present] = test(uniques[present])
+        return flags[codes]
+    flags = test(values)
+    if values.dtype.kind in "fmM":
+        flags &= values == values  # NaN / NaT is NULL
+    return flags
+
+
 @dataclass(frozen=True)
 class Comparison(Expression):
-    """``column <op> literal`` for op in =, !=, <, <=, >, >=."""
+    """``column <op> literal`` for op in =, !=, <, <=, >, >=.
+
+    A NULL row, or a NULL literal, never matches (SQL's rule).
+    """
 
     op: str
     column: ColumnRef
     literal: Literal
 
     def __post_init__(self) -> None:
-        if self.op not in _COMPARISON_OPS:
+        if self.op not in _COMPARE:
             raise QueryError(
                 f"unsupported comparison operator {self.op!r}; "
-                f"expected one of {_COMPARISON_OPS}"
+                f"expected one of {tuple(_COMPARE)}"
             )
 
     def evaluate(self, table: Table) -> np.ndarray:
-        values = self.column.values(table)
         literal = _coerce_literal(self.literal.value)
+        if _is_null(literal):
+            table.column(self.column.name)  # validates
+            return np.zeros(table.num_rows, dtype=bool)
+        compare = _COMPARE[self.op]
         try:
-            if self.op == "=":
-                return values == literal
-            if self.op == "!=":
-                return values != literal
-            if self.op == "<":
-                return values < literal
-            if self.op == "<=":
-                return values <= literal
-            if self.op == ">":
-                return values > literal
-            return values >= literal
+            return _matching(
+                table, self.column.name, lambda values: compare(values, literal)
+            )
         except TypeError as exc:
             raise QueryError(
                 f"cannot compare column {self.column.name!r} with {literal!r}: {exc}"
@@ -123,17 +156,20 @@ class Comparison(Expression):
 
 @dataclass(frozen=True)
 class In(Expression):
-    """``column IN (v1, v2, ...)``."""
+    """``column IN (v1, v2, ...)``; a NULL row or candidate never matches."""
 
     column: ColumnRef
     values: tuple[Any, ...]
 
     def evaluate(self, table: Table) -> np.ndarray:
-        column_values = self.column.values(table)
         candidates = [_coerce_literal(v) for v in self.values]
+        candidates = [v for v in candidates if not _is_null(v)]
         if not candidates:
+            table.column(self.column.name)  # validates
             return np.zeros(table.num_rows, dtype=bool)
-        return np.isin(column_values, candidates)
+        return _matching(
+            table, self.column.name, lambda values: np.isin(values, candidates)
+        )
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset({self.column.name})

@@ -1,9 +1,9 @@
 """Vectorized group-by: factorization and grouped aggregation.
 
 The executor's core primitive. A *factorization* maps each row to a dense
-group code ``0..n_groups-1``; grouped aggregation then reduces each measure
-column by code with its aggregate's reducer (:mod:`repro.db.aggregates`)
-straight to final per-group values.
+group code ``0..n_groups-1``; grouped aggregation then reads each measure
+column once by code, and each aggregate's reducer
+(:mod:`repro.db.aggregates`) turns that into final per-group values.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.aggregates import Aggregate
+from repro.db.aggregates import AGGREGATE_FUNCTIONS, Aggregate, Grouped, nan_mask
 from repro.util.errors import QueryError
 
 
@@ -136,23 +136,31 @@ def aggregate_by_codes(
     factorization: Factorization,
     measure_arrays: dict[str, np.ndarray],
     aggregates: tuple[Aggregate, ...],
+    nulls: "dict[str, np.ndarray | None] | None" = None,
 ) -> dict[str, np.ndarray]:
     """Final per-group values of each aggregate under ``factorization``,
-    ``{alias: float64 array}``."""
+    ``{alias: float64 array}``, from one pass per measure (:class:`Grouped`).
+    ``nulls`` holds each measure's NULL rows as :meth:`Table.nulls` keeps
+    them; without it they are found here."""
+    rows = Grouped(factorization.codes, factorization.n_groups)
+    grouped: dict[str | None, Grouped] = {None: rows}
     values_by_alias: dict[str, np.ndarray] = {}
     for aggregate in aggregates:
+        column = aggregate.column
         if aggregate.alias in values_by_alias:
             raise QueryError(f"duplicate aggregate alias {aggregate.alias!r}")
-        if aggregate.column is None:
-            values = None
-        else:
-            if aggregate.column not in measure_arrays:
+        if column not in grouped:
+            if column not in measure_arrays:
                 raise QueryError(
                     f"aggregate {aggregate.alias!r} references missing column "
-                    f"{aggregate.column!r}"
+                    f"{column!r}"
                 )
-            values = measure_arrays[aggregate.column]
-        values_by_alias[aggregate.alias] = aggregate.reduce(
-            values, factorization.codes, factorization.n_groups
+            values = measure_arrays[column]
+            grouped[column] = rows.measure(
+                values, nan_mask(values) if nulls is None else nulls[column]
+            )
+        # np.bincount yields int64 for empty inputs; results are FLOAT.
+        values_by_alias[aggregate.alias] = np.asarray(
+            AGGREGATE_FUNCTIONS[aggregate.func](grouped[column]), dtype=np.float64
         )
     return values_by_alias

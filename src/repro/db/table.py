@@ -10,7 +10,8 @@ sorted once per ``Table`` object, then read as integer codes by metadata
 statistics, planning and the group-by. A table cut from another by
 :meth:`~Table.mask`, :meth:`~Table.take`, :meth:`~Table.head`,
 :meth:`~Table.select_columns` or :meth:`~Table.rename` slices its
-parent's codes by the same row selector instead of sorting again.
+parent's codes by the same row selector instead of sorting again. A float
+column's NULL (NaN) rows are found the same way, once (:meth:`Table.nulls`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.db.aggregates import nan_mask
 from repro.db.groupby import compact_codes, factorize
 from repro.db.schema import ColumnSpec, Schema
 from repro.db.types import AttributeRole, DataType, coerce_array, default_role, infer_data_type
@@ -45,6 +47,9 @@ class Table:
         default=None, init=False, repr=False, compare=False
     )
     _codes: dict = field(  # guarded-by: _codes_lock
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _nulls: dict = field(  # guarded-by: _codes_lock
         default_factory=dict, init=False, repr=False, compare=False
     )
     _codes_lock: threading.Lock = field(
@@ -192,6 +197,31 @@ class Table:
         if rows is None:
             return codes, uniques
         return compact_codes(codes[rows], uniques)
+
+    def nulls(self, name: str) -> "np.ndarray | None":
+        """The NULL (NaN) rows of float column ``name`` as a boolean mask,
+        or None when it has none (so has every column of another type).
+
+        Found once per ``Table`` object and kept for its lifetime, like
+        :meth:`codes`; a derived table cuts its parent's mask with the
+        selector that cut its rows.
+        """
+        if self.column(name).dtype.kind != "f":
+            return None
+        with self._codes_lock:
+            if name not in self._nulls:
+                self._nulls[name] = self._find_nulls(name)
+            return self._nulls[name]
+
+    def _find_nulls(self, name: str) -> "np.ndarray | None":
+        if self._parent is None:
+            return nan_mask(self.columns[name])
+        parent, rows = self._parent
+        mask = parent.nulls(name)
+        if mask is None or rows is None:
+            return mask
+        mask = mask[rows]
+        return mask if mask.any() else None
 
     def _derive(
         self,

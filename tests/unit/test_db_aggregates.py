@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.db.aggregates import AGGREGATE_FUNCTIONS, Aggregate
+from repro.db.aggregates import Aggregate
+from repro.db.groupby import Factorization, aggregate_by_codes
 from repro.util.errors import QueryError
 
 CODES = np.array([0, 0, 1, 1, 1, 2])
@@ -12,7 +13,9 @@ N_GROUPS = 3
 
 
 def finalize(func_name, values=VALUES, codes=CODES, n_groups=N_GROUPS):
-    return AGGREGATE_FUNCTIONS[func_name](values, codes, n_groups)
+    aggregate = Aggregate(func_name, None if func_name == "count" else "x")
+    factorization = Factorization(codes, n_groups, {})
+    return aggregate_by_codes(factorization, {"x": values}, (aggregate,))[aggregate.alias]
 
 
 class TestBasicValues:
