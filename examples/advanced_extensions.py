@@ -10,7 +10,7 @@ from repro import MemoryBackend, RowSelectQuery, SeeDB, SeeDBConfig
 from repro.api import RecommendationRequest
 from repro.datasets import generate_store_orders
 from repro.db.expressions import col
-from repro.engine.multiview import multiview_phases
+from repro.engine import multiview_phases
 from repro.viz.html_report import write_html_report
 
 OUTPUT_DIR = Path(__file__).parent / "output" / "extensions"

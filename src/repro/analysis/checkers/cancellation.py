@@ -29,7 +29,6 @@ from repro.analysis.facts import CallSite, LoopFacts
 SCOPE = (
     "engine/phases.py",
     "engine/incremental.py",
-    "engine/multiview.py",
     "engine/engine.py",
     "optimizer/parallel.py",
     "optimizer/plan.py",

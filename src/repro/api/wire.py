@@ -30,9 +30,7 @@ def view_to_json(view: ScoredView) -> dict:
     """One scored view as the frontend's chart-ready payload."""
     spec = view.spec
     return {
-        "dimension": getattr(spec, "dimension", None)
-        if getattr(spec, "dimension", None) is not None
-        else list(getattr(spec, "dimensions", ())),
+        "dimension": spec.dimension if len(spec.keys) == 1 else list(spec.keys),
         "measure": spec.measure,
         "func": spec.func,
         "label": spec.label,

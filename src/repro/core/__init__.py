@@ -7,13 +7,13 @@ with a distance metric, and return the top-k (Problem 2.1).
 
 Public entry point: :class:`~repro.core.recommender.SeeDB`. Incremental
 execution is a request strategy (``strategy="incremental"``), and
-multi-attribute views (:class:`MultiViewSpec`, :func:`enumerate_multi_views`)
-run through the :func:`~repro.engine.multiview.multiview_phases` preset.
+multi-attribute views — a :class:`ViewSpec` whose dimension is a tuple,
+enumerated by :func:`enumerate_views` with ``n_dimensions`` > 1 — run
+through the :func:`~repro.engine.phases.multiview_phases` preset.
 """
 
-from repro.core.view import ViewSpec, RawViewData, ScoredView
+from repro.model.view import ViewSpec, RawViewData, ScoredView
 from repro.core.space import (
-    enumerate_multi_views,
     enumerate_views,
     split_predicate_dimensions,
     view_space_size,
@@ -22,7 +22,6 @@ from repro.core.config import SeeDBConfig, GroupByCombining
 from repro.core.result import RecommendationResult
 from repro.core.recommender import SeeDB
 from repro.core.basic import BasicFramework
-from repro.model.view import MultiViewSpec
 
 __all__ = [
     "ViewSpec",
@@ -36,6 +35,4 @@ __all__ = [
     "RecommendationResult",
     "SeeDB",
     "BasicFramework",
-    "MultiViewSpec",
-    "enumerate_multi_views",
 ]

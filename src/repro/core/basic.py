@@ -22,7 +22,7 @@ from repro.backends.base import Backend
 from repro.core.result import RecommendationResult
 from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.topk import top_k_views
-from repro.core.view import RawViewData
+from repro.model.view import RawViewData
 from repro.core.view_processor import ViewProcessor
 from repro.engine.context import describe_predicate
 from repro.metrics.normalize import NormalizationPolicy

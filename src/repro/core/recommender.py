@@ -16,7 +16,7 @@ streams :class:`~repro.api.PartialResult` rounds from the same drive. SQL
 text and :class:`~repro.db.query.RowSelectQuery` objects become requests
 at the edge (``RecommendationRequest.from_sql`` / the constructor).
 Incremental execution is ``strategy="incremental"``; multi-attribute views
-are the :func:`~repro.engine.multiview.multiview_phases` preset passed as
+are the :func:`~repro.engine.phases.multiview_phases` preset passed as
 ``recommend(request, phases=...)``.
 """
 
@@ -78,7 +78,7 @@ class SeeDB:
         """Recommend the top-k most deviating views for ``request``.
 
         ``phases`` runs a preset phase list (for example
-        :func:`~repro.engine.multiview.multiview_phases`) instead of the
+        :func:`~repro.engine.phases.multiview_phases`) instead of the
         one the request's strategy selects.
         """
         resolved = resolve_request(request, self.config)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.view import ScoredView, ViewSpec
+from repro.model.view import ScoredView, ViewSpec
 from repro.pruning.base import PruneReport
 from repro.util.tabulate import format_table
 from repro.util.timing import Stopwatch, format_duration

@@ -7,9 +7,9 @@ attributes": with ``n`` attributes split between dimensions and measures,
 ``|A|·|M|`` is maximized at ``(n/2)²`` — benchmark E6 verifies exactly this
 quadratic growth.
 
-:func:`enumerate_multi_views` is the §2 generalization: views grouping by
-a tuple of ``n_dimensions`` attributes, run by the
-:func:`~repro.engine.multiview.multiview_phases` preset.
+:func:`enumerate_views` with ``n_dimensions`` > 1 is the §2
+generalization: views grouping by a tuple of that many attributes, run by
+the :func:`~repro.engine.phases.multiview_phases` preset.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from repro.db.schema import Schema
-from repro.db.types import AttributeRole
-from repro.model.view import MultiViewSpec, ViewSpec
+from repro.model.view import ViewSpec
 from repro.util.errors import ConfigError
 
 #: Aggregates enumerated by default. The full set in
@@ -34,60 +33,39 @@ def enumerate_views(
     include_count: bool = True,
     dimensions: Sequence[str] | None = None,
     measures: Sequence[str] | None = None,
+    n_dimensions: int = 1,
 ) -> list[ViewSpec]:
     """All candidate views of ``schema``.
 
     ``dimensions``/``measures`` restrict the attribute sets (used by
     drill-down style interactions); by default all schema dimensions and
-    measures participate. Order is deterministic: dimension-major in schema
-    order, then measure, then function.
+    measures participate. With ``n_dimensions`` > 1 each view groups by a
+    combination of that many dimensions instead (§2's multi-attribute
+    views): the space is C(|A|, k) x |M| x |F|, combinatorially larger than
+    the single-attribute one, which is why the paper's prototype stops at
+    k=1 and the generalization is opt-in. Order is deterministic:
+    dimension-major (combinations in schema order), then measure, then
+    function.
     """
     if not functions and not include_count:
         raise ConfigError("no aggregate functions selected")
+    if n_dimensions < 1:
+        raise ConfigError("n_dimensions must be >= 1")
     dimension_names = _resolve(schema, dimensions, [s.name for s in schema.dimensions])
     measure_names = _resolve(schema, measures, [s.name for s in schema.measures])
+    groupings = (
+        dimension_names
+        if n_dimensions == 1
+        else list(combinations(dimension_names, n_dimensions))
+    )
 
     views: list[ViewSpec] = []
-    for dimension in dimension_names:
+    for dimension in groupings:
         if include_count:
             views.append(ViewSpec(dimension, None, "count"))
         for measure in measure_names:
             for func in functions:
                 views.append(ViewSpec(dimension, measure, func))
-    return views
-
-
-def enumerate_multi_views(
-    schema: Schema,
-    n_dimensions: int = 2,
-    functions: Sequence[str] = DEFAULT_FUNCTIONS,
-    include_count: bool = True,
-    dimensions: "Sequence[str] | None" = None,
-) -> list[MultiViewSpec]:
-    """All ``n_dimensions``-attribute views of ``schema``.
-
-    The space is C(|A|, k) x |M| x |F| — combinatorially larger than the
-    single-attribute space, which is why the paper's prototype stops at
-    k=1 and this generalization is opt-in.
-    """
-    if n_dimensions < 2:
-        raise ConfigError("n_dimensions must be >= 2")
-    dimension_names = (
-        list(dimensions)
-        if dimensions is not None
-        else [spec.name for spec in schema.dimensions]
-    )
-    for name in dimension_names:
-        schema.require(name, AttributeRole.DIMENSION)
-    measure_names = [spec.name for spec in schema.measures]
-
-    views: list[MultiViewSpec] = []
-    for dims in combinations(dimension_names, n_dimensions):
-        if include_count:
-            views.append(MultiViewSpec(dims, None, "count"))
-        for measure in measure_names:
-            for func in functions:
-                views.append(MultiViewSpec(dims, measure, func))
     return views
 
 
@@ -112,7 +90,8 @@ def split_predicate_dimensions(
     ``... by product`` under ``product = 'Laserwave'``) deviates maximally
     by construction — the target has exactly one group — and would crowd
     every real finding out of the top-k. The Query Generator therefore
-    removes such views up front. Returns ``(kept, excluded_with_reason)``.
+    removes such views up front; a multi-attribute view goes when any of
+    its keys is constrained. Returns ``(kept, excluded_with_reason)``.
     """
     if predicate is None:
         return list(views), []
@@ -120,16 +99,17 @@ def split_predicate_dimensions(
     kept: list[ViewSpec] = []
     excluded: list[tuple[ViewSpec, str]] = []
     for view in views:
-        if view.dimension in constrained:
+        key = next((key for key in view.keys if key in constrained), None)
+        if key is None:
+            kept.append(view)
+        else:
             excluded.append(
                 (
                     view,
-                    f"dimension {view.dimension!r} is constrained by the "
+                    f"dimension {key!r} is constrained by the "
                     "analyst's predicate (trivially deviating)",
                 )
             )
-        else:
-            kept.append(view)
     return kept, excluded
 
 

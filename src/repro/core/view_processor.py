@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.view import RawViewData, ScoredView, ViewSpec
+from repro.model.view import RawViewData, ScoredView, ViewSpec
 from repro.metrics.base import DistanceMetric
 from repro.metrics.normalize import (
     NormalizationPolicy,

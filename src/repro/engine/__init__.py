@@ -21,13 +21,8 @@ from repro.engine.incremental import (
     PhasedExecutePhase,
     TRACE_KEY,
 )
-from repro.engine.multiview import (
-    DropEmptyViewsPhase,
-    MultiViewEnumeratePhase,
-    MultiViewPrunePhase,
-    multiview_phases,
-)
 from repro.engine.phases import (
+    DropEmptyViewsPhase,
     EnumeratePhase,
     ExecutePhase,
     MetadataPhase,
@@ -38,6 +33,7 @@ from repro.engine.phases import (
     ScorePhase,
     SelectPhase,
     default_phases,
+    multiview_phases,
 )
 
 __all__ = [
@@ -64,8 +60,6 @@ __all__ = [
     "IncrementalTrace",
     "BOUNDED_METRICS",
     "TRACE_KEY",
-    "MultiViewEnumeratePhase",
-    "MultiViewPrunePhase",
     "DropEmptyViewsPhase",
     "multiview_phases",
 ]

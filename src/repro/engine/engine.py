@@ -21,7 +21,7 @@ round at a time. :meth:`~ExecutionEngine.recommend` is that generator
 exhausted; :meth:`~ExecutionEngine.recommend_iter` is the same generator
 with each round packaged as a :class:`~repro.api.PartialResult`. The
 facade, the service and the cluster workers all execute through these;
-a preset such as :func:`~repro.engine.multiview.multiview_phases` is a
+a preset such as :func:`~repro.engine.phases.multiview_phases` is a
 phase list handed to :meth:`~ExecutionEngine.recommend` in place of
 :func:`phases_for`'s.
 
@@ -205,7 +205,7 @@ class ExecutionEngine:
         context (``.to_result()`` packages it).
 
         ``phases`` replaces :func:`phases_for`'s list (a preset such as
-        :func:`~repro.engine.multiview.multiview_phases`); the context is
+        :func:`~repro.engine.phases.multiview_phases`); the context is
         built from ``resolved`` either way.
         """
         if phases is None:

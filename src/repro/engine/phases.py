@@ -6,9 +6,9 @@ Metadata Collector → Query Generator (enumerate + prune) → Optimizer
 a ``run(ctx)`` that reads/writes :class:`~repro.engine.context.ExecutionContext`
 fields. Alternative strategies swap individual phases: incremental
 execution replaces Execute (``strategy="incremental"``,
-:mod:`repro.engine.incremental`), and the
-:func:`~repro.engine.multiview.multiview_phases` preset replaces
-Enumerate/Prune with multi-attribute ones.
+:mod:`repro.engine.incremental`), and the :func:`multiview_phases` preset
+enumerates multi-attribute views through the same phases (no Metadata or
+Sample phase, one extra filter before Select).
 """
 
 from __future__ import annotations
@@ -38,13 +38,14 @@ class Phase:
 def filter_view_space(candidates, dimensions, measures):
     """Restrict enumerated views to the requested attribute subsets.
 
-    ``dimensions``/``measures`` of None mean "no restriction"; count(*)
-    views (measure None) survive any measure filter — they carry no
-    measure to restrict.
+    ``dimensions``/``measures`` of None mean "no restriction"; a
+    multi-attribute view passes a dimension filter when every one of its
+    keys is allowed; count(*) views (measure None) survive any measure
+    filter — they carry no measure to restrict.
     """
     if dimensions is not None:
         allowed = set(dimensions)
-        candidates = [v for v in candidates if v.dimension in allowed]
+        candidates = [v for v in candidates if allowed.issuperset(v.keys)]
     if measures is not None:
         allowed = set(measures)
         candidates = [
@@ -75,9 +76,13 @@ class MetadataPhase(Phase):
 
 
 class EnumeratePhase(Phase):
-    """Enumerate the candidate view space A x M x F."""
+    """Enumerate the candidate view space A x M x F, each view grouping by
+    ``n_dimensions`` attributes (one, the paper's prototype, by default)."""
 
     name = "enumerate"
+
+    def __init__(self, n_dimensions: int = 1):
+        self.n_dimensions = n_dimensions
 
     def run(self, ctx: ExecutionContext) -> None:
         ctx.mark_query_baseline()
@@ -86,6 +91,7 @@ class EnumeratePhase(Phase):
             ctx.schema,
             functions=ctx.config.aggregate_functions,
             include_count=ctx.config.include_count_views,
+            n_dimensions=self.n_dimensions,
         )
         ctx.candidates = filter_view_space(
             ctx.candidates, ctx.dimensions, ctx.measures
@@ -313,6 +319,23 @@ class SelectPhase(Phase):
         ctx.recommendations = top_k_views(ctx.scored.values(), ctx.k)
 
 
+class DropEmptyViewsPhase(Phase):
+    """Remove scored views whose aligned series produced no groups.
+
+    A view with no attribute-value combinations (empty table, fully
+    disjoint partitions) carries no information; recommending its
+    zero-utility placeholder would hand downstream consumers empty
+    distributions. Runs between Score and Select.
+    """
+
+    name = "filter"
+
+    def run(self, ctx: ExecutionContext) -> None:
+        ctx.scored = {
+            spec: view for spec, view in ctx.scored.items() if view.groups
+        }
+
+
 class RenderPhase(Phase):
     """Translate the selected top-k into chart frames (§3.2 frontend).
 
@@ -351,5 +374,24 @@ def default_phases() -> list[Phase]:
         PlanPhase(),
         ExecutePhase(),
         ScorePhase(),
+        SelectPhase(),
+    ]
+
+
+def multiview_phases(n_dimensions: int = 2) -> list[Phase]:
+    """The multi-attribute pipeline (§2): enumerate ``n_dimensions``-attribute
+    views, prune predicate-constrained ones, then plan, execute, score,
+    drop empty views and select. The planner groups views by their
+    dimension tuple (one step per combination, aggregates shared, any
+    reference). There is no Metadata phase, so neither pruning rules nor
+    pricing run: the planner takes the capability-declared plan kind.
+    """
+    return [
+        EnumeratePhase(n_dimensions),
+        PrunePhase(),
+        PlanPhase(),
+        ExecutePhase(),
+        ScorePhase(),
+        DropEmptyViewsPhase(),
         SelectPhase(),
     ]

@@ -28,6 +28,7 @@ from repro.db.csvio import read_csv
 from repro.frontend.templates import available_templates, build_template
 from repro.metrics.registry import available_metrics
 from repro.util.errors import ReproError
+from repro.viz.chart_select import dimension_spec_for
 from repro.viz.export import export_recommendations
 from repro.viz.render_text import render_ascii
 from repro.viz.spec import view_to_chart_spec
@@ -347,11 +348,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.charts:
             schema = backend.schema(result.table)
             for view in result.recommendations:
-                dimension_spec = (
-                    schema[view.spec.dimension]
-                    if view.spec.dimension in schema
-                    else None
-                )
+                dimension_spec = dimension_spec_for(view.spec, schema)
                 print()
                 print(render_ascii(view_to_chart_spec(view, dimension_spec)))
 

@@ -20,6 +20,7 @@ from repro.db.query import RowSelectQuery
 from repro.model.view import ScoredView
 from repro.service import DEFAULT_BACKEND, SeeDBService, single_backend_service
 from repro.util.errors import QueryError
+from repro.viz.chart_select import dimension_spec_for
 from repro.viz.render_text import render_ascii
 from repro.viz.spec import view_to_chart_spec
 
@@ -197,9 +198,7 @@ class AnalystSession:
     def show(self, view: ScoredView, width: int = 40) -> str:
         """ASCII rendering of one view (terminal stand-in for Figure 5)."""
         schema = self.backend.schema(self.last_query.table)
-        dimension_spec = (
-            schema[view.spec.dimension] if view.spec.dimension in schema else None
-        )
+        dimension_spec = dimension_spec_for(view.spec, schema)
         return render_ascii(view_to_chart_spec(view, dimension_spec), width=width)
 
     # -- drill-down ----------------------------------------------------------

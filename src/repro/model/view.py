@@ -4,7 +4,9 @@ Paper §2: "We represent V_i as a triple (a, m, f) — the view performs a
 group-by on ``a`` and applies the aggregation function ``f`` on a measure
 attribute ``m``." A :class:`ViewSpec` is that triple; it knows how to
 express its *target view* (over the query's rows D_Q) and *comparison view*
-(over the full table D) as logical queries.
+(over the full table D) as logical queries. Its ``a`` may also be a tuple
+of attributes — the multi-attribute views §2 generalizes to — so one type
+serves single- and multi-attribute views alike.
 """
 
 from __future__ import annotations
@@ -26,17 +28,29 @@ from repro.util.errors import QueryError
 class ViewSpec:
     """A candidate view: group-by ``dimension``, aggregate ``func(measure)``.
 
+    ``dimension`` is one attribute name, or — the §2 generalization to
+    "multiple column views … generated via multi-attribute grouping and
+    aggregation" — a tuple of two or more distinct names, whose groups are
+    attribute-value combinations; :attr:`keys` is the tuple either way.
     ``measure`` is None only for ``count`` (COUNT(*)), a natural member of
     the view space even though the paper's notation always pairs f with m.
     Specs order lexicographically by ``(dimension, measure, func)`` with a
     missing measure sorting first, so rankings stay deterministic.
     """
 
-    dimension: str
+    dimension: "str | tuple[str, ...]"
     measure: str | None
     func: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dimension, str):
+            if len(self.dimension) < 2:
+                raise QueryError(
+                    "multi-attribute views need >= 2 dimensions; name a "
+                    "single-attribute view's dimension as a string"
+                )
+            if len(set(self.dimension)) != len(self.dimension):
+                raise QueryError(f"duplicate dimensions in {self.dimension}")
         if self.measure is None and self.func != "count":
             raise QueryError(
                 f"view ({self.dimension}, None, {self.func}): only 'count' "
@@ -50,7 +64,14 @@ class ViewSpec:
         return (ViewSpec, (self.dimension, self.measure, self.func))
 
     @property
-    def sort_key(self) -> tuple[str, str, str]:
+    def keys(self) -> tuple[str, ...]:
+        """The group-by attribute names, as a tuple either way."""
+        if isinstance(self.dimension, str):
+            return (self.dimension,)
+        return self.dimension
+
+    @property
+    def sort_key(self) -> tuple:
         """None-safe lexicographic ordering key."""
         return (self.dimension, self.measure or "", self.func)
 
@@ -73,13 +94,17 @@ class ViewSpec:
 
     @property
     def label(self) -> str:
-        """Human-readable ``f(m) by a`` label used in reports and charts."""
+        """Human-readable ``f(m) by a`` / ``f(m) by (a, b)`` label used in
+        reports and charts."""
         measure = self.measure if self.measure is not None else "*"
-        return f"{self.func}({measure}) by {self.dimension}"
+        if isinstance(self.dimension, str):
+            return f"{self.func}({measure}) by {self.dimension}"
+        return f"{self.func}({measure}) by ({', '.join(self.dimension)})"
 
     def validate_against(self, schema: Schema) -> None:
-        """Check the triple is well-formed for ``schema`` (raises SchemaError)."""
-        schema.require(self.dimension, AttributeRole.DIMENSION)
+        """Check the view is well-formed for ``schema`` (raises SchemaError)."""
+        for key in self.keys:
+            schema.require(key, AttributeRole.DIMENSION)
         if self.measure is not None:
             schema.require(self.measure, AttributeRole.MEASURE)
 
@@ -87,7 +112,7 @@ class ViewSpec:
         """``SELECT a, f(m) FROM D_Q GROUP BY a`` — the target view (§2)."""
         return AggregateQuery(
             table=table,
-            group_by=(self.dimension,),
+            group_by=self.keys,
             aggregates=(self.aggregate,),
             predicate=predicate,
         )
@@ -103,57 +128,13 @@ class ViewSpec:
         """
         return AggregateQuery(
             table=table,
-            group_by=(self.dimension,),
+            group_by=self.keys,
             aggregates=(self.aggregate,),
             predicate=predicate,
         )
 
     def __str__(self) -> str:
         return self.label
-
-
-@dataclass(frozen=True)
-class MultiViewSpec:
-    """A view grouping by several dimensions: ``f(m) by (a1, ..., ak)``.
-
-    The paper's stated generalization (§2): "SEEDB techniques can directly
-    be used to recommend visualizations for multiple column views (> 2
-    columns) that are generated via multi-attribute grouping and
-    aggregation." Its distribution ranges over existing attribute-value
-    combinations.
-    """
-
-    dimensions: tuple[str, ...]
-    measure: "str | None"
-    func: str
-
-    def __post_init__(self) -> None:
-        if len(self.dimensions) < 2:
-            raise QueryError(
-                "multi-attribute views need >= 2 dimensions; use ViewSpec "
-                "for single-attribute views"
-            )
-        if len(set(self.dimensions)) != len(self.dimensions):
-            raise QueryError(f"duplicate dimensions in {self.dimensions}")
-        if self.measure is None and self.func != "count":
-            raise QueryError("only 'count' may omit the measure")
-
-    @property
-    def aggregate(self) -> Aggregate:
-        return Aggregate(self.func, self.measure)
-
-    @property
-    def label(self) -> str:
-        measure = self.measure if self.measure is not None else "*"
-        dims = ", ".join(self.dimensions)
-        return f"{self.func}({measure}) by ({dims})"
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.dimensions, self.measure or "", self.func)
-
-    def __lt__(self, other: "MultiViewSpec") -> bool:
-        return self.sort_key < other.sort_key
 
 
 @dataclass

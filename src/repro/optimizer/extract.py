@@ -24,10 +24,3 @@ def table_series(table: Table, key_column: str, value_column: str):
     keys = [canonical_key(k) for k in table.column(key_column)]
     return keys, np.asarray(table.column(value_column), dtype=np.float64)
 
-
-def view_dimension(view) -> "str | tuple[str, ...]":
-    """What ``view`` groups by: one attribute name, or a tuple of names for a
-    multi-attribute view (specs are duck-typed on ``dimension`` /
-    ``dimensions``)."""
-    dimension = getattr(view, "dimension", None)
-    return dimension if dimension is not None else tuple(view.dimensions)

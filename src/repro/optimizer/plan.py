@@ -40,7 +40,7 @@ from repro.db.table import Table
 from repro.optimizer.binpack import pack_dimensions
 from repro.optimizer.parallel import run_steps
 from repro.optimizer.combine import GroupState, MergeSpec, dedup_aggregates, merge_spec
-from repro.optimizer.extract import FLAG_NAME, view_dimension
+from repro.optimizer.extract import FLAG_NAME
 from repro.util.errors import ConfigError
 
 
@@ -68,7 +68,7 @@ class ViewGroup:
         if not self.views:
             raise ConfigError("a view group needs at least one view")
         for view in self.views:
-            if view_dimension(view) != self.dimension:
+            if view.dimension != self.dimension:
                 raise ConfigError(
                     f"view {view.label!r} does not group by {self.dimension!r}"
                 )
@@ -76,9 +76,7 @@ class ViewGroup:
     @property
     def keys(self) -> tuple[str, ...]:
         """The group-by attribute names, as a tuple either way."""
-        if isinstance(self.dimension, str):
-            return (self.dimension,)
-        return self.dimension
+        return self.views[0].keys
 
     @cached_property
     def merge_specs(self) -> tuple[MergeSpec, ...]:
@@ -419,10 +417,10 @@ class Planner:
     @staticmethod
     def _group_views(views: list[ViewSpec], by_dimension: bool) -> list[ViewGroup]:
         if not by_dimension:
-            return [ViewGroup(view_dimension(view), (view,)) for view in views]
+            return [ViewGroup(view.dimension, (view,)) for view in views]
         grouped: dict["str | tuple[str, ...]", list[ViewSpec]] = {}
         for view in views:
-            grouped.setdefault(view_dimension(view), []).append(view)
+            grouped.setdefault(view.dimension, []).append(view)
         return [
             ViewGroup(dimension, tuple(members))
             for dimension, members in grouped.items()

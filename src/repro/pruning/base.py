@@ -20,10 +20,6 @@ class PruneReport:
     def n_pruned(self) -> int:
         return len(self.pruned)
 
-    @property
-    def n_kept(self) -> int:
-        return self.examined - self.n_pruned
-
     def summary(self) -> str:
         return f"{self.rule}: pruned {self.n_pruned}/{self.examined} views"
 

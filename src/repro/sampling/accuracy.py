@@ -8,7 +8,7 @@ correlation (Kendall's tau) over the whole view space.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -79,14 +79,3 @@ def utility_errors(
         "max_abs_error": float(errors.max()),
     }
 
-
-def views_ranked_overlap(
-    ranking_a: Sequence[ViewSpec], ranking_b: Sequence[ViewSpec], k: int
-) -> float:
-    """Overlap fraction of two precomputed rankings' top-k prefixes."""
-    if k <= 0:
-        raise SamplingError(f"k must be positive, got {k}")
-    top_a, top_b = set(ranking_a[:k]), set(ranking_b[:k])
-    if not top_a:
-        return 1.0
-    return len(top_a & top_b) / len(top_a)

@@ -346,10 +346,6 @@ class SeeDBService:
             raise
         return backend
 
-    def backend_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._slots)
-
     def backend(self, name: str = DEFAULT_BACKEND) -> Backend:
         return self._slot(name).backend
 

@@ -126,19 +126,12 @@ def dimension_spec_for(view_spec, schema: "Schema | None") -> "ColumnSpec | None
     """The :class:`ColumnSpec` of a view's grouping dimension, or None.
 
     Tolerates the contexts where schema knowledge degrades instead of
-    crashing chart building: no schema at all, multi-dimension view specs
-    (no single column to look up), and dimensions absent from ``schema``
+    crashing chart building: no schema at all, multi-attribute views (no
+    single column to look up), and dimensions absent from ``schema``
     (derived or sampled tables whose column set drifted from the base
     table's).
     """
-    if schema is None:
+    if schema is None or len(view_spec.keys) != 1:
         return None
-    dimension = getattr(view_spec, "dimension", None)
-    if dimension is None:
-        dimensions = tuple(getattr(view_spec, "dimensions", ()) or ())
-        if len(dimensions) != 1:
-            return None
-        dimension = dimensions[0]
-    if dimension not in schema:
-        return None
-    return schema[dimension]
+    dimension = view_spec.dimension
+    return schema[dimension] if dimension in schema else None

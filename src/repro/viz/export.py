@@ -38,8 +38,8 @@ def export_recommendations(
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for rank, view in enumerate(result.recommendations, start=1):
-        # dimension_spec_for, not a direct schema[...] lookup: multiview
-        # specs expose `dimensions` (no `.dimension` attribute) and must
+        # dimension_spec_for, not a direct schema[...] lookup: a
+        # multi-attribute view has no single column to look up and must
         # export with the bar fallback instead of crashing.
         dimension_spec = dimension_spec_for(view.spec, schema)
         spec = view_to_chart_spec(view, dimension_spec)

@@ -90,11 +90,6 @@ def view_to_chart_spec(
 
     if chart_type is None:
         chart_type = select_chart_type(dimension_spec, len(view.groups))
-    # Multi-attribute specs carry `dimensions`, not `dimension`; the axis
-    # label must degrade, not crash, when charts are built from them.
-    dimension = getattr(view.spec, "dimension", None)
-    if dimension is None:
-        dimension = " x ".join(getattr(view.spec, "dimensions", ())) or "group"
     notes = (
         f"utility={view.utility:.4f}",
         f"max deviation at {view.max_deviation_group!r}",
@@ -102,7 +97,7 @@ def view_to_chart_spec(
     return ChartSpec(
         chart_type=chart_type,
         title=view.spec.label,
-        x_label=dimension,
+        x_label=" x ".join(view.spec.keys),
         y_label=y_label,
         categories=tuple(view.groups),
         series=(

@@ -188,7 +188,7 @@ class TestSpecialisedRecommenders:
         via_request = BasicFramework(backend).recommend(request)
         assert_same_scores(euclid_basic, via_request)
 
-        from repro.engine.multiview import multiview_phases
+        from repro.engine import multiview_phases
 
         with SeeDB(backend, SeeDBConfig(metric="euclidean")) as expected_rec:
             expected = expected_rec.recommend(plain, phases=multiview_phases())

@@ -18,11 +18,11 @@ from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
-from repro.core.space import enumerate_multi_views
+from repro.core.space import enumerate_views
 from repro.db.aggregates import Aggregate
 from repro.db.query import AggregateQuery, RowSelectQuery
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
-from repro.engine.multiview import multiview_phases
+from repro.engine import multiview_phases
 
 NO_PRUNING = dict(
     prune_low_variance=False,
@@ -92,11 +92,11 @@ class TestThreePathEquivalence:
         backend.register_table(dataset.table)
         views = [
             v
-            for v in enumerate_multi_views(
-                dataset.table.schema, n_dimensions=2, functions=("sum",),
-                include_count=False,
+            for v in enumerate_views(
+                dataset.table.schema, functions=("sum",), include_count=False,
+                n_dimensions=2,
             )
-            if not (set(v.dimensions) & dataset.predicate.referenced_columns())
+            if not (set(v.keys) & dataset.predicate.referenced_columns())
         ]
         top = SeeDB(backend, SeeDBConfig(metric="js")).recommend(
             RecommendationRequest(
@@ -113,19 +113,19 @@ class TestThreePathEquivalence:
             spec = scored.spec
             target = backend.execute(
                 AggregateQuery(
-                    query.table, spec.dimensions,
+                    query.table, spec.keys,
                     (Aggregate(spec.func, spec.measure),), query.predicate,
                 )
             )
             comparison = backend.execute(
                 AggregateQuery(
-                    query.table, spec.dimensions,
+                    query.table, spec.keys,
                     (Aggregate(spec.func, spec.measure),), None,
                 )
             )
 
             def keys(result):
-                columns = [result.column(d) for d in spec.dimensions]
+                columns = [result.column(d) for d in spec.keys]
                 return [
                     tuple(canonical_key(col[i]) for col in columns)
                     for i in range(result.num_rows)
@@ -159,7 +159,7 @@ class TestThreePathEquivalence:
         multi = seedb.recommend(
             RecommendationRequest(query, k=1), phases=multiview_phases(2)
         )
-        assert planted in multi.recommendations[0].spec.dimensions
+        assert planted in multi.recommendations[0].spec.keys
 
 
 def build_backend(kind, table):

@@ -29,7 +29,7 @@ from repro.core.recommender import SeeDB
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
-from repro.engine.multiview import multiview_phases
+from repro.engine import multiview_phases
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_answers.json"
 TOLERANCE = 1e-12

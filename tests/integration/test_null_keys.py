@@ -23,7 +23,7 @@ from repro.backends.sqlite import SqliteBackend
 from repro.core.basic import BasicFramework
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
-from repro.core.view import RawViewData
+from repro.model.view import RawViewData
 from repro.core.view_processor import ViewProcessor
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery

@@ -23,14 +23,12 @@ from hypothesis import strategies as st
 from repro.backends.duckdb import DuckDbBackend
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
-from repro.core import MultiViewSpec
 from repro.db.expressions import RowPartition, col
 from repro.db.table import Table
 from repro.db.types import AttributeRole
 from repro.metrics.normalize import canonical_key
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
-from repro.optimizer.extract import view_dimension
 from repro.optimizer.plan import (
     ExecutionPlan,
     ExecutionStep,
@@ -118,7 +116,7 @@ def view_groups(dimension_kind, funcs):
         first = ViewGroup("d1", tuple(ViewSpec("d1", m, f) for m, f in measures))
     else:
         dims = ("d1", "d3")
-        first = ViewGroup(dims, tuple(MultiViewSpec(dims, m, f) for m, f in measures))
+        first = ViewGroup(dims, tuple(ViewSpec(dims, m, f) for m, f in measures))
     return (
         first,
         ViewGroup("d2", (ViewSpec("d2", "m", "avg"),)),
@@ -191,8 +189,7 @@ def test_step_grid_equals_all_separate_baseline(
     if reference.predicate is not None:
         rows = predicate.evaluate(table) | reference.predicate.evaluate(table)
     for spec, (groups, _target, _comparison) in view_rows(expected).items():
-        dimension = view_dimension(spec)
-        names = dimension if isinstance(dimension, tuple) else (dimension,)
+        names = spec.keys
         keys = zip(*(table.column(name)[rows] for name in names))
         raw = {canonical_key(key if len(names) > 1 else key[0]) for key in keys}
         assert len(set(groups)) == len(groups) and set(groups) == raw, spec.label

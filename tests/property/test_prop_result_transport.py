@@ -24,9 +24,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import MultiViewSpec
 from repro.core.result import RecommendationResult
-from repro.core.view import ScoredView, ViewSpec
+from repro.model.view import ScoredView, ViewSpec
 from repro.pruning.base import PruneReport
 from repro.service import decode_result, encode_result
 from repro.util.timing import Stopwatch
@@ -116,7 +115,7 @@ def scored_views(draw, index: int) -> ScoredView:
     size = draw(st.integers(0, 5))
     if multi:
         dims = (DIMENSIONS[index], DIMENSIONS[(index + 1) % len(DIMENSIONS)])
-        spec = MultiViewSpec(dimensions=dims, measure=measure, func=func)
+        spec = ViewSpec(dims, measure, func)
         groups = [
             tuple(draw(st.lists(group_values, min_size=2, max_size=2)))
             for _ in range(size)
@@ -232,7 +231,7 @@ def _edge_result() -> RecommendationResult:
     decimal form, a ``datetime64[D]`` column with NaT, an object column
     holding None, and tuple group keys."""
     shown = ScoredView(
-        spec=MultiViewSpec(("region", "product"), "sales", "sum"),
+        spec=ViewSpec(("region", "product"), "sales", "sum"),
         utility=float(np.nextafter(0.1, 0.0)),
         groups=[("east", 1), (date(2014, 9, 1), None)],
         target_distribution=np.array([0.25, 0.75]),

@@ -145,7 +145,7 @@ class TestMultiViewCountOnly:
         from repro.backends.memory import MemoryBackend
         from repro.core.recommender import SeeDB
         from repro.db.types import AttributeRole
-        from repro.engine.multiview import multiview_phases
+        from repro.engine import multiview_phases
 
         table = Table.from_columns(
             "d3",

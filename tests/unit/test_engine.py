@@ -223,7 +223,7 @@ class TestCustomMetricInstances:
 
     @staticmethod
     def multiview(backend, request):
-        from repro.engine.multiview import multiview_phases
+        from repro.engine import multiview_phases
 
         with SeeDB(backend) as seedb:
             return seedb.recommend(request, phases=multiview_phases(2))

@@ -1,69 +1,106 @@
 """Unit tests: the multi-attribute view extension (§2 generalization),
 run as the ``multiview_phases`` preset through ``SeeDB.recommend``."""
 
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.api import RecommendationRequest
+from repro.api.wire import view_to_json
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
-from repro.core import MultiViewSpec, SeeDB, enumerate_multi_views
+from repro.core import SeeDB, ViewSpec, enumerate_views
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import col
 from repro.db.query import AggregateQuery, RowSelectQuery
-from repro.engine.multiview import multiview_phases
-from repro.util.errors import ConfigError, QueryError
+from repro.engine import multiview_phases
+from repro.model.view import ScoredView
+from repro.util.errors import ConfigError, QueryError, SchemaError
 
 #: Sum views only: the options of a hand-checked multiview request.
 SUMS_ONLY = {"aggregate_functions": ["sum"], "include_count_views": False}
 
 
+def multiview_result(backend, request, n_dimensions=2):
+    """The result of ``request`` under the multiview preset."""
+    with SeeDB(backend) as seedb:
+        return seedb.recommend(request, phases=multiview_phases(n_dimensions))
+
+
 def multiview(backend, request, n_dimensions=2):
     """The recommendations of ``request`` under the multiview preset."""
-    with SeeDB(backend) as seedb:
-        return seedb.recommend(
-            request, phases=multiview_phases(n_dimensions)
-        ).recommendations
+    return multiview_result(backend, request, n_dimensions).recommendations
 
 
 class TestSpec:
+    """A multi-attribute view is a ``ViewSpec`` whose dimension is a tuple."""
+
     def test_label(self):
-        spec = MultiViewSpec(("region", "month"), "amount", "sum")
+        spec = ViewSpec(("region", "month"), "amount", "sum")
         assert spec.label == "sum(amount) by (region, month)"
+        assert ViewSpec("region", "amount", "sum").label == "sum(amount) by region"
+
+    def test_keys(self):
+        assert ViewSpec(("region", "month"), None, "count").keys == (
+            "region",
+            "month",
+        )
+        assert ViewSpec("region", None, "count").keys == ("region",)
 
     def test_needs_two_dimensions(self):
         with pytest.raises(QueryError, match=">= 2"):
-            MultiViewSpec(("region",), "amount", "sum")
+            ViewSpec(("region",), "amount", "sum")
 
     def test_duplicate_dimensions_rejected(self):
         with pytest.raises(QueryError, match="duplicate"):
-            MultiViewSpec(("region", "region"), "amount", "sum")
+            ViewSpec(("region", "region"), "amount", "sum")
 
     def test_count_without_measure(self):
-        spec = MultiViewSpec(("a", "b"), None, "count")
+        spec = ViewSpec(("a", "b"), None, "count")
         assert spec.aggregate.alias == "count(*)"
 
     def test_non_count_needs_measure(self):
         with pytest.raises(QueryError):
-            MultiViewSpec(("a", "b"), None, "sum")
+            ViewSpec(("a", "b"), None, "sum")
 
     def test_ordering(self):
-        first = MultiViewSpec(("a", "b"), "m", "avg")
-        second = MultiViewSpec(("a", "c"), "m", "avg")
+        first = ViewSpec(("a", "b"), "m", "avg")
+        second = ViewSpec(("a", "c"), "m", "avg")
         assert first < second
+        assert sorted([second, first]) == [first, second]
+
+    def test_pickle_round_trip(self):
+        spec = ViewSpec(("a", "b"), None, "count")
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.keys == ("a", "b")
+
+    def test_queries_group_by_every_key(self):
+        spec = ViewSpec(("store", "month"), "amount", "sum")
+        assert spec.target_query("sales", None).group_by == ("store", "month")
+        assert spec.comparison_query("sales").group_by == ("store", "month")
+
+    def test_validate_against_checks_every_key(self, sales_table):
+        ViewSpec(("store", "month"), "amount", "sum").validate_against(
+            sales_table.schema
+        )
+        with pytest.raises(SchemaError):
+            ViewSpec(("store", "amount"), "amount", "sum").validate_against(
+                sales_table.schema
+            )
 
 
 class TestEnumeration:
     def test_pair_combinations(self, sales_table):
-        views = enumerate_multi_views(
-            sales_table.schema, n_dimensions=2, functions=("sum",),
-            include_count=False,
+        views = enumerate_views(
+            sales_table.schema, functions=("sum",), include_count=False,
+            n_dimensions=2,
         )
         # C(3,2)=3 dimension pairs x 2 measures x 1 function.
         assert len(views) == 6
-        dims = {view.dimensions for view in views}
+        dims = {view.dimension for view in views}
         assert dims == {
             ("store", "product"),
             ("store", "month"),
@@ -71,15 +108,20 @@ class TestEnumeration:
         }
 
     def test_triples(self, sales_table):
-        views = enumerate_multi_views(
-            sales_table.schema, n_dimensions=3, functions=("sum",),
-            include_count=True,
+        views = enumerate_views(
+            sales_table.schema, functions=("sum",), include_count=True,
+            n_dimensions=3,
         )
         assert len(views) == 3  # 1 triple x (2 measures + count)
 
+    def test_one_dimension_is_the_default_space(self, sales_table):
+        assert enumerate_views(sales_table.schema, n_dimensions=1) == (
+            enumerate_views(sales_table.schema)
+        )
+
     def test_validation(self, sales_table):
         with pytest.raises(ConfigError):
-            enumerate_multi_views(sales_table.schema, n_dimensions=1)
+            enumerate_views(sales_table.schema, n_dimensions=0)
 
 
 class TestRecommendation:
@@ -118,7 +160,7 @@ class TestRecommendation:
         )
         view = next(
             v for v in top
-            if v.spec.dimensions == ("store", "month") and v.spec.func == "sum"
+            if v.spec.dimension == ("store", "month") and v.spec.func == "sum"
             and v.spec.measure == "amount"
         )
         assert view.utility == pytest.approx(expected, rel=1e-9)
@@ -127,7 +169,7 @@ class TestRecommendation:
         query = RowSelectQuery("sales", col("product") == "Laserwave")
         top = multiview(memory_backend, RecommendationRequest(query, k=20))
         for view in top:
-            assert "product" not in view.spec.dimensions
+            assert "product" not in view.spec.keys
 
     def test_include_count_views_option_is_honoured(self, memory_backend):
         """Request options shape the multiview space, as they do the
@@ -209,7 +251,7 @@ class TestRecommendation:
         )
         view = next(
             v for v in top
-            if v.spec.dimensions == ("store", "month") and v.spec.measure == "amount"
+            if v.spec.dimension == ("store", "month") and v.spec.measure == "amount"
         )
         assert view.utility == pytest.approx(expected, rel=1e-9)
 
@@ -218,3 +260,112 @@ class TestRecommendation:
         first = multiview(memory_backend, RecommendationRequest(query, k=4))
         second = multiview(memory_backend, RecommendationRequest(query, k=4))
         assert [v.spec for v in first] == [v.spec for v in second]
+
+
+@pytest.mark.parametrize("backend_fixture", ["memory_backend", "sqlite_backend"])
+class TestPruneAndFilter:
+    """The preset prunes and filters through the shared Enumerate/Prune
+    phases, so the request and config knobs behave as they do for
+    single-attribute views."""
+
+    def test_exclude_predicate_dimensions_off_keeps_constrained_views(
+        self, backend_fixture, request
+    ):
+        backend = request.getfixturevalue(backend_fixture)
+        query = RowSelectQuery("sales", col("product") == "Laserwave")
+        pruned = multiview_result(backend, RecommendationRequest(query, k=20))
+        kept = multiview_result(
+            backend,
+            RecommendationRequest(
+                query, k=20, options={"exclude_predicate_dimensions": False}
+            ),
+        )
+        assert not any("product" in spec.keys for spec in pruned.utilities)
+        assert {spec.dimension for spec in kept.utilities} == {
+            ("store", "product"),
+            ("store", "month"),
+            ("product", "month"),
+        }
+        assert kept.pruned_views() == []
+        assert kept.n_executed_views == kept.n_candidate_views == 15
+
+    def test_prune_reason_reads_like_single_attribute(
+        self, backend_fixture, request
+    ):
+        backend = request.getfixturevalue(backend_fixture)
+        query = RowSelectQuery("sales", col("product") == "Laserwave")
+        result = multiview_result(backend, RecommendationRequest(query, k=3))
+        pruned = result.pruned_views()
+        assert {spec.dimension for spec, _reason in pruned} == {
+            ("store", "product"),
+            ("product", "month"),
+        }
+        reason = (
+            "dimension 'product' is constrained by the analyst's predicate "
+            "(trivially deviating)"
+        )
+        assert {reason_text for _spec, reason_text in pruned} == {reason}
+        with SeeDB(backend) as seedb:
+            single = seedb.recommend(RecommendationRequest(query, k=3))
+        assert reason in {reason_text for _spec, reason_text in single.pruned_views()}
+
+    def test_no_predicate_carries_an_empty_report(self, backend_fixture, request):
+        backend = request.getfixturevalue(backend_fixture)
+        result = multiview_result(
+            backend, RecommendationRequest(RowSelectQuery("sales"), k=3)
+        )
+        assert [(r.rule, r.examined, r.n_pruned) for r in result.prune_reports] == [
+            ("predicate_dimensions", 15, 0)
+        ]
+
+    def test_dimensions_filter(self, backend_fixture, request):
+        """A combination survives when every one of its keys is allowed;
+        combinations keep schema order and unknown names are ignored."""
+        backend = request.getfixturevalue(backend_fixture)
+        query = RowSelectQuery("sales", col("amount") > 50)
+        result = multiview_result(
+            backend,
+            RecommendationRequest(
+                query, k=20, dimensions=["month", "nowhere", "store"]
+            ),
+        )
+        assert {spec.dimension for spec in result.utilities} == {
+            ("store", "month")
+        }
+        assert result.n_candidate_views == 5  # count + 2 measures x 2 functions
+        unfiltered = multiview_result(backend, RecommendationRequest(query, k=20))
+        for spec, utility in result.utilities.items():
+            assert utility == unfiltered.utilities[spec]
+
+
+class TestWire:
+    """``view_to_json``: a single-attribute view's dimension is a string,
+    a multi-attribute view's the list of its keys."""
+
+    def scored(self, spec, groups):
+        return ScoredView(
+            spec=spec,
+            utility=0.5,
+            groups=groups,
+            target_distribution=np.array([1.0, 0.0]),
+            comparison_distribution=np.array([0.5, 0.5]),
+        )
+
+    def test_single_attribute(self):
+        payload = view_to_json(
+            self.scored(ViewSpec("store", "amount", "sum"), ["a", "b"])
+        )
+        assert payload["dimension"] == "store"
+        assert payload["label"] == "sum(amount) by store"
+        assert payload["groups"] == ["a", "b"]
+
+    def test_multi_attribute(self):
+        payload = view_to_json(
+            self.scored(
+                ViewSpec(("store", "month"), None, "count"), [("a", 1), ("b", 2)]
+            )
+        )
+        assert payload["dimension"] == ["store", "month"]
+        assert payload["label"] == "count(*) by (store, month)"
+        assert payload["measure"] is None and payload["func"] == "count"
+        assert json.loads(json.dumps(payload)) == payload

@@ -61,9 +61,7 @@ class TestViewGroup:
         ]
 
     def test_tuple_dimension_keys(self):
-        from repro.core import MultiViewSpec
-
-        view = MultiViewSpec(("store", "month"), "amount", "sum")
+        view = ViewSpec(("store", "month"), "amount", "sum")
         assert ViewGroup(("store", "month"), (view,)).keys == ("store", "month")
         assert ViewGroup("store", (ViewSpec("store", None, "count"),)).keys == (
             "store",

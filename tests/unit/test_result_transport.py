@@ -22,11 +22,10 @@ import pytest
 
 from repro.api.errors import ApiError
 from repro.api.request import RecommendationRequest
-from repro.core import MultiViewSpec
 from repro.core.config import SeeDBConfig
 from repro.core.recommender import SeeDB
 from repro.core.result import RecommendationResult
-from repro.core.view import ScoredView, ViewSpec
+from repro.model.view import ScoredView, ViewSpec
 from repro.pruning.base import PruneReport
 from repro.service import decode_result, encode_result
 from repro.service.worker import decode_error, encode_error
@@ -199,7 +198,7 @@ class TestResultCodec:
 
     def test_multi_attribute_specs_round_trip(self):
         result = make_result(groups=[("east", 1), ("west", 2)])
-        spec = MultiViewSpec(("region", "product"), "sales", "sum")
+        spec = ViewSpec(("region", "product"), "sales", "sum")
         view = dataclasses.replace(result.recommendations[0], spec=spec)
         result.recommendations = [view]
         result.all_scored = {spec: view}

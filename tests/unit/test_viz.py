@@ -149,17 +149,8 @@ class TestDimensionSpecFor:
         )
 
     def test_multiview_spec_degrades(self, sales_table):
-        class MultiSpec:
-            dimensions = ("store", "month")
-
-        assert dimension_spec_for(MultiSpec(), sales_table.schema) is None
-
-    def test_single_dimension_multiview_resolves(self, sales_table):
-        class MultiSpec:
-            dimensions = ("store",)
-
-        resolved = dimension_spec_for(MultiSpec(), sales_table.schema)
-        assert resolved is not None and resolved.name == "store"
+        spec = ViewSpec(("store", "month"), "amount", "sum")
+        assert dimension_spec_for(spec, sales_table.schema) is None
 
 
 class TestAsciiRenderer:
@@ -269,22 +260,16 @@ class TestExport:
             assert vega["mark"] == "bar"
 
     def test_export_tolerates_multiview_specs(self, scored_view, tmp_path):
-        """Multi-dimension view specs (``dimensions``, no ``dimension``)
-        export with degraded labels instead of AttributeError."""
+        """Multi-attribute views (no single column to look up) export as
+        bar charts over their joined keys instead of failing."""
         import dataclasses
 
         from repro.core.result import RecommendationResult
         from repro.util.timing import Stopwatch
         from repro.viz.export import export_recommendations
 
-        @dataclasses.dataclass(frozen=True)
-        class MultiSpec:
-            dimensions: tuple
-            label: str = "sum(amount) by store x month"
-            aggregate = type("Agg", (), {"alias": "sum_amount"})()
-
         view = dataclasses.replace(
-            scored_view, spec=MultiSpec(dimensions=("store", "month"))
+            scored_view, spec=ViewSpec(("store", "month"), "amount", "sum")
         )
         result = RecommendationResult(
             table="sales",
@@ -304,3 +289,6 @@ class TestExport:
             result, tmp_path / "multi", formats=("vega",)
         )
         assert len(paths) == 1
+        spec = json.loads(paths[0].read_text())
+        assert spec["title"] == "sum(amount) by (store, month)"
+        assert spec["encoding"]["x"]["title"] == "store x month"
