@@ -8,14 +8,21 @@ real concurrency); we sweep the worker count and record both total and
 mean per-query latency. Only the shape is asserted — every worker count
 executes every query; the latencies depend on the machine's cores.
 
-Plans run the way the engine runs them — :meth:`ExecutionPlan.run` over
-the process-wide bounded pool, warmed before timing — and each query is
-timed at the backend seam by a bench-local :class:`SqliteBackend`
-subclass. The sweep stops at :data:`MAX_TOTAL_WORKERS`, the pool's bound:
-a larger ``n_workers`` would claim no more threads than that.
+Plans run the way the engine runs them — :meth:`ExecutionPlan.run`, the
+calling thread plus ``n_workers - 1`` threads of the process-wide bounded
+pool, warmed before timing — and each query is timed at the backend seam
+by a bench-local :class:`SqliteBackend` subclass. The sweep passes each
+worker count to the plan directly. A served request gets no such choice:
+its execute phase asks for ``min(n_workers, steps)`` claimers when a
+step's price amortizes dispatch
+(:func:`~repro.optimizer.cost.choose_parallelism`) and starts helpers
+only on idle usable cores (:func:`~repro.optimizer.parallel.claim_cores`),
+so the rows past the core count show what that cap avoids — per-query
+latency rising as claimers contend for cores, and one more connection
+and page cache per claimer. The sweep stops at :data:`MAX_TOTAL_WORKERS`,
+the pool's bound.
 """
 
-import os
 import threading
 import time
 
@@ -24,7 +31,7 @@ import pytest
 from repro.backends.sqlite import SqliteBackend
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.model.view import ViewSpec
-from repro.optimizer.parallel import MAX_TOTAL_WORKERS
+from repro.optimizer.parallel import MAX_TOTAL_WORKERS, usable_cores
 from repro.optimizer.plan import ExecutionPlan, ExecutionStep, ViewGroup
 
 SWEEP = tuple(n for n in (1, 2, 4, 8) if n <= MAX_TOTAL_WORKERS)
@@ -87,13 +94,13 @@ def workload():
 
 def test_parallelism_sweep(benchmark, record_rows, workload):
     backend, plan = workload
-    n_cores = len(os.sched_getaffinity(0))
+    n_cores = usable_cores()
 
     def sweep():
         rows = []
         for n_workers in SWEEP:
             # A warmup run before timing: measurements see warm pool
-            # threads (and their sqlite connections), the steady state a
+            # threads and sqlite connections, the steady state a
             # long-lived service actually runs in.
             backend.timed_run(plan, n_workers)
             # Best-of-2 per configuration: thread scheduling on small

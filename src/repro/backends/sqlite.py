@@ -6,10 +6,12 @@ capability flag steers the optimizer toward per-set queries or rollup
 combining instead — exactly the "depends on the underlying DBMS" behaviour
 the paper describes.
 
-Concurrency: SQLite connections must not cross threads, so the backend
-keeps one connection per thread (all pointing at one on-disk database
-file), which is what makes the parallel-execution optimization (§3.3) safe
-to exercise here.
+Concurrency: a statement runs on a connection leased for it alone, taken
+from an idle list or opened when every connection is busy, so the backend
+holds as many connections (all to one on-disk database file) as it ever
+ran statements at once. That is what makes the parallel-execution
+optimization (§3.3) safe here, and no idle thread holds a connection and
+its page cache between statements.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import os
 import sqlite3
 import tempfile
 import threading
+from contextlib import contextmanager
 from datetime import date, datetime
+from typing import Iterator
 
 import numpy as np
 
@@ -53,6 +57,13 @@ _SQL_TYPES = {
     DataType.DATE: "TEXT",
 }
 
+#: VM opcodes between two cancel checks of a running statement. Each check
+#: is a Python call, so it takes the interpreter lock: at a few thousand
+#: opcodes, statements on parallel claimers queue on that lock many times
+#: a millisecond. Fifty thousand opcodes are a few tenths of a
+#: millisecond of VM work, which bounds how late a cancel is seen.
+PROGRESS_OPCODES = 50_000
+
 #: Knuth multiplicative hash modulus/multiplier for deterministic sampling.
 _HASH_MULTIPLIER = 2654435761
 _HASH_MODULUS = 1_000_000
@@ -61,7 +72,8 @@ _HASH_MODULUS = 1_000_000
 class SqliteBackend(Backend):
     """Backend over stdlib ``sqlite3``.
 
-    Thread-safe through one connection per thread to one database file.
+    Thread-safe through one leased connection per running statement, all
+    to one database file.
     """
 
     name = "sqlite"
@@ -79,38 +91,53 @@ class SqliteBackend(Backend):
         else:
             self._owns_file = False
         self._path = path
-        self._local = threading.local()
         self._schemas: dict[str, Schema] = {}
-        #: Every connection ever opened, regardless of owning thread.
-        #: Short-lived service worker threads abandon their thread-local
-        #: connection when they exit; tracking them here is what lets
-        #: :meth:`close` release every file handle (connections are opened
-        #: with ``check_same_thread=False`` purely so close() may finalize
-        #: them cross-thread — each is still *used* by one thread only).
-        self._connections: list[sqlite3.Connection] = []
+        #: Every open connection, leased or idle; :meth:`close` releases
+        #: them all. Opened with ``check_same_thread=False`` because a
+        #: connection moves between threads from lease to lease; a lease
+        #: gives it to one thread at a time.
+        self._connections: list[sqlite3.Connection] = []  # guarded-by: _connections_lock
+        #: Open connections no statement holds, most recently used last.
+        self._idle: list[sqlite3.Connection] = []  # guarded-by: _connections_lock
         self._connections_lock = threading.Lock()
 
     # -- connection management ---------------------------------------------
 
-    def _connection(self) -> sqlite3.Connection:
-        connection = getattr(self._local, "connection", None)
+    @contextmanager
+    def _lease(self) -> "Iterator[sqlite3.Connection]":
+        """A connection no other thread is using, for one statement or load.
+
+        The most recently returned connection goes out first, so
+        sequential statements reuse one warm page cache.
+        """
+        with self._connections_lock:
+            connection = self._idle.pop() if self._idle else None
         if connection is None:
-            connection = sqlite3.connect(self._path, check_same_thread=False)
-            connection.create_function("sqrt", 1, _safe_sqrt)
-            # Analytics-session pragmas: SeeDB view queries are bulk loads
-            # followed by read-heavy aggregate scans, so durability can be
-            # traded away wholesale. WAL lets the worker pool's reader
-            # threads proceed under a concurrent load; synchronous=OFF skips
-            # fsync on load (the database is rebuilt per session); the 64 MiB
-            # page cache keeps the working set of repeated per-view scans
-            # resident.
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=OFF")
-            connection.execute("PRAGMA cache_size=-65536")
-            connection.execute("PRAGMA temp_store=MEMORY")
+            connection = self._connect()
+        try:
+            yield connection
+        finally:
             with self._connections_lock:
-                self._connections.append(connection)
-            self._local.connection = connection
+                # A connection close() took while leased stays closed.
+                if connection in self._connections:
+                    self._idle.append(connection)
+
+    def _connect(self) -> sqlite3.Connection:
+        connection = sqlite3.connect(self._path, check_same_thread=False)
+        connection.create_function("sqrt", 1, _safe_sqrt)
+        # Analytics-session pragmas: SeeDB view queries are bulk loads
+        # followed by read-heavy aggregate scans, so durability can be
+        # traded away wholesale. WAL lets concurrent statements read under
+        # a concurrent load; synchronous=OFF skips fsync on load (the
+        # database is rebuilt per session); the page cache of up to 64 MiB
+        # per connection keeps the working set of repeated per-view scans
+        # resident.
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=OFF")
+        connection.execute("PRAGMA cache_size=-65536")
+        connection.execute("PRAGMA temp_store=MEMORY")
+        with self._connections_lock:
+            self._connections.append(connection)
         return connection
 
     @property
@@ -120,21 +147,20 @@ class SqliteBackend(Backend):
             return len(self._connections)
 
     def close(self) -> None:
-        """Close every live connection and delete an owned temp file.
+        """Close every open connection and delete an owned temp file.
 
-        Connections opened by worker threads that have since exited are
-        closed here too — the WAL checkpoint on the final close is what
-        keeps the ``-wal``/``-shm`` sidecar cleanup below correct under
-        concurrent use.
+        The WAL checkpoint on the final close is what keeps the
+        ``-wal``/``-shm`` sidecar cleanup below correct under concurrent
+        use.
         """
         with self._connections_lock:
             connections, self._connections = self._connections, []
+            self._idle = []
         for connection in connections:
             try:
                 connection.close()
             except sqlite3.Error:  # pragma: no cover - already-dead handle
                 pass
-        self._local.connection = None
         if self._owns_file and os.path.exists(self._path):
             os.unlink(self._path)
             # WAL mode leaves sidecar files next to the database.
@@ -162,25 +188,24 @@ class SqliteBackend(Backend):
             self._schemas[table.name] = table.schema
 
     def _create_and_fill(self, table: Table) -> None:
-        connection = self._connection()
         quoted = quote_identifier(table.name)
         column_defs = ", ".join(
             f"{quote_identifier(spec.name)} {_SQL_TYPES[spec.dtype]}"
             for spec in table.schema
         )
-        with connection:
+        with self._lease() as connection, connection:
             # seedb-lint: disable=counter-accounting -- DDL + bulk load on registration; only view/metadata statements are audited
             connection.execute(f"DROP TABLE IF EXISTS {quoted}")
             connection.execute(f"CREATE TABLE {quoted} ({column_defs})")
             placeholders = ", ".join("?" for _ in table.schema.names)
             connection.executemany(
                 f"INSERT INTO {quoted} VALUES ({placeholders})",
-                (_encode_row(row) for row in table.iter_rows()),
+                _encoded_rows(table),
             )
 
     def drop_table(self, name: str) -> None:
         self._require_table(name)
-        with self._connection() as connection:
+        with self._lease() as connection, connection:
             connection.execute(f"DROP TABLE IF EXISTS {quote_identifier(name)}")
         with self._accounting_lock:
             del self._schemas[name]
@@ -199,10 +224,11 @@ class SqliteBackend(Backend):
     def row_count(self, table_name: str) -> int:
         self._require_table(table_name)
         self._record_metadata_queries(1)
-        cursor = self._connection().execute(
-            f"SELECT COUNT(*) FROM {quote_identifier(table_name)}"
-        )
-        return int(cursor.fetchone()[0])
+        with self._lease() as connection:
+            cursor = connection.execute(
+                f"SELECT COUNT(*) FROM {quote_identifier(table_name)}"
+            )
+            return int(cursor.fetchone()[0])
 
     # -- execution -------------------------------------------------------------
 
@@ -260,7 +286,7 @@ class SqliteBackend(Backend):
         threshold = int(fraction * _HASH_MODULUS)
         quoted_source = quote_identifier(source)
         quoted_sample = quote_identifier(sample_name)
-        with self._connection() as connection:
+        with self._lease() as connection, connection:
             connection.execute(f"DROP TABLE IF EXISTS {quoted_sample}")
             connection.execute(
                 f"CREATE TABLE {quoted_sample} AS SELECT * FROM {quoted_source} "
@@ -278,28 +304,30 @@ class SqliteBackend(Backend):
         # combining optimizations minimize).
         self._record_queries(logical_queries)
         fault_point("backend.execute")
-        connection = self._connection()
         token = current_token()
         if token is not None:
-            # Cooperative cancellation: the progress handler fires every N
-            # VM opcodes; a nonzero return interrupts the statement, which
-            # surfaces as OperationalError("interrupted") below.
             token.check()
-            connection.set_progress_handler(
-                lambda: 1 if token.should_stop() else 0, 4000
-            )
-        try:
-            cursor = connection.execute(sql)
-            return cursor.fetchall()
-        except sqlite3.Error as exc:
+        with self._lease() as connection:
             if token is not None:
-                error = token.error()
-                if error is not None and "interrupt" in str(exc).lower():
-                    raise error from exc
-            raise BackendError(f"sqlite error for SQL {sql!r}: {exc}") from exc
-        finally:
-            if token is not None:
-                connection.set_progress_handler(None, 0)
+                # Cooperative cancellation: the progress handler fires every
+                # PROGRESS_OPCODES VM opcodes; a nonzero return interrupts
+                # the statement, which surfaces as
+                # OperationalError("interrupted").
+                connection.set_progress_handler(
+                    lambda: 1 if token.should_stop() else 0, PROGRESS_OPCODES
+                )
+            try:
+                cursor = connection.execute(sql)
+                return cursor.fetchall()
+            except sqlite3.Error as exc:
+                if token is not None:
+                    error = token.error()
+                    if error is not None and "interrupt" in str(exc).lower():
+                        raise error from exc
+                raise BackendError(f"sqlite error for SQL {sql!r}: {exc}") from exc
+            finally:
+                if token is not None:
+                    connection.set_progress_handler(None, 0)
 
     def _result_schema(self, query: AggregateQuery) -> Schema:
         return aggregate_result_schema(self._schemas[query.table], query)
@@ -318,22 +346,57 @@ def _safe_sqrt(value: "float | None") -> "float | None":
     return math.sqrt(value)
 
 
-def _encode_row(row: tuple) -> tuple:
-    """Convert one table row into sqlite-storable values."""
-    encoded = []
-    for value in row:
-        if isinstance(value, np.generic):
-            value = value.item()
-        if isinstance(value, np.datetime64):
-            encoded.append(str(value))
-        elif isinstance(value, (datetime, date)):
-            encoded.append(value.isoformat()[:10])
-        elif isinstance(value, bool):
-            encoded.append(int(value))
-        elif isinstance(value, float) and value != value:  # NaN -> NULL
-            encoded.append(None)
-        else:
-            encoded.append(value)
-    return tuple(encoded)
+#: Value types sqlite stores as they are (``bool`` is not ``int`` here:
+#: ``type(True) is bool``).
+_STORABLE_TYPES = frozenset({int, str, type(None)})
 
 
+#: Rows encoded at a time: every column's Python values for one batch are
+#: alive at once, so a large table loads in bounded memory.
+_LOAD_BATCH_ROWS = 65_536
+
+
+def _encoded_rows(table: Table) -> "Iterator[tuple]":
+    """The table's rows as sqlite-storable tuples, encoded column by column."""
+    arrays = [table.columns[name] for name in table.schema.names]
+    for start in range(0, table.num_rows, _LOAD_BATCH_ROWS):
+        stop = start + _LOAD_BATCH_ROWS
+        yield from zip(*(_encode_column(array[start:stop]) for array in arrays))
+
+
+def _encode_column(array: np.ndarray) -> list:
+    """One column's values as :func:`_encode_value` gives them.
+
+    ``tolist()`` converts numpy scalars as ``.item()`` does (NaT becomes
+    None), so only what is left — NaN, bools, dates, odd objects — needs
+    a per-value look.
+    """
+    kind = array.dtype.kind
+    if kind == "b":
+        return array.astype(np.int64).tolist()
+    values = array.tolist()
+    if kind in "iu":
+        return values
+    if kind == "f":
+        for index in np.flatnonzero(np.isnan(array)).tolist():
+            values[index] = None
+        return values
+    if kind == "O" and set(map(type, values)) <= _STORABLE_TYPES:
+        return values
+    return [_encode_value(value) for value in values]
+
+
+def _encode_value(value: object) -> object:
+    """One table value as sqlite stores it: a Python scalar, NaN as NULL,
+    a bool as 0/1, a date as ``YYYY-MM-DD`` text."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, np.datetime64):
+        return str(value)
+    if isinstance(value, (datetime, date)):
+        return value.isoformat()[:10]
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value != value:  # NaN -> NULL
+        return None
+    return value

@@ -10,11 +10,12 @@ construction, not mid-recommendation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.metrics.base import DistanceMetric
 from repro.metrics.normalize import NormalizationPolicy
 from repro.metrics.registry import get_metric
+from repro.optimizer.parallel import usable_cores
 from repro.optimizer.plan import GroupByCombining, PlannerConfig
 from repro.pruning.access_frequency import AccessFrequencyPruner
 from repro.pruning.correlation import CorrelationPruner
@@ -83,12 +84,12 @@ class SeeDBConfig:
     auto_sample_epsilon: "float | None" = None
 
     # -- parallelism (§3.3) ----------------------------------------------------
-    n_workers: int = 1
-    #: Opt-in cost-based parallelism: let the cost-based planner *lower*
-    #: the effective worker count (down to sequential) when the predicted
-    #: per-step work cannot amortize worker dispatch overhead. Off by
-    #: default — ``n_workers`` alone stays authoritative.
-    auto_parallelism: bool = False
+    #: Upper bound on the claimers one plan's steps run on; defaults to
+    #: the usable cores. The execute phase decides the count below it
+    #: (:func:`~repro.optimizer.cost.choose_parallelism`): one for steps
+    #: priced too cheap to amortize dispatch, else as many as there are
+    #: steps and idle cores (:func:`~repro.optimizer.parallel.claim_cores`).
+    n_workers: int = field(default_factory=usable_cores)
 
     # -- metadata ---------------------------------------------------------------
     #: Row cap when materializing a table for metadata collection.

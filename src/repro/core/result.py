@@ -53,8 +53,8 @@ class RecommendationResult:
     #: Cost-based planner decision record: chosen combining mode,
     #: predicted work units and seconds, per-candidate predictions, the
     #: coefficients used, and the observed execute-phase seconds (None
-    #: after a phased run). None when the static planner ran
-    #: (``cost_based_planning=False``).
+    #: after a phased run). None when nothing could be priced (a phase
+    #: list without the Metadata phase).
     plan_decision: "dict | None" = None
     #: The comparison row set the utilities were scored against
     #: ("table" = the paper's whole-table reference).

@@ -180,11 +180,12 @@ class PlanPhase(Phase):
     is equivalence-preserving, so the choice changes *how* views execute,
     never the recommendations. The decision record travels on
     ``ctx.plan_decision`` (``cost_based`` is False when the mode was pinned
-    to one kind).
+    to one kind or the flag is off).
 
-    With the flag off, or with no statistics to price from (a phase list
-    without the Metadata phase), only the first candidate is planned and
-    nothing is priced: ``ctx.plan_decision`` stays ``None``.
+    With the flag off only the first candidate is planned, and it is
+    still priced: the execute phase's worker count reads the price. With
+    no statistics to price from (a phase list without the Metadata
+    phase) nothing is priced and ``ctx.plan_decision`` stays ``None``.
     """
 
     name = "plan"
@@ -192,15 +193,13 @@ class PlanPhase(Phase):
     def run(self, ctx: ExecutionContext) -> None:
         config = ctx.config
         capabilities = ctx.backend.capabilities
-        priced = config.cost_based_planning and ctx.metadata is not None
-        cardinalities = (
-            ctx.metadata.stats.cardinalities() if ctx.metadata is not None else {}
-        )
+        priced = ctx.metadata is not None
+        cardinalities = ctx.metadata.stats.cardinalities() if priced else {}
         table = ctx.resolve_execution_table()
         base = config.planner_config()
 
         candidates = candidate_kinds(config.groupby_combining, capabilities)
-        if not priced:
+        if not (priced and config.cost_based_planning):
             candidates = candidates[:1]
         plans = [
             Planner(replace(base, groupby_combining=kind)).plan(
@@ -224,12 +223,10 @@ class PlanPhase(Phase):
         """Price every candidate plan, record the decision, return the argmin."""
         from repro.optimizer.cost import (
             PlanDecision,
-            choose_parallelism,
             coefficients_for,
             estimate_plan_cost,
         )
 
-        config = ctx.config
         n_rows = ctx.cache.row_count(ctx.query.table)
         coefficients = coefficients_for(ctx.backend.name)
 
@@ -249,7 +246,7 @@ class PlanPhase(Phase):
                 best = (plan, cost, seconds, mode)
 
         plan, cost, seconds, chosen = best
-        decision = PlanDecision(
+        ctx.plan_decision = PlanDecision(
             kind=chosen.value,
             cost_based=len(candidates) > 1,
             predicted=cost,
@@ -258,38 +255,42 @@ class PlanPhase(Phase):
             coefficients=coefficients,
             sample_fraction=ctx.sample_fraction,
         )
-        n_steps = len(plan.steps)
-        decision.recommended_workers = choose_parallelism(
-            n_steps,
-            seconds / n_steps if n_steps else 0.0,
-            config.n_workers,
-        )
-        ctx.plan_decision = decision
         return plan
 
 
 class ExecutePhase(Phase):
-    """Run the plan against the DBMS on ``config.n_workers`` pool threads.
+    """Run the plan against the DBMS, its steps spread over claimers.
 
-    The one place the worker count is decided: with ``auto_parallelism``
-    a plan whose predicted per-step work cannot amortize worker dispatch
-    (``recommended_workers <= 1``) runs sequentially.
+    The one place the worker count is decided, by one rule
+    (:func:`~repro.optimizer.cost.choose_parallelism`): up to
+    ``config.n_workers`` claimers (the usable cores by default) when the
+    planner's price of a step amortizes dispatch, else one; an unpriced
+    plan runs sequentially. Helpers start only on cores no other plan's
+    claimers hold (:func:`~repro.optimizer.parallel.claim_cores`), and
+    the count that ran is recorded as ``plan_decision.recommended_workers``.
     """
 
     name = "execute"
 
     def run(self, ctx: ExecutionContext) -> None:
-        if ctx.plan is None:
+        from repro.optimizer.cost import choose_parallelism
+        from repro.optimizer.parallel import claim_cores
+
+        plan, decision = ctx.plan, ctx.plan_decision
+        if plan is None:
             return
-        n_workers = ctx.config.n_workers
-        decision = ctx.plan_decision
-        if (
-            ctx.config.auto_parallelism
-            and decision is not None
-            and decision.recommended_workers <= 1
-        ):
-            n_workers = 1
-        ctx.blocks = ctx.plan.run(ctx.backend, n_workers)
+        per_step_seconds = (
+            decision.predicted_seconds / len(plan.steps)
+            if decision is not None and plan.steps
+            else None
+        )
+        wanted = choose_parallelism(
+            len(plan.steps), per_step_seconds, ctx.config.n_workers
+        )
+        with claim_cores(wanted) as n_workers:
+            if decision is not None:
+                decision.recommended_workers = n_workers
+            ctx.blocks = plan.run(ctx.backend, n_workers)
 
 
 class ScorePhase(Phase):

@@ -27,6 +27,7 @@ from repro.datasets.registry import available_datasets, load_dataset
 from repro.db.csvio import read_csv
 from repro.frontend.templates import available_templates, build_template
 from repro.metrics.registry import available_metrics
+from repro.optimizer.parallel import usable_cores
 from repro.util.errors import ReproError
 from repro.viz.chart_select import dimension_spec_for
 from repro.viz.export import export_recommendations
@@ -87,7 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run view queries on a sample of this fraction",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="parallel query workers"
+        "--workers",
+        type=int,
+        default=usable_cores(),
+        help="upper bound on parallel query workers (default: usable cores)",
     )
     parser.add_argument(
         "--export", metavar="DIR", help="write SVG/Vega/text charts to DIR"
@@ -164,8 +168,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--query-workers",
         type=int,
-        default=1,
-        help="parallel query workers per request (within one execution)",
+        default=usable_cores(),
+        help="upper bound on parallel query workers per request (within one "
+        "execution; default: usable cores)",
     )
     parser.add_argument(
         "--max-requests",

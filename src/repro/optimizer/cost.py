@@ -18,10 +18,10 @@ Two layers, mirroring the ``StatInfo`` / ``blocks_accessed`` ×
   backend name: the same request is priced the same in every process,
   on its first run and its hundredth.
 
-The module also hosts the two data-dependent knob selectors the
-cost-based planner consults: candidate sampling fractions (bounding the
-Hoeffding ε at the sampled size) and the parallelism degree (worker
-overhead vs per-step work).
+The module also hosts the two data-dependent knob selectors the engine
+consults: candidate sampling fractions (bounding the Hoeffding ε at the
+sampled size) and the parallelism degree (worker overhead vs per-step
+work).
 """
 
 from __future__ import annotations
@@ -158,8 +158,10 @@ class PlanDecision:
     candidate_seconds: "dict[str, float]" = field(default_factory=dict)
     coefficients: "CostCoefficients | None" = None
     sample_fraction: "float | None" = None
-    #: Worker count the cost model recommends (applied only under the
-    #: opt-in ``auto_parallelism``; recorded regardless).
+    #: Claimers the plan's steps ran on: the execute phase's ask
+    #: (:func:`choose_parallelism`) as far as idle cores allowed
+    #: (:func:`~repro.optimizer.parallel.claim_cores`); 1 after a phased
+    #: run, whose rounds run their steps in turn.
     recommended_workers: int = 1
     #: Wall-clock of the execute phase, filled in by the engine after a
     #: blocking run (None after a phased one).
@@ -269,19 +271,25 @@ def choose_sample_fraction(
 
 def choose_parallelism(
     n_steps: int,
-    per_step_seconds: float,
+    per_step_seconds: "float | None",
     max_workers: int,
     worker_overhead_seconds: float = 2e-3,
 ) -> int:
-    """Worker count where per-step work amortizes the per-worker overhead.
+    """Claimers a plan of ``n_steps`` asks for: ``min(max_workers,
+    n_steps)`` where parallelism pays, else 1.
 
-    Parallelism only pays when each claimed worker saves more wall-clock
-    than its dispatch overhead costs ("as the number of queries executed
-    in parallel increases, performance degrades", §4): steps too cheap to
-    amortize the overhead run sequentially.
+    It pays only when each step's predicted work amortizes the
+    per-worker dispatch overhead ("as the number of queries executed in
+    parallel increases, performance degrades", §4). The price decides
+    alone, per backend through its coefficients: a step over 20k rows
+    prices near 0.3 ms on memory and stays sequential, and several
+    milliseconds on sqlite and does not. ``per_step_seconds=None`` is an unpriced plan (no
+    statistics to price from), which runs sequentially. How many of the
+    claimers asked for start depends on the idle cores
+    (:func:`~repro.optimizer.parallel.claim_cores`).
     """
-    if max_workers <= 1 or n_steps <= 1:
+    if per_step_seconds is None or max_workers <= 1 or n_steps <= 1:
         return 1
     if per_step_seconds <= worker_overhead_seconds:
         return 1
-    return max(1, min(max_workers, n_steps))
+    return min(max_workers, n_steps)

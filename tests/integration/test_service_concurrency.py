@@ -227,7 +227,7 @@ class TestSqliteConnectionLifecycle:
             ]
             for future in futures:
                 future.result(timeout=120)
-        # Service worker threads each opened a thread-local connection.
+        # Concurrent requests' statements each leased their own connection.
         assert backend.open_connections > 1
         service.close()
         # The leak fix: every tracked connection is closed, and the

@@ -75,14 +75,19 @@ class TestCostBasedChoice:
         assert "rollup" in result.plan_description
 
     def test_escape_hatch_reverts_to_static_planner(self):
-        """cost_based_planning=False reproduces the static path exactly:
-        same plan description, no decision record."""
+        """cost_based_planning=False plans the capability-declared kind
+        alone; its one candidate is priced and recorded as not chosen
+        by cost."""
         config = SeeDBConfig(
             groupby_combining=GroupByCombining.AUTO, cost_based_planning=False
         )
         with make_seedb(config) as seedb:
             result = seedb.recommend(RecommendationRequest(QUERY, k=3))
-        assert result.plan_decision is None
+        decision = result.plan_decision
+        assert decision["cost_based"] is False
+        assert decision["kind"] == "grouping_sets"
+        assert set(decision["candidate_seconds"]) == {"grouping_sets"}
+        assert "grouping_sets" in result.plan_description
 
     def test_auto_matches_static_top_k_bit_for_bit(self):
         table = make_table()
@@ -217,15 +222,17 @@ class TestSampledCosting:
             ).sample_fraction is None
 
 
-class TestParallelismAdvice:
-    def test_recommendation_recorded_without_auto_parallelism(self):
-        with make_seedb(SeeDBConfig(n_workers=4)) as seedb:
-            result = seedb.recommend(RecommendationRequest(QUERY, k=3))
-        assert result.plan_decision["recommended_workers"] >= 1
+class TestParallelismDecision:
+    """The execute phase's one rule: ``min(n_workers, steps)`` claimers
+    asked for when the planner's price of a step amortizes dispatch, else
+    one; helpers start only on idle usable cores; the count that ran is
+    the one the decision records."""
 
     @staticmethod
-    def workers_reaching_the_runner(monkeypatch, config):
-        """Run one recommendation; the ``n_workers`` each plan run got."""
+    def claimers(monkeypatch, backend, table, config, cores=2, phases=None):
+        """Run one recommendation on ``cores`` usable cores; the claimer
+        count each plan run got, and the plan's step count."""
+        from repro.optimizer import parallel
         from repro.optimizer import plan as plan_module
 
         seen = []
@@ -236,26 +243,154 @@ class TestParallelismAdvice:
             return real_run_steps(steps, backend, n_workers)
 
         monkeypatch.setattr(plan_module, "run_steps", spy)
-        backend = MemoryBackend()
-        backend.register_table(make_table())
-        with SeeDB(backend, config) as seedb:
-            ctx = seedb.engine.recommend(
-                RecommendationRequest(QUERY, k=3).resolve(config)
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        try:
+            backend.register_table(table)
+            with SeeDB(backend, config) as seedb:
+                ctx = seedb.engine.recommend(
+                    RecommendationRequest(QUERY, k=3).resolve(config),
+                    phases=phases,
+                )
+        finally:
+            backend.close()
+        if ctx.plan_decision is not None:
+            assert ctx.plan_decision.recommended_workers == seen[-1]
+        return seen, ctx
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4, 8])
+    def test_memory_at_20k_rows_runs_sequentially_at_any_bound(
+        self, monkeypatch, n_workers
+    ):
+        """A memory step over 20k rows prices well under the dispatch
+        overhead, so it claims no worker where sqlite at this size does."""
+        seen, ctx = self.claimers(
+            monkeypatch,
+            MemoryBackend(),
+            make_table(n_rows=20_000),
+            SeeDBConfig(n_workers=n_workers),
+        )
+        assert len(ctx.plan.steps) > 1
+        assert seen == [1]
+
+    def test_tiny_sqlite_table_runs_sequentially(self, monkeypatch):
+        """400 rows: a step's predicted work cannot amortize dispatch."""
+        seen, ctx = self.claimers(
+            monkeypatch, SqliteBackend(), make_table(), SeeDBConfig(n_workers=4)
+        )
+        assert len(ctx.plan.steps) > 1
+        assert seen == [1]
+
+    @pytest.mark.parametrize("cores", [1, 2, 16])
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_sqlite_at_20k_rows_runs_on_min_of_bound_cores_and_steps(
+        self, monkeypatch, n_workers, cores
+    ):
+        seen, ctx = self.claimers(
+            monkeypatch,
+            SqliteBackend(),
+            make_table(n_rows=20_000),
+            SeeDBConfig(n_workers=n_workers),
+            cores=cores,
+        )
+        assert seen == [min(n_workers, cores, len(ctx.plan.steps))]
+
+    @pytest.mark.parametrize("n_rows, expected", [(400, 1), (20_000, 2)])
+    def test_plan_without_cost_based_planning_is_still_priced(
+        self, monkeypatch, n_rows, expected
+    ):
+        """With cost-based planning off the planner plans one candidate
+        and still prices it; the execute phase reads that price."""
+        seen, ctx = self.claimers(
+            monkeypatch,
+            SqliteBackend(),
+            make_table(n_rows=n_rows),
+            SeeDBConfig(n_workers=4, cost_based_planning=False),
+        )
+        assert len(ctx.plan.steps) == 2
+        assert ctx.plan_decision.cost_based is False
+        assert seen == [expected]
+
+    def test_plan_without_statistics_runs_sequentially(self, monkeypatch):
+        """A phase list without the Metadata phase has nothing to price
+        from: the plan runs on one claimer, even at a size that pays."""
+        from repro.engine.phases import (
+            EnumeratePhase,
+            ExecutePhase,
+            PlanPhase,
+            PrunePhase,
+        )
+
+        seen, ctx = self.claimers(
+            monkeypatch,
+            SqliteBackend(),
+            make_table(n_rows=20_000),
+            SeeDBConfig(n_workers=4),
+            phases=[EnumeratePhase(), PrunePhase(), PlanPhase(), ExecutePhase()],
+        )
+        assert len(ctx.plan.steps) == 2
+        assert ctx.plan_decision is None
+        assert seen == [1]
+
+    def test_busy_cores_leave_the_plan_sequential(self, monkeypatch):
+        """Another plan's claimers on every core: this one starts no
+        helper and records the one claimer it ran on."""
+        from repro.optimizer import parallel
+
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        with parallel.claim_cores(2) as held:
+            assert held == 2
+            seen, _ = self.claimers(
+                monkeypatch,
+                SqliteBackend(),
+                make_table(n_rows=20_000),
+                SeeDBConfig(n_workers=4),
             )
-        assert ctx.plan_decision.recommended_workers == 1
-        return seen
+        assert seen == [1]
 
-    def test_auto_parallelism_downgrades_trivial_work_to_sequential(
-        self, monkeypatch
+    @pytest.mark.parametrize(
+        "per_step_seconds, n_steps, max_workers, expected",
+        [
+            (None, 10, 4, 1),
+            (1e-3, 10, 4, 1),
+            (5e-3, 10, 4, 4),
+            (5e-3, 3, 4, 3),
+            (5e-3, 1, 4, 1),
+            (5e-3, 10, 1, 1),
+        ],
+    )
+    def test_the_price_decides_alone(
+        self, per_step_seconds, n_steps, max_workers, expected
     ):
-        """A 400-row in-memory workload cannot amortize worker dispatch:
-        with the opt-in flag the plan's steps reach the runner with one
-        worker."""
-        config = SeeDBConfig(n_workers=4, auto_parallelism=True)
-        assert self.workers_reaching_the_runner(monkeypatch, config) == [1]
+        """No backend property enters: a memory plan over a table large
+        enough to price above the overhead asks for claimers too."""
+        from repro.optimizer.cost import choose_parallelism
 
-    def test_without_auto_parallelism_n_workers_reaches_the_runner(
-        self, monkeypatch
-    ):
-        config = SeeDBConfig(n_workers=4)
-        assert self.workers_reaching_the_runner(monkeypatch, config) == [4]
+        assert choose_parallelism(n_steps, per_step_seconds, max_workers) == expected
+
+    def test_claim_cores_grants_idle_cores_and_releases_them(self, monkeypatch):
+        from repro.optimizer import parallel
+
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 4)
+        with parallel.claim_cores(3) as first:
+            with parallel.claim_cores(4) as second:
+                with parallel.claim_cores(4) as third:
+                    assert (first, second, third) == (3, 1, 1)
+        with pytest.raises(RuntimeError):
+            with parallel.claim_cores(4):
+                raise RuntimeError("plan failed")
+        with parallel.claim_cores(8) as alone:
+            assert alone == 4
+
+    def test_default_bound_is_the_usable_core_count(self):
+        from repro.optimizer.parallel import usable_cores
+
+        assert SeeDBConfig().n_workers == usable_cores()
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        from repro.optimizer import parallel
+
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", lambda pid: {3}, raising=False
+        )
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+        assert parallel.usable_cores() == 1

@@ -1,5 +1,6 @@
 """Unit tests: the ExecutionEngine layer (phases, cache, worker pool)."""
 
+import numpy as np
 import pytest
 
 from repro.api import RecommendationRequest
@@ -194,15 +195,30 @@ class TestPhases:
 
 class TestSharedPool:
     def test_parallel_and_sequential_agree(self, memory_backend):
-        sequential = SeeDB(memory_backend).recommend(RecommendationRequest(QUERY))
-        parallel = SeeDB(
-            memory_backend, SeeDBConfig(n_workers=4)
-        ).recommend(RecommendationRequest(QUERY))
-        assert [v.spec for v in parallel.recommendations] == [
-            v.spec for v in sequential.recommendations
+        """A plan's steps on four claimers give the blocks one claimer
+        gives, in step order. The plan runs through ``plan.run``: the
+        execute phase keeps a plan this small on one claimer."""
+        config = SeeDBConfig(
+            max_dims_per_query=1,
+            prune_low_variance=False,
+            prune_cardinality=False,
+            prune_correlated=False,
+            prune_rare_access=False,
+        )
+        with SeeDB(memory_backend, config) as seedb:
+            ctx = seedb.engine.recommend(
+                RecommendationRequest(QUERY).resolve(config)
+            )
+        assert ctx.plan_decision.recommended_workers == 1
+        assert len(ctx.plan.steps) > 1
+        sequential = ctx.plan.run(memory_backend, 1)
+        parallel = ctx.plan.run(memory_backend, 4)
+        assert [(b.specs, b.groups) for b in parallel] == [
+            (b.specs, b.groups) for b in sequential
         ]
-        for spec, utility in sequential.utilities.items():
-            assert parallel.utilities[spec] == pytest.approx(utility)
+        for ours, theirs in zip(parallel, sequential):
+            np.testing.assert_array_equal(ours.target, theirs.target)
+            np.testing.assert_array_equal(ours.comparison, theirs.comparison)
 
 
 class TestCustomMetricInstances:
