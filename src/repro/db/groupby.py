@@ -8,6 +8,8 @@ column once by code, and each aggregate's reducer
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +42,39 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An object column's NULL (``None``, or a float NaN) is one group, code
     0, labelled ``None`` — the way SQL groups NULLs, and never merged with
     the string ``"None"``.
+
+    An object column of strings and NULLs is hashed, not sorted: one pass
+    over a dict numbers the distinct values as they first appear, only
+    those are sorted, and the codes are renumbered to their sorted order.
+    Any other object column groups on its values' string rendering,
+    sorted as a fixed-width array.
     """
     if values.dtype != object:
         uniques, codes = np.unique(values, return_inverse=True)
         return codes, uniques
-    # Strings sort as a fixed-width array, not through Python comparisons.
+    items = values.tolist()
+    first_seen = defaultdict(itertools.count().__next__)
+    codes = np.fromiter(map(first_seen.__getitem__, items), dtype=np.intp, count=len(items))
+    texts, nulls = {}, False  # first-seen code -> the string it groups on
+    for index, value in enumerate(first_seen):
+        if isinstance(value, str):
+            # The plain string a subclass holds (as sqlite stores it):
+            # str() would call numpy.str_.__str__, which drops trailing NULs.
+            texts[index] = str.__str__(value)
+        elif value is None or (isinstance(value, (float, np.floating)) and value != value):
+            nulls = True
+        else:
+            return _factorize_rendered(values)
+    labels = ([None] if nulls else []) + sorted(set(texts.values()))
+    sorted_code = {text: code for code, text in enumerate(labels)}
+    remap = np.zeros(len(first_seen), dtype=np.intp)  # every NULL key: code 0
+    remap[list(texts)] = [sorted_code[text] for text in texts.values()]
+    return remap[codes], np.array(labels, dtype=object)
+
+
+def _factorize_rendered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`factorize` of an object column that holds more than strings
+    and NULLs: rows group on their string rendering."""
     # Only a group rendered "None" or "nan" can hold a NULL, so only its
     # rows are looked at one by one.
     rendered, codes = np.unique(values.astype(str), return_inverse=True)

@@ -6,12 +6,14 @@ aggregate — vectorizable. Tables are immutable by convention: operations
 return new tables sharing column arrays where possible.
 
 Dimension columns are dictionary-encoded on first use (:meth:`Table.codes`):
-sorted once per ``Table`` object, then read as integer codes by metadata
-statistics, planning and the group-by. A table cut from another by
-:meth:`~Table.mask`, :meth:`~Table.take`, :meth:`~Table.head`,
-:meth:`~Table.select_columns` or :meth:`~Table.rename` slices its
-parent's codes by the same row selector instead of sorting again. A float
-column's NULL (NaN) rows are found the same way, once (:meth:`Table.nulls`).
+once per ``Table`` object, then read as integer codes by metadata
+statistics, planning and the group-by. A string column is hashed, and only
+its distinct values are sorted (:func:`~repro.db.groupby.factorize`). A
+table cut from another by :meth:`~Table.mask`, :meth:`~Table.take`,
+:meth:`~Table.head`, :meth:`~Table.select_columns` or :meth:`~Table.rename`
+slices its parent's codes by the same row selector instead of encoding
+again. A float column's NULL (NaN) rows are found the same way, once
+(:meth:`Table.nulls`).
 """
 
 from __future__ import annotations
@@ -174,9 +176,11 @@ class Table:
 
         A dimension column is encoded once per ``Table`` object and kept
         for its lifetime, its codes in the narrowest signed integer type
-        that indexes the dictionary; a derived table cuts its parent's
-        codes with the selector that cut its rows and compacts them (no
-        sort). Other columns are factorized on each call and not kept.
+        that indexes the dictionary: a string column by hashing its rows,
+        sorting only the distinct values. A derived table cuts its
+        parent's codes with the selector that cut its rows and compacts
+        them (no encoding). Other columns are factorized on each call and
+        not kept.
         """
         if self.schema[name].role is not AttributeRole.DIMENSION:
             return factorize(self.columns[name])

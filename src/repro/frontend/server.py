@@ -60,6 +60,11 @@ from repro.util.errors import ReproError, ServiceError
 #: would let one client pin a handler thread on a multi-megabyte parse.
 MAX_BODY_BYTES = 1024 * 1024
 
+#: Seconds a socket read or write may wait before the connection is
+#: dropped: a client that declares more body bytes than it sends, or
+#: idles on a keep-alive connection, releases its handler thread.
+READ_TIMEOUT_S = 30.0
+
 #: Config fields a legacy flat request body may override per call. A
 #: deliberate whitelist: serving knobs stay server-side, analyst knobs are
 #: free. (New-style bodies put these under "options", where the request
@@ -193,6 +198,8 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
     #: the body of every keep-alive reply waits out the client's delayed
     #: ACK (~40 ms).
     disable_nagle_algorithm = True
+    #: ``StreamRequestHandler.setup()`` puts this timeout on each socket.
+    timeout = READ_TIMEOUT_S
 
     @property
     def service(self) -> SeeDBService:
@@ -244,6 +251,10 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             handler(self._read_json())
+        except TimeoutError:
+            # The socket outlived ``timeout``: as the stdlib does for a
+            # request line, the connection ends without a reply.
+            self.close_connection = True
         except (ReproError, TypeError) as error:
             self._reply_error(error)
         except Exception as error:  # noqa: BLE001 - see do_GET

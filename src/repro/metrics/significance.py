@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.model.view import ScoredView
 from repro.util.errors import MetricError
@@ -71,6 +70,8 @@ def view_significance(
     expected = np.maximum(expected, 1e-9)
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     dof = max(observed.size - 1, 1)
+    from scipy import stats as scipy_stats  # optional extra: only this test needs it
+
     p_value = float(scipy_stats.chi2.sf(chi2, dof))
     sparse_cells = int(np.sum(expected < 5.0))
     return SignificanceResult(

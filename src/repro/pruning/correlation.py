@@ -9,15 +9,13 @@ representative view per cluster."
 Clustering: build a graph over dimension attributes with an edge wherever
 the pairwise association (Cramér's V for categoricals, |Pearson| for
 numerics — precomputed by the metadata collector) is at or above the
-threshold, then take connected components (via networkx). Each cluster
+threshold, then take connected components (union-find). Each cluster
 elects one representative; views over non-representative members are
 pruned and annotated with their representative so the frontend can say
 "see <representative> instead".
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.model.view import ViewSpec
 from repro.metadata.collector import TableMetadata
@@ -36,13 +34,21 @@ def cluster_dimensions(
     clusters sorted by first member). Unassociated attributes come back as
     singleton clusters.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(dimensions)
+    parent = {name: name for name in dimensions}
+
+    def root(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = name = parent[parent[name]]
+        return name
+
     for i, dim_a in enumerate(dimensions):
         for dim_b in dimensions[i + 1 :]:
             if metadata.association(dim_a, dim_b) >= threshold:
-                graph.add_edge(dim_a, dim_b)
-    clusters = [sorted(component) for component in nx.connected_components(graph)]
+                parent[root(dim_a)] = root(dim_b)
+    components: dict[str, list[str]] = {}
+    for name in dimensions:
+        components.setdefault(root(name), []).append(name)
+    clusters = [sorted(component) for component in components.values()]
     return sorted(clusters, key=lambda cluster: cluster[0])
 
 

@@ -1,6 +1,6 @@
 """Property tests: dictionary-encoded dimensions answer exactly like raw ones.
 
-A table sorts each dimension column once (``Table.codes``); a table cut
+A table encodes each dimension column once (``Table.codes``); a table cut
 from it by ``mask``, ``take``, a ``RowPartition`` slice or ``head`` cuts
 the codes with the same selector and compacts them. Every consumer must
 then answer exactly as if it had factorized the raw values of the rows it

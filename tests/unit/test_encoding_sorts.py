@@ -1,10 +1,10 @@
-"""Dimension columns are sorted once per registration, and the sorts are counted.
+"""Dimension columns are encoded once per registration, and the encodings are counted.
 
-``np.unique`` is the sort behind ``factorize``. Wrapping it records every
-array sorted; a call is charged to a column when it sorted that column's
-full-length values (their string rendering for an object column, which
-is what ``factorize`` sorts). Measure columns are never sorted: only the
-dimensions carry statistics.
+``factorize`` is the encoder behind ``Table.codes``. Wrapping it where
+:mod:`repro.db.table` calls it records every array encoded; a call is
+charged to a column when it encoded that column's full-length values.
+Measure columns are never encoded: only the dimensions carry statistics.
+A string column is hashed, not sorted, so no ``np.unique`` runs over one.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.db.table
 from repro import MemoryBackend, SeeDB, SeeDBConfig, col
 from repro.api import RecommendationRequest
 from repro.backends.sqlite import SqliteBackend
@@ -26,31 +27,40 @@ DIMENSIONS = [spec.name for spec in TABLE.schema.dimensions]
 MEASURES = [spec.name for spec in TABLE.schema.measures]
 
 
-@pytest.fixture
-def sorted_arrays(monkeypatch) -> list:
+def recording(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so every array it is called with is recorded."""
     calls: list = []
-    unique = np.unique
+    wrapped = getattr(owner, name)
 
-    def counting_unique(values, *args, **kwargs):
+    def record(values, *args, **kwargs):
         calls.append(np.asarray(values))
-        return unique(values, *args, **kwargs)
+        return wrapped(values, *args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(owner, name, record)
     return calls
 
 
-def sorts_per_column(calls: list, names: list = DIMENSIONS) -> dict[str, int]:
-    """How many recorded sorts ran over each of the full columns ``names``."""
-    counts = {}
-    for name in names:
-        values = TABLE.column(name)
-        rendered = values.astype(str) if values.dtype == object else values
-        counts[name] = sum(
+@pytest.fixture
+def encoded_arrays(monkeypatch) -> list:
+    return recording(monkeypatch, repro.db.table, "factorize")
+
+
+@pytest.fixture
+def sorted_arrays(monkeypatch) -> list:
+    return recording(monkeypatch, np, "unique")
+
+
+def calls_per_column(calls: list, names: list = DIMENSIONS) -> dict[str, int]:
+    """How many recorded calls ran over each of the full columns ``names``."""
+    return {
+        name: sum(
             1
             for array in calls
-            if array.shape == rendered.shape and np.array_equal(array, rendered)
+            if array.shape == TABLE.column(name).shape
+            and np.array_equal(array, TABLE.column(name))
         )
-    return counts
+        for name in names
+    }
 
 
 def recommend(seedb, value: str) -> None:
@@ -68,32 +78,43 @@ def seedb(request):
     backend.close()
 
 
-def test_cold_request_sorts_each_dimension_once(seedb, sorted_arrays):
+def test_cold_request_encodes_each_dimension_once(seedb, encoded_arrays):
     recommend(seedb, "d0=v0")
-    assert sorts_per_column(sorted_arrays) == {name: 1 for name in DIMENSIONS}
+    assert calls_per_column(encoded_arrays) == {name: 1 for name in DIMENSIONS}
 
 
-def test_cold_request_sorts_no_measure_column(seedb, sorted_arrays):
+def test_cold_request_encodes_no_measure_column(seedb, encoded_arrays):
     recommend(seedb, "d0=v0")
-    assert sorts_per_column(sorted_arrays, MEASURES) == {name: 0 for name in MEASURES}
+    assert calls_per_column(encoded_arrays, MEASURES) == {name: 0 for name in MEASURES}
 
 
-def test_next_request_with_a_new_predicate_sorts_nothing(seedb, sorted_arrays):
+def test_cold_request_sorts_no_string_dimension(seedb, sorted_arrays):
+    strings = [name for name in DIMENSIONS if TABLE.column(name).dtype == object]
+    assert strings
     recommend(seedb, "d0=v0")
-    sorted_arrays.clear()
+    rendered = [
+        array.astype(object) if array.dtype.kind == "U" else array
+        for array in sorted_arrays
+    ]
+    assert calls_per_column(rendered, strings) == {name: 0 for name in strings}
+
+
+def test_next_request_with_a_new_predicate_encodes_nothing(seedb, encoded_arrays):
+    recommend(seedb, "d0=v0")
+    encoded_arrays.clear()
     recommend(seedb, "d0=v1")
-    assert sorted_arrays == []
+    assert encoded_arrays == []
 
 
-def test_registering_the_same_object_again_pays_again(seedb, sorted_arrays):
+def test_registering_the_same_object_again_pays_again(seedb, encoded_arrays):
     recommend(seedb, "d0=v0")
     seedb.backend.register_table(TABLE, replace=True)
-    sorted_arrays.clear()
+    encoded_arrays.clear()
     recommend(seedb, "d0=v1")
-    assert sorts_per_column(sorted_arrays) == {name: 1 for name in DIMENSIONS}
+    assert calls_per_column(encoded_arrays) == {name: 1 for name in DIMENSIONS}
 
 
-def test_a_registration_encodes_once_across_requests(seedb, sorted_arrays):
+def test_a_registration_encodes_once_across_requests(seedb, encoded_arrays):
     for value in ("d0=v0", "d0=v1", "d0=v2"):
         recommend(seedb, value)
-    assert sorts_per_column(sorted_arrays) == {name: 1 for name in DIMENSIONS}
+    assert calls_per_column(encoded_arrays) == {name: 1 for name in DIMENSIONS}

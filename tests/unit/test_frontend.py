@@ -1,5 +1,7 @@
 """Unit tests: query builder, templates, analyst session, and CLI."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,17 @@ class TestViewMetadataSignificance:
             comparison_values=np.array([1.0, 1.0]),
         )
         assert session.view_metadata(view).p_value is None
+
+    def test_p_value_none_without_scipy(self, memory_backend, monkeypatch):
+        # scipy is an optional extra: the panel still renders without it.
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        session = AnalystSession(memory_backend)
+        result = session.issue(
+            RecommendationRequest.from_sql(
+                "SELECT * FROM sales WHERE product = 'Laserwave'", measures=()
+            )
+        )
+        assert session.view_metadata(result.recommendations[0]).p_value is None
 
 
 class TestSessionRollUp:

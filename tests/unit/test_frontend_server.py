@@ -469,6 +469,21 @@ class TestConnections:
         assert service.stats.requests == 0
 
 
+    def test_a_body_that_never_arrives_drops_only_its_connection(
+        self, served, monkeypatch
+    ):
+        monkeypatch.setattr(SeeDBRequestHandler, "timeout", 0.3)
+        service, base = served
+        short = b"POST /recommend HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{"
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as stalled:
+            stalled.sendall(short)
+            assert get(base, "/healthz")["status"] == "ok"
+            assert stalled.recv(65536) == b""
+        assert get(base, "/healthz")["status"] == "ok"
+        assert service.stats.requests == 0
+
+
 class TestStructuredRequests:
     def test_versioned_wire_form_with_reference(self, served):
         _, base = served

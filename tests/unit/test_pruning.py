@@ -1,5 +1,6 @@
 """Unit tests: view-space pruning rules and the pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.datasets.synthetic import add_constant_column, add_correlated_copy
@@ -93,6 +94,27 @@ class TestCorrelationPruner:
         )
         assert ["store", "store_code"] in clusters
         assert ["product"] in clusters
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_clusters_are_the_connected_components(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(seed)
+        names = [f"d{i}" for i in rng.permutation(int(rng.integers(1, 12)))]
+        strength = rng.random((len(names), len(names)))
+        index = {name: i for i, name in enumerate(names)}
+
+        class Associations:
+            def association(self, a, b):
+                return strength[min(index[a], index[b]), max(index[a], index[b])]
+
+        graph = nx.Graph()
+        graph.add_nodes_from(names)
+        graph.add_edges_from(
+            (a, b) for a in names for b in names
+            if a < b and Associations().association(a, b) >= 0.8
+        )
+        expected = sorted(sorted(c) for c in nx.connected_components(graph))
+        assert cluster_dimensions(names, Associations(), threshold=0.8) == expected
 
     def test_one_representative_per_cluster(self, metadata):
         views = views_for("store", "store_code", "product")

@@ -163,6 +163,22 @@ class TestAccuracyMeasures:
         estimate = {specs[i]: float(-i) for i in range(5)}
         assert kendall_tau(truth, estimate) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_kendall_tau_matches_scipy_tau_b(self, seed):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        specs = _specs(n)
+        # Few distinct values, so both sides carry ties.
+        truth = rng.integers(0, 6, n).astype(float)
+        estimate = rng.integers(0, 6, n).astype(float)
+        expected = stats.kendalltau(truth, estimate).statistic
+        got = kendall_tau(dict(zip(specs, truth)), dict(zip(specs, estimate)))
+        if np.isnan(expected):
+            assert got == 1.0
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_kendall_tau_few_common_views(self):
         specs = _specs(1)
         assert kendall_tau({specs[0]: 1.0}, {specs[0]: 0.3}) == 1.0
