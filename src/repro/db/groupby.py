@@ -46,35 +46,65 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An object column of strings and NULLs is hashed, not sorted: one pass
     over a dict numbers the distinct values as they first appear, only
     those are sorted, and the codes are renumbered to their sorted order.
-    Any other object column groups on its values' string rendering,
-    sorted as a fixed-width array.
+    That pays while the distinct values are far fewer than the rows. An
+    ID-like column, more than 3/4 distinct over its first sixteenth of
+    rows, would cost a dict entry and a Python sort step per row; when its
+    strings render as themselves (so both ways group alike) it is sorted
+    as a fixed-width array instead, as is any object column that holds
+    more than strings and NULLs (rows then group on their string
+    rendering).
     """
     if values.dtype != object:
         uniques, codes = np.unique(values, return_inverse=True)
         return codes, uniques
     items = values.tolist()
     first_seen = defaultdict(itertools.count().__next__)
-    codes = np.fromiter(map(first_seen.__getitem__, items), dtype=np.intp, count=len(items))
-    texts, nulls = {}, False  # first-seen code -> the string it groups on
-    for index, value in enumerate(first_seen):
-        if isinstance(value, str):
-            # The plain string a subclass holds (as sqlite stores it):
-            # str() would call numpy.str_.__str__, which drops trailing NULs.
-            texts[index] = str.__str__(value)
-        elif value is None or (isinstance(value, (float, np.floating)) and value != value):
-            nulls = True
-        else:
-            return _factorize_rendered(values)
-    labels = ([None] if nulls else []) + sorted(set(texts.values()))
-    sorted_code = {text: code for code, text in enumerate(labels)}
-    remap = np.zeros(len(first_seen), dtype=np.intp)  # every NULL key: code 0
-    remap[list(texts)] = [sorted_code[text] for text in texts.values()]
+    numbered = map(first_seen.__getitem__, items)
+    head = len(items) // 16
+    try:
+        codes = np.fromiter(numbered, dtype=np.intp, count=head)
+        rendered = 4 * len(first_seen) > 3 * head and _renders_as_itself(items)
+        if not rendered:
+            rest = np.fromiter(numbered, dtype=np.intp, count=len(items) - head)
+            codes = np.concatenate([codes, rest])
+    except TypeError:  # an unhashable value
+        rendered = True
+    if rendered:
+        return _factorize_rendered(values)
+    texts = list(first_seen)  # the string each first-seen code groups on
+    if not set(map(type, texts)) <= {str}:
+        for index, value in enumerate(texts):
+            if isinstance(value, str):
+                # The plain string a subclass holds (as sqlite stores it):
+                # str() would call numpy.str_.__str__, which drops trailing NULs.
+                texts[index] = str.__str__(value)
+            elif value is None or (isinstance(value, (float, np.floating)) and value != value):
+                texts[index] = None
+            else:
+                return _factorize_rendered(values)
+    distinct = set(texts)
+    labels = ([None] if None in distinct else []) + sorted(distinct - {None})
+    sorted_code = dict(zip(labels, itertools.count()))  # every NULL key: code 0
+    remap = np.fromiter(map(sorted_code.__getitem__, texts), dtype=np.intp, count=len(texts))
     return remap[codes], np.array(labels, dtype=object)
 
 
+def _renders_as_itself(items: list) -> bool:
+    """Whether every string among ``items`` is its own fixed-width rendering,
+    so sorting the rendering groups them as hashing would: a plain ``str``
+    or ``numpy.str_`` holding no NUL, which the ``U`` dtype drops when it
+    trails (another ``str`` subclass, such as a str-mixin ``Enum``, renders
+    as its ``__str__``)."""
+    kinds = set(map(type, items))
+    if any(issubclass(kind, str) and kind not in (str, np.str_) for kind in kinds):
+        return False
+    strings = items if kinds == {str} else filter(str.__instancecheck__, items)
+    return "\x00" not in "".join(strings)
+
+
 def _factorize_rendered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`factorize` of an object column that holds more than strings
-    and NULLs: rows group on their string rendering."""
+    """:func:`factorize` of an object column that is sorted, not hashed:
+    rows group on their string rendering."""
     # Only a group rendered "None" or "nan" can hold a NULL, so only its
     # rows are looked at one by one.
     rendered, codes = np.unique(values.astype(str), return_inverse=True)

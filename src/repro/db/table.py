@@ -8,7 +8,8 @@ return new tables sharing column arrays where possible.
 Dimension columns are dictionary-encoded on first use (:meth:`Table.codes`):
 once per ``Table`` object, then read as integer codes by metadata
 statistics, planning and the group-by. A string column is hashed, and only
-its distinct values are sorted (:func:`~repro.db.groupby.factorize`). A
+its distinct values are sorted (:func:`~repro.db.groupby.factorize`); an
+ID-like one, mostly distinct, is sorted whole, which is cheaper there. A
 table cut from another by :meth:`~Table.mask`, :meth:`~Table.take`,
 :meth:`~Table.head`, :meth:`~Table.select_columns` or :meth:`~Table.rename`
 slices its parent's codes by the same row selector instead of encoding
@@ -177,7 +178,8 @@ class Table:
         A dimension column is encoded once per ``Table`` object and kept
         for its lifetime, its codes in the narrowest signed integer type
         that indexes the dictionary: a string column by hashing its rows,
-        sorting only the distinct values. A derived table cuts its
+        sorting only the distinct values (an ID-like column, mostly
+        distinct, is sorted whole). A derived table cuts its
         parent's codes with the selector that cut its rows and compacts
         them (no encoding). Other columns are factorized on each call and
         not kept.

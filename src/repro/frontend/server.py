@@ -184,6 +184,13 @@ def error_body(error: Exception, code: str = "invalid_request") -> dict:
     return {"error": {"code": code, "message": str(error)}}
 
 
+def _parse_json(body: bytes):
+    try:
+        return json.loads(body.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ApiError(f"invalid JSON body: {exc}", code="invalid_request") from exc
+
+
 # -- request handling ------------------------------------------------------
 
 
@@ -250,11 +257,15 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
             self._not_found(parsed.path)
             return
         try:
-            handler(self._read_json())
-        except TimeoutError:
-            # The socket outlived ``timeout``: as the stdlib does for a
-            # request line, the connection ends without a reply.
-            self.close_connection = True
+            try:
+                body = self._read_body()
+            except TimeoutError:
+                # The body did not arrive within ``timeout``: as the stdlib
+                # does for a request line, the connection ends without a
+                # reply.
+                self.close_connection = True
+                return
+            handler(_parse_json(body))
         except (ReproError, TypeError) as error:
             self._reply_error(error)
         except Exception as error:  # noqa: BLE001 - see do_GET
@@ -385,7 +396,7 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------
 
-    def _read_json(self) -> dict:
+    def _read_body(self) -> bytes:
         limit = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
         chunked = "Transfer-Encoding" in self.headers
         declared = self.headers.get("Content-Length", "0").strip()
@@ -408,13 +419,7 @@ class SeeDBRequestHandler(BaseHTTPRequestHandler):
                 f"and no Transfer-Encoding; got Content-Length {declared!r}",
                 code="invalid_request",
             )
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ApiError(
-                f"invalid JSON body: {exc}", code="invalid_request"
-            ) from exc
+        return self.rfile.read(length) if length else b"{}"
 
     def _reply_error(self, error: Exception) -> None:
         """Map a typed failure onto its HTTP status (plus Retry-After).

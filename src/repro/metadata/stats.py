@@ -75,9 +75,9 @@ def compute_column_stats(table: Table, name: str, top_k: int = 10) -> ColumnStat
 
     Counts come from the column's dictionary encoding
     (:meth:`Table.codes`), made once per table: a string column's rows are
-    hashed and only its distinct values sorted. Only a float column's NaNs
-    count as NULL — its sort gathers them into one last group, dropped
-    here.
+    hashed and only its distinct values sorted (an ID-like one is sorted
+    whole). Only a float column's NaNs count as NULL — its sort gathers
+    them into one last group, dropped here.
     """
     spec = table.schema[name]
     values = table.column(name)

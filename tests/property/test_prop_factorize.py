@@ -2,9 +2,11 @@
 
 An object column whose values are all strings, ``None`` or float NaN is
 encoded by hashing: one dict finds the distinct values and only those are
-sorted. Every other object column renders its values with ``astype(str)``
-and sorts the rendering. The reference below is that render-and-sort
-encoder, applied to every object column, with the one tested difference:
+sorted. Every other object column, and an ID-like one (mostly distinct
+over its first rows) whose strings are their own rendering, renders its
+values with ``astype(str)`` and sorts the rendering. The reference below
+is that render-and-sort encoder, applied to every object column, with the
+one tested difference:
 numpy's fixed-width ``U`` strings drop trailing ``'\\x00'``, so the render
 merges ``'a'`` with ``'a\\x00'``, while hashing keeps them apart as Python
 equality (and SQL) does. The reference splits such a merged group by the
@@ -118,6 +120,9 @@ def test_nulls_mixed_into_strings_match_the_reference(values):
             st.integers(-3, 3),
             st.floats(allow_nan=False, width=16),
             st.booleans(),
+            # Unhashable, but each renders as a string.
+            st.dictionaries(st.integers(0, 2), st.integers(0, 2), max_size=1),
+            st.sets(st.integers(0, 2), max_size=2),
         ),
         min_size=1,
         max_size=30,
@@ -147,6 +152,47 @@ def test_string_columns_are_not_sorted_row_by_row():
     assert unique.call_count == 0
     assert uniques.tolist() == [None, "None", "a", "b"]
     assert codes.tolist() == [3, 2, 0, 1, 0, 3] * 50
+
+
+nul_free = st.text(alphabet=st.sampled_from("abé"), max_size=6)
+ids = st.lists(nul_free.filter(len), min_size=16, max_size=64, unique=True)
+nul_free_values = st.one_of(
+    nul_free, nul_free.map(np.str_), st.sampled_from(["None", "nan", "NaN"]), nulls
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids, st.lists(nul_free_values, max_size=8))
+def test_id_like_columns_are_sorted_and_match_the_reference(distinct, tail):
+    """Hashing a mostly distinct column would cost a dict entry and a
+    Python sort step per row: its rendering is sorted instead, and answers
+    as hashing would while every string renders as itself."""
+    array = objects(distinct + tail)
+    with mock.patch.object(
+        groupby, "_factorize_rendered", wraps=groupby._factorize_rendered
+    ) as rendered:
+        assert_matches_reference(array)
+    assert rendered.call_count == 1
+
+
+@pytest.mark.parametrize("odd", ["a\x00", np.str_("a\x00"), "Color.RED"])
+def test_id_like_columns_that_render_otherwise_are_hashed(odd):
+    """A NUL the fixed width would drop, or a str subclass that renders as
+    its ``__str__``, keeps an ID-like column on the hashing path."""
+    values = [f"id{index}" for index in range(40)] + [
+        "a",
+        Color.RED if odd == "Color.RED" else odd,
+        None,
+    ]
+    with mock.patch.object(
+        groupby, "_factorize_rendered", wraps=groupby._factorize_rendered
+    ) as rendered:
+        codes, uniques = factorize(objects(values))
+    assert rendered.call_count == 0
+    texts = [None if value is None else str.__str__(value) for value in values]
+    labels = [None] + sorted(set(texts) - {None})
+    assert [(type(u), u) for u in uniques] == [(type(u), u) for u in labels]
+    assert codes.tolist() == [labels.index(text) for text in texts]
 
 
 def test_a_trailing_nul_is_its_own_value():

@@ -1,8 +1,9 @@
 """Dimension columns are encoded once per registration, and the encodings are counted.
 
-``factorize`` is the encoder behind ``Table.codes``. Wrapping it where
-:mod:`repro.db.table` calls it records every array encoded; a call is
-charged to a column when it encoded that column's full-length values.
+``factorize`` is the encoder behind ``Table.codes``. Wrapping it under
+every name it is called by (:mod:`repro.db.table`, :mod:`repro.db.groupby`
+itself, :mod:`repro.metadata.stats`) records every array encoded; a call
+is charged to a column when it encoded that column's full-length values.
 Measure columns are never encoded: only the dimensions carry statistics.
 A string column is hashed, not sorted, so no ``np.unique`` runs over one.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.db.groupby
 import repro.db.table
+import repro.metadata.stats
 from repro import MemoryBackend, SeeDB, SeeDBConfig, col
 from repro.api import RecommendationRequest
 from repro.backends.sqlite import SqliteBackend
@@ -27,27 +30,33 @@ DIMENSIONS = [spec.name for spec in TABLE.schema.dimensions]
 MEASURES = [spec.name for spec in TABLE.schema.measures]
 
 
-def recording(monkeypatch, owner, name: str) -> list:
-    """Wrap ``owner.name`` so every array it is called with is recorded."""
+def recording(monkeypatch, owners: tuple, name: str) -> list:
+    """Wrap ``name`` on each of ``owners`` so every array it is called with
+    is recorded, in one list."""
     calls: list = []
-    wrapped = getattr(owner, name)
 
-    def record(values, *args, **kwargs):
-        calls.append(np.asarray(values))
-        return wrapped(values, *args, **kwargs)
+    def recorder(wrapped):
+        def record(values, *args, **kwargs):
+            calls.append(np.asarray(values))
+            return wrapped(values, *args, **kwargs)
 
-    monkeypatch.setattr(owner, name, record)
+        return record
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorder(getattr(owner, name)))
     return calls
 
 
 @pytest.fixture
 def encoded_arrays(monkeypatch) -> list:
-    return recording(monkeypatch, repro.db.table, "factorize")
+    return recording(
+        monkeypatch, (repro.db.table, repro.db.groupby, repro.metadata.stats), "factorize"
+    )
 
 
 @pytest.fixture
 def sorted_arrays(monkeypatch) -> list:
-    return recording(monkeypatch, np, "unique")
+    return recording(monkeypatch, (np,), "unique")
 
 
 def calls_per_column(calls: list, names: list = DIMENSIONS) -> dict[str, int]:

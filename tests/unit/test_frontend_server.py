@@ -468,7 +468,6 @@ class TestConnections:
         assert closed
         assert service.stats.requests == 0
 
-
     def test_a_body_that_never_arrives_drops_only_its_connection(
         self, served, monkeypatch
     ):
@@ -482,6 +481,20 @@ class TestConnections:
             assert stalled.recv(65536) == b""
         assert get(base, "/healthz")["status"] == "ok"
         assert service.stats.requests == 0
+
+    def test_a_timeout_while_serving_still_gets_a_reply(self, served, monkeypatch):
+        """Only the body read drops the connection on a timeout; one
+        raised while the request is served is an internal error."""
+        service, base = served
+
+        def times_out(request):
+            raise TimeoutError("backend stalled")
+
+        monkeypatch.setattr(service, "recommend", times_out)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base, "/recommend", {"sql": "SELECT * FROM sales", "k": 1})
+        assert excinfo.value.code == 500
+        assert json.loads(excinfo.value.read())["error"]["code"] == "internal_error"
 
 
 class TestStructuredRequests:
