@@ -10,7 +10,6 @@ from repro import MemoryBackend, RowSelectQuery, SeeDB, SeeDBConfig
 from repro.api import RecommendationRequest
 from repro.datasets import generate_store_orders
 from repro.db.expressions import col
-from repro.engine import multiview_phases
 from repro.viz.html_report import write_html_report
 
 OUTPUT_DIR = Path(__file__).parent / "output" / "extensions"
@@ -28,9 +27,9 @@ def main() -> None:
     # 1. Multi-attribute views (§2's "> 2 columns" generalization).
     # ------------------------------------------------------------------
     print("=== multi-attribute views: f(m) by (a1, a2) ===")
-    top_pairs = seedb.recommend(
-        RecommendationRequest(query, k=4), phases=multiview_phases(2)
-    ).recommendations
+    # The same pipeline over key pairs: pruned, sampled and priced alike.
+    with SeeDB(backend, SeeDBConfig(metric="js", n_dimensions=2)) as pairs:
+        top_pairs = pairs.recommend(RecommendationRequest(query, k=4)).recommendations
     for rank, view in enumerate(top_pairs, 1):
         print(f"  {rank}. {view.spec.label:42s} u={view.utility:.4f} "
               f"({len(view.groups)} combination groups)")

@@ -84,10 +84,12 @@ RENDER_FORMATS = ("none", "vega-lite", "svg")
 #: Color themes ``options.render.theme`` may name.
 RENDER_THEMES = ("light", "dark")
 
-#: SeeDBConfig fields a request's ``options`` may override.
+#: SeeDBConfig fields a request's ``options`` may override: not ``metric``
+#: and ``k`` (first-class request fields), nor ``n_dimensions`` (a session
+#: setting, not on the wire).
 CONFIG_OPTION_FIELDS = frozenset(
     spec.name for spec in dataclass_fields(SeeDBConfig)
-) - {"metric", "k"}  # first-class request fields, not options
+) - {"metric", "k", "n_dimensions"}
 
 _WIRE_KEYS = frozenset(
     {

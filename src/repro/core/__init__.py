@@ -8,8 +8,8 @@ with a distance metric, and return the top-k (Problem 2.1).
 Public entry point: :class:`~repro.core.recommender.SeeDB`. Incremental
 execution is a request strategy (``strategy="incremental"``), and
 multi-attribute views — a :class:`ViewSpec` whose dimension is a tuple,
-enumerated by :func:`enumerate_views` with ``n_dimensions`` > 1 — run
-through the :func:`~repro.engine.phases.multiview_phases` preset.
+enumerated by :func:`enumerate_views` with ``n_dimensions`` > 1 — are
+``SeeDBConfig(n_dimensions=n)``, run by the same pipeline.
 """
 
 from repro.model.view import ViewSpec, RawViewData, ScoredView

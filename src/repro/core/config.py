@@ -38,6 +38,10 @@ class SeeDBConfig:
     aggregate_functions: tuple[str, ...] = ("sum", "avg")
     #: Also enumerate one count(*) view per dimension.
     include_count_views: bool = True
+    #: Attributes each view groups by: 1 is the paper's prototype; n > 1
+    #: enumerates every n-attribute combination in schema order (§2), run
+    #: through the same pruning, sampling, pricing and execution.
+    n_dimensions: int = 1
     #: Drop views grouping by attributes the query predicate constrains
     #: (they deviate maximally by construction and bury real findings).
     exclude_predicate_dimensions: bool = True
@@ -98,6 +102,8 @@ class SeeDBConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.n_dimensions < 1:
+            raise ConfigError(f"n_dimensions must be >= 1, got {self.n_dimensions}")
         if not self.aggregate_functions and not self.include_count_views:
             raise ConfigError("no view aggregates configured")
         if "count" in self.aggregate_functions:

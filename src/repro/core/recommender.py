@@ -16,8 +16,7 @@ streams :class:`~repro.api.PartialResult` rounds from the same drive. SQL
 text and :class:`~repro.db.query.RowSelectQuery` objects become requests
 at the edge (``RecommendationRequest.from_sql`` / the constructor).
 Incremental execution is ``strategy="incremental"``; multi-attribute views
-are the :func:`~repro.engine.phases.multiview_phases` preset passed as
-``recommend(request, phases=...)``.
+are ``SeeDBConfig(n_dimensions=n)``, run by the same pipeline.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.metadata.collector import MetadataCollector
 if TYPE_CHECKING:
     from repro.api.progressive import PartialResult
     from repro.api.request import RecommendationRequest
-    from repro.engine.phases import Phase
 
 
 class SeeDB:
@@ -70,19 +68,10 @@ class SeeDB:
 
     # ------------------------------------------------------------------
 
-    def recommend(
-        self,
-        request: "RecommendationRequest",
-        phases: "list[Phase] | None" = None,
-    ) -> RecommendationResult:
-        """Recommend the top-k most deviating views for ``request``.
-
-        ``phases`` runs a preset phase list (for example
-        :func:`~repro.engine.phases.multiview_phases`) instead of the
-        one the request's strategy selects.
-        """
+    def recommend(self, request: "RecommendationRequest") -> RecommendationResult:
+        """Recommend the top-k most deviating views for ``request``."""
         resolved = resolve_request(request, self.config)
-        return self.engine.recommend(resolved, phases=phases).to_result()
+        return self.engine.recommend(resolved).to_result()
 
     def recommend_iter(
         self, request: "RecommendationRequest"

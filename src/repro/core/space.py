@@ -8,8 +8,8 @@ attributes": with ``n`` attributes split between dimensions and measures,
 quadratic growth.
 
 :func:`enumerate_views` with ``n_dimensions`` > 1 is the §2
-generalization: views grouping by a tuple of that many attributes, run by
-the :func:`~repro.engine.phases.multiview_phases` preset.
+generalization: views grouping by a tuple of that many attributes, which
+the Enumerate phase builds when ``SeeDBConfig.n_dimensions`` asks.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Figure 4 names the stages — Metadata Collector, Query Generator,
 Optimizer, DBMS, View Processor, top-k — and this package makes each an
 explicit, independently timed, swappable :class:`Phase`. The batch
-recommender, incremental (phased + Hoeffding-pruned) execution, and
-multi-attribute views are all phase lists over the same
-:class:`ExecutionEngine`, which owns the session cache; plan steps run on
-the process-wide bounded worker pool
+recommender and incremental (phased + Hoeffding-pruned) execution are
+phase lists over the same :class:`ExecutionEngine`, and multi-attribute
+views (``SeeDBConfig.n_dimensions`` > 1) run either one. The engine owns
+the session cache; plan steps run on the process-wide bounded worker pool
 (:func:`~repro.optimizer.parallel.run_steps`).
 """
 
@@ -22,7 +22,6 @@ from repro.engine.incremental import (
     TRACE_KEY,
 )
 from repro.engine.phases import (
-    DropEmptyViewsPhase,
     EnumeratePhase,
     ExecutePhase,
     MetadataPhase,
@@ -33,7 +32,6 @@ from repro.engine.phases import (
     ScorePhase,
     SelectPhase,
     default_phases,
-    multiview_phases,
 )
 
 __all__ = [
@@ -60,6 +58,4 @@ __all__ = [
     "IncrementalTrace",
     "BOUNDED_METRICS",
     "TRACE_KEY",
-    "DropEmptyViewsPhase",
-    "multiview_phases",
 ]

@@ -84,8 +84,8 @@ class ExecutionContext:
     # -- PlanPhase --------------------------------------------------------
     plan: "ExecutionPlan | None" = None
     plan_description: str = ""
-    #: The cost-based planner's choice record (None on the static path);
-    #: the engine fills in ``observed_seconds`` after a blocking run.
+    #: The planner's priced choice record (None until the Plan phase
+    #: runs); the engine fills in ``observed_seconds`` after a blocking run.
     plan_decision: "PlanDecision | None" = None
 
     # -- ExecutePhase -----------------------------------------------------

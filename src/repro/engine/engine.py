@@ -20,10 +20,9 @@ and the cancel scope, stepping a phase that exposes ``rounds(ctx)`` one
 round at a time. :meth:`~ExecutionEngine.recommend` is that generator
 exhausted; :meth:`~ExecutionEngine.recommend_iter` is the same generator
 with each round packaged as a :class:`~repro.api.PartialResult`. The
-facade, the service and the cluster workers all execute through these;
-a preset such as :func:`~repro.engine.phases.multiview_phases` is a
-phase list handed to :meth:`~ExecutionEngine.recommend` in place of
-:func:`phases_for`'s.
+facade, the service and the cluster workers all execute through these.
+Multi-attribute views are not a separate path: ``config.n_dimensions``
+shapes the view space the same phases enumerate, prune, price and run.
 
 Everything is reentrant: all mutable run state lives in the per-call
 :class:`~repro.engine.context.ExecutionContext`, the cache and collector
@@ -43,7 +42,7 @@ from repro.backends.base import Backend
 from repro.core.config import SeeDBConfig
 from repro.core.topk import top_k_views
 from repro.db.query import RowSelectQuery
-from repro.engine.cache import EngineCache, SessionCache
+from repro.engine.cache import EngineCache
 from repro.engine.context import ExecutionContext
 from repro.engine.incremental import TRACE_KEY, IncrementalRound, PhasedExecutePhase
 from repro.engine.phases import Phase, RenderPhase, default_phases
@@ -95,13 +94,12 @@ class ExecutionEngine:
         self,
         backend: Backend,
         metadata_collector: "MetadataCollector | None" = None,
-        cache: "SessionCache | None" = None,
     ):
         self.backend = backend
         self.metadata = (
             metadata_collector if metadata_collector is not None else MetadataCollector()
         )
-        self.cache = cache if cache is not None else EngineCache.acquire(backend)
+        self.cache = EngineCache.acquire(backend)
         self._lock = threading.Lock()
         self._closed = False
 
@@ -198,19 +196,12 @@ class ExecutionEngine:
         self,
         resolved: "ResolvedRequest",
         cancel_token: "CancelToken | None" = None,
-        *,
-        phases: "list[Phase] | None" = None,
     ) -> ExecutionContext:
         """Blocking execution of a resolved request; returns the finished
-        context (``.to_result()`` packages it).
-
-        ``phases`` replaces :func:`phases_for`'s list (a preset such as
-        :func:`~repro.engine.phases.multiview_phases`); the context is
-        built from ``resolved`` either way.
-        """
-        if phases is None:
-            phases = phases_for(resolved)
-        return self.run(phases, self._context_for(resolved, cancel_token))
+        context (``.to_result()`` packages it)."""
+        return self.run(
+            phases_for(resolved), self._context_for(resolved, cancel_token)
+        )
 
     def recommend_iter(
         self,

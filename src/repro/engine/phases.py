@@ -6,9 +6,9 @@ Metadata Collector → Query Generator (enumerate + prune) → Optimizer
 a ``run(ctx)`` that reads/writes :class:`~repro.engine.context.ExecutionContext`
 fields. Alternative strategies swap individual phases: incremental
 execution replaces Execute (``strategy="incremental"``,
-:mod:`repro.engine.incremental`), and the :func:`multiview_phases` preset
-enumerates multi-attribute views through the same phases (no Metadata or
-Sample phase, one extra filter before Select).
+:mod:`repro.engine.incremental`). Multi-attribute views
+(``config.n_dimensions`` > 1) run the same list: Enumerate builds the key
+sets, and every later phase reads ``view.keys``.
 """
 
 from __future__ import annotations
@@ -61,28 +61,22 @@ class MetadataPhase(Phase):
 
     def run(self, ctx: ExecutionContext) -> None:
         collector = ctx.metadata_collector
-        if collector is not None:
-            # The analyst's query itself is history the access-frequency
-            # pruner learns from (§3.3).
-            collector.access_log.record_query(ctx.query)
+        # The analyst's query itself is history the access-frequency
+        # pruner learns from (§3.3).
+        collector.access_log.record_query(ctx.query)
         max_rows = ctx.config.metadata_max_rows
         ctx.base_table = ctx.cache.base_table(ctx.query.table, max_rows=max_rows)
-        if collector is not None:
-            ctx.metadata = ctx.cache.metadata(
-                collector, ctx.query.table, max_rows=max_rows
-            )
+        ctx.metadata = ctx.cache.metadata(collector, ctx.query.table, max_rows=max_rows)
         # Count view-query round trips only (metadata fetches excluded).
         ctx.mark_query_baseline()
 
 
 class EnumeratePhase(Phase):
     """Enumerate the candidate view space A x M x F, each view grouping by
-    ``n_dimensions`` attributes (one, the paper's prototype, by default)."""
+    ``config.n_dimensions`` attributes (one, the paper's prototype, by
+    default)."""
 
     name = "enumerate"
-
-    def __init__(self, n_dimensions: int = 1):
-        self.n_dimensions = n_dimensions
 
     def run(self, ctx: ExecutionContext) -> None:
         ctx.mark_query_baseline()
@@ -91,7 +85,7 @@ class EnumeratePhase(Phase):
             ctx.schema,
             functions=ctx.config.aggregate_functions,
             include_count=ctx.config.include_count_views,
-            n_dimensions=self.n_dimensions,
+            n_dimensions=ctx.config.n_dimensions,
         )
         ctx.candidates = filter_view_space(
             ctx.candidates, ctx.dimensions, ctx.measures
@@ -115,10 +109,9 @@ class PrunePhase(Phase):
             )
             report.pruned.extend(excluded)
             ctx.prune_reports.append(report)
-        if ctx.metadata is not None:
-            pipeline = ctx.config.pruning_pipeline()
-            surviving, rule_reports = pipeline.apply(surviving, ctx.metadata)
-            ctx.prune_reports.extend(rule_reports)
+        pipeline = ctx.config.pruning_pipeline()
+        surviving, rule_reports = pipeline.apply(surviving, ctx.metadata)
+        ctx.prune_reports.extend(rule_reports)
         ctx.surviving = surviving
 
 
@@ -142,9 +135,7 @@ class SamplePhase(Phase):
         if fraction is not None and fraction >= 1.0:
             return
         auto = fraction is None
-        if auto and not (
-            config.cost_based_planning and config.auto_sample_epsilon is not None
-        ):
+        if auto and config.auto_sample_epsilon is None:
             return
         rows = ctx.cache.row_count(ctx.query.table)
         if rows < config.min_rows_for_sampling:
@@ -171,38 +162,44 @@ class PlanPhase(Phase):
     (:func:`~repro.optimizer.plan.candidate_kinds`), the
     capability-declared one first. Dimension cardinalities come from the
     Metadata phase's statistics (``ctx.metadata``), the one statistics
-    pass per ``(table, data_version)``. With ``config.cost_based_planning``
-    on, each plan is priced by
+    pass per ``(table, data_version)``. Each plan is priced by
     :func:`~repro.optimizer.cost.estimate_plan_cost` from those
     cardinalities and the exact, cached row count, converted to seconds
     with the backend's fixed coefficients, and the argmin executes;
-    ties (strict comparison) keep the capability-declared kind. Every candidate
-    is equivalence-preserving, so the choice changes *how* views execute,
-    never the recommendations. The decision record travels on
-    ``ctx.plan_decision`` (``cost_based`` is False when the mode was pinned
-    to one kind or the flag is off).
+    ties (strict comparison) keep the capability-declared kind. Every
+    candidate is equivalence-preserving, so the choice changes *how*
+    views execute, never the recommendations. The decision record travels
+    on ``ctx.plan_decision`` (``cost_based`` is False when the mode was
+    pinned to one kind or ``config.cost_based_planning`` is off).
 
     With the flag off only the first candidate is planned, and it is
-    still priced: the execute phase's worker count reads the price. With
-    no statistics to price from (a phase list without the Metadata
-    phase) nothing is priced and ``ctx.plan_decision`` stays ``None``.
+    still priced: the execute phase's worker count reads the price.
     """
 
     name = "plan"
 
     def run(self, ctx: ExecutionContext) -> None:
+        from repro.optimizer.cost import (
+            PlanDecision,
+            coefficients_for,
+            estimate_plan_cost,
+        )
+
         config = ctx.config
         capabilities = ctx.backend.capabilities
-        priced = ctx.metadata is not None
-        cardinalities = ctx.metadata.stats.cardinalities() if priced else {}
+        cardinalities = ctx.metadata.stats.cardinalities()
         table = ctx.resolve_execution_table()
         base = config.planner_config()
+        n_rows = ctx.cache.row_count(ctx.query.table)
+        coefficients = coefficients_for(ctx.backend.name)
 
         candidates = candidate_kinds(config.groupby_combining, capabilities)
-        if not (priced and config.cost_based_planning):
+        if not config.cost_based_planning:
             candidates = candidates[:1]
-        plans = [
-            Planner(replace(base, groupby_combining=kind)).plan(
+        best = None
+        candidate_seconds: dict[str, float] = {}
+        for mode in candidates:
+            plan = Planner(replace(base, groupby_combining=mode)).plan(
                 ctx.surviving,
                 table,
                 ctx.query.predicate,
@@ -210,34 +207,11 @@ class PlanPhase(Phase):
                 capabilities,
                 reference=ctx.reference,
             )
-            for kind in candidates
-        ]
-        ctx.plan = (
-            self._cheapest(ctx, candidates, plans, cardinalities)
-            if priced
-            else plans[0]
-        )
-        ctx.plan_description = ctx.plan.describe()
-
-    def _cheapest(self, ctx: ExecutionContext, candidates, plans, cardinalities):
-        """Price every candidate plan, record the decision, return the argmin."""
-        from repro.optimizer.cost import (
-            PlanDecision,
-            coefficients_for,
-            estimate_plan_cost,
-        )
-
-        n_rows = ctx.cache.row_count(ctx.query.table)
-        coefficients = coefficients_for(ctx.backend.name)
-
-        best = None
-        candidate_seconds: dict[str, float] = {}
-        for mode, plan in zip(candidates, plans):
             cost = estimate_plan_cost(
                 plan,
                 n_rows,
                 cardinalities,
-                ctx.backend.capabilities,
+                capabilities,
                 sample_fraction=ctx.sample_fraction,
             )
             seconds = coefficients.predict_seconds(cost)
@@ -246,6 +220,8 @@ class PlanPhase(Phase):
                 best = (plan, cost, seconds, mode)
 
         plan, cost, seconds, chosen = best
+        ctx.plan = plan
+        ctx.plan_description = plan.describe()
         ctx.plan_decision = PlanDecision(
             kind=chosen.value,
             cost_based=len(candidates) > 1,
@@ -255,7 +231,6 @@ class PlanPhase(Phase):
             coefficients=coefficients,
             sample_fraction=ctx.sample_fraction,
         )
-        return plan
 
 
 class ExecutePhase(Phase):
@@ -264,10 +239,10 @@ class ExecutePhase(Phase):
     The one place the worker count is decided, by one rule
     (:func:`~repro.optimizer.cost.choose_parallelism`): up to
     ``config.n_workers`` claimers (the usable cores by default) when the
-    planner's price of a step amortizes dispatch, else one; an unpriced
-    plan runs sequentially. Helpers start only on cores no other plan's
-    claimers hold (:func:`~repro.optimizer.parallel.claim_cores`), and
-    the count that ran is recorded as ``plan_decision.recommended_workers``.
+    planner's price of a step amortizes dispatch, else one. Helpers start
+    only on cores no other plan's claimers hold
+    (:func:`~repro.optimizer.parallel.claim_cores`), and the count that
+    ran is recorded as ``plan_decision.recommended_workers``.
     """
 
     name = "execute"
@@ -277,19 +252,12 @@ class ExecutePhase(Phase):
         from repro.optimizer.parallel import claim_cores
 
         plan, decision = ctx.plan, ctx.plan_decision
-        if plan is None:
-            return
-        per_step_seconds = (
-            decision.predicted_seconds / len(plan.steps)
-            if decision is not None and plan.steps
-            else None
-        )
+        per_step_seconds = decision.predicted_seconds / max(len(plan.steps), 1)
         wanted = choose_parallelism(
             len(plan.steps), per_step_seconds, ctx.config.n_workers
         )
         with claim_cores(wanted) as n_workers:
-            if decision is not None:
-                decision.recommended_workers = n_workers
+            decision.recommended_workers = n_workers
             ctx.blocks = plan.run(ctx.backend, n_workers)
 
 
@@ -318,23 +286,6 @@ class SelectPhase(Phase):
 
     def run(self, ctx: ExecutionContext) -> None:
         ctx.recommendations = top_k_views(ctx.scored.values(), ctx.k)
-
-
-class DropEmptyViewsPhase(Phase):
-    """Remove scored views whose aligned series produced no groups.
-
-    A view with no attribute-value combinations (empty table, fully
-    disjoint partitions) carries no information; recommending its
-    zero-utility placeholder would hand downstream consumers empty
-    distributions. Runs between Score and Select.
-    """
-
-    name = "filter"
-
-    def run(self, ctx: ExecutionContext) -> None:
-        ctx.scored = {
-            spec: view for spec, view in ctx.scored.items() if view.groups
-        }
 
 
 class RenderPhase(Phase):
@@ -375,24 +326,5 @@ def default_phases() -> list[Phase]:
         PlanPhase(),
         ExecutePhase(),
         ScorePhase(),
-        SelectPhase(),
-    ]
-
-
-def multiview_phases(n_dimensions: int = 2) -> list[Phase]:
-    """The multi-attribute pipeline (§2): enumerate ``n_dimensions``-attribute
-    views, prune predicate-constrained ones, then plan, execute, score,
-    drop empty views and select. The planner groups views by their
-    dimension tuple (one step per combination, aggregates shared, any
-    reference). There is no Metadata phase, so neither pruning rules nor
-    pricing run: the planner takes the capability-declared plan kind.
-    """
-    return [
-        EnumeratePhase(n_dimensions),
-        PrunePhase(),
-        PlanPhase(),
-        ExecutePhase(),
-        ScorePhase(),
-        DropEmptyViewsPhase(),
         SelectPhase(),
     ]

@@ -47,7 +47,7 @@ class ViewMetadata:
     max_change_delta: float
     utility: float
     #: Chi-square p-value of the deviation (None when not applicable,
-    #: e.g. negative-valued measures, or when scipy is not installed).
+    #: e.g. negative-valued measures).
     p_value: "float | None" = None
 
 
@@ -186,8 +186,6 @@ class AnalystSession:
             p_value = view_significance(view).p_value
         except MetricError:
             p_value = None  # negative/empty values: the test does not apply
-        except ImportError:
-            p_value = None  # scipy, an optional extra, is not installed
         return ViewMetadata(
             n_groups=len(view.groups),
             sample_groups=sample,

@@ -13,14 +13,16 @@ caches nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.db.table import Table
 from repro.metadata.access_log import AccessLog
 from repro.metadata.stats import (
+    ColumnStats,
     TableStats,
+    compute_key_set_stats,
     compute_table_stats,
     cramers_v_codes,
     pearson_correlation,
@@ -37,10 +39,30 @@ class TableMetadata:
     #: keys are frozensets of two column names.
     dimension_associations: dict[frozenset, float]
     access_log: AccessLog
+    #: The table the statistics describe: key sets' joint statistics are
+    #: read from its codes.
+    table: Table = field(repr=False, compare=False)
+    #: Key set -> its joint statistics, computed on first use.
+    _key_sets: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def association(self, column_a: str, column_b: str) -> float:
         """Association between two dimension columns (0 if not computed)."""
         return self.dimension_associations.get(frozenset((column_a, column_b)), 0.0)
+
+    def key_stats(self, keys: tuple[str, ...]) -> ColumnStats:
+        """Statistics of a view's key set: one key's column statistics, or
+        several keys' joint ones (:func:`compute_key_set_stats`), computed
+        once and kept with this entry."""
+        if len(keys) == 1:
+            return self.stats[keys[0]]
+        stats = self._key_sets.get(keys)
+        if stats is None:
+            stats = self._key_sets.setdefault(
+                keys, compute_key_set_stats(self.table, keys)
+            )
+        return stats
 
 
 class MetadataCollector:
@@ -69,6 +91,7 @@ class MetadataCollector:
             stats=compute_table_stats(table),
             dimension_associations=self._dimension_associations(table),
             access_log=self.access_log,
+            table=table,
         )
 
     def _dimension_associations(self, table: Table) -> dict[frozenset, float]:

@@ -5,7 +5,8 @@ correlation-based pruning (§3.3) and the cost-based planner's
 cardinalities. :class:`TableStats` covers the dimension columns and is
 computed once per ``(table, data_version)`` by the
 :class:`~repro.metadata.collector.MetadataCollector`; a measure's
-statistics are computed on demand by :func:`compute_column_stats`.
+statistics are computed on demand by :func:`compute_column_stats`, and a
+multi-attribute view's key set's by :func:`compute_key_set_stats`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.db.groupby import factorize
+from repro.db.groupby import combine_codes, factorize
 from repro.db.table import Table
 from repro.db.types import AttributeRole, DataType
 
@@ -99,8 +100,7 @@ def compute_column_stats(table: Table, name: str, top_k: int = 10) -> ColumnStat
 
     counts = counts.astype(np.float64)
     probabilities = counts / counts.sum()
-    nonzero = probabilities[probabilities > 0]
-    entropy = float(-(nonzero * np.log2(nonzero)).sum())
+    entropy = _entropy_bits(probabilities)
 
     if spec.dtype.is_numeric:
         as_float = valid.astype(np.float64)
@@ -134,6 +134,40 @@ def compute_column_stats(table: Table, name: str, top_k: int = 10) -> ColumnStat
         mean=mean,
         top_values=top_values,
     )
+
+
+def compute_key_set_stats(table: Table, keys: tuple[str, ...]) -> ColumnStats:
+    """Statistics of a key set (two or more dimension columns) read as one
+    categorical attribute whose values are the key combinations present.
+
+    A NULL key is one value, as in ``GROUP BY``, so ``n_distinct`` is the
+    number of groups the view shows and ``null_count`` is 0. The joint
+    codes combine each column's cached :meth:`Table.codes`
+    (:func:`~repro.db.groupby.combine_codes`); no column is re-encoded.
+    """
+    encoded = combine_codes(
+        [table.codes(key) for key in keys],
+        [table.column(key) for key in keys],
+        list(keys),
+        table.num_rows,
+    )
+    counts = np.bincount(encoded.codes, minlength=encoded.n_groups)
+    probabilities = counts / max(table.num_rows, 1)
+    return ColumnStats(
+        name=f"({', '.join(keys)})",
+        dtype=DataType.STR,
+        role=AttributeRole.DIMENSION,
+        n_rows=table.num_rows,
+        n_distinct=encoded.n_groups,
+        null_count=0,
+        variance=float(np.var(probabilities)) if encoded.n_groups else 0.0,
+        entropy=_entropy_bits(probabilities),
+    )
+
+
+def _entropy_bits(probabilities: np.ndarray) -> float:
+    nonzero = probabilities[probabilities > 0]
+    return float(-(nonzero * np.log2(nonzero)).sum())
 
 
 def compute_table_stats(table: Table, top_k: int = 10) -> TableStats:

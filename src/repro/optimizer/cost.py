@@ -271,7 +271,7 @@ def choose_sample_fraction(
 
 def choose_parallelism(
     n_steps: int,
-    per_step_seconds: "float | None",
+    per_step_seconds: float,
     max_workers: int,
     worker_overhead_seconds: float = 2e-3,
 ) -> int:
@@ -283,12 +283,11 @@ def choose_parallelism(
     parallel increases, performance degrades", §4). The price decides
     alone, per backend through its coefficients: a step over 20k rows
     prices near 0.3 ms on memory and stays sequential, and several
-    milliseconds on sqlite and does not. ``per_step_seconds=None`` is an unpriced plan (no
-    statistics to price from), which runs sequentially. How many of the
+    milliseconds on sqlite and does not. How many of the
     claimers asked for start depends on the idle cores
     (:func:`~repro.optimizer.parallel.claim_cores`).
     """
-    if per_step_seconds is None or max_workers <= 1 or n_steps <= 1:
+    if max_workers <= 1 or n_steps <= 1:
         return 1
     if per_step_seconds <= worker_overhead_seconds:
         return 1

@@ -40,7 +40,7 @@ class AccessFrequencyPruner(PruningRule):
         if log.queries_recorded < self.min_history:
             return None
         table = metadata.stats.table_name
-        for attribute in filter(None, (view.dimension, view.measure)):
+        for attribute in filter(None, (*view.keys, view.measure)):
             frequency = log.frequency(table, attribute)
             if frequency < self.min_frequency:
                 return (

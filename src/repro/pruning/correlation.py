@@ -12,7 +12,8 @@ numerics — precomputed by the metadata collector) is at or above the
 threshold, then take connected components (union-find). Each cluster
 elects one representative; views over non-representative members are
 pruned and annotated with their representative so the frontend can say
-"see <representative> instead".
+"see <representative> instead". A multi-attribute view is kept only when
+each of its keys represents its cluster.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class CorrelationPruner(PruningRule):
         self._representative: dict[str, str] = {}
 
     def prepare(self, views: list[ViewSpec], metadata: TableMetadata) -> None:
-        dimensions = sorted({view.dimension for view in views})
+        dimensions = sorted({key for view in views for key in view.keys})
         table = metadata.stats.table_name
         self._representative = {}
         for cluster in cluster_dimensions(dimensions, metadata, self.threshold):
@@ -87,11 +88,12 @@ class CorrelationPruner(PruningRule):
                 self._representative[member] = representative
 
     def reason_to_prune(self, view: ViewSpec, metadata: TableMetadata) -> str | None:
-        representative = self._representative.get(view.dimension, view.dimension)
-        if representative == view.dimension:
-            return None
-        return (
-            f"dimension {view.dimension!r} is correlated with "
-            f"{representative!r} (association >= {self.threshold}); "
-            f"the representative view covers it"
-        )
+        for key in view.keys:
+            representative = self._representative.get(key, key)
+            if representative != key:
+                return (
+                    f"dimension {key!r} is correlated with "
+                    f"{representative!r} (association >= {self.threshold}); "
+                    f"the representative view covers it"
+                )
+        return None

@@ -6,7 +6,8 @@ single value)." For categorical dimensions the meaningful notion of spread
 is the *entropy* of the value distribution (share variance is misleading:
 a constant column has high share variance); for numeric dimensions plain
 variance applies as well. Both are available from column stats, so pruning
-costs no data scan.
+costs no data scan. A multi-attribute view's key set is read as one
+categorical attribute (:meth:`~repro.metadata.collector.TableMetadata.key_stats`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class VariancePruner(PruningRule):
         self.min_numeric_variance = min_numeric_variance
 
     def reason_to_prune(self, view: ViewSpec, metadata: TableMetadata) -> str | None:
-        stats = metadata.stats[view.dimension]
+        stats = metadata.key_stats(view.keys)
         if stats.is_constant:
             return f"dimension {view.dimension!r} is constant"
         if stats.entropy < self.min_entropy_bits:
@@ -75,7 +76,7 @@ class CardinalityPruner(PruningRule):
         self.max_groups = max_groups
 
     def reason_to_prune(self, view: ViewSpec, metadata: TableMetadata) -> str | None:
-        n_distinct = metadata.stats[view.dimension].n_distinct
+        n_distinct = metadata.key_stats(view.keys).n_distinct
         if n_distinct < self.min_groups:
             return (
                 f"dimension {view.dimension!r} has {n_distinct} group(s) "

@@ -188,12 +188,13 @@ class TestSpecialisedRecommenders:
         via_request = BasicFramework(backend).recommend(request)
         assert_same_scores(euclid_basic, via_request)
 
-        from repro.engine import multiview_phases
-
-        with SeeDB(backend, SeeDBConfig(metric="euclidean")) as expected_rec:
-            expected = expected_rec.recommend(plain, phases=multiview_phases())
-        with SeeDB(backend) as request_rec:
-            got = request_rec.recommend(request, phases=multiview_phases())
+        multiview = SeeDBConfig(n_dimensions=2)
+        with SeeDB(
+            backend, multiview.with_overrides(metric="euclidean")
+        ) as expected_rec:
+            expected = expected_rec.recommend(plain)
+        with SeeDB(backend, multiview) as request_rec:
+            got = request_rec.recommend(request)
         assert_same_scores(expected, got)
 
         incremental = {"strategy": "incremental", "options": {"n_phases": 3}}

@@ -1,10 +1,12 @@
 """Integration: the three strategies agree on one engine, and caching pays.
 
-Equivalence: batch, incremental (run to completion, no pruning
-opportunity), and multiview are all phase lists over the same
-ExecutionEngine; on a shared synthetic dataset the single-attribute paths
-must produce identical top-k specs and utilities (within float tolerance),
-and the multiview path must match a direct two-query-per-view computation.
+Equivalence: batch and incremental (run to completion, no pruning
+opportunity) are phase lists over the same ExecutionEngine, and
+multi-attribute views (``n_dimensions=2``) run either; on a shared
+synthetic dataset the single-attribute paths must produce identical top-k
+specs and utilities (within float tolerance), multi-attribute views must
+match a direct two-query-per-view computation and agree across blocking,
+incremental, streamed and served runs.
 
 Caching: a second ``recommend()`` on an unchanged backend must execute
 strictly fewer backend queries than the first (schema / metadata / sample
@@ -22,7 +24,6 @@ from repro.core.space import enumerate_views
 from repro.db.aggregates import Aggregate
 from repro.db.query import AggregateQuery, RowSelectQuery
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
-from repro.engine import multiview_phases
 
 NO_PRUNING = dict(
     prune_low_variance=False,
@@ -98,13 +99,14 @@ class TestThreePathEquivalence:
             )
             if not (set(v.keys) & dataset.predicate.referenced_columns())
         ]
-        top = SeeDB(backend, SeeDBConfig(metric="js")).recommend(
+        top = SeeDB(
+            backend, SeeDBConfig(metric="js", n_dimensions=2, **NO_PRUNING)
+        ).recommend(
             RecommendationRequest(
                 query,
                 k=len(views),
                 options={"aggregate_functions": ["sum"], "include_count_views": False},
             ),
-            phases=multiview_phases(2),
         ).recommendations
         assert {v.spec for v in top} == set(views)
 
@@ -156,9 +158,9 @@ class TestThreePathEquivalence:
         )
         planted = batch.recommendations[0].spec.dimension
         assert incremental.recommendations[0].spec.dimension == planted
-        multi = seedb.recommend(
-            RecommendationRequest(query, k=1), phases=multiview_phases(2)
-        )
+        multi = SeeDB(
+            backend, SeeDBConfig(n_dimensions=2, **NO_PRUNING)
+        ).recommend(RecommendationRequest(query, k=1))
         assert planted in multi.recommendations[0].spec.keys
 
 
@@ -305,3 +307,66 @@ class TestSessionCaching:
             assert invalidated_cost > cached_cost  # metadata re-fetched
         finally:
             backend.close()
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+class TestMultiAttributePaths:
+    """``SeeDBConfig(n_dimensions=2)`` reaches every path a config does:
+    blocking, incremental, ``recommend_iter`` and a service slot agree,
+    and each runs the whole pipeline (pruning, pricing, rendering)."""
+
+    CONFIG = SeeDBConfig(n_dimensions=2)
+
+    def test_every_path_gives_the_same_top_k(self, kind, dataset, query):
+        from repro.service import single_backend_service
+
+        blocking = RecommendationRequest(query, k=4)
+        incremental = RecommendationRequest(
+            query, k=4, strategy="incremental", options={"n_phases": 4}
+        )
+        backend = build_backend(kind, dataset.table)
+        try:
+            with SeeDB(backend, self.CONFIG) as seedb:
+                results = {
+                    "blocking": seedb.recommend(blocking),
+                    "incremental": seedb.recommend(incremental),
+                    "iter": list(seedb.recommend_iter(incremental))[-1].result,
+                }
+            with single_backend_service(backend, config=self.CONFIG) as service:
+                results["service"] = service.recommend(blocking)
+                results["stream"] = list(service.recommend_stream(incremental))[
+                    -1
+                ].result
+        finally:
+            backend.close()
+        expected = results.pop("blocking")
+        assert all(len(v.spec.keys) == 2 for v in expected.recommendations)
+        assert expected.plan_decision is not None
+        labels = [v.spec.label for v in expected.recommendations]
+        for path, result in results.items():
+            assert [v.spec.label for v in result.recommendations] == labels, path
+            for got, want in zip(result.recommendations, expected.recommendations):
+                assert got.utility == pytest.approx(want.utility, rel=1e-9), path
+            assert result.plan_decision is not None, path
+
+    def test_incremental_and_render_are_honoured(self, kind, dataset, query):
+        request = RecommendationRequest(
+            query,
+            k=3,
+            strategy="incremental",
+            options={"n_phases": 4, "render": {"format": "vega-lite"}},
+        )
+        backend = build_backend(kind, dataset.table)
+        try:
+            with SeeDB(backend, self.CONFIG) as seedb:
+                result = seedb.recommend(request)
+        finally:
+            backend.close()
+        assert list(result.stopwatch.phases) == [
+            "metadata", "enumerate", "prune", "sample", "plan", "execute",
+            "score", "select", "render",
+        ]
+        assert len(result.visualizations) == 3
+        assert {rule.rule for rule in result.prune_reports} >= {
+            "variance", "cardinality", "correlation",
+        }

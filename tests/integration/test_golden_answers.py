@@ -2,7 +2,7 @@
 
 A small synthetic table answers a fixed set of requests on every cell of
 {memory, sqlite} × {blocking, incremental-final} × {table, complement},
-and the multi-attribute preset answers the segment predicate on every cell
+and multi-attribute views (``n_dimensions``) answer the segment predicate on every cell
 of {memory, sqlite} × {2, 3} dimensions × {table, complement, query}.
 ``tests/data/golden_answers.json`` records each answer: the ranked labels
 and the utility of every view the result scored. A change to execution,
@@ -29,7 +29,6 @@ from repro.core.recommender import SeeDB
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
-from repro.engine import multiview_phases
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_answers.json"
 TOLERANCE = 1e-12
@@ -121,17 +120,17 @@ def compute_answers() -> dict:
                     answers[cell_id(backend_name, strategy, reference, name)] = (
                         answer(seedb.recommend(request))
                     )
-                for n, (reference, spec) in itertools.product(
-                    MULTIVIEW_DIMENSIONS, MULTIVIEW_REFERENCES.items()
-                ):
-                    request = RecommendationRequest(
-                        RowSelectQuery(table.name, PREDICATES["segment"]),
-                        k=K,
-                        reference=spec,
-                    )
-                    answers[multiview_cell_id(backend_name, n, reference)] = (
-                        answer(seedb.recommend(request, phases=multiview_phases(n)))
-                    )
+            for n in MULTIVIEW_DIMENSIONS:
+                with SeeDB(backend, SeeDBConfig(k=K, n_dimensions=n)) as seedb:
+                    for reference, spec in MULTIVIEW_REFERENCES.items():
+                        request = RecommendationRequest(
+                            RowSelectQuery(table.name, PREDICATES["segment"]),
+                            k=K,
+                            reference=spec,
+                        )
+                        answers[multiview_cell_id(backend_name, n, reference)] = (
+                            answer(seedb.recommend(request))
+                        )
         finally:
             backend.close()
     return answers

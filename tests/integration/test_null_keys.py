@@ -12,6 +12,7 @@ built from the raw rows, and the utilities of the unoptimized
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -180,3 +181,70 @@ def test_null_keys_match_the_raw_rows(backend_name, strategy, kind, reference_ki
         assert view.utility == pytest.approx(utility, abs=1e-9), label
         assert basic.utilities[view.spec] == pytest.approx(utility, abs=1e-9), label
     assert set(basic.utilities) == set(result.utilities)
+
+
+#: Pruning bounds that make each statistics rule fire on the table above.
+MIN_ENTROPY_BITS = 2.7
+MAX_GROUPS = 10
+
+
+def expected_reason(dimension, n_groups, entropy):
+    """The variance, then the cardinality rule, on a key set's statistics."""
+    if n_groups <= 1:
+        return f"dimension {dimension!r} is constant"
+    if entropy < MIN_ENTROPY_BITS:
+        return f"dimension {dimension!r} entropy {entropy:.4f} < {MIN_ENTROPY_BITS}"
+    if n_groups > MAX_GROUPS:
+        return (
+            f"dimension {dimension!r} has {n_groups} groups > {MAX_GROUPS} "
+            "(unvisualizable)"
+        )
+    return None
+
+
+@pytest.mark.parametrize("n_dimensions", [2, 3])
+@pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
+def test_key_set_statistics_match_the_raw_rows(backend_name, n_dimensions):
+    """The pruning rules read a key set's joint distinct count and entropy,
+    each NULL key one value as in GROUP BY: both match a count over the raw
+    row tuples, and so do the reasons of the views they prune."""
+    table = null_key_table()
+    config = SeeDBConfig(
+        n_dimensions=n_dimensions,
+        min_entropy_bits=MIN_ENTROPY_BITS,
+        max_groups=MAX_GROUPS,
+    )
+    backend = BACKENDS[backend_name]()
+    try:
+        backend.register_table(table)
+        with SeeDB(backend, config) as seedb:
+            ctx = seedb.engine.recommend(
+                RecommendationRequest(RowSelectQuery("t"), k=3).resolve(config)
+            )
+    finally:
+        backend.close()
+
+    pruned = {
+        spec: reason
+        for report in ctx.prune_reports
+        if report.rule in ("variance", "cardinality")
+        for spec, reason in report.pruned
+    }
+    expected_pruned = {}
+    for spec in ctx.candidates:
+        columns = [
+            [_key(value) for value in table.column(key).tolist()] for key in spec.keys
+        ]
+        counts = Counter(zip(*columns))
+        entropy = -math.fsum(
+            count / table.num_rows * math.log2(count / table.num_rows)
+            for count in counts.values()
+        )
+        stats = ctx.metadata.key_stats(spec.keys)
+        assert stats.n_distinct == len(counts), spec.label
+        assert stats.entropy == pytest.approx(entropy, rel=1e-12), spec.label
+        reason = expected_reason(spec.dimension, len(counts), entropy)
+        if reason is not None:
+            expected_pruned[spec] = reason
+    assert pruned == expected_pruned
+    assert pruned

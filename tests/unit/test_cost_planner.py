@@ -212,6 +212,24 @@ class TestSampledCosting:
 
         assert hoeffding_epsilon(int(20_000 * result.sample_fraction)) <= 0.05
 
+    def test_cost_based_planning_leaves_auto_sampling_alone(self):
+        """The flag changes how views execute, never the recommendations:
+        adaptive sampling engages (and scores) the same with it off."""
+        table = make_table(n_rows=20_000)
+        results = []
+        for flag in (True, False):
+            config = SeeDBConfig(
+                auto_sample_epsilon=0.05,
+                min_rows_for_sampling=1_000,
+                cost_based_planning=flag,
+            )
+            with make_seedb(config, table) as seedb:
+                results.append(seedb.recommend(RecommendationRequest(QUERY, k=3)))
+        on, off = results
+        assert on.sample_fraction is not None and 0 < on.sample_fraction < 1
+        assert off.sample_fraction == on.sample_fraction
+        assert off.utilities == on.utilities
+
     def test_auto_sampling_requires_explicit_epsilon(self):
         table = make_table(n_rows=20_000)
         with make_seedb(
@@ -229,7 +247,7 @@ class TestParallelismDecision:
     the one the decision records."""
 
     @staticmethod
-    def claimers(monkeypatch, backend, table, config, cores=2, phases=None):
+    def claimers(monkeypatch, backend, table, config, cores=2):
         """Run one recommendation on ``cores`` usable cores; the claimer
         count each plan run got, and the plan's step count."""
         from repro.optimizer import parallel
@@ -248,13 +266,11 @@ class TestParallelismDecision:
             backend.register_table(table)
             with SeeDB(backend, config) as seedb:
                 ctx = seedb.engine.recommend(
-                    RecommendationRequest(QUERY, k=3).resolve(config),
-                    phases=phases,
+                    RecommendationRequest(QUERY, k=3).resolve(config)
                 )
         finally:
             backend.close()
-        if ctx.plan_decision is not None:
-            assert ctx.plan_decision.recommended_workers == seen[-1]
+        assert ctx.plan_decision.recommended_workers == seen[-1]
         return seen, ctx
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4, 8])
@@ -310,27 +326,6 @@ class TestParallelismDecision:
         assert ctx.plan_decision.cost_based is False
         assert seen == [expected]
 
-    def test_plan_without_statistics_runs_sequentially(self, monkeypatch):
-        """A phase list without the Metadata phase has nothing to price
-        from: the plan runs on one claimer, even at a size that pays."""
-        from repro.engine.phases import (
-            EnumeratePhase,
-            ExecutePhase,
-            PlanPhase,
-            PrunePhase,
-        )
-
-        seen, ctx = self.claimers(
-            monkeypatch,
-            SqliteBackend(),
-            make_table(n_rows=20_000),
-            SeeDBConfig(n_workers=4),
-            phases=[EnumeratePhase(), PrunePhase(), PlanPhase(), ExecutePhase()],
-        )
-        assert len(ctx.plan.steps) == 2
-        assert ctx.plan_decision is None
-        assert seen == [1]
-
     def test_busy_cores_leave_the_plan_sequential(self, monkeypatch):
         """Another plan's claimers on every core: this one starts no
         helper and records the one claimer it ran on."""
@@ -350,7 +345,6 @@ class TestParallelismDecision:
     @pytest.mark.parametrize(
         "per_step_seconds, n_steps, max_workers, expected",
         [
-            (None, 10, 4, 1),
             (1e-3, 10, 4, 1),
             (5e-3, 10, 4, 4),
             (5e-3, 3, 4, 3),

@@ -143,9 +143,9 @@ class TestIncrementalWithHellinger:
 class TestMultiViewCountOnly:
     def test_count_views_without_measures(self):
         from repro.backends.memory import MemoryBackend
+        from repro.core.config import SeeDBConfig
         from repro.core.recommender import SeeDB
         from repro.db.types import AttributeRole
-        from repro.engine import multiview_phases
 
         table = Table.from_columns(
             "d3",
@@ -158,13 +158,12 @@ class TestMultiViewCountOnly:
         )
         backend = MemoryBackend()
         backend.register_table(table)
-        top = SeeDB(backend).recommend(
+        top = SeeDB(backend, SeeDBConfig(n_dimensions=2)).recommend(
             RecommendationRequest(
                 RowSelectQuery("d3", col("a") == "x"),
                 k=2,
                 options={"aggregate_functions": []},
             ),
-            phases=multiview_phases(2),
         ).recommendations
         assert top
         assert all(v.spec.func == "count" for v in top)

@@ -223,7 +223,7 @@ class TestSharedPool:
 
 class TestCustomMetricInstances:
     """A custom metric registered under a name reaches every path: the
-    multiview preset and the incremental strategy score with it."""
+    multi-attribute views and the incremental strategy score with it."""
 
     @staticmethod
     def make_metric():
@@ -238,26 +238,29 @@ class TestCustomMetricInstances:
         return DoubledJS()
 
     @staticmethod
-    def multiview(backend, request):
-        from repro.engine import multiview_phases
-
-        with SeeDB(backend) as seedb:
-            return seedb.recommend(request, phases=multiview_phases(2))
+    def multiview(backend, request, **config):
+        with SeeDB(backend, SeeDBConfig(n_dimensions=2, **config)) as seedb:
+            return seedb.recommend(request)
 
     def test_multiview_uses_the_registered_metric(
         self, memory_backend, register_metric
     ):
+        # store and month are one-to-one: the correlation rule would
+        # prune (store, month), the one pair the predicate leaves.
         request = RecommendationRequest(QUERY, k=1)
-        stock = self.multiview(memory_backend, request).recommendations
+        stock = self.multiview(
+            memory_backend, request, prune_correlated=False
+        ).recommendations
         register_metric(self.make_metric())
-        custom = self.multiview(memory_backend, request).recommendations
+        custom = self.multiview(
+            memory_backend, request, prune_correlated=False
+        ).recommendations
         assert custom[0].utility == pytest.approx(
             min(1.0, 2.0 * stock[0].utility)
         )
 
-    def test_multiview_empty_table_returns_no_views(self):
-        """Regression: no-group views are filtered, not recommended as
-        zero-utility placeholders with empty distributions."""
+    @staticmethod
+    def empty_backend():
         from repro.db.table import Table
         from repro.db.types import AttributeRole
 
@@ -273,8 +276,34 @@ class TestCustomMetricInstances:
         )
         backend = MemoryBackend()
         backend.register_table(empty)
-        result = self.multiview(backend, RecommendationRequest(QUERY, k=3))
+        return backend
+
+    def test_multiview_empty_table_returns_no_views(self):
+        """The pruning rules read an empty key set as constant: nothing
+        executes and nothing is recommended."""
+        result = self.multiview(
+            self.empty_backend(), RecommendationRequest(QUERY, k=3)
+        )
         assert result.recommendations == []
+        assert result.n_executed_views == 0
+
+    def test_multiview_empty_views_are_placeholders(self):
+        """Unpruned, a view with no groups is a zero-utility placeholder,
+        for multi-attribute views as for single-attribute ones."""
+        request = RecommendationRequest(QUERY, k=3)
+        no_pruning = {
+            "prune_low_variance": False,
+            "prune_cardinality": False,
+            "prune_correlated": False,
+        }
+        backend = self.empty_backend()
+        multi = self.multiview(backend, request, **no_pruning)
+        with SeeDB(backend, SeeDBConfig(**no_pruning)) as seedb:
+            single = seedb.recommend(request)
+        for result in (multi, single):
+            assert len(result.recommendations) == 3
+            for view in result.recommendations:
+                assert view.utility == 0.0 and view.groups == []
 
     def test_incremental_uses_the_registered_metric(
         self, memory_backend, register_metric

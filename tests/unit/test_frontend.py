@@ -307,8 +307,8 @@ class TestViewMetadataSignificance:
         )
         assert session.view_metadata(view).p_value is None
 
-    def test_p_value_none_without_scipy(self, memory_backend, monkeypatch):
-        # scipy is an optional extra: the panel still renders without it.
+    def test_p_value_without_scipy(self, memory_backend, monkeypatch):
+        # The chi-square p-value needs no scipy.
         monkeypatch.setitem(sys.modules, "scipy", None)
         session = AnalystSession(memory_backend)
         result = session.issue(
@@ -316,7 +316,8 @@ class TestViewMetadataSignificance:
                 "SELECT * FROM sales WHERE product = 'Laserwave'", measures=()
             )
         )
-        assert session.view_metadata(result.recommendations[0]).p_value is None
+        p_value = session.view_metadata(result.recommendations[0]).p_value
+        assert isinstance(p_value, float) and 0.0 <= p_value <= 1.0
 
 
 class TestSessionRollUp:

@@ -62,6 +62,26 @@ def make_view(target_values, comparison_distribution):
     )
 
 
+class TestChiSquareSurvival:
+    def test_matches_scipy_over_a_grid(self):
+        """dof 1-200, x from 1e-6 to 1e3: the near-1 head, both sides of the
+        series/continued-fraction switch at x = dof + 2, and tails down to
+        ~1e-218, all within 1e-12 relative of scipy."""
+        stats = pytest.importorskip("scipy.stats")
+        from repro.metrics.significance import chi2_sf
+
+        xs = np.concatenate([np.geomspace(1e-6, 1e3, 97), np.arange(1.0, 202.0, 3.0)])
+        for dof in range(1, 201):
+            expected = stats.chi2.sf(xs, dof)
+            got = np.array([chi2_sf(float(x), dof) for x in xs])
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0, err_msg=dof)
+
+    def test_non_positive_statistic(self):
+        from repro.metrics.significance import chi2_sf
+
+        assert chi2_sf(0.0, 3) == 1.0
+
+
 class TestSignificance:
     def test_matching_distribution_not_significant(self):
         view = make_view([25, 25, 25, 25], [0.25, 0.25, 0.25, 0.25])

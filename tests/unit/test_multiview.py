@@ -1,5 +1,5 @@
 """Unit tests: the multi-attribute view extension (§2 generalization),
-run as the ``multiview_phases`` preset through ``SeeDB.recommend``."""
+run as ``SeeDBConfig(n_dimensions=n)`` through ``SeeDB.recommend``."""
 
 import json
 import math
@@ -12,11 +12,10 @@ from repro.api import RecommendationRequest
 from repro.api.wire import view_to_json
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
-from repro.core import SeeDB, ViewSpec, enumerate_views
+from repro.core import SeeDB, SeeDBConfig, ViewSpec, enumerate_views
 from repro.db.aggregates import Aggregate
 from repro.db.expressions import col
 from repro.db.query import AggregateQuery, RowSelectQuery
-from repro.engine import multiview_phases
 from repro.model.view import ScoredView
 from repro.util.errors import ConfigError, QueryError, SchemaError
 
@@ -24,14 +23,19 @@ from repro.util.errors import ConfigError, QueryError, SchemaError
 SUMS_ONLY = {"aggregate_functions": ["sum"], "include_count_views": False}
 
 
-def multiview_result(backend, request, n_dimensions=2):
-    """The result of ``request`` under the multiview preset."""
-    with SeeDB(backend) as seedb:
-        return seedb.recommend(request, phases=multiview_phases(n_dimensions))
+def multiview_result(backend, request, n_dimensions=2, **config):
+    """The result of ``request`` over ``n_dimensions``-attribute views.
+
+    The sales table's store and month are one-to-one, so the correlation
+    rule prunes every view grouping by both; it is off unless asked for.
+    """
+    config.setdefault("prune_correlated", False)
+    with SeeDB(backend, SeeDBConfig(n_dimensions=n_dimensions, **config)) as seedb:
+        return seedb.recommend(request)
 
 
 def multiview(backend, request, n_dimensions=2):
-    """The recommendations of ``request`` under the multiview preset."""
+    """The recommendations of ``request`` over multi-attribute views."""
     return multiview_result(backend, request, n_dimensions).recommendations
 
 
@@ -219,8 +223,7 @@ class TestRecommendation:
         backend = request.getfixturevalue(backend_fixture)
         target_predicate = col("product") == "Laserwave"
         second_predicate = col("amount") < 150  # overlaps the target
-        before = backend.queries_executed
-        top = multiview(
+        outcome = multiview_result(
             backend,
             RecommendationRequest(
                 RowSelectQuery("sales", target_predicate),
@@ -230,8 +233,10 @@ class TestRecommendation:
                 options=SUMS_ONLY,
             ),
         )
-        # (store, month) is the one combination the predicate leaves.
-        assert backend.queries_executed - before == 2
+        top = outcome.recommendations
+        # (store, month) is the one combination the predicate leaves; the
+        # metadata fetch is not a view query.
+        assert outcome.n_queries == 2
         sides = []
         for predicate in (target_predicate, second_predicate):
             result = backend.execute(
@@ -315,7 +320,9 @@ class TestPruneAndFilter:
             backend, RecommendationRequest(RowSelectQuery("sales"), k=3)
         )
         assert [(r.rule, r.examined, r.n_pruned) for r in result.prune_reports] == [
-            ("predicate_dimensions", 15, 0)
+            ("predicate_dimensions", 15, 0),
+            ("variance", 15, 0),
+            ("cardinality", 15, 0),
         ]
 
     def test_dimensions_filter(self, backend_fixture, request):
@@ -336,6 +343,86 @@ class TestPruneAndFilter:
         unfiltered = multiview_result(backend, RecommendationRequest(query, k=20))
         for spec, utility in result.utilities.items():
             assert utility == unfiltered.utilities[spec]
+
+
+class TestConfig:
+    """The width lives in ``SeeDBConfig.n_dimensions``, off the wire."""
+
+    def test_validation(self):
+        assert SeeDBConfig().n_dimensions == 1
+        with pytest.raises(ConfigError, match="n_dimensions"):
+            SeeDBConfig(n_dimensions=0)
+
+    def test_not_a_request_option(self):
+        from repro.api import ApiError
+
+        with pytest.raises(ApiError) as raised:
+            RecommendationRequest(
+                RowSelectQuery("sales"), options={"n_dimensions": 2}
+            )
+        assert raised.value.code == "unknown_field"
+
+
+@pytest.mark.parametrize("backend_type", [MemoryBackend, SqliteBackend])
+class TestPruningRules:
+    """The pruning rules read a view's key set, so multi-attribute views
+    are pruned (and then sampled and priced) like single-attribute ones."""
+
+    def test_store_orders_pairs_are_pruned_and_priced(self, backend_type):
+        """Regression: the statistics rules read ``view.dimension`` as one
+        column and raised ``KeyError: ('order_date', 'ship_mode')``."""
+        from repro.datasets.registry import load_dataset
+
+        backend = backend_type()
+        try:
+            backend.register_table(load_dataset("store_orders"))
+            result = multiview_result(
+                backend,
+                RecommendationRequest.from_sql(
+                    "SELECT * FROM store_orders WHERE region = 'West'", k=3
+                ),
+                prune_correlated=True,
+            )
+        finally:
+            backend.close()
+        assert [
+            (report.rule, report.examined, report.n_pruned)
+            for report in result.prune_reports
+        ] == [
+            ("predicate_dimensions", 189, 54),
+            ("variance", 135, 0),
+            ("cardinality", 135, 45),
+            ("correlation", 90, 36),
+        ]
+        assert result.n_executed_views == 54
+        assert result.plan_decision is not None
+        assert len(result.recommendations) == 3
+
+    def test_correlated_keys_prune_the_view(self, backend_type, sales_table):
+        """store and month are one-to-one: a view keyed by both is pruned
+        for the key that does not represent their cluster."""
+        backend = backend_type()
+        try:
+            backend.register_table(sales_table)
+            result = multiview_result(
+                backend,
+                RecommendationRequest(RowSelectQuery("sales"), k=3),
+                prune_correlated=True,
+            )
+        finally:
+            backend.close()
+        (report,) = [r for r in result.prune_reports if r.rule == "correlation"]
+        assert {spec.dimension for spec, _reason in report.pruned} == {
+            ("store", "product"),
+            ("store", "month"),
+        }
+        assert {reason for _spec, reason in report.pruned} == {
+            "dimension 'store' is correlated with 'month' (association >= 0.9); "
+            "the representative view covers it"
+        }
+        assert {spec.dimension for spec in result.utilities} == {
+            ("product", "month")
+        }
 
 
 class TestWire:

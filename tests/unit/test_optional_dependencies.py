@@ -1,7 +1,7 @@
-"""``import repro`` needs numpy alone: scipy is an optional extra, networkx unused.
+"""``import repro`` needs numpy alone: scipy and networkx are unused.
 
-scipy is imported only where a chi-square p-value is computed; Kendall's
-tau is numpy and correlation clustering is a union-find.
+The chi-square p-value is computed from ``math.lgamma``; Kendall's tau is
+numpy and correlation clustering is a union-find.
 """
 
 from __future__ import annotations
@@ -45,3 +45,22 @@ def test_kendall_tau_needs_no_scipy(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy", None)
     assert kendall_tau({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 3.0}) == 1.0
 
+
+def test_view_significance_needs_no_scipy(monkeypatch):
+    import numpy as np
+
+    from repro.metrics import view_significance
+    from repro.model.view import ScoredView, ViewSpec
+
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    view = ScoredView(
+        spec=ViewSpec("d", None, "count"),
+        utility=0.0,
+        groups=["a", "b", "c"],
+        target_distribution=np.array([0.5, 0.3, 0.2]),
+        comparison_distribution=np.array([0.4, 0.4, 0.2]),
+        target_values=np.array([50.0, 30.0, 20.0]),
+        comparison_values=np.array([40.0, 40.0, 20.0]),
+    )
+    p_value = view_significance(view).p_value
+    assert isinstance(p_value, float) and 0.0 <= p_value <= 1.0
