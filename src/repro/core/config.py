@@ -63,15 +63,18 @@ class SeeDBConfig:
     # -- query optimization (§3.3) ----------------------------------------
     combine_target_comparison: bool = True
     combine_aggregates: bool = True
-    groupby_combining: GroupByCombining = GroupByCombining.NONE
+    #: How view groups share scans. ``AUTO`` prices every plan kind, with
+    #: rollups at each budget of
+    #: :data:`~repro.optimizer.plan.ROLLUP_BUDGET_LADDER`, and runs the
+    #: cheapest; a pinned kind is planned alone (Scenario 2's knob). Every
+    #: kind is equivalence-preserving: the choice changes *how* views
+    #: execute, never the recommendations.
+    groupby_combining: GroupByCombining = GroupByCombining.AUTO
+    #: Result cells one rollup query may hold, when ``ROLLUP`` is pinned
+    #: (``AUTO`` prices its own ladder of budgets instead).
     memory_budget_cells: int = 100_000
+    #: Dimensions one shared query may group by, under every kind.
     max_dims_per_query: int = 8
-    #: Resolve ``groupby_combining=AUTO`` by estimated cost (the Metadata
-    #: phase's dimension statistics + fixed per-backend coefficients)
-    #: over every plan kind, instead of taking the capability-declared one.
-    #: Every candidate plan is equivalence-preserving, so this only changes
-    #: *how* views execute, never the recommendations.
-    cost_based_planning: bool = True
 
     # -- sampling (§3.3) ----------------------------------------------------
     #: None disables sampling; otherwise run view queries on a materialized
@@ -90,9 +93,12 @@ class SeeDBConfig:
     # -- parallelism (§3.3) ----------------------------------------------------
     #: Upper bound on the claimers one plan's steps run on; defaults to
     #: the usable cores. The execute phase decides the count below it
-    #: (:func:`~repro.optimizer.cost.choose_parallelism`): one for steps
-    #: priced too cheap to amortize dispatch, else as many as there are
-    #: steps and idle cores (:func:`~repro.optimizer.parallel.claim_cores`).
+    #: (:func:`~repro.optimizer.cost.choose_parallelism`): one on a
+    #: backend whose statements do not overlap or for steps priced too
+    #: cheap to amortize dispatch, else as many as there are steps and
+    #: idle cores (:func:`~repro.optimizer.parallel.claim_cores`). ``AUTO``
+    #: prices plans on this many claimers, so on sqlite the plan it picks
+    #: may change with it.
     n_workers: int = field(default_factory=usable_cores)
 
     # -- metadata ---------------------------------------------------------------

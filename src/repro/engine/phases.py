@@ -13,13 +13,11 @@ sets, and every later phase reads ``view.keys``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.space import enumerate_views, split_predicate_dimensions
 from repro.core.topk import top_k_views
 from repro.core.view_processor import ViewProcessor
 from repro.engine.context import ExecutionContext
-from repro.optimizer.plan import Planner, candidate_kinds
+from repro.optimizer.plan import Planner
 from repro.pruning.base import PruneReport
 
 
@@ -155,94 +153,58 @@ class SamplePhase(Phase):
 class PlanPhase(Phase):
     """Map surviving views onto an execution plan (the Optimizer proper).
 
-    One :class:`~repro.optimizer.plan.Planner`, one plan per candidate
-    kind. The candidates are the rows of
-    :data:`~repro.optimizer.plan.PLAN_KINDS` that
-    ``config.groupby_combining`` admits
-    (:func:`~repro.optimizer.plan.candidate_kinds`), the
-    capability-declared one first. Dimension cardinalities come from the
+    The candidates are what ``config.groupby_combining`` admits
+    (:meth:`~repro.optimizer.plan.Planner.candidates`): a pinned kind, or
+    under ``AUTO`` every row of :data:`~repro.optimizer.plan.PLAN_KINDS`
+    with ``ROLLUP`` at each budget of
+    :data:`~repro.optimizer.plan.ROLLUP_BUDGET_LADDER`, the
+    capability-declared kind first. Dimension cardinalities come from the
     Metadata phase's statistics (``ctx.metadata``), the one statistics
-    pass per ``(table, data_version)``. Each plan is priced by
-    :func:`~repro.optimizer.cost.estimate_plan_cost` from those
-    cardinalities and the exact, cached row count, converted to seconds
-    with the backend's fixed coefficients, and the argmin executes;
-    ties (strict comparison) keep the capability-declared kind. Every
-    candidate is equivalence-preserving, so the choice changes *how*
-    views execute, never the recommendations. The decision record travels
-    on ``ctx.plan_decision`` (``cost_based`` is False when the mode was
-    pinned to one kind or ``config.cost_based_planning`` is off).
-
-    With the flag off only the first candidate is planned, and it is
-    still priced: the execute phase's worker count reads the price.
+    pass per ``(table, data_version)``. :func:`~repro.optimizer.cost.choose_plan`
+    prices each candidate's bins from those cardinalities and the exact,
+    cached row count, converts the work to seconds with the backend's
+    fixed coefficients, prices the wall-clock on up to
+    ``config.n_workers`` claimers, and builds the argmin; ties keep the
+    earlier candidate. Every candidate is equivalence-preserving, so the choice
+    changes *how* views execute, never the recommendations. The decision
+    record travels on ``ctx.plan_decision`` (``cost_based`` is False when
+    the mode pinned one kind); the execute phase's worker count reads its
+    price.
     """
 
     name = "plan"
 
     def run(self, ctx: ExecutionContext) -> None:
-        from repro.optimizer.cost import (
-            PlanDecision,
-            coefficients_for,
-            estimate_plan_cost,
-        )
+        from repro.optimizer.cost import choose_plan, coefficients_for
 
-        config = ctx.config
-        capabilities = ctx.backend.capabilities
-        cardinalities = ctx.metadata.stats.cardinalities()
-        table = ctx.resolve_execution_table()
-        base = config.planner_config()
-        n_rows = ctx.cache.row_count(ctx.query.table)
-        coefficients = coefficients_for(ctx.backend.name)
-
-        candidates = candidate_kinds(config.groupby_combining, capabilities)
-        if not config.cost_based_planning:
-            candidates = candidates[:1]
-        best = None
-        candidate_seconds: dict[str, float] = {}
-        for mode in candidates:
-            plan = Planner(replace(base, groupby_combining=mode)).plan(
-                ctx.surviving,
-                table,
-                ctx.query.predicate,
-                cardinalities,
-                capabilities,
-                reference=ctx.reference,
-            )
-            cost = estimate_plan_cost(
-                plan,
-                n_rows,
-                cardinalities,
-                capabilities,
-                sample_fraction=ctx.sample_fraction,
-            )
-            seconds = coefficients.predict_seconds(cost)
-            candidate_seconds[mode.value] = seconds
-            if best is None or seconds < best[2]:
-                best = (plan, cost, seconds, mode)
-
-        plan, cost, seconds, chosen = best
-        ctx.plan = plan
-        ctx.plan_description = plan.describe()
-        ctx.plan_decision = PlanDecision(
-            kind=chosen.value,
-            cost_based=len(candidates) > 1,
-            predicted=cost,
-            predicted_seconds=seconds,
-            candidate_seconds=candidate_seconds,
-            coefficients=coefficients,
+        ctx.plan, ctx.plan_decision = choose_plan(
+            Planner(ctx.config.planner_config()),
+            ctx.surviving,
+            ctx.resolve_execution_table(),
+            ctx.query.predicate,
+            ctx.metadata.stats.cardinalities(),
+            ctx.backend.capabilities,
+            ctx.reference,
+            n_rows=ctx.cache.row_count(ctx.query.table),
+            coefficients=coefficients_for(ctx.backend.name),
+            max_workers=ctx.config.n_workers,
             sample_fraction=ctx.sample_fraction,
         )
+        ctx.plan_description = ctx.plan.describe()
 
 
 class ExecutePhase(Phase):
     """Run the plan against the DBMS, its steps spread over claimers.
 
     The one place the worker count is decided, by one rule
-    (:func:`~repro.optimizer.cost.choose_parallelism`): up to
+    (:func:`~repro.optimizer.cost.choose_parallelism`, the rule the
+    planner priced the plan's wall-clock with): up to
     ``config.n_workers`` claimers (the usable cores by default) when the
-    planner's price of a step amortizes dispatch, else one. Helpers start
-    only on cores no other plan's claimers hold
-    (:func:`~repro.optimizer.parallel.claim_cores`), and the count that
-    ran is recorded as ``plan_decision.recommended_workers``.
+    backend's statements run at once and the planner's price of a step
+    amortizes dispatch, else one. Helpers start only on cores no other
+    plan's claimers hold (:func:`~repro.optimizer.parallel.claim_cores`),
+    and the count that ran is recorded as
+    ``plan_decision.recommended_workers``.
     """
 
     name = "execute"
@@ -252,9 +214,13 @@ class ExecutePhase(Phase):
         from repro.optimizer.parallel import claim_cores
 
         plan, decision = ctx.plan, ctx.plan_decision
-        per_step_seconds = decision.predicted_seconds / max(len(plan.steps), 1)
+        coefficients = decision.coefficients
+        work_seconds = coefficients.predict_seconds(decision.predicted)
         wanted = choose_parallelism(
-            len(plan.steps), per_step_seconds, ctx.config.n_workers
+            len(plan.steps),
+            work_seconds / max(len(plan.steps), 1),
+            ctx.config.n_workers,
+            statements_overlap=coefficients.statements_overlap,
         )
         with claim_cores(wanted) as n_workers:
             decision.recommended_workers = n_workers

@@ -21,6 +21,7 @@ phased round scatter into it with each aggregate's operation from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -75,8 +76,10 @@ def _std(total: np.ndarray, squares: np.ndarray, valid: np.ndarray) -> np.ndarra
     return np.sqrt(_variance(total, squares, valid))
 
 
+@lru_cache(maxsize=1024)
 def merge_spec(aggregate: Aggregate) -> MergeSpec:
-    """The :class:`MergeSpec` for any supported aggregate."""
+    """The :class:`MergeSpec` for any supported aggregate (immutable, so
+    one is shared by every view of that aggregate)."""
     func = aggregate.func
     column = aggregate.column
     if func in _MERGE_OPS:

@@ -17,15 +17,16 @@ group's :class:`~repro.optimizer.combine.GroupState`, from which ``run``
 makes one view block per group; a phased run fetches it one row
 partition at a time and folds every round into the same states. The ways
 of arranging view groups into steps are the rows of :data:`PLAN_KINDS`;
-:class:`Planner` looks its mode up there and the engine's cost-based
-``PlanPhase`` prices one plan per row.
+:class:`Planner` looks its mode up there, and under ``AUTO`` offers every
+row — rollups at each budget of :data:`ROLLUP_BUDGET_LADDER` — as a
+candidate for :func:`~repro.optimizer.cost.choose_plan` to price.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -297,9 +298,9 @@ class PlannerConfig:
 class PlanKind:
     """One way of arranging view groups into steps.
 
-    ``declared`` says whether a backend's capabilities make this kind the
-    static resolution of ``AUTO``; ``arrange`` partitions the groups into
-    the per-step bins (a bin of one runs unshared).
+    ``declared`` says whether a backend's capabilities put this kind first
+    among ``AUTO``'s candidates, where it wins ties; ``arrange`` partitions
+    the groups into the per-step bins (a bin of one runs unshared).
     """
 
     declared: Callable[[BackendCapabilities], bool]
@@ -326,15 +327,24 @@ def _bin_packed(groups, config, cardinalities, combine_flag):
     if combine_flag:
         budget = max(budget // 2, 2)
     by_dimension = {group.dimension: group for group in groups}
-    packed = pack_dimensions(
-        {
-            dimension: cardinalities.get(dimension, budget + 1)
+    bins = _packed(
+        tuple(
+            (dimension, cardinalities.get(dimension, budget + 1))
             for dimension in by_dimension
-        },
-        budget_cells=budget,
-        max_dims_per_bin=config.max_dims_per_query,
+        ),
+        budget,
+        config.max_dims_per_query,
     )
-    return [[by_dimension[name] for name in members] for members in packed.bins]
+    return [[by_dimension[name] for name in members] for members in bins]
+
+
+@lru_cache(maxsize=1024)
+def _packed(items, budget, max_dims):
+    """The bins of :func:`pack_dimensions`, remembered: requests on one
+    table pack the same few dimension sets at the same few budgets."""
+    return pack_dimensions(
+        dict(items), budget_cells=budget, max_dims_per_bin=max_dims
+    ).bins
 
 
 #: Every plan kind, in ``AUTO``'s order of preference: shared-scan GROUPING
@@ -350,16 +360,23 @@ PLAN_KINDS: dict[GroupByCombining, PlanKind] = {
 }
 
 
+#: The rollup budgets, in result cells per query, at which ``AUTO`` prices
+#: a rollup plan: pairs, then triples, of low-cardinality dimensions. A
+#: bigger budget packs more dimensions per scan, but past a few thousand
+#: cells the result rows each view group folds cost more than the scans
+#: they save. A pinned ``ROLLUP`` packs at ``memory_budget_cells``.
+ROLLUP_BUDGET_LADDER = (400, 1_000, 6_000)
+
+
 def candidate_kinds(
     mode: GroupByCombining, capabilities: BackendCapabilities
 ) -> list[GroupByCombining]:
     """The plan kinds ``mode`` admits on a backend, preferred one first.
 
     A pinned mode admits itself. ``AUTO`` admits every row of
-    :data:`PLAN_KINDS`, led by the first one the capabilities declare —
-    the static resolution: the only kind planned when nothing is priced,
-    and the deterministic tie-break (equal predicted cost → this choice)
-    when the cost model picks.
+    :data:`PLAN_KINDS`, led by the first one the capabilities declare:
+    the deterministic tie-break (equal predicted cost → this choice) when
+    the cost model picks.
     """
     if mode is not GroupByCombining.AUTO:
         return [mode]
@@ -369,8 +386,30 @@ def candidate_kinds(
     return [declared] + [kind for kind in PLAN_KINDS if kind is not declared]
 
 
+@dataclass(frozen=True)
+class Candidate:
+    """One way the planner may arrange a request's view groups.
+
+    ``name`` keys the candidate in ``plan_decision.candidate_seconds``:
+    the kind's value, suffixed ``@<cells>`` for a rung of ``AUTO``'s
+    rollup ladder; ``config`` is what the kind arranges groups with.
+    """
+
+    name: str
+    kind: GroupByCombining
+    config: PlannerConfig
+
+
 class Planner:
-    """Builds an :class:`ExecutionPlan` from views and optimizer toggles."""
+    """Builds an :class:`ExecutionPlan` from views and optimizer toggles.
+
+    Planning is three moves, so a cost-based caller can price many
+    arrangements and build one: :meth:`group_views` once, the
+    :data:`PLAN_KINDS` row's ``arrange`` per :meth:`candidates` entry,
+    :meth:`build` for the chosen bins. :meth:`plan` chains them for a
+    pinned kind; ``AUTO`` is resolved by pricing
+    (:func:`~repro.optimizer.cost.choose_plan`).
+    """
 
     def __init__(self, config: "PlannerConfig | None" = None):
         self.config = config if config is not None else PlannerConfig()
@@ -381,25 +420,87 @@ class Planner:
         table: str,
         predicate: "Expression | None",
         cardinalities: dict[str, int],
-        capabilities: BackendCapabilities,
         reference: ResolvedReference = TABLE_REFERENCE,
     ) -> ExecutionPlan:
-        """Plan execution of ``views`` against ``table``.
+        """Plan execution of ``views`` against ``table`` with the pinned
+        kind of ``config.groupby_combining``.
 
         ``cardinalities`` (dimension -> distinct count) comes from the
         metadata collector and drives bin-packing. ``reference`` selects
         the comparison row set; a non-flag-combinable one (query-vs-query)
         forces separate target/comparison queries even when
-        target/comparison combining is enabled.
+        target/comparison combining is enabled. ``AUTO`` raises
+        ``ValueError``: it is a choice among priced candidates, which
+        :func:`~repro.optimizer.cost.choose_plan` makes.
         """
+        kind = self.config.groupby_combining
+        if kind is GroupByCombining.AUTO:
+            raise ValueError(
+                "Planner.plan takes a pinned kind; AUTO is priced by "
+                "repro.optimizer.cost.choose_plan"
+            )
+        combine_flag = self.combine_flag(reference)
+        groups = self.group_views(views, self.per_view(kind))
+        bins = PLAN_KINDS[kind].arrange(groups, self.config, cardinalities, combine_flag)
+        return self.build(bins, kind, table, predicate, combine_flag, reference)
+
+    def candidates(self, capabilities: BackendCapabilities) -> list[Candidate]:
+        """The arrangements the configured mode admits, preferred first: a
+        pinned kind alone, or for ``AUTO`` every kind of
+        :func:`candidate_kinds` with ``ROLLUP`` at each budget of
+        :data:`ROLLUP_BUDGET_LADDER`."""
         config = self.config
-        combine_flag = config.combine_target_comparison and reference.flag_combinable
-        kind = candidate_kinds(config.groupby_combining, capabilities)[0]
-        # Group-by combining subsumes aggregate combining within its merged
-        # queries (a shared query necessarily carries all the aggregates).
-        by_dimension = config.combine_aggregates or kind is not GroupByCombining.NONE
-        groups = self._group_views(views, by_dimension)
-        bins = PLAN_KINDS[kind].arrange(groups, config, cardinalities, combine_flag)
+        kinds = candidate_kinds(config.groupby_combining, capabilities)
+        if len(kinds) == 1:
+            return [Candidate(kinds[0].value, kinds[0], config)]
+        candidates = []
+        for kind in kinds:
+            if kind is GroupByCombining.ROLLUP:
+                candidates.extend(
+                    Candidate(
+                        f"{kind.value}@{cells}",
+                        kind,
+                        replace(config, memory_budget_cells=cells),
+                    )
+                    for cells in ROLLUP_BUDGET_LADDER
+                )
+            else:
+                candidates.append(Candidate(kind.value, kind, config))
+        return candidates
+
+    def combine_flag(self, reference: ResolvedReference) -> bool:
+        """Whether target and comparison share one flag-grouped query."""
+        return self.config.combine_target_comparison and reference.flag_combinable
+
+    def per_view(self, kind: GroupByCombining) -> bool:
+        """Whether ``kind`` runs one view group per view: when neither
+        aggregate nor group-by combining shares a query (a shared query
+        necessarily carries all the aggregates)."""
+        return not self.config.combine_aggregates and kind is GroupByCombining.NONE
+
+    @staticmethod
+    def group_views(views: list[ViewSpec], per_view: bool) -> list[ViewGroup]:
+        """The view groups to arrange: one per dimension, or one per view."""
+        if per_view:
+            return [ViewGroup(view.dimension, (view,)) for view in views]
+        grouped: dict["str | tuple[str, ...]", list[ViewSpec]] = {}
+        for view in views:
+            grouped.setdefault(view.dimension, []).append(view)
+        return [
+            ViewGroup(dimension, tuple(members))
+            for dimension, members in grouped.items()
+        ]
+
+    @staticmethod
+    def build(
+        bins: list[list[ViewGroup]],
+        kind: GroupByCombining,
+        table: str,
+        predicate: "Expression | None",
+        combine_flag: bool,
+        reference: ResolvedReference = TABLE_REFERENCE,
+    ) -> ExecutionPlan:
+        """The plan whose steps run ``bins``."""
         return ExecutionPlan(
             steps=[
                 ExecutionStep(
@@ -413,15 +514,3 @@ class Planner:
                 for members in bins
             ]
         )
-
-    @staticmethod
-    def _group_views(views: list[ViewSpec], by_dimension: bool) -> list[ViewGroup]:
-        if not by_dimension:
-            return [ViewGroup(view.dimension, (view,)) for view in views]
-        grouped: dict["str | tuple[str, ...]", list[ViewSpec]] = {}
-        for view in views:
-            grouped.setdefault(view.dimension, []).append(view)
-        return [
-            ViewGroup(dimension, tuple(members))
-            for dimension, members in grouped.items()
-        ]

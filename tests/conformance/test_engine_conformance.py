@@ -76,16 +76,15 @@ class TestPipelineEquivalence:
 
 class TestCapabilityDrivenPlanning:
     def test_auto_combining_follows_declared_capability(self, backend):
-        """AUTO picks the shared-scan step iff the *declaration* says so."""
+        """Between equally priced candidates AUTO keeps the shared-scan
+        step iff the *declaration* says so."""
         from repro.core.space import enumerate_views
-        from repro.optimizer.plan import Planner, PlannerConfig
+        from tests.conftest import auto_plan_at_equal_prices
 
         views = enumerate_views(
             backend.schema("conformance"), functions=("sum", "avg")
         )
-        plan = Planner(
-            PlannerConfig(groupby_combining=GroupByCombining.AUTO)
-        ).plan(
+        plan = auto_plan_at_equal_prices(
             views,
             "conformance",
             col("product") == "p0",

@@ -161,3 +161,24 @@ def assert_same_views(actual, expected, **tolerance):
             np.testing.assert_allclose(
                 got, want, equal_nan=True, err_msg=spec.label, **tolerance
             )
+
+
+def auto_plan_at_equal_prices(views, table, predicate, cardinalities, capabilities):
+    """The plan ``AUTO`` builds when every candidate prices alike: the
+    first candidate, the kind the capabilities declare."""
+    from repro.model.reference import TABLE_REFERENCE
+    from repro.optimizer.cost import CostCoefficients, choose_plan
+    from repro.optimizer.plan import GroupByCombining, Planner, PlannerConfig
+
+    plan, _decision = choose_plan(
+        Planner(PlannerConfig(groupby_combining=GroupByCombining.AUTO)),
+        views,
+        table,
+        predicate,
+        cardinalities,
+        capabilities,
+        TABLE_REFERENCE,
+        n_rows=1000,
+        coefficients=CostCoefficients(0.0, 0.0, 0.0, 0.0, 0.0),
+    )
+    return plan

@@ -53,7 +53,7 @@ class TestStageByStage:
             for s in table.schema.dimensions
         }
         plan = Planner(PlannerConfig()).plan(
-            surviving, "sales", predicate, cardinalities, backend.capabilities
+            surviving, "sales", predicate, cardinalities
         )
         assert plan.total_queries() < 2 * len(surviving)  # sharing happened
 

@@ -140,7 +140,7 @@ class TestDeadline:
                     RecommendationRequest(QUERY).resolve(seedb.config)
                 ).surviving
             plan = Planner(PlannerConfig()).plan(
-                views, "orders", QUERY.predicate, DIMENSIONS, backend.capabilities
+                views, "orders", QUERY.predicate, DIMENSIONS
             )
             assert len(plan.steps) >= 3
             start = time.monotonic()
@@ -178,7 +178,9 @@ class TestConnections:
         backend = SqliteBackend()
         backend.register_table(table)
         claimers = set()
-        with SeeDB(backend, SeeDBConfig(n_workers=cores)) as seedb:
+        # One scan per dimension: three steps, so up to three claimers.
+        config = SeeDBConfig(n_workers=cores, groupby_combining=GroupByCombining.NONE)
+        with SeeDB(backend, config) as seedb:
             for k in range(1, 51):
                 result = seedb.recommend(RecommendationRequest(QUERY, k=k % 10 + 1))
                 claimers.add(result.plan_decision["recommended_workers"])

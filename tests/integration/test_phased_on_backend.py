@@ -76,7 +76,9 @@ class TestStreamedResultsReportTheWorkDone:
                 return fetch_table(name, max_rows=max_rows)
 
             monkeypatch.setattr(backend, "fetch_table", spy)
-            with SeeDB(backend) as seedb:
+            # AUTO prices on n_workers claimers; from about eight, one
+            # statement per dimension prices cheaper on sqlite.
+            with SeeDB(backend, SeeDBConfig(n_workers=2)) as seedb:
                 before = backend.statements_executed
                 _rounds, result = stream(seedb, query)
                 issued = backend.statements_executed - before
@@ -87,7 +89,8 @@ class TestStreamedResultsReportTheWorkDone:
         assert issued > len(fetches)
         assert result.n_queries > 0
         assert result.plan_description.startswith("plan: ")
-        assert "flag[" in result.plan_description
+        # AUTO pairs the ten 12-value dimensions into flag-combined rollups.
+        assert "rollup[" in result.plan_description
         assert result.plan_decision is not None
         assert list(result.stopwatch.phases) == [
             "metadata", "enumerate", "prune", "sample", "plan",
@@ -142,7 +145,7 @@ class TestEveryPlanKindThroughRounds:
         finals = {}
         try:
             for label, knobs in {
-                "default": {},
+                "none": {"groupby_combining": GroupByCombining.NONE},
                 "grouping_sets": {"groupby_combining": GroupByCombining.GROUPING_SETS},
                 "rollup": {"groupby_combining": GroupByCombining.ROLLUP},
                 "auto": {"groupby_combining": GroupByCombining.AUTO},
@@ -156,7 +159,7 @@ class TestEveryPlanKindThroughRounds:
                     _rounds, finals[label] = stream(seedb, query, n_phases=4)
         finally:
             backend.close()
-        expected = finals.pop("default")
+        expected = finals.pop("none")
         for label, result in finals.items():
             assert [v.spec for v in result.recommendations] == [
                 v.spec for v in expected.recommendations

@@ -59,7 +59,8 @@ class TestQueryCombining:
 
     def test_aggregate_combining_scales_with_dimensions(self, dataset):
         _b, result = run(dataset, combine_target_comparison=True,
-                         combine_aggregates=True)
+                         combine_aggregates=True,
+                         groupby_combining=GroupByCombining.NONE)
         n_dimensions = 5  # 5 generated; segment is predicate-excluded
         assert result.n_queries == n_dimensions
 
@@ -162,8 +163,13 @@ class TestParallelism:
             results = [
                 SeeDB(
                     backend,
+                    # A pinned kind: AUTO prices the wall clock on
+                    # n_workers claimers, so its pick may differ by bound.
                     SeeDBConfig(
-                        combine_aggregates=True, n_workers=n_workers, **NO_PRUNING
+                        combine_aggregates=True,
+                        groupby_combining=GroupByCombining.NONE,
+                        n_workers=n_workers,
+                        **NO_PRUNING,
                     ),
                 ).recommend(request)
                 for n_workers in (1, 4)

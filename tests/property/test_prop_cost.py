@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.backends.base import BackendCapabilities
 from repro.model.view import ViewSpec
+from repro.model.reference import TABLE_REFERENCE
 from repro.optimizer.cost import (
     DEFAULT_COEFFICIENTS,
     SEEDED_COEFFICIENTS,
@@ -20,10 +21,17 @@ from repro.optimizer.cost import (
     PlanCost,
     choose_sample_fraction,
     coefficients_for,
+    estimate_bin_costs,
     estimate_plan_cost,
     hoeffding_epsilon,
 )
-from repro.optimizer.plan import GroupByCombining, Planner, PlannerConfig
+from repro.optimizer.plan import (
+    PLAN_KINDS,
+    ExecutionPlan,
+    GroupByCombining,
+    Planner,
+    PlannerConfig,
+)
 
 DIMS = ("d0", "d1", "d2", "d3", "d4")
 
@@ -59,9 +67,10 @@ def plan_inputs(draw):
     return views, cardinalities, mode
 
 
-def build_plan(views, cardinalities, mode, capabilities, table="t"):
-    planner = Planner(PlannerConfig(groupby_combining=mode))
-    return planner.plan(views, table, None, cardinalities, capabilities)
+def build_plan(views, cardinalities, mode, table="t"):
+    return Planner(PlannerConfig(groupby_combining=mode)).plan(
+        views, table, None, cardinalities
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,7 +78,7 @@ def build_plan(views, cardinalities, mode, capabilities, table="t"):
 def test_more_rows_never_cheaper(inputs, rows, extra):
     """Scan-bound monotonicity: growing the table never lowers the cost."""
     views, cardinalities, mode = inputs
-    plan = build_plan(views, cardinalities, mode, NATIVE)
+    plan = build_plan(views, cardinalities, mode)
     small = estimate_plan_cost(plan, rows, cardinalities, NATIVE)
     large = estimate_plan_cost(plan, rows + extra, cardinalities, NATIVE)
     assert large.rows_scanned >= small.rows_scanned
@@ -85,7 +94,7 @@ def test_native_grouping_sets_never_dearer_than_fanout(inputs, rows):
     """The same grouping-sets plan costs no more with native support:
     the UNION ALL emulation re-scans the base table once per set."""
     views, cardinalities, _ = inputs
-    plan = build_plan(views, cardinalities, GroupByCombining.GROUPING_SETS, NATIVE)
+    plan = build_plan(views, cardinalities, GroupByCombining.GROUPING_SETS)
     native = estimate_plan_cost(plan, rows, cardinalities, NATIVE)
     fanout = estimate_plan_cost(plan, rows, cardinalities, EMULATED)
     assert native.n_queries <= fanout.n_queries
@@ -107,9 +116,7 @@ def test_native_grouping_sets_never_dearer_than_fanout(inputs, rows):
 def test_smaller_sample_fraction_never_scans_more(inputs, rows, fractions):
     views, cardinalities, mode = inputs
     lo, hi = min(fractions), max(fractions)
-    plan = build_plan(
-        views, cardinalities, mode, NATIVE, table="t__seedb_sample_500000_7"
-    )
+    plan = build_plan(views, cardinalities, mode, table="t__seedb_sample_500000_7")
     small = estimate_plan_cost(plan, rows, cardinalities, NATIVE, sample_fraction=lo)
     large = estimate_plan_cost(plan, rows, cardinalities, NATIVE, sample_fraction=hi)
     assert small.rows_scanned <= large.rows_scanned
@@ -121,10 +128,34 @@ def test_smaller_sample_fraction_never_scans_more(inputs, rows, fractions):
 def test_a_full_sample_prices_the_whole_table(inputs, rows):
     """``sample_fraction=1.0`` and no sampling price the same work."""
     views, cardinalities, mode = inputs
-    plan = build_plan(views, cardinalities, mode, NATIVE)
+    plan = build_plan(views, cardinalities, mode)
     exact = estimate_plan_cost(plan, rows, cardinalities, NATIVE)
     full = estimate_plan_cost(plan, rows, cardinalities, NATIVE, sample_fraction=1.0)
     assert full == exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inputs=plan_inputs(),
+    rows=st.integers(1, 10**6),
+    native=st.booleans(),
+    combine_flag=st.booleans(),
+    per_view=st.booleans(),
+)
+def test_bins_price_as_their_built_steps(inputs, rows, native, combine_flag, per_view):
+    """Pricing a candidate from its bins is pricing the steps built from
+    them: candidates are compared without building their queries."""
+    views, cardinalities, mode = inputs
+    capabilities = NATIVE if native else EMULATED
+    planner = Planner(PlannerConfig(groupby_combining=mode))
+    groups = planner.group_views(views, per_view and mode is GroupByCombining.NONE)
+    bins = PLAN_KINDS[mode].arrange(groups, planner.config, cardinalities, combine_flag)
+    plan = planner.build(bins, mode, "t", None, combine_flag, TABLE_REFERENCE)
+    costs = estimate_bin_costs(bins, mode, combine_flag, rows, cardinalities, capabilities)
+    assert costs == [
+        estimate_plan_cost(ExecutionPlan([step]), rows, cardinalities, capabilities)
+        for step in plan.steps
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,12 +173,17 @@ def test_chosen_fraction_meets_epsilon_budget(rows, epsilon):
 
 
 def test_predict_is_linear_in_work_units():
-    coefficients = CostCoefficients(1.0, 10.0, 100.0, 1000.0)
+    coefficients = CostCoefficients(1.0, 10.0, 100.0, 1000.0, 10000.0)
     cost = PlanCost(
-        n_queries=2, n_scans=3, rows_scanned=5, result_groups=7, n_statements=11
+        n_queries=2,
+        n_scans=3,
+        rows_scanned=5,
+        result_groups=7,
+        n_statements=11,
+        aggregate_work=13,
     )
     assert coefficients.predict_seconds(cost) == (
-        5 * 1.0 + 7 * 10.0 + 2 * 100.0 + 11 * 1000.0
+        5 * 1.0 + 7 * 10.0 + 2 * 100.0 + 11 * 1000.0 + 13 * 10000.0
     )
 
 

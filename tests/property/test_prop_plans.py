@@ -10,6 +10,11 @@ unshared two-query step per view) on the same backend — and, along the
 partition axis, against itself run one row partition at a time and folded
 the way phased execution folds its rounds. The duckdb cells skip when the
 optional wheel is absent.
+
+A second test covers the planner's side of the contract: every bin list
+``AUTO`` can arrange — grouping-set chunks, rollups at each budget of the
+ladder, one scan per dimension — under any statistics it may be handed,
+ranks the views as one scan per dimension does on memory and sqlite.
 """
 
 import itertools
@@ -29,10 +34,17 @@ from repro.db.types import AttributeRole
 from repro.metrics.normalize import canonical_key
 from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
+from repro.core.topk import top_k_views
+from repro.core.view_processor import ViewProcessor
+from repro.metrics.normalize import NormalizationPolicy
+from repro.metrics.registry import get_metric
 from repro.optimizer.plan import (
+    PLAN_KINDS,
     ExecutionPlan,
     ExecutionStep,
     GroupByCombining,
+    Planner,
+    PlannerConfig,
     ViewGroup,
 )
 
@@ -193,3 +205,52 @@ def test_step_grid_equals_all_separate_baseline(
         keys = zip(*(table.column(name)[rows] for name in names))
         raw = {canonical_key(key if len(names) > 1 else key[0]) for key in keys}
         assert len(set(groups)) == len(groups) and set(groups) == raw, spec.label
+
+
+@pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_auto_candidate_ranks_like_one_scan_per_dimension(backend_name, data):
+    """Whatever the statistics, each candidate's bins give the top-k labels
+    and utilities (within 1e-9) of one flag-combined scan per dimension."""
+    table, target_value, _other_value, funcs = data.draw(workloads())
+    dimensions = ("d1", "d3", "f")
+    # Any cardinalities the planner may be handed: they move the bins, and
+    # no arrangement may move the answer.
+    cardinalities = {
+        name: data.draw(st.integers(1, 300), label=name) for name in dimensions
+    }
+    measures = [(None if func == "count" else "m", func) for func in funcs]
+    views = [ViewSpec(name, m, f) for name in dimensions for m, f in measures]
+    k = data.draw(st.integers(1, len(views)), label="k")
+    predicate = col("d2") == target_value
+    planner = Planner(PlannerConfig(groupby_combining=GroupByCombining.AUTO))
+    groups = planner.group_views(views, per_view=False)
+    processor = ViewProcessor(get_metric("js"), NormalizationPolicy.SHIFT)
+
+    backend = BACKENDS[backend_name]()
+    try:
+        backend.register_table(table)
+        ranked = {}
+        for candidate in planner.candidates(backend.capabilities):
+            bins = PLAN_KINDS[candidate.kind].arrange(
+                groups, candidate.config, cardinalities, True
+            )
+            plan = planner.build(bins, candidate.kind, "t", predicate, True)
+            scored = processor.score_blocks(plan.run(backend))
+            ranked[candidate.name] = (scored, top_k_views(scored.values(), k))
+    finally:
+        backend.close()
+
+    expected_scores, expected_top = ranked.pop("none")
+    for name, (scores, top) in ranked.items():
+        assert set(scores) == set(expected_scores), name
+        for spec, view in scores.items():
+            assert view.utility == pytest.approx(
+                expected_scores[spec].utility, abs=1e-9
+            ), (name, spec.label)
+        for got, want in zip(top, expected_top, strict=True):
+            # Views whose utilities tie within the tolerance may swap.
+            assert got.spec == want.spec or got.utility == pytest.approx(
+                want.utility, abs=1e-9
+            ), (name, got.spec.label, want.spec.label)

@@ -19,7 +19,8 @@ from repro.core.recommender import SeeDB
 from repro.core.space import enumerate_views
 from repro.db.expressions import col
 from repro.db.query import RowSelectQuery
-from repro.optimizer.plan import GroupByCombining, Planner, PlannerConfig
+from repro.optimizer.plan import GroupByCombining
+from tests.conftest import auto_plan_at_equal_prices
 
 GROUPING_SETS = GroupByCombining.GROUPING_SETS
 ROLLUP = GroupByCombining.ROLLUP
@@ -32,10 +33,9 @@ def flip(backend, monkeypatch, **changes):
 
 
 def plan_for(backend, sales_table):
-    views = enumerate_views(sales_table.schema, functions=("sum", "avg"))
-    planner = Planner(PlannerConfig(groupby_combining=GroupByCombining.AUTO))
-    return planner.plan(
-        views,
+    """``AUTO``'s plan where no candidate is cheaper: the declared kind."""
+    return auto_plan_at_equal_prices(
+        enumerate_views(sales_table.schema, functions=("sum", "avg")),
         "sales",
         col("product") == "Laserwave",
         {"store": 4, "product": 2, "month": 4},
@@ -94,22 +94,28 @@ class TestEngineFollowsDeclaredCapabilities:
             prune_correlated=False,
         )
 
-    def test_sqlite_grouping_sets_declaration_reroutes_execution(
+    def test_sqlite_grouping_sets_declaration_reprices_the_shared_scan(
         self, sqlite_backend, monkeypatch
     ):
-        """Declaring the capability makes the engine issue GroupingSetsQuery
-        objects; sqlite's UNION ALL emulation executes them, results are
-        unchanged — path selection is declaration-driven end to end."""
+        """Declaring the capability prices a GROUPING SETS query as one
+        scan instead of one per set; sqlite's UNION ALL emulation still
+        executes it, and results are unchanged."""
         seedb = SeeDB(sqlite_backend, self.config())
         baseline = seedb.recommend(RecommendationRequest(self.QUERY, k=3))
-        assert "grouping_sets" not in baseline.plan_description
+        emulated = baseline.plan_decision["candidate_seconds"]["grouping_sets"]
 
         flip(sqlite_backend, monkeypatch, grouping_sets=True)
-        rerouted = seedb.recommend(RecommendationRequest(self.QUERY, k=3))
-        assert "grouping_sets" in rerouted.plan_description
-        assert [v.spec.label for v in rerouted.recommendations] == [
-            v.spec.label for v in baseline.recommendations
-        ]
+        declared = seedb.recommend(RecommendationRequest(self.QUERY, k=3))
+        assert declared.plan_decision["candidate_seconds"]["grouping_sets"] < emulated
+        pinned = SeeDB(
+            sqlite_backend,
+            dataclasses.replace(self.config(), groupby_combining=GROUPING_SETS),
+        ).recommend(RecommendationRequest(self.QUERY, k=3))
+        assert "grouping_sets" in pinned.plan_description
+        for result in (declared, pinned):
+            assert [v.spec.label for v in result.recommendations] == [
+                v.spec.label for v in baseline.recommendations
+            ]
         seedb.close()
 
     def test_native_sampling_declaration_reroutes_sampling(

@@ -55,13 +55,17 @@ class TestCostBasedChoice:
         assert decision is not None
         assert decision["cost_based"] is True
         assert set(decision["candidate_seconds"]) == {
-            "grouping_sets", "rollup", "none",
+            "grouping_sets", "rollup@400", "rollup@1000", "rollup@6000", "none",
         }
         best = min(decision["candidate_seconds"].items(), key=lambda kv: kv[1])
-        assert decision["kind"] == best[0]
+        assert decision["kind"] == best[0].split("@")[0]
         assert decision["predicted_seconds"] == pytest.approx(best[1])
         assert decision["predicted"]["n_queries"] >= 1
+        assert decision["predicted"]["aggregate_work"] > 0
         assert decision["coefficients"]["query_seconds"] > 0
+
+    def test_auto_is_the_default(self):
+        assert SeeDBConfig().groupby_combining is GroupByCombining.AUTO
 
     def test_pinned_mode_costs_a_single_candidate(self):
         with make_seedb(
@@ -74,13 +78,10 @@ class TestCostBasedChoice:
         assert set(decision["candidate_seconds"]) == {"rollup"}
         assert "rollup" in result.plan_description
 
-    def test_escape_hatch_reverts_to_static_planner(self):
-        """cost_based_planning=False plans the capability-declared kind
-        alone; its one candidate is priced and recorded as not chosen
-        by cost."""
-        config = SeeDBConfig(
-            groupby_combining=GroupByCombining.AUTO, cost_based_planning=False
-        )
+    def test_pinned_declared_kind_is_planned_alone(self):
+        """Pinning the kind the backend declares plans it alone; its one
+        candidate is priced and recorded as not chosen by cost."""
+        config = SeeDBConfig(groupby_combining=GroupByCombining.GROUPING_SETS)
         with make_seedb(config) as seedb:
             result = seedb.recommend(RecommendationRequest(QUERY, k=3))
         decision = result.plan_decision
@@ -89,22 +90,58 @@ class TestCostBasedChoice:
         assert set(decision["candidate_seconds"]) == {"grouping_sets"}
         assert "grouping_sets" in result.plan_description
 
-    def test_auto_matches_static_top_k_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "kind",
+        [GroupByCombining.NONE, GroupByCombining.GROUPING_SETS, GroupByCombining.ROLLUP],
+    )
+    def test_auto_matches_every_pinned_kind(self, kind):
+        """Rollup marginalisation reassociates sums, so utilities agree to
+        summation-order noise, not bit for bit."""
         table = make_table()
         with make_seedb(
             SeeDBConfig(groupby_combining=GroupByCombining.AUTO), table
-        ) as cost_based, make_seedb(
-            SeeDBConfig(
-                groupby_combining=GroupByCombining.AUTO,
-                cost_based_planning=False,
-            ),
-            table,
-        ) as static:
-            a = cost_based.recommend(RecommendationRequest(QUERY, k=4))
-            b = static.recommend(RecommendationRequest(QUERY, k=4))
-        assert [(v.spec, v.utility) for v in a.recommendations] == [
-            (v.spec, v.utility) for v in b.recommendations
+        ) as auto, make_seedb(SeeDBConfig(groupby_combining=kind), table) as pinned:
+            a = auto.recommend(RecommendationRequest(QUERY, k=4))
+            b = pinned.recommend(RecommendationRequest(QUERY, k=4))
+        assert [v.spec for v in a.recommendations] == [
+            v.spec for v in b.recommendations
         ]
+        assert set(a.utilities) == set(b.utilities)
+        for spec, utility in a.utilities.items():
+            assert utility == pytest.approx(b.utilities[spec], abs=1e-9)
+
+    @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
+    def test_auto_materialises_queries_for_exactly_one_plan(
+        self, monkeypatch, backend_kind
+    ):
+        """Candidates are priced from their bins: only the chosen plan's
+        steps are built and only they render queries."""
+        from repro.optimizer.plan import ExecutionStep, Planner
+
+        built, rendered = [], set()
+        real_build, real_queries = Planner.build, ExecutionStep.queries
+
+        def build(*args, **kwargs):
+            plan = real_build(*args, **kwargs)
+            built.append(plan)
+            return plan
+
+        def queries(step):
+            rendered.add(id(step))
+            return real_queries(step)
+
+        monkeypatch.setattr(Planner, "build", staticmethod(build))
+        monkeypatch.setattr(ExecutionStep, "queries", queries)
+        backend = MemoryBackend() if backend_kind == "memory" else SqliteBackend()
+        backend.register_table(make_table(n_rows=2_000))
+        try:
+            with SeeDB(backend, SeeDBConfig()) as seedb:
+                result = seedb.recommend(RecommendationRequest(QUERY, k=3))
+        finally:
+            backend.close()
+        assert len(result.plan_decision["candidate_seconds"]) == 5
+        (plan,) = built
+        assert rendered == {id(step) for step in plan.steps}
 
 
 class TestPlanDecisionIsStateless:
@@ -212,23 +249,26 @@ class TestSampledCosting:
 
         assert hoeffding_epsilon(int(20_000 * result.sample_fraction)) <= 0.05
 
-    def test_cost_based_planning_leaves_auto_sampling_alone(self):
-        """The flag changes how views execute, never the recommendations:
-        adaptive sampling engages (and scores) the same with it off."""
+    def test_plan_kind_leaves_auto_sampling_alone(self):
+        """The plan kind changes how views execute, never the
+        recommendations: adaptive sampling engages (and scores) the same
+        under ``AUTO`` and a pinned kind."""
         table = make_table(n_rows=20_000)
         results = []
-        for flag in (True, False):
+        for kind in (GroupByCombining.AUTO, GroupByCombining.NONE):
             config = SeeDBConfig(
                 auto_sample_epsilon=0.05,
                 min_rows_for_sampling=1_000,
-                cost_based_planning=flag,
+                groupby_combining=kind,
             )
             with make_seedb(config, table) as seedb:
                 results.append(seedb.recommend(RecommendationRequest(QUERY, k=3)))
-        on, off = results
-        assert on.sample_fraction is not None and 0 < on.sample_fraction < 1
-        assert off.sample_fraction == on.sample_fraction
-        assert off.utilities == on.utilities
+        auto, pinned = results
+        assert auto.sample_fraction is not None and 0 < auto.sample_fraction < 1
+        assert pinned.sample_fraction == auto.sample_fraction
+        assert set(pinned.utilities) == set(auto.utilities)
+        for spec, utility in auto.utilities.items():
+            assert utility == pytest.approx(pinned.utilities[spec], abs=1e-9)
 
     def test_auto_sampling_requires_explicit_epsilon(self):
         table = make_table(n_rows=20_000)
@@ -247,7 +287,7 @@ class TestParallelismDecision:
     the one the decision records."""
 
     @staticmethod
-    def claimers(monkeypatch, backend, table, config, cores=2):
+    def claimers(monkeypatch, backend, table, config, cores=2, query=QUERY):
         """Run one recommendation on ``cores`` usable cores; the claimer
         count each plan run got, and the plan's step count."""
         from repro.optimizer import parallel
@@ -266,7 +306,7 @@ class TestParallelismDecision:
             backend.register_table(table)
             with SeeDB(backend, config) as seedb:
                 ctx = seedb.engine.recommend(
-                    RecommendationRequest(QUERY, k=3).resolve(config)
+                    RecommendationRequest(query, k=3).resolve(config)
                 )
         finally:
             backend.close()
@@ -283,7 +323,7 @@ class TestParallelismDecision:
             monkeypatch,
             MemoryBackend(),
             make_table(n_rows=20_000),
-            SeeDBConfig(n_workers=n_workers),
+            SeeDBConfig(n_workers=n_workers, groupby_combining=GroupByCombining.NONE),
         )
         assert len(ctx.plan.steps) > 1
         assert seen == [1]
@@ -291,7 +331,10 @@ class TestParallelismDecision:
     def test_tiny_sqlite_table_runs_sequentially(self, monkeypatch):
         """400 rows: a step's predicted work cannot amortize dispatch."""
         seen, ctx = self.claimers(
-            monkeypatch, SqliteBackend(), make_table(), SeeDBConfig(n_workers=4)
+            monkeypatch,
+            SqliteBackend(),
+            make_table(),
+            SeeDBConfig(n_workers=4, groupby_combining=GroupByCombining.NONE),
         )
         assert len(ctx.plan.steps) > 1
         assert seen == [1]
@@ -305,22 +348,97 @@ class TestParallelismDecision:
             monkeypatch,
             SqliteBackend(),
             make_table(n_rows=20_000),
-            SeeDBConfig(n_workers=n_workers),
+            SeeDBConfig(n_workers=n_workers, groupby_combining=GroupByCombining.NONE),
             cores=cores,
         )
         assert seen == [min(n_workers, cores, len(ctx.plan.steps))]
 
+    @staticmethod
+    def benchmark_table():
+        """The benchmark's shape: 20k rows, ten 12-value dimensions, ten
+        measures."""
+        from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
+
+        return generate_synthetic(
+            SyntheticConfig(
+                n_rows=20_000, n_dimensions=10, n_measures=10, cardinality=12
+            ),
+            seed=1,
+        ).table
+
+    @pytest.mark.parametrize(
+        "backend_kind, expected", [("memory", 1), ("sqlite", 2)]
+    )
+    def test_auto_on_the_benchmark_table(self, monkeypatch, backend_kind, expected):
+        """The benchmark's shape under the default ``AUTO`` on two cores:
+        pair-keyed rollup bins, five statements, priced on both backends;
+        memory runs them on one claimer, sqlite on both cores."""
+        table = self.benchmark_table()
+        backend = MemoryBackend() if backend_kind == "memory" else SqliteBackend()
+        seen, ctx = self.claimers(
+            monkeypatch,
+            backend,
+            table,
+            SeeDBConfig(n_workers=2),
+            query=RowSelectQuery(table.name, col("d3") == "d3=v05"),
+        )
+        assert ctx.plan_decision.kind == "rollup"
+        assert len(ctx.plan.steps) == 5
+        assert all(len(step.groups) == 2 for step in ctx.plan.steps)
+        assert seen == [expected]
+
+    def test_auto_on_sqlite_prices_the_claimer_bound(self, monkeypatch):
+        """On sixteen cores the benchmark's ten one-dimension statements
+        run at once and price below five pair rollups, so ``AUTO`` runs
+        them, each on a claimer of its own."""
+        table = self.benchmark_table()
+        seen, ctx = self.claimers(
+            monkeypatch,
+            SqliteBackend(),
+            table,
+            SeeDBConfig(n_workers=16),
+            cores=16,
+            query=RowSelectQuery(table.name, col("d3") == "d3=v05"),
+        )
+        decision = ctx.plan_decision
+        assert decision.kind == "none"
+        assert decision.candidate_seconds["none"] < decision.candidate_seconds[
+            "rollup@400"
+        ]
+        assert seen == [len(ctx.plan.steps)] == [10]
+
+    def test_memory_steps_never_ask_for_claimers(self, monkeypatch):
+        """A pinned ``GROUPING_SETS`` plan on the benchmark's shape prices
+        its two memory steps above the dispatch line; memory steps hold
+        the interpreter lock, so the plan still runs on one claimer, as
+        the planner priced it."""
+        table = self.benchmark_table()
+        seen, ctx = self.claimers(
+            monkeypatch,
+            MemoryBackend(),
+            table,
+            SeeDBConfig(n_workers=2, groupby_combining=GroupByCombining.GROUPING_SETS),
+            query=RowSelectQuery(table.name, col("d3") == "d3=v05"),
+        )
+        decision = ctx.plan_decision
+        per_step = decision.coefficients.predict_seconds(decision.predicted) / len(
+            ctx.plan.steps
+        )
+        assert len(ctx.plan.steps) == 2 and per_step > 4e-3
+        assert decision.predicted_seconds == pytest.approx(
+            decision.coefficients.predict_seconds(decision.predicted)
+        )
+        assert seen == [1]
+
     @pytest.mark.parametrize("n_rows, expected", [(400, 1), (20_000, 2)])
-    def test_plan_without_cost_based_planning_is_still_priced(
-        self, monkeypatch, n_rows, expected
-    ):
-        """With cost-based planning off the planner plans one candidate
-        and still prices it; the execute phase reads that price."""
+    def test_pinned_plan_is_still_priced(self, monkeypatch, n_rows, expected):
+        """A pinned kind is one candidate and still priced; the execute
+        phase reads that price."""
         seen, ctx = self.claimers(
             monkeypatch,
             SqliteBackend(),
             make_table(n_rows=n_rows),
-            SeeDBConfig(n_workers=4, cost_based_planning=False),
+            SeeDBConfig(n_workers=4, groupby_combining=GroupByCombining.NONE),
         )
         assert len(ctx.plan.steps) == 2
         assert ctx.plan_decision.cost_based is False
@@ -355,11 +473,16 @@ class TestParallelismDecision:
     def test_the_price_decides_alone(
         self, per_step_seconds, n_steps, max_workers, expected
     ):
-        """No backend property enters: a memory plan over a table large
-        enough to price above the overhead asks for claimers too."""
+        """Where statements overlap, no backend property enters but the
+        price of a step."""
         from repro.optimizer.cost import choose_parallelism
 
         assert choose_parallelism(n_steps, per_step_seconds, max_workers) == expected
+
+    def test_statements_that_do_not_overlap_run_on_one_claimer(self):
+        from repro.optimizer.cost import choose_parallelism
+
+        assert choose_parallelism(10, 1.0, 4, statements_overlap=False) == 1
 
     def test_claim_cores_grants_idle_cores_and_releases_them(self, monkeypatch):
         from repro.optimizer import parallel

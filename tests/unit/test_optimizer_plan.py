@@ -12,6 +12,7 @@ from repro.optimizer.cost import estimate_plan_cost
 from repro.optimizer.combine import GroupState
 from repro.optimizer.extract import FLAG_NAME
 from repro.optimizer.plan import (
+    PLAN_KINDS,
     ExecutionStep,
     GroupByCombining,
     Planner,
@@ -19,6 +20,7 @@ from repro.optimizer.plan import (
     ViewGroup,
 )
 from repro.util.errors import ConfigError
+from tests.conftest import auto_plan_at_equal_prices
 
 CAPS_GS = BackendCapabilities(grouping_sets=True)
 CAPS_NO_GS = BackendCapabilities(grouping_sets=False)
@@ -32,10 +34,14 @@ VIEWS = [
 CARDINALITIES = {"store": 4, "product": 2, "month": 4}
 
 
+def auto_plan(capabilities, views=VIEWS, cardinalities=CARDINALITIES):
+    return auto_plan_at_equal_prices(views, "s", None, cardinalities, capabilities)
+
+
 def plan_with(**config_overrides):
     config = PlannerConfig(**config_overrides)
     return Planner(config).plan(
-        VIEWS, "sales", col("product") == "Laserwave", CARDINALITIES, CAPS_GS
+        VIEWS, "sales", col("product") == "Laserwave", CARDINALITIES
     )
 
 
@@ -167,16 +173,16 @@ class TestPlannerShapes:
             groupby_combining=GroupByCombining.ROLLUP,
             memory_budget_cells=128,
         )
-        plan = Planner(config).plan(views, "s", None, cardinalities, CAPS_GS)
+        plan = Planner(config).plan(views, "s", None, cardinalities)
         assert len(plan.steps) == 2
         for step in plan.steps:
             cells = np.prod([cardinalities[g.dimension] for g in step.groups])
             assert cells <= 128
 
-    def test_auto_resolves_by_capability(self):
-        config = PlannerConfig(groupby_combining=GroupByCombining.AUTO)
-        plan_gs = Planner(config).plan(VIEWS, "s", None, CARDINALITIES, CAPS_GS)
-        plan_rollup = Planner(config).plan(VIEWS, "s", None, CARDINALITIES, CAPS_NO_GS)
+    def test_auto_ties_resolve_by_capability(self):
+        """Priced alike, AUTO's candidates fall to the declared kind."""
+        plan_gs = auto_plan(CAPS_GS)
+        plan_rollup = auto_plan(CAPS_NO_GS)
         assert any(
             s.sharing is GroupByCombining.GROUPING_SETS for s in plan_gs.steps
         )
@@ -196,7 +202,7 @@ class TestPlannerShapes:
     def test_unknown_cardinality_treated_oversized(self):
         views = [ViewSpec("mystery", "amount", "sum")] + VIEWS
         config = PlannerConfig(groupby_combining=GroupByCombining.ROLLUP)
-        plan = Planner(config).plan(views, "s", None, CARDINALITIES, CAPS_GS)
+        plan = Planner(config).plan(views, "s", None, CARDINALITIES)
         mystery_steps = [
             s for s in plan.steps
             if s.sharing is GroupByCombining.NONE
@@ -204,14 +210,24 @@ class TestPlannerShapes:
         ]
         assert len(mystery_steps) == 1
 
-    @pytest.mark.parametrize("mode", list(GroupByCombining))
+    @pytest.mark.parametrize("mode", list(PLAN_KINDS))
     def test_empty_views_empty_plan(self, mode):
         config = PlannerConfig(groupby_combining=mode)
-        plan = Planner(config).plan([], "s", None, {}, CAPS_GS)
+        plan = Planner(config).plan([], "s", None, {})
         assert plan.steps == [] and plan.total_queries() == 0
 
+    def test_auto_over_no_views_is_an_empty_plan(self):
+        plan = auto_plan(CAPS_GS, views=[], cardinalities={})
+        assert plan.steps == [] and plan.total_queries() == 0
+
+    def test_plan_refuses_auto(self):
+        """AUTO is a choice among priced candidates: ``choose_plan``'s."""
+        config = PlannerConfig(groupby_combining=GroupByCombining.AUTO)
+        with pytest.raises(ValueError, match="choose_plan"):
+            Planner(config).plan(VIEWS, "s", None, CARDINALITIES)
+
     def test_candidate_kinds_lead_with_the_declared_one(self):
-        from repro.optimizer.plan import PLAN_KINDS, candidate_kinds
+        from repro.optimizer.plan import candidate_kinds
 
         gs, rollup, none = (
             GroupByCombining.GROUPING_SETS,
@@ -376,10 +392,10 @@ class TestCostModel:
                 combine_aggregates=False,
                 groupby_combining=GroupByCombining.NONE,
             )
-        ).plan(VIEWS, "s", None, CARDINALITIES, CAPS_GS)
+        ).plan(VIEWS, "s", None, CARDINALITIES)
         combined = Planner(
             PlannerConfig(groupby_combining=GroupByCombining.GROUPING_SETS)
-        ).plan(VIEWS, "s", None, CARDINALITIES, CAPS_GS)
+        ).plan(VIEWS, "s", None, CARDINALITIES)
         basic_cost = estimate_plan_cost(basic, 1000, CARDINALITIES, CAPS_GS)
         combined_cost = estimate_plan_cost(combined, 1000, CARDINALITIES, CAPS_GS)
         assert basic_cost.n_scans == 8
@@ -389,7 +405,7 @@ class TestCostModel:
     def test_grouping_sets_fallback_scans(self):
         plan = Planner(
             PlannerConfig(groupby_combining=GroupByCombining.GROUPING_SETS)
-        ).plan(VIEWS, "s", None, CARDINALITIES, CAPS_GS)
+        ).plan(VIEWS, "s", None, CARDINALITIES)
         cost_native = estimate_plan_cost(plan, 1000, CARDINALITIES, CAPS_GS)
         cost_fallback = estimate_plan_cost(plan, 1000, CARDINALITIES, CAPS_NO_GS)
         assert cost_fallback.n_scans > cost_native.n_scans
@@ -397,8 +413,7 @@ class TestCostModel:
     def test_result_groups_flag_doubling(self):
         group = ViewGroup("store", (ViewSpec("store", "amount", "sum"),))
         flag_plan = Planner(PlannerConfig()).plan(
-            [ViewSpec("store", "amount", "sum")], "s", col("x") == 1,
-            CARDINALITIES, CAPS_GS,
+            [ViewSpec("store", "amount", "sum")], "s", col("x") == 1, CARDINALITIES
         )
         cost = estimate_plan_cost(flag_plan, 100, CARDINALITIES, CAPS_GS)
         assert cost.result_groups == 8  # 4 stores x 2 flag values

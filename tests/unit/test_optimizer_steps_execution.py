@@ -272,7 +272,6 @@ class TestRunSteps:
             "sales",
             predicate,
             {"store": 4, "product": 2, "month": 4},
-            backend.capabilities,
         )
         assert len(plan.steps) >= 2
         sequential = plan.run(backend, n_workers=1)
