@@ -61,6 +61,11 @@ class SeeDBConfig:
     access_min_history: int = 10
 
     # -- query optimization (§3.3) ----------------------------------------
+    #: Share the comparison side with the target: under the ``table``
+    #: reference a warm request issues only its target queries, the
+    #: whole-table side cached per data version; under ``complement`` one
+    #: flag query serves both sides. False is the unshared baseline: both
+    #: queries run on every request and nothing is cached.
     combine_target_comparison: bool = True
     combine_aggregates: bool = True
     #: How view groups share scans. ``AUTO`` prices every plan kind, with

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.db.catalog import Catalog
-from repro.db.expressions import split_partition
+from repro.db.expressions import Expression, split_partition
 from repro.db.groupby import aggregate_by_codes, combine_codes, compact_codes
 from repro.db.query import (
     AggregateQuery,
@@ -120,42 +120,58 @@ class Engine:
     def execute_grouping_sets(self, query: GroupingSetsQuery) -> list[Table]:
         """Execute every grouping set over one shared scan.
 
-        The table is filtered once and each grouping key encoded once — a
-        base column's codes cut from the table's dictionary encoding
-        (:meth:`Table.codes`, no sort), a flag's from its evaluated 0/1
-        array — and each measure's NULL rows are read from the table
-        (:meth:`Table.nulls`); then every set combines its keys' codes and
-        reduces each aggregate by them.
+        The WHERE clause is evaluated once into the row positions it keeps
+        (a row partition is a strided view, no copy), and only what the
+        query reads is cut by them: each grouping key's codes from the
+        table's dictionary encoding (:meth:`Table.codes`, no sort) — a
+        flag's from its evaluated 0/1 array — and each measure with its
+        NULL rows (:meth:`Table.nulls`). Every set then combines its keys'
+        codes and reduces each aggregate by them.
         """
         singles = query.as_single_queries()
         table = self.catalog.get(query.table)
         self.stats.count_scan(table.num_rows)
-        filtered = self._apply_predicate(table, query.predicate)
-        measures = {a.column for a in query.aggregates if a.column is not None}
-        measure_arrays = {name: filtered.column(name) for name in measures}
-        nulls = {name: filtered.nulls(name) for name in measures}
-        encoded: dict[tuple[bool, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        table, rows = self._select_rows(table, query.predicate)
+        n_rows = table.num_rows if rows is None else len(rows)
 
-        def encode(key: GroupingKey) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """``(raw values, codes, uniques)`` of one grouping key."""
+        def cut(array: np.ndarray) -> np.ndarray:
+            return array if rows is None else array[rows]
+
+        measures = {a.column for a in query.aggregates if a.column is not None}
+        measure_arrays = {name: cut(table.column(name)) for name in measures}
+        nulls = {name: _cut_nulls(table.nulls(name), rows) for name in measures}
+        encoded: dict[tuple[bool, str], tuple[np.ndarray, np.ndarray]] = {}
+
+        def encode(key: GroupingKey) -> tuple[np.ndarray, np.ndarray]:
+            """``(codes, uniques)`` of one grouping key over the kept rows."""
             slot = (isinstance(key, FlagColumn), grouping_key_name(key))
             if slot not in encoded:
                 if isinstance(key, FlagColumn):
-                    flags = key.predicate.evaluate(filtered).astype(np.int64)
-                    encoded[slot] = (flags, *compact_codes(flags, _FLAG_UNIQUES))
+                    flags = cut(key.predicate.evaluate(table)).astype(np.int64)
+                    encoded[slot] = compact_codes(flags, _FLAG_UNIQUES)
                 else:
-                    encoded[slot] = (filtered.column(key), *filtered.codes(key))
+                    codes, uniques = table.codes(key)
+                    if rows is not None:
+                        codes, uniques = compact_codes(codes[rows], uniques)
+                    encoded[slot] = (codes, uniques)
             return encoded[slot]
+
+        def raw(key: GroupingKey, codes: np.ndarray, uniques: np.ndarray) -> np.ndarray:
+            """A key's value on every kept row (several keys name each group
+            by its first row's values)."""
+            if isinstance(key, FlagColumn):
+                return uniques[codes]
+            return cut(table.column(key))
 
         results: list[Table] = []
         for single in singles:
             keys = [encode(key) for key in single.group_by]
-            factorization = combine_codes(
-                [(codes, uniques) for _, codes, uniques in keys],
-                [values for values, _, _ in keys],
-                list(single.key_names),
-                filtered.num_rows,
+            arrays = (
+                [raw(key, *pair) for key, pair in zip(single.group_by, keys)]
+                if len(keys) > 1
+                else []
             )
+            factorization = combine_codes(keys, arrays, list(single.key_names), n_rows)
             arrays = dict(factorization.keys)
             arrays.update(
                 aggregate_by_codes(
@@ -167,17 +183,27 @@ class Engine:
             results.append(Table(f"{table.name}_by_{name}", schema, arrays))
         return results
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
     @staticmethod
-    def _apply_predicate(table: Table, predicate) -> Table:
-        # A row partition is a strided view of every column, not a mask:
-        # nothing is copied until the rest of the predicate filters it.
+    def _select_rows(
+        table: Table, predicate: "Expression | None"
+    ) -> "tuple[Table, np.ndarray | None]":
+        """The rows a WHERE clause keeps: a leading row partition as a
+        strided view of every column (nothing is copied), the rest as the
+        positions it holds at in that view (None: every row)."""
         partition, predicate = split_partition(predicate)
         if partition is not None:
             table = table.take(slice(partition.index, None, partition.of))
         if predicate is None:
-            return table
-        return table.mask(predicate.evaluate(table))
+            return table, None
+        return table, np.flatnonzero(predicate.evaluate(table))
+
+
+def _cut_nulls(
+    mask: "np.ndarray | None", rows: "np.ndarray | None"
+) -> "np.ndarray | None":
+    """A measure's NULL rows among the kept ``rows``; None when there are
+    none, as :meth:`Table.nulls` reports a column without NULLs."""
+    if mask is None or rows is None:
+        return mask
+    mask = mask[rows]
+    return mask if mask.any() else None

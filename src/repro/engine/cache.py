@@ -2,17 +2,22 @@
 
 Repeated ``recommend()`` calls in an analyst session hit the same table
 with different predicates; the schema, the metadata statistics, the base
-table materialization, the exact row count, and any sampled execution
-table are all invariant until the data changes. The metadata entry is the
-only statistics pass: the pruners and the cost-based planner read its
-dimension statistics, and the planner takes ``n_rows`` from the cached
-row count. The cache keys every entry on the backend's
-``data_version`` counter (bumped by ``register_table``/``drop_table``):
-an unchanged counter means cache hits and strictly fewer DBMS round trips,
-a changed counter evicts everything — including materialized
-``__seedb_sample`` tables, which the cache owns and drops (the sample-leak
-fix: samples never outlive the data they were drawn from, and
-:meth:`SessionCache.close` removes them at session end).
+table materialization, the exact row count, any sampled execution table,
+and the comparison side of every view group under the paper's ``table``
+reference (the whole table, §2, whatever the predicate) are all invariant
+until the data changes. The metadata entry is the only statistics pass:
+the pruners and the cost-based planner read its dimension statistics, and
+the planner takes ``n_rows`` from the cached row count. A comparison
+entry is the folded result of one predicate-free view query, so a warm
+request issues only its target queries; the entries are bounded in cells
+(:data:`MAX_COMPARISON_CELLS`), least recently used evicted first. The
+cache keys every entry on the backend's ``data_version`` counter (bumped
+by ``register_table``/``drop_table``): an unchanged counter means cache
+hits and strictly fewer DBMS round trips, a changed counter evicts
+everything — including materialized ``__seedb_sample`` tables, which the
+cache owns and drops (the sample-leak fix: samples never outlive the data
+they were drawn from, and :meth:`SessionCache.close` removes them at
+session end).
 
 Two layers share the implementation:
 
@@ -22,21 +27,30 @@ Two layers share the implementation:
 * :class:`EngineCache` — the shared, refcounted per-backend promotion of
   the same cache: every engine on one backend gets the *same* instance
   via :meth:`EngineCache.acquire`, so concurrent sessions reuse schema,
-  metadata, and materialized samples. The last release closes it.
+  metadata, comparison sides and materialized samples. The last release
+  closes it.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.backends.base import Backend, materialize_sample
 from repro.db.table import Table
 from repro.metadata.collector import MetadataCollector, TableMetadata
+from repro.util.deadline import check_current
 
 #: Suffix of cache-owned sampled execution tables.
 SAMPLE_SUFFIX = "__seedb_sample"
+
+#: Cells (values of one aggregate for one group key) the cached comparison
+#: sides may hold together, 16 MB of float64. A request on the benchmark's
+#: 20k-row, ten-dimension table caches about 4.6k cells per plan.
+MAX_COMPARISON_CELLS = 2_000_000
 
 
 def sample_table_name(source: str, fraction: float, seed: int) -> str:
@@ -57,12 +71,17 @@ class CacheStats:
     misses: int = 0
     invalidations: int = 0
     samples_dropped: int = 0
+    #: Comparison-side lookups, counted apart: one per plan step.
+    comparison_hits: int = 0
+    comparison_misses: int = 0
 
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.samples_dropped = 0
+        self.comparison_hits = 0
+        self.comparison_misses = 0
 
 
 @dataclass
@@ -75,13 +94,16 @@ class _SampleEntry:
 
 
 class SessionCache:
-    """Caches schema / base-table / metadata / row-count / sample lookups.
+    """Caches schema / base-table / metadata / row-count / sample /
+    comparison-side lookups.
 
     Internally synchronized: every lookup, eviction, and :meth:`sync` runs
     under one re-entrant lock, so concurrent ``recommend()`` calls may
     share an instance. Holding the lock across the miss path doubles as
     request coalescing — two sessions asking for the same metadata compute
-    it once, not twice.
+    it once, not twice. A comparison side is the exception: its miss runs
+    a view query, which plan steps on other threads must not queue behind,
+    so it is computed outside the lock.
     """
 
     def __init__(self, backend: Backend):
@@ -97,6 +119,9 @@ class SessionCache:
         self._row_counts: dict[str, int] = {}  # guarded-by: _lock
         # source -> entry
         self._samples: dict[str, _SampleEntry] = {}  # guarded-by: _lock
+        # (table, key) -> (comparison side, cells), least recently used first
+        self._comparisons: OrderedDict = OrderedDict()  # guarded-by: _lock
+        self._comparison_cells = 0  # guarded-by: _lock
 
     # -- lifecycle -------------------------------------------------------
 
@@ -123,6 +148,8 @@ class SessionCache:
             self._tables.clear()
             self._metadata.clear()
             self._row_counts.clear()
+            self._comparisons.clear()
+            self._comparison_cells = 0
             self.stats.invalidations += 1
 
     def drop_samples(self) -> None:
@@ -142,6 +169,8 @@ class SessionCache:
         if self.backend.has_table(name):
             self.backend.drop_table(name)
             self.stats.samples_dropped += 1
+        for key in [key for key in self._comparisons if key[0] == name]:
+            self._comparison_cells -= self._comparisons.pop(key)[1]
         if self._version is not None:
             self._version = self.backend.data_version
 
@@ -235,6 +264,53 @@ class SessionCache:
             )
             return name
 
+    def comparison(
+        self, table: str, key: Any, compute: "Callable[[], tuple[Any, int]]"
+    ) -> Any:
+        """The comparison side ``key`` names over ``table``, for the data
+        version the last :meth:`sync` saw.
+
+        On a miss ``compute()`` runs its view query — outside the lock, so
+        two requests missing one entry both compute it, and a raising
+        ``compute`` (a deadline, a backend error) stores nothing — and
+        returns ``(side, cells)``. The side is stored only if the data
+        version did not move meanwhile, the request is still within its
+        deadline, and it fits under
+        :data:`MAX_COMPARISON_CELLS`, evicting the least recently used
+        entries. Callers must not mutate what is returned.
+        """
+        slot = (table, key)
+        with self._lock:
+            version = self.backend.data_version
+            entry = self._comparisons.get(slot) if version == self._version else None
+            if entry is not None:
+                self._comparisons.move_to_end(slot)
+                self.stats.comparison_hits += 1
+                return entry[0]
+            self.stats.comparison_misses += 1
+        side, cells = compute()
+        # A request out of budget stores nothing, a finished statement's
+        # side included.
+        check_current()
+        with self._lock:
+            if (
+                version == self._version == self.backend.data_version
+                and cells <= MAX_COMPARISON_CELLS
+                and slot not in self._comparisons
+            ):
+                self._comparisons[slot] = (side, cells)
+                self._comparison_cells += cells
+                while self._comparison_cells > MAX_COMPARISON_CELLS:
+                    _slot, (_side, evicted) = self._comparisons.popitem(last=False)
+                    self._comparison_cells -= evicted
+        return side
+
+    @property
+    def comparison_cells(self) -> int:
+        """Cells the cached comparison sides hold."""
+        with self._lock:
+            return self._comparison_cells
+
     @property
     def live_samples(self) -> list[str]:
         """Names of sample tables the cache currently owns."""
@@ -254,7 +330,8 @@ class EngineCache(SessionCache):
     Keyed on backend *identity* (one live backend object = one cache; the
     per-entry ``data_version`` keying is inherited from ``sync``), handed
     out by :meth:`acquire` and returned by :meth:`close`: every engine on
-    one backend shares schema, metadata, base-table, and sample lookups,
+    one backend shares schema, metadata, base-table, sample and
+    comparison-side lookups,
     and the cache only truly closes — dropping owned sample tables — when
     its last lease is released. Both the lease count and the registry are
     guarded by one class-level lock, so a release can never race another

@@ -204,7 +204,10 @@ class ExecutePhase(Phase):
     amortizes dispatch, else one. Helpers start only on cores no other
     plan's claimers hold (:func:`~repro.optimizer.parallel.claim_cores`),
     and the count that ran is recorded as
-    ``plan_decision.recommended_workers``.
+    ``plan_decision.recommended_workers``. Steps under the ``table``
+    reference take their comparison sides from ``ctx.cache``
+    (:meth:`~repro.engine.cache.SessionCache.comparison`), so a warm
+    request issues only its target queries.
     """
 
     name = "execute"
@@ -224,7 +227,7 @@ class ExecutePhase(Phase):
         )
         with claim_cores(wanted) as n_workers:
             decision.recommended_workers = n_workers
-            ctx.blocks = plan.run(ctx.backend, n_workers)
+            ctx.blocks = plan.run(ctx.backend, n_workers, ctx.cache)
 
 
 class ScorePhase(Phase):

@@ -9,8 +9,11 @@ of these against a concrete target query, and the planner / incremental
 executor read it to decide how comparison-side queries are built:
 
 * ``table`` — comparison over all of ``D`` (the paper's §2 definition and
-  the historical behavior). Flag-combinable; the comparison series is the
-  merge of both flag partitions.
+  the historical behavior). The comparison side does not depend on the
+  predicate: a blocking plan takes it from the engine cache, computed
+  once per data version by one predicate-free query, and issues only the
+  target queries; a phased round's flag query yields it as the merge of
+  both flag partitions.
 * ``complement`` — comparison over ``D ∖ D_Q`` (the demo paper's "compare
   against everything else"). Flag-combinable; the comparison series is the
   flag=0 partition alone.
@@ -59,9 +62,10 @@ class ResolvedReference:
 
     @property
     def merge_partitions(self) -> bool:
-        """Whether the comparison series of a flag-combined result is the
-        merge of both partitions (``table``: comparison = D) or the flag=0
-        partition alone (``complement``: comparison = D ∖ D_Q)."""
+        """Whether the comparison is the whole table, whatever the
+        predicate (``table``: comparison = D, cacheable per data version,
+        or both partitions of a flag-combined result merged) rather than
+        the flag=0 partition alone (``complement``: comparison = D ∖ D_Q)."""
         return self.kind == "table"
 
     def describe(self) -> str:

@@ -20,6 +20,7 @@ phased round scatter into it with each aggregate's operation from
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -140,7 +141,17 @@ class GroupState:
             by_operation.setdefault(_MERGE_OPS.get(aggregate.func), []).append(row)
         #: A None operation: a view's own ``avg``, stored once per key.
         self._operations = [(op, np.array(r)) for op, r in by_operation.items()]
-        self._passes = _reconstruction(group, self.aggregates)
+        self._passes = _reconstruction(group.views, self.aggregates)
+
+    def copy(self) -> "GroupState":
+        """An independent state with the same keys and partials (a cached
+        comparison side is copied before a request folds its target in)."""
+        clone = copy.copy(self)
+        clone.keys = list(self.keys)
+        clone._positions = dict(self._positions)
+        clone.values = self.values.copy()
+        clone.present = self.present.copy()
+        return clone
 
     def index(self, columns) -> np.ndarray:
         """Each row's key position, given one array per key name; keys not
@@ -242,27 +253,29 @@ class GroupState:
         return rebuilt
 
 
-def _reconstruction(group, aggregates: tuple[Aggregate, ...]) -> list:
+@lru_cache(maxsize=1024)
+def _reconstruction(views: tuple, aggregates: tuple[Aggregate, ...]) -> tuple:
     """``(view rows, function, source rows per argument)`` per function: a
     view whose own aggregate is among ``aggregates`` reads its row, any
-    other is rebuilt from its decomposition's rows."""
+    other is rebuilt from its decomposition's rows. Remembered, like
+    :func:`merge_spec`: requests on one table rebuild the same few groups."""
     rows = {aggregate.alias: row for row, aggregate in enumerate(aggregates)}
     passes: dict = {}
-    for index, view in enumerate(group.views):
+    for index, view in enumerate(views):
         alias = view.aggregate.alias
         if alias in rows:
             function, sources = _passthrough, (rows[alias],)
         else:
-            spec = group.merge_specs[index]
+            spec = merge_spec(view.aggregate)
             function = spec.reconstruct
             sources = tuple(rows[aux.alias] for aux in spec.aux)
-        views, arguments = passes.setdefault(function, ([], []))
-        views.append(index)
+        views_of, arguments = passes.setdefault(function, ([], []))
+        views_of.append(index)
         arguments.append(sources)
-    return [
-        (np.array(views), function, [np.array(column) for column in zip(*arguments)])
-        for function, (views, arguments) in passes.items()
-    ]
+    return tuple(
+        (np.array(views_of), function, [np.array(column) for column in zip(*arguments)])
+        for function, (views_of, arguments) in passes.items()
+    )
 
 
 def _merge_rows(operation, values: np.ndarray, inverse: np.ndarray, n_keys: int):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.backends.base import BackendCapabilities
 from repro.db.expressions import Expression
 from repro.db.query import GroupingSetsQuery
-from repro.model.reference import ResolvedReference
+from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
 from repro.optimizer.plan import (
     PLAN_KINDS,
@@ -44,6 +44,7 @@ from repro.optimizer.plan import (
     GroupByCombining,
     Planner,
     ViewGroup,
+    comparison_cached,
 )
 
 #: Candidate sampling fractions the planner may pick from, descending.
@@ -250,7 +251,9 @@ def estimate_plan_cost(
     capabilities: BackendCapabilities,
     sample_fraction: "float | None" = None,
 ) -> PlanCost:
-    """Estimate the work of ``plan``, read from its steps' queries.
+    """Estimate the work of ``plan``, read from its steps' queries (a
+    cached comparison side's query is not among them: amortized, it is
+    priced at zero).
 
     ``n_rows`` is the *base table's* row count; a plan run on a sample of
     ``sample_fraction`` of it scans that share of the rows.
@@ -284,13 +287,18 @@ def estimate_bin_costs(
     cardinalities: dict[str, int],
     capabilities: BackendCapabilities,
     sample_fraction: "float | None" = None,
+    reference: ResolvedReference = TABLE_REFERENCE,
 ) -> list[PlanCost]:
     """Per bin, what :func:`estimate_plan_cost` prices the step
     :meth:`~repro.optimizer.plan.Planner.build` would make of it, read
     from the view groups alone, so a candidate is priced without building
-    its steps or their queries."""
+    its steps or their queries. A comparison side the engine cache serves
+    (combined, ``table`` reference) is amortized across requests and
+    priced at zero, cached or not, so the price never depends on the
+    cache's state."""
     rows = _priced_rows(n_rows, sample_fraction)
-    prefix = (_FLAG,) if combine_flag else ()
+    flag = combine_flag and not comparison_cached(combine_flag, reference)
+    prefix = (_FLAG,) if flag else ()
     costs = []
     for members in bins:
         sharing = kind if len(members) > 1 else GroupByCombining.NONE
@@ -431,6 +439,7 @@ def choose_plan(
                 cardinalities,
                 capabilities,
                 sample_fraction,
+                reference,
             )
             priced[signature] = (
                 sum(costs, NO_COST),

@@ -26,6 +26,7 @@ from repro.util.deadline import cancel_scope, check_current, current_token
 
 if TYPE_CHECKING:
     from repro.backends.base import Backend
+    from repro.engine.cache import SessionCache
     from repro.model.view import ViewBlock
     from repro.optimizer.plan import ExecutionStep
 
@@ -90,9 +91,13 @@ def _shared_pool() -> ThreadPoolExecutor:
 
 
 def run_steps(
-    steps: "Sequence[ExecutionStep]", backend: "Backend", n_workers: int = 1
+    steps: "Sequence[ExecutionStep]",
+    backend: "Backend",
+    n_workers: int = 1,
+    cache: "SessionCache | None" = None,
 ) -> "list[ViewBlock]":
-    """Execute ``steps`` against ``backend``; their view blocks in step order.
+    """Execute ``steps`` against ``backend``, cached comparison sides from
+    ``cache``; their view blocks in step order.
 
     ``n_workers=1`` (or a single step) runs sequentially on the calling
     thread, checking the cancel scope between steps. Otherwise
@@ -109,7 +114,7 @@ def run_steps(
             # Per-step checkpoint: abort a cancelled multi-step plan at a
             # step boundary even when the backend has no finer-grained one.
             check_current()
-            blocks.extend(step.run(backend))
+            blocks.extend(step.run(backend, cache))
         return blocks
 
     token = current_token()
@@ -131,7 +136,7 @@ def run_steps(
                     index = next_index
                     next_index += 1
                 try:
-                    results[index] = steps[index].run(backend)
+                    results[index] = steps[index].run(backend, cache)
                 except BaseException as exc:  # noqa: BLE001 - re-raised below
                     with index_lock:
                         failures.append(exc)

@@ -3,10 +3,17 @@
 The paper's §3.3 query-combining optimizations are two independent
 choices, and a plan step carries one field for each:
 
-* **sides** (``combine_flag``) — target and comparison share one query
-  ``GROUP BY (flag, a)`` whose partitions are merged afterwards, or run as
-  two queries (the only option for a query-vs-query reference: one 0/1
-  flag cannot partition two possibly overlapping selections).
+* **sides** (``combine_flag``) — whether target and comparison share
+  work. For the ``table`` reference the comparison is the whole table
+  (§2), whatever the predicate, so a blocking step issues only its target
+  query ``WHERE <predicate> GROUP BY a`` and takes the comparison side
+  from the engine cache, which computes it with one predicate-free query
+  per data version. For the ``complement`` reference, and in the row
+  partitions of a phased run, target and comparison share one query
+  ``GROUP BY (flag, a)`` whose partitions are merged afterwards. Off, or
+  for a query-vs-query reference (one 0/1 flag cannot partition two
+  possibly overlapping selections), both sides run as two queries on
+  every request.
 * **sharing** (:class:`GroupByCombining`) — how several view groups share
   a scan: not at all (one group per step), one GROUPING SETS query, or one
   multi-attribute rollup that each group folds onto its own keys.
@@ -27,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -43,6 +50,9 @@ from repro.optimizer.parallel import run_steps
 from repro.optimizer.combine import GroupState, MergeSpec, dedup_aggregates, merge_spec
 from repro.optimizer.extract import FLAG_NAME
 from repro.util.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.engine.cache import SessionCache
 
 
 class GroupByCombining(enum.Enum):
@@ -95,6 +105,13 @@ class ViewGroup:
         return dedup_aggregates(view.aggregate for view in self.views)
 
 
+def comparison_cached(combine_flag: bool, reference: ResolvedReference) -> bool:
+    """Whether a combined blocking step takes its comparison side from the
+    engine cache instead of a flag query: the ``table`` reference, whose
+    comparison is the whole table whatever the predicate (§2)."""
+    return combine_flag and reference.merge_partitions
+
+
 @dataclass(frozen=True)
 class ExecutionStep:
     """One unit of plan execution (independent of any other step).
@@ -102,11 +119,16 @@ class ExecutionStep:
     ``groups`` run together: one group when ``sharing`` is ``NONE``,
     several dimensions in one GROUPING SETS query (a shared scan where the
     backend supports it), or several in one multi-attribute ``ROLLUP``
-    group-by that each group folds onto its own keys. ``combine_flag`` folds
-    target and comparison into one query ``GROUP BY (flag, ...)``;
-    otherwise the comparison runs as a second query over the reference's
-    rows: the whole table (predicate None, §2), the target's complement,
-    or an arbitrary second selection (query-vs-query).
+    group-by that each group folds onto its own keys. ``combine_flag``
+    shares the comparison side: for the ``table`` reference
+    (:attr:`caches_comparison`) the step issues its target query alone and
+    takes the comparison from the cache passed to :meth:`fetch`, which
+    runs the predicate-free :meth:`comparison_query` once per data
+    version; otherwise it folds target and comparison into one query
+    ``GROUP BY (flag, ...)``. Without it the comparison runs as a second
+    query over the reference's rows: the whole table (predicate None,
+    §2), the target's complement, or an arbitrary second selection
+    (query-vs-query).
 
     ``partition`` restricts every query of the step to one interleaved row
     slice — how phased execution runs the plan a partition at a time. It
@@ -144,24 +166,41 @@ class ExecutionStep:
         rollup = self.sharing is GroupByCombining.ROLLUP
         return self.combine_flag or self.partition is not None or rollup
 
+    @property
+    def caches_comparison(self) -> bool:
+        """Whether the comparison side is served by the engine cache
+        (:func:`comparison_cached`), outside a phased round (whose flag
+        query splits one partition's rows between both sides)."""
+        return self.partition is None and comparison_cached(
+            self.combine_flag, self.reference
+        )
+
+    @property
+    def flag_combined(self) -> bool:
+        """Whether target and comparison share one ``GROUP BY (flag, ...)``
+        query."""
+        return self.combine_flag and not self.caches_comparison
+
     def aggregates(self) -> tuple[Aggregate, ...]:
         """What every query of the step computes: the decomposed mergeable
         aggregates wherever results are merged afterwards, else the views'
         own aggregates."""
-        return self.queries()[0].aggregates
-
-    def queries(self) -> list:
-        """The logical queries this step will issue (for costing/tests)."""
-        return self._queries
-
-    @cached_property
-    def _queries(self) -> list:
-        aggregates = dedup_aggregates(
+        return dedup_aggregates(
             aggregate
             for group in self.groups
             for aggregate in (group.aux if self.merged else group.own)
         )
-        if self.combine_flag:
+
+    def queries(self) -> list:
+        """The logical queries this step issues on every request (for
+        costing/tests); a cached comparison side is not among them."""
+        return self._queries
+
+    @cached_property
+    def _queries(self) -> list:
+        if self.caches_comparison:
+            sides = [((), self.predicate)]
+        elif self.combine_flag:
             flag = FlagColumn(
                 FLAG_NAME,
                 self.predicate if self.predicate is not None else TruePredicate(),
@@ -169,62 +208,96 @@ class ExecutionStep:
             sides = [((flag,), None)]
         else:
             sides = [((), self.predicate), ((), self.reference.predicate)]
+        return [self._query(prefix, predicate) for prefix, predicate in sides]
+
+    def comparison_query(self):
+        """The predicate-free query whose result is a cached comparison
+        side: the target query's shape over every row."""
+        return self._query((), None)
+
+    def _query(self, prefix: tuple, predicate: "Expression | None"):
+        """The step's query over the rows ``predicate`` selects, grouped by
+        ``prefix`` and its groups' keys."""
+        aggregates = self.aggregates()
         if self.partition is not None:
             part = self.partition
-            sides = [
-                (prefix, part if predicate is None else part & predicate)
-                for prefix, predicate in sides
-            ]
+            predicate = part if predicate is None else part & predicate
         if self.sharing is GroupByCombining.GROUPING_SETS:
-            return [
-                GroupingSetsQuery(
-                    self.table,
-                    tuple(prefix + group.keys for group in self.groups),
-                    aggregates,
-                    predicate,
-                )
-                for prefix, predicate in sides
-            ]
+            return GroupingSetsQuery(
+                self.table,
+                tuple(prefix + group.keys for group in self.groups),
+                aggregates,
+                predicate,
+            )
         # NONE groups by its one group's keys, ROLLUP by every group's.
         keys = tuple(dict.fromkeys(k for group in self.groups for k in group.keys))
-        return [
-            AggregateQuery(self.table, prefix + keys, aggregates, predicate)
-            for prefix, predicate in sides
-        ]
+        return AggregateQuery(self.table, prefix + keys, aggregates, predicate)
 
     @property
     def merges_sides(self) -> bool:
-        """Whether the comparison is both flag partitions merged (``table``)."""
-        return self.combine_flag and self.reference.merge_partitions
+        """Whether the comparison is both flag partitions merged (``table``
+        in a phased round)."""
+        return self.flag_combined and self.reference.merge_partitions
 
-    def fetch(self, backend: Backend) -> "list[tuple[Table, ...]]":
+    def fetch(
+        self, backend: Backend, cache: "SessionCache | None" = None
+    ) -> "list[tuple]":
         """Execute against ``backend``: per group in order, its results —
-        ``(combined,)`` when flag-combined, else ``(target, comparison)``."""
-        return list(zip(*(self._group_results(backend, query) for query in self.queries())))
+        ``(combined,)`` when flag-combined, ``(target, comparison state)``
+        when the comparison is cached, else ``(target, comparison)``.
+        Without a ``cache`` a cached comparison side is computed here."""
+        fetched = [self._group_results(backend, query) for query in self.queries()]
+        if self.caches_comparison:
+            fetched.append(self._comparisons(backend, cache))
+        return list(zip(*fetched))
+
+    def _comparisons(
+        self, backend: Backend, cache: "SessionCache | None"
+    ) -> "list[GroupState]":
+        """Per group, a state holding the whole table's comparison side."""
+        query = self.comparison_query()
+
+        def compute() -> "tuple[list[GroupState], int]":
+            states = []
+            for group, table in zip(self.groups, self._group_results(backend, query)):
+                state = GroupState(group, self.merged)
+                state.fold(1, *state.read(table))
+                states.append(state)
+            return states, sum(state.values.size for state in states)
+
+        if cache is None:
+            return compute()[0]
+        return cache.comparison(self.table, (query, self.groups), compute)
 
     def fold(
-        self, fetched: "list[tuple[Table, ...]]", states: "dict[ViewGroup, GroupState]"
+        self, fetched: "list[tuple]", states: "dict[ViewGroup, GroupState]"
     ) -> None:
         """Fold fetched results into each group's state in ``states``, made
-        on first use; a phased run folds every round into the same states.
-        A flag-combined result's flag=1 rows are the target side and its
+        on first use — a copy of the cached comparison side where there is
+        one; a phased run folds every round into the same states. A
+        flag-combined result's flag=1 rows are the target side and its
         flag=0 rows the rest; a (target, comparison) pair lands one per side."""
         for group, results in zip(self.groups, fetched):
-            if group not in states:
+            if self.caches_comparison:
+                *results, comparison = results
+                states.setdefault(group, comparison.copy())
+            elif group not in states:
                 states[group] = GroupState(group, self.merged)
             state = states[group]
             sides = [state.read(table) for table in results]
-            if len(sides) == 1:
+            if self.flag_combined:
                 (positions, values), (combined,) = sides[0], results
                 flags = np.asarray(combined.column(FLAG_NAME))
                 sides = [(positions[f], values[:, f]) for f in (flags == 1, flags == 0)]
             for side, (positions, values) in enumerate(sides):
                 state.fold(side, positions, values)
 
-    def run(self, backend: Backend) -> list[ViewBlock]:
+    def run(
+        self, backend: Backend, cache: "SessionCache | None" = None
+    ) -> list[ViewBlock]:
         """Execute against ``backend``; one view block per group."""
         states: dict[ViewGroup, GroupState] = {}
-        self.fold(self.fetch(backend), states)
+        self.fold(self.fetch(backend, cache), states)
         return [states[group].block(self.merges_sides) for group in self.groups]
 
     def _group_results(self, backend: Backend, query) -> list[Table]:
@@ -235,13 +308,16 @@ class ExecutionStep:
         return [backend.execute(query)] * len(self.groups)
 
     def describe(self) -> str:
-        n_queries = 1 if self.combine_flag else 2
+        n_queries = len(self.queries())
         if self.sharing is not GroupByCombining.NONE:
             dimensions = [group.dimension for group in self.groups]
             return f"{self.sharing.value}[{dimensions}, {n_queries} query(ies)]"
         (group,) = self.groups
-        sides = "flag" if self.combine_flag else "separate"
-        noun = "query" if self.combine_flag else "queries"
+        if self.caches_comparison:
+            sides = "cached"
+        else:
+            sides = "flag" if self.combine_flag else "separate"
+        noun = "query" if n_queries == 1 else "queries"
         return (
             f"{sides}[{group.dimension}: {len(group.views)} view(s), "
             f"{n_queries} {noun}]"
@@ -259,14 +335,21 @@ class ExecutionPlan:
         return tuple(view for step in self.steps for view in step.views)
 
     def total_queries(self) -> int:
-        """DBMS round trips the plan will issue (grouping-sets fallback on
-        backends without native support may add more — see cost model)."""
+        """DBMS round trips the plan issues on a request whose comparison
+        sides are cached (grouping-sets fallback on backends without
+        native support may add more — see cost model)."""
         return sum(len(step.queries()) for step in self.steps)
 
-    def run(self, backend: Backend, n_workers: int = 1) -> list[ViewBlock]:
+    def run(
+        self,
+        backend: Backend,
+        n_workers: int = 1,
+        cache: "SessionCache | None" = None,
+    ) -> list[ViewBlock]:
         """Execute all steps, on up to ``n_workers`` pool threads; one view
-        block per group, in step order (see :func:`run_steps`)."""
-        return run_steps(self.steps, backend, n_workers)
+        block per group, in step order (see :func:`run_steps`). Cached
+        comparison sides come from ``cache`` (computed per step without)."""
+        return run_steps(self.steps, backend, n_workers, cache)
 
     def describe(self) -> str:
         lines = [f"plan: {len(self.steps)} step(s), {self.total_queries()} query(ies)"]
@@ -321,8 +404,9 @@ def _chunked(groups, config, cardinalities, combine_flag):
 
 def _bin_packed(groups, config, cardinalities, combine_flag):
     """Bin-pack dimensions under the rollup working-memory budget. The flag
-    column doubles the group count, so the budget halves when combined; a
-    dimension of unknown cardinality is conservatively too large to share."""
+    column of a combined step's phased rounds doubles the group count, so
+    the budget halves when combined; a dimension of unknown cardinality is
+    conservatively too large to share."""
     budget = config.memory_budget_cells
     if combine_flag:
         budget = max(budget // 2, 2)
@@ -469,7 +553,9 @@ class Planner:
         return candidates
 
     def combine_flag(self, reference: ResolvedReference) -> bool:
-        """Whether target and comparison share one flag-grouped query."""
+        """Whether target and comparison share work: a comparison side
+        cached per data version (``table``) or one flag-grouped query
+        (``complement``); see :class:`ExecutionStep`."""
         return self.config.combine_target_comparison and reference.flag_combinable
 
     def per_view(self, kind: GroupByCombining) -> bool:

@@ -36,43 +36,58 @@ def dataset():
     )
 
 
-def run(dataset, **overrides):
+def run(dataset, warm=False, **overrides):
+    """One request on a fresh backend; with ``warm``, the second of two,
+    the engine's counters reset in between: what a session's every later
+    request does once the first has cached the table's comparison sides."""
     backend = MemoryBackend()
     backend.register_table(dataset.table)
     config = SeeDBConfig(**{**NO_PRUNING, **overrides})
     seedb = SeeDB(backend, config)
-    result = seedb.recommend(
-        RecommendationRequest(
-            RowSelectQuery(dataset.table.name, dataset.predicate), k=5
-        )
+    request = RecommendationRequest(
+        RowSelectQuery(dataset.table.name, dataset.predicate), k=5
     )
-    return backend, result
+    if warm:
+        seedb.recommend(request)
+        backend.engine.stats.reset()
+    return backend, seedb.recommend(request)
 
 
 class TestQueryCombining:
     def test_flag_halves_queries(self, dataset):
-        _b1, separate = run(dataset, combine_target_comparison=False,
+        """Combined, a warm request issues the target queries alone; the
+        comparison sides come from the engine cache."""
+        _b1, separate = run(dataset, warm=True, combine_target_comparison=False,
                             combine_aggregates=False)
-        _b2, combined = run(dataset, combine_target_comparison=True,
+        _b2, combined = run(dataset, warm=True, combine_target_comparison=True,
                             combine_aggregates=False)
         assert combined.n_queries * 2 == separate.n_queries
 
+    def test_a_cold_request_also_computes_the_comparison_sides(self, dataset):
+        _b1, cold = run(dataset, combine_aggregates=False)
+        _b2, warm = run(dataset, warm=True, combine_aggregates=False)
+        assert cold.n_queries == 2 * warm.n_queries
+
     def test_aggregate_combining_scales_with_dimensions(self, dataset):
-        _b, result = run(dataset, combine_target_comparison=True,
+        _b, result = run(dataset, warm=True, combine_target_comparison=True,
                          combine_aggregates=True,
                          groupby_combining=GroupByCombining.NONE)
         n_dimensions = 5  # 5 generated; segment is predicate-excluded
         assert result.n_queries == n_dimensions
 
     def test_grouping_sets_single_query(self, dataset):
-        _b, result = run(dataset, groupby_combining=GroupByCombining.GROUPING_SETS)
+        _b, result = run(
+            dataset, warm=True, groupby_combining=GroupByCombining.GROUPING_SETS
+        )
         assert result.n_queries == 1
 
     def test_scan_counts_drop_with_sharing(self, dataset):
-        backend_a, basic = run(dataset, combine_target_comparison=False,
+        backend_a, basic = run(dataset, warm=True, combine_target_comparison=False,
                                combine_aggregates=False)
-        backend_b, shared = run(dataset, groupby_combining=GroupByCombining.GROUPING_SETS)
-        # Each backend is fresh, so total scans == view-query scans + metadata.
+        backend_b, shared = run(
+            dataset, warm=True, groupby_combining=GroupByCombining.GROUPING_SETS
+        )
+        # Counters were reset after the first request: the warm one's scans.
         assert backend_b.engine.stats.table_scans < backend_a.engine.stats.table_scans
 
     def test_rollup_fits_budget(self, dataset):

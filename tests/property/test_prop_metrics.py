@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.normalize import normalize_distribution
@@ -126,3 +126,40 @@ def test_kl_smoothing_monotone_in_epsilon_limit(pair):
     error_small = abs(KLDivergence(1e-12).distance(p, q) - exact)
     error_large = abs(KLDivergence(1e-2).distance(p, q) - exact)
     assert error_small <= error_large + 1e-9
+
+
+def _js_with_halved_mixture(P, Q):
+    """Jensen-Shannon through ``M = 0.5 * (P + Q)`` and ``P / M``: the
+    formula the kernel used before it divided ``2P`` by ``P + Q``."""
+    mixture = 0.5 * (P + Q)
+
+    def kl_bits(X):
+        ratio = np.divide(X, mixture, out=np.ones_like(X), where=X > 0)
+        return np.sum(X * np.log2(ratio), axis=1)
+
+    divergence = 0.5 * kl_bits(P) + 0.5 * kl_bits(Q)
+    return np.sqrt(np.maximum(divergence, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_js_is_finite_on_a_subnormal_entry_against_zero():
+    """Half a subnormal ``P + Q`` underflows to 0 while ``P > 0``; the
+    ratio ``2P / (P + Q)`` has a positive denominator there."""
+    p = np.array([5e-324, 1.0, 0.0])
+    q = np.array([0.0, 0.5, 0.5])
+    assert 0.5 * (p[0] + q[0]) == 0.0
+    value = get_metric("js").distance(p, q)
+    assert np.isfinite(value)
+    assert 0.0 <= value <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=distribution_pairs())
+def test_js_keeps_the_bits_of_the_halved_mixture_on_normal_inputs(pair):
+    p, q = pair
+    tiny = np.finfo(np.float64).tiny
+    assume(all(((x == 0) | (x >= tiny)).all() for x in pair))
+    P, Q = p[None, :], q[None, :]
+    assert get_metric("js").distance_batch(P, Q).tobytes() == (
+        _js_with_halved_mixture(P, Q).tobytes()
+    )

@@ -146,7 +146,7 @@ def run_partitioned(steps, backend, n):
         for index in range(n):
             part = replace(step, partition=RowPartition(index, n))
             part.fold(part.fetch(backend), states)
-        blocks.extend(states[group].block(step.merges_sides) for group in step.groups)
+        blocks.extend(states[group].block(part.merges_sides) for group in step.groups)
     return blocks
 
 

@@ -296,9 +296,9 @@ class TestParallelismDecision:
         seen = []
         real_run_steps = plan_module.run_steps
 
-        def spy(steps, backend, n_workers=1):
+        def spy(steps, backend, n_workers=1, cache=None):
             seen.append(n_workers)
-            return real_run_steps(steps, backend, n_workers)
+            return real_run_steps(steps, backend, n_workers, cache)
 
         monkeypatch.setattr(plan_module, "run_steps", spy)
         monkeypatch.setattr(parallel, "usable_cores", lambda: cores)

@@ -123,11 +123,14 @@ class TestRowPartition:
     def test_memory_engine_takes_a_strided_view_not_a_copy(self, table):
         from repro.db.engine import Engine
 
-        sliced = Engine._apply_predicate(table, RowPartition(1, 2))
+        sliced, rows = Engine._select_rows(table, RowPartition(1, 2))
+        assert rows is None
         assert names(sliced, slice(None)) == ["bob", "dee"]
         assert np.shares_memory(sliced.column("age"), table.column("age"))
         rest = RowPartition(1, 2) & (col("age") == 25) & (col("name") == "dee")
-        assert names(Engine._apply_predicate(table, rest), slice(None)) == ["dee"]
+        sliced, rows = Engine._select_rows(table, rest)
+        assert np.shares_memory(sliced.column("age"), table.column("age"))
+        assert names(sliced, rows) == ["dee"]
 
     def test_split_peels_only_a_leading_partition(self):
         partition, other = RowPartition(0, 2), col("age") == 25

@@ -1,11 +1,14 @@
 """Unit tests: the planner, execution steps, extraction, and cost model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.backends.base import BackendCapabilities
-from repro.db.expressions import col
+from repro.db.expressions import RowPartition, col
 from repro.db.query import AggregateQuery, GroupingSetsQuery
+from repro.model.reference import TABLE_REFERENCE, ResolvedReference
 from repro.model.view import ViewSpec
 from repro.optimizer.binpack import pack_dimensions
 from repro.optimizer.cost import estimate_plan_cost
@@ -254,16 +257,43 @@ class TestPlannerShapes:
             PlannerConfig(max_dims_per_query=0)
 
 
+#: The reference whose combined steps keep the flag query.
+COMPLEMENT = ResolvedReference("complement", ~(col("x") == 1))
+
+
 class TestStepQueries:
     def test_flag_step_query_shape(self):
         group = ViewGroup("store", (ViewSpec("store", "amount", "avg"),))
-        step = ExecutionStep("sales", col("x") == 1, (group,))
+        step = ExecutionStep("sales", col("x") == 1, (group,), reference=COMPLEMENT)
         (query,) = step.queries()
         assert isinstance(query, AggregateQuery)
         assert query.predicate is None  # flag carries the predicate
         assert query.key_names == (FLAG_NAME, "store")
         aliases = [a.alias for a in query.aggregates]
         assert aliases == ["sum(amount)", "countv(amount)"]
+
+    def test_table_step_issues_its_target_query(self):
+        """Under the ``table`` reference a combined step issues the target
+        query; the comparison side is the predicate-free query's, cached."""
+        group = ViewGroup("store", (ViewSpec("store", "amount", "avg"),))
+        step = ExecutionStep("sales", col("x") == 1, (group,))
+        assert step.caches_comparison and not step.flag_combined
+        (query,) = step.queries()
+        assert query.predicate == col("x") == 1
+        assert query.key_names == ("store",)
+        comparison = step.comparison_query()
+        assert comparison == replace(query, predicate=None)
+        aliases = [a.alias for a in query.aggregates]
+        assert aliases == ["sum(amount)", "countv(amount)"]
+
+    def test_a_partitioned_table_step_is_flag_combined(self):
+        group = ViewGroup("store", (ViewSpec("store", "amount", "sum"),))
+        step = ExecutionStep(
+            "sales", col("x") == 1, (group,), partition=RowPartition(0, 2)
+        )
+        assert step.flag_combined and step.merges_sides
+        (query,) = step.queries()
+        assert query.key_names == (FLAG_NAME, "store")
 
     def test_separate_step_queries(self):
         group = ViewGroup("store", (ViewSpec("store", "amount", "sum"),))
@@ -280,6 +310,10 @@ class TestStepQueries:
         one = groups[:1]
         assert (
             ExecutionStep("t", None, one).describe()
+            == "cached[a: 1 view(s), 1 query]"
+        )
+        assert (
+            ExecutionStep("t", None, one, reference=COMPLEMENT).describe()
             == "flag[a: 1 view(s), 1 query]"
         )
         assert (
@@ -327,10 +361,14 @@ class TestStepQueries:
             ViewGroup("b", (ViewSpec("b", "m", "avg"),)),
         )
         step = ExecutionStep(
-            "t", col("x") == 1, groups, GroupByCombining.ROLLUP, combine_flag=True
+            "t", col("x") == 1, groups, GroupByCombining.ROLLUP, combine_flag=True,
+            reference=COMPLEMENT,
         )
         (query,) = step.queries()
         assert query.key_names == (FLAG_NAME, "a", "b")
+        table_step = replace(step, reference=TABLE_REFERENCE)
+        (query,) = table_step.queries()
+        assert query.key_names == table_step.comparison_query().key_names == ("a", "b")
 
 
 def fold_rollup(rollup, group, merged=True):
@@ -411,9 +449,13 @@ class TestCostModel:
         assert cost_fallback.n_scans > cost_native.n_scans
 
     def test_result_groups_flag_doubling(self):
-        group = ViewGroup("store", (ViewSpec("store", "amount", "sum"),))
-        flag_plan = Planner(PlannerConfig()).plan(
-            [ViewSpec("store", "amount", "sum")], "s", col("x") == 1, CARDINALITIES
-        )
+        views = [ViewSpec("store", "amount", "sum")]
+        planner = Planner(PlannerConfig(groupby_combining=GroupByCombining.NONE))
+        flag_plan = planner.plan(views, "s", col("x") == 1, CARDINALITIES, COMPLEMENT)
         cost = estimate_plan_cost(flag_plan, 100, CARDINALITIES, CAPS_GS)
         assert cost.result_groups == 8  # 4 stores x 2 flag values
+        # The table reference's target query has no flag; its cached
+        # comparison side is priced at zero.
+        table_plan = planner.plan(views, "s", col("x") == 1, CARDINALITIES)
+        cost = estimate_plan_cost(table_plan, 100, CARDINALITIES, CAPS_GS)
+        assert cost.result_groups == 4 and cost.n_queries == 1

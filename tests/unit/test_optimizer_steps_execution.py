@@ -17,9 +17,10 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
-from repro.db.expressions import col
+from repro.db.expressions import Not, col
 from repro.db.table import Table
 from repro.db.types import AttributeRole
+from repro.model.reference import ResolvedReference
 from repro.model.view import ViewSpec
 from repro.optimizer.parallel import run_steps
 from repro.optimizer.plan import (
@@ -234,8 +235,13 @@ class InFlightBackend(MemoryBackend):
 
 
 def unshared_steps(predicate, views):
+    """One step per view, each issuing one flag-combined statement (the
+    ``complement`` reference's shape), so backend calls count steps."""
+    reference = ResolvedReference("complement", Not(predicate))
     return [
-        ExecutionStep("sales", predicate, (ViewGroup(v.dimension, (v,)),))
+        ExecutionStep(
+            "sales", predicate, (ViewGroup(v.dimension, (v,)),), reference=reference
+        )
         for v in views
     ]
 
@@ -305,7 +311,7 @@ class TestRunSteps:
             def __init__(self, index):
                 self.index = index
 
-            def run(self, backend):
+            def run(self, backend, cache):
                 runs.append(self.index)
                 return [self.index]
 

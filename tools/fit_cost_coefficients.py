@@ -42,6 +42,7 @@ from repro.backends.sqlite import SqliteBackend
 from repro.core.space import enumerate_views
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.db.expressions import col
+from repro.engine.cache import SessionCache
 from repro.metadata.stats import compute_table_stats
 from repro.model.reference import TABLE_REFERENCE
 from repro.optimizer.cost import CostCoefficients, estimate_plan_cost
@@ -128,14 +129,17 @@ def candidate_plans(table, capabilities):
 
 def time_steps(steps, backend, repeats: int) -> list[float]:
     """Median seconds of each step, timed round-robin so a drift in the
-    machine's speed during the sweep touches every step alike."""
+    machine's speed during the sweep touches every step alike. Steps run
+    warm, their comparison sides cached, as the model prices them."""
+    cache = SessionCache(backend)
+    cache.sync()
     for step in steps:
-        step.run(backend)  # warm: caches, encodings, prepared statements
+        step.run(backend, cache)  # warm: caches, encodings, prepared statements
     samples: list[list[float]] = [[] for _ in steps]
     for _ in range(repeats):
         for step, times in zip(steps, samples):
             start = time.perf_counter()
-            step.run(backend)
+            step.run(backend, cache)
             times.append(time.perf_counter() - start)
     return [statistics.median(times) for times in samples]
 
